@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Strong temporal order of the semi-implicit scheme against its
-self-refined reference, on the default delta ladder.
+"""Strong temporal order of the semi-implicit scheme against one shared
+reference at δ_min/refine on the base tape, on the default delta ladder.
 
 Prints the raw p-moment slope, the normalized strong order, and the
 per-rung error table.  Library-level twin of `snse-lab converge-time`.

@@ -62,6 +62,10 @@ class SchemeParams:
             raise ConfigError("delta exceeds delta0", field="delta")
         if self.solver not in ("fixed-point", "krylov"):
             raise ConfigError(f"unknown solver policy {self.solver!r}", field="solver")
+        if not self.tol > 0:
+            raise ConfigError("solver tolerance must be positive", field="tol")
+        if self.max_iter < 1:
+            raise ConfigError("solver needs >= 1 sweep", field="max_iter")
 
     def with_delta(self, delta: float, shells: int | None = None) -> "SchemeParams":
         return SchemeParams(self.nu, delta, self.shells if shells is None else shells,
@@ -137,6 +141,9 @@ def _fixed_point_solve(grid, u1v, u2v, rhs, inv_diag, delta, tol, max_iter, scal
         inc = spectral.norm_l2(c_new - c)
         c = c_new
         top = float(np.max(inc / np.maximum(scale, 1e-100))) if inc.size else 0.0
+        if not np.isfinite(top):
+            raise SolverError(f"non-finite state (relative increment {top:.3e})",
+                              residual=top)
         if np.all(inc <= target):
             return c, it
         if it > 3 and top > prev_inc * 1.05 and top > 1e-6:
@@ -258,10 +265,12 @@ def stream_increments(stream: NoiseStream, d: int, delta: float,
 
 def batch_increments(seed: int, trajectory_ids, fine_factor: int, d: int,
                      delta: float, chunk: int | None = None):
-    """Chunk-cached coarse increments for a batch of trajectories.
+    """Coarse increments for a batch of trajectories, drawn on demand.
 
-    Output of the provider has shape (steps, M, d).  Generation is keyed
-    by absolute tape cells, so values do not depend on chunk size.
+    Output of the provider has shape (steps, M, d).  It draws exactly the
+    tape cells of the requested steps, at most ``chunk`` steps per philox
+    call; generation is keyed by absolute tape cells, so values do not
+    depend on chunk size.
     """
     traj = np.asarray(trajectory_ids)
     r = int(fine_factor)
@@ -269,27 +278,14 @@ def batch_increments(seed: int, trajectory_ids, fine_factor: int, d: int,
         # keep one chunk of raw normals around ~32 MB
         chunk = max(1, min(INCREMENT_CHUNK, (1 << 22) // max(1, traj.size * d * r)))
     root = np.sqrt(delta / r)
-    cache: dict[int, np.ndarray] = {}
-
-    def chunk_values(c0: int) -> np.ndarray:
-        arr = cache.get(c0)
-        if arr is None:
-            cells = np.arange(c0 * chunk * r, (c0 + 1) * chunk * r)
-            g = forcing_mod.gaussian_cells(seed, traj, cells, d)  # (M, cells, d)
-            fine = root * g.reshape(traj.size, chunk, r, d)
-            arr = np.ascontiguousarray(sum_fine(fine, axis=2).transpose(1, 0, 2))
-            cache.clear()
-            cache[c0] = arr
-        return arr
 
     def provider(n0: int, n1: int) -> np.ndarray:
         out = np.empty((n1 - n0, traj.size, d))
-        pos = n0
-        while pos < n1:
-            c0, off = divmod(pos, chunk)
-            take = min(chunk - off, n1 - pos)
-            out[pos - n0: pos - n0 + take] = chunk_values(c0)[off: off + take]
-            pos += take
+        for a in range(n0, n1, chunk):
+            b = min(a + chunk, n1)
+            g = forcing_mod.gaussian_cells(seed, traj, np.arange(a * r, b * r), d)
+            fine = root * g.reshape(traj.size, b - a, r, d)
+            out[a - n0: b - n0] = sum_fine(fine, axis=2).transpose(1, 0, 2)
         return out
 
     return provider
@@ -315,6 +311,8 @@ def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams
     """
     if p.shells != grid.shells:
         raise StructuralError("params cutoff differs from grid")
+    if record_stride < 1:
+        raise ConfigError("record stride must be >= 1", field="record_stride")
     c = np.array(c0, dtype=np.complex128)
     if c.ndim == 1:
         c = c[None, :]

@@ -383,7 +383,7 @@ def run_study(subcommand: str, cfg: RunConfig, seed: int, threads: int) -> tuple
             p_moment=float(e.get("p_moment", 0.5)),
             ic=ic, noise_on=bool(e.get("noise_on", True)), threads=threads)
         report = exp.temporal_order_study(study, seed)
-        fit = report.fits["order_p"]
+        fit = report.fits["moment_p"]
         checks["temporal-order-band"] = _band_check(fit.slope, 0.40, 0.60)
         checks["temporal-order-r2"] = fit.r_squared >= 0.97
     elif subcommand == "converge-space":

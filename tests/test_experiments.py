@@ -176,6 +176,60 @@ def test_temporal_noise_off_recovers_deterministic_order_one():
     assert fit.r_squared >= 0.999
 
 
+def _per_rung_errors(cfg, seed, delta):
+    """Reference implementation: one rung against its own reference at
+    delta/refine, both reading the base tape at min(deltas)/refine."""
+    from snselab import integrator as integ
+    from snselab import spectral
+    from snselab.forcing import gaussian_cells, low_mode_basis, sum_fine
+    from snselab.integrator import SchemeParams
+
+    grid = make_grid(cfg.shells)
+    basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
+    xi0 = cfg.ic.build(grid, seed)
+    delta_base = min(cfg.deltas) / cfg.refine
+    p_c = SchemeParams(cfg.nu, delta, cfg.shells, delta0=max(cfg.deltas))
+    p_f = SchemeParams(cfg.nu, delta / cfg.refine, cfg.shells, delta0=max(cfg.deltas))
+    n_coarse = round(cfg.horizon / delta)
+    r_f = round(delta / cfg.refine / delta_base)
+    diag_c = 1.0 + delta * cfg.nu * grid.lam
+    diag_f = 1.0 + (delta / cfg.refine) * cfg.nu * grid.lam
+    m = cfg.ensemble
+    c = np.broadcast_to(xi0.coeffs, (m, grid.n_half)).copy()
+    cf = c.copy()
+    sup = np.zeros(m)
+    g = gaussian_cells(seed, np.arange(m), np.arange(n_coarse * cfg.refine * r_f), basis.d)
+    fine = sum_fine((np.sqrt(delta_base) * g).reshape(m, n_coarse, cfg.refine, r_f,
+                                                      basis.d), axis=3)
+    coarse = sum_fine(fine, axis=2)
+    for j in range(n_coarse):
+        for jf in range(cfg.refine):
+            noise_f = fine[:, j, jf] @ basis.coeff_matrix
+            cf, _ = integ._advance_one(grid, cf, noise_f, p_f, 1.0 / diag_f, diag_f,
+                                       spectral.norm_l2(noise_f))
+        noise_c = coarse[:, j] @ basis.coeff_matrix
+        c, _ = integ._advance_one(grid, c, noise_c, p_c, 1.0 / diag_c, diag_c,
+                                  spectral.norm_l2(noise_c))
+        np.maximum(sup, spectral.norm_l2(c - cf), out=sup)
+    return float(np.mean(sup ** cfg.p_moment)), float(np.mean(sup ** 2))
+
+
+def test_temporal_shared_reference_keeps_finest_rung_exact():
+    # the finest rung's own reference is the shared one, so its errors match
+    # the per-rung reference implementation bit for bit
+    cfg = TemporalOrderConfig(deltas=(1 / 10, 1 / 20, 1 / 40, 1 / 80), shells=6,
+                              horizon=0.2, ensemble=4, refine=4)
+    report = temporal_order_study(cfg, seed=7)
+    finest = report.tables["rungs"][-1]
+    assert finest["delta"] == 1 / 80
+    err_p, err_sq = _per_rung_errors(cfg, 7, 1 / 80)
+    assert finest["err_p_moment"] == err_p
+    assert finest["err_mean_square"] == err_sq
+    again = temporal_order_study(cfg, seed=7)
+    assert again.tables == report.tables
+    assert again.fits == report.fits
+
+
 def test_spatial_resolved_regime_flagged():
     # dynamics fully resolved on the smallest rung (single low mode, no noise):
     # errors at rounding level, fit refused with a note

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from snselab import spectral
-from snselab.errors import ConfigError
+from snselab.errors import ConfigError, SolverError
 from snselab.forcing import NoiseStream, low_mode_basis
 from snselab.integrator import (SchemeParams, energy_identity_residual,
-                                moment_probe, reference_simulate,
+                                moment_probe, reference_simulate, run_scheme,
                                 semi_implicit_step, simulate, simulate_ensemble,
                                 step_residual)
 from snselab.spectral import (SpectralField, advect_frozen, harmonic_field,
@@ -91,6 +91,34 @@ def test_krylov_policy_matches_fixed_point():
     a = semi_implicit_step(f, None, p_fp, None)
     b = semi_implicit_step(f, None, p_kr, None)
     assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-9 * f.l2_norm()
+
+
+@pytest.mark.parametrize("name, value", [("max_iter", 0), ("tol", 0.0),
+                                         ("tol", -1e-12), ("record_stride", 0)])
+def test_bad_solver_parameters_raise_config_error(name, value):
+    kwargs = {name: value}
+    stride = kwargs.pop("record_stride", 1)
+    with pytest.raises(ConfigError) as err:
+        p = SchemeParams(1.0, 0.05, 16, **kwargs)
+        run_scheme(G, random_field(G, seed=1).coeffs, 2, p, None, None,
+                   record_stride=stride)
+    assert err.value.field == name
+
+
+def test_non_finite_state_fails_at_first_sweep(monkeypatch):
+    sweeps = []
+
+    def counting_advect(*args):
+        sweeps.append(1)
+        return advect_frozen(*args)
+
+    monkeypatch.setattr(spectral, "advect_frozen", counting_advect)
+    c0 = random_field(G, seed=1).coeffs.copy()
+    c0[3] = np.nan
+    with pytest.raises(SolverError) as err:
+        run_scheme(G, c0, 5, SchemeParams(1.0, 0.05, 16), None, None)
+    assert err.value.step_index == 1
+    assert len(sweeps) == 1
 
 
 # -- trajectories ----------------------------------------------------------------

@@ -187,8 +187,8 @@ def test_thread_count_changes_nothing(tmp_path):
 
 
 def test_enforce_gates_exit_code(tmp_path):
-    # an impossible band: temporal order on a deterministic run is ~1,
-    # far outside [0.40, 0.60], so --enforce must exit 4
+    # an impossible band: a deterministic run has strong order ~1, so its
+    # p = 1 moment slope is ~1, far outside [0.40, 0.60]; --enforce must exit 4
     path = _write_config(tmp_path, """
 [discretization]
 shells = 6
@@ -198,6 +198,7 @@ deltas = 0.05, 0.025, 0.0125, 0.00625
 horizon = 0.2
 ensemble = 1
 refine = 4
+p_moment = 1.0
 noise_on = false
 """)
     code = main(["converge-time", "--config", path, "--seed", "0",
