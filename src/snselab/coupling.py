@@ -104,17 +104,9 @@ def nudged_step(xi_tilde_prev: SpectralField, xi_target_new: SpectralField,
     mask = grid.mode_mask(np_.shells_controlled).astype(np.float64)
     diag = 1.0 + p.delta * p.nu * grid.lam + p.delta * np_.beta * mask
     rhs_extra = p.delta * np_.beta * mask * xi_target_new.coeffs
-    noise = None
-    noise_scale = 0.0
-    if basis is not None and eta is not None:
-        b = basis.project_to(grid)
-        noise = np.sqrt(p.delta) * forcing_mod.apply_forcing(b, eta)
-        noise_scale = float(spectral.norm_l2(noise))
-    rhs = xi_tilde_prev.coeffs + rhs_extra + (noise if noise is not None else 0.0)
-    u1v, u2v = spectral.velocity_values(grid, xi_tilde_prev.coeffs)
-    scale = spectral.norm_l2(xi_tilde_prev.coeffs) + noise_scale \
-        + float(spectral.norm_l2(rhs_extra))
-    c, _ = integ._solve_step(grid, u1v, u2v, rhs, 1.0 / diag, diag, p, scale)
+    noise, noise_scale = integ._eta_noise(grid, eta, p.delta, basis)
+    c, _ = integ._advance_one(grid, xi_tilde_prev.coeffs, noise, p, 1.0 / diag, diag,
+                              noise_scale, rhs_extra, float(spectral.norm_l2(rhs_extra)))
     return SpectralField(grid, c)
 
 
@@ -159,49 +151,36 @@ def _coupled_run(grid: SpectralGrid, c0: np.ndarray, ct0: np.ndarray, n_steps: i
         states[0], states_t[0] = c, ct
     slot = 1
 
-    pos = 0
-    while pos < n_steps:
-        take = min(integ.INCREMENT_CHUNK, n_steps - pos)
-        dw = increments(pos, pos + take)
-        for j in range(take):
-            step = pos + j + 1
-            noise = dw[j] @ b.coeff_matrix
-            nscale = spectral.norm_l2(noise)
-            # plain system first: the control references xi^n at the new level
-            c, it1 = integ._solve_step(
-                grid, *spectral.velocity_values(grid, c),
-                rhs=c + noise, inv_diag=inv_diag, diag=diag, p=p,
-                scale=spectral.norm_l2(c) + nscale)
-            rhs_t = ct + p.delta * np_.beta * mask * c + noise
-            ct, it2 = integ._solve_step(
-                grid, *spectral.velocity_values(grid, ct),
-                rhs=rhs_t, inv_diag=inv_diag_n, diag=diag_n, p=p,
-                scale=spectral.norm_l2(ct) + nscale
-                + np_.beta * p.delta * spectral.norm_l2(c))
-            zeta = ct - c
-            gaps[step] = spectral.norm_l2_sq(zeta)
-            if compute_shifts:
-                zk = mask * zeta
-                eta = forcing_mod._real_vector(b, zk) @ pinv.T
-                recon = eta @ b.coeff_matrix
-                resid = spectral.norm_l2(recon - zk)
-                znorm = spectral.norm_l2(zk)
-                bad = resid > shift_tol * np.maximum(znorm, 1e-300)
-                if np.any(bad & (znorm > 0)):
-                    raise RangeError(
-                        f"controlled modes left range(sigma) at step {step}",
-                        float(np.max(resid)))
-                shifts[step - 1] = -np_.beta * eta
-            energy[step], energy_t[step] = spectral.norm_l2_sq(c), spectral.norm_l2_sq(ct)
-            h1[step] = spectral.sobolev_norm_sq(grid, c, 1.0)
-            h1_t[step] = spectral.sobolev_norm_sq(grid, ct, 1.0)
-            iters[step - 1] = max(it1, it2)
-            if step % record_stride == 0:
-                rec_idx[slot] = step
-                if keep_states:
-                    states[slot], states_t[slot] = c, ct
-                slot += 1
-        pos += take
+    for step, noise, nscale in integ.tape_steps(n_steps, b, increments):
+        # plain system first: the control references xi^n at the new level
+        c, it1 = integ._advance_one(grid, c, noise, p, inv_diag, diag, nscale)
+        ct, it2 = integ._advance_one(
+            grid, ct, noise, p, inv_diag_n, diag_n, nscale,
+            rhs_extra=p.delta * np_.beta * mask * c,
+            extra_scale=np_.beta * p.delta * spectral.norm_l2(c))
+        zeta = ct - c
+        gaps[step] = spectral.norm_l2_sq(zeta)
+        if compute_shifts:
+            zk = mask * zeta
+            eta = forcing_mod._real_vector(b, zk) @ pinv.T
+            recon = eta @ b.coeff_matrix
+            resid = spectral.norm_l2(recon - zk)
+            znorm = spectral.norm_l2(zk)
+            bad = resid > shift_tol * np.maximum(znorm, 1e-300)
+            if np.any(bad & (znorm > 0)):
+                raise RangeError(
+                    f"controlled modes left range(sigma) at step {step}",
+                    float(np.max(resid)))
+            shifts[step - 1] = -np_.beta * eta
+        energy[step], energy_t[step] = spectral.norm_l2_sq(c), spectral.norm_l2_sq(ct)
+        h1[step] = spectral.sobolev_norm_sq(grid, c, 1.0)
+        h1_t[step] = spectral.sobolev_norm_sq(grid, ct, 1.0)
+        iters[step - 1] = max(it1, it2)
+        if step % record_stride == 0:
+            rec_idx[slot] = step
+            if keep_states:
+                states[slot], states_t[slot] = c, ct
+            slot += 1
 
     primary = EnsembleRun(grid, p, rec_idx[:slot],
                           states[:slot] if keep_states else None, energy, h1, iters)

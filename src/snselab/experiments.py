@@ -773,43 +773,31 @@ def stationary_bias_study(cfg: StationaryBiasConfig, seed: int) -> StudyReport:
     p = SchemeParams(cfg.nu, cfg.delta, cfg.shells)
     obs = cfg.observable
 
+    def observe_run(c0, n_steps, tape_seed, traj_ids):
+        """Per-step observable values (n_steps, M) of one run from c0."""
+        vals = np.empty((n_steps, len(traj_ids)))
+
+        def watch(step, coeffs):
+            vals[step - 1] = obs.evaluate(grid, coeffs)
+
+        inc = integ.batch_increments(tape_seed, traj_ids, 1, basis.d, cfg.delta)
+        c0 = np.broadcast_to(c0, (len(traj_ids), grid.n_half))
+        integ.run_scheme(grid, c0, n_steps, p, basis, inc, keep_states=False,
+                         observer=watch)
+        return vals
+
     # stationary proxy: single long run, second half averaged
-    ref_run = integ.simulate_ensemble(
-        spectral.zero_field(grid), cfg.reference_steps, p, basis, seed,
-        [REFERENCE_TRAJECTORY], keep_states=False)
-    burn = int(cfg.reference_steps * cfg.burn_fraction)
-    # evaluate the observable from recorded energies when possible
-    proxy = _observable_time_average(obs, grid, p, basis, seed,
-                                     REFERENCE_TRAJECTORY, cfg.reference_steps,
-                                     burn, ref_run)
+    ref_vals = observe_run(spectral.zero_field(grid).coeffs, cfg.reference_steps, seed,
+                           [REFERENCE_TRAJECTORY])
+    proxy = float(np.mean(ref_vals[int(cfg.reference_steps * cfg.burn_fraction):, 0]))
 
     xi0 = cfg.ic.build(grid, seed)
     traj = np.arange(cfg.replicas)
 
     def run_leg(start_coeffs, burn_steps: int):
-        sums = {}
-        phi_sum = np.zeros(cfg.replicas)
-        count = 0
-        c = np.array(np.broadcast_to(start_coeffs, (cfg.replicas, grid.n_half)))
-        inc = integ.batch_increments(seed + 1, traj, 1, basis.d, cfg.delta)
-        diag = 1.0 + cfg.delta * cfg.nu * grid.lam
-        pos = 0
-        total = burn_steps + n_max
-        while pos < total:
-            take = min(integ.INCREMENT_CHUNK, total - pos)
-            dw = inc(pos, pos + take)
-            for j in range(take):
-                step = pos + j + 1
-                noise = dw[j] @ basis.coeff_matrix
-                c, _ = integ._advance_one(grid, c, noise, p, 1.0 / diag, diag,
-                                          spectral.norm_l2(noise))
-                if step > burn_steps:
-                    phi_sum += obs.evaluate(grid, c)
-                    count += 1
-                    if count in cfg.n_ladder:
-                        sums[count] = phi_sum / count
-            pos += take
-        return sums
+        vals = observe_run(start_coeffs, burn_steps + n_max, seed + 1, traj)[burn_steps:]
+        running = np.cumsum(vals, axis=0)
+        return {n: running[n - 1] / n for n in cfg.n_ladder}
 
     bias_leg = run_leg(xi0.coeffs, 0)
     mse_leg = run_leg(xi0.coeffs, cfg.mse_burn_steps)
@@ -837,30 +825,6 @@ def stationary_bias_study(cfg: StationaryBiasConfig, seed: int) -> StudyReport:
     report.scalars["bias_exponent"] = -report.fits["bias_decay"].slope
     report.scalars["mse_exponent"] = -report.fits["mse_decay"].slope
     return report
-
-
-def _observable_time_average(obs, grid, p, basis, seed, traj_id, n_steps, burn,
-                             ref_run) -> float:
-    """Time average of the observable over a recorded long run."""
-    if obs.kind == "clipped-norm":
-        vals = np.minimum(ref_run.energy_sq[burn + 1:, 0], obs.radius ** 2)
-        return float(np.mean(vals))
-    if obs.kind == "smoothed-energy":
-        vals = np.exp(-ref_run.energy_sq[burn + 1:, 0] / obs.radius ** 2)
-        return float(np.mean(vals))
-    # coefficient observables need the states: rerun with an observer
-    total = np.zeros(1)
-    count = [0]
-
-    def watch(step, coeffs):
-        if step > burn:
-            total[0] += obs.evaluate(grid, coeffs)[0]
-            count[0] += 1
-
-    inc = integ.batch_increments(seed, [traj_id], 1, basis.d, p.delta)
-    integ.run_scheme(grid, np.zeros((1, grid.n_half), dtype=np.complex128),
-                     n_steps, p, basis, inc, keep_states=False, observer=watch)
-    return float(total[0] / count[0])
 
 
 # -- nudged coupling study -------------------------------------------------------------------

@@ -14,6 +14,13 @@ solve for step sizes where the fixed point stops contracting.
 Everything operates on batched coefficient arrays (M, n_half), so whole
 ensembles advance in single vectorized steps; results are identical for
 any batch composition because the noise tape is index-addressed.
+
+One kernel, `_advance_one`, takes every step: the plain scheme by default,
+and the nudged scheme when the caller adds delta beta P_K to the diagonal
+and passes the matching right-hand-side term.  One generator,
+`tape_steps`, walks an increment provider in `INCREMENT_CHUNK` pieces and
+turns each Brownian increment into its noise coefficients; every march
+loop (`run_scheme`, the coupled run) iterates over it.
 """
 
 from __future__ import annotations
@@ -157,16 +164,21 @@ def _fixed_point_solve(grid, u1v, u2v, rhs, inv_diag, delta, tol, max_iter, scal
 
 
 def _krylov_solve(grid, u1v, u2v, rhs, diag, delta, tol, scale):
-    """Row-by-row restarted GMRES on the real-ified step operator."""
+    """Row-by-row restarted GMRES on the real-ified step operator.
+
+    Returns (c, iterations), the most inner GMRES iterations of any row.
+    """
     from scipy.sparse.linalg import LinearOperator, gmres
 
+    if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(scale))):
+        raise SolverError("non-finite state entering the krylov solve")
     n = grid.n_half
     rhs2 = rhs.reshape(-1, n)
     u1v2 = u1v.reshape(-1, u1v.shape[-1])
     u2v2 = u2v.reshape(-1, u2v.shape[-1])
     scale2 = np.atleast_1d(scale).reshape(-1)
     out = np.empty_like(rhs2)
-    total_it = 0
+    most_it = 0
     for i in range(rhs2.shape[0]):
         def matvec(x, i=i):
             c = x[:n] + 1j * x[n:]
@@ -176,31 +188,35 @@ def _krylov_solve(grid, u1v, u2v, rhs, diag, delta, tol, scale):
         op = LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=np.float64)
         b = np.concatenate([rhs2[i].real, rhs2[i].imag])
         x0 = np.concatenate([(rhs2[i] / diag).real, (rhs2[i] / diag).imag])
+        inner = []
         x, info = gmres(op, b, x0=x0, rtol=0.0,
-                        atol=tol * max(scale2[i], 1e-300), restart=50, maxiter=40)
+                        atol=tol * max(scale2[i], 1e-300), restart=50, maxiter=40,
+                        callback=inner.append, callback_type="pr_norm")
         if info != 0:
             raise SolverError(f"gmres failed to converge (info={info})",
                               residual=float(np.linalg.norm(op @ x - b)))
         out[i] = x[:n] + 1j * x[n:]
-        total_it += 1
-    return out.reshape(rhs.shape), total_it
+        most_it = max(most_it, len(inner))
+    return out.reshape(rhs.shape), most_it
 
 
-def _solve_step(grid, u1v, u2v, rhs, inv_diag, diag, p: SchemeParams, scale):
-    """Dispatch the implicit solve according to the configured policy."""
+def _advance_one(grid, c_prev, noise, p: SchemeParams, inv_diag, diag, noise_scale,
+                 rhs_extra=None, extra_scale=0.0):
+    """One scheme step for a batch; returns (c_new, sweeps).
+
+    The plain step solves diag c + delta Adv c = c_prev + noise.  Nudging
+    adds delta beta P_K to ``diag`` and passes rhs_extra = delta beta P_K xi,
+    with ``extra_scale`` bounding its norm in the solver's stopping scale.
+    """
+    rhs = c_prev if rhs_extra is None else c_prev + rhs_extra
+    if noise is not None:
+        rhs = rhs + noise
+    u1v, u2v = spectral.velocity_values(grid, c_prev)
+    scale = spectral.norm_l2(c_prev) + noise_scale + extra_scale
     if p.solver == "fixed-point":
         return _fixed_point_solve(grid, u1v, u2v, rhs, inv_diag, p.delta,
                                   p.tol, p.max_iter, scale)
     return _krylov_solve(grid, u1v, u2v, rhs, diag, p.delta, p.tol, scale)
-
-
-def _advance_one(grid, c_prev, noise_coeffs, p: SchemeParams, inv_diag, diag,
-                 noise_scale):
-    """One scheme step for a batch; returns (c_new, sweeps)."""
-    rhs = c_prev + noise_coeffs if noise_coeffs is not None else c_prev
-    u1v, u2v = spectral.velocity_values(grid, c_prev)
-    scale = spectral.norm_l2(c_prev) + noise_scale
-    return _solve_step(grid, u1v, u2v, rhs, inv_diag, diag, p, scale)
 
 
 def step_residual(grid, c_prev, c_new, noise_coeffs, p: SchemeParams) -> np.ndarray:
@@ -221,14 +237,17 @@ def semi_implicit_step(xi_prev: SpectralField, eta: np.ndarray, p: SchemeParams,
     """
     grid = xi_prev.grid
     diag = 1.0 + p.delta * p.nu * grid.lam
-    noise = None
-    noise_scale = 0.0
-    if basis is not None and eta is not None:
-        b = basis.project_to(grid)
-        noise = np.sqrt(p.delta) * forcing_mod.apply_forcing(b, eta)
-        noise_scale = float(spectral.norm_l2(noise))
+    noise, noise_scale = _eta_noise(grid, eta, p.delta, basis)
     c, _ = _advance_one(grid, xi_prev.coeffs, noise, p, 1.0 / diag, diag, noise_scale)
     return SpectralField(grid, c)
+
+
+def _eta_noise(grid, eta, delta: float, basis: ForcingBasis | None):
+    """(sqrt(delta) P_N sigma eta, its norm), or (None, 0.0) when unforced."""
+    if basis is None or eta is None:
+        return None, 0.0
+    noise = np.sqrt(delta) * forcing_mod.apply_forcing(basis.project_to(grid), eta)
+    return noise, float(spectral.norm_l2(noise))
 
 
 def energy_identity_residual(xi_prev: SpectralField, xi_new: SpectralField,
@@ -291,13 +310,27 @@ def batch_increments(seed: int, trajectory_ids, fine_factor: int, d: int,
     return provider
 
 
-def zero_increments(n_members: int, d: int) -> Callable[[int, int], np.ndarray]:
-    def provider(n0: int, n1: int) -> np.ndarray:
-        return np.zeros((n1 - n0, n_members, d))
-    return provider
-
-
 # -- time marching -------------------------------------------------------------
+
+def tape_steps(n_steps: int, basis: ForcingBasis | None, increments):
+    """Yield (step, noise, noise_scale) for steps 1..n_steps.
+
+    The one walk over an increment provider: it asks for INCREMENT_CHUNK
+    steps at a time and maps each increment (M, d) to its noise
+    coefficients ``dw @ basis.coeff_matrix`` and their norms.  ``basis``
+    must live on the marching grid; without it or without ``increments``
+    every step is unforced, (step, None, 0.0).
+    """
+    if basis is None or increments is None:
+        for step in range(1, n_steps + 1):
+            yield step, None, 0.0
+        return
+    for pos in range(0, n_steps, INCREMENT_CHUNK):
+        dw = increments(pos, min(pos + INCREMENT_CHUNK, n_steps))
+        for j, inc in enumerate(dw):
+            noise = inc @ basis.coeff_matrix
+            yield pos + j + 1, noise, spectral.norm_l2(noise)
+
 
 def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams,
                basis: ForcingBasis | None, increments, record_stride: int = 1,
@@ -318,8 +351,6 @@ def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams
         c = c[None, :]
     m = c.shape[0]
     b = basis.project_to(grid) if basis is not None else None
-    d = b.d if b is not None else 0
-
     diag = 1.0 + p.delta * p.nu * grid.lam
     inv_diag = 1.0 / diag
 
@@ -340,38 +371,23 @@ def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams
     record(0, 0)
     slot = 1
 
-    pos = 0
-    while pos < n_steps:
-        take = min(INCREMENT_CHUNK, n_steps - pos)
-        dw = increments(pos, pos + take) if increments is not None else None
-        for j in range(take):
-            step = pos + j + 1
-            if b is not None and dw is not None:
-                noise = dw[j] @ b.coeff_matrix
-                noise_scale = spectral.norm_l2(noise)
-            else:
-                noise, noise_scale = None, 0.0
-            try:
-                c, sweeps = _advance_one(grid, c, noise, p, inv_diag, diag, noise_scale)
-            except SolverError as err:
-                err.step_index = step
-                raise
-            iters[step - 1] = sweeps
-            energy[step] = spectral.norm_l2_sq(c)
-            h1[step] = spectral.sobolev_norm_sq(grid, c, 1.0)
-            if observer is not None:
-                observer(step, c)
-            if step % record_stride == 0:
-                record(step, slot)
-                slot += 1
-        pos += take
+    for step, noise, noise_scale in tape_steps(n_steps, b, increments):
+        try:
+            c, sweeps = _advance_one(grid, c, noise, p, inv_diag, diag, noise_scale)
+        except SolverError as err:
+            err.step_index = step
+            raise
+        iters[step - 1] = sweeps
+        energy[step] = spectral.norm_l2_sq(c)
+        h1[step] = spectral.sobolev_norm_sq(grid, c, 1.0)
+        if observer is not None:
+            observer(step, c)
+        if step % record_stride == 0:
+            record(step, slot)
+            slot += 1
 
     return EnsembleRun(grid, p, rec_idx[:slot], states[:slot] if keep_states else None,
                        energy, h1, iters)
-
-
-def _as_trajectory(run: EnsembleRun) -> Trajectory:
-    return run.member(0)
 
 
 def simulate(xi0: SpectralField, n_steps: int, p: SchemeParams,
@@ -384,7 +400,7 @@ def simulate(xi0: SpectralField, n_steps: int, p: SchemeParams,
     if basis is not None and stream is not None:
         inc = stream_increments(stream, basis.d, p.delta)
     run = run_scheme(grid, c0, n_steps, p, basis, inc, record_stride)
-    return _as_trajectory(run)
+    return run.member(0)
 
 
 def simulate_ensemble(xi0, n_steps: int, p: SchemeParams, basis: ForcingBasis,
@@ -419,7 +435,7 @@ def reference_simulate(xi0: SpectralField, horizon: float, p_fine: SchemeParams,
         fine_stream = NoiseStream(stream.seed, stream.trajectory_id, 1)
         inc = stream_increments(fine_stream, basis.d, p_fine.delta)
     run = run_scheme(grid, c0, n_coarse * r, p_fine, basis, inc, record_stride=r)
-    return _as_trajectory(run)
+    return run.member(0)
 
 
 # -- exponential-moment probe ---------------------------------------------------

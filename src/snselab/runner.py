@@ -391,9 +391,10 @@ def run_study(subcommand: str, cfg: RunConfig, seed: int, threads: int) -> tuple
             or exp.SpatialOrderConfig.shell_ladder
         study = exp.SpatialOrderConfig(
             shell_ladder=tuple(int(s) for s in ladder),
-            reference_shells=int(e.get("reference_shells", 24)),
+            reference_shells=int(e.get("reference_shells",
+                                       exp.SpatialOrderConfig.reference_shells)),
             delta=float(cfg.get("discretization", "delta")),
-            horizon=float(e.get("horizon", 0.5)),
+            horizon=float(e.get("horizon", exp.SpatialOrderConfig.horizon)),
             ensemble=int(e.get("ensemble", 96)),
             nu=nu, forcing_shells=f_shells, forcing_variance=f_var,
             ic=_initial_condition(cfg), threads=threads)

@@ -22,6 +22,8 @@ from snselab.integrator import SchemeParams, semi_implicit_step, simulate
 from snselab.spectral import (advect, harmonic_field, inner, make_grid,
                               random_field, sobolev_norm)
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 20_260_809
 _RESULTS = []
 

@@ -8,7 +8,8 @@ from snselab.coupling import (CoupledPair, NudgeParams, coupled_ensemble,
                               propose_beta, shifted_tape_increments)
 from snselab.errors import ConfigError, RangeError
 from snselab.forcing import ForcingBasis, NoiseStream, low_mode_basis
-from snselab.integrator import SchemeParams, run_scheme, semi_implicit_step
+from snselab.integrator import (SchemeParams, batch_increments, run_scheme,
+                                semi_implicit_step)
 from snselab.spectral import (SpectralField, harmonic_field, make_grid,
                               random_field)
 
@@ -51,6 +52,20 @@ def test_beta_zero_is_plain_step():
     plain = semi_implicit_step(f, eta, P, BASIS8)
     nudged = nudged_step(f, g, eta, _nudge(beta=0.0), BASIS8)
     assert np.max(np.abs(nudged.coeffs - plain.coeffs)) <= 1e-12 * f.l2_norm()
+
+
+def test_beta_zero_coupled_walk_is_run_scheme():
+    # 300 steps cross the 256-step tape chunk; with beta = 0 the nudged
+    # kernel call is the plain one, bit for bit
+    f = random_field(G, seed=7, rms=1.0)
+    ids = np.arange(3)
+    pair = coupled_ensemble(f, f, 300, _nudge(beta=0.0), BASIS8, seed=17,
+                            trajectory_ids=ids, compute_shifts=False, keep_states=True)
+    run = run_scheme(G, np.broadcast_to(f.coeffs, (3, G.n_half)), 300, P, BASIS8,
+                     batch_increments(17, ids, 1, BASIS8.d, P.delta))
+    assert np.array_equal(pair.primary.states, run.states)
+    assert np.array_equal(pair.primary.energy_sq, run.energy_sq)
+    assert np.array_equal(pair.nudged.states, run.states)
 
 
 def test_single_mode_gap_scalar_recursion():

@@ -121,6 +121,35 @@ def test_non_finite_state_fails_at_first_sweep(monkeypatch):
     assert len(sweeps) == 1
 
 
+def test_krylov_non_finite_state_fails_before_gmres():
+    c0 = random_field(G, seed=1).coeffs.copy()
+    c0[3] = np.nan
+    with pytest.raises(SolverError) as err:
+        run_scheme(G, c0, 5, SchemeParams(1.0, 0.05, 16, solver="krylov"), None, None)
+    assert err.value.step_index == 1
+    assert "non-finite" in str(err.value)
+
+
+def test_krylov_reports_gmres_iterations(monkeypatch):
+    # each GMRES iteration applies the operator once; a restart cycle adds
+    # the residual evaluations at its start and end
+    matvecs = []
+
+    def counting_advect(*args):
+        matvecs.append(1)
+        return advect_frozen(*args)
+
+    monkeypatch.setattr(spectral, "advect_frozen", counting_advect)
+    p = SchemeParams(1.0, 0.1, 16, solver="krylov")
+    rows = np.stack([random_field(G, seed=s, rms=50.0).coeffs for s in (0, 1)])
+    solo = []
+    for row in rows:
+        matvecs.clear()
+        solo.append(run_scheme(G, row, 1, p, None, None).iterations[0])
+        assert 10 <= solo[-1] < len(matvecs) <= solo[-1] + 3
+    assert run_scheme(G, rows, 1, p, None, None).iterations[0] == max(solo)
+
+
 # -- trajectories ----------------------------------------------------------------
 
 def test_zero_steps_returns_projected_initial():

@@ -80,22 +80,25 @@ def test_checkpoint_restore_roundtrip(tmp_path):
 
 
 def test_restore_then_continue_matches_straight_run(tmp_path):
+    from snselab.integrator import run_scheme, batch_increments
     g = make_grid(16)
     p = SchemeParams(1.0, 0.02, 16)
     basis = low_mode_basis(g, 4, 0.5)
     f = random_field(g, seed=5, rms=1.0)
-    full = simulate(f, 20, p, basis, NoiseStream(9, 0))
-
-    half = simulate(f, 10, p, basis, NoiseStream(9, 0))
-    checkpoint(half.final(), p, seed=9, trajectory_id=0, step_index=10,
-               directory=tmp_path)
-    state, params, seed, traj, step = restore(tmp_path / "state_00000010.fld")
-    # index-addressed tape: continuation reads cells 10.. of the same stream
-    from snselab.integrator import run_scheme, batch_increments
-    inc = batch_increments(seed, [traj], 1, basis.d, params.delta)
-    resumed = run_scheme(g, state.coeffs, 10, params, basis,
-                         lambda n0, n1: inc(n0 + step, n1 + step))
-    assert np.array_equal(resumed.states[-1, 0], full.states[-1])
+    # 300 steps cross a 256-step tape chunk that the resumed run never sees
+    for n_steps in (20, 300):
+        full = simulate(f, n_steps, p, basis, NoiseStream(9, 0))
+        half = simulate(f, n_steps // 2, p, basis, NoiseStream(9, 0))
+        where = tmp_path / str(n_steps)
+        checkpoint(half.final(), p, seed=9, trajectory_id=0, step_index=n_steps // 2,
+                   directory=where)
+        state, params, seed, traj, step = restore(where / f"state_{n_steps // 2:08d}.fld")
+        # index-addressed tape: continuation reads cells step.. of the same stream
+        inc = batch_increments(seed, [traj], 1, basis.d, params.delta)
+        resumed = run_scheme(g, state.coeffs, n_steps - step, params, basis,
+                             lambda n0, n1: inc(n0 + step, n1 + step))
+        assert np.array_equal(resumed.states[:, 0], full.states[step:])
+        assert np.array_equal(resumed.energy_sq[:, 0], full.energy_sq[step:])
 
 
 def test_restore_cutoff_mismatch(tmp_path):
@@ -132,6 +135,25 @@ beta = auto
 compute_shifts = true
 perturbation = 0.01
 """)
+
+
+def test_converge_space_defaults_follow_study_config(monkeypatch):
+    from snselab import experiments as exp
+    from snselab.runner import run_study
+    seen = []
+
+    def capture(study, seed):
+        seen.append(study)
+        return exp.StudyReport("spatial-order", {}, seed)
+
+    monkeypatch.setattr(exp, "spatial_order_study", capture)
+    cfg = load_config(None)
+    # the generic [experiment] defaults give every study a horizon; without
+    # one the study's own default applies
+    del cfg.sections["experiment"]["horizon"]
+    run_study("converge-space", cfg, seed=1, threads=1)
+    assert seen[0].reference_shells == exp.SpatialOrderConfig.reference_shells
+    assert seen[0].horizon == exp.SpatialOrderConfig.horizon
 
 
 def test_couple_subcommand_bundle(tmp_path):
