@@ -27,7 +27,7 @@ import numpy as np
 from . import forcing as forcing_mod
 from . import integrator as integ
 from . import spectral
-from .errors import ConfigError, RangeError
+from .errors import ConfigError, RangeError, SolverError
 from .forcing import ForcingBasis, NoiseStream
 from .integrator import EnsembleRun, SchemeParams, Trajectory
 from .spectral import SpectralField, SpectralGrid
@@ -102,33 +102,39 @@ def nudged_step(xi_tilde_prev: SpectralField, xi_target_new: SpectralField,
     grid = xi_tilde_prev.grid
     p = np_.base
     mask = grid.mode_mask(np_.shells_controlled).astype(np.float64)
-    diag = 1.0 + p.delta * p.nu * grid.lam + p.delta * np_.beta * mask
-    rhs_extra = p.delta * np_.beta * mask * xi_target_new.coeffs
+    system = integ.step_system(grid, p, p.delta * np_.beta * mask)
+    rhs_extra = spectral.pack(p.delta * np_.beta * mask * xi_target_new.coeffs)
     noise, noise_scale = integ._eta_noise(grid, eta, p.delta, basis)
-    c, _ = integ._advance_one(grid, xi_tilde_prev.coeffs, noise, p, 1.0 / diag, diag,
-                              noise_scale, rhs_extra, float(spectral.norm_l2(rhs_extra)))
-    return SpectralField(grid, c)
+    c, _ = integ._advance_one(grid, spectral.pack(xi_tilde_prev.coeffs), noise, system,
+                              noise_scale, rhs_extra,
+                              np.sqrt(spectral.packed_norm_sq(rhs_extra)))
+    return SpectralField(grid, spectral.unpack(c))
 
 
 def _coupled_run(grid: SpectralGrid, c0: np.ndarray, ct0: np.ndarray, n_steps: int,
                  np_: NudgeParams, basis: ForcingBasis, increments,
                  record_stride: int = 1, compute_shifts: bool = True,
                  keep_states: bool = False, shift_tol: float = 1e-8):
-    """Advance plain and nudged batches on one tape; record gaps and shifts."""
+    """Advance plain and nudged batches on one tape; record gaps and shifts.
+
+    Both batches march as packed states; complex coefficients are written
+    only into the recorded states.
+    """
     p = np_.base
     b = basis.project_to(grid)
     mask = grid.mode_mask(np_.shells_controlled).astype(np.float64)
-    diag = 1.0 + p.delta * p.nu * grid.lam
-    diag_n = diag + p.delta * np_.beta * mask
-    inv_diag, inv_diag_n = 1.0 / diag, 1.0 / diag_n
+    system = integ.step_system(grid, p)
+    system_n = integ.step_system(grid, p, p.delta * np_.beta * mask)
+    mask = np.concatenate([mask, mask])   # P_K on packed states
+    nudge = p.delta * np_.beta * mask
 
-    c = np.array(c0, dtype=np.complex128)
-    ct = np.array(ct0, dtype=np.complex128)
+    c = spectral.pack(np.asarray(c0, dtype=np.complex128))
+    ct = spectral.pack(np.asarray(ct0, dtype=np.complex128))
     if c.ndim == 1:
         c, ct = c[None, :], ct[None, :]
     m = c.shape[0]
 
-    pinv = forcing_mod.pinv_matrix(b) if compute_shifts else None
+    pinv_t = forcing_mod.pinv_matrix(b).T if compute_shifts else None
 
     n_rec = n_steps // record_stride + 1
     rec_idx = np.empty(n_rec, dtype=np.int64)
@@ -142,44 +148,50 @@ def _coupled_run(grid: SpectralGrid, c0: np.ndarray, ct0: np.ndarray, n_steps: i
     h1_t = np.empty((n_steps + 1, m))
     iters = np.zeros(n_steps, dtype=np.int64)
 
-    gaps[0] = spectral.norm_l2_sq(ct - c)
-    energy[0], energy_t[0] = spectral.norm_l2_sq(c), spectral.norm_l2_sq(ct)
-    h1[0] = spectral.sobolev_norm_sq(grid, c, 1.0)
-    h1_t[0] = spectral.sobolev_norm_sq(grid, ct, 1.0)
-    rec_idx[0] = 0
-    if keep_states:
-        states[0], states_t[0] = c, ct
+    def record(step, slot):
+        rec_idx[slot] = step
+        if keep_states:
+            states[slot], states_t[slot] = spectral.unpack(c), spectral.unpack(ct)
+
+    gaps[0] = spectral.packed_norm_sq(ct - c)
+    energy[0], energy_t[0] = spectral.packed_norm_sq(c), spectral.packed_norm_sq(ct)
+    h1[0] = spectral.packed_norm_sq(c, grid.lam_packed)
+    h1_t[0] = spectral.packed_norm_sq(ct, grid.lam_packed)
+    record(0, 0)
     slot = 1
 
     for step, noise, nscale in integ.tape_steps(n_steps, b, increments):
-        # plain system first: the control references xi^n at the new level
-        c, it1 = integ._advance_one(grid, c, noise, p, inv_diag, diag, nscale)
-        ct, it2 = integ._advance_one(
-            grid, ct, noise, p, inv_diag_n, diag_n, nscale,
-            rhs_extra=p.delta * np_.beta * mask * c,
-            extra_scale=np_.beta * p.delta * spectral.norm_l2(c))
+        try:
+            # plain system first: the control references xi^n at the new level
+            c, it1 = integ._advance_one(grid, c, noise, system, nscale,
+                                        c_norm=np.sqrt(energy[step - 1]))
+            energy[step] = spectral.packed_norm_sq(c)
+            ct, it2 = integ._advance_one(
+                grid, ct, noise, system_n, nscale, rhs_extra=nudge * c,
+                extra_scale=np_.beta * p.delta * np.sqrt(energy[step]),
+                c_norm=np.sqrt(energy_t[step - 1]))
+        except SolverError as err:
+            err.step_index = step
+            raise
         zeta = ct - c
-        gaps[step] = spectral.norm_l2_sq(zeta)
+        gaps[step] = spectral.packed_norm_sq(zeta)
         if compute_shifts:
             zk = mask * zeta
-            eta = forcing_mod._real_vector(b, zk) @ pinv.T
-            recon = eta @ b.coeff_matrix
-            resid = spectral.norm_l2(recon - zk)
-            znorm = spectral.norm_l2(zk)
+            eta = zk @ pinv_t
+            resid = np.sqrt(spectral.packed_norm_sq(eta @ b.packed - zk))
+            znorm = np.sqrt(spectral.packed_norm_sq(zk))
             bad = resid > shift_tol * np.maximum(znorm, 1e-300)
             if np.any(bad & (znorm > 0)):
                 raise RangeError(
                     f"controlled modes left range(sigma) at step {step}",
                     float(np.max(resid)))
             shifts[step - 1] = -np_.beta * eta
-        energy[step], energy_t[step] = spectral.norm_l2_sq(c), spectral.norm_l2_sq(ct)
-        h1[step] = spectral.sobolev_norm_sq(grid, c, 1.0)
-        h1_t[step] = spectral.sobolev_norm_sq(grid, ct, 1.0)
+        energy_t[step] = spectral.packed_norm_sq(ct)
+        h1[step] = spectral.packed_norm_sq(c, grid.lam_packed)
+        h1_t[step] = spectral.packed_norm_sq(ct, grid.lam_packed)
         iters[step - 1] = max(it1, it2)
         if step % record_stride == 0:
-            rec_idx[slot] = step
-            if keep_states:
-                states[slot], states_t[slot] = c, ct
+            record(step, slot)
             slot += 1
 
     primary = EnsembleRun(grid, p, rec_idx[:slot],

@@ -284,13 +284,13 @@ def temporal_order_study(cfg: TemporalOrderConfig, seed: int) -> StudyReport:
     traj_ids = np.arange(m)
 
     def stepper(delta):
-        p = SchemeParams(cfg.nu, delta, cfg.shells, delta0=deltas[0])
-        diag = 1.0 + delta * cfg.nu * grid.lam
-        return p, 1.0 / diag, diag
+        return integ.step_system(grid, SchemeParams(cfg.nu, delta, cfg.shells,
+                                                    delta0=deltas[0]))
 
-    def advance(c, inc, step):
-        noise = inc @ basis.coeff_matrix
-        c, _ = integ._advance_one(grid, c, noise, *step, spectral.norm_l2(noise))
+    def advance(c, inc, system):
+        noise = inc @ basis.packed
+        c, _ = integ._advance_one(grid, c, noise, system,
+                                  np.sqrt(spectral.packed_norm_sq(noise)))
         return c
 
     # base cells per fine step (delta/refine) and per step of each rung
@@ -298,7 +298,8 @@ def temporal_order_study(cfg: TemporalOrderConfig, seed: int) -> StudyReport:
     r_cs = [cfg.refine * r_f for r_f in r_fs]
     rungs = [stepper(delta) for delta in deltas]
     ref_step = stepper(delta_base)
-    c0 = np.broadcast_to(xi0.coeffs, (m, grid.n_half))
+    # every path marches as packed states (see spectral.pack)
+    c0 = np.broadcast_to(spectral.pack(xi0.coeffs), (m, 2 * grid.n_half))
     ref = c0.copy()
     cs = [c0.copy() for _ in deltas]
     sups = [np.zeros(m) for _ in deltas]
@@ -323,7 +324,8 @@ def temporal_order_study(cfg: TemporalOrderConfig, seed: int) -> StudyReport:
                 j, rem = divmod(i + 1, r_c)
                 if rem == 0:
                     cs[k] = advance(cs[k], coarse[k][:, j - 1], rungs[k])
-                    np.maximum(sups[k], spectral.norm_l2(cs[k] - ref), out=sups[k])
+                    np.maximum(sups[k], np.sqrt(spectral.packed_norm_sq(cs[k] - ref)),
+                               out=sups[k])
 
     rows = [{"delta": delta, "err_p": float(np.mean(sup ** cfg.p_moment)),
              "err_sq": float(np.mean(sup ** 2))} for delta, sup in zip(deltas, sups)]

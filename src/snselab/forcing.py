@@ -93,9 +93,10 @@ def fine_increments(stream: NoiseStream, n0: int, n1: int, *, d: int,
 class ForcingBasis:
     """The d forcing directions with Gram and norm metadata.
 
-    coeff_matrix holds packed coefficients, one row per direction; the
-    trace of the Gram matrix equals |sigma|^2 (the trace of the noise
-    covariance on L^2).
+    coeff_matrix holds complex coefficients, one row per direction, and
+    ``packed`` the same rows in the real [Re | Im] layout of the marching
+    state; the trace of the Gram matrix equals |sigma|^2 (the trace of the
+    noise covariance on L^2).
     """
 
     grid: SpectralGrid
@@ -103,6 +104,7 @@ class ForcingBasis:
     labels: tuple = ()
     gram: np.ndarray = field(init=False)
     norms: dict = field(init=False)
+    packed: np.ndarray = field(init=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeff_matrix, dtype=np.complex128)
@@ -111,6 +113,9 @@ class ForcingBasis:
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeff_matrix", c)
+        packed = spectral.pack(c)
+        packed.flags.writeable = False
+        object.__setattr__(self, "packed", packed)
         gram = TWO_PI_SQ * 2.0 * (c @ c.conj().T).real
         gram.flags.writeable = False
         object.__setattr__(self, "gram", gram)
@@ -187,7 +192,7 @@ def basis_from_fields(fields: list[SpectralField]) -> ForcingBasis:
 
 
 def apply_forcing(basis: ForcingBasis, eta: np.ndarray) -> np.ndarray:
-    """sum_k eta_k sigma_k as packed coefficients; eta may be batched (..., d)."""
+    """sum_k eta_k sigma_k as complex coefficients; eta may be batched (..., d)."""
     eta = np.asarray(eta, dtype=np.float64)
     if eta.shape[-1] != basis.d:
         raise StructuralError(
@@ -198,17 +203,6 @@ def apply_forcing(basis: ForcingBasis, eta: np.ndarray) -> np.ndarray:
 def apply(basis: ForcingBasis, eta: np.ndarray) -> SpectralField:
     """Field-level forcing application (single coefficient vector)."""
     return SpectralField(basis.grid, apply_forcing(basis, eta))
-
-
-def _real_matrix(basis: ForcingBasis) -> np.ndarray:
-    """Directions as real vectors with Euclidean norm = L^2 norm."""
-    c = basis.coeff_matrix * (2.0 * np.pi * np.sqrt(2.0))
-    return np.concatenate([c.real, c.imag], axis=1)
-
-
-def _real_vector(basis: ForcingBasis, coeffs: np.ndarray) -> np.ndarray:
-    c = np.asarray(coeffs) * (2.0 * np.pi * np.sqrt(2.0))
-    return np.concatenate([c.real, c.imag], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -241,8 +235,10 @@ def check_nondegeneracy(basis: ForcingBasis, K: int, tol: float = 1e-10) -> Nond
         targets[2 * j + 1, i] = -1j * base
         names.append((int(grid.kx[i]), int(grid.ky[i]), "cos"))
         names.append((int(grid.kx[i]), int(grid.ky[i]), "sin"))
-    dmat = _real_matrix(basis)          # (d, 2 n_half)
-    tmat = _real_vector(basis, targets)  # (t, 2 n_half)
+    # packed vectors scaled so that their Euclidean norm is the L^2 norm
+    l2 = 2.0 * np.pi * np.sqrt(2.0)
+    dmat = l2 * basis.packed                # (d, 2 n_half)
+    tmat = l2 * spectral.pack(targets)      # (t, 2 n_half)
     sol, *_ = np.linalg.lstsq(dmat.T, tmat.T, rcond=None)
     resid = np.linalg.norm(dmat.T @ sol - tmat.T, axis=0)
     uncovered = tuple(n for n, r in zip(names, resid) if r > tol)
@@ -293,8 +289,7 @@ def pseudo_inverse_apply(basis: ForcingBasis, f: SpectralField | np.ndarray,
 def pinv_matrix(basis: ForcingBasis) -> np.ndarray:
     """Real matrix applying sigma^{-1} to packed coefficients in one matmul.
 
-    Returns P with eta = real_vector(f) @ P.T; used by couplings that
+    Returns P with eta = spectral.pack(f) @ P.T; used by couplings that
     evaluate the shift every step for whole ensembles.
     """
-    dmat = _real_matrix(basis)
-    return np.linalg.pinv(basis.gram, rcond=1e-12) @ dmat
+    return np.linalg.pinv(basis.gram, rcond=1e-12) @ (TWO_PI_SQ * 2.0 * basis.packed)

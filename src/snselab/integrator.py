@@ -11,22 +11,30 @@ Fourier space; the O(delta) advection perturbation is handled either by
 preconditioned fixed-point iteration (default) or by a restarted Krylov
 solve for step sizes where the fixed point stops contracting.
 
-Everything operates on batched coefficient arrays (M, n_half), so whole
-ensembles advance in single vectorized steps; results are identical for
-any batch composition because the noise tape is index-addressed.
+Everything operates on batched states (M, 2 n_half) in the real packed
+layout [Re c | Im c] of `spectral` (see `spectral.pack`), so whole
+ensembles advance in single vectorized steps: the noise coefficients, the
+frozen velocity, every fixed-point sweep and the per-step norms stay real,
+and complex coefficients appear only where states leave the march (the
+recorded `EnsembleRun.states`, observers, and the `SpectralField` entry
+points).  Each member reads its own index-addressed noise, so its path
+does not depend on which other members share the batch, up to the solve
+tolerance: the fixed-point stop is batch-wide, every row sweeps as often
+as the stiffest one, and ``iterations`` records that batch maximum.
 
 One kernel, `_advance_one`, takes every step: the plain scheme by default,
 and the nudged scheme when the caller adds delta beta P_K to the diagonal
-and passes the matching right-hand-side term.  One generator,
-`tape_steps`, walks an increment provider in `INCREMENT_CHUNK` pieces and
-turns each Brownian increment into its noise coefficients; every march
-loop (`run_scheme`, the coupled run) iterates over it.
+of its `StepSystem` and passes the matching right-hand-side term.  One
+generator, `tape_steps`, walks an increment provider in `INCREMENT_CHUNK`
+pieces and turns each Brownian increment into its noise coefficients;
+every march loop (`run_scheme`, the coupled run) iterates over it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -89,7 +97,7 @@ class Trajectory:
     grid: SpectralGrid
     params: SchemeParams
     step_indices: np.ndarray      # recorded step numbers (monotone, starts at 0)
-    states: np.ndarray            # (n_rec, n_half) packed coefficients
+    states: np.ndarray            # (n_rec, n_half) complex coefficients
     energy_sq: np.ndarray         # |xi^n|^2 for every step 0..n_steps
     h1_sq: np.ndarray             # |grad xi^n|^2 likewise
     iterations: np.ndarray        # implicit-solver sweeps per step
@@ -133,25 +141,53 @@ class EnsembleRun:
 
 # -- implicit solve ------------------------------------------------------------
 
-def _fixed_point_solve(grid, u1v, u2v, rhs, inv_diag, delta, tol, max_iter, scale):
-    """Solve (D + delta Adv) c = rhs by c <- inv_diag (rhs - delta Adv c).
+class StepSystem(NamedTuple):
+    """Diagonal part of one step's system in the packed [Re | Im] layout.
+
+    ``analysis`` is ``grid._anal`` with delta D^-1 folded into its columns,
+    so one `spectral.advect_frozen` call returns delta D^-1 P_N(u . grad c).
+    """
+
+    p: SchemeParams
+    diag: np.ndarray          # D, (2 n_half,)
+    inv_diag: np.ndarray      # D^-1
+    analysis: np.ndarray      # (pad^2, 2 n_half)
+
+
+def step_system(grid: SpectralGrid, p: SchemeParams, extra_diag=None) -> StepSystem:
+    """D = I + delta nu A, plus ``extra_diag`` (delta beta P_K when nudging)."""
+    diag = 1.0 + p.delta * p.nu * grid.lam
+    if extra_diag is not None:
+        diag = diag + extra_diag
+    diag = np.concatenate([diag, diag])
+    inv_diag = 1.0 / diag
+    return StepSystem(p, diag, inv_diag, grid._anal * (p.delta * inv_diag))
+
+
+def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
+    """Solve (D + delta Adv) c = rhs by c <- D^-1 rhs - delta D^-1 Adv c.
 
     Increment-based stopping: the iteration is an affine contraction, so
-    successive increments bound the remaining error.  Returns (c, sweeps).
+    successive increments bound the remaining error.  The stop is
+    batch-wide: every row sweeps until the largest relative increment
+    |c_new - c| / scale of the batch is below tol.  Returns (c, sweeps).
     """
-    c = rhs * inv_diag
-    target = tol * np.maximum(scale, 1e-100)
+    p = system.p
+    rhs_w = rhs * system.inv_diag
+    c = rhs_w
+    # squared relative increment of a row = inc_weight * sum of its squares
+    inc_weight = (spectral.TWO_PI_SQ * 2.0) / np.maximum(scale, 1e-100) ** 2
     prev_inc = np.inf
-    for it in range(1, max_iter + 1):
-        adv = spectral.advect_frozen(grid, u1v, u2v, c)
-        c_new = (rhs - delta * adv) * inv_diag
-        inc = spectral.norm_l2(c_new - c)
+    for it in range(1, p.max_iter + 1):
+        c_new = rhs_w - spectral.advect_frozen(grid, uv, system.analysis, c)
+        d = c_new - c
         c = c_new
-        top = float(np.max(inc / np.maximum(scale, 1e-100))) if inc.size else 0.0
-        if not np.isfinite(top):
+        top = math.sqrt(np.max(inc_weight * np.einsum("...i,...i->...", d, d),
+                               initial=0.0))
+        if not math.isfinite(top):
             raise SolverError(f"non-finite state (relative increment {top:.3e})",
                               residual=top)
-        if np.all(inc <= target):
+        if top <= p.tol:
             return c, it
         if it > 3 and top > prev_inc * 1.05 and top > 1e-6:
             raise SolverError(
@@ -159,12 +195,13 @@ def _fixed_point_solve(grid, u1v, u2v, rhs, inv_diag, delta, tol, max_iter, scal
                 "reduce delta or switch to the krylov policy", residual=top)
         prev_inc = max(top, 1e-300)
     raise SolverError(
-        f"fixed-point solve not converged after {max_iter} sweeps "
+        f"fixed-point solve not converged after {p.max_iter} sweeps "
         f"(relative increment {top:.3e})", residual=top)
 
 
-def _krylov_solve(grid, u1v, u2v, rhs, diag, delta, tol, scale):
-    """Row-by-row restarted GMRES on the real-ified step operator.
+def _krylov_solve(grid, uv, rhs, system: StepSystem, scale):
+    """Row-by-row restarted GMRES on the real step operator
+    D (I + delta D^-1 Adv), which acts on packed states directly.
 
     Returns (c, iterations), the most inner GMRES iterations of any row.
     """
@@ -172,51 +209,50 @@ def _krylov_solve(grid, u1v, u2v, rhs, diag, delta, tol, scale):
 
     if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(scale))):
         raise SolverError("non-finite state entering the krylov solve")
-    n = grid.n_half
-    rhs2 = rhs.reshape(-1, n)
-    u1v2 = u1v.reshape(-1, u1v.shape[-1])
-    u2v2 = u2v.reshape(-1, u2v.shape[-1])
+    n2 = rhs.shape[-1]
+    rhs2 = rhs.reshape(-1, n2)
+    uv2 = uv.reshape(-1, uv.shape[-1])
     scale2 = np.atleast_1d(scale).reshape(-1)
     out = np.empty_like(rhs2)
     most_it = 0
     for i in range(rhs2.shape[0]):
         def matvec(x, i=i):
-            c = x[:n] + 1j * x[n:]
-            y = diag * c + delta * spectral.advect_frozen(grid, u1v2[i], u2v2[i], c)
-            return np.concatenate([y.real, y.imag])
+            return system.diag * (
+                x + spectral.advect_frozen(grid, uv2[i], system.analysis, x))
 
-        op = LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=np.float64)
-        b = np.concatenate([rhs2[i].real, rhs2[i].imag])
-        x0 = np.concatenate([(rhs2[i] / diag).real, (rhs2[i] / diag).imag])
+        op = LinearOperator((n2, n2), matvec=matvec, dtype=np.float64)
         inner = []
-        x, info = gmres(op, b, x0=x0, rtol=0.0,
-                        atol=tol * max(scale2[i], 1e-300), restart=50, maxiter=40,
-                        callback=inner.append, callback_type="pr_norm")
+        x, info = gmres(op, rhs2[i], x0=rhs2[i] * system.inv_diag, rtol=0.0,
+                        atol=system.p.tol * max(scale2[i], 1e-300), restart=50,
+                        maxiter=40, callback=inner.append, callback_type="pr_norm")
         if info != 0:
             raise SolverError(f"gmres failed to converge (info={info})",
-                              residual=float(np.linalg.norm(op @ x - b)))
-        out[i] = x[:n] + 1j * x[n:]
+                              residual=float(np.linalg.norm(op @ x - rhs2[i])))
+        out[i] = x
         most_it = max(most_it, len(inner))
     return out.reshape(rhs.shape), most_it
 
 
-def _advance_one(grid, c_prev, noise, p: SchemeParams, inv_diag, diag, noise_scale,
-                 rhs_extra=None, extra_scale=0.0):
-    """One scheme step for a batch; returns (c_new, sweeps).
+def _advance_one(grid, c_prev, noise, system: StepSystem, noise_scale,
+                 rhs_extra=None, extra_scale=0.0, c_norm=None):
+    """One scheme step for a batch of packed states; returns (c_new, sweeps).
 
-    The plain step solves diag c + delta Adv c = c_prev + noise.  Nudging
-    adds delta beta P_K to ``diag`` and passes rhs_extra = delta beta P_K xi,
-    with ``extra_scale`` bounding its norm in the solver's stopping scale.
+    The plain step solves D c + delta Adv c = c_prev + noise.  Nudging
+    builds its `StepSystem` with delta beta P_K added to D and passes
+    rhs_extra = delta beta P_K xi, with ``extra_scale`` bounding its norm
+    in the solver's stopping scale.  ``c_norm`` is |c_prev|, when the
+    caller already holds it.
     """
     rhs = c_prev if rhs_extra is None else c_prev + rhs_extra
     if noise is not None:
         rhs = rhs + noise
-    u1v, u2v = spectral.velocity_values(grid, c_prev)
-    scale = spectral.norm_l2(c_prev) + noise_scale + extra_scale
-    if p.solver == "fixed-point":
-        return _fixed_point_solve(grid, u1v, u2v, rhs, inv_diag, p.delta,
-                                  p.tol, p.max_iter, scale)
-    return _krylov_solve(grid, u1v, u2v, rhs, diag, p.delta, p.tol, scale)
+    uv = spectral.velocity_values(grid, c_prev)
+    if c_norm is None:
+        c_norm = np.sqrt(spectral.packed_norm_sq(c_prev))
+    scale = c_norm + noise_scale + extra_scale
+    if system.p.solver == "fixed-point":
+        return _fixed_point_solve(grid, uv, rhs, system, scale)
+    return _krylov_solve(grid, uv, rhs, system, scale)
 
 
 def step_residual(grid, c_prev, c_new, noise_coeffs, p: SchemeParams) -> np.ndarray:
@@ -236,18 +272,19 @@ def semi_implicit_step(xi_prev: SpectralField, eta: np.ndarray, p: SchemeParams,
     the unforced scheme.
     """
     grid = xi_prev.grid
-    diag = 1.0 + p.delta * p.nu * grid.lam
     noise, noise_scale = _eta_noise(grid, eta, p.delta, basis)
-    c, _ = _advance_one(grid, xi_prev.coeffs, noise, p, 1.0 / diag, diag, noise_scale)
-    return SpectralField(grid, c)
+    c, _ = _advance_one(grid, spectral.pack(xi_prev.coeffs), noise,
+                        step_system(grid, p), noise_scale)
+    return SpectralField(grid, spectral.unpack(c))
 
 
 def _eta_noise(grid, eta, delta: float, basis: ForcingBasis | None):
-    """(sqrt(delta) P_N sigma eta, its norm), or (None, 0.0) when unforced."""
+    """(sqrt(delta) P_N sigma eta packed, its norm), or (None, 0.0) when unforced."""
     if basis is None or eta is None:
         return None, 0.0
-    noise = np.sqrt(delta) * forcing_mod.apply_forcing(basis.project_to(grid), eta)
-    return noise, float(spectral.norm_l2(noise))
+    noise = np.sqrt(delta) * spectral.pack(
+        forcing_mod.apply_forcing(basis.project_to(grid), eta))
+    return noise, np.sqrt(spectral.packed_norm_sq(noise))
 
 
 def energy_identity_residual(xi_prev: SpectralField, xi_new: SpectralField,
@@ -316,10 +353,10 @@ def tape_steps(n_steps: int, basis: ForcingBasis | None, increments):
     """Yield (step, noise, noise_scale) for steps 1..n_steps.
 
     The one walk over an increment provider: it asks for INCREMENT_CHUNK
-    steps at a time and maps each increment (M, d) to its noise
-    coefficients ``dw @ basis.coeff_matrix`` and their norms.  ``basis``
-    must live on the marching grid; without it or without ``increments``
-    every step is unforced, (step, None, 0.0).
+    steps at a time and maps each increment (M, d) to its packed noise
+    coefficients ``dw @ basis.packed`` and their norms, one step at a
+    time.  ``basis`` must live on the marching grid; without it or without
+    ``increments`` every step is unforced, (step, None, 0.0).
     """
     if basis is None or increments is None:
         for step in range(1, n_steps + 1):
@@ -328,8 +365,8 @@ def tape_steps(n_steps: int, basis: ForcingBasis | None, increments):
     for pos in range(0, n_steps, INCREMENT_CHUNK):
         dw = increments(pos, min(pos + INCREMENT_CHUNK, n_steps))
         for j, inc in enumerate(dw):
-            noise = inc @ basis.coeff_matrix
-            yield pos + j + 1, noise, spectral.norm_l2(noise)
+            noise = inc @ basis.packed
+            yield pos + j + 1, noise, np.sqrt(spectral.packed_norm_sq(noise))
 
 
 def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams,
@@ -338,6 +375,8 @@ def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams
                observer: Callable[[int, np.ndarray], None] | None = None) -> EnsembleRun:
     """March a batch of states n_steps forward.
 
+    ``c0`` holds complex coefficients, (n_half,) or (M, n_half); the march
+    itself runs on packed states and unpacks only what it hands out.
     ``increments`` is a provider (n0, n1) -> Brownian increments
     (steps, M, d), or None for the unforced scheme.  ``observer`` is
     called as observer(step, coeffs) after every step (step >= 1).
@@ -346,13 +385,12 @@ def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams
         raise StructuralError("params cutoff differs from grid")
     if record_stride < 1:
         raise ConfigError("record stride must be >= 1", field="record_stride")
-    c = np.array(c0, dtype=np.complex128)
+    c = spectral.pack(np.asarray(c0, dtype=np.complex128))
     if c.ndim == 1:
         c = c[None, :]
     m = c.shape[0]
     b = basis.project_to(grid) if basis is not None else None
-    diag = 1.0 + p.delta * p.nu * grid.lam
-    inv_diag = 1.0 / diag
+    system = step_system(grid, p)
 
     n_rec = n_steps // record_stride + 1
     states = np.empty((n_rec, m, grid.n_half), dtype=np.complex128) if keep_states else None
@@ -364,24 +402,26 @@ def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams
     def record(step, slot):
         rec_idx[slot] = step
         if keep_states:
-            states[slot] = c
+            states[slot] = spectral.unpack(c)
 
-    energy[0] = spectral.norm_l2_sq(c)
-    h1[0] = spectral.sobolev_norm_sq(grid, c, 1.0)
+    energy[0] = spectral.packed_norm_sq(c)
+    h1[0] = spectral.packed_norm_sq(c, grid.lam_packed)
     record(0, 0)
     slot = 1
 
     for step, noise, noise_scale in tape_steps(n_steps, b, increments):
         try:
-            c, sweeps = _advance_one(grid, c, noise, p, inv_diag, diag, noise_scale)
+            # |c_prev| is the square root of the energy recorded last step
+            c, sweeps = _advance_one(grid, c, noise, system, noise_scale,
+                                     c_norm=np.sqrt(energy[step - 1]))
         except SolverError as err:
             err.step_index = step
             raise
         iters[step - 1] = sweeps
-        energy[step] = spectral.norm_l2_sq(c)
-        h1[step] = spectral.sobolev_norm_sq(grid, c, 1.0)
+        energy[step] = spectral.packed_norm_sq(c)
+        h1[step] = spectral.packed_norm_sq(c, grid.lam_packed)
         if observer is not None:
-            observer(step, c)
+            observer(step, spectral.unpack(c))
         if step % record_stride == 0:
             record(step, slot)
             slot += 1

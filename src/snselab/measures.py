@@ -96,7 +96,7 @@ class Ensemble:
     """Weighted finite collection of fields standing in for a law on L^2."""
 
     grid: SpectralGrid
-    members: np.ndarray            # (M, n_half) packed coefficients
+    members: np.ndarray            # (M, n_half) complex coefficients
     weights: np.ndarray | None = None
 
     def __post_init__(self):

@@ -31,8 +31,18 @@ modes, a few hundred grid points) one BLAS gemm per transform is several
 times faster than batched small FFTs, and the result is the same Fourier
 sum evaluated to rounding; the test suite checks it against numpy's FFT.
 
+The transforms act on a real *packed* layout: a coefficient vector c of
+length n_half is held as the real vector rc = [Re c | Im c] of length
+2 n_half, and every dense DFT matrix maps rc to grid samples or grid
+samples back to rc with one real gemm.  The time-marching kernels keep
+their state in this layout from the noise tape to the recorded diagnostics
+(`velocity_values`, `advect_frozen`, `packed_norm_sq`); `pack` and `unpack`
+convert exactly, in both directions, where complex arrays enter or leave:
+`SpectralField`, the recorded states of a run, observers and checkpoints.
+
 All coefficient routines accept arrays with arbitrary leading batch axes,
-``(..., n_half)``; `SpectralField` wraps the single-field case.
+``(..., n_half)`` complex or ``(..., 2 n_half)`` packed; `SpectralField`
+wraps the single-field case.
 """
 
 from __future__ import annotations
@@ -102,6 +112,7 @@ class SpectralGrid:
         self.kx = kx[order].astype(np.int64)
         self.ky = ky[order].astype(np.int64)
         self.lam = (self.kx ** 2 + self.ky ** 2).astype(np.float64)
+        self.lam_packed = np.concatenate([self.lam, self.lam])  # [Re | Im] halves
         self.n_half = self.kx.size
         self.n_modes = 2 * self.n_half
         self.max_wavenumber = int(max(self.kx.max(), self.ky.max()))
@@ -120,8 +131,8 @@ class SpectralGrid:
         self.ikx = 1j * self.kx.astype(np.float64)
         self.iky = 1j * self.ky.astype(np.float64)
 
-        for arr in (self.kx, self.ky, self.lam, self.ik_perp1, self.ik_perp2,
-                    self.ikx, self.iky):
+        for arr in (self.kx, self.ky, self.lam, self.lam_packed, self.ik_perp1,
+                    self.ik_perp2, self.ikx, self.iky):
             arr.flags.writeable = False
 
         self._index = {(int(a), int(b)): i
@@ -159,6 +170,8 @@ class SpectralGrid:
             np.concatenate([block(self.ik_perp1), block(self.ik_perp2)], axis=1))
         self._anal = np.ascontiguousarray(
             np.concatenate([e_mat.real.T, -e_mat.imag.T], axis=1) / (p * p))
+        for arr in (self._synth, self._synth_grad, self._synth_vel, self._anal):
+            arr.flags.writeable = False
 
     # -- identity ---------------------------------------------------------
 
@@ -186,7 +199,7 @@ class SpectralGrid:
         return self.lam <= self.shell_cutoff(m_shells)
 
     def index_of(self, kx: int, ky: int) -> tuple[int, bool]:
-        """Packed index of wavevector (kx, ky).
+        """Half-spectrum index of wavevector (kx, ky).
 
         Returns ``(index, conjugated)`` where ``conjugated`` is True when
         (kx, ky) is represented through its conjugate partner (-kx, -ky).
@@ -199,12 +212,9 @@ class SpectralGrid:
 
     # -- transforms --------------------------------------------------------
 
-    def _pack(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.concatenate([coeffs.real, coeffs.imag], axis=-1)
-
     def to_real_flat(self, coeffs: np.ndarray) -> np.ndarray:
         """Samples on the padded grid as a flat (..., pad*pad) array."""
-        return self._pack(coeffs) @ self._synth
+        return pack(coeffs) @ self._synth
 
     def to_real(self, coeffs: np.ndarray) -> np.ndarray:
         """Real-space samples on the padded grid, shape (..., pad, pad)."""
@@ -212,9 +222,7 @@ class SpectralGrid:
         return flat.reshape(coeffs.shape[:-1] + (self.pad, self.pad))
 
     def from_real_flat(self, values: np.ndarray) -> np.ndarray:
-        rc = values @ self._anal
-        n = self.n_half
-        return rc[..., :n] + 1j * rc[..., n:]
+        return unpack(values @ self._anal)
 
     def from_real(self, values: np.ndarray) -> np.ndarray:
         """Project padded-grid samples back onto the active modes."""
@@ -233,7 +241,7 @@ def make_grid(shells: int) -> SpectralGrid:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """A mean-free real scalar field held as packed Fourier coefficients."""
+    """A mean-free real scalar field held as half-spectrum Fourier coefficients."""
 
     grid: SpectralGrid
     coeffs: np.ndarray
@@ -277,9 +285,42 @@ def _same_grid(*fields: SpectralField) -> SpectralGrid:
 
 # -- coefficient-level kernels (batched over leading axes) -----------------
 
+def pack(coeffs: np.ndarray) -> np.ndarray:
+    """Complex coefficients (..., n_half) as packed reals [Re c | Im c].
+
+    The result is always C-contiguous, so the reductions over its last
+    axis add in the same order whatever the layout of ``coeffs``.
+    """
+    c = np.asarray(coeffs)
+    n = c.shape[-1]
+    out = np.empty(c.shape[:-1] + (2 * n,))
+    out[..., :n] = c.real
+    out[..., n:] = c.imag
+    return out
+
+
+def unpack(rc: np.ndarray) -> np.ndarray:
+    """Packed reals (..., 2 n_half) back to complex coefficients, bit for bit."""
+    n = rc.shape[-1] // 2
+    out = np.empty(rc.shape[:-1] + (n,), dtype=np.complex128)
+    out.real = rc[..., :n]
+    out.imag = rc[..., n:]
+    return out
+
+
+def packed_norm_sq(rc: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
+    """|f|^2 from packed coefficients, or sum_k w_k |f_hat(k)|^2 with the
+    same normalization for a packed weight (``grid.lam_packed`` gives
+    |grad f|^2).  `norm_l2_sq`, `sobolev_norm_sq` and the per-step norms of
+    a march all reduce to this one sum, so a recorded energy equals
+    `norm_l2_sq` of the recorded state bit for bit."""
+    wrc = rc if weight is None else weight * rc
+    return TWO_PI_SQ * 2.0 * np.einsum("...i,...i->...", wrc, rc)
+
+
 def norm_l2_sq(coeffs: np.ndarray) -> np.ndarray:
     """|f|^2 = (2pi)^2 sum over full spectrum of |f_hat|^2."""
-    return TWO_PI_SQ * 2.0 * np.sum(np.abs(coeffs) ** 2, axis=-1)
+    return packed_norm_sq(pack(coeffs))
 
 
 def norm_l2(coeffs: np.ndarray) -> np.ndarray:
@@ -287,12 +328,11 @@ def norm_l2(coeffs: np.ndarray) -> np.ndarray:
 
 
 def sobolev_norm_sq(grid: SpectralGrid, coeffs: np.ndarray, s: float) -> np.ndarray:
-    w = grid.lam ** s if s != 0.0 else 1.0
-    return TWO_PI_SQ * 2.0 * np.sum(w * np.abs(coeffs) ** 2, axis=-1)
+    return packed_norm_sq(pack(coeffs), grid.lam_packed ** s if s != 0.0 else None)
 
 
 def inner_product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """L^2 inner product of real fields from packed coefficients."""
+    """L^2 inner product of real fields from complex coefficients."""
     return TWO_PI_SQ * 2.0 * np.sum(f * np.conj(g), axis=-1).real
 
 
@@ -305,26 +345,31 @@ def velocity_coeffs(grid: SpectralGrid, xi: np.ndarray) -> tuple[np.ndarray, np.
     return grid.ik_perp1 * xi, grid.ik_perp2 * xi
 
 
-def velocity_values(grid: SpectralGrid, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Velocity of xi sampled on the padded grid, flat (..., pad*pad) pair
+def velocity_values(grid: SpectralGrid, xi: np.ndarray) -> np.ndarray:
+    """Velocity of packed xi on the padded grid, flat (..., 2 pad^2) = [u1 | u2]
     (the frozen factor of the semi-implicit solve, one gemm for both)."""
-    both = grid._pack(xi) @ grid._synth_vel
-    p2 = grid.pad * grid.pad
-    return both[..., :p2], both[..., p2:]
+    return xi @ grid._synth_vel
 
 
-def advect_frozen(grid: SpectralGrid, u1_vals: np.ndarray, u2_vals: np.ndarray,
+def advect_frozen(grid: SpectralGrid, uv: np.ndarray, analysis: np.ndarray,
                   target: np.ndarray) -> np.ndarray:
-    """Galerkin projection of u . grad(target) for a precomputed velocity."""
-    grads = grid._pack(target) @ grid._synth_grad
+    """Galerkin projection of u . grad(target) for a precomputed velocity.
+
+    ``uv`` comes from `velocity_values`, ``target`` is packed and so is the
+    result.  ``analysis`` is ``grid._anal``, or a copy with a per-mode
+    factor folded into its columns, which then multiplies the result.
+    """
+    g = target @ grid._synth_grad
+    g *= uv
     p2 = grid.pad * grid.pad
-    return grid.from_real_flat(u1_vals * grads[..., :p2] + u2_vals * grads[..., p2:])
+    return (g[..., :p2] + g[..., p2:]) @ analysis
 
 
 def advect_coeffs(grid: SpectralGrid, source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """P_N( (K * source) . grad(target) ), exact on the padded grid."""
-    u1, u2 = velocity_values(grid, source)
-    return advect_frozen(grid, u1, u2, target)
+    """P_N( (K * source) . grad(target) ) of complex coefficients, exact on
+    the padded grid."""
+    uv = velocity_values(grid, pack(source))
+    return unpack(advect_frozen(grid, uv, grid._anal, pack(target)))
 
 
 @lru_cache(maxsize=None)
@@ -502,4 +547,4 @@ def load_field(path) -> SpectralField:
     if flat.size != 2 * grid.n_half:
         raise StructuralError(
             f"checkpoint holds {flat.size // 2} coefficients, expected {grid.n_half}")
-    return SpectralField(grid, flat[0::2] + 1j * flat[1::2])
+    return SpectralField(grid, flat.view("<c16"))   # (re, im) pairs, bit for bit

@@ -6,7 +6,7 @@ from snselab.coupling import (CoupledPair, NudgeParams, coupled_ensemble,
                               coupled_simulate, girsanov_cost, kl_majorant,
                               nudged_step, pathwise_contraction_check,
                               propose_beta, shifted_tape_increments)
-from snselab.errors import ConfigError, RangeError
+from snselab.errors import ConfigError, RangeError, SolverError
 from snselab.forcing import ForcingBasis, NoiseStream, low_mode_basis
 from snselab.integrator import (SchemeParams, batch_increments, run_scheme,
                                 semi_implicit_step)
@@ -66,6 +66,16 @@ def test_beta_zero_coupled_walk_is_run_scheme():
     assert np.array_equal(pair.primary.states, run.states)
     assert np.array_equal(pair.primary.energy_sq, run.energy_sq)
     assert np.array_equal(pair.nudged.states, run.states)
+
+
+def test_coupled_run_reports_failing_step_index():
+    # the plain step succeeds; the nudged one meets the NaN at step 1
+    f = random_field(G, seed=4, rms=1.0)
+    bad = f.coeffs.copy()
+    bad[3] = np.nan
+    with pytest.raises(SolverError) as err:
+        coupled_simulate(f, SpectralField(G, bad), 5, _nudge(), BASIS8, NoiseStream(3, 0))
+    assert err.value.step_index == 1
 
 
 def test_single_mode_gap_scalar_recursion():

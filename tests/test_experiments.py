@@ -192,10 +192,9 @@ def _per_rung_errors(cfg, seed, delta):
     p_f = SchemeParams(cfg.nu, delta / cfg.refine, cfg.shells, delta0=max(cfg.deltas))
     n_coarse = round(cfg.horizon / delta)
     r_f = round(delta / cfg.refine / delta_base)
-    diag_c = 1.0 + delta * cfg.nu * grid.lam
-    diag_f = 1.0 + (delta / cfg.refine) * cfg.nu * grid.lam
+    sys_c, sys_f = integ.step_system(grid, p_c), integ.step_system(grid, p_f)
     m = cfg.ensemble
-    c = np.broadcast_to(xi0.coeffs, (m, grid.n_half)).copy()
+    c = np.broadcast_to(spectral.pack(xi0.coeffs), (m, 2 * grid.n_half)).copy()
     cf = c.copy()
     sup = np.zeros(m)
     g = gaussian_cells(seed, np.arange(m), np.arange(n_coarse * cfg.refine * r_f), basis.d)
@@ -204,13 +203,13 @@ def _per_rung_errors(cfg, seed, delta):
     coarse = sum_fine(fine, axis=2)
     for j in range(n_coarse):
         for jf in range(cfg.refine):
-            noise_f = fine[:, j, jf] @ basis.coeff_matrix
-            cf, _ = integ._advance_one(grid, cf, noise_f, p_f, 1.0 / diag_f, diag_f,
-                                       spectral.norm_l2(noise_f))
-        noise_c = coarse[:, j] @ basis.coeff_matrix
-        c, _ = integ._advance_one(grid, c, noise_c, p_c, 1.0 / diag_c, diag_c,
-                                  spectral.norm_l2(noise_c))
-        np.maximum(sup, spectral.norm_l2(c - cf), out=sup)
+            noise_f = fine[:, j, jf] @ basis.packed
+            cf, _ = integ._advance_one(grid, cf, noise_f, sys_f,
+                                       np.sqrt(spectral.packed_norm_sq(noise_f)))
+        noise_c = coarse[:, j] @ basis.packed
+        c, _ = integ._advance_one(grid, c, noise_c, sys_c,
+                                  np.sqrt(spectral.packed_norm_sq(noise_c)))
+        np.maximum(sup, np.sqrt(spectral.packed_norm_sq(c - cf)), out=sup)
     return float(np.mean(sup ** cfg.p_moment)), float(np.mean(sup ** 2))
 
 

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from snselab import spectral
 from snselab.errors import ConfigError, SolverError
 from snselab.forcing import NoiseStream, low_mode_basis
-from snselab.integrator import (SchemeParams, energy_identity_residual,
+from snselab.integrator import (SchemeParams, _advance_one, energy_identity_residual,
                                 moment_probe, reference_simulate, run_scheme,
                                 semi_implicit_step, simulate, simulate_ensemble,
-                                step_residual)
-from snselab.spectral import (SpectralField, advect_frozen, harmonic_field,
-                              make_grid, random_field, velocity_values,
-                              zero_field)
+                                step_residual, step_system)
+from snselab.spectral import (SpectralField, advect_coeffs, advect_frozen,
+                              harmonic_field, make_grid, random_field, zero_field)
 
 G = make_grid(16)
 BASIS = low_mode_basis(G, 4, 0.5)
@@ -47,6 +47,35 @@ def test_step_residual_small():
     assert res <= 1e-11 * scale
 
 
+@given(shells=st.sampled_from([4, 10, 16]), m=st.sampled_from([1, 3]),
+       rms=st.floats(0.0, 20.0), delta=st.sampled_from([0.01, 0.05]),
+       nudged=st.booleans(), seed=st.integers(0, 10 ** 6))
+def test_packed_kernel_solves_step_system(shells, m, rms, delta, nudged, seed):
+    # the nudged system D_n c + delta Adv c = c_prev + rhs_extra + noise is the
+    # plain one with noise + rhs_extra - delta beta P_K c on the right
+    grid = make_grid(shells)
+    p = SchemeParams(1.0, delta, shells)
+    basis = low_mode_basis(grid, 2, 0.5)
+    prev = np.stack([random_field(grid, seed=seed, stream_id=i, rms=rms).coeffs
+                     for i in range(m)])
+    eta = np.random.default_rng(seed).standard_normal((m, basis.d))
+    noise = np.sqrt(delta) * (eta @ basis.coeff_matrix)
+    extra = np.zeros_like(prev)
+    system = step_system(grid, p)
+    if nudged:
+        db_mask = delta * 2.5 * grid.mode_mask(2)   # beta = nu lambda_3 / 2
+        system = step_system(grid, p, db_mask)
+        extra = db_mask * random_field(grid, seed=seed + 1, rms=rms).coeffs
+    c, _ = _advance_one(grid, spectral.pack(prev), spectral.pack(noise), system,
+                        spectral.norm_l2(noise), spectral.pack(extra),
+                        spectral.norm_l2(extra))
+    new = spectral.unpack(c)
+    scale = spectral.norm_l2(prev) + spectral.norm_l2(noise) + spectral.norm_l2(extra)
+    if nudged:
+        noise = noise + extra - db_mask * new
+    assert np.all(step_residual(grid, prev, new, noise, p) <= 10 * p.tol * scale)
+
+
 def test_dense_matrix_oracle_small_cutoff():
     # build the full step operator column by column and solve directly
     shells = 3
@@ -54,11 +83,10 @@ def test_dense_matrix_oracle_small_cutoff():
     p = SchemeParams(1.0, 0.05, shells)
     prev = random_field(grid, seed=8, rms=1.2)
     n = grid.n_half
-    u1, u2 = velocity_values(grid, prev.coeffs)
 
     def op(c):
         return (1.0 + p.delta * p.nu * grid.lam) * c \
-            + p.delta * advect_frozen(grid, u1, u2, c)
+            + p.delta * advect_coeffs(grid, prev.coeffs, c)
 
     cols = []
     for i in range(n):
@@ -185,6 +213,22 @@ def test_replay_bit_identical():
     t2 = simulate(f, 40, p, BASIS, NoiseStream(123, 5))
     assert np.array_equal(t1.states, t2.states)
     assert np.array_equal(t1.energy_sq, t2.energy_sq)
+
+
+def test_recorded_energy_is_norm_of_recorded_state():
+    # the march's packed norms and the complex norm_l2_sq agree bit for bit,
+    # so a checkpointed state reproduces its recorded energy exactly
+    p = SchemeParams(1.0, 0.02, 16)
+    f = random_field(G, seed=14)
+    for ids in ([3], [4, 9, 2]):
+        run = simulate_ensemble(f, 30, p, BASIS, seed=5, trajectory_ids=ids,
+                                record_stride=7)
+        assert np.array_equal(run.energy_sq[run.step_indices],
+                              spectral.norm_l2_sq(run.states))
+        assert np.array_equal(run.h1_sq[run.step_indices],
+                              spectral.sobolev_norm_sq(G, run.states, 1.0))
+        last = spectral.norm_l2_sq(run.states[-1, -1].copy())
+        assert last == run.energy_sq[run.step_indices[-1], -1]
 
 
 def test_ensemble_member_matches_solo_run():

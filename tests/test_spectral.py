@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from snselab import spectral
 from snselab.errors import GridMismatchError, StructuralError
@@ -45,6 +46,43 @@ def test_roundtrip_against_fft_oracle():
     assert np.max(np.abs(vals - oracle)) <= 1e-13 * np.max(np.abs(oracle))
     back = G16.from_real(vals)
     assert np.max(np.abs(back - f.coeffs)) <= 1e-13 * np.max(np.abs(f.coeffs))
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@given(arrays(np.float64,
+              st.tuples(st.integers(0, 3), st.integers(0, 6).map(lambda n: 2 * n)),
+              elements=_ANY_FLOAT))
+def test_pack_unpack_round_trip_bit_exact(rc):
+    c = spectral.unpack(rc)
+    assert c.shape == rc.shape[:-1] + (rc.shape[-1] // 2,)
+    assert spectral.pack(c).tobytes() == rc.tobytes()
+    assert spectral.unpack(spectral.pack(c)).tobytes() == c.tobytes()
+
+
+def _grid_values(grid, coeffs, mult):
+    """Samples of the field with coefficients mult * coeffs by numpy's FFT."""
+    p = grid.pad
+    spec = np.zeros(coeffs.shape[:-1] + (p, p), dtype=np.complex128)
+    spec[..., grid.kx % p, grid.ky % p] = mult * coeffs
+    spec[..., -grid.kx % p, -grid.ky % p] = np.conj(mult * coeffs)
+    return np.fft.ifft2(spec).real * p * p
+
+
+@pytest.mark.parametrize("shells", [4, 10, 16])
+def test_packed_advect_frozen_matches_complex_fft(shells):
+    grid = make_grid(shells)
+    src = np.stack([random_field(grid, seed=s, rms=3.0).coeffs for s in range(3)])
+    tgt = np.stack([random_field(grid, seed=s + 10, rms=1.0).coeffs for s in range(3)])
+    prod = (_grid_values(grid, src, grid.ik_perp1) * _grid_values(grid, tgt, grid.ikx)
+            + _grid_values(grid, src, grid.ik_perp2) * _grid_values(grid, tgt, grid.iky))
+    p = grid.pad
+    want = np.fft.fft2(prod)[..., grid.kx % p, grid.ky % p] / (p * p)
+    uv = spectral.velocity_values(grid, spectral.pack(src))
+    got = spectral.unpack(spectral.advect_frozen(grid, uv, grid._anal, spectral.pack(tgt)))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(spectral.advect_coeffs(grid, src, tgt), got)
 
 
 def test_parseval_cosine():
@@ -241,6 +279,15 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     g = load_field(path)
     assert g.grid == f.grid
     assert np.array_equal(g.coeffs, f.coeffs)
+
+
+def test_checkpoint_roundtrip_keeps_signed_zeros(tmp_path):
+    # -0.0 real parts beside nonzero imaginary parts come back as -0.0
+    c = random_field(G16, seed=33, rms=2.2).coeffs.copy()
+    c.real[:3] = -0.0
+    path = tmp_path / "field.fld"
+    save_field(SpectralField(G16, c), path)
+    assert load_field(path).coeffs.tobytes() == c.tobytes()
 
 
 def test_checkpoint_corrupt_magic(tmp_path):
