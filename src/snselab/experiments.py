@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -214,6 +214,35 @@ class StudyReport:
         return all(self.checks.values())
 
 
+class Band(NamedTuple):
+    """Inclusive acceptance band [lo, hi] on one quantity, plus the floor
+    on r^2 when the quantity is a fitted rate."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    r2: float | None = None
+
+    def contains(self, value: float) -> bool:
+        return bool(self.lo <= value <= self.hi)
+
+
+# Every acceptance band, by study (report name) and quantity.  Studies record
+# their checks from these, and the acceptance gates read the same bounds.
+BANDS = {
+    "temporal-order": {"moment_p": Band(0.40, 0.60, r2=0.97)},
+    "spatial-order": {"order_sq_vs_modes": Band(-1.3, -0.7, r2=0.9)},
+    "holder-regularity": {"exponent": Band(0.7, 1.1)},
+    "wasserstein-contraction": {"rate": Band(r2=0.9), "rate_spread": Band(hi=3.0)},
+    "stationary-bias": {"bias_exponent": Band(0.7, 1.3),
+                        "mse_exponent": Band(0.7, 1.3)},
+    "nudged-coupling": {"gap_ratio": Band(hi=1e-3),
+                        "per_step_log_factor": Band(hi=0.0, r2=0.9),
+                        "kl_linearity_slope": Band(0.8, 1.2),
+                        "kl_ratio_spread": Band(hi=10.0)},
+    "exponential-lyapunov": {"fraction_ok": Band(lo=0.95)},
+}
+
+
 def _pmap(fn, items: Iterable, threads: int) -> list:
     """Order-preserving parallel map; results never depend on thread count."""
     items = list(items)
@@ -350,6 +379,9 @@ def temporal_order_study(cfg: TemporalOrderConfig, seed: int) -> StudyReport:
     report.fits["order_l2"] = fit_sq
     report.scalars["order"] = fit.slope
     report.scalars["moment_p_slope"] = fit_moment.slope
+    band = BANDS["temporal-order"]["moment_p"]
+    report.checks["temporal-order-band"] = band.contains(fit_moment.slope)
+    report.checks["temporal-order-r2"] = fit_moment.r_squared >= band.r2
     return report
 
 
@@ -436,6 +468,9 @@ def spatial_order_study(cfg: SpatialOrderConfig, seed: int) -> StudyReport:
     report.fits["order_sq_vs_modes"] = fit
     report.scalars["order"] = fit.slope
     report.scalars["resolved_regime"] = False
+    band = BANDS["spatial-order"]["order_sq_vs_modes"]
+    report.checks["spatial-order-band"] = band.contains(fit.slope)
+    report.checks["spatial-order-r2"] = fit.r_squared >= band.r2
     return report
 
 
@@ -501,6 +536,8 @@ def holder_study(cfg: HolderConfig, seed: int) -> StudyReport:
     report.fits["increment_moment"] = fit
     report.scalars["exponent"] = fit.slope
     report.scalars["holder_exponent_per_increment"] = fit.slope / cfg.moment
+    report.checks["holder-band"] = BANDS["holder-regularity"]["exponent"].contains(
+        fit.slope)
     return report
 
 
@@ -606,9 +643,12 @@ def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
     report.scalars["rate_max"] = float(rates.max())
     report.scalars["rate_spread"] = float(rates.max() / max(rates.min(), 1e-300))
     report.scalars["alpha"] = alpha
+    bands = BANDS["wasserstein-contraction"]
     report.checks["all_rates_decay"] = bool(np.all(rates > 0))
-    report.checks["r_squared_ok"] = bool(all(r["r_squared"] >= 0.9 for r in cell_rows))
-    report.checks["uniform_band_3x"] = bool(report.scalars["rate_spread"] <= 3.0)
+    report.checks["r_squared_ok"] = all(r["r_squared"] >= bands["rate"].r2
+                                        for r in cell_rows)
+    report.checks["uniform_band_3x"] = bands["rate_spread"].contains(
+        report.scalars["rate_spread"])
     ordering = [bool(np.all(res["exact"] <= res["coupled"] + 1e-12))
                 for res in results if res["exact"] is not None]
     if ordering:
@@ -826,6 +866,11 @@ def stationary_bias_study(cfg: StationaryBiasConfig, seed: int) -> StudyReport:
                                         n_boot=cfg.n_boot, seed=seed, boot_stream=6)
     report.scalars["bias_exponent"] = -report.fits["bias_decay"].slope
     report.scalars["mse_exponent"] = -report.fits["mse_decay"].slope
+    bands = BANDS["stationary-bias"]
+    report.checks["bias-exponent-band"] = bands["bias_exponent"].contains(
+        report.scalars["bias_exponent"])
+    report.checks["mse-exponent-band"] = bands["mse_exponent"].contains(
+        report.scalars["mse_exponent"])
     return report
 
 
@@ -931,6 +976,19 @@ def coupling_study(cfg: CouplingStudyConfig, seed: int) -> StudyReport:
         report.scalars["kl_linearity_slope"] = fit.slope
         ratios = np.array([r["kl_ratio"] for r in rows])
         report.scalars["kl_ratio_spread"] = float(ratios.max() / ratios.min())
+    bands = BANDS["nudged-coupling"]
+    factor = bands["per_step_log_factor"]
+    report.checks["gap-decay"] = all(
+        r["exact_coupling"] or bands["gap_ratio"].contains(r["gap_ratio"]) for r in rows)
+    report.checks["per-step-factor"] = all(
+        r["exact_coupling"] or (r["per_step_log_factor"] is not None
+                                and factor.contains(r["per_step_log_factor"])
+                                and r["r_squared"] >= factor.r2) for r in rows)
+    if "kl_linearity_slope" in report.scalars:
+        report.checks["kl-linearity-band"] = bands["kl_linearity_slope"].contains(
+            report.scalars["kl_linearity_slope"])
+        report.checks["kl-majorant-spread"] = bands["kl_ratio_spread"].contains(
+            report.scalars["kl_ratio_spread"])
     return report
 
 
@@ -992,5 +1050,6 @@ def lyapunov_study(cfg: LyapunovConfig, seed: int) -> StudyReport:
     report.tables["seeds"] = rows
     report.scalars["alpha"] = alpha
     report.scalars["fraction_ok"] = n_ok / cfg.n_seeds
-    report.checks["envelope_95pct"] = bool(n_ok >= int(np.ceil(0.95 * cfg.n_seeds)))
+    floor = BANDS["exponential-lyapunov"]["fraction_ok"].lo
+    report.checks["envelope_95pct"] = bool(n_ok >= int(np.ceil(floor * cfg.n_seeds)))
     return report

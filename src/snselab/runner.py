@@ -1,14 +1,19 @@
 """Command-line front end: configs, dispatch, artifacts, replay.
 
 A run is described by an INI-style key-value file; command-line flags
-override file values, and the merged effective configuration is what the
-emitted manifest records.  Every artifact in a run directory is a
-deterministic function of (manifest, build): CSV tables, the JSON summary
-(schema "snse-lab/1"), and checkpoints carry no timestamps or machine
-state, so `replay` can regenerate and byte-compare them.
+override file values.  A study subcommand builds its config dataclass
+from what the file and the flags set; every other field keeps the
+dataclass default, and the manifest records only what was set.
+`simulate` and `certify-metric` have no config class: they fall back to
+`_DEFAULTS`, and their manifest echoes those too.  Every artifact in a
+run directory is a deterministic function of (manifest, build): CSV
+tables, the JSON summary (schema "snse-lab/1"), and checkpoints carry no
+timestamps or machine state, so `replay` can regenerate and byte-compare
+them.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error (solver
-or transport capacity), 4 acceptance-band failure under --enforce.
+or transport capacity), 4 acceptance-band failure under --enforce, or a
+replay whose artifacts differ from the run's.
 """
 
 from __future__ import annotations
@@ -16,12 +21,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import logging
 import sys
-from dataclasses import dataclass
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +40,7 @@ from . import measures as measures_mod
 from . import rng, spectral
 from .errors import (CapacityError, ConfigError, FitError, RangeError,
                      SnseLabError, SolverError, StructuralError)
-from .experiments import InitialCondition, ObservableSpec
+from .experiments import InitialCondition
 from .measures import DistanceParams
 
 log = logging.getLogger("snselab")
@@ -71,39 +77,32 @@ def _parse_list(text: str) -> tuple:
     return tuple(_parse_scalar(tok) for tok in text.split(",") if tok.strip())
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
-    """Validated, fully-defaulted run description (a plain nested dict)."""
+    """What the config file and the flags set, as a nested dict; `get`
+    falls back to `_DEFAULTS`."""
 
     sections: dict
 
     def get(self, section: str, key: str, default=None):
-        return self.sections.get(section, {}).get(key, default)
-
-    def require(self, section: str, key: str):
-        val = self.get(section, key)
-        if val is None:
-            raise ConfigError("missing required value", field=f"{section}.{key}")
-        return val
+        for source in (self.sections, _DEFAULTS):
+            if key in source.get(section, {}):
+                return source[section][key]
+        return default
 
 
-_LIST_KEYS = {
-    ("discretization", "delta_ladder"), ("discretization", "shells_ladder"),
-    ("experiment", "deltas"), ("experiment", "shells_list"),
-    ("experiment", "n_ladder"), ("experiment", "perturbations"),
-    ("forcing", "amplitudes"),
-}
+# keys read as lists even when they hold one value (a study's tuple fields
+# take one value as a 1-tuple anyway)
+_LIST_KEYS = {("discretization", "delta_ladder"), ("discretization", "shells_ladder"),
+              ("forcing", "amplitudes")}
 
+# What `simulate`, `certify-metric` and the common checks read when the file
+# leaves it out.  A study's defaults are those of its config dataclass.
 _DEFAULTS = {
     "physics": {"nu": 1.0},
     "forcing": {"preset": "low-mode", "shells": 4, "variance": 0.5},
     "discretization": {"shells": 16, "delta": 0.01, "delta0": None},
-    "experiment": {"kind": None, "horizon": 1.0, "ensemble": 128},
     "distance": {"eps": 0.1, "s": 0.5, "alpha": "auto"},
-    "nudge": {"shells": 8, "beta": "auto", "compute_shifts": True,
-              "perturbation": 1e-2},
-    "observable": {"kind": "clipped-norm", "radius": 4.0,
-                   "mode_kx": 1, "mode_ky": 0},
     "initial": {"kind": "random", "amplitude": 1.0, "spectral_slope": -3.0},
     "reproducibility": {"seed": 0, "record_stride": 1},
     "io": {"out_dir": "runs/out", "checkpoint_cadence": 0},
@@ -111,7 +110,7 @@ _DEFAULTS = {
 
 
 def load_config(path: str | None) -> RunConfig:
-    sections = {name: dict(vals) for name, vals in _DEFAULTS.items()}
+    sections = {}
     if path is not None:
         cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         read = cp.read(path)
@@ -151,18 +150,25 @@ def _validate_common(cfg: RunConfig) -> None:
 
 def effective_manifest(cfg: RunConfig, subcommand: str,
                        seed: int) -> configparser.ConfigParser:
-    """The merged config (every defaulted field echoed) plus run metadata.
+    """What the file and the flags set, plus run metadata.
 
-    Thread count is deliberately absent: parallelism never changes any
-    emitted number, so it is not part of what a run *is*.
+    A study's other fields are the defaults of its config class, which
+    live in the build.  `simulate` and `certify-metric` also echo the
+    `_DEFAULTS` they read.  Thread count is deliberately absent:
+    parallelism never changes any emitted number, so it is not part of
+    what a run *is*.
     """
+    sections = cfg.sections
+    if subcommand not in STUDIES:
+        sections = {name: {**_DEFAULTS.get(name, {}), **cfg.sections.get(name, {})}
+                    for name in _DEFAULTS.keys() | cfg.sections.keys()}
     out = configparser.ConfigParser()
     out["meta"] = {"schema": SCHEMA, "version": __version__,
                    "subcommand": subcommand, "seed": str(seed)}
-    for section in sorted(cfg.sections):
+    for section in sorted(sections):
         body = {}
-        for key in sorted(cfg.sections[section]):
-            val = cfg.sections[section][key]
+        for key in sorted(sections[section]):
+            val = sections[section][key]
             if val is None:
                 continue
             if isinstance(val, tuple):
@@ -224,9 +230,12 @@ def _jsonable(obj):
 
 
 def write_bundle(report: exp.StudyReport, out_dir: Path,
-                 manifest: configparser.ConfigParser,
-                 extra_checks: dict | None = None) -> dict:
-    """Emit manifest, per-table CSVs, and the JSON summary; returns summary."""
+                 manifest: configparser.ConfigParser) -> dict:
+    """Emit manifest, per-table CSVs, and the JSON summary; returns summary.
+
+    The summary's `config` is the study config without `threads`, which
+    changes no number.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "manifest.cfg", "w") as fh:
         manifest.write(fh)
@@ -234,16 +243,15 @@ def write_bundle(report: exp.StudyReport, out_dir: Path,
     tables_dir.mkdir(exist_ok=True)
     for name, rows in report.tables.items():
         write_table_csv(rows, tables_dir / f"{name}.csv")
-    checks = dict(report.checks)
-    if extra_checks:
-        checks.update(extra_checks)
     summary = {
         "schema": SCHEMA,
         "study": report.name,
         "seed": report.seed,
+        "config": _jsonable({k: v for k, v in report.config.items()
+                             if k != "threads"}),
         "fits": {k: v.as_dict() for k, v in report.fits.items()},
         "scalars": _jsonable(report.scalars),
-        "checks": _jsonable(checks),
+        "checks": _jsonable(report.checks),
         "notes": list(report.notes),
     }
     (out_dir / "summary.json").write_text(
@@ -294,22 +302,118 @@ def restore(field_path: Path):
 
 # -- study assembly from config ----------------------------------------------------------
 
-def _initial_condition(cfg: RunConfig) -> InitialCondition:
-    sec = cfg.sections.get("initial", {})
-    return InitialCondition(
-        kind=sec.get("kind", "random"),
-        amplitude=float(sec.get("amplitude", 1.0)),
-        spectral_slope=float(sec.get("spectral_slope", -3.0)),
-        mode=(int(sec.get("mode_kx", 1)), int(sec.get("mode_ky", 0))),
-        mode_kind=sec.get("mode_kind", "cos"))
+# subcommand -> (config dataclass, study function)
+STUDIES = {
+    "converge-time": (exp.TemporalOrderConfig, exp.temporal_order_study),
+    "converge-space": (exp.SpatialOrderConfig, exp.spatial_order_study),
+    "holder": (exp.HolderConfig, exp.holder_study),
+    "contraction": (exp.ContractionConfig, exp.contraction_study),
+    "weak": (exp.WeakErrorConfig, exp.weak_error_study),
+    "bias": (exp.StationaryBiasConfig, exp.stationary_bias_study),
+    "couple": (exp.CouplingStudyConfig, exp.coupling_study),
+}
+
+# Shared-section spellings of study fields (a study takes the first name it
+# has); `[experiment]` keys name fields directly.  A shared-section key that
+# names no field of the study is left to the subcommands that read it.
+_ALIASES = {
+    ("physics", "nu"): ("nu",),
+    ("forcing", "shells"): ("forcing_shells",),
+    ("forcing", "variance"): ("forcing_variance",),
+    ("discretization", "shells"): ("shells",),
+    ("discretization", "delta"): ("delta",),
+    ("discretization", "delta_ladder"): ("deltas",),
+    ("discretization", "shells_ladder"): ("shell_ladder", "shells_list"),
+    ("experiment", "shells_list"): ("shell_ladder",),
+    ("nudge", "shells"): ("shells_controlled",),
+    ("nudge", "beta"): ("beta",),
+    ("nudge", "compute_shifts"): ("compute_shifts",),
+    ("nudge", "perturbation"): ("perturbations",),
+    ("distance", "eps"): ("eps",),
+    ("distance", "s"): ("s",),
+    ("distance", "alpha"): ("alpha",),
+}
+# sections whose keys set the fields of one nested value
+_NESTED = {"initial": ("ic",), "observable": ("observable", "observables")}
 
 
-def _observable(cfg: RunConfig) -> ObservableSpec:
-    sec = cfg.sections.get("observable", {})
-    return ObservableSpec(kind=sec.get("kind", "clipped-norm"),
-                          radius=float(sec.get("radius", 4.0)),
-                          mode=(int(sec.get("mode_kx", 1)),
-                                int(sec.get("mode_ky", 0))))
+def _field_name(names, where: str) -> str | None:
+    """The field among `names` that `where` ("section.key", or a whole
+    nested section) sets, if any."""
+    section, _, key = where.partition(".")
+    spellings = _NESTED.get(section) or (
+        ((key,) if section == "experiment" else ()) + _ALIASES.get((section, key), ()))
+    return next((n for n in spellings if n in names), None)
+
+
+def _scalar(kind: type, val, where: str):
+    """`val` as a `kind`: an int passes as a float, a bool only as a bool."""
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(val, accepted) or (isinstance(val, bool) and kind is not bool):
+        raise ConfigError(f"expected {kind.__name__}, got {val!r}", field=where)
+    return kind(val)
+
+
+def _coerce(kind, default, val, where: str):
+    """`val` as a field declared `kind` whose default is `default`."""
+    if isinstance(val, dict):       # a nested section
+        if isinstance(default, tuple):
+            return (_nested(default[0], val, where),)
+        return _nested(default, val, where)
+    if type(None) in typing.get_args(kind):
+        if val == "auto":
+            return None
+        kind = next(k for k in typing.get_args(kind) if k is not type(None))
+    if typing.get_origin(kind) is tuple or kind is tuple:
+        items = val if isinstance(val, tuple) else (val,)
+        return tuple(_scalar(type(default[0]), v, where) for v in items)
+    return _scalar(kind, val, where)
+
+
+def _nested(default, section: dict, where: str):
+    """`default` with the fields its section sets; `mode_kx`/`mode_ky`
+    set `mode`."""
+    hints = typing.get_type_hints(type(default))
+    mode, kwargs = list(default.mode), {}
+    for key, val in section.items():
+        if key in ("mode_kx", "mode_ky"):
+            mode[0 if key == "mode_kx" else 1] = _scalar(int, val, f"{where}.{key}")
+        elif key in hints and key != "mode":
+            kwargs[key] = _coerce(hints[key], getattr(default, key), val,
+                                  f"{where}.{key}")
+        else:
+            raise ConfigError(f"unknown key {key!r}", field=f"{where}.{key}")
+    return dataclasses.replace(default, mode=tuple(mode), **kwargs)
+
+
+def study_config(cls, cfg: RunConfig, threads: int = 1):
+    """The `cls` instance a run describes.
+
+    Each field the file or a flag sets is coerced to the field's type
+    ("auto" means None); every other field keeps its default.  An
+    `[experiment]` key that names no field, a field set from two places,
+    or a value of the wrong type is a `ConfigError`.
+    """
+    names = {f.name for f in dataclasses.fields(cls)} - {"threads"}
+    given = {}
+    for section, body in cfg.sections.items():
+        items = ([(section, body)] if section in _NESTED else
+                 [(f"{section}.{key}", val) for key, val in body.items()])
+        for where, val in items:
+            name = _field_name(names, where)
+            if name is None:
+                if section == "experiment":
+                    raise ConfigError(f"not a settable field of {cls.__name__}",
+                                      field=where)
+                continue
+            if name in given:
+                raise ConfigError(f"{name} is also set by {given[name][0]}",
+                                  field=where)
+            given[name] = (where, val)
+    hints = typing.get_type_hints(cls)
+    return cls(threads=threads, **{
+        name: _coerce(hints[name], getattr(cls, name), val, where)
+        for name, (where, val) in given.items()})
 
 
 def _alpha(cfg: RunConfig) -> float | None:
@@ -358,148 +462,18 @@ def build_forcing(cfg: RunConfig, grid) -> forcing_mod.ForcingBasis:
     raise ConfigError(f"unknown forcing preset {preset!r}", field="forcing.preset")
 
 
-def _band_check(value: float, lo: float, hi: float) -> bool:
-    return bool(lo <= value <= hi)
-
-
-def run_study(subcommand: str, cfg: RunConfig, seed: int, threads: int) -> tuple:
-    """Build, run, and band-check the study behind one subcommand."""
-    f_shells, f_var = _forcing_args(cfg)
-    nu = float(cfg.get("physics", "nu"))
-    ic = _initial_condition(cfg)
-    e = cfg.sections.get("experiment", {})
-    checks: dict[str, bool] = {}
-
-    if subcommand == "converge-time":
-        deltas = e.get("deltas") or cfg.get("discretization", "delta_ladder") \
-            or exp.TemporalOrderConfig.deltas
-        study = exp.TemporalOrderConfig(
-            deltas=tuple(float(d) for d in deltas),
-            shells=int(cfg.get("discretization", "shells")),
-            horizon=float(e.get("horizon", 1.0)),
-            ensemble=int(e.get("ensemble", 128)),
-            nu=nu, forcing_shells=f_shells, forcing_variance=f_var,
-            refine=int(e.get("refine", 16)),
-            p_moment=float(e.get("p_moment", 0.5)),
-            ic=ic, noise_on=bool(e.get("noise_on", True)), threads=threads)
-        report = exp.temporal_order_study(study, seed)
-        fit = report.fits["moment_p"]
-        checks["temporal-order-band"] = _band_check(fit.slope, 0.40, 0.60)
-        checks["temporal-order-r2"] = fit.r_squared >= 0.97
-    elif subcommand == "converge-space":
-        ladder = e.get("shells_list") or cfg.get("discretization", "shells_ladder") \
-            or exp.SpatialOrderConfig.shell_ladder
-        study = exp.SpatialOrderConfig(
-            shell_ladder=tuple(int(s) for s in ladder),
-            reference_shells=int(e.get("reference_shells",
-                                       exp.SpatialOrderConfig.reference_shells)),
-            delta=float(cfg.get("discretization", "delta")),
-            horizon=float(e.get("horizon", exp.SpatialOrderConfig.horizon)),
-            ensemble=int(e.get("ensemble", 96)),
-            nu=nu, forcing_shells=f_shells, forcing_variance=f_var,
-            ic=_initial_condition(cfg), threads=threads)
-        report = exp.spatial_order_study(study, seed)
-        if "order_sq_vs_modes" in report.fits:
-            fit = report.fits["order_sq_vs_modes"]
-            checks["spatial-order-band"] = _band_check(fit.slope, -1.3, -0.7)
-            checks["spatial-order-r2"] = fit.r_squared >= 0.9
-    elif subcommand == "holder":
-        study = exp.HolderConfig(
-            shells=int(cfg.get("discretization", "shells")),
-            delta=float(cfg.get("discretization", "delta")),
-            burn_steps=int(e.get("burn_steps", 128)),
-            window_steps=int(e.get("window_steps", 256)),
-            lag_min_steps=int(e.get("lag_min_steps", 2)),
-            lag_max_steps=int(e.get("lag_max_steps", 200)),
-            moment=int(e.get("moment", 2)),
-            ensemble=int(e.get("ensemble", 64)),
-            nu=nu, forcing_shells=f_shells, forcing_variance=f_var,
-            ic=ic, threads=threads)
-        report = exp.holder_study(study, seed)
-        checks["holder-band"] = _band_check(report.scalars["exponent"], 0.7, 1.1)
-    elif subcommand == "contraction":
-        study = exp.ContractionConfig(
-            shells_list=tuple(int(s) for s in e.get("shells_list", (3, 4, 5))),
-            deltas=tuple(float(d) for d in e.get("deltas", (0.02, 0.01, 0.005))),
-            horizon=float(e.get("horizon", 12.0)),
-            record_time=float(e.get("record_time", 0.5)),
-            ensemble=int(e.get("ensemble", 32)),
-            nu=nu,
-            forcing_shells=min(f_shells, min(int(s) for s in e.get("shells_list", (3, 4, 5)))),
-            forcing_variance=f_var,
-            gap_amplitude=float(e.get("gap_amplitude", 1.0)),
-            eps=float(e.get("eps", 1.0)), s=float(e.get("s", 1.0)),
-            alpha=_alpha(cfg), ic=ic, threads=threads)
-        report = exp.contraction_study(study, seed)
-    elif subcommand == "weak":
-        study = exp.WeakErrorConfig(
-            shells_list=tuple(int(s) for s in e.get("shells_list", (4, 8, 12))),
-            deltas=tuple(float(d) for d in e.get("deltas", (0.04, 0.02, 0.01))),
-            reference_shells=int(e.get("reference_shells", 16)),
-            reference_delta=float(e.get("reference_delta", 0.005)),
-            horizon=float(e.get("horizon", 4.0)),
-            record_time=float(e.get("record_time", 0.2)),
-            ensemble=int(e.get("ensemble", 128)),
-            nu=nu, forcing_shells=f_shells, forcing_variance=f_var,
-            observables=(_observable(cfg),),
-            eps=float(cfg.get("distance", "eps")),
-            s=float(cfg.get("distance", "s")),
-            alpha=_alpha(cfg),
-            report_lipschitz=bool(e.get("report_lipschitz", False)),
-            ic=ic, threads=threads)
-        report = exp.weak_error_study(study, seed)
-    elif subcommand == "bias":
-        n_ladder = e.get("n_ladder", exp.StationaryBiasConfig.n_ladder)
-        study = exp.StationaryBiasConfig(
-            shells=int(cfg.get("discretization", "shells")),
-            delta=float(cfg.get("discretization", "delta")),
-            n_ladder=tuple(int(n) for n in n_ladder),
-            replicas=int(e.get("replicas", 64)),
-            reference_steps=int(e.get("reference_steps", 80_000)),
-            burn_fraction=float(e.get("burn_fraction", 0.5)),
-            mse_burn_steps=int(e.get("mse_burn_steps", 100)),
-            nu=nu, forcing_shells=f_shells, forcing_variance=f_var,
-            observable=_observable(cfg), ic=ic, threads=threads)
-        report = exp.stationary_bias_study(study, seed)
-        checks["bias-exponent-band"] = _band_check(
-            report.scalars["bias_exponent"], 0.7, 1.3)
-        checks["mse-exponent-band"] = _band_check(
-            report.scalars["mse_exponent"], 0.7, 1.3)
-    elif subcommand == "couple":
-        n = cfg.sections.get("nudge", {})
-        beta = n.get("beta", "auto")
-        perturbations = e.get("perturbations") or (float(n.get("perturbation", 1e-2)),)
-        study = exp.CouplingStudyConfig(
-            shells=int(cfg.get("discretization", "shells")),
-            delta=float(cfg.get("discretization", "delta")),
-            horizon=float(e.get("horizon", 10.0)),
-            shells_controlled=int(n.get("shells", 8)),
-            beta=None if beta == "auto" else float(beta),
-            perturbations=tuple(float(p) for p in perturbations),
-            ensemble=int(e.get("ensemble", 64)),
-            nu=nu, forcing_shells=f_shells, forcing_variance=f_var,
-            compute_shifts=bool(n.get("compute_shifts", True)),
-            ic=ic, threads=threads)
-        report = exp.coupling_study(study, seed)
-        rows = report.tables["perturbations"]
-        checks["gap-decay"] = all(
-            r["exact_coupling"] or r["gap_ratio"] <= 1e-3 for r in rows)
-        checks["per-step-factor"] = all(
-            r["exact_coupling"] or (r["per_step_log_factor"] is not None
-                                    and r["per_step_log_factor"] <= 0.0
-                                    and r["r_squared"] >= 0.9) for r in rows)
-        if "kl_linearity_slope" in report.scalars:
-            checks["kl-linearity-band"] = _band_check(
-                report.scalars["kl_linearity_slope"], 0.8, 1.2)
-            checks["kl-majorant-spread"] = report.scalars["kl_ratio_spread"] <= 10.0
-    elif subcommand == "certify-metric":
-        report = certify_metric_report(cfg, seed,
-                                       n_triples=int(e.get("triples", 10_000)))
-        checks.update(report.checks)
-    else:
-        raise ConfigError(f"unknown experiment kind {subcommand!r}",
-                          field="experiment.kind")
-    return report, checks
+def run_study(subcommand: str, cfg: RunConfig, seed: int,
+              threads: int) -> exp.StudyReport:
+    """Run the study behind one subcommand; its report carries the band checks."""
+    if subcommand == "certify-metric":
+        n_triples = _scalar(int, cfg.get("experiment", "triples", 10_000),
+                            "experiment.triples")
+        return certify_metric_report(cfg, seed, n_triples=n_triples)
+    if subcommand not in STUDIES:
+        raise ConfigError(f"unknown study subcommand {subcommand!r}",
+                          field="subcommand")
+    cls, study = STUDIES[subcommand]
+    return study(study_config(cls, cfg, threads), seed)
 
 
 def certify_metric_report(cfg: RunConfig, seed: int,
@@ -563,7 +537,8 @@ def run_simulate(cfg: RunConfig, seed: int, out_dir: Path,
                            tol=float(cfg.get("discretization", "tol", 1e-12)))
     grid = p.grid()
     basis = build_forcing(cfg, grid)
-    ic = _initial_condition(cfg)
+    ic = _nested(InitialCondition(),
+                 {**_DEFAULTS["initial"], **cfg.sections.get("initial", {})}, "initial")
     xi0 = ic.build(grid, seed)
     n_steps = int(cfg.get("experiment", "steps", 0))
     stride = int(cfg.get("reproducibility", "record_stride"))
@@ -653,8 +628,8 @@ def execute(subcommand: str, cfg: RunConfig, seed: int, threads: int,
     if subcommand == "simulate":
         run_simulate(cfg, seed, out_dir, manifest)
         return EXIT_OK
-    report, checks = run_study(subcommand, cfg, seed, threads)
-    summary = write_bundle(report, out_dir, manifest, checks)
+    report = run_study(subcommand, cfg, seed, threads)
+    summary = write_bundle(report, out_dir, manifest)
     failed = [k for k, ok in summary["checks"].items() if not ok]
     for key, ok in sorted(summary["checks"].items()):
         log.info("%s: %s", key, "pass" if ok else "FAIL")
@@ -688,8 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--steps", type=int, default=None)
         if name == "couple":
             p.add_argument("--nudge-shells", type=int, default=None)
-            p.add_argument("--beta", default=None)
-            p.add_argument("--perturbation", default=None)
+            p.add_argument("--beta", type=_parse_scalar, default=None)
+            p.add_argument("--perturbation", type=_parse_list, default=None)
             p.add_argument("--ensemble", type=int, default=None)
             p.add_argument("--horizon", type=float, default=None)
         if name == "certify-metric":
@@ -697,22 +672,33 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# flag -> the (section, key) it sets
+_FLAG_KEYS = {
+    "steps": ("experiment", "steps"),
+    "triples": ("experiment", "triples"),
+    "ensemble": ("experiment", "ensemble"),
+    "horizon": ("experiment", "horizon"),
+    "nudge_shells": ("nudge", "shells"),
+    "beta": ("nudge", "beta"),
+    "perturbation": ("experiment", "perturbations"),
+}
+
+
 def _apply_cli_overrides(args, cfg: RunConfig) -> None:
-    if getattr(args, "steps", None) is not None:
-        cfg.sections.setdefault("experiment", {})["steps"] = args.steps
-    if getattr(args, "triples", None) is not None:
-        cfg.sections.setdefault("experiment", {})["triples"] = args.triples
-    if getattr(args, "ensemble", None) is not None:
-        cfg.sections.setdefault("experiment", {})["ensemble"] = args.ensemble
-    if getattr(args, "horizon", None) is not None:
-        cfg.sections.setdefault("experiment", {})["horizon"] = args.horizon
-    if getattr(args, "nudge_shells", None) is not None:
-        cfg.sections.setdefault("nudge", {})["shells"] = args.nudge_shells
-    if getattr(args, "beta", None) is not None:
-        cfg.sections.setdefault("nudge", {})["beta"] = _parse_scalar(args.beta)
-    if getattr(args, "perturbation", None) is not None:
-        cfg.sections.setdefault("experiment", {})["perturbations"] = \
-            _parse_list(args.perturbation)
+    """Flags override the file; a flag that sets a study field drops the
+    file's other spellings of that field."""
+    names = {f.name for f in dataclasses.fields(STUDIES[args.subcommand][0])} \
+        if args.subcommand in STUDIES else set()
+    for flag, (section, key) in _FLAG_KEYS.items():
+        val = getattr(args, flag, None)
+        if val is None:
+            continue
+        name = _field_name(names, f"{section}.{key}")
+        if name is not None:
+            for sec, body in cfg.sections.items():
+                for k in [k for k in body if _field_name(names, f"{sec}.{k}") == name]:
+                    del body[k]
+        cfg.sections.setdefault(section, {})[key] = val
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from snselab import runner
-from snselab.experiments import (ContractionConfig, CouplingStudyConfig,
+from snselab.experiments import (BANDS, ContractionConfig, CouplingStudyConfig,
                                  HolderConfig, LyapunovConfig,
                                  SpatialOrderConfig, StationaryBiasConfig,
                                  TemporalOrderConfig, contraction_study,
@@ -91,10 +91,11 @@ def test_criterion_02_galerkin_exactness():
 def test_criterion_03_temporal_strong_order():
     report = temporal_order_study(TemporalOrderConfig(), SEED)
     fit = report.fits["moment_p"]
-    ok = 0.40 <= fit.slope <= 0.60 and fit.r_squared >= 0.97
+    band = BANDS["temporal-order"]["moment_p"]
+    ok = band.contains(fit.slope) and fit.r_squared >= band.r2
     _criterion(3, ok,
-               f"log E sup|err| (p=0.5 moment) slope {fit.slope:.3f} in [0.40, 0.60], "
-               f"r2 {fit.r_squared:.4f} >= 0.97 "
+               f"log E sup|err| (p=0.5 moment) slope {fit.slope:.3f} in "
+               f"[{band.lo:.2f}, {band.hi:.2f}], r2 {fit.r_squared:.4f} >= {band.r2} "
                f"(strong order {report.scalars['order']:.3f})")
 
 
@@ -103,10 +104,11 @@ def test_criterion_03_temporal_strong_order():
 def test_criterion_04_spatial_strong_order():
     report = spatial_order_study(SpatialOrderConfig(), SEED)
     fit = report.fits["order_sq_vs_modes"]
-    ok = -1.3 <= fit.slope <= -0.7 and fit.r_squared >= 0.9
+    band = BANDS["spatial-order"]["order_sq_vs_modes"]
+    ok = band.contains(fit.slope) and fit.r_squared >= band.r2
     _criterion(4, ok,
-               f"log E sup|err|^2 vs log N slope {fit.slope:.3f} in [-1.3, -0.7], "
-               f"r2 {fit.r_squared:.4f} >= 0.9")
+               f"log E sup|err|^2 vs log N slope {fit.slope:.3f} in "
+               f"[{band.lo}, {band.hi}], r2 {fit.r_squared:.4f} >= {band.r2}")
 
 
 # 5 ---------------------------------------------------------------------------
@@ -114,8 +116,9 @@ def test_criterion_04_spatial_strong_order():
 def test_criterion_05_exponential_lyapunov():
     report = lyapunov_study(LyapunovConfig(n_seeds=20), SEED)
     frac = report.scalars["fraction_ok"]
-    _criterion(5, frac >= 0.95,
-               f"exp-moment envelope held in {frac:.0%} of 20 seeds (>= 95%), "
+    floor = BANDS["exponential-lyapunov"]["fraction_ok"].lo
+    _criterion(5, frac >= floor,
+               f"exp-moment envelope held in {frac:.0%} of 20 seeds (>= {floor:.0%}), "
                f"alpha {report.scalars['alpha']:.3g}")
 
 
@@ -142,15 +145,17 @@ def test_criterion_07_nudged_pathwise_contraction():
     report = coupling_study(cfg, SEED)
     row = report.tables["perturbations"][0]
     beta, lam_next = report.scalars["beta"], report.scalars["lambda_next"]
+    bands = BANDS["nudged-coupling"]
+    gap, factor = bands["gap_ratio"], bands["per_step_log_factor"]
     ok = (lam_next >= 2 * beta - 1e-12
-          and row["gap_ratio"] <= 1e-3
-          and row["per_step_log_factor"] <= 0.0
-          and row["r_squared"] >= 0.9)
+          and gap.contains(row["gap_ratio"])
+          and factor.contains(row["per_step_log_factor"])
+          and row["r_squared"] >= factor.r2)
     _criterion(7, ok,
                f"K=8 shells, beta={beta:.1f}: E|gap|^2(t=10)/|gap0|^2 = "
-               f"{row['gap_ratio']:.2e} <= 1e-3, per-step factor "
-               f"{np.exp(row['per_step_log_factor']):.4f} <= 1, "
-               f"r2 {row['r_squared']:.3f} >= 0.9")
+               f"{row['gap_ratio']:.2e} <= {gap.hi:g}, per-step factor "
+               f"{np.exp(row['per_step_log_factor']):.4f} <= {np.exp(factor.hi):g}, "
+               f"r2 {row['r_squared']:.3f} >= {factor.r2}")
 
 
 # 8 ---------------------------------------------------------------------------
@@ -164,10 +169,13 @@ def test_criterion_08_girsanov_cost_sanity():
     finite = all(np.isfinite(r["kl_mean"]) for r in rows)
     spread = report.scalars["kl_ratio_spread"]
     slope = report.scalars["kl_linearity_slope"]
-    ok = finite and spread <= 10.0 and 0.8 <= slope <= 1.2
+    bands = BANDS["nudged-coupling"]
+    spread_band, slope_band = bands["kl_ratio_spread"], bands["kl_linearity_slope"]
+    ok = finite and spread_band.contains(spread) and slope_band.contains(slope)
     _criterion(8, ok,
-               f"kl finite; mean-vs-majorant ratio spread {spread:.2f} <= 10 over "
-               f"2 decades; log kl vs log|gap0|^2 slope {slope:.3f} in [0.8, 1.2]")
+               f"kl finite; mean-vs-majorant ratio spread {spread:.2f} <= "
+               f"{spread_band.hi:g} over 2 decades; log kl vs log|gap0|^2 slope "
+               f"{slope:.3f} in [{slope_band.lo}, {slope_band.hi}]")
 
 
 # 9 ---------------------------------------------------------------------------
@@ -176,12 +184,14 @@ def test_criterion_09_wasserstein_contraction_uniformity(contraction_reports):
     report = contraction_reports[SEED]
     rates = [row["rate"] for row in report.tables["cells"]]
     r2s = [row["r_squared"] for row in report.tables["cells"]]
-    ok = (all(r > 0 for r in rates) and all(r >= 0.9 for r in r2s)
-          and report.scalars["rate_spread"] <= 3.0)
+    bands = BANDS["wasserstein-contraction"]
+    ok = (all(r > 0 for r in rates) and all(r >= bands["rate"].r2 for r in r2s)
+          and bands["rate_spread"].contains(report.scalars["rate_spread"]))
     _criterion(9, ok,
                f"coupled-bound W decays in all 9 (N, delta) cells: rates "
                f"[{min(rates):.3f}, {max(rates):.3f}], spread "
-               f"{report.scalars['rate_spread']:.2f} <= 3, min r2 {min(r2s):.3f}")
+               f"{report.scalars['rate_spread']:.2f} <= {bands['rate_spread'].hi:g}, "
+               f"min r2 {min(r2s):.3f} >= {bands['rate'].r2}")
 
 
 # 10 --------------------------------------------------------------------------
@@ -218,10 +228,10 @@ def test_criterion_11_metric_certification():
 def test_criterion_12_holder_exponent():
     report = holder_study(HolderConfig(ensemble=128), SEED)
     exp_ = report.scalars["exponent"]
-    ok = 0.7 <= exp_ <= 1.1
-    _criterion(12, ok,
+    band = BANDS["holder-regularity"]["exponent"]
+    _criterion(12, band.contains(exp_),
                f"E|xi(t)-xi(s)|^2 ~ |t-s|^e over lags [2 delta, 200 delta]: "
-               f"e = {exp_:.3f} in [0.7, 1.1]")
+               f"e = {exp_:.3f} in [{band.lo}, {band.hi}]")
 
 
 # 13 --------------------------------------------------------------------------
@@ -229,10 +239,13 @@ def test_criterion_12_holder_exponent():
 def test_criterion_13_stationary_bias_legs():
     report = stationary_bias_study(StationaryBiasConfig(), SEED)
     b, m = report.scalars["bias_exponent"], report.scalars["mse_exponent"]
-    ok = 0.7 <= b <= 1.3 and 0.7 <= m <= 1.3
+    bands = BANDS["stationary-bias"]
+    ok = bands["bias_exponent"].contains(b) and bands["mse_exponent"].contains(m)
     _criterion(13, ok,
-               f"time-average bias decay exponent {b:.3f} and replica MSE "
-               f"exponent {m:.3f} both in [0.7, 1.3] (target 1/(n delta))")
+               f"time-average bias decay exponent {b:.3f} in "
+               f"[{bands['bias_exponent'].lo}, {bands['bias_exponent'].hi}] and replica "
+               f"MSE exponent {m:.3f} in [{bands['mse_exponent'].lo}, "
+               f"{bands['mse_exponent'].hi}] (target 1/(n delta))")
 
 
 # 14 --------------------------------------------------------------------------

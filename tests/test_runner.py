@@ -1,14 +1,18 @@
 import json
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from snselab.errors import ConfigError, StructuralError
+from snselab.experiments import (ContractionConfig, CouplingStudyConfig,
+                                 StationaryBiasConfig, StudyReport,
+                                 TemporalOrderConfig)
 from snselab.forcing import NoiseStream, low_mode_basis
 from snselab.integrator import SchemeParams, simulate
-from snselab.runner import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_OK, checkpoint,
-                            load_config, main, restore)
+from snselab.runner import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_OK, STUDIES,
+                            checkpoint, load_config, main, restore, run_study)
 from snselab.spectral import make_grid, random_field
 
 
@@ -137,23 +141,98 @@ perturbation = 0.01
 """)
 
 
-def test_converge_space_defaults_follow_study_config(monkeypatch):
-    from snselab import experiments as exp
-    from snselab.runner import run_study
+def _capture_studies(monkeypatch):
+    """Replace every study with one that records its config and returns an
+    empty report; returns the list of recorded configs."""
     seen = []
 
     def capture(study, seed):
         seen.append(study)
-        return exp.StudyReport("spatial-order", {}, seed)
+        return StudyReport("captured", asdict(study), seed)
 
-    monkeypatch.setattr(exp, "spatial_order_study", capture)
-    cfg = load_config(None)
-    # the generic [experiment] defaults give every study a horizon; without
-    # one the study's own default applies
-    del cfg.sections["experiment"]["horizon"]
-    run_study("converge-space", cfg, seed=1, threads=1)
-    assert seen[0].reference_shells == exp.SpatialOrderConfig.reference_shells
-    assert seen[0].horizon == exp.SpatialOrderConfig.horizon
+    for sub, (cls, _) in STUDIES.items():
+        monkeypatch.setitem(STUDIES, sub, (cls, capture))
+    return seen
+
+
+@pytest.mark.parametrize("subcommand", ["converge-time", "converge-space", "holder",
+                                        "contraction", "weak", "bias", "couple"])
+def test_study_defaults_come_from_config_class(monkeypatch, subcommand):
+    seen = _capture_studies(monkeypatch)
+    run_study(subcommand, load_config(None), seed=1, threads=3)
+    cls = STUDIES[subcommand][0]
+    assert seen[0].threads == 3
+    assert replace(seen[0], threads=1) == cls()
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
+@pytest.mark.parametrize("name, subcommand, expected", [
+    ("converge_time.cfg", "converge-time", TemporalOrderConfig()),
+    ("bias.cfg", "bias", StationaryBiasConfig()),
+    ("contraction.cfg", "contraction", ContractionConfig()),
+    ("couple.cfg", "couple", CouplingStudyConfig(
+        horizon=6.0, shells_controlled=4, forcing_shells=4,
+        perturbations=(0.01, 0.1, 1.0))),
+])
+def test_example_configs_build_their_study(monkeypatch, name, subcommand, expected):
+    seen = _capture_studies(monkeypatch)
+    run_study(subcommand, load_config(str(CONFIGS / name)), seed=1, threads=1)
+    assert seen == [expected]
+
+
+@pytest.mark.parametrize("subcommand, text", [
+    ("converge-time", "[experiment]\nensembel = 1\n"),
+    ("converge-time", "[experiment]\nrefien = 8\n"),
+    ("converge-time", "[experiment]\nthreads = 4\n"),
+    ("converge-time", "[experiment]\ndeltas = 0.02, 0.01, 0.005, 0.0025\n"
+                      "[discretization]\ndelta_ladder = 0.02, 0.01, 0.005, 0.0025\n"),
+    ("converge-time", "[experiment]\nnu = 2.0\n[physics]\nnu = 1.0\n"),
+    ("converge-time", "[experiment]\nhorizon = abc\n"),
+    ("converge-time", "[experiment]\nensemble = 2.5\n"),
+    ("converge-time", "[experiment]\nnoise_on = 1\n"),
+    ("converge-time", "[initial]\namplitude = big\n"),
+    ("converge-time", "[initial]\nmode_kz = 1\n"),
+    ("weak", "[observable]\nkind = no-such-observable\n"),
+    ("couple", "[nudge]\nbeta = strong\n"),
+])
+def test_bad_study_config_is_config_error(monkeypatch, tmp_path, subcommand, text):
+    _capture_studies(monkeypatch)
+    with pytest.raises(ConfigError):
+        run_study(subcommand, load_config(_write_config(tmp_path, text)), 1, 1)
+
+
+def test_flag_replaces_other_spelling_of_its_field(monkeypatch, tmp_path):
+    seen = _capture_studies(monkeypatch)
+    path = _write_config(tmp_path, "[nudge]\nperturbation = 0.01\n"
+                                   "[experiment]\nshells_controlled = 4\n")
+    code = main(["couple", "--config", path, "--perturbation", "0.1, 1.0",
+                 "--nudge-shells", "6", "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert seen[0].perturbations == (0.1, 1.0) and seen[0].shells_controlled == 6
+
+
+def test_contraction_forcing_outside_cutoff_exits_2(tmp_path):
+    # forcing over 4 shells does not fit the 3-shell rung; the study refuses it
+    path = _write_config(tmp_path, "[forcing]\nshells = 4\n")
+    code = main(["contraction", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+
+
+def test_couple_without_config_runs(tmp_path):
+    out = tmp_path / "couple"
+    code = main(["couple", "--horizon", "0.05", "--ensemble", "2", "--out", str(out)])
+    assert code == EXIT_OK
+    manifest = (out / "manifest.cfg").read_text()
+    # the manifest holds what the flags set; the defaults live in the build
+    assert "[experiment]" in manifest and "[nudge]" not in manifest
+    assert "[physics]" not in manifest
+    summary = json.loads((out / "summary.json").read_text())
+    expected = asdict(CouplingStudyConfig(horizon=0.05, ensemble=2))
+    del expected["threads"]
+    assert summary["config"] == json.loads(json.dumps(expected))
+    assert main(["replay", str(out), "--out", str(tmp_path / "replayed")]) == EXIT_OK
 
 
 def test_couple_subcommand_bundle(tmp_path):
