@@ -257,6 +257,12 @@ def _require(cond: bool, message: str, field_name: str):
         raise ConfigError(message, field=field_name)
 
 
+def _monotone(ladder) -> bool:
+    """Whether `ladder` strictly increases or strictly decreases."""
+    diffs = np.diff(np.asarray(ladder, dtype=float))
+    return bool(np.all(diffs > 0) or np.all(diffs < 0))
+
+
 # -- temporal strong order -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -295,7 +301,7 @@ def temporal_order_study(cfg: TemporalOrderConfig, seed: int) -> StudyReport:
     """
     deltas = tuple(sorted(set(cfg.deltas), reverse=True))
     _require(len(cfg.deltas) >= 4, "ladder needs >= 4 rungs", "deltas")
-    _require(len(deltas) == len(cfg.deltas), "ladder rungs must be distinct", "deltas")
+    _require(_monotone(cfg.deltas), "ladder must be strictly monotone", "deltas")
     d_min = deltas[-1]
     ratios = [d / d_min for d in deltas]
     _require(all(abs(r - round(r)) < 1e-9 for r in ratios),
@@ -414,7 +420,7 @@ def spatial_order_study(cfg: SpatialOrderConfig, seed: int) -> StudyReport:
     1/N for H^1 data; shell counts are reported alongside.
     """
     ladder = tuple(sorted(set(cfg.shell_ladder)))
-    _require(len(ladder) == len(cfg.shell_ladder), "ladder rungs must be distinct",
+    _require(_monotone(cfg.shell_ladder), "ladder must be strictly monotone",
              "shell_ladder")
     _require(len(ladder) >= 2, "need >= 2 rungs", "shell_ladder")
     _require(cfg.reference_shells > max(ladder),
@@ -575,6 +581,8 @@ def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
     ensembles); the fitted exponential rate is compared across the
     (cutoff, step) grid to exhibit discretization uniformity.
     """
+    _require(_monotone(cfg.shells_list), "ladder must be strictly monotone", "shells_list")
+    _require(_monotone(cfg.deltas), "ladder must be strictly monotone", "deltas")
     _require(cfg.forcing_shells <= min(cfg.shells_list),
              "forcing must fit inside every cutoff", "forcing_shells")
     alpha = cfg.alpha if cfg.alpha is not None else default_alpha(
@@ -711,6 +719,8 @@ def weak_error_study(cfg: WeakErrorConfig, seed: int) -> StudyReport:
                     f"observable {obs.kind!r} has no certified constant under the "
                     "weighted distance; clip it or drop lipschitz reporting",
                     field="observables")
+    _require(_monotone(cfg.shells_list), "ladder must be strictly monotone", "shells_list")
+    _require(_monotone(cfg.deltas), "ladder must be strictly monotone", "deltas")
     _require(cfg.reference_shells >= max(cfg.shells_list),
              "reference cutoff must dominate the grid", "reference_shells")
     _require(cfg.forcing_shells <= min(cfg.shells_list),
@@ -1052,4 +1062,56 @@ def lyapunov_study(cfg: LyapunovConfig, seed: int) -> StudyReport:
     report.scalars["fraction_ok"] = n_ok / cfg.n_seeds
     floor = BANDS["exponential-lyapunov"]["fraction_ok"].lo
     report.checks["envelope_95pct"] = bool(n_ok >= int(np.ceil(floor * cfg.n_seeds)))
+    return report
+
+
+# -- metric certification ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CertifyMetricConfig:
+    triples: int = 10_000
+    shells: int = 16
+    nu: float = 1.0
+    forcing_variance: float = 0.5
+    eps: float = 0.1
+    s: float = 0.5
+    alpha: float | None = None
+
+
+def certify_metric_study(cfg: CertifyMetricConfig, seed: int) -> StudyReport:
+    """Metric axioms of the clamped distance plus the weighted generalized
+    triangle inequality (gamma = 2), tested on random field triples."""
+    _require(cfg.triples >= 1, "need >= 1 triple", "triples")
+    grid = make_grid(cfg.shells)
+    alpha = cfg.alpha if cfg.alpha is not None else default_alpha(
+        cfg.nu, cfg.forcing_variance)
+    dp = DistanceParams(cfg.eps, cfg.s, alpha)
+
+    n = cfg.triples
+    z = rng.standard_normals(seed, [0], np.arange(3 * n), 2 * grid.n_half,
+                             tag=rng.Tag.SAMPLES)[0]
+    # normalized so |field| ~ O(1), matching the energy scale of the dynamics
+    norm = 2.0 * np.pi * np.sqrt(2.0 * grid.n_half)
+    fields = (z[:, :grid.n_half] + 1j * z[:, grid.n_half:]) / norm
+    triples = fields.reshape(n, 3, grid.n_half)
+
+    d_uv = np.sqrt(spectral.norm_l2_sq(triples[:, 0] - triples[:, 1]))
+    d_uw = np.sqrt(spectral.norm_l2_sq(triples[:, 0] - triples[:, 2]))
+    d_wv = np.sqrt(spectral.norm_l2_sq(triples[:, 2] - triples[:, 1]))
+    r_uv = measures_mod.rho_from_dist(d_uv, dp)
+    r_uw = measures_mod.rho_from_dist(d_uw, dp)
+    r_wv = measures_mod.rho_from_dist(d_wv, dp)
+    metric_violations = int(np.sum(r_uv > r_uw + r_wv + 1e-12))
+
+    cert = measures_mod.certify_triangle(
+        dp, 2.0, ((triples[i, 0], triples[i, 1], triples[i, 2]) for i in range(n)))
+
+    report = StudyReport("metric-certification", asdict(cfg), seed)
+    report.scalars["k_tilde"] = cert.k_tilde
+    report.scalars["metric_triangle_violations"] = metric_violations
+    report.scalars["weighted_triangle_violations"] = len(cert.violations)
+    report.checks["metric-axioms"] = metric_violations == 0
+    report.checks["weighted-triangle"] = len(cert.violations) == 0
+    report.tables["violations"] = [
+        {"index": i, "log_lhs": a, "log_rhs": b} for i, a, b in cert.violations]
     return report

@@ -19,7 +19,6 @@ reports carry ensemble sizes so readers can judge the sampling error.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +53,8 @@ class DistanceParams:
 def default_alpha(nu: float, sigma_sq: float) -> float:
     """Lyapunov weight nu / (8 |sigma|^2), inside the admissible band
     of the exponential moment bound with a factor-2 margin."""
+    if not sigma_sq > 0:
+        raise ConfigError("alpha = auto needs a positive forcing variance", field="alpha")
     return nu / (8.0 * sigma_sq)
 
 
@@ -224,18 +225,6 @@ def wasserstein_coupled_bound(a_members, b_members, cost: str, dp: DistanceParam
         return float(np.mean(vals))
     w = np.asarray(weights)
     return float(np.sum(w * vals) / np.sum(w))
-
-
-def export_coupling_csv(result: TransportResult, path) -> None:
-    """Audit dump of an optimal coupling: rows (i, j, mass, cost)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "mass", "cost"])
-        rows, cols = np.nonzero(result.coupling)
-        for i, j in zip(rows, cols):
-            writer.writerow([int(i), int(j),
-                             f"{result.coupling[i, j]:.17g}",
-                             f"{result.pair_costs[i, j]:.17g}"])
 
 
 # -- generalized triangle certification ------------------------------------------

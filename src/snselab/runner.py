@@ -1,15 +1,14 @@
 """Command-line front end: configs, dispatch, artifacts, replay.
 
 A run is described by an INI-style key-value file; command-line flags
-override file values.  A study subcommand builds its config dataclass
-from what the file and the flags set; every other field keeps the
-dataclass default, and the manifest records only what was set.
-`simulate` and `certify-metric` have no config class: they fall back to
-`_DEFAULTS`, and their manifest echoes those too.  Every artifact in a
-run directory is a deterministic function of (manifest, build): CSV
-tables, the JSON summary (schema "snse-lab/1"), and checkpoints carry no
-timestamps or machine state, so `replay` can regenerate and byte-compare
-them.
+override file values.  Every subcommand but `replay` builds its config
+dataclass (`CONFIGS`) from what the file and the flags set; every other
+field keeps the dataclass default, and the manifest records only what
+was set.  A key that the subcommand does not read is a configuration
+error.  Every artifact in a run directory is a deterministic function of
+(manifest, build): CSV tables, the JSON summary (schema "snse-lab/1"),
+and checkpoints carry no timestamps or machine state, so `replay` can
+regenerate and byte-compare them.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error (solver
 or transport capacity), 4 acceptance-band failure under --enforce, or a
@@ -36,19 +35,14 @@ from . import __version__
 from . import experiments as exp
 from . import forcing as forcing_mod
 from . import integrator as integ
-from . import measures as measures_mod
-from . import rng, spectral
+from . import spectral
 from .errors import (CapacityError, ConfigError, FitError, RangeError,
                      SnseLabError, SolverError, StructuralError)
 from .experiments import InitialCondition
-from .measures import DistanceParams
 
 log = logging.getLogger("snselab")
 
 SCHEMA = "snse-lab/1"
-SUBCOMMANDS = ("simulate", "converge-time", "converge-space", "holder",
-               "contraction", "weak", "bias", "couple", "certify-metric",
-               "replay")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,34 +73,18 @@ def _parse_list(text: str) -> tuple:
 
 @dataclasses.dataclass
 class RunConfig:
-    """What the config file and the flags set, as a nested dict; `get`
-    falls back to `_DEFAULTS`."""
+    """What the config file and the flags set, as a nested dict."""
 
     sections: dict
 
     def get(self, section: str, key: str, default=None):
-        for source in (self.sections, _DEFAULTS):
-            if key in source.get(section, {}):
-                return source[section][key]
-        return default
+        return self.sections.get(section, {}).get(key, default)
 
 
 # keys read as lists even when they hold one value (a study's tuple fields
 # take one value as a 1-tuple anyway)
 _LIST_KEYS = {("discretization", "delta_ladder"), ("discretization", "shells_ladder"),
               ("forcing", "amplitudes")}
-
-# What `simulate`, `certify-metric` and the common checks read when the file
-# leaves it out.  A study's defaults are those of its config dataclass.
-_DEFAULTS = {
-    "physics": {"nu": 1.0},
-    "forcing": {"preset": "low-mode", "shells": 4, "variance": 0.5},
-    "discretization": {"shells": 16, "delta": 0.01, "delta0": None},
-    "distance": {"eps": 0.1, "s": 0.5, "alpha": "auto"},
-    "initial": {"kind": "random", "amplitude": 1.0, "spectral_slope": -3.0},
-    "reproducibility": {"seed": 0, "record_stride": 1},
-    "io": {"out_dir": "runs/out", "checkpoint_cadence": 0},
-}
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -126,56 +104,21 @@ def load_config(path: str | None) -> RunConfig:
     return RunConfig(sections)
 
 
-def _validate_common(cfg: RunConfig) -> None:
-    nu = cfg.get("physics", "nu")
-    if not isinstance(nu, (int, float)) or nu <= 0:
-        raise ConfigError("viscosity must be a positive number", field="physics.nu")
-    delta = cfg.get("discretization", "delta")
-    delta0 = cfg.get("discretization", "delta0")
-    if delta0 is not None and delta is not None and delta > delta0:
-        raise ConfigError(f"delta={delta} exceeds delta0={delta0}",
-                          field="discretization.delta")
-    for key in ("delta_ladder", "shells_ladder"):
-        ladder = cfg.get("discretization", key)
-        if ladder is not None:
-            diffs = np.diff(np.asarray(ladder, dtype=float))
-            if not (np.all(diffs > 0) or np.all(diffs < 0)):
-                raise ConfigError("ladder must be strictly monotone",
-                                  field=f"discretization.{key}")
-    stride = cfg.get("reproducibility", "record_stride")
-    if not isinstance(stride, int) or stride < 1:
-        raise ConfigError("record_stride must be a positive integer",
-                          field="reproducibility.record_stride")
-
-
 def effective_manifest(cfg: RunConfig, subcommand: str,
                        seed: int) -> configparser.ConfigParser:
     """What the file and the flags set, plus run metadata.
 
-    A study's other fields are the defaults of its config class, which
-    live in the build.  `simulate` and `certify-metric` also echo the
-    `_DEFAULTS` they read.  Thread count is deliberately absent:
-    parallelism never changes any emitted number, so it is not part of
-    what a run *is*.
+    Every other field is a default of the subcommand's config class, which
+    lives in the build.  Thread count is deliberately absent: parallelism
+    never changes any emitted number, so it is not part of what a run *is*.
     """
-    sections = cfg.sections
-    if subcommand not in STUDIES:
-        sections = {name: {**_DEFAULTS.get(name, {}), **cfg.sections.get(name, {})}
-                    for name in _DEFAULTS.keys() | cfg.sections.keys()}
     out = configparser.ConfigParser()
     out["meta"] = {"schema": SCHEMA, "version": __version__,
                    "subcommand": subcommand, "seed": str(seed)}
-    for section in sorted(sections):
-        body = {}
-        for key in sorted(sections[section]):
-            val = sections[section][key]
-            if val is None:
-                continue
-            if isinstance(val, tuple):
-                body[key] = ", ".join(_fmt(v) for v in val)
-            else:
-                body[key] = _fmt(val)
-        out[section] = body
+    for section, body in sorted(cfg.sections.items()):
+        out[section] = {key: ", ".join(_fmt(v) for v in val)
+                        if isinstance(val, tuple) else _fmt(val)
+                        for key, val in sorted(body.items())}
     return out
 
 
@@ -302,7 +245,26 @@ def restore(field_path: Path):
 
 # -- study assembly from config ----------------------------------------------------------
 
-# subcommand -> (config dataclass, study function)
+@dataclasses.dataclass(frozen=True)
+class SimulateConfig:
+    """One path of `steps` steps from `ic` under `[forcing]`
+    (`build_forcing`), checkpointed every `checkpoint_cadence` steps."""
+
+    shells: int = 16
+    delta: float = 0.01
+    delta0: float | None = None
+    solver: str = "fixed-point"
+    tol: float = 1e-12
+    steps: int = 0
+    nu: float = 1.0
+    forcing_shells: int = 4
+    forcing_variance: float = 0.5
+    ic: InitialCondition = InitialCondition()
+    record_stride: int = 1
+    checkpoint_cadence: int = 0
+
+
+# study subcommand -> (config dataclass, study function)
 STUDIES = {
     "converge-time": (exp.TemporalOrderConfig, exp.temporal_order_study),
     "converge-space": (exp.SpatialOrderConfig, exp.spatial_order_study),
@@ -311,17 +273,24 @@ STUDIES = {
     "weak": (exp.WeakErrorConfig, exp.weak_error_study),
     "bias": (exp.StationaryBiasConfig, exp.stationary_bias_study),
     "couple": (exp.CouplingStudyConfig, exp.coupling_study),
+    "lyapunov": (exp.LyapunovConfig, exp.lyapunov_study),
+    "certify-metric": (exp.CertifyMetricConfig, exp.certify_metric_study),
 }
+# subcommand -> the config dataclass it builds; `replay` reads a run's manifest
+CONFIGS = {"simulate": SimulateConfig, **{name: cls for name, (cls, _) in STUDIES.items()}}
+SUBCOMMANDS = (*CONFIGS, "replay")
 
-# Shared-section spellings of study fields (a study takes the first name it
-# has); `[experiment]` keys name fields directly.  A shared-section key that
-# names no field of the study is left to the subcommands that read it.
+# Shared-section spellings of config fields (a config takes the first name
+# it has); `[experiment]` keys name fields directly.
 _ALIASES = {
     ("physics", "nu"): ("nu",),
     ("forcing", "shells"): ("forcing_shells",),
     ("forcing", "variance"): ("forcing_variance",),
     ("discretization", "shells"): ("shells",),
     ("discretization", "delta"): ("delta",),
+    ("discretization", "delta0"): ("delta0",),
+    ("discretization", "solver"): ("solver",),
+    ("discretization", "tol"): ("tol",),
     ("discretization", "delta_ladder"): ("deltas",),
     ("discretization", "shells_ladder"): ("shell_ladder", "shells_list"),
     ("experiment", "shells_list"): ("shell_ladder",),
@@ -332,6 +301,8 @@ _ALIASES = {
     ("distance", "eps"): ("eps",),
     ("distance", "s"): ("s",),
     ("distance", "alpha"): ("alpha",),
+    ("reproducibility", "record_stride"): ("record_stride",),
+    ("io", "checkpoint_cadence"): ("checkpoint_cadence",),
 }
 # sections whose keys set the fields of one nested value
 _NESTED = {"initial": ("ic",), "observable": ("observable", "observables")}
@@ -344,6 +315,16 @@ def _field_name(names, where: str) -> str | None:
     spellings = _NESTED.get(section) or (
         ((key,) if section == "experiment" else ()) + _ALIASES.get((section, key), ()))
     return next((n for n in spellings if n in names), None)
+
+
+def _read_elsewhere(cls, where: str) -> bool:
+    """Keys a subcommand reads outside its config fields: `main` reads the
+    seed and the output directory, `build_forcing` the rest of
+    `simulate`'s `[forcing]`."""
+    section, _, key = where.partition(".")
+    return where in ("reproducibility.seed", "io.out_dir") or (
+        cls is SimulateConfig and section == "forcing"
+        and (key in ("preset", "amplitudes") or key.startswith("dir")))
 
 
 def _scalar(kind: type, val, where: str):
@@ -390,11 +371,13 @@ def study_config(cls, cfg: RunConfig, threads: int = 1):
     """The `cls` instance a run describes.
 
     Each field the file or a flag sets is coerced to the field's type
-    ("auto" means None); every other field keeps its default.  An
-    `[experiment]` key that names no field, a field set from two places,
-    or a value of the wrong type is a `ConfigError`.
+    ("auto" means None); every other field keeps its default, and a class
+    with a `threads` field gets `threads`.  A key that neither sets a
+    field nor is read elsewhere (`_read_elsewhere`), a field set from two
+    places, or a value of the wrong type is a `ConfigError`.
     """
-    names = {f.name for f in dataclasses.fields(cls)} - {"threads"}
+    fields = {f.name for f in dataclasses.fields(cls)}
+    names = fields - {"threads"}
     given = {}
     for section, body in cfg.sections.items():
         items = ([(section, body)] if section in _NESTED else
@@ -402,30 +385,19 @@ def study_config(cls, cfg: RunConfig, threads: int = 1):
         for where, val in items:
             name = _field_name(names, where)
             if name is None:
-                if section == "experiment":
-                    raise ConfigError(f"not a settable field of {cls.__name__}",
-                                      field=where)
-                continue
+                if _read_elsewhere(cls, where):
+                    continue
+                raise ConfigError(f"not read by {cls.__name__}", field=where)
             if name in given:
                 raise ConfigError(f"{name} is also set by {given[name][0]}",
                                   field=where)
             given[name] = (where, val)
     hints = typing.get_type_hints(cls)
-    return cls(threads=threads, **{
-        name: _coerce(hints[name], getattr(cls, name), val, where)
-        for name, (where, val) in given.items()})
-
-
-def _alpha(cfg: RunConfig) -> float | None:
-    a = cfg.get("distance", "alpha")
-    if a == "auto" or a is None:
-        return None
-    return float(a)
-
-
-def _forcing_args(cfg: RunConfig) -> tuple[int, float]:
-    return (int(cfg.get("forcing", "shells")),
-            float(cfg.get("forcing", "variance")))
+    kwargs = {name: _coerce(hints[name], getattr(cls, name), val, where)
+              for name, (where, val) in given.items()}
+    if "threads" in fields:
+        kwargs["threads"] = threads
+    return cls(**kwargs)
 
 
 def build_forcing(cfg: RunConfig, grid) -> forcing_mod.ForcingBasis:
@@ -433,27 +405,32 @@ def build_forcing(cfg: RunConfig, grid) -> forcing_mod.ForcingBasis:
 
     preset = low-mode: directions span the first `shells` eigenvalue
     shells; total `variance` split evenly unless an explicit `amplitudes`
-    list (one per direction, cos and sin per wavevector) is given.
+    list (one per direction, cos and sin per wavevector) is given.  Both
+    default to `SimulateConfig`'s.
     preset = explicit: numbered keys dir1, dir2, ... with values
     "kx, ky, cos|sin, amplitude" building one direction each.
     """
     sec = cfg.sections.get("forcing", {})
     preset = sec.get("preset", "low-mode")
     if preset == "low-mode":
-        shells, variance = _forcing_args(cfg)
         amplitudes = sec.get("amplitudes")
-        return forcing_mod.low_mode_basis(grid, shells, variance, amplitudes)
+        return forcing_mod.low_mode_basis(
+            grid,
+            _scalar(int, sec.get("shells", SimulateConfig.forcing_shells), "forcing.shells"),
+            _scalar(float, sec.get("variance", SimulateConfig.forcing_variance),
+                    "forcing.variance"),
+            None if amplitudes is None else
+            tuple(_scalar(float, a, "forcing.amplitudes") for a in amplitudes))
     if preset == "explicit":
         fields = []
         for key in sorted(k for k in sec if k.startswith("dir")):
-            val = sec[key]
-            if not isinstance(val, tuple) or len(val) != 4:
-                raise ConfigError("expected 'kx, ky, cos|sin, amplitude'",
-                                  field=f"forcing.{key}")
+            val, where = sec[key], f"forcing.{key}"
+            if not isinstance(val, tuple) or len(val) != 4 or val[2] not in ("cos", "sin"):
+                raise ConfigError("expected 'kx, ky, cos|sin, amplitude'", field=where)
             kx, ky, kind, amp = val
-            fields.append(spectral.harmonic_field(grid, int(kx), int(ky),
-                                                  kind=str(kind),
-                                                  amplitude=float(amp),
+            fields.append(spectral.harmonic_field(grid, _scalar(int, kx, where),
+                                                  _scalar(int, ky, where), kind=kind,
+                                                  amplitude=_scalar(float, amp, where),
                                                   normalized=True))
         if not fields:
             raise ConfigError("explicit preset needs dir1, dir2, ... entries",
@@ -465,10 +442,6 @@ def build_forcing(cfg: RunConfig, grid) -> forcing_mod.ForcingBasis:
 def run_study(subcommand: str, cfg: RunConfig, seed: int,
               threads: int) -> exp.StudyReport:
     """Run the study behind one subcommand; its report carries the band checks."""
-    if subcommand == "certify-metric":
-        n_triples = _scalar(int, cfg.get("experiment", "triples", 10_000),
-                            "experiment.triples")
-        return certify_metric_report(cfg, seed, n_triples=n_triples)
     if subcommand not in STUDIES:
         raise ConfigError(f"unknown study subcommand {subcommand!r}",
                           field="subcommand")
@@ -476,108 +449,44 @@ def run_study(subcommand: str, cfg: RunConfig, seed: int,
     return study(study_config(cls, cfg, threads), seed)
 
 
-def certify_metric_report(cfg: RunConfig, seed: int,
-                          n_triples: int = 10_000) -> exp.StudyReport:
-    """Metric axioms of the clamped distance plus the weighted generalized
-    triangle inequality, tested on random field triples."""
-    shells = int(cfg.get("discretization", "shells"))
-    grid = spectral.make_grid(shells)
-    f_shells, f_var = _forcing_args(cfg)
-    nu = float(cfg.get("physics", "nu"))
-    alpha = _alpha(cfg)
-    if alpha is None:
-        alpha = measures_mod.default_alpha(nu, f_var)
-    dp = DistanceParams(float(cfg.get("distance", "eps")),
-                        float(cfg.get("distance", "s")), alpha)
-
-    z = rng.standard_normals(seed, [0], np.arange(3 * n_triples),
-                             2 * grid.n_half, tag=rng.Tag.SAMPLES)[0]
-    # normalized so |field| ~ O(1), matching the energy scale of the dynamics
-    norm = 2.0 * np.pi * np.sqrt(2.0 * grid.n_half)
-    fields = (z[:, :grid.n_half] + 1j * z[:, grid.n_half:]) / norm
-    triples = fields.reshape(n_triples, 3, grid.n_half)
-
-    d_uv = np.sqrt(spectral.norm_l2_sq(triples[:, 0] - triples[:, 1]))
-    d_uw = np.sqrt(spectral.norm_l2_sq(triples[:, 0] - triples[:, 2]))
-    d_wv = np.sqrt(spectral.norm_l2_sq(triples[:, 2] - triples[:, 1]))
-    r_uv = measures_mod.rho_from_dist(d_uv, dp)
-    r_uw = measures_mod.rho_from_dist(d_uw, dp)
-    r_wv = measures_mod.rho_from_dist(d_wv, dp)
-    metric_violations = int(np.sum(r_uv > r_uw + r_wv + 1e-12))
-
-    cert = measures_mod.certify_triangle(
-        dp, 2.0, ((triples[i, 0], triples[i, 1], triples[i, 2])
-                  for i in range(n_triples)))
-
-    report = exp.StudyReport("metric-certification",
-                             {"eps": dp.eps, "s": dp.s, "alpha": dp.alpha,
-                              "gamma": 2.0, "n_triples": n_triples, "shells": shells},
-                             seed)
-    report.scalars["k_tilde"] = cert.k_tilde
-    report.scalars["metric_triangle_violations"] = metric_violations
-    report.scalars["weighted_triangle_violations"] = len(cert.violations)
-    report.checks["metric-axioms"] = metric_violations == 0
-    report.checks["weighted-triangle"] = len(cert.violations) == 0
-    report.tables["violations"] = [
-        {"index": i, "log_lhs": a, "log_rhs": b} for i, a, b in cert.violations]
-    return report
-
-
 # -- simulate / replay ---------------------------------------------------------------
 
-def run_simulate(cfg: RunConfig, seed: int, out_dir: Path,
-                 manifest: configparser.ConfigParser) -> dict:
-    shells = int(cfg.get("discretization", "shells"))
-    delta = float(cfg.get("discretization", "delta"))
-    delta0 = cfg.get("discretization", "delta0")
-    p = integ.SchemeParams(float(cfg.get("physics", "nu")), delta, shells,
-                           None if delta0 is None else float(delta0),
-                           solver=cfg.get("discretization", "solver",
-                                          "fixed-point"),
-                           tol=float(cfg.get("discretization", "tol", 1e-12)))
+def run_simulate(cfg: RunConfig, seed: int, ck_root: Path) -> exp.StudyReport:
+    """One path with its per-step energies; checkpoints go to `ck_root` at
+    step 0, every `checkpoint_cadence` steps and the last step."""
+    sim = study_config(SimulateConfig, cfg)
+    if sim.steps < 0:
+        raise ConfigError("steps must be >= 0", field="experiment.steps")
+    p = integ.SchemeParams(sim.nu, sim.delta, sim.shells, sim.delta0,
+                           solver=sim.solver, tol=sim.tol)
     grid = p.grid()
     basis = build_forcing(cfg, grid)
-    ic = _nested(InitialCondition(),
-                 {**_DEFAULTS["initial"], **cfg.sections.get("initial", {})}, "initial")
-    xi0 = ic.build(grid, seed)
-    n_steps = int(cfg.get("experiment", "steps", 0))
-    stride = int(cfg.get("reproducibility", "record_stride"))
-    cadence = int(cfg.get("io", "checkpoint_cadence"))
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.cfg", "w") as fh:
-        manifest.write(fh)
-    ck_root = out_dir / "checkpoints" / _manifest_digest(manifest)
+    xi0 = sim.ic.build(grid, seed)
     checkpoint(xi0, p, seed, 0, 0, ck_root)
 
     rows = []
-    if n_steps > 0:
+    if sim.steps > 0:
         stream = forcing_mod.NoiseStream(seed, 0)
-        traj = integ.simulate(xi0, n_steps, p, basis, stream, record_stride=stride)
-        for i, n in enumerate(range(n_steps + 1)):
-            rows.append({"step": n, "t": n * delta,
+        traj = integ.simulate(xi0, sim.steps, p, basis, stream,
+                              record_stride=sim.record_stride)
+        for n in range(sim.steps + 1):
+            rows.append({"step": n, "t": n * sim.delta,
                          "energy_sq": float(traj.energy_sq[n]),
                          "h1_sq": float(traj.h1_sq[n]),
                          "iterations": int(traj.iterations[n - 1]) if n > 0 else 0})
-        if cadence > 0:
+        if sim.checkpoint_cadence > 0:
             for i, n in enumerate(traj.step_indices):
-                if n > 0 and n % cadence == 0:
+                if n > 0 and n % sim.checkpoint_cadence == 0:
                     checkpoint(traj.state(i), p, seed, 0, int(n), ck_root)
         checkpoint(traj.final(), p, seed, 0, int(traj.step_indices[-1]), ck_root)
     else:
         rows.append({"step": 0, "t": 0.0, "energy_sq": xi0.l2_norm() ** 2,
                      "h1_sq": spectral.sobolev_norm_sq(grid, xi0.coeffs, 1.0),
                      "iterations": 0})
-    tables_dir = out_dir / "tables"
-    tables_dir.mkdir(exist_ok=True)
-    write_table_csv(rows, tables_dir / "diagnostics.csv")
-    summary = {"schema": SCHEMA, "study": "simulate", "seed": seed,
-               "scalars": {"steps": n_steps,
-                           "final_energy_sq": rows[-1]["energy_sq"]},
-               "checks": {}, "fits": {}, "notes": []}
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return summary
+    report = exp.StudyReport("simulate", dataclasses.asdict(sim), seed)
+    report.tables["diagnostics"] = rows
+    report.scalars.update(steps=sim.steps, final_energy_sq=rows[-1]["energy_sq"])
+    return report
 
 
 def _manifest_digest(manifest: configparser.ConfigParser) -> str:
@@ -591,12 +500,10 @@ def run_replay(run_dir: Path, out_dir: Path | None) -> int:
     manifest_path = run_dir / "manifest.cfg"
     if not manifest_path.exists():
         raise ConfigError(f"no manifest at {manifest_path}", field="replay")
-    cp = configparser.ConfigParser()
-    cp.read(manifest_path)
-    subcommand = cp.get("meta", "subcommand")
-    seed = cp.getint("meta", "seed")
     cfg = load_config(str(manifest_path))
-    cfg.sections.pop("meta", None)
+    meta = cfg.sections.pop("meta", {})
+    subcommand = _scalar(str, meta.get("subcommand"), "meta.subcommand")
+    seed = _scalar(int, meta.get("seed"), "meta.seed")
 
     replay_dir = out_dir if out_dir is not None else run_dir / "replay"
     execute(subcommand, cfg, seed, 1, replay_dir, enforce=False)
@@ -623,12 +530,11 @@ def run_replay(run_dir: Path, out_dir: Path | None) -> int:
 
 def execute(subcommand: str, cfg: RunConfig, seed: int, threads: int,
             out_dir: Path, enforce: bool) -> int:
-    _validate_common(cfg)
     manifest = effective_manifest(cfg, subcommand, seed)
     if subcommand == "simulate":
-        run_simulate(cfg, seed, out_dir, manifest)
-        return EXIT_OK
-    report = run_study(subcommand, cfg, seed, threads)
+        report = run_simulate(cfg, seed, out_dir / "checkpoints" / _manifest_digest(manifest))
+    else:
+        report = run_study(subcommand, cfg, seed, threads)
     summary = write_bundle(report, out_dir, manifest)
     failed = [k for k, ok in summary["checks"].items() if not ok]
     for key, ok in sorted(summary["checks"].items()):
@@ -685,10 +591,9 @@ _FLAG_KEYS = {
 
 
 def _apply_cli_overrides(args, cfg: RunConfig) -> None:
-    """Flags override the file; a flag that sets a study field drops the
+    """Flags override the file; a flag that sets a config field drops the
     file's other spellings of that field."""
-    names = {f.name for f in dataclasses.fields(STUDIES[args.subcommand][0])} \
-        if args.subcommand in STUDIES else set()
+    names = {f.name for f in dataclasses.fields(CONFIGS[args.subcommand])}
     for flag, (section, key) in _FLAG_KEYS.items():
         val = getattr(args, flag, None)
         if val is None:
@@ -711,12 +616,10 @@ def main(argv=None) -> int:
             return EXIT_ACCEPTANCE if run_replay(args.run_dir, args.out) else EXIT_OK
         cfg = load_config(args.config)
         _apply_cli_overrides(args, cfg)
-        seed = args.seed if args.seed is not None else int(
-            cfg.get("reproducibility", "seed"))
-        out_dir = args.out if args.out is not None else Path(
-            cfg.get("io", "out_dir"))
-        return execute(args.subcommand, cfg, seed, args.threads, out_dir,
-                       args.enforce)
+        seed = _scalar(int, cfg.get("reproducibility", "seed", 0), "reproducibility.seed")
+        out_dir = _scalar(str, cfg.get("io", "out_dir", "runs/out"), "io.out_dir")
+        return execute(args.subcommand, cfg, seed if args.seed is None else args.seed,
+                       args.threads, args.out or Path(out_dir), args.enforce)
     except ConfigError as err:
         log.error("configuration error: %s", err)
         return EXIT_CONFIG

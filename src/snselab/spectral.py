@@ -507,12 +507,6 @@ def random_field(grid: SpectralGrid, seed: int, stream_id: int = 0,
     return SpectralField(grid, c)
 
 
-def validate_field(f: SpectralField) -> None:
-    """Assert representation invariants (finiteness; structure is by layout)."""
-    if not np.all(np.isfinite(f.coeffs.view(np.float64))):
-        raise StructuralError("non-finite coefficient encountered")
-
-
 # -- checkpoint format --------------------------------------------------------
 
 def save_field(f: SpectralField, path) -> None:

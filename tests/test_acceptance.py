@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from snselab import runner
-from snselab.experiments import (BANDS, ContractionConfig, CouplingStudyConfig,
-                                 HolderConfig, LyapunovConfig,
+from snselab.experiments import (BANDS, CertifyMetricConfig, ContractionConfig,
+                                 CouplingStudyConfig, HolderConfig, LyapunovConfig,
                                  SpatialOrderConfig, StationaryBiasConfig,
-                                 TemporalOrderConfig, contraction_study,
-                                 coupling_study, holder_study, lyapunov_study,
-                                 spatial_order_study, stationary_bias_study,
-                                 temporal_order_study)
+                                 TemporalOrderConfig, certify_metric_study,
+                                 contraction_study, coupling_study, holder_study,
+                                 lyapunov_study, spatial_order_study,
+                                 stationary_bias_study, temporal_order_study)
 from snselab.integrator import SchemeParams, semi_implicit_step, simulate
 from snselab.spectral import (advect, harmonic_field, inner, make_grid,
                               random_field, sobolev_norm)
@@ -213,8 +213,7 @@ def test_criterion_10_exact_below_coupled(contraction_reports):
 # 11 --------------------------------------------------------------------------
 
 def test_criterion_11_metric_certification():
-    cfg = runner.load_config(None)
-    report = runner.certify_metric_report(cfg, SEED, n_triples=10_000)
+    report = certify_metric_study(CertifyMetricConfig(), SEED)
     ok = (report.scalars["metric_triangle_violations"] == 0
           and report.scalars["weighted_triangle_violations"] == 0)
     _criterion(11, ok,

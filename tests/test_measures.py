@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from snselab.errors import CapacityError, ConfigError, StructuralError
 from snselab.measures import (DistanceParams, Ensemble, certify_triangle,
-                              default_alpha, export_coupling_csv, rho,
+                              default_alpha, rho,
                               rho_weighted, log_rho_weighted, triangle_constant,
                               wasserstein_coupled_bound, wasserstein_exact)
 from snselab.spectral import make_grid, random_field, scale, zero_field
@@ -24,6 +24,12 @@ def test_params_validation():
         DistanceParams(1.0, 1.5)
     with pytest.raises(ConfigError):
         DistanceParams(1.0, 0.5, -1.0)
+
+
+def test_default_alpha_needs_positive_variance():
+    assert default_alpha(1.0, 0.5) == 0.25
+    with pytest.raises(ConfigError):
+        default_alpha(1.0, 0.0)
 
 
 def test_rho_identity():
@@ -180,16 +186,6 @@ def test_weighted_cost_ordering():
     exact = wasserstein_exact(a, b, "rho_weighted", dp).value
     bound = wasserstein_coupled_bound(a.members, b.members, "rho_weighted", dp, G)
     assert exact <= bound + 1e-12
-
-
-def test_export_coupling_csv(tmp_path):
-    fields = _fields(70, 71, 72, 73)
-    res = wasserstein_exact(_ensemble(fields[:2]), _ensemble(fields[2:]), "rho", DP)
-    path = tmp_path / "coupling.csv"
-    export_coupling_csv(res, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i,j,mass,cost"
-    assert len(lines) == 3  # assignment: one entry per row
 
 
 # -- generalized triangle inequality ---------------------------------------------------

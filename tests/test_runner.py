@@ -1,3 +1,5 @@
+import configparser
+import dataclasses
 import json
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -11,8 +13,9 @@ from snselab.experiments import (ContractionConfig, CouplingStudyConfig,
                                  TemporalOrderConfig)
 from snselab.forcing import NoiseStream, low_mode_basis
 from snselab.integrator import SchemeParams, simulate
-from snselab.runner import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_OK, STUDIES,
-                            checkpoint, load_config, main, restore, run_study)
+from snselab.runner import (CONFIGS, EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_OK, STUDIES,
+                            SUBCOMMANDS, checkpoint, load_config, main, restore,
+                            run_study, study_config)
 from snselab.spectral import make_grid, random_field
 
 
@@ -20,12 +23,6 @@ def _write_config(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     return str(path)
-
-
-def test_defaults_materialize():
-    cfg = load_config(None)
-    assert cfg.get("physics", "nu") == 1.0
-    assert cfg.get("distance", "alpha") == "auto"
 
 
 def test_list_parsing(tmp_path):
@@ -52,13 +49,22 @@ delta0 = 0.1
     assert code == EXIT_CONFIG
 
 
-def test_non_monotone_ladder_rejected(tmp_path):
+def test_non_monotone_ladder_rejected(tmp_path, caplog):
     path = _write_config(tmp_path, """
 [discretization]
 delta_ladder = 0.02, 0.05, 0.01
 """)
+    # simulate reads no ladder at all
     code = main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
+    path = _write_config(tmp_path, """
+[discretization]
+delta_ladder = 0.02, 0.005, 0.01, 0.0025
+""")
+    caplog.clear()
+    code = main(["converge-time", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "deltas: ladder must be strictly monotone" in caplog.text
 
 
 def test_simulate_zero_steps_emits_manifest_and_checkpoint(tmp_path):
@@ -155,17 +161,21 @@ def _capture_studies(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("subcommand", ["converge-time", "converge-space", "holder",
-                                        "contraction", "weak", "bias", "couple"])
+@pytest.mark.parametrize("subcommand", [s for s in SUBCOMMANDS if s != "replay"])
 def test_study_defaults_come_from_config_class(monkeypatch, subcommand):
-    seen = _capture_studies(monkeypatch)
-    run_study(subcommand, load_config(None), seed=1, threads=3)
-    cls = STUDIES[subcommand][0]
-    assert seen[0].threads == 3
-    assert replace(seen[0], threads=1) == cls()
+    cls = CONFIGS[subcommand]
+    built = study_config(cls, load_config(None), threads=3)
+    if any(f.name == "threads" for f in dataclasses.fields(cls)):
+        assert built.threads == 3
+        built = replace(built, threads=1)
+    assert built == cls()
+    if subcommand in STUDIES:
+        seen = _capture_studies(monkeypatch)
+        run_study(subcommand, load_config(None), seed=1, threads=3)
+        assert seen == [study_config(cls, load_config(None), threads=3)]
 
 
-CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+EXAMPLES = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 @pytest.mark.parametrize("name, subcommand, expected", [
@@ -178,11 +188,12 @@ CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 ])
 def test_example_configs_build_their_study(monkeypatch, name, subcommand, expected):
     seen = _capture_studies(monkeypatch)
-    run_study(subcommand, load_config(str(CONFIGS / name)), seed=1, threads=1)
+    run_study(subcommand, load_config(str(EXAMPLES / name)), seed=1, threads=1)
     assert seen == [expected]
 
 
-@pytest.mark.parametrize("subcommand, text", [
+# (subcommand, config text; for replay the run's manifest): each exits 2
+BAD_CONFIGS = [
     ("converge-time", "[experiment]\nensembel = 1\n"),
     ("converge-time", "[experiment]\nrefien = 8\n"),
     ("converge-time", "[experiment]\nthreads = 4\n"),
@@ -196,11 +207,49 @@ def test_example_configs_build_their_study(monkeypatch, name, subcommand, expect
     ("converge-time", "[initial]\nmode_kz = 1\n"),
     ("weak", "[observable]\nkind = no-such-observable\n"),
     ("couple", "[nudge]\nbeta = strong\n"),
-])
+    ("simulate", "[experiment]\nstepz = 4\n"),
+    ("simulate", "[discretization]\nshells = abc\n"),
+    ("simulate", "[io]\ncheckpoint_cadence = abc\n"),
+    ("simulate", "[forcing]\npreset = explicit\ndir1 = 1, 0, tan, 0.3\n"),
+    ("converge-time", "[forcing]\npreset = low-mode\n"),
+    ("converge-space", "[discretization]\nsolver = krylov\n"),
+    ("converge-space", "[experiment]\nreference_shells = many\n"),
+    ("holder", "[distance]\neps = 0.1\n"),
+    ("holder", "[discretization]\ndelta = fast\n"),
+    ("contraction", "[nudge]\nbeta = 1.0\n"),
+    ("contraction", "[distance]\nalpha = big\n"),
+    ("weak", "[forcing]\npreset = explicit\n"),
+    ("weak", "[observable]\nradius = wide\n"),
+    ("bias", "[discretization]\ndelta0 = 0.1\n"),
+    ("bias", "[experiment]\nn_ladder = 10, x, 40\n"),
+    ("couple", "[discretization]\nsolver = krylov\ntol = 1e-3\n"),
+    ("lyapunov", "[experiment]\nseeds = 2\n"),
+    ("lyapunov", "[experiment]\nmargin_factor = wide\n"),
+    ("certify-metric", "[initial]\nkind = zero\n"),
+    ("certify-metric", "[distance]\neps = abc\n"),
+    ("replay", "[experiment]\nsteps = 2\n"),
+    ("replay", "[meta]\nsubcommand = simulate\n"),
+    ("replay", "[meta]\nsubcommand = simulate\nseed = abc\n"),
+    ("replay", "[meta]\nsubcommand = simulate\nseed = 1\n[experiment]\nstepz = 4\n"),
+] + [(sub, "[reproducibility]\nseed = abc\n") for sub in SUBCOMMANDS if sub != "replay"]
+
+
+@pytest.mark.parametrize("subcommand, text", BAD_CONFIGS)
 def test_bad_study_config_is_config_error(monkeypatch, tmp_path, subcommand, text):
-    _capture_studies(monkeypatch)
-    with pytest.raises(ConfigError):
-        run_study(subcommand, load_config(_write_config(tmp_path, text)), 1, 1)
+    seen = _capture_studies(monkeypatch)
+    if subcommand == "replay":
+        (tmp_path / "manifest.cfg").write_text(text)
+        argv = ["replay", str(tmp_path)]
+    else:
+        argv = [subcommand, "--config", _write_config(tmp_path, text)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert seen == []
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--steps", "-3"],
+                                  ["certify-metric", "--triples", "0", "--enforce"]])
+def test_negative_or_zero_counts_exit_2(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
 def test_flag_replaces_other_spelling_of_its_field(monkeypatch, tmp_path):
@@ -387,9 +436,6 @@ ensemble = 8
 
 def test_weak_subcommand(tmp_path):
     cfgp = _write_config(tmp_path, """
-[discretization]
-shells = 8
-
 [experiment]
 shells_list = 4, 6
 deltas = 0.04, 0.02
@@ -404,3 +450,44 @@ ensemble = 8
     assert code == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     assert summary["study"] == "weak-error"
+
+
+def test_lyapunov_subcommand(tmp_path):
+    cfgp = _write_config(tmp_path, """
+[experiment]
+n_seeds = 2
+ensemble = 4
+horizon = 0.1
+""")
+    out = tmp_path / "lyapunov"
+    code = main(["lyapunov", "--config", cfgp, "--seed", "2", "--out", str(out)])
+    assert code == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert "envelope_95pct" in summary["checks"]
+    assert (out / "tables" / "seeds.csv").exists()
+    assert main(["replay", str(out), "--out", str(tmp_path / "replayed")]) == EXIT_OK
+
+
+def test_replay_of_manifest_without_meta_exits_2(tmp_path, caplog):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--steps", "2", "--out", str(out)]) == EXIT_OK
+    manifest = configparser.ConfigParser()
+    manifest.read(out / "manifest.cfg")
+    manifest.remove_section("meta")
+    with open(out / "manifest.cfg", "w") as fh:
+        manifest.write(fh)
+    caplog.clear()
+    assert main(["replay", str(out)]) == EXIT_CONFIG
+    assert "meta.subcommand" in caplog.text
+
+
+def test_simulate_manifest_holds_only_what_was_set(tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--steps", "3", "--seed", "4", "--out", str(out)]) == EXIT_OK
+    manifest = configparser.ConfigParser()
+    manifest.read(out / "manifest.cfg")
+    assert manifest.sections() == ["meta", "experiment"]
+    assert dict(manifest["experiment"]) == {"steps": "3"}
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["steps"] == 3 and summary["config"]["shells"] == 16
+    assert summary["scalars"]["steps"] == 3
