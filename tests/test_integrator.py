@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from snselab import spectral
+from snselab import integrator, spectral
+from snselab.coupling import NudgeParams, coupled_ensemble, propose_beta
 from snselab.errors import ConfigError, SolverError
 from snselab.forcing import NoiseStream, low_mode_basis
 from snselab.integrator import (SchemeParams, _advance_one, energy_identity_residual,
@@ -109,6 +110,100 @@ def test_dense_matrix_oracle_small_cutoff():
     c_sol = sol.reshape(n, 2) @ np.array([1.0, 1j])
     stepped = semi_implicit_step(prev, None, p, None)
     assert np.max(np.abs(stepped.coeffs - c_sol)) <= 1e-10 * prev.l2_norm()
+
+
+def _dense_solve(grid, system, prev, rhs):
+    """Each row of the packed step system (D + delta Adv) c = rhs, solved densely."""
+    uv = spectral.velocity_values(grid, prev)
+    eye = np.eye(prev.shape[-1])
+    out = np.empty_like(rhs)
+    for i in range(len(prev)):
+        adv_t = advect_frozen(grid, uv[i], system.analysis, eye)   # row j: delta D^-1 Adv e_j
+        out[i] = np.linalg.solve(system.diag[:, None] * (eye + adv_t.T), rhs[i])
+    return out
+
+
+@given(shells=st.sampled_from([4, 8, 10, 16]), m=st.sampled_from([1, 3]),
+       rms=st.floats(0.0, 50.0), delta=st.sampled_from([0.01, 0.05, 0.1, 1.0]),
+       solver=st.sampled_from(["fixed-point", "krylov"]), seed=st.integers(0, 10 ** 6))
+# near divergence: the fixed point takes 78 sweeps
+@example(shells=16, m=3, rms=50.0, delta=0.1, solver="fixed-point", seed=3)
+# the fixed point diverges and the step falls back to GMRES
+@example(shells=16, m=3, rms=50.0, delta=1.0, solver="fixed-point", seed=0)
+def test_solve_is_within_tol_of_dense_solve(shells, m, rms, delta, solver, seed):
+    grid = make_grid(shells)
+    p = SchemeParams(1.0, delta, shells, solver=solver)
+    basis = low_mode_basis(grid, 2, 0.5)
+    prev = spectral.pack(np.stack([random_field(grid, seed=seed, stream_id=i, rms=rms).coeffs
+                                   for i in range(m)]))
+    eta = np.random.default_rng(seed).standard_normal((m, basis.d))
+    noise = np.sqrt(delta) * spectral.pack(eta @ basis.coeff_matrix)
+    noise_scale = np.sqrt(spectral.packed_norm_sq(noise))
+    system = step_system(grid, p)
+    c, _ = _advance_one(grid, prev, noise, system, noise_scale)
+    err = np.sqrt(spectral.packed_norm_sq(c - _dense_solve(grid, system, prev, prev + noise)))
+    scale = np.sqrt(spectral.packed_norm_sq(prev)) + noise_scale
+    assert np.all(err <= p.tol * scale)
+
+
+@pytest.mark.parametrize("rms, delta, fallback_steps", [(50.0, 1.0, 1), (200.0, 0.1, 3)])
+def test_diverging_fixed_point_falls_back_to_gmres(rms, delta, fallback_steps):
+    # the default policy solves every step on which the fixed point diverges
+    # exactly as the krylov policy does; later steps may contract again
+    c0 = np.stack([random_field(G, seed=s, rms=rms).coeffs for s in range(4)])
+    fp, kr = (run_scheme(G, c0, 3, SchemeParams(1.0, delta, 16, solver=solver), None, None)
+              for solver in ("fixed-point", "krylov"))
+    assert np.array_equal(fp.states[:fallback_steps + 1], kr.states[:fallback_steps + 1])
+    assert np.array_equal(fp.iterations[:fallback_steps], kr.iterations[:fallback_steps])
+    assert np.all(np.abs(fp.energy_sq - kr.energy_sq) <= 1e-10 * kr.energy_sq)
+
+
+def _increment_stop_sweeps(grid, uv, rhs, system, scale):
+    """Sweeps of the fixed point under the plain stop max |Delta| <= tol."""
+    p = system.p
+    rhs_w = rhs * system.inv_diag
+    c = rhs_w
+    inc_weight = (spectral.TWO_PI_SQ * 2.0) / np.maximum(scale, 1e-100) ** 2
+    for it in range(1, p.max_iter + 1):
+        c_new = rhs_w - advect_frozen(grid, uv, system.analysis, c)
+        d = c_new - c
+        c = c_new
+        if np.sqrt(np.max(inc_weight * np.einsum("...i,...i->...", d, d))) <= p.tol:
+            return it
+    return p.max_iter + 1
+
+
+# (shells, delta, members, rms, steps, forcing shells, nudged): shortened
+# shapes of the temporal ladder (coarsest rung and reference), the single
+# path, the nudged coupling and a contraction-grid cell
+@pytest.mark.parametrize("shells, delta, m, rms, steps, f_shells, nudged", [
+    (16, 1 / 40, 16, 1.0, 4, 4, False), (16, 1 / 640, 16, 1.0, 16, 4, False),
+    (10, 0.05, 1, 3.0, 200, 4, False), (16, 0.01, 8, 1.0, 10, 4, True),
+    (4, 0.02, 32, 1.0, 50, 2, False)])
+def test_error_bound_stop_never_sweeps_more_than_increment_stop(
+        monkeypatch, shells, delta, m, rms, steps, f_shells, nudged):
+    solve = integrator._fixed_point_solve
+    counts = []
+
+    def both(grid, uv, rhs, system, scale):
+        out = solve(grid, uv, rhs, system, scale)
+        counts.append((out[1], _increment_stop_sweeps(grid, uv, rhs, system, scale)))
+        return out
+
+    monkeypatch.setattr(integrator, "_fixed_point_solve", both)
+    grid = make_grid(shells)
+    p = SchemeParams(1.0, delta, shells)
+    basis = low_mode_basis(grid, f_shells, 0.5)
+    xi0 = random_field(grid, seed=2, rms=rms)
+    if nudged:
+        np_ = NudgeParams(4, propose_beta(4, p)["beta"], p)
+        coupled_ensemble(xi0, random_field(grid, seed=3, rms=rms), steps, np_, basis,
+                         seed=5, trajectory_ids=range(m), compute_shifts=False)
+    else:
+        simulate_ensemble(xi0, steps, p, basis, 5, range(m), keep_states=False)
+    new, old = np.array(counts).T
+    assert np.all(new <= old)
+    assert new.sum() < old.sum()
 
 
 def test_krylov_policy_matches_fixed_point():
