@@ -8,11 +8,11 @@ One step solves the linear system
 with diffusion and advection at the new time level and the advecting
 velocity frozen at the old one.  The diagonal part is inverted exactly in
 Fourier space; the O(delta) advection perturbation is handled by
-preconditioned fixed-point iteration (default) or by restarted GMRES (the
-"krylov" policy).  The fixed point stops on an a-posteriori bound of its
-error (`_fixed_point_solve`), and a step on which it diverges or runs out
-of sweeps is solved again by GMRES, so no regime needs the krylov policy
-by hand.  Both solvers stop at tol * scale in the L^2 norm.
+preconditioned fixed-point iteration, which stops on an a-posteriori bound
+of its error (`_fixed_point_solve`).  A step on which the fixed point
+cannot finish within `MAX_SWEEPS` sweeps, by its own contraction estimate,
+is solved again by restarted GMRES.  Both solvers stop at tol * scale in
+the L^2 norm.
 
 Everything operates on batched states (M, 2 n_half) in the real packed
 layout [Re c | Im c] of `spectral` (see `spectral.pack`), so whole
@@ -48,6 +48,7 @@ from .forcing import ForcingBasis, NoiseStream, sum_fine
 from .spectral import SpectralField, SpectralGrid
 
 INCREMENT_CHUNK = 256  # coarse steps of tape generated per philox call
+MAX_SWEEPS = 200       # fixed-point sweeps per solve before GMRES takes over
 
 
 @dataclass(frozen=True)
@@ -55,17 +56,15 @@ class SchemeParams:
     """One point theta = (N, delta) of the discretization family.
 
     delta0 is the largest step of the family under study (enters moment
-    bounds); solver is "fixed-point" or "krylov"; tol bounds the L^2 error
-    of the implicit solve relative to its scale.
+    bounds); tol bounds the L^2 error of the implicit solve relative to
+    its scale.  How the step system is solved is not part of theta.
     """
 
     nu: float
     delta: float
     shells: int
     delta0: float | None = None
-    solver: str = "fixed-point"
     tol: float = 1e-12
-    max_iter: int = 200
 
     def __post_init__(self):
         if self.nu <= 0:
@@ -78,16 +77,8 @@ class SchemeParams:
             object.__setattr__(self, "delta0", self.delta)
         if self.delta > self.delta0 + 1e-15:
             raise ConfigError("delta exceeds delta0", field="delta")
-        if self.solver not in ("fixed-point", "krylov"):
-            raise ConfigError(f"unknown solver policy {self.solver!r}", field="solver")
         if not self.tol > 0:
             raise ConfigError("solver tolerance must be positive", field="tol")
-        if self.max_iter < 1:
-            raise ConfigError("solver needs >= 1 sweep", field="max_iter")
-
-    def with_delta(self, delta: float, shells: int | None = None) -> "SchemeParams":
-        return SchemeParams(self.nu, delta, self.shells if shells is None else shells,
-                            max(self.delta0, delta), self.solver, self.tol, self.max_iter)
 
     def grid(self) -> SpectralGrid:
         return spectral.make_grid(self.shells)
@@ -131,10 +122,6 @@ class EnsembleRun:
     @property
     def times(self) -> np.ndarray:
         return self.step_indices * self.params.delta
-
-    @property
-    def n_members(self) -> int:
-        return self.energy_sq.shape[1]
 
     def member(self, i: int) -> Trajectory:
         states = self.states[:, i] if self.states is not None else None
@@ -183,17 +170,25 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
     batch-wide: |Delta_k| and rho_k come from the largest relative
     increment of any row.
 
-    Returns (c, sweeps), or None when the increments grow (the fixed point
-    diverges) or ``max_iter`` sweeps do not converge, so that the caller
-    solves the step another way.
+    Hand-over: were the increments to keep shrinking by the raw (uncapped)
+    rho_k per sweep, the uncapped bound 2 rho_k |Delta_j| / (1 - rho_k)
+    would reach tol at sweep j = k + log(tol (1 - rho_k) / (2 rho_k
+    |Delta_k|)) / log rho_k.  A sweep is slow when rho_k >= 1 or that projection exceeds
+    `MAX_SWEEPS`; from sweep 4 on, two slow sweeps in a row end the
+    iteration.  One slow sweep is not enough: the ratio of a slow but
+    finishing contraction oscillates about its rate.
+
+    Returns (c, sweeps), or None when the fixed point hands over or
+    reaches `MAX_SWEEPS`, so that the caller solves the step another way.
     """
-    p = system.p
+    tol = system.p.tol
     rhs_w = rhs * system.inv_diag
     c = rhs_w
     # squared relative increment of a row = inc_weight * sum of its squares
     inc_weight = (spectral.TWO_PI_SQ * 2.0) / np.maximum(scale, 1e-100) ** 2
-    prev_inc = np.inf
-    for it in range(1, p.max_iter + 1):
+    prev_inc = math.inf
+    was_slow = False
+    for it in range(1, MAX_SWEEPS + 1):
         c_new = rhs_w - spectral.advect_frozen(grid, uv, system.analysis, c)
         d = c_new - c
         c = c_new
@@ -202,12 +197,18 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
         if not math.isfinite(top):
             raise SolverError(f"non-finite state (relative increment {top:.3e})",
                               residual=top)
-        # rho = 1/3 on the first sweep turns the test into top <= tol
-        rho = 1.0 / 3.0 if it == 1 else min(top / prev_inc, 1.0 / 3.0)
-        if 2.0 * rho * top <= p.tol * (1.0 - rho):
+        rho = top / prev_inc
+        # a capped rho of 1/3 on the first sweep turns the test into top <= tol
+        capped = 1.0 / 3.0 if it == 1 else min(rho, 1.0 / 3.0)
+        if 2.0 * capped * top <= tol * (1.0 - capped):
             return c, it
-        if it > 3 and top > prev_inc * 1.05 and top > 1e-6:
-            return None
+        if it > 1:
+            # the sweep at which 2 rho |Delta| / (1 - rho) reaches tol, rho uncapped
+            projected = math.inf if rho >= 1.0 else it + math.log(
+                tol * (1.0 - rho) / (2.0 * rho * top)) / math.log(rho)
+            if projected > MAX_SWEEPS and was_slow and it >= 4:
+                return None
+            was_slow = projected > MAX_SWEEPS
         prev_inc = max(top, 1e-300)
     return None
 
@@ -260,9 +261,10 @@ def _advance_one(grid, c_prev, noise, system: StepSystem, noise_scale,
     builds its `StepSystem` with delta beta P_K added to D and passes
     rhs_extra = delta beta P_K xi, with ``extra_scale`` bounding its norm
     in the solver's stopping scale.  ``c_norm`` is |c_prev|, when the
-    caller already holds it.  When the fixed point diverges or runs out of
-    sweeps, the whole batch is solved again by GMRES from the same
-    right-hand side, and ``sweeps`` is then the GMRES count.
+    caller already holds it.  The fixed point solves the step unless it
+    hands over (see `_fixed_point_solve`); then the whole batch is solved
+    again by GMRES from the same right-hand side, and ``sweeps`` is the
+    GMRES count.
     """
     rhs = c_prev if rhs_extra is None else c_prev + rhs_extra
     if noise is not None:
@@ -271,11 +273,8 @@ def _advance_one(grid, c_prev, noise, system: StepSystem, noise_scale,
     if c_norm is None:
         c_norm = np.sqrt(spectral.packed_norm_sq(c_prev))
     scale = c_norm + noise_scale + extra_scale
-    if system.p.solver == "fixed-point":
-        solved = _fixed_point_solve(grid, uv, rhs, system, scale)
-        if solved is not None:
-            return solved
-    return _krylov_solve(grid, uv, rhs, system, scale)
+    solved = _fixed_point_solve(grid, uv, rhs, system, scale)
+    return solved if solved is not None else _krylov_solve(grid, uv, rhs, system, scale)
 
 
 def step_residual(grid, c_prev, c_new, noise_coeffs, p: SchemeParams) -> np.ndarray:

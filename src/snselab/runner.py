@@ -204,7 +204,7 @@ def write_bundle(report: exp.StudyReport, out_dir: Path,
 
 # -- trajectory checkpoints -----------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def checkpoint(state: spectral.SpectralField, params: integ.SchemeParams,
@@ -217,8 +217,7 @@ def checkpoint(state: spectral.SpectralField, params: integ.SchemeParams,
             "seed": seed, "trajectory_id": trajectory_id,
             "params": {"nu": params.nu, "delta": params.delta,
                        "shells": params.shells, "delta0": params.delta0,
-                       "solver": params.solver, "tol": params.tol,
-                       "max_iter": params.max_iter}}
+                       "tol": params.tol}}
     (directory / f"state_{step_index:08d}.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return field_path
@@ -232,12 +231,12 @@ def restore(field_path: Path):
     if not meta_path.exists():
         raise StructuralError(f"missing checkpoint manifest {meta_path}")
     meta = json.loads(meta_path.read_text())
-    if meta.get("format_version") != CHECKPOINT_VERSION:
+    # a version 1 sidecar also holds a solver policy and sweep budget, unread
+    if meta.get("format_version") not in (1, CHECKPOINT_VERSION):
         raise StructuralError(
             f"checkpoint format version {meta.get('format_version')} unsupported")
     p = meta["params"]
-    params = integ.SchemeParams(p["nu"], p["delta"], p["shells"], p["delta0"],
-                                p["solver"], p["tol"], p["max_iter"])
+    params = integ.SchemeParams(p["nu"], p["delta"], p["shells"], p["delta0"], p["tol"])
     if params.shells != state.grid.shells:
         raise StructuralError("checkpoint cutoff does not match its manifest")
     return state, params, meta["seed"], meta["trajectory_id"], meta["step_index"]
@@ -253,7 +252,6 @@ class SimulateConfig:
     shells: int = 16
     delta: float = 0.01
     delta0: float | None = None
-    solver: str = "fixed-point"
     tol: float = 1e-12
     steps: int = 0
     nu: float = 1.0
@@ -289,7 +287,6 @@ _ALIASES = {
     ("discretization", "shells"): ("shells",),
     ("discretization", "delta"): ("delta",),
     ("discretization", "delta0"): ("delta0",),
-    ("discretization", "solver"): ("solver",),
     ("discretization", "tol"): ("tol",),
     ("discretization", "delta_ladder"): ("deltas",),
     ("discretization", "shells_ladder"): ("shell_ladder", "shells_list"),
@@ -457,8 +454,7 @@ def run_simulate(cfg: RunConfig, seed: int, ck_root: Path) -> exp.StudyReport:
     sim = study_config(SimulateConfig, cfg)
     if sim.steps < 0:
         raise ConfigError("steps must be >= 0", field="experiment.steps")
-    p = integ.SchemeParams(sim.nu, sim.delta, sim.shells, sim.delta0,
-                           solver=sim.solver, tol=sim.tol)
+    p = integ.SchemeParams(sim.nu, sim.delta, sim.shells, sim.delta0, sim.tol)
     grid = p.grid()
     basis = build_forcing(cfg, grid)
     xi0 = sim.ic.build(grid, seed)

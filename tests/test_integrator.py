@@ -123,6 +123,26 @@ def _dense_solve(grid, system, prev, rhs):
     return out
 
 
+def _gmres_step(grid, c_prev, p, noise=None, noise_scale=0.0):
+    """`_advance_one` with GMRES in place of the fixed point: the reference solve."""
+    rhs = c_prev if noise is None else c_prev + noise
+    scale = np.sqrt(spectral.packed_norm_sq(c_prev)) + noise_scale
+    return integrator._krylov_solve(grid, spectral.velocity_values(grid, c_prev), rhs,
+                                    step_system(grid, p), scale)
+
+
+def _random_step(shells, m, rms, delta, seed):
+    """(grid, params, packed states, packed noise, noise norms) of one random step."""
+    grid = make_grid(shells)
+    basis = low_mode_basis(grid, 2, 0.5)
+    prev = spectral.pack(np.stack([random_field(grid, seed=seed, stream_id=i, rms=rms).coeffs
+                                   for i in range(m)]))
+    eta = np.random.default_rng(seed).standard_normal((m, basis.d))
+    noise = np.sqrt(delta) * spectral.pack(eta @ basis.coeff_matrix)
+    return grid, SchemeParams(1.0, delta, shells), prev, noise, np.sqrt(
+        spectral.packed_norm_sq(noise))
+
+
 @given(shells=st.sampled_from([4, 8, 10, 16]), m=st.sampled_from([1, 3]),
        rms=st.floats(0.0, 50.0), delta=st.sampled_from([0.01, 0.05, 0.1, 1.0]),
        solver=st.sampled_from(["fixed-point", "krylov"]), seed=st.integers(0, 10 ** 6))
@@ -131,31 +151,61 @@ def _dense_solve(grid, system, prev, rhs):
 # the fixed point diverges and the step falls back to GMRES
 @example(shells=16, m=3, rms=50.0, delta=1.0, solver="fixed-point", seed=0)
 def test_solve_is_within_tol_of_dense_solve(shells, m, rms, delta, solver, seed):
-    grid = make_grid(shells)
-    p = SchemeParams(1.0, delta, shells, solver=solver)
-    basis = low_mode_basis(grid, 2, 0.5)
-    prev = spectral.pack(np.stack([random_field(grid, seed=seed, stream_id=i, rms=rms).coeffs
-                                   for i in range(m)]))
-    eta = np.random.default_rng(seed).standard_normal((m, basis.d))
-    noise = np.sqrt(delta) * spectral.pack(eta @ basis.coeff_matrix)
-    noise_scale = np.sqrt(spectral.packed_norm_sq(noise))
+    grid, p, prev, noise, noise_scale = _random_step(shells, m, rms, delta, seed)
     system = step_system(grid, p)
-    c, _ = _advance_one(grid, prev, noise, system, noise_scale)
+    if solver == "krylov":
+        c, _ = _gmres_step(grid, prev, p, noise, noise_scale)
+    else:
+        c, _ = _advance_one(grid, prev, noise, system, noise_scale)
     err = np.sqrt(spectral.packed_norm_sq(c - _dense_solve(grid, system, prev, prev + noise)))
     scale = np.sqrt(spectral.packed_norm_sq(prev)) + noise_scale
     assert np.all(err <= p.tol * scale)
 
 
+# stalls from random step solves: the increment ratio hovers at 0.9-1.0
+# without growing, and only the projected stop sweep ends the fixed point
+# before MAX_SWEEPS
+@pytest.mark.parametrize("shells, m, rms, seed", [(10, 1, 30.0, 4), (10, 3, 30.0, 0),
+                                                  (16, 1, 40.0, 5)])
+def test_stalled_fixed_point_hands_over_early(monkeypatch, shells, m, rms, seed):
+    sweeps, handed_over_at = [], []
+
+    def counting_advect(*args):
+        sweeps.append(1)
+        return advect_frozen(*args)
+
+    def krylov(*args):
+        handed_over_at.append(len(sweeps))
+        return solve(*args)
+
+    solve = integrator._krylov_solve
+    monkeypatch.setattr(spectral, "advect_frozen", counting_advect)
+    monkeypatch.setattr(integrator, "_krylov_solve", krylov)
+    grid, p, prev, noise, noise_scale = _random_step(shells, m, rms, 1.0, seed)
+    system = step_system(grid, p)
+    c, _ = _advance_one(grid, prev, noise, system, noise_scale)
+    assert len(handed_over_at) == 1 and handed_over_at[0] <= integrator.MAX_SWEEPS // 10
+    monkeypatch.undo()
+    err = np.sqrt(spectral.packed_norm_sq(c - _dense_solve(grid, system, prev, prev + noise)))
+    assert np.all(err <= p.tol * (np.sqrt(spectral.packed_norm_sq(prev)) + noise_scale))
+
+
 @pytest.mark.parametrize("rms, delta, fallback_steps", [(50.0, 1.0, 1), (200.0, 0.1, 3)])
 def test_diverging_fixed_point_falls_back_to_gmres(rms, delta, fallback_steps):
-    # the default policy solves every step on which the fixed point diverges
-    # exactly as the krylov policy does; later steps may contract again
+    # every step on which the fixed point diverges is solved by GMRES from
+    # the same right-hand side; later steps may contract again
     c0 = np.stack([random_field(G, seed=s, rms=rms).coeffs for s in range(4)])
-    fp, kr = (run_scheme(G, c0, 3, SchemeParams(1.0, delta, 16, solver=solver), None, None)
-              for solver in ("fixed-point", "krylov"))
-    assert np.array_equal(fp.states[:fallback_steps + 1], kr.states[:fallback_steps + 1])
-    assert np.array_equal(fp.iterations[:fallback_steps], kr.iterations[:fallback_steps])
-    assert np.all(np.abs(fp.energy_sq - kr.energy_sq) <= 1e-10 * kr.energy_sq)
+    p = SchemeParams(1.0, delta, 16)
+    fp = run_scheme(G, c0, 3, p, None, None)
+    c, kr_states, kr_iters = spectral.pack(c0), [c0], []
+    for _ in range(3):
+        c, it = _gmres_step(G, c, p)
+        kr_states.append(spectral.unpack(c))
+        kr_iters.append(it)
+    kr_energy = np.array([spectral.norm_l2_sq(s) for s in kr_states])
+    assert np.array_equal(fp.states[:fallback_steps + 1], kr_states[:fallback_steps + 1])
+    assert np.array_equal(fp.iterations[:fallback_steps], kr_iters[:fallback_steps])
+    assert np.all(np.abs(fp.energy_sq - kr_energy) <= 1e-10 * kr_energy)
 
 
 def _increment_stop_sweeps(grid, uv, rhs, system, scale):
@@ -164,13 +214,13 @@ def _increment_stop_sweeps(grid, uv, rhs, system, scale):
     rhs_w = rhs * system.inv_diag
     c = rhs_w
     inc_weight = (spectral.TWO_PI_SQ * 2.0) / np.maximum(scale, 1e-100) ** 2
-    for it in range(1, p.max_iter + 1):
+    for it in range(1, integrator.MAX_SWEEPS + 1):
         c_new = rhs_w - advect_frozen(grid, uv, system.analysis, c)
         d = c_new - c
         c = c_new
         if np.sqrt(np.max(inc_weight * np.einsum("...i,...i->...", d, d))) <= p.tol:
             return it
-    return p.max_iter + 1
+    return integrator.MAX_SWEEPS + 1
 
 
 # (shells, delta, members, rms, steps, forcing shells, nudged): shortened
@@ -207,17 +257,16 @@ def test_error_bound_stop_never_sweeps_more_than_increment_stop(
 
 
 def test_krylov_policy_matches_fixed_point():
-    p_fp = SchemeParams(1.0, 0.02, 8, solver="fixed-point")
-    p_kr = SchemeParams(1.0, 0.02, 8, solver="krylov")
+    p = SchemeParams(1.0, 0.02, 8)
     grid = make_grid(8)
     f = random_field(grid, seed=5, rms=1.5)
-    a = semi_implicit_step(f, None, p_fp, None)
-    b = semi_implicit_step(f, None, p_kr, None)
-    assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-9 * f.l2_norm()
+    a = semi_implicit_step(f, None, p, None)
+    b, _ = _gmres_step(grid, spectral.pack(f.coeffs), p)
+    assert np.max(np.abs(a.coeffs - spectral.unpack(b))) <= 1e-9 * f.l2_norm()
 
 
-@pytest.mark.parametrize("name, value", [("max_iter", 0), ("tol", 0.0),
-                                         ("tol", -1e-12), ("record_stride", 0)])
+@pytest.mark.parametrize("name, value", [("tol", 0.0), ("tol", -1e-12),
+                                         ("record_stride", 0)])
 def test_bad_solver_parameters_raise_config_error(name, value):
     kwargs = {name: value}
     stride = kwargs.pop("record_stride", 1)
@@ -244,11 +293,22 @@ def test_non_finite_state_fails_at_first_sweep(monkeypatch):
     assert len(sweeps) == 1
 
 
-def test_krylov_non_finite_state_fails_before_gmres():
+def test_krylov_non_finite_state_fails_before_gmres(monkeypatch):
+    import scipy.sparse.linalg
+
+    def no_gmres(*args, **kwargs):
+        raise AssertionError("gmres called on a non-finite state")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "gmres", no_gmres)
     c0 = random_field(G, seed=1).coeffs.copy()
     c0[3] = np.nan
     with pytest.raises(SolverError) as err:
-        run_scheme(G, c0, 5, SchemeParams(1.0, 0.05, 16, solver="krylov"), None, None)
+        _gmres_step(G, spectral.pack(c0), SchemeParams(1.0, 0.05, 16))
+    assert "non-finite" in str(err.value)
+    # a march that hands such a step over reports it at its step
+    monkeypatch.setattr(integrator, "_fixed_point_solve", lambda *args: None)
+    with pytest.raises(SolverError) as err:
+        run_scheme(G, c0, 5, SchemeParams(1.0, 0.05, 16), None, None)
     assert err.value.step_index == 1
     assert "non-finite" in str(err.value)
 
@@ -263,14 +323,14 @@ def test_krylov_reports_gmres_iterations(monkeypatch):
         return advect_frozen(*args)
 
     monkeypatch.setattr(spectral, "advect_frozen", counting_advect)
-    p = SchemeParams(1.0, 0.1, 16, solver="krylov")
-    rows = np.stack([random_field(G, seed=s, rms=50.0).coeffs for s in (0, 1)])
+    p = SchemeParams(1.0, 0.1, 16)
+    rows = spectral.pack(np.stack([random_field(G, seed=s, rms=50.0).coeffs for s in (0, 1)]))
     solo = []
     for row in rows:
         matvecs.clear()
-        solo.append(run_scheme(G, row, 1, p, None, None).iterations[0])
+        solo.append(_gmres_step(G, row[None], p)[1])
         assert 10 <= solo[-1] < len(matvecs) <= solo[-1] + 3
-    assert run_scheme(G, rows, 1, p, None, None).iterations[0] == max(solo)
+    assert _gmres_step(G, rows, p)[1] == max(solo)
 
 
 # -- trajectories ----------------------------------------------------------------

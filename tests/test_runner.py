@@ -111,6 +111,31 @@ def test_restore_then_continue_matches_straight_run(tmp_path):
         assert np.array_equal(resumed.energy_sq[:, 0], full.energy_sq[step:])
 
 
+def test_version_1_sidecar_restores_like_version_2(tmp_path):
+    # version 1 sidecars also held the solver policy and sweep budget
+    g = make_grid(8)
+    p = SchemeParams(1.0, 0.02, 8, delta0=0.05, tol=1e-11)
+    checkpoint(random_field(g, seed=3), p, 4, 1, 7, tmp_path)
+    fresh = restore(tmp_path / "state_00000007.fld")
+    (tmp_path / "state_00000007.json").write_text(json.dumps({
+        "format_version": 1, "step_index": 7, "seed": 4, "trajectory_id": 1,
+        "params": {"nu": 1.0, "delta": 0.02, "shells": 8, "delta0": 0.05,
+                   "solver": "krylov", "tol": 1e-11, "max_iter": 50}}))
+    old = restore(tmp_path / "state_00000007.fld")
+    assert old[1] == fresh[1] == p
+    assert np.array_equal(old[0].coeffs, fresh[0].coeffs) and old[2:] == fresh[2:] == (4, 1, 7)
+
+
+def test_unknown_checkpoint_version_is_rejected(tmp_path):
+    checkpoint(random_field(make_grid(16), seed=3), SchemeParams(1.0, 0.01, 16),
+               0, 0, 5, tmp_path)
+    meta = json.loads((tmp_path / "state_00000005.json").read_text())
+    meta["format_version"] = 3
+    (tmp_path / "state_00000005.json").write_text(json.dumps(meta))
+    with pytest.raises(StructuralError):
+        restore(tmp_path / "state_00000005.fld")
+
+
 def test_restore_cutoff_mismatch(tmp_path):
     g = make_grid(16)
     p = SchemeParams(1.0, 0.01, 16)
@@ -209,6 +234,7 @@ BAD_CONFIGS = [
     ("couple", "[nudge]\nbeta = strong\n"),
     ("simulate", "[experiment]\nstepz = 4\n"),
     ("simulate", "[discretization]\nshells = abc\n"),
+    ("simulate", "[discretization]\nsolver = krylov\n"),
     ("simulate", "[io]\ncheckpoint_cadence = abc\n"),
     ("simulate", "[forcing]\npreset = explicit\ndir1 = 1, 0, tan, 0.3\n"),
     ("converge-time", "[forcing]\npreset = low-mode\n"),
