@@ -115,10 +115,14 @@ def _coupled_run(grid: SpectralGrid, c0: np.ndarray, ct0: np.ndarray, n_steps: i
                  np_: NudgeParams, basis: ForcingBasis, increments,
                  record_stride: int = 1, compute_shifts: bool = True,
                  keep_states: bool = False, shift_tol: float = 1e-8):
-    """Advance plain and nudged batches on one tape; record gaps and shifts.
+    """Advance a plain batch and k nudged copies on one tape; record gaps and shifts.
 
-    Both batches march as packed states; complex coefficients are written
-    only into the recorded states.
+    ``c0`` holds M plain rows and ``ct0`` k * M nudged rows: copy j takes
+    rows j M .. (j+1) M - 1, and each row i is nudged toward plain row
+    i mod M.  The plain batch marches once; the k copies march as one
+    batch on the plain batch's noise, repeated k times along the member
+    axis.  Both batches march as packed states; complex coefficients are
+    written only into the recorded states.
     """
     p = np_.base
     b = basis.project_to(grid)
@@ -128,24 +132,24 @@ def _coupled_run(grid: SpectralGrid, c0: np.ndarray, ct0: np.ndarray, n_steps: i
     mask = np.concatenate([mask, mask])   # P_K on packed states
     nudge = p.delta * np_.beta * mask
 
-    c = spectral.pack(np.asarray(c0, dtype=np.complex128))
-    ct = spectral.pack(np.asarray(ct0, dtype=np.complex128))
-    if c.ndim == 1:
-        c, ct = c[None, :], ct[None, :]
-    m = c.shape[0]
+    c = np.atleast_2d(spectral.pack(np.asarray(c0, dtype=np.complex128)))
+    ct = np.atleast_2d(spectral.pack(np.asarray(ct0, dtype=np.complex128)))
+    m, mt = c.shape[0], ct.shape[0]
+    k = mt // m
 
     pinv_t = forcing_mod.pinv_matrix(b).T if compute_shifts else None
 
     n_rec = n_steps // record_stride + 1
     rec_idx = np.empty(n_rec, dtype=np.int64)
     states = np.empty((n_rec, m, grid.n_half), dtype=np.complex128) if keep_states else None
-    states_t = np.empty_like(states) if keep_states else None
-    gaps = np.empty((n_steps + 1, m))
-    shifts = np.empty((n_steps, m, b.d)) if compute_shifts else None
+    states_t = (np.empty((n_rec, mt, grid.n_half), dtype=np.complex128)
+                if keep_states else None)
+    gaps = np.empty((n_steps + 1, mt))
+    shifts = np.empty((n_steps, mt, b.d)) if compute_shifts else None
     energy = np.empty((n_steps + 1, m))
-    energy_t = np.empty((n_steps + 1, m))
+    energy_t = np.empty((n_steps + 1, mt))
     h1 = np.empty((n_steps + 1, m))
-    h1_t = np.empty((n_steps + 1, m))
+    h1_t = np.empty((n_steps + 1, mt))
     iters = np.zeros(n_steps, dtype=np.int64)
 
     def record(step, slot):
@@ -153,7 +157,8 @@ def _coupled_run(grid: SpectralGrid, c0: np.ndarray, ct0: np.ndarray, n_steps: i
         if keep_states:
             states[slot], states_t[slot] = spectral.unpack(c), spectral.unpack(ct)
 
-    gaps[0] = spectral.packed_norm_sq(ct - c)
+    c_k = np.tile(c, (k, 1))   # plain row i mod M beside each nudged row
+    gaps[0] = spectral.packed_norm_sq(ct - c_k)
     energy[0], energy_t[0] = spectral.packed_norm_sq(c), spectral.packed_norm_sq(ct)
     h1[0] = spectral.packed_norm_sq(c, grid.lam_packed)
     h1_t[0] = spectral.packed_norm_sq(ct, grid.lam_packed)
@@ -166,14 +171,16 @@ def _coupled_run(grid: SpectralGrid, c0: np.ndarray, ct0: np.ndarray, n_steps: i
             c, it1 = integ._advance_one(grid, c, noise, system, nscale,
                                         c_norm=np.sqrt(energy[step - 1]))
             energy[step] = spectral.packed_norm_sq(c)
+            c_k = np.tile(c, (k, 1))
             ct, it2 = integ._advance_one(
-                grid, ct, noise, system_n, nscale, rhs_extra=nudge * c,
-                extra_scale=np_.beta * p.delta * np.sqrt(energy[step]),
+                grid, ct, np.tile(noise, (k, 1)), system_n, np.tile(nscale, k),
+                rhs_extra=nudge * c_k,
+                extra_scale=np.tile(np_.beta * p.delta * np.sqrt(energy[step]), k),
                 c_norm=np.sqrt(energy_t[step - 1]))
         except SolverError as err:
             err.step_index = step
             raise
-        zeta = ct - c
+        zeta = ct - c_k
         gaps[step] = spectral.packed_norm_sq(zeta)
         if compute_shifts:
             zk = mask * zeta
@@ -224,23 +231,47 @@ def coupled_simulate(xi0: SpectralField, xi_tilde0: SpectralField, n_steps: int,
                        shifts[:, 0] if shifts is not None else None, np_)
 
 
+def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
+                      np_: NudgeParams, basis: ForcingBasis, seed: int,
+                      trajectory_ids, record_stride: int = 1,
+                      compute_shifts: bool = True,
+                      keep_states: bool = False) -> list[CoupledPair]:
+    """Batched coupled pairs, one per nudged start, on one tape per trajectory id.
+
+    The plain ensemble marches once and every returned pair shares it as
+    ``primary``; the nudged ensembles march together as one batch.
+    """
+    grid = np_.base.grid()
+    m = len(trajectory_ids)
+    c0 = np.broadcast_to(spectral.embed_coeffs(xi0.grid, grid, xi0.coeffs),
+                         (m, grid.n_half))
+    ct0 = np.concatenate([
+        np.broadcast_to(spectral.embed_coeffs(xt.grid, grid, xt.coeffs), (m, grid.n_half))
+        for xt in xi_tilde0s])
+    inc = integ.batch_increments(seed, trajectory_ids, 1, basis.d, np_.base.delta)
+    primary, nudged, gaps, shifts = _coupled_run(
+        grid, c0, ct0, n_steps, np_, basis, inc, record_stride,
+        compute_shifts, keep_states)
+    pairs = []
+    for j in range(len(xi_tilde0s)):
+        rows = slice(j * m, (j + 1) * m)
+        copy = EnsembleRun(grid, nudged.params, nudged.step_indices,
+                           nudged.states[:, rows] if keep_states else None,
+                           nudged.energy_sq[:, rows], nudged.h1_sq[:, rows],
+                           nudged.iterations)
+        pairs.append(CoupledPair(primary, copy, gaps[:, rows],
+                                 shifts[:, rows] if compute_shifts else None, np_))
+    return pairs
+
+
 def coupled_ensemble(xi0: SpectralField, xi_tilde0: SpectralField, n_steps: int,
                      np_: NudgeParams, basis: ForcingBasis, seed: int,
                      trajectory_ids, record_stride: int = 1,
                      compute_shifts: bool = True,
                      keep_states: bool = False) -> CoupledPair:
     """Batched coupled pairs, one tape per trajectory id."""
-    grid = np_.base.grid()
-    m = len(trajectory_ids)
-    c0 = np.broadcast_to(spectral.embed_coeffs(xi0.grid, grid, xi0.coeffs),
-                         (m, grid.n_half))
-    ct0 = np.broadcast_to(spectral.embed_coeffs(xi_tilde0.grid, grid, xi_tilde0.coeffs),
-                          (m, grid.n_half))
-    inc = integ.batch_increments(seed, trajectory_ids, 1, basis.d, np_.base.delta)
-    primary, nudged, gaps, shifts = _coupled_run(
-        grid, c0, ct0, n_steps, np_, basis, inc, record_stride,
-        compute_shifts, keep_states)
-    return CoupledPair(primary, nudged, gaps, shifts, np_)
+    return coupled_ensembles(xi0, [xi_tilde0], n_steps, np_, basis, seed, trajectory_ids,
+                             record_stride, compute_shifts, keep_states)[0]
 
 
 # -- information-theoretic cost -----------------------------------------------

@@ -576,10 +576,11 @@ def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
 
     Two ensembles start from initial conditions separated by a low-mode
     gap and advance under the synchronized coupling (one tape per member
-    pair).  The mean weighted cost over pairs upper-bounds the exact
-    empirical Wasserstein distance (computed alongside for small
-    ensembles); the fitted exponential rate is compared across the
-    (cutoff, step) grid to exhibit discretization uniformity.
+    pair, drawn once per cell); both march as one batch of 2M rows.  The
+    mean weighted cost over pairs upper-bounds the exact empirical
+    Wasserstein distance (computed alongside for small ensembles); the
+    fitted exponential rate is compared across the (cutoff, step) grid to
+    exhibit discretization uniformity.
     """
     _require(_monotone(cfg.shells_list), "ladder must be strictly monotone", "shells_list")
     _require(_monotone(cfg.deltas), "ladder must be strictly monotone", "deltas")
@@ -602,23 +603,25 @@ def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
         xi0 = cfg.ic.build(grid, seed)
         gap = spectral.harmonic_field(grid, *cfg.gap_mode, amplitude=cfg.gap_amplitude,
                                       normalized=True)
-        c0 = np.broadcast_to(xi0.coeffs, (cfg.ensemble, grid.n_half))
-        ct0 = np.broadcast_to(xi0.coeffs + gap.coeffs, (cfg.ensemble, grid.n_half))
-        inc = integ.batch_increments(seed, traj_ids, 1, basis.d, delta)
-        run_a = integ.run_scheme(grid, c0, n_steps, p, basis, inc, record_stride=stride)
-        inc = integ.batch_increments(seed, traj_ids, 1, basis.d, delta)
-        run_b = integ.run_scheme(grid, ct0, n_steps, p, basis, inc, record_stride=stride)
+        m = cfg.ensemble
+        c0 = np.broadcast_to(xi0.coeffs, (m, grid.n_half))
+        ct0 = np.broadcast_to(xi0.coeffs + gap.coeffs, (m, grid.n_half))
+        tape = integ.batch_increments(seed, traj_ids, 1, basis.d, delta)
+        run = integ.run_scheme(grid, np.concatenate([c0, ct0]), n_steps, p, basis,
+                               lambda n0, n1: np.tile(tape(n0, n1), (1, 2, 1)),
+                               record_stride=stride)
+        states_a, states_b = run.states[:, :m], run.states[:, m:]
 
-        times = run_a.times
+        times = run.times
         coupled = np.array([
-            measures_mod.wasserstein_coupled_bound(run_a.states[i], run_b.states[i],
+            measures_mod.wasserstein_coupled_bound(states_a[i], states_b[i],
                                                    "rho_weighted", dp, grid)
             for i in range(times.size)])
         exact = None
-        if cfg.ensemble <= cfg.exact_limit:
+        if m <= cfg.exact_limit:
             exact = np.array([
-                measures_mod.wasserstein_exact(Ensemble(grid, run_a.states[i]),
-                                               Ensemble(grid, run_b.states[i]),
+                measures_mod.wasserstein_exact(Ensemble(grid, states_a[i]),
+                                               Ensemble(grid, states_b[i]),
                                                "rho_weighted", dp).value
                 for i in range(times.size)])
         keep = (times > 0) & (coupled > cfg.fit_floor * max(coupled[0], 1e-300))
@@ -912,7 +915,9 @@ def coupling_study(cfg: CouplingStudyConfig, seed: int) -> StudyReport:
     For each perturbation size the nudged system tracks the plain one on a
     shared tape; reported are the fitted per-step gap factor against the
     -(3/4) log(1 + beta delta) benchmark and the mean path-space cost
-    against its closed-form majorant shape (linear in |zeta^0|^2).
+    against its closed-form majorant shape (linear in |zeta^0|^2).  The
+    plain ensemble marches once for every size and the nudged ensembles
+    of all sizes march as one batch, so ``cfg.threads`` is ignored.
     """
     grid = make_grid(cfg.shells)
     basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
@@ -930,52 +935,43 @@ def coupling_study(cfg: CouplingStudyConfig, seed: int) -> StudyReport:
                                       normalized=True)
     traj = np.arange(cfg.ensemble)
 
-    def run_size(size: float) -> dict:
-        xt0 = SpectralField(grid, xi0.coeffs + size * gap_dir.coeffs)
-        pair = coupling_mod.coupled_ensemble(xi0, xt0, n_steps, np_, basis, seed,
-                                             traj, compute_shifts=cfg.compute_shifts)
-        fit = coupling_mod.pathwise_contraction_check(pair, band=cfg.band)
-        out = {"size": size, "gap0_sq": float(pair.gaps_sq[0].mean()),
-               "gap_final_sq": float(pair.gaps_sq[-1].mean()), "fit": fit,
-               "gaps_mean": np.mean(pair.gaps_sq, axis=1)}
-        if cfg.compute_shifts:
-            cost = coupling_mod.girsanov_cost(pair)
-            out["kl_mean"] = cost.kl_mean
-            out["majorant"] = coupling_mod.kl_majorant(np_, basis,
-                                                       float(pair.gaps_sq[0].mean()))
-            out["tv_from_kl"] = cost.tv_from_kl()
-            out["shift_sq_mean"] = np.mean(np.sum(pair.shifts ** 2, axis=-1), axis=1)
-        return out
-
-    results = _pmap(run_size, cfg.perturbations, cfg.threads)
+    starts = [SpectralField(grid, xi0.coeffs + size * gap_dir.coeffs)
+              for size in cfg.perturbations]
+    pairs = coupling_mod.coupled_ensembles(xi0, starts, n_steps, np_, basis, seed, traj,
+                                           compute_shifts=cfg.compute_shifts)
 
     report = StudyReport("nudged-coupling", asdict(cfg), seed)
     report.scalars["beta"] = beta
     report.scalars["lambda_next"] = proposal["lambda_next"]
     report.scalars["beta_floor_ok"] = proposal["floor_ok"]
     rows = []
-    for res in results:
-        fit = res["fit"]
-        row = {"size": res["size"], "gap0_sq": res["gap0_sq"],
-               "gap_final_sq": res["gap_final_sq"],
-               "gap_ratio": res["gap_final_sq"] / max(res["gap0_sq"], 1e-300),
+    for size, pair in zip(cfg.perturbations, pairs):
+        fit = coupling_mod.pathwise_contraction_check(pair, band=cfg.band)
+        gap0_sq = float(pair.gaps_sq[0].mean())
+        gap_final_sq = float(pair.gaps_sq[-1].mean())
+        row = {"size": size, "gap0_sq": gap0_sq, "gap_final_sq": gap_final_sq,
+               "gap_ratio": gap_final_sq / max(gap0_sq, 1e-300),
                "exact_coupling": fit.exact_coupling,
                "per_step_log_factor": fit.per_step_log_factor,
                "theoretical_log_factor": fit.theoretical_log_factor,
                "r_squared": fit.r_squared}
-        if "kl_mean" in res:
-            row["kl_mean"] = res["kl_mean"]
-            row["kl_majorant"] = res["majorant"]
-            row["kl_ratio"] = res["kl_mean"] / max(res["majorant"], 1e-300)
-            row["tv_from_kl"] = res["tv_from_kl"]
+        if cfg.compute_shifts:
+            cost = coupling_mod.girsanov_cost(pair)
+            majorant = coupling_mod.kl_majorant(np_, basis, gap0_sq)
+            row["kl_mean"] = cost.kl_mean
+            row["kl_majorant"] = majorant
+            row["kl_ratio"] = cost.kl_mean / max(majorant, 1e-300)
+            row["tv_from_kl"] = cost.tv_from_kl()
         rows.append(row)
     report.tables["perturbations"] = rows
-    last = results[-1]
+    last = pairs[-1]
+    if cfg.compute_shifts:
+        shift_sq = np.mean(np.sum(last.shifts ** 2, axis=-1), axis=1)
     gap_table = []
-    for i, v in enumerate(last["gaps_mean"]):
+    for i, v in enumerate(np.mean(last.gaps_sq, axis=1)):
         row = {"step": int(i), "t": float(i * cfg.delta), "gap_sq_mean": float(v)}
-        if "shift_sq_mean" in last:
-            row["shift_sq_mean"] = float(last["shift_sq_mean"][i - 1]) if i > 0 else 0.0
+        if cfg.compute_shifts:
+            row["shift_sq_mean"] = float(shift_sq[i - 1]) if i > 0 else 0.0
         gap_table.append(row)
     report.tables["gap_series"] = gap_table
     if cfg.compute_shifts and len(cfg.perturbations) >= 3:

@@ -170,12 +170,14 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
     batch-wide: |Delta_k| and rho_k come from the largest relative
     increment of any row.
 
-    Hand-over: were the increments to keep shrinking by the raw (uncapped)
-    rho_k per sweep, the uncapped bound 2 rho_k |Delta_j| / (1 - rho_k)
-    would reach tol at sweep j = k + log(tol (1 - rho_k) / (2 rho_k
-    |Delta_k|)) / log rho_k.  A sweep is slow when rho_k >= 1 or that projection exceeds
-    `MAX_SWEEPS`; from sweep 4 on, two slow sweeps in a row end the
-    iteration.  One slow sweep is not enough: the ratio of a slow but
+    Hand-over: from sweep 3 on, the steady rate r_k = (|Delta_k| /
+    |Delta_{k-2}|)^(1/2) is the two-sweep ratio, which sees through a
+    one-sweep ratio that alternates (0.81, 0.997, 0.81, ...).  Were the
+    increments to keep shrinking by r_k per sweep, the bound 2 r_k
+    |Delta_j| / (1 - r_k) would reach tol at sweep j = k + log(tol (1 -
+    r_k) / (2 r_k |Delta_k|)) / log r_k.  A sweep is slow when r_k >= 1 or
+    that projection exceeds `MAX_SWEEPS`, and two slow sweeps in a row end
+    the iteration.  One slow sweep is not enough: the ratio of a slow but
     finishing contraction oscillates about its rate.
 
     Returns (c, sweeps), or None when the fixed point hands over or
@@ -186,7 +188,7 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
     c = rhs_w
     # squared relative increment of a row = inc_weight * sum of its squares
     inc_weight = (spectral.TWO_PI_SQ * 2.0) / np.maximum(scale, 1e-100) ** 2
-    prev_inc = math.inf
+    prev_inc = prev2_inc = math.inf
     was_slow = False
     for it in range(1, MAX_SWEEPS + 1):
         c_new = rhs_w - spectral.advect_frozen(grid, uv, system.analysis, c)
@@ -202,14 +204,15 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
         capped = 1.0 / 3.0 if it == 1 else min(rho, 1.0 / 3.0)
         if 2.0 * capped * top <= tol * (1.0 - capped):
             return c, it
-        if it > 1:
-            # the sweep at which 2 rho |Delta| / (1 - rho) reaches tol, rho uncapped
-            projected = math.inf if rho >= 1.0 else it + math.log(
-                tol * (1.0 - rho) / (2.0 * rho * top)) / math.log(rho)
-            if projected > MAX_SWEEPS and was_slow and it >= 4:
+        if it > 2:
+            # the sweep at which 2 r |Delta| / (1 - r) reaches tol at the two-sweep rate r
+            rate = math.sqrt(top / prev2_inc)
+            projected = math.inf if rate >= 1.0 else it + math.log(
+                tol * (1.0 - rate) / (2.0 * rate * top)) / math.log(rate)
+            if projected > MAX_SWEEPS and was_slow:
                 return None
             was_slow = projected > MAX_SWEEPS
-        prev_inc = max(top, 1e-300)
+        prev2_inc, prev_inc = prev_inc, max(top, 1e-300)
     return None
 
 

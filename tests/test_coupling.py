@@ -3,7 +3,7 @@ import pytest
 
 from snselab import spectral
 from snselab.coupling import (CoupledPair, NudgeParams, coupled_ensemble,
-                              coupled_simulate, girsanov_cost, kl_majorant,
+                              coupled_ensembles, coupled_simulate, girsanov_cost, kl_majorant,
                               nudged_step, pathwise_contraction_check,
                               propose_beta, shifted_tape_increments)
 from snselab.errors import ConfigError, RangeError, SolverError
@@ -75,6 +75,55 @@ def test_coupled_run_reports_failing_step_index():
     bad[3] = np.nan
     with pytest.raises(SolverError) as err:
         coupled_simulate(f, SpectralField(G, bad), 5, _nudge(), BASIS8, NoiseStream(3, 0))
+    assert err.value.step_index == 1
+
+
+def _starts(f, sizes=(1e-2, 1e-1, 1.0)):
+    gap = harmonic_field(G, 1, 0, amplitude=1.0, normalized=True)
+    return [SpectralField(G, f.coeffs + s * gap.coeffs) for s in sizes]
+
+
+def test_plain_path_is_shared_across_nudged_starts():
+    # one plain march serves every nudged start; each stacked copy agrees with
+    # its one-start run to the solve tolerance (the stop is batch-wide)
+    f = random_field(G, seed=7, rms=1.0)
+    ids = np.arange(4)
+    np_ = _nudge()
+    starts = _starts(f)
+    pairs = coupled_ensembles(f, starts, 40, np_, BASIS8, seed=5, trajectory_ids=ids,
+                              keep_states=True)
+    assert len(pairs) == 3
+    for start, pair in zip(starts, pairs):
+        solo = coupled_ensemble(f, start, 40, np_, BASIS8, seed=5, trajectory_ids=ids,
+                                keep_states=True)
+        assert pair.primary is pairs[0].primary
+        assert np.array_equal(pair.primary.energy_sq, solo.primary.energy_sq)
+        assert np.array_equal(pair.primary.states, solo.primary.states)
+        # each run solves step j within tol * scale_j, scale_j >= |xi_tilde^j|, so
+        # the two stay within the solve errors of both runs summed over the steps
+        # (one step alone differs by up to 1.7 tol * scale_j here)
+        norms = np.sqrt(solo.nudged.energy_sq)
+        summed = np.concatenate([np.zeros_like(norms[:1]), np.cumsum(norms[1:], axis=0)])
+        bound = 2.0 * P.tol * summed
+        diff = spectral.norm_l2(pair.nudged.states - solo.nudged.states)
+        assert np.all(diff <= bound)
+        # | |zeta_a| - |zeta_b| | <= |zeta_a - zeta_b| = |xi_tilde_a - xi_tilde_b|
+        gap_diff = np.abs(np.sqrt(pair.gaps_sq) - np.sqrt(solo.gaps_sq))
+        assert np.all(gap_diff <= bound)
+        assert np.allclose(pair.shifts, solo.shifts, rtol=0.0,
+                           atol=1e-9 * np.max(np.abs(solo.shifts)))
+
+
+def test_stacked_nudged_batch_reports_failing_step_index():
+    f = random_field(G, seed=4, rms=1.0)
+    # the plain step and the other copies succeed; the middle copy meets the NaN
+    starts = _starts(f)
+    bad = starts[1].coeffs.copy()
+    bad[3] = np.nan
+    starts[1] = SpectralField(G, bad)
+    with pytest.raises(SolverError) as err:
+        coupled_ensembles(f, starts, 5, _nudge(), BASIS8, seed=3,
+                          trajectory_ids=np.arange(2))
     assert err.value.step_index == 1
 
 

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from snselab import integrator, spectral
 from snselab.errors import ConfigError, FitError
 from snselab.experiments import (ContractionConfig, HolderConfig,
                                  InitialCondition, ObservableSpec,
                                  SpatialOrderConfig, StationaryBiasConfig,
                                  TemporalOrderConfig, WeakErrorConfig,
-                                 clipped_energy, fit_rate, holder_study,
-                                 low_mode_re, smoothed_energy,
+                                 clipped_energy, contraction_study, fit_rate,
+                                 holder_study, low_mode_re, smoothed_energy,
                                  spatial_order_study, temporal_order_study,
                                  weak_error_study)
 from snselab.measures import DistanceParams
@@ -278,6 +279,40 @@ def test_contraction_identical_initial_data_zero_series():
         # zero gap leaves nothing to fit: every coupled bound is zero
         import snselab.experiments as exp
         exp.contraction_study(cfg, seed=0)
+
+
+def test_contraction_pair_marches_as_one_batch(monkeypatch):
+    # each half of the one-batch march agrees with a march of that half alone
+    # on the same tape, to the solve tolerance; the report replays bit for bit
+    cfg = ContractionConfig(shells_list=(3, 4), deltas=(0.02, 0.01), horizon=1.0,
+                            record_time=0.25, ensemble=4, forcing_shells=2)
+    calls, run_scheme = [], integrator.run_scheme
+
+    def recording(grid, c0, n_steps, p, basis, increments, **kw):
+        run = run_scheme(grid, c0, n_steps, p, basis, increments, **kw)
+        calls.append((grid, c0, n_steps, p, basis, kw, run))
+        return run
+
+    monkeypatch.setattr(integrator, "run_scheme", recording)
+    first = contraction_study(cfg, seed=3)
+    monkeypatch.undo()
+    assert len(calls) == 4
+    m = cfg.ensemble
+    for grid, c0, n_steps, p, basis, kw, run in calls:
+        assert c0.shape[0] == 2 * m
+        for half in (slice(0, m), slice(m, 2 * m)):
+            tape = integrator.batch_increments(3, np.arange(m), 1, basis.d, p.delta)
+            solo = run_scheme(grid, c0[half], n_steps, p, basis, tape, **kw)
+            # each run solves step j within tol * scale_j, scale_j >= |xi^j|: the
+            # two stay within the solve errors of both summed over the steps
+            norms = np.sqrt(solo.energy_sq)
+            summed = np.concatenate([np.zeros_like(norms[:1]), np.cumsum(norms[1:], axis=0)])
+            bound = 2.0 * p.tol * summed[solo.step_indices]
+            diff = spectral.norm_l2(run.states[:, half] - solo.states)
+            assert np.all(diff <= bound)
+    second = contraction_study(cfg, seed=3)
+    assert repr((first.tables, first.scalars, first.checks)) == repr(
+        (second.tables, second.scalars, second.checks))
 
 
 def test_weak_error_bounded_by_strong_component():

@@ -164,9 +164,10 @@ def test_solve_is_within_tol_of_dense_solve(shells, m, rms, delta, solver, seed)
 
 # stalls from random step solves: the increment ratio hovers at 0.9-1.0
 # without growing, and only the projected stop sweep ends the fixed point
-# before MAX_SWEEPS
+# before MAX_SWEEPS; in the last one it alternates 0.81, 0.997, 0.81, ...,
+# which only the two-sweep ratio sees as a steady rate
 @pytest.mark.parametrize("shells, m, rms, seed", [(10, 1, 30.0, 4), (10, 3, 30.0, 0),
-                                                  (16, 1, 40.0, 5)])
+                                                  (16, 1, 40.0, 5), (8, 1, 33.0, 969482)])
 def test_stalled_fixed_point_hands_over_early(monkeypatch, shells, m, rms, seed):
     sweeps, handed_over_at = [], []
 
