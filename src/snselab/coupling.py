@@ -13,9 +13,10 @@ turns the nudged run back into the plain scheme, so the path-space cost
 delta sum_j |psi_j|^2 bounds the Kullback-Leibler divergence (and through
 it the total variation distance) between the two time-marginal laws.
 
-Both systems advance on one noise tape; the plain system is advanced
-first within each step because the control term references xi^n at the
-new time level.
+Both systems advance on one noise tape.  The plain batch marches in
+`integrator.run_scheme`, and its observer steps the nudged copies after
+each plain step, because the control term references xi^n at the new
+time level; the copies record through their own `integrator.MarchRecord`.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ import numpy as np
 from . import forcing as forcing_mod
 from . import integrator as integ
 from . import spectral
-from .errors import ConfigError, RangeError, SolverError
+from .errors import ConfigError, RangeError
 from .forcing import ForcingBasis, NoiseStream
 from .integrator import EnsembleRun, SchemeParams, Trajectory
 from .spectral import SpectralField, SpectralGrid
+
+SHIFT_TOL = 1e-8   # relative residual above which a shift leaves range(sigma)
 
 
 @dataclass(frozen=True)
@@ -114,20 +117,19 @@ def nudged_step(xi_tilde_prev: SpectralField, xi_target_new: SpectralField,
 def _coupled_run(grid: SpectralGrid, c0: np.ndarray, ct0: np.ndarray, n_steps: int,
                  np_: NudgeParams, basis: ForcingBasis, increments,
                  record_stride: int = 1, compute_shifts: bool = True,
-                 keep_states: bool = False, shift_tol: float = 1e-8):
-    """Advance a plain batch and k nudged copies on one tape; record gaps and shifts.
+                 keep_states: bool = False):
+    """March a plain batch with `integ.run_scheme` and step k nudged copies
+    after each of its steps; record gaps and shifts.
 
     ``c0`` holds M plain rows and ``ct0`` k * M nudged rows: copy j takes
     rows j M .. (j+1) M - 1, and each row i is nudged toward plain row
-    i mod M.  The plain batch marches once; the k copies march as one
-    batch on the plain batch's noise, repeated k times along the member
-    axis.  Both batches march as packed states; complex coefficients are
-    written only into the recorded states.
+    i mod M.  The k copies march as one packed batch on the plain batch's
+    noise, repeated k times along the member axis, and each batch's
+    ``iterations`` counts its own sweeps.
     """
     p = np_.base
     b = basis.project_to(grid)
     mask = grid.mode_mask(np_.shells_controlled).astype(np.float64)
-    system = integ.step_system(grid, p)
     system_n = integ.step_system(grid, p, p.delta * np_.beta * mask)
     mask = np.concatenate([mask, mask])   # P_K on packed states
     nudge = p.delta * np_.beta * mask
@@ -138,48 +140,21 @@ def _coupled_run(grid: SpectralGrid, c0: np.ndarray, ct0: np.ndarray, n_steps: i
     k = mt // m
 
     pinv_t = forcing_mod.pinv_matrix(b).T if compute_shifts else None
-
-    n_rec = n_steps // record_stride + 1
-    rec_idx = np.empty(n_rec, dtype=np.int64)
-    states = np.empty((n_rec, m, grid.n_half), dtype=np.complex128) if keep_states else None
-    states_t = (np.empty((n_rec, mt, grid.n_half), dtype=np.complex128)
-                if keep_states else None)
+    rec_t = integ.MarchRecord(grid, ct, n_steps, record_stride, keep_states)
+    iters_t = np.zeros(n_steps, dtype=np.int64)
     gaps = np.empty((n_steps + 1, mt))
     shifts = np.empty((n_steps, mt, b.d)) if compute_shifts else None
-    energy = np.empty((n_steps + 1, m))
-    energy_t = np.empty((n_steps + 1, mt))
-    h1 = np.empty((n_steps + 1, m))
-    h1_t = np.empty((n_steps + 1, mt))
-    iters = np.zeros(n_steps, dtype=np.int64)
+    gaps[0] = spectral.packed_norm_sq(ct - np.tile(c, (k, 1)))
 
-    def record(step, slot):
-        rec_idx[slot] = step
-        if keep_states:
-            states[slot], states_t[slot] = spectral.unpack(c), spectral.unpack(ct)
-
-    c_k = np.tile(c, (k, 1))   # plain row i mod M beside each nudged row
-    gaps[0] = spectral.packed_norm_sq(ct - c_k)
-    energy[0], energy_t[0] = spectral.packed_norm_sq(c), spectral.packed_norm_sq(ct)
-    h1[0] = spectral.packed_norm_sq(c, grid.lam_packed)
-    h1_t[0] = spectral.packed_norm_sq(ct, grid.lam_packed)
-    record(0, 0)
-    slot = 1
-
-    for step, noise, nscale in integ.tape_steps(n_steps, b, increments):
-        try:
-            # plain system first: the control references xi^n at the new level
-            c, it1 = integ._advance_one(grid, c, noise, system, nscale,
-                                        c_norm=np.sqrt(energy[step - 1]))
-            energy[step] = spectral.packed_norm_sq(c)
-            c_k = np.tile(c, (k, 1))
-            ct, it2 = integ._advance_one(
-                grid, ct, np.tile(noise, (k, 1)), system_n, np.tile(nscale, k),
-                rhs_extra=nudge * c_k,
-                extra_scale=np.tile(np_.beta * p.delta * np.sqrt(energy[step]), k),
-                c_norm=np.sqrt(energy_t[step - 1]))
-        except SolverError as err:
-            err.step_index = step
-            raise
+    def follow(step, c, noise, nscale):
+        # the control references xi^n at the new level, so the plain step comes first
+        nonlocal ct
+        c_k = np.tile(c, (k, 1))   # plain row i mod M beside each nudged row
+        ct, iters_t[step - 1] = integ._advance_one(
+            grid, ct, np.tile(noise, (k, 1)), system_n, np.tile(nscale, k),
+            rhs_extra=nudge * c_k,
+            extra_scale=np.tile(np_.beta * p.delta * np.sqrt(spectral.packed_norm_sq(c)), k),
+            c_norm=np.sqrt(rec_t.energy[step - 1]))
         zeta = ct - c_k
         gaps[step] = spectral.packed_norm_sq(zeta)
         if compute_shifts:
@@ -187,25 +162,17 @@ def _coupled_run(grid: SpectralGrid, c0: np.ndarray, ct0: np.ndarray, n_steps: i
             eta = zk @ pinv_t
             resid = np.sqrt(spectral.packed_norm_sq(eta @ b.packed - zk))
             znorm = np.sqrt(spectral.packed_norm_sq(zk))
-            bad = resid > shift_tol * np.maximum(znorm, 1e-300)
+            bad = resid > SHIFT_TOL * np.maximum(znorm, 1e-300)
             if np.any(bad & (znorm > 0)):
                 raise RangeError(
                     f"controlled modes left range(sigma) at step {step}",
                     float(np.max(resid)))
             shifts[step - 1] = -np_.beta * eta
-        energy_t[step] = spectral.packed_norm_sq(ct)
-        h1[step] = spectral.packed_norm_sq(c, grid.lam_packed)
-        h1_t[step] = spectral.packed_norm_sq(ct, grid.lam_packed)
-        iters[step - 1] = max(it1, it2)
-        if step % record_stride == 0:
-            record(step, slot)
-            slot += 1
+        rec_t.push(step, ct)
 
-    primary = EnsembleRun(grid, p, rec_idx[:slot],
-                          states[:slot] if keep_states else None, energy, h1, iters)
-    nudged = EnsembleRun(grid, p, rec_idx[:slot],
-                         states_t[:slot] if keep_states else None, energy_t, h1_t, iters)
-    return primary, nudged, gaps, shifts
+    primary = integ.run_scheme(grid, c0, n_steps, p, basis, increments, record_stride,
+                               keep_states, observer=follow)
+    return primary, rec_t.run(p, iters_t), gaps, shifts
 
 
 def coupled_simulate(xi0: SpectralField, xi_tilde0: SpectralField, n_steps: int,
@@ -262,16 +229,6 @@ def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
         pairs.append(CoupledPair(primary, copy, gaps[:, rows],
                                  shifts[:, rows] if compute_shifts else None, np_))
     return pairs
-
-
-def coupled_ensemble(xi0: SpectralField, xi_tilde0: SpectralField, n_steps: int,
-                     np_: NudgeParams, basis: ForcingBasis, seed: int,
-                     trajectory_ids, record_stride: int = 1,
-                     compute_shifts: bool = True,
-                     keep_states: bool = False) -> CoupledPair:
-    """Batched coupled pairs, one tape per trajectory id."""
-    return coupled_ensembles(xi0, [xi_tilde0], n_steps, np_, basis, seed, trajectory_ids,
-                             record_stride, compute_shifts, keep_states)[0]
 
 
 # -- information-theoretic cost -----------------------------------------------

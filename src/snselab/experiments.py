@@ -669,13 +669,8 @@ def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
 
 def fit_series_exponential(times: np.ndarray, values: np.ndarray) -> dict:
     """Linear fit of log(values) against time; slope is the decay exponent."""
-    y = np.log(values)
-    slope, intercept = np.polyfit(times, y, 1)
-    pred = slope * times + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot <= 1e-30 else max(0.0, 1.0 - ss_res / ss_tot)
-    return {"slope": float(slope), "intercept": float(intercept), "r_squared": r2}
+    slope, intercept, r2 = _lsq_loglog(times, np.log(values))
+    return {"slope": slope, "intercept": intercept, "r_squared": r2}
 
 
 # -- weak error across the (N, delta) grid ------------------------------------------------
@@ -832,8 +827,8 @@ def stationary_bias_study(cfg: StationaryBiasConfig, seed: int) -> StudyReport:
         """Per-step observable values (n_steps, M) of one run from c0."""
         vals = np.empty((n_steps, len(traj_ids)))
 
-        def watch(step, coeffs):
-            vals[step - 1] = obs.evaluate(grid, coeffs)
+        def watch(step, c, noise, noise_scale):
+            vals[step - 1] = obs.evaluate(grid, spectral.unpack(c))
 
         inc = integ.batch_increments(tape_seed, traj_ids, 1, basis.d, cfg.delta)
         c0 = np.broadcast_to(c0, (len(traj_ids), grid.n_half))

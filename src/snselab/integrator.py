@@ -29,8 +29,13 @@ One kernel, `_advance_one`, takes every step: the plain scheme by default,
 and the nudged scheme when the caller adds delta beta P_K to the diagonal
 of its `StepSystem` and passes the matching right-hand-side term.  One
 generator, `tape_steps`, walks an increment provider in `INCREMENT_CHUNK`
-pieces and turns each Brownian increment into its noise coefficients;
-every march loop (`run_scheme`, the coupled run) iterates over it.
+pieces and turns each Brownian increment into its noise coefficients,
+and one march loop, `run_scheme`, iterates over it.  Its observer sees
+each step's packed state and noise, which is how the coupled run steps
+its nudged copies after the plain batch, and one `MarchRecord` per batch
+holds the per-step energies and the strided states.  The temporal ladder
+of `experiments` keeps its own base-cell walk, because each of its rungs
+sums base cells.
 """
 
 from __future__ import annotations
@@ -394,65 +399,79 @@ def tape_steps(n_steps: int, basis: ForcingBasis | None, increments):
             yield pos + j + 1, noise, np.sqrt(spectral.packed_norm_sq(noise))
 
 
+class MarchRecord:
+    """What a march records of one batch: |c|^2 and |grad c|^2 of every
+    row at every step, and the step numbers and (if ``keep_states``)
+    complex states of every ``stride``-th step.  Construction records
+    step 0 from the packed start ``c``."""
+
+    def __init__(self, grid: SpectralGrid, c: np.ndarray, n_steps: int, stride: int,
+                 keep_states: bool):
+        if stride < 1:
+            raise ConfigError("record stride must be >= 1", field="record_stride")
+        n_rec, m = n_steps // stride + 1, c.shape[0]
+        self.grid, self.stride, self.slot = grid, stride, 0
+        self.states = (np.empty((n_rec, m, grid.n_half), dtype=np.complex128)
+                       if keep_states else None)
+        self.energy = np.empty((n_steps + 1, m))
+        self.h1 = np.empty((n_steps + 1, m))
+        self.rec_idx = np.empty(n_rec, dtype=np.int64)
+        self.push(0, c)
+
+    def push(self, step: int, c: np.ndarray) -> None:
+        self.energy[step] = spectral.packed_norm_sq(c)
+        self.h1[step] = spectral.packed_norm_sq(c, self.grid.lam_packed)
+        if step % self.stride == 0:
+            self.rec_idx[self.slot] = step
+            if self.states is not None:
+                self.states[self.slot] = spectral.unpack(c)
+            self.slot += 1
+
+    def run(self, p: SchemeParams, iterations: np.ndarray) -> EnsembleRun:
+        n = self.slot
+        return EnsembleRun(self.grid, p, self.rec_idx[:n],
+                           self.states[:n] if self.states is not None else None,
+                           self.energy, self.h1, iterations)
+
+
 def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams,
                basis: ForcingBasis | None, increments, record_stride: int = 1,
                keep_states: bool = True,
-               observer: Callable[[int, np.ndarray], None] | None = None) -> EnsembleRun:
+               observer: Callable[..., None] | None = None) -> EnsembleRun:
     """March a batch of states n_steps forward.
 
     ``c0`` holds complex coefficients, (n_half,) or (M, n_half); the march
     itself runs on packed states and unpacks only what it hands out.
     ``increments`` is a provider (n0, n1) -> Brownian increments
     (steps, M, d), or None for the unforced scheme.  ``observer`` is
-    called as observer(step, coeffs) after every step (step >= 1).
+    called as observer(step, c, noise, noise_scale) after every step
+    (step >= 1) with the packed state and the step's packed noise; a
+    `SolverError` it raises carries the step index like one of the march.
     """
     if p.shells != grid.shells:
         raise StructuralError("params cutoff differs from grid")
-    if record_stride < 1:
-        raise ConfigError("record stride must be >= 1", field="record_stride")
     c = spectral.pack(np.asarray(c0, dtype=np.complex128))
     if c.ndim == 1:
         c = c[None, :]
-    m = c.shape[0]
     b = basis.project_to(grid) if basis is not None else None
     system = step_system(grid, p)
-
-    n_rec = n_steps // record_stride + 1
-    states = np.empty((n_rec, m, grid.n_half), dtype=np.complex128) if keep_states else None
-    energy = np.empty((n_steps + 1, m))
-    h1 = np.empty((n_steps + 1, m))
+    rec = MarchRecord(grid, c, n_steps, record_stride, keep_states)
     iters = np.zeros(n_steps, dtype=np.int64)
-    rec_idx = np.empty(n_rec, dtype=np.int64)
-
-    def record(step, slot):
-        rec_idx[slot] = step
-        if keep_states:
-            states[slot] = spectral.unpack(c)
-
-    energy[0] = spectral.packed_norm_sq(c)
-    h1[0] = spectral.packed_norm_sq(c, grid.lam_packed)
-    record(0, 0)
-    slot = 1
 
     for step, noise, noise_scale in tape_steps(n_steps, b, increments):
         try:
             # |c_prev| is the square root of the energy recorded last step
             c, sweeps = _advance_one(grid, c, noise, system, noise_scale,
-                                     c_norm=np.sqrt(energy[step - 1]))
+                                     c_norm=np.sqrt(rec.energy[step - 1]))
+            if observer is not None:
+                observer(step, c, noise, noise_scale)
         except SolverError as err:
             err.step_index = step
             raise
         iters[step - 1] = sweeps
-        energy[step] = spectral.packed_norm_sq(c)
-        h1[step] = spectral.packed_norm_sq(c, grid.lam_packed)
-        if observer is not None:
-            observer(step, spectral.unpack(c))
-        if step % record_stride == 0:
-            record(step, slot)
-            slot += 1
+        rec.push(step, c)
 
-    return EnsembleRun(grid, p, rec_idx[:slot], states[:slot] if keep_states else None,
-                       energy, h1, iters)
+    return rec.run(p, iters)
 
 
 def simulate(xi0: SpectralField, n_steps: int, p: SchemeParams,

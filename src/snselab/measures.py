@@ -146,16 +146,22 @@ def _pair_dists(a: Ensemble, b: Ensemble) -> np.ndarray:
     return out
 
 
-def cost_matrix(a: Ensemble, b: Ensemble, cost: str, dp: DistanceParams) -> np.ndarray:
-    if a.grid != b.grid:
-        raise StructuralError("ensembles live on different grids")
-    base = rho_from_dist(_pair_dists(a, b), dp)
+def _price(dist, norm_sq_a, norm_sq_b, cost: str, dp: DistanceParams) -> np.ndarray:
+    """``cost`` of pairs at separation ``dist`` with squared norms
+    ``norm_sq_a`` and ``norm_sq_b`` (any shapes that broadcast together)."""
+    base = rho_from_dist(dist, dp)
     if cost == "rho":
         return base
     if cost == "rho_weighted":
-        logw = dp.alpha * (a.norm_sq[:, None] + b.norm_sq[None, :])
+        logw = dp.alpha * (norm_sq_a + norm_sq_b)
         return np.sqrt(base) * np.exp(np.minimum(logw, 700.0))
     raise ConfigError(f"unknown cost {cost!r}", field="cost")
+
+
+def cost_matrix(a: Ensemble, b: Ensemble, cost: str, dp: DistanceParams) -> np.ndarray:
+    if a.grid != b.grid:
+        raise StructuralError("ensembles live on different grids")
+    return _price(_pair_dists(a, b), a.norm_sq[:, None], b.norm_sq[None, :], cost, dp)
 
 
 @dataclass(frozen=True)
@@ -212,15 +218,7 @@ def wasserstein_coupled_bound(a_members, b_members, cost: str, dp: DistanceParam
     b = np.asarray(b_members)
     if a.shape != b.shape:
         raise StructuralError("pair arrays must have matching shapes")
-    dist = np.sqrt(norm_l2_sq(a - b))
-    base = rho_from_dist(dist, dp)
-    if cost == "rho":
-        vals = base
-    elif cost == "rho_weighted":
-        logw = dp.alpha * (norm_l2_sq(a) + norm_l2_sq(b))
-        vals = np.sqrt(base) * np.exp(np.minimum(logw, 700.0))
-    else:
-        raise ConfigError(f"unknown cost {cost!r}", field="cost")
+    vals = _price(np.sqrt(norm_l2_sq(a - b)), norm_l2_sq(a), norm_l2_sq(b), cost, dp)
     if weights is None:
         return float(np.mean(vals))
     w = np.asarray(weights)

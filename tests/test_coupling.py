@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from snselab import spectral
-from snselab.coupling import (CoupledPair, NudgeParams, coupled_ensemble,
-                              coupled_ensembles, coupled_simulate, girsanov_cost, kl_majorant,
+from snselab.coupling import (CoupledPair, NudgeParams, coupled_ensembles,
+                              coupled_simulate, girsanov_cost, kl_majorant,
                               nudged_step, pathwise_contraction_check,
                               propose_beta, shifted_tape_increments)
 from snselab.errors import ConfigError, RangeError, SolverError
@@ -59,8 +59,8 @@ def test_beta_zero_coupled_walk_is_run_scheme():
     # kernel call is the plain one, bit for bit
     f = random_field(G, seed=7, rms=1.0)
     ids = np.arange(3)
-    pair = coupled_ensemble(f, f, 300, _nudge(beta=0.0), BASIS8, seed=17,
-                            trajectory_ids=ids, compute_shifts=False, keep_states=True)
+    pair = coupled_ensembles(f, [f], 300, _nudge(beta=0.0), BASIS8, seed=17,
+                             trajectory_ids=ids, compute_shifts=False, keep_states=True)[0]
     run = run_scheme(G, np.broadcast_to(f.coeffs, (3, G.n_half)), 300, P, BASIS8,
                      batch_increments(17, ids, 1, BASIS8.d, P.delta))
     assert np.array_equal(pair.primary.states, run.states)
@@ -94,8 +94,8 @@ def test_plain_path_is_shared_across_nudged_starts():
                               keep_states=True)
     assert len(pairs) == 3
     for start, pair in zip(starts, pairs):
-        solo = coupled_ensemble(f, start, 40, np_, BASIS8, seed=5, trajectory_ids=ids,
-                                keep_states=True)
+        solo = coupled_ensembles(f, [start], 40, np_, BASIS8, seed=5, trajectory_ids=ids,
+                                 keep_states=True)[0]
         assert pair.primary is pairs[0].primary
         assert np.array_equal(pair.primary.energy_sq, solo.primary.energy_sq)
         assert np.array_equal(pair.primary.states, solo.primary.states)
@@ -112,6 +112,21 @@ def test_plain_path_is_shared_across_nudged_starts():
         assert np.all(gap_diff <= bound)
         assert np.allclose(pair.shifts, solo.shifts, rtol=0.0,
                            atol=1e-9 * np.max(np.abs(solo.shifts)))
+
+
+def test_plain_path_does_not_depend_on_nudged_copies():
+    # the plain batch of a coupled run is the run_scheme march of its tape, bit
+    # for bit, and its iterations count its own sweeps; 300 steps cross a chunk
+    f = random_field(G, seed=7, rms=1.0)
+    ids = np.arange(3)
+    pair = coupled_ensembles(f, _starts(f), 300, _nudge(), BASIS8, seed=17,
+                             trajectory_ids=ids, keep_states=True)[0]
+    run = run_scheme(G, np.broadcast_to(f.coeffs, (3, G.n_half)), 300, P, BASIS8,
+                     batch_increments(17, ids, 1, BASIS8.d, P.delta))
+    assert np.array_equal(pair.primary.states, run.states)
+    assert np.array_equal(pair.primary.energy_sq, run.energy_sq)
+    assert np.array_equal(pair.primary.h1_sq, run.h1_sq)
+    assert np.array_equal(pair.primary.iterations, run.iterations)
 
 
 def test_stacked_nudged_batch_reports_failing_step_index():
@@ -153,8 +168,8 @@ def test_gap_decays_in_paper_regime():
     f = random_field(G, seed=6, rms=1.0)
     g = SpectralField(G, f.coeffs + 1e-2 * harmonic_field(
         G, 1, 0, "cos", normalized=True).coeffs)
-    pair = coupled_ensemble(f, g, 400, np_, BASIS8, seed=11,
-                            trajectory_ids=np.arange(16))
+    pair = coupled_ensembles(f, [g], 400, np_, BASIS8, seed=11,
+                             trajectory_ids=np.arange(16))[0]
     mean_gap = np.mean(pair.gaps_sq, axis=1)
     assert mean_gap[-1] <= 1e-3 * mean_gap[0]
     fit = pathwise_contraction_check(pair)
@@ -236,8 +251,8 @@ def test_kl_against_majorant_shape():
     f = random_field(G, seed=12, rms=1.0)
     g = SpectralField(G, f.coeffs + 1e-1 * harmonic_field(
         G, 1, 0, "cos", normalized=True).coeffs)
-    pair = coupled_ensemble(f, g, 600, np_, BASIS8, seed=13,
-                            trajectory_ids=np.arange(8))
+    pair = coupled_ensembles(f, [g], 600, np_, BASIS8, seed=13,
+                             trajectory_ids=np.arange(8))[0]
     cost = girsanov_cost(pair)
     major = kl_majorant(np_, BASIS8, float(pair.gaps_sq[0].mean()))
     assert np.isfinite(cost.kl_mean) and cost.kl_mean > 0

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from snselab import integrator, spectral
-from snselab.coupling import NudgeParams, coupled_ensemble, propose_beta
+from snselab.coupling import NudgeParams, coupled_ensembles, propose_beta
 from snselab.errors import ConfigError, SolverError
 from snselab.forcing import NoiseStream, low_mode_basis
 from snselab.integrator import (SchemeParams, _advance_one, energy_identity_residual,
@@ -248,8 +248,8 @@ def test_error_bound_stop_never_sweeps_more_than_increment_stop(
     xi0 = random_field(grid, seed=2, rms=rms)
     if nudged:
         np_ = NudgeParams(4, propose_beta(4, p)["beta"], p)
-        coupled_ensemble(xi0, random_field(grid, seed=3, rms=rms), steps, np_, basis,
-                         seed=5, trajectory_ids=range(m), compute_shifts=False)
+        coupled_ensembles(xi0, [random_field(grid, seed=3, rms=rms)], steps, np_, basis,
+                          seed=5, trajectory_ids=range(m), compute_shifts=False)
     else:
         simulate_ensemble(xi0, steps, p, basis, 5, range(m), keep_states=False)
     new, old = np.array(counts).T

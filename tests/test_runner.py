@@ -345,21 +345,35 @@ def test_replay_reproduces_bytes(tmp_path):
         assert twin.read_bytes() == orig.read_bytes()
 
 
-def test_thread_count_changes_nothing(tmp_path):
-    cfgp = _fast_couple_config(tmp_path)
+def _fast_contraction_config(tmp_path):
+    # four (shells, delta) cells, so `_pmap` runs them on more than one thread
+    return _write_config(tmp_path, """
+[experiment]
+shells_list = 3, 4
+deltas = 0.02, 0.01
+horizon = 1.0
+record_time = 0.25
+ensemble = 8
+""")
+
+
+@pytest.mark.parametrize("subcommand, make_config", [
+    ("couple", _fast_couple_config), ("contraction", _fast_contraction_config)],
+    ids=["couple", "contraction"])
+def test_thread_count_changes_nothing(tmp_path, subcommand, make_config):
+    cfgp = make_config(tmp_path)
     outs = []
     for threads in (1, 4):
         out = tmp_path / f"threads{threads}"
-        code = main(["couple", "--config", cfgp, "--seed", "5",
+        code = main([subcommand, "--config", cfgp, "--seed", "5",
                      "--threads", str(threads), "--out", str(out)])
         assert code == EXIT_OK
         outs.append(out)
-    a = (outs[0] / "tables" / "gap_series.csv").read_bytes()
-    b = (outs[1] / "tables" / "gap_series.csv").read_bytes()
-    assert a == b
-    sa = json.loads((outs[0] / "summary.json").read_text())
-    sb = json.loads((outs[1] / "summary.json").read_text())
-    assert sa["scalars"] == sb["scalars"]
+    files = sorted(f.relative_to(outs[0]) for f in outs[0].rglob("*") if f.is_file())
+    assert files == sorted(f.relative_to(outs[1]) for f in outs[1].rglob("*") if f.is_file())
+    assert (outs[0] / "tables").is_dir()
+    for f in files:
+        assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes(), f
 
 
 def test_enforce_gates_exit_code(tmp_path):
