@@ -11,13 +11,11 @@ from .spectral import (SpectralField, SpectralGrid, VelocityField, advect, axpy,
                        biot_savart, harmonic_field, inner, load_field, make_grid,
                        project, random_field, save_field, scale, sobolev_norm,
                        zero_field)
-from .forcing import (ForcingBasis, NoiseStream, apply, check_nondegeneracy,
-                      low_mode_basis, pseudo_inverse_apply, sample_increment)
-from .integrator import (SchemeParams, Trajectory, moment_probe,
-                         reference_simulate, semi_implicit_step, simulate,
-                         simulate_ensemble)
-from .coupling import (CoupledPair, NudgeParams, coupled_simulate, girsanov_cost,
-                       nudged_step, pathwise_contraction_check, propose_beta)
+from .forcing import (ForcingBasis, apply, check_nondegeneracy, low_mode_basis,
+                      pseudo_inverse_apply)
+from .integrator import EnsembleRun, SchemeParams, batch_increments, run_scheme
+from .coupling import (CoupledPair, NudgeParams, coupled_ensembles, girsanov_cost,
+                       pathwise_contraction_check, propose_beta)
 from .measures import (DistanceParams, Ensemble, certify_triangle, rho,
                        rho_weighted, wasserstein_coupled_bound, wasserstein_exact)
 from .experiments import (InitialCondition, ObservableSpec, RateFit, StudyReport,

@@ -29,8 +29,8 @@ from . import forcing as forcing_mod
 from . import integrator as integ
 from . import spectral
 from .errors import ConfigError, RangeError
-from .forcing import ForcingBasis, NoiseStream
-from .integrator import EnsembleRun, SchemeParams, Trajectory
+from .forcing import ForcingBasis
+from .integrator import EnsembleRun, SchemeParams
 from .spectral import SpectralField, SpectralGrid
 
 SHIFT_TOL = 1e-8   # relative residual above which a shift leaves range(sigma)
@@ -84,34 +84,13 @@ def propose_beta(shells_controlled: int, base: SchemeParams,
 
 @dataclass
 class CoupledPair:
-    """A plain trajectory, its nudged shadow, and the coupling records."""
+    """A plain ensemble, its nudged shadow, and the coupling records."""
 
-    primary: Trajectory | EnsembleRun
-    nudged: Trajectory | EnsembleRun
-    gaps_sq: np.ndarray            # |zeta^n|^2, shape (n_steps+1,) or (n_steps+1, M)
-    shifts: np.ndarray | None      # psi_j, shape (n_steps, d) or (n_steps, M, d)
+    primary: EnsembleRun
+    nudged: EnsembleRun
+    gaps_sq: np.ndarray            # |zeta^n|^2, shape (n_steps+1, M)
+    shifts: np.ndarray | None      # psi_j, shape (n_steps, M, d)
     params: NudgeParams
-
-    @property
-    def times(self) -> np.ndarray:
-        n = self.gaps_sq.shape[0]
-        return np.arange(n) * self.params.base.delta
-
-
-def nudged_step(xi_tilde_prev: SpectralField, xi_target_new: SpectralField,
-                eta: np.ndarray | None, np_: NudgeParams,
-                basis: ForcingBasis | None) -> SpectralField:
-    """One nudged step; the control enters the diagonal of the solve."""
-    grid = xi_tilde_prev.grid
-    p = np_.base
-    mask = grid.mode_mask(np_.shells_controlled).astype(np.float64)
-    system = integ.step_system(grid, p, p.delta * np_.beta * mask)
-    rhs_extra = spectral.pack(p.delta * np_.beta * mask * xi_target_new.coeffs)
-    noise, noise_scale = integ._eta_noise(grid, eta, p.delta, basis)
-    c, _ = integ._advance_one(grid, spectral.pack(xi_tilde_prev.coeffs), noise, system,
-                              noise_scale, rhs_extra,
-                              np.sqrt(spectral.packed_norm_sq(rhs_extra)))
-    return SpectralField(grid, spectral.unpack(c))
 
 
 def _coupled_run(grid: SpectralGrid, c0: np.ndarray, ct0: np.ndarray, n_steps: int,
@@ -173,29 +152,6 @@ def _coupled_run(grid: SpectralGrid, c0: np.ndarray, ct0: np.ndarray, n_steps: i
     primary = integ.run_scheme(grid, c0, n_steps, p, basis, increments, record_stride,
                                keep_states, observer=follow)
     return primary, rec_t.run(p, iters_t), gaps, shifts
-
-
-def coupled_simulate(xi0: SpectralField, xi_tilde0: SpectralField, n_steps: int,
-                     np_: NudgeParams, basis: ForcingBasis, stream: NoiseStream,
-                     record_stride: int = 1, compute_shifts: bool = True,
-                     keep_states: bool = False) -> CoupledPair:
-    """Advance the pair (plain, nudged) from two initial states on one tape."""
-    grid = np_.base.grid()
-    if compute_shifts:
-        rep = forcing_mod.check_nondegeneracy(basis.project_to(grid),
-                                              np_.shells_controlled)
-        if not rep.satisfied:
-            raise RangeError(
-                "shift reconstruction requested but forcing does not cover the "
-                f"controlled band (uncovered: {rep.witness[:4]}...)", float("nan"))
-    c0 = spectral.embed_coeffs(xi0.grid, grid, xi0.coeffs)
-    ct0 = spectral.embed_coeffs(xi_tilde0.grid, grid, xi_tilde0.coeffs)
-    inc = integ.stream_increments(stream, basis.d, np_.base.delta)
-    primary, nudged, gaps, shifts = _coupled_run(
-        grid, c0, ct0, n_steps, np_, basis, inc, record_stride,
-        compute_shifts, keep_states)
-    return CoupledPair(primary.member(0), nudged.member(0), gaps[:, 0],
-                       shifts[:, 0] if shifts is not None else None, np_)
 
 
 def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
@@ -301,7 +257,7 @@ def pathwise_contraction_check(pair: CoupledPair, band: float = 0.5,
     (numerical coupling floor) are excluded from the fit.  All-zero gaps
     report an exact coupling rather than an error.
     """
-    gaps = pair.gaps_sq if pair.gaps_sq.ndim == 1 else np.mean(pair.gaps_sq, axis=1)
+    gaps = np.mean(pair.gaps_sq, axis=1)
     theo = -0.75 * np.log1p(pair.params.beta * pair.params.base.delta)
     if gaps[0] == 0.0 or np.all(gaps == 0.0):
         return ContractionFit(True, None, theo, None, None, 0)
@@ -318,24 +274,3 @@ def pathwise_contraction_check(pair: CoupledPair, band: float = 0.5,
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     rate_ok = bool(-slope >= band * (-theo))
     return ContractionFit(False, float(slope), theo, r2, rate_ok, int(n.size))
-
-
-def shifted_tape_increments(pair: CoupledPair, basis: ForcingBasis,
-                            seed: int, trajectory_id: int):
-    """Increment provider for the shifted path W_hat read off a coupled run.
-
-    Over step n the shifted increment is DW_n + delta psi_n, the drift that
-    converts the plain scheme started from the nudged initial state into
-    the nudged trajectory (pathwise uniqueness identification).
-    """
-    if pair.shifts is None:
-        raise ConfigError("shifts were not recorded", field="compute_shifts")
-    p = pair.params.base
-    shifts = pair.shifts if pair.shifts.ndim == 2 else pair.shifts[:, 0, :]
-    stream = NoiseStream(seed, trajectory_id, 1)
-    base = integ.stream_increments(stream, basis.d, p.delta)
-
-    def provider(n0: int, n1: int) -> np.ndarray:
-        return base(n0, n1) + p.delta * shifts[n0:n1, None, :]
-
-    return provider

@@ -307,6 +307,7 @@ def temporal_order_study(cfg: TemporalOrderConfig, seed: int) -> StudyReport:
     _require(all(abs(r - round(r)) < 1e-9 for r in ratios),
              "rungs must be integer multiples of the smallest step", "deltas")
     _require(cfg.refine >= 2, "reference refinement must be >= 2", "refine")
+    _require(cfg.ensemble >= 1, "need >= 1 member", "ensemble")
     steps = [cfg.horizon / d for d in deltas]
     _require(all(abs(s - round(s)) < 1e-9 for s in steps),
              "horizon must be a whole number of steps at every rung", "horizon")
@@ -817,6 +818,7 @@ def stationary_bias_study(cfg: StationaryBiasConfig, seed: int) -> StudyReport:
              "burn-in must be shorter than the measured run", "mse_burn_steps")
     _require(0.0 < cfg.burn_fraction < 1.0, "burn fraction must be in (0,1)",
              "burn_fraction")
+    _require(cfg.replicas >= 2, "need >= 2 replicas for a standard error", "replicas")
     n_max = max(cfg.n_ladder)
     grid = make_grid(cfg.shells)
     basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
@@ -925,6 +927,8 @@ def coupling_study(cfg: CouplingStudyConfig, seed: int) -> StudyReport:
                  "shift reconstruction needs forcing covering the controlled band",
                  "forcing_shells")
     n_steps = round(cfg.horizon / cfg.delta)
+    _require(n_steps >= 1, "horizon must span at least one step", "horizon")
+    _require(cfg.ensemble >= 1, "need >= 1 member", "ensemble")
     xi0 = cfg.ic.build(grid, seed)
     gap_dir = spectral.harmonic_field(grid, *cfg.gap_mode, amplitude=1.0,
                                       normalized=True)
@@ -1025,8 +1029,11 @@ def lyapunov_study(cfg: LyapunovConfig, seed: int) -> StudyReport:
     cond_cap = cfg.nu / (4.0 * basis.variance)
     _require(alpha <= cond_cap + 1e-15,
              f"alpha={alpha} violates the moment condition cap {cond_cap}", "alpha")
+    _require(cfg.n_seeds >= 1, "need >= 1 seed", "n_seeds")
+    _require(cfg.ensemble >= 1, "need >= 1 member", "ensemble")
     p = SchemeParams(cfg.nu, cfg.delta, cfg.shells)
     n_steps = round(cfg.horizon / cfg.delta)
+    _require(n_steps >= 1, "horizon must span at least one step", "horizon")
     lam1 = 1.0
     c_const = (1.0 + cfg.nu * p.delta0) * basis.variance / cfg.nu
     traj = np.arange(cfg.ensemble)
@@ -1034,8 +1041,10 @@ def lyapunov_study(cfg: LyapunovConfig, seed: int) -> StudyReport:
     def run_seed(k: int) -> dict:
         sk = seed + k
         xi0 = cfg.ic.build(grid, sk)
-        run = integ.simulate_ensemble(xi0, n_steps, p, basis, sk, traj,
-                                      keep_states=False)
+        c0 = np.broadcast_to(xi0.coeffs, (cfg.ensemble, grid.n_half))
+        run = integ.run_scheme(grid, c0, n_steps, p, basis,
+                               integ.batch_increments(sk, traj, 1, basis.d, cfg.delta),
+                               keep_states=False)
         e0 = float(spectral.norm_l2_sq(xi0.coeffs))
         n = np.arange(n_steps + 1)
         envelope = np.exp(alpha * (2.0 * e0 / (1.0 + cfg.nu * lam1 * cfg.delta) ** n
@@ -1051,6 +1060,7 @@ def lyapunov_study(cfg: LyapunovConfig, seed: int) -> StudyReport:
     report.tables["seeds"] = rows
     report.scalars["alpha"] = alpha
     report.scalars["fraction_ok"] = n_ok / cfg.n_seeds
+    report.scalars["worst_ratio"] = max(r["worst"] for r in rows)
     floor = BANDS["exponential-lyapunov"]["fraction_ok"].lo
     report.checks["envelope_95pct"] = bool(n_ok >= int(np.ceil(floor * cfg.n_seeds)))
     return report

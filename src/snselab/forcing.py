@@ -8,8 +8,9 @@ low-mode nondegeneracy checkable by inspection.
 
 Noise tapes are index-addressed: the Gaussian for (trajectory, cell,
 component) is a pure function of the seed, so coupled runs, restarts, and
-parallel ensembles all read the same tape.  A stream's coarse increment
-over step n is *defined* as the sum of its fine_factor sub-increments,
+parallel ensembles all read the same tape.  A trajectory's coarse
+increment over step n is *defined* as the sum of its fine_factor
+sub-increments, cells n R .. n R + R - 1 (`integrator.batch_increments`),
 making coarse/fine couplings exact by construction.
 """
 
@@ -24,67 +25,21 @@ from .errors import RangeError, StructuralError
 from .spectral import SpectralField, SpectralGrid, TWO_PI_SQ
 
 
-# -- noise streams -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class NoiseStream:
-    """Descriptor of one trajectory's Brownian increment tape.
-
-    fine_factor R is the number of sub-steps per coarse step; sub-increment
-    (n, j) lives on tape cell n*R + j.
-    """
-
-    seed: int
-    trajectory_id: int
-    fine_factor: int = 1
-
-    def __post_init__(self):
-        if self.fine_factor < 1:
-            raise ValueError("fine_factor must be >= 1")
-
+# -- noise tapes ------------------------------------------------------------
 
 def gaussian_cells(seed: int, trajectory_ids, cells, d: int) -> np.ndarray:
     """Unit normals for tape cells, shape (n_traj, n_cells, d)."""
     return rng.standard_normals(seed, trajectory_ids, cells, d, tag=rng.Tag.NOISE)
 
 
-def sum_fine(fine_increments: np.ndarray, axis: int = 0) -> np.ndarray:
+def sum_fine(fines: np.ndarray, axis: int = 0) -> np.ndarray:
     """The one summation used to aggregate sub-increments everywhere.
 
     Keeping a single code path (reduction over a fixed leading axis) makes
     'coarse equals the sum of its fines' an exact identity rather than a
     floating-point coincidence.
     """
-    return np.add.reduce(np.moveaxis(fine_increments, axis, 0), axis=0)
-
-
-def sample_increment(stream: NoiseStream, n: int, level, *, d: int,
-                     delta: float) -> np.ndarray:
-    """Brownian increment of coarse step n (0-based) at the requested level.
-
-    level is "coarse" or ("fine", j) with 0 <= j < fine_factor; ``delta``
-    is the coarse step size.  Fine increments are sqrt(delta/R) times unit
-    normals; the coarse increment is their sum.
-    """
-    r = stream.fine_factor
-    if level == "coarse":
-        fines = fine_increments(stream, n, n + 1, d=d, delta=delta)[0]
-        return sum_fine(fines, axis=0)
-    kind, j = level
-    if kind != "fine" or not (0 <= j < r):
-        raise ValueError(f"bad level {level!r} for fine_factor {r}")
-    cell = n * r + j
-    g = gaussian_cells(stream.seed, [stream.trajectory_id], [cell], d)[0, 0]
-    return np.sqrt(delta / r) * g
-
-
-def fine_increments(stream: NoiseStream, n0: int, n1: int, *, d: int,
-                    delta: float) -> np.ndarray:
-    """All fine increments for coarse steps [n0, n1), shape (n1-n0, R, d)."""
-    r = stream.fine_factor
-    cells = np.arange(n0 * r, n1 * r)
-    g = gaussian_cells(stream.seed, [stream.trajectory_id], cells, d)[0]
-    return np.sqrt(delta / r) * g.reshape(n1 - n0, r, d)
+    return np.add.reduce(np.moveaxis(fines, axis, 0), axis=0)
 
 
 # -- forcing basis -----------------------------------------------------------
@@ -210,9 +165,6 @@ class NondegeneracyReport:
     satisfied: bool
     witness: tuple
     residuals: np.ndarray
-    shell_condition: bool | None = None
-    lambda_next: int | None = None
-    threshold: float | None = None
 
 
 def check_nondegeneracy(basis: ForcingBasis, K: int, tol: float = 1e-10) -> NondegeneracyReport:
@@ -244,26 +196,6 @@ def check_nondegeneracy(basis: ForcingBasis, K: int, tol: float = 1e-10) -> Nond
     uncovered = tuple(n for n, r in zip(names, resid) if r > tol)
     return NondegeneracyReport(satisfied=len(uncovered) == 0,
                                witness=uncovered, residuals=resid)
-
-
-def nondegeneracy_report(basis: ForcingBasis, K: int, nu: float, delta0: float,
-                         margin: float = 1.0, tol: float = 1e-10) -> NondegeneracyReport:
-    """Structural range condition plus the eigenvalue inequality.
-
-    The eigenvalue side checks lambda_{K+1} >= (margin/nu) * max(1/delta0,
-    delta0^2 |sigma|^4 / nu^3, |sigma|^4 / nu^5); the absolute constant in
-    front is not pinned by theory, so ``margin`` is the user's choice.
-    """
-    rep = check_nondegeneracy(basis, K, tol)
-    lam_next = int(spectral.eigenvalue_shells(K + 1)[K])
-    s2 = basis.variance
-    threshold = (margin / nu) * max(1.0 / delta0,
-                                    delta0 ** 2 * s2 ** 2 / nu ** 3,
-                                    s2 ** 2 / nu ** 5)
-    return NondegeneracyReport(satisfied=rep.satisfied, witness=rep.witness,
-                               residuals=rep.residuals,
-                               shell_condition=bool(lam_next >= threshold),
-                               lambda_next=lam_next, threshold=threshold)
 
 
 def pseudo_inverse_apply(basis: ForcingBasis, f: SpectralField | np.ndarray,

@@ -19,8 +19,9 @@ layout [Re c | Im c] of `spectral` (see `spectral.pack`), so whole
 ensembles advance in single vectorized steps: the noise coefficients, the
 frozen velocity, every fixed-point sweep and the per-step norms stay real,
 and complex coefficients appear only where states leave the march (the
-recorded `EnsembleRun.states`, observers, and the `SpectralField` entry
-points).  Each member reads its own index-addressed noise, so its path
+recorded `EnsembleRun.states` and observers).  A single path is a batch
+of one: `run_scheme` on one row with the provider `batch_increments(seed,
+[id], ...)`.  Each member reads its own index-addressed noise, so its path
 does not depend on which other members share the batch, up to the solve
 tolerance: the fixed-point stop is batch-wide, every row sweeps as often
 as the stiffest one, and ``iterations`` records that batch maximum.
@@ -41,7 +42,7 @@ sums base cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -49,7 +50,7 @@ import numpy as np
 from . import forcing as forcing_mod
 from . import spectral
 from .errors import ConfigError, SolverError, StructuralError
-from .forcing import ForcingBasis, NoiseStream, sum_fine
+from .forcing import ForcingBasis, sum_fine
 from .spectral import SpectralField, SpectralGrid
 
 INCREMENT_CHUNK = 256  # coarse steps of tape generated per philox call
@@ -72,49 +73,26 @@ class SchemeParams:
     tol: float = 1e-12
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ConfigError("viscosity must be positive", field="nu")
-        if self.delta <= 0:
-            raise ConfigError("time step must be positive", field="delta")
-        if self.shells < 1:
-            raise ConfigError("cutoff must be >= 1 shell", field="shells")
         if self.delta0 is None:
             object.__setattr__(self, "delta0", self.delta)
+        for name in ("nu", "delta", "delta0", "tol"):
+            x = getattr(self, name)
+            if not (x > 0 and math.isfinite(x)):
+                raise ConfigError(f"must be positive and finite, got {x!r}", field=name)
+        if self.shells < 1:
+            raise ConfigError("cutoff must be >= 1 shell", field="shells")
         if self.delta > self.delta0 + 1e-15:
             raise ConfigError("delta exceeds delta0", field="delta")
-        if not self.tol > 0:
-            raise ConfigError("solver tolerance must be positive", field="tol")
 
     def grid(self) -> SpectralGrid:
         return spectral.make_grid(self.shells)
 
 
 @dataclass
-class Trajectory:
-    """A single path of the scheme with per-step scalar diagnostics."""
-
-    grid: SpectralGrid
-    params: SchemeParams
-    step_indices: np.ndarray      # recorded step numbers (monotone, starts at 0)
-    states: np.ndarray            # (n_rec, n_half) complex coefficients
-    energy_sq: np.ndarray         # |xi^n|^2 for every step 0..n_steps
-    h1_sq: np.ndarray             # |grad xi^n|^2 likewise
-    iterations: np.ndarray        # implicit-solver sweeps per step
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.step_indices * self.params.delta
-
-    def state(self, i: int) -> SpectralField:
-        return SpectralField(self.grid, self.states[i])
-
-    def final(self) -> SpectralField:
-        return self.state(-1)
-
-
-@dataclass
 class EnsembleRun:
-    """Batched trajectories sharing params; leading axis is the member."""
+    """Batched trajectories sharing params; leading axis is the member.
+
+    A single path is a run with M = 1."""
 
     grid: SpectralGrid
     params: SchemeParams
@@ -127,11 +105,6 @@ class EnsembleRun:
     @property
     def times(self) -> np.ndarray:
         return self.step_indices * self.params.delta
-
-    def member(self, i: int) -> Trajectory:
-        states = self.states[:, i] if self.states is not None else None
-        return Trajectory(self.grid, self.params, self.step_indices, states,
-                          self.energy_sq[:, i], self.h1_sq[:, i], self.iterations)
 
 
 # -- implicit solve ------------------------------------------------------------
@@ -293,30 +266,6 @@ def step_residual(grid, c_prev, c_new, noise_coeffs, p: SchemeParams) -> np.ndar
     return spectral.norm_l2(diag * c_new + p.delta * adv - rhs)
 
 
-def semi_implicit_step(xi_prev: SpectralField, eta: np.ndarray, p: SchemeParams,
-                       basis: ForcingBasis | None) -> SpectralField:
-    """One step of the scheme from a single state.
-
-    ``eta`` holds the unit-variance Gaussian vector of the step (the noise
-    enters as sqrt(delta) P_N sigma eta); pass basis=None or eta=None for
-    the unforced scheme.
-    """
-    grid = xi_prev.grid
-    noise, noise_scale = _eta_noise(grid, eta, p.delta, basis)
-    c, _ = _advance_one(grid, spectral.pack(xi_prev.coeffs), noise,
-                        step_system(grid, p), noise_scale)
-    return SpectralField(grid, spectral.unpack(c))
-
-
-def _eta_noise(grid, eta, delta: float, basis: ForcingBasis | None):
-    """(sqrt(delta) P_N sigma eta packed, its norm), or (None, 0.0) when unforced."""
-    if basis is None or eta is None:
-        return None, 0.0
-    noise = np.sqrt(delta) * spectral.pack(
-        forcing_mod.apply_forcing(basis.project_to(grid), eta))
-    return noise, np.sqrt(spectral.packed_norm_sq(noise))
-
-
 def energy_identity_residual(xi_prev: SpectralField, xi_new: SpectralField,
                              noise_field: SpectralField | None,
                              p: SchemeParams) -> float:
@@ -336,18 +285,6 @@ def energy_identity_residual(xi_prev: SpectralField, xi_new: SpectralField,
 
 
 # -- increment providers -------------------------------------------------------
-
-def stream_increments(stream: NoiseStream, d: int, delta: float,
-                      chunk: int = INCREMENT_CHUNK) -> Callable[[int, int], np.ndarray]:
-    """Coarse Brownian increments of one stream as a chunked provider.
-
-    The returned callable maps (n0, n1) to the increments of coarse steps
-    n0..n1-1 with shape (n1 - n0, 1, d); each coarse increment is the sum
-    of the stream's fine_factor sub-increments.
-    """
-    return batch_increments(stream.seed, [stream.trajectory_id],
-                            stream.fine_factor, d, delta, chunk)
-
 
 def batch_increments(seed: int, trajectory_ids, fine_factor: int, d: int,
                      delta: float, chunk: int | None = None):
@@ -472,95 +409,3 @@ def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams
         rec.push(step, c)
 
     return rec.run(p, iters)
-
-
-def simulate(xi0: SpectralField, n_steps: int, p: SchemeParams,
-             basis: ForcingBasis | None, stream: NoiseStream | None,
-             record_stride: int = 1) -> Trajectory:
-    """Deterministic function of (xi0, params, forcing, stream)."""
-    grid = p.grid()
-    c0 = spectral.embed_coeffs(xi0.grid, grid, xi0.coeffs) if xi0.grid != grid else xi0.coeffs
-    inc = None
-    if basis is not None and stream is not None:
-        inc = stream_increments(stream, basis.d, p.delta)
-    run = run_scheme(grid, c0, n_steps, p, basis, inc, record_stride)
-    return run.member(0)
-
-
-def simulate_ensemble(xi0, n_steps: int, p: SchemeParams, basis: ForcingBasis,
-                      seed: int, trajectory_ids, fine_factor: int = 1,
-                      record_stride: int = 1, keep_states: bool = True) -> EnsembleRun:
-    """Batch of paths from shared initial data (or per-member batch array)."""
-    grid = p.grid()
-    c0 = xi0.coeffs if isinstance(xi0, SpectralField) else np.asarray(xi0)
-    if c0.ndim == 1:
-        c0 = np.broadcast_to(c0, (len(trajectory_ids), grid.n_half))
-    inc = batch_increments(seed, trajectory_ids, fine_factor, basis.d, p.delta)
-    return run_scheme(grid, c0, n_steps, p, basis, inc, record_stride, keep_states)
-
-
-def reference_simulate(xi0: SpectralField, horizon: float, p_fine: SchemeParams,
-                       basis: ForcingBasis, stream: NoiseStream) -> Trajectory:
-    """Self-refined reference: same scheme at delta/R on the same tape.
-
-    p_fine.delta must equal the coarse step divided by stream.fine_factor;
-    states are recorded at the coarse times so they pair directly with the
-    coarse run.
-    """
-    r = stream.fine_factor
-    n_coarse = round(horizon / (p_fine.delta * r))
-    if abs(n_coarse * p_fine.delta * r - horizon) > 1e-9 * max(horizon, 1.0):
-        raise ConfigError("horizon is not a whole number of coarse steps",
-                          field="horizon")
-    grid = p_fine.grid()
-    c0 = spectral.embed_coeffs(xi0.grid, grid, xi0.coeffs) if xi0.grid != grid else xi0.coeffs
-    inc = None
-    if basis is not None:
-        fine_stream = NoiseStream(stream.seed, stream.trajectory_id, 1)
-        inc = stream_increments(fine_stream, basis.d, p_fine.delta)
-    run = run_scheme(grid, c0, n_coarse * r, p_fine, basis, inc, record_stride=r)
-    return run.member(0)
-
-
-# -- exponential-moment probe ---------------------------------------------------
-
-@dataclass(frozen=True)
-class MomentProbe:
-    """Log-space samples of exp(alpha |xi^n|^2 + alpha nu delta sum |grad xi^j|^2)."""
-
-    alpha: float
-    log_values: np.ndarray          # (n_steps+1,) or (n_steps+1, M)
-    log_energy_only: np.ndarray     # alpha |xi^n|^2 alone
-    bound_log: np.ndarray = field(default=None)
-
-
-def moment_probe(run: Trajectory | EnsembleRun, alpha: float,
-                 basis: ForcingBasis | None = None,
-                 margin: float = 0.25, c_tilde: float = 1.0) -> MomentProbe:
-    """Exponential-moment samples along a run, stored in log space.
-
-    Requires alpha <= (margin/|sigma|^2) min(nu, 1/delta0) when the
-    forcing is supplied (the admissible range of the moment bound, with
-    the unspecified absolute constant exposed as ``margin``).
-    """
-    p = run.params
-    if basis is not None and alpha > 0:
-        cap = (margin / basis.variance) * min(p.nu, 1.0 / p.delta0)
-        if alpha > cap + 1e-15:
-            raise ConfigError(
-                f"alpha={alpha} exceeds admissible {cap:.4g} for this margin",
-                field="alpha")
-    dissip = np.concatenate([np.zeros_like(run.h1_sq[:1]),
-                             np.cumsum(run.h1_sq[1:], axis=0)])
-    log_values = alpha * run.energy_sq + alpha * p.nu * p.delta * dissip
-    log_energy = alpha * run.energy_sq
-    bound = None
-    if basis is not None:
-        n = np.arange(run.energy_sq.shape[0])
-        e0 = np.atleast_1d(run.energy_sq[0])
-        bign = n[:, None] if log_values.ndim == 2 else n
-        c_big = c_tilde * (1.0 + p.nu * p.delta0)
-        bound = (np.log(c_tilde) + c_big * alpha * e0
-                 + c_tilde * alpha * basis.variance * bign * p.delta)
-        bound = np.broadcast_to(bound, log_values.shape)
-    return MomentProbe(alpha, log_values, log_energy, bound)

@@ -332,6 +332,14 @@ def _scalar(kind: type, val, where: str):
     return kind(val)
 
 
+def _finite(val: float, where: str, lo: float = -np.inf) -> float:
+    """`val` if it is finite and >= `lo`."""
+    if not (np.isfinite(val) and val >= lo):
+        bound = "" if lo == -np.inf else f" >= {lo:g}"
+        raise ConfigError(f"expected a finite number{bound}, got {val!r}", field=where)
+    return val
+
+
 def _coerce(kind, default, val, where: str):
     """`val` as a field declared `kind` whose default is `default`."""
     if isinstance(val, dict):       # a nested section
@@ -410,25 +418,33 @@ def build_forcing(cfg: RunConfig, grid) -> forcing_mod.ForcingBasis:
     sec = cfg.sections.get("forcing", {})
     preset = sec.get("preset", "low-mode")
     if preset == "low-mode":
+        shells = _finite(_scalar(int, sec.get("shells", SimulateConfig.forcing_shells),
+                                 "forcing.shells"), "forcing.shells", lo=1)
+        variance = sec.get("variance", SimulateConfig.forcing_variance)
+        variance = _finite(_scalar(float, variance, "forcing.variance"), "forcing.variance",
+                           lo=0.0)
         amplitudes = sec.get("amplitudes")
-        return forcing_mod.low_mode_basis(
-            grid,
-            _scalar(int, sec.get("shells", SimulateConfig.forcing_shells), "forcing.shells"),
-            _scalar(float, sec.get("variance", SimulateConfig.forcing_variance),
-                    "forcing.variance"),
-            None if amplitudes is None else
-            tuple(_scalar(float, a, "forcing.amplitudes") for a in amplitudes))
+        if amplitudes is not None:
+            amplitudes = tuple(_finite(_scalar(float, a, "forcing.amplitudes"),
+                                       "forcing.amplitudes") for a in amplitudes)
+        try:
+            return forcing_mod.low_mode_basis(grid, shells, variance, amplitudes)
+        except StructuralError as err:
+            raise ConfigError(str(err), field="forcing.amplitudes") from None
     if preset == "explicit":
         fields = []
         for key in sorted(k for k in sec if k.startswith("dir")):
             val, where = sec[key], f"forcing.{key}"
             if not isinstance(val, tuple) or len(val) != 4 or val[2] not in ("cos", "sin"):
                 raise ConfigError("expected 'kx, ky, cos|sin, amplitude'", field=where)
-            kx, ky, kind, amp = val
-            fields.append(spectral.harmonic_field(grid, _scalar(int, kx, where),
-                                                  _scalar(int, ky, where), kind=kind,
-                                                  amplitude=_scalar(float, amp, where),
-                                                  normalized=True))
+            kx, ky, kind, amp = (_scalar(int, val[0], where), _scalar(int, val[1], where),
+                                 val[2], _finite(_scalar(float, val[3], where), where))
+            try:
+                fields.append(spectral.harmonic_field(grid, kx, ky, kind=kind,
+                                                      amplitude=amp, normalized=True))
+            except KeyError:
+                raise ConfigError(f"({kx}, {ky}) is not a mode of the {grid.shells}-shell "
+                                  "grid", field=where) from None
         if not fields:
             raise ConfigError("explicit preset needs dir1, dir2, ... entries",
                               field="forcing.preset")
@@ -462,19 +478,21 @@ def run_simulate(cfg: RunConfig, seed: int, ck_root: Path) -> exp.StudyReport:
 
     rows = []
     if sim.steps > 0:
-        stream = forcing_mod.NoiseStream(seed, 0)
-        traj = integ.simulate(xi0, sim.steps, p, basis, stream,
-                              record_stride=sim.record_stride)
+        run = integ.run_scheme(grid, xi0.coeffs, sim.steps, p, basis,
+                               integ.batch_increments(seed, [0], 1, basis.d, p.delta),
+                               record_stride=sim.record_stride)
         for n in range(sim.steps + 1):
             rows.append({"step": n, "t": n * sim.delta,
-                         "energy_sq": float(traj.energy_sq[n]),
-                         "h1_sq": float(traj.h1_sq[n]),
-                         "iterations": int(traj.iterations[n - 1]) if n > 0 else 0})
+                         "energy_sq": float(run.energy_sq[n, 0]),
+                         "h1_sq": float(run.h1_sq[n, 0]),
+                         "iterations": int(run.iterations[n - 1]) if n > 0 else 0})
         if sim.checkpoint_cadence > 0:
-            for i, n in enumerate(traj.step_indices):
+            for i, n in enumerate(run.step_indices):
                 if n > 0 and n % sim.checkpoint_cadence == 0:
-                    checkpoint(traj.state(i), p, seed, 0, int(n), ck_root)
-        checkpoint(traj.final(), p, seed, 0, int(traj.step_indices[-1]), ck_root)
+                    checkpoint(spectral.SpectralField(grid, run.states[i, 0]), p, seed, 0,
+                               int(n), ck_root)
+        checkpoint(spectral.SpectralField(grid, run.states[-1, 0]), p, seed, 0,
+                   int(run.step_indices[-1]), ck_root)
     else:
         rows.append({"step": 0, "t": 0.0, "energy_sq": xi0.l2_norm() ** 2,
                      "h1_sq": spectral.sobolev_norm_sq(grid, xi0.coeffs, 1.0),

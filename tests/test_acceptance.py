@@ -18,7 +18,7 @@ from snselab.experiments import (BANDS, CertifyMetricConfig, ContractionConfig,
                                  contraction_study, coupling_study, holder_study,
                                  lyapunov_study, spatial_order_study,
                                  stationary_bias_study, temporal_order_study)
-from snselab.integrator import SchemeParams, semi_implicit_step, simulate
+from snselab.integrator import SchemeParams, run_scheme
 from snselab.spectral import (advect, harmonic_field, inner, make_grid,
                               random_field, sobolev_norm)
 
@@ -51,9 +51,9 @@ def test_criterion_01_deterministic_single_mode_step():
         for delta in (0.1, 0.01):
             p = SchemeParams(1.0, delta, 16)
             f = harmonic_field(g, *mode, kind="cos", amplitude=1.0)
-            out = semi_implicit_step(f, None, p, None)
+            out = run_scheme(g, f.coeffs, 1, p, None, None).states[-1, 0]
             want = f.coeffs / (1.0 + p.nu * delta * lam)
-            rel = np.max(np.abs(out.coeffs - want)) / np.max(np.abs(want))
+            rel = np.max(np.abs(out - want)) / np.max(np.abs(want))
             worst = max(worst, rel)
     _criterion(1, worst <= 1e-12,
                f"single-mode step vs amplitude/(1+nu delta |k|^2): "
@@ -119,7 +119,8 @@ def test_criterion_05_exponential_lyapunov():
     floor = BANDS["exponential-lyapunov"]["fraction_ok"].lo
     _criterion(5, frac >= floor,
                f"exp-moment envelope held in {frac:.0%} of 20 seeds (>= {floor:.0%}), "
-               f"alpha {report.scalars['alpha']:.3g}")
+               f"alpha {report.scalars['alpha']:.3g}, worst mean/envelope ratio "
+               f"{report.scalars['worst_ratio']:.4f}")
 
 
 # 6 ---------------------------------------------------------------------------
@@ -127,10 +128,10 @@ def test_criterion_05_exponential_lyapunov():
 def test_criterion_06_noise_free_energy_decay():
     p = SchemeParams(1.0, 0.05, 16, tol=1e-13)
     f = random_field(make_grid(16), seed=SEED, rms=2.0)
-    traj = simulate(f, 1000, p, None, None, record_stride=1000)
+    run = run_scheme(f.grid, f.coeffs, 1000, p, None, None, record_stride=1000)
     n = np.arange(1001)
     bound = f.l2_norm() / (1.0 + p.nu * 1.0 * p.delta) ** n
-    ratio = np.max(np.sqrt(traj.energy_sq) / bound)
+    ratio = np.max(np.sqrt(run.energy_sq[:, 0]) / bound)
     _criterion(6, ratio <= 1.0 + 1e-10,
                f"|xi^n| <= |xi^0|/(1+nu lambda_1 delta)^n for n <= 1e3: "
                f"worst ratio-1 = {ratio - 1.0:.2e} <= 1e-10")

@@ -3,13 +3,11 @@ import pytest
 
 from snselab import spectral
 from snselab.coupling import (CoupledPair, NudgeParams, coupled_ensembles,
-                              coupled_simulate, girsanov_cost, kl_majorant,
-                              nudged_step, pathwise_contraction_check,
-                              propose_beta, shifted_tape_increments)
+                              girsanov_cost, kl_majorant, pathwise_contraction_check,
+                              propose_beta)
 from snselab.errors import ConfigError, RangeError, SolverError
-from snselab.forcing import ForcingBasis, NoiseStream, low_mode_basis
-from snselab.integrator import (SchemeParams, batch_increments, run_scheme,
-                                semi_implicit_step)
+from snselab.forcing import ForcingBasis, low_mode_basis
+from snselab.integrator import SchemeParams, batch_increments, run_scheme
 from snselab.spectral import (SpectralField, harmonic_field, make_grid,
                               random_field)
 
@@ -22,6 +20,12 @@ P = SchemeParams(1.0, 0.01, 16)
 def _nudge(K=4, beta=None):
     b = beta if beta is not None else propose_beta(K, P)["beta"]
     return NudgeParams(K, b, P)
+
+
+def _pair(f, g, n_steps, np_=None, basis=BASIS8, seed=0, traj_id=0, **kwargs):
+    """One coupled path: plain from f, nudged from g, on trajectory traj_id's tape."""
+    return coupled_ensembles(f, [g], n_steps, np_ or _nudge(), basis, seed=seed,
+                             trajectory_ids=[traj_id], **kwargs)[0]
 
 
 def test_propose_beta_saturates_condition():
@@ -38,20 +42,21 @@ def test_nudge_params_enforce_condition():
 
 
 def test_identical_states_reduce_to_plain_step():
+    # nudged toward the plain step from its own start, the nudged step is that step
     f = random_field(G, seed=1, rms=1.2)
-    eta = np.linspace(-1, 1, BASIS8.d)
-    plain = semi_implicit_step(f, eta, P, BASIS8)
-    nudged = nudged_step(f, plain, eta, _nudge(), BASIS8)
-    assert np.max(np.abs(nudged.coeffs - plain.coeffs)) <= 1e-10 * f.l2_norm()
+    pair = _pair(f, f, 1, seed=4, keep_states=True)
+    plain, nudged = pair.primary.states[1, 0], pair.nudged.states[1, 0]
+    assert np.max(np.abs(nudged - plain)) <= 1e-10 * f.l2_norm()
 
 
 def test_beta_zero_is_plain_step():
+    # nudged from f toward the plain step from g with beta = 0: the plain step from f
     f = random_field(G, seed=2, rms=1.2)
     g = random_field(G, seed=3, rms=1.0)
-    eta = np.ones(BASIS8.d)
-    plain = semi_implicit_step(f, eta, P, BASIS8)
-    nudged = nudged_step(f, g, eta, _nudge(beta=0.0), BASIS8)
-    assert np.max(np.abs(nudged.coeffs - plain.coeffs)) <= 1e-12 * f.l2_norm()
+    pair = _pair(g, f, 1, _nudge(beta=0.0), seed=4, keep_states=True)
+    plain = run_scheme(G, f.coeffs, 1, P, BASIS8,
+                       batch_increments(4, [0], 1, BASIS8.d, P.delta)).states[1, 0]
+    assert np.max(np.abs(pair.nudged.states[1, 0] - plain)) <= 1e-12 * f.l2_norm()
 
 
 def test_beta_zero_coupled_walk_is_run_scheme():
@@ -74,7 +79,7 @@ def test_coupled_run_reports_failing_step_index():
     bad = f.coeffs.copy()
     bad[3] = np.nan
     with pytest.raises(SolverError) as err:
-        coupled_simulate(f, SpectralField(G, bad), 5, _nudge(), BASIS8, NoiseStream(3, 0))
+        _pair(f, SpectralField(G, bad), 5, seed=3)
     assert err.value.step_index == 1
 
 
@@ -148,17 +153,16 @@ def test_single_mode_gap_scalar_recursion():
     np_ = _nudge(K=4, beta=2.0)
     a = harmonic_field(G, 1, 0, "cos", amplitude=1.0)
     b = harmonic_field(G, 1, 0, "cos", amplitude=1.5)
-    pair = coupled_simulate(a, b, 30, np_, SILENT8, NoiseStream(0, 0),
-                            compute_shifts=False)
-    gap0 = pair.gaps_sq[0]
+    pair = _pair(a, b, 30, np_, SILENT8, compute_shifts=False)
+    gaps = pair.gaps_sq[:, 0]
     q = 1.0 / (1.0 + P.delta * (P.nu * 1.0 + np_.beta)) ** 2
-    want = gap0 * q ** np.arange(31)
-    assert np.max(np.abs(pair.gaps_sq - want) / want) <= 1e-8
+    want = gaps[0] * q ** np.arange(31)
+    assert np.max(np.abs(gaps - want) / want) <= 1e-8
 
 
 def test_identical_initial_data_zero_gaps_and_shifts():
     f = random_field(G, seed=5, rms=1.0)
-    pair = coupled_simulate(f, f, 20, _nudge(), BASIS8, NoiseStream(3, 1))
+    pair = _pair(f, f, 20, seed=3, traj_id=1)
     assert np.allclose(pair.gaps_sq, 0.0, atol=1e-22)
     assert np.allclose(pair.shifts, 0.0, atol=1e-11)
 
@@ -180,7 +184,7 @@ def test_gap_decays_in_paper_regime():
 
 def test_exact_coupling_reported():
     f = random_field(G, seed=7)
-    pair = coupled_simulate(f, f, 10, _nudge(), BASIS8, NoiseStream(1, 0))
+    pair = _pair(f, f, 10, seed=1)
     fit = pathwise_contraction_check(pair)
     assert fit.exact_coupling
 
@@ -189,8 +193,7 @@ def test_linear_regime_fitted_factor_matches_oracle():
     np_ = _nudge(K=4, beta=2.0)
     a = harmonic_field(G, 1, 0, "cos", amplitude=1.0)
     b = harmonic_field(G, 1, 0, "cos", amplitude=2.0)
-    pair = coupled_simulate(a, b, 200, np_, SILENT8, NoiseStream(0, 0),
-                            compute_shifts=False)
+    pair = _pair(a, b, 200, np_, SILENT8, compute_shifts=False)
     fit = pathwise_contraction_check(pair, floor_rel=1e-20)
     want = -2.0 * np.log1p(P.delta * (P.nu + np_.beta))
     assert fit.per_step_log_factor == pytest.approx(want, abs=1e-6)
@@ -200,7 +203,7 @@ def test_linear_regime_fitted_factor_matches_oracle():
 
 def test_girsanov_zero_for_identical_data():
     f = random_field(G, seed=8)
-    pair = coupled_simulate(f, f, 15, _nudge(), BASIS8, NoiseStream(2, 0))
+    pair = _pair(f, f, 15, seed=2)
     cost = girsanov_cost(pair)
     # both solves are run independently, so the gap sits at the solver
     # rounding floor rather than exactly zero
@@ -211,19 +214,18 @@ def test_girsanov_zero_for_identical_data():
 
 
 def test_girsanov_single_shift_sum():
-    # one step, one recorded shift psi_1 = (1, 0, ...), delta = 0.25
-    shifts = np.zeros((1, BASIS8.d))
-    shifts[0, 0] = 1.0
+    # one step, one member, one recorded shift psi_1 = (1, 0, ...), delta = 0.25
+    shifts = np.zeros((1, 1, BASIS8.d))
+    shifts[0, 0, 0] = 1.0
     p = SchemeParams(1.0, 0.25, 16)
-    pair = CoupledPair(None, None, np.zeros(2), shifts,
+    pair = CoupledPair(None, None, np.zeros((2, 1)), shifts,
                        NudgeParams(4, 1.0, p))
     assert girsanov_cost(pair).kl_mean == pytest.approx(0.25)
 
 
 def test_girsanov_requires_recorded_shifts():
     f = random_field(G, seed=9)
-    pair = coupled_simulate(f, f, 5, _nudge(), BASIS8, NoiseStream(0, 0),
-                            compute_shifts=False)
+    pair = _pair(f, f, 5, compute_shifts=False)
     with pytest.raises(ConfigError):
         girsanov_cost(pair)
 
@@ -260,13 +262,13 @@ def test_kl_against_majorant_shape():
 
 
 def test_range_error_when_forcing_misses_controlled_band():
+    # the gap on the controlled band leaves range(sigma) at the first step
     narrow = low_mode_basis(G, 2, 0.5)
     np_ = _nudge(K=8)
     f = random_field(G, seed=14)
     g = random_field(G, seed=15)
-    with pytest.raises(RangeError):
-        coupled_simulate(f, g, 5, np_, narrow, NoiseStream(0, 0),
-                         compute_shifts=True)
+    with pytest.raises(RangeError, match="at step 1"):
+        _pair(f, g, 5, np_, narrow, compute_shifts=True)
 
 
 def test_uniqueness_transfer_shifted_tape():
@@ -276,9 +278,13 @@ def test_uniqueness_transfer_shifted_tape():
     g = SpectralField(G, f.coeffs + 5e-2 * harmonic_field(
         G, 2, 1, "sin", normalized=True).coeffs)
     n_steps = 60
-    pair = coupled_simulate(f, g, n_steps, np_, BASIS8, NoiseStream(21, 2),
-                            keep_states=True)
-    provider = shifted_tape_increments(pair, BASIS8, seed=21, trajectory_id=2)
-    run = run_scheme(G, g.coeffs, n_steps, P, BASIS8, provider)
-    diff = spectral.norm_l2(run.states[:, 0] - pair.nudged.states)
+    pair = _pair(f, g, n_steps, np_, seed=21, traj_id=2, keep_states=True)
+    tape = batch_increments(21, [2], 1, BASIS8.d, P.delta)
+
+    def shifted(n0, n1):
+        # over step n the shifted increment is DW_n + delta psi_n
+        return tape(n0, n1) + P.delta * pair.shifts[n0:n1]
+
+    run = run_scheme(G, g.coeffs, n_steps, P, BASIS8, shifted)
+    diff = spectral.norm_l2(run.states - pair.nudged.states)
     assert np.max(diff) <= 1e-8

@@ -157,6 +157,14 @@ def test_bias_requires_short_burn():
         exp.stationary_bias_study(cfg, seed=0)
 
 
+def test_lyapunov_alpha_admissibility_guard():
+    # alpha above nu / (4 |sigma|^2) leaves the range of the moment bound
+    import snselab.experiments as exp
+    with pytest.raises(ConfigError) as err:
+        exp.lyapunov_study(exp.LyapunovConfig(alpha=10.0), seed=0)
+    assert err.value.field == "alpha"
+
+
 def test_weak_rejects_undeclared_lipschitz():
     cfg = WeakErrorConfig(observables=(low_mode_re(),), report_lipschitz=True,
                           alpha=0.0)
@@ -365,18 +373,19 @@ def test_bias_monotone_within_mc_halfwidth():
 def test_h1_moment_stable_under_refinement():
     # sup_n of the ensemble-mean enstrophy barely moves when the cutoff grows:
     # one smooth datum on the finest grid, restricted per rung
-    from snselab.integrator import SchemeParams, simulate_ensemble
+    from snselab.integrator import SchemeParams, batch_increments, run_scheme
     from snselab.forcing import low_mode_basis
-    from snselab.spectral import SpectralField, embed_coeffs
+    from snselab.spectral import embed_coeffs
     fine = make_grid(20)
     ic = InitialCondition(kind="random", amplitude=1.0).build(fine, 5)
     sups = []
     for shells in (12, 16):
         grid = make_grid(shells)
         basis = low_mode_basis(grid, 4, 0.5)
-        xi0 = SpectralField(grid, embed_coeffs(fine, grid, ic.coeffs))
-        run = simulate_ensemble(xi0, 100, SchemeParams(1.0, 0.02, shells), basis,
-                                5, np.arange(32), keep_states=False)
+        c0 = np.broadcast_to(embed_coeffs(fine, grid, ic.coeffs), (32, grid.n_half))
+        run = run_scheme(grid, c0, 100, SchemeParams(1.0, 0.02, shells), basis,
+                         batch_increments(5, np.arange(32), 1, basis.d, 0.02),
+                         keep_states=False)
         sups.append(float(np.max(np.mean(run.h1_sq, axis=1))))
     assert np.all(np.isfinite(sups))
     assert abs(sups[1] - sups[0]) <= 0.2 * sups[0]

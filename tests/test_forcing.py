@@ -4,10 +4,10 @@ from hypothesis import given, strategies as st
 
 from snselab import forcing, spectral
 from snselab.errors import RangeError, StructuralError
-from snselab.forcing import (ForcingBasis, NoiseStream, apply,
-                             basis_from_fields, check_nondegeneracy,
-                             low_mode_basis, nondegeneracy_report,
-                             pseudo_inverse_apply, sample_increment, sum_fine)
+from snselab.forcing import (ForcingBasis, apply, basis_from_fields,
+                             check_nondegeneracy, low_mode_basis,
+                             pseudo_inverse_apply, sum_fine)
+from snselab.integrator import batch_increments
 from snselab.spectral import harmonic_field, make_grid
 
 G = make_grid(16)
@@ -34,28 +34,22 @@ def test_directions_mean_free_and_within_cutoff():
         assert np.all(f.coeffs[~mask] == 0)
 
 
-# -- noise streams ------------------------------------------------------------
+# -- noise tapes ---------------------------------------------------------------
 
 def test_stream_determinism():
-    s = NoiseStream(9, 4, fine_factor=8)
-    a = sample_increment(s, 12, "coarse", d=BASIS.d, delta=0.02)
-    b = sample_increment(s, 12, "coarse", d=BASIS.d, delta=0.02)
-    assert np.array_equal(a, b)
+    # a step's increment does not depend on the call or on the steps drawn with it
+    a = batch_increments(9, [4], 8, BASIS.d, 0.02)(12, 13)
+    b = batch_increments(9, [4], 8, BASIS.d, 0.02)(10, 14)
+    assert np.array_equal(a[0], b[2])
 
 
-@given(st.integers(0, 50), st.integers(1, 32))
-def test_coarse_is_sum_of_fines_bitwise(n, r):
-    s = NoiseStream(7, 3, fine_factor=r)
-    fines = np.stack([sample_increment(s, n, ("fine", j), d=6, delta=0.05)
-                      for j in range(r)])
-    coarse = sample_increment(s, n, "coarse", d=6, delta=0.05)
+@given(st.integers(0, 50), st.integers(1, 32), st.sampled_from([[3], [3, 0, 8]]))
+def test_coarse_is_sum_of_fines_bitwise(n, r, ids):
+    # coarse step n at fine factor r sums fine cells n r .. n r + r - 1, drawn
+    # as steps of delta / r at fine factor 1
+    coarse = batch_increments(7, ids, r, 6, 0.05)(n, n + 1)[0]
+    fines = batch_increments(7, ids, 1, 6, 0.05 / r)(n * r, n * r + r)
     assert np.array_equal(coarse, sum_fine(fines, axis=0))
-
-
-def test_fine_invalid_index():
-    s = NoiseStream(7, 3, fine_factor=4)
-    with pytest.raises(ValueError):
-        sample_increment(s, 0, ("fine", 4), d=2, delta=0.1)
 
 
 def test_increment_moments():
@@ -70,8 +64,7 @@ def test_increment_moments():
 
 
 def test_trajectories_decorrelated():
-    a = sample_increment(NoiseStream(5, 0), 3, "coarse", d=4, delta=0.1)
-    b = sample_increment(NoiseStream(5, 1), 3, "coarse", d=4, delta=0.1)
+    a, b = batch_increments(5, [0, 1], 1, 4, 0.1)(3, 4)[0]
     assert not np.array_equal(a, b)
 
 
@@ -125,12 +118,6 @@ def test_random_full_rank_mix_covers():
     rows = mix @ base.coeff_matrix
     rep = check_nondegeneracy(ForcingBasis(G, rows), 2)
     assert rep.satisfied
-
-
-def test_nondegeneracy_report_includes_eigenvalue_side():
-    rep = nondegeneracy_report(BASIS, 4, nu=1.0, delta0=0.1, margin=1e-3)
-    assert rep.satisfied
-    assert rep.shell_condition is not None and rep.lambda_next == 8
 
 
 # -- pseudo-inverse ---------------------------------------------------------------

@@ -5,16 +5,30 @@ from hypothesis import example, given, strategies as st
 from snselab import integrator, spectral
 from snselab.coupling import NudgeParams, coupled_ensembles, propose_beta
 from snselab.errors import ConfigError, SolverError
-from snselab.forcing import NoiseStream, low_mode_basis
-from snselab.integrator import (SchemeParams, _advance_one, energy_identity_residual,
-                                moment_probe, reference_simulate, run_scheme,
-                                semi_implicit_step, simulate, simulate_ensemble,
-                                step_residual, step_system)
+from snselab.forcing import low_mode_basis
+from snselab.integrator import (SchemeParams, _advance_one, batch_increments,
+                                energy_identity_residual, run_scheme, step_residual,
+                                step_system)
 from snselab.spectral import (SpectralField, advect_coeffs, advect_frozen,
                               harmonic_field, make_grid, random_field, zero_field)
 
 G = make_grid(16)
 BASIS = low_mode_basis(G, 4, 0.5)
+
+
+def _step(f, p, basis=None, eta=None):
+    """One `run_scheme` step from field f: unforced, or forced by the unit
+    normals eta (the noise is sqrt(delta) P_N sigma eta)."""
+    inc = None if eta is None else (lambda n0, n1: np.sqrt(p.delta) * eta[None, None])
+    return run_scheme(f.grid, f.coeffs, 1, p, basis, inc).states[-1, 0]
+
+
+def _path(f, n_steps, p, basis, seed, trajectory_ids, **kwargs):
+    """`run_scheme` from f, shared by every member, on the members' tapes."""
+    ids = np.asarray(trajectory_ids)
+    return run_scheme(f.grid, np.broadcast_to(f.coeffs, (ids.size, f.grid.n_half)),
+                      n_steps, p, basis, batch_increments(seed, ids, 1, basis.d, p.delta),
+                      **kwargs)
 
 
 # -- single analytic steps -----------------------------------------------------
@@ -24,17 +38,17 @@ BASIS = low_mode_basis(G, 4, 0.5)
 def test_single_mode_step_analytic(mode, delta):
     p = SchemeParams(1.0, delta, 16)
     f = harmonic_field(G, *mode, kind="cos", amplitude=1.3)
-    out = semi_implicit_step(f, None, p, None)
+    out = _step(f, p)
     lam = mode[0] ** 2 + mode[1] ** 2
     want = f.coeffs / (1.0 + p.nu * delta * lam)
     denom = np.max(np.abs(want))
-    assert np.max(np.abs(out.coeffs - want)) <= 1e-12 * denom
+    assert np.max(np.abs(out - want)) <= 1e-12 * denom
 
 
 def test_zero_state_zero_noise_stays_zero():
     p = SchemeParams(1.0, 0.05, 16)
-    out = semi_implicit_step(zero_field(G), np.zeros(BASIS.d), p, BASIS)
-    assert out.l2_norm() == 0.0
+    out = _step(zero_field(G), p, BASIS, np.zeros(BASIS.d))
+    assert spectral.norm_l2(out) == 0.0
 
 
 def test_step_residual_small():
@@ -42,8 +56,8 @@ def test_step_residual_small():
     f = random_field(G, seed=4, rms=1.5)
     eta = np.ones(BASIS.d)
     noise = np.sqrt(p.delta) * (eta @ BASIS.coeff_matrix)
-    out = semi_implicit_step(f, eta, p, BASIS)
-    res = step_residual(G, f.coeffs, out.coeffs, noise, p)
+    out = _step(f, p, BASIS, eta)
+    res = step_residual(G, f.coeffs, out, noise, p)
     scale = f.l2_norm() + float(spectral.norm_l2(noise))
     assert res <= 1e-11 * scale
 
@@ -108,8 +122,8 @@ def test_dense_matrix_oracle_small_cutoff():
     # unknowns are interleaved as (re_0, im_0, re_1, im_1, ...)
     sol = np.linalg.solve(a_mat, rhs)
     c_sol = sol.reshape(n, 2) @ np.array([1.0, 1j])
-    stepped = semi_implicit_step(prev, None, p, None)
-    assert np.max(np.abs(stepped.coeffs - c_sol)) <= 1e-10 * prev.l2_norm()
+    stepped = _step(prev, p)
+    assert np.max(np.abs(stepped - c_sol)) <= 1e-10 * prev.l2_norm()
 
 
 def _dense_solve(grid, system, prev, rhs):
@@ -251,7 +265,7 @@ def test_error_bound_stop_never_sweeps_more_than_increment_stop(
         coupled_ensembles(xi0, [random_field(grid, seed=3, rms=rms)], steps, np_, basis,
                           seed=5, trajectory_ids=range(m), compute_shifts=False)
     else:
-        simulate_ensemble(xi0, steps, p, basis, 5, range(m), keep_states=False)
+        _path(xi0, steps, p, basis, 5, range(m), keep_states=False)
     new, old = np.array(counts).T
     assert np.all(new <= old)
     assert new.sum() < old.sum()
@@ -261,9 +275,9 @@ def test_krylov_policy_matches_fixed_point():
     p = SchemeParams(1.0, 0.02, 8)
     grid = make_grid(8)
     f = random_field(grid, seed=5, rms=1.5)
-    a = semi_implicit_step(f, None, p, None)
+    a = _step(f, p)
     b, _ = _gmres_step(grid, spectral.pack(f.coeffs), p)
-    assert np.max(np.abs(a.coeffs - spectral.unpack(b))) <= 1e-9 * f.l2_norm()
+    assert np.max(np.abs(a - spectral.unpack(b))) <= 1e-9 * f.l2_norm()
 
 
 @pytest.mark.parametrize("name, value", [("tol", 0.0), ("tol", -1e-12),
@@ -338,35 +352,45 @@ def test_krylov_reports_gmres_iterations(monkeypatch):
 
 def test_zero_steps_returns_projected_initial():
     p = SchemeParams(1.0, 0.01, 16)
-    f = random_field(make_grid(20), seed=6)
-    traj = simulate(f, 0, p, BASIS, NoiseStream(1, 0))
-    assert traj.states.shape[0] == 1
-    want = spectral.embed_coeffs(make_grid(20), G, f.coeffs)
-    assert np.array_equal(traj.states[0], want)
+    want = spectral.embed_coeffs(make_grid(20), G, random_field(make_grid(20), seed=6).coeffs)
+    run = _path(SpectralField(G, want), 0, p, BASIS, 1, [0])
+    assert run.states.shape[0] == 1
+    assert np.array_equal(run.states[0, 0], want)
 
 
 def test_noise_free_energy_monotone():
     p = SchemeParams(1.0, 0.05, 16)
     f = random_field(G, seed=7, rms=2.0)
-    traj = simulate(f, 50, p, None, None)
-    assert np.all(np.diff(traj.energy_sq) <= 1e-12)
+    run = run_scheme(G, f.coeffs, 50, p, None, None)
+    assert np.all(np.diff(run.energy_sq[:, 0]) <= 1e-12)
 
 
 def test_noise_free_decay_bound():
     # |xi^n| <= |xi^0| / (1 + nu lambda_1 delta)^n
     p = SchemeParams(1.0, 0.05, 16, tol=1e-13)
     f = random_field(G, seed=7, rms=2.0)
-    traj = simulate(f, 200, p, None, None)
+    run = run_scheme(G, f.coeffs, 200, p, None, None)
     n = np.arange(201)
     bound = f.l2_norm() / (1.0 + p.nu * 1.0 * p.delta) ** n
-    assert np.all(np.sqrt(traj.energy_sq) <= bound * (1.0 + 1e-10))
+    assert np.all(np.sqrt(run.energy_sq[:, 0]) <= bound * (1.0 + 1e-10))
+
+
+def test_single_mode_energies_closed_form():
+    # sigma = 0, one mode of |k|^2 = 1: |xi^n|^2 and |grad xi^n|^2 decay
+    # geometrically by (1 + nu delta)^-2 per step
+    p = SchemeParams(1.0, 0.1, 16)
+    f = harmonic_field(G, 1, 0, "cos")
+    run = run_scheme(G, f.coeffs, 30, p, None, None)
+    want = f.l2_norm() ** 2 / (1.0 + p.nu * p.delta) ** (2 * np.arange(31))
+    assert np.allclose(run.energy_sq[:, 0], want, rtol=1e-9, atol=1e-12)
+    assert np.allclose(run.h1_sq[:, 0], want, rtol=1e-9, atol=1e-12)
 
 
 def test_replay_bit_identical():
     p = SchemeParams(1.0, 0.02, 16)
     f = random_field(G, seed=10)
-    t1 = simulate(f, 40, p, BASIS, NoiseStream(123, 5))
-    t2 = simulate(f, 40, p, BASIS, NoiseStream(123, 5))
+    t1 = _path(f, 40, p, BASIS, 123, [5])
+    t2 = _path(f, 40, p, BASIS, 123, [5])
     assert np.array_equal(t1.states, t2.states)
     assert np.array_equal(t1.energy_sq, t2.energy_sq)
 
@@ -377,8 +401,7 @@ def test_recorded_energy_is_norm_of_recorded_state():
     p = SchemeParams(1.0, 0.02, 16)
     f = random_field(G, seed=14)
     for ids in ([3], [4, 9, 2]):
-        run = simulate_ensemble(f, 30, p, BASIS, seed=5, trajectory_ids=ids,
-                                record_stride=7)
+        run = _path(f, 30, p, BASIS, 5, ids, record_stride=7)
         assert np.array_equal(run.energy_sq[run.step_indices],
                               spectral.norm_l2_sq(run.states))
         assert np.array_equal(run.h1_sq[run.step_indices],
@@ -392,104 +415,63 @@ def test_ensemble_member_matches_solo_run():
     # accumulate differently for different batch heights)
     p = SchemeParams(1.0, 0.02, 16)
     f = random_field(G, seed=11)
-    run = simulate_ensemble(f, 25, p, BASIS, seed=77, trajectory_ids=[4, 9, 2])
-    solo = simulate(f, 25, p, BASIS, NoiseStream(77, 9))
+    run = _path(f, 25, p, BASIS, 77, [4, 9, 2])
+    solo = _path(f, 25, p, BASIS, 77, [9])
     scale = np.max(np.abs(solo.states))
-    assert np.max(np.abs(run.states[:, 1] - solo.states)) <= 1e-11 * scale
+    assert np.max(np.abs(run.states[:, 1] - solo.states[:, 0])) <= 1e-11 * scale
 
 
 def test_energy_identity_per_step():
     p = SchemeParams(1.0, 0.02, 16)
     prev = random_field(G, seed=12, rms=1.5)
     eta = np.linspace(-1, 1, BASIS.d)
-    new = semi_implicit_step(prev, eta, p, BASIS)
+    new = SpectralField(G, _step(prev, p, BASIS, eta))
     noise = SpectralField(G, np.sqrt(p.delta) * (eta @ BASIS.coeff_matrix))
     assert energy_identity_residual(prev, new, noise, p) <= 1e-10
 
 
 # -- refined reference ---------------------------------------------------------------
 
-def test_reference_r1_equals_simulate():
-    p = SchemeParams(1.0, 0.02, 16)
-    f = random_field(G, seed=13)
-    a = simulate(f, 20, p, BASIS, NoiseStream(9, 1))
-    b = reference_simulate(f, 20 * 0.02, p, BASIS, NoiseStream(9, 1, fine_factor=1))
-    assert np.array_equal(a.states, b.states)
-
-
 def test_heat_decay_oracle_fine_steps():
-    # noise off, single mode: fine run approximates exp(-nu |k|^2 t)
+    # noise off, single mode: a run at delta = 1/512, recorded every 16
+    # steps, approximates exp(-nu |k|^2 t)
     delta_f = 1.0 / 512
     p_f = SchemeParams(1.0, delta_f, 16)
     f = harmonic_field(G, 1, 0, "cos", amplitude=1.0)
-    traj = reference_simulate(f, 1.0, p_f, None, NoiseStream(0, 0, fine_factor=16))
-    final = traj.final().l2_norm()
+    run = run_scheme(G, f.coeffs, 512, p_f, None, None, record_stride=16)
+    final = spectral.norm_l2(run.states[-1, 0])
     want = np.exp(-1.0) * f.l2_norm()
     assert abs(final - want) <= 1.0 * delta_f * f.l2_norm()
 
 
 def test_coupled_error_shrinks_with_delta():
-    # coarse vs fine with shared tape: halving delta shrinks the gap for
+    # coarse vs fine with shared tape: the coarse increment at fine factor 8
+    # is the sum of the 8 fine ones, and halving delta shrinks the gap for
     # most sample paths
     f = random_field(G, seed=20, rms=1.0)
     horizon = 0.5
+    ids = np.arange(10)
+    c0 = np.broadcast_to(f.coeffs, (ids.size, G.n_half))
     errs = []
     for delta in (1 / 32, 1 / 64, 1 / 128):
-        per_path = []
-        for traj_id in range(10):
-            stream = NoiseStream(31, traj_id, fine_factor=8)
-            p_c = SchemeParams(1.0, delta, 16)
-            p_f = SchemeParams(1.0, delta / 8, 16)
-            coarse = simulate(f, round(horizon / delta), p_c, BASIS, stream)
-            fine = reference_simulate(f, horizon, p_f, BASIS, stream)
-            d = coarse.states[-1] - fine.states[-1]
-            per_path.append(float(spectral.norm_l2(d)))
-        errs.append(per_path)
+        n_steps = round(horizon / delta)
+        coarse = run_scheme(G, c0, n_steps, SchemeParams(1.0, delta, 16), BASIS,
+                            batch_increments(31, ids, 8, BASIS.d, delta))
+        fine = run_scheme(G, c0, 8 * n_steps, SchemeParams(1.0, delta / 8, 16), BASIS,
+                          batch_increments(31, ids, 1, BASIS.d, delta / 8), record_stride=8)
+        errs.append(spectral.norm_l2(coarse.states[-1] - fine.states[-1]))
     errs = np.array(errs)
     frac = np.mean((errs[1] < errs[0]) & (errs[2] < errs[1]))
     assert frac >= 0.9
 
 
-# -- moment probe ----------------------------------------------------------------------
-
-def test_moment_probe_trivial_cases():
-    p = SchemeParams(1.0, 0.05, 16)
-    traj = simulate(zero_field(G), 10, p, None, None)
-    probe = moment_probe(traj, 0.3)
-    assert np.allclose(np.exp(probe.log_values), 1.0)
-    probe0 = moment_probe(simulate(random_field(G, seed=3), 10, p, None, None), 0.0)
-    assert np.allclose(np.exp(probe0.log_values), 1.0)
-
-
-def test_moment_probe_single_mode_closed_form():
-    # sigma = 0, one mode: energies decay geometrically with known factor
-    p = SchemeParams(1.0, 0.1, 16)
-    f = harmonic_field(G, 1, 0, "cos")
-    traj = simulate(f, 30, p, None, None)
-    alpha = 0.2
-    q = 1.0 / (1.0 + p.nu * p.delta) ** 2
-    e0 = f.l2_norm() ** 2
-    n = np.arange(31)
-    energies = e0 * q ** n
-    dissip = np.concatenate([[0.0], np.cumsum(energies[1:])])  # lambda = 1
-    want = alpha * energies + alpha * p.nu * p.delta * dissip
-    assert np.allclose(probe_vals := moment_probe(traj, alpha).log_values, want,
-                       rtol=1e-9, atol=1e-12)
-
-
-def test_moment_probe_admissibility_guard():
-    p = SchemeParams(1.0, 0.05, 16)
-    traj = simulate(zero_field(G), 5, p, BASIS, NoiseStream(1, 0))
-    with pytest.raises(ConfigError):
-        moment_probe(traj, alpha=10.0, basis=BASIS)
-
+# -- exponential moments ------------------------------------------------------------------
 
 def test_lyapunov_bound_on_ensemble():
     # empirical mean of exp(alpha |xi^n|^2) under the discrete envelope
     p = SchemeParams(1.0, 0.05, 16)
     f = random_field(G, seed=2, rms=1.0)
-    run = simulate_ensemble(f, 128, p, BASIS, seed=5, trajectory_ids=np.arange(128),
-                            keep_states=False)
+    run = _path(f, 128, p, BASIS, 5, np.arange(128), keep_states=False)
     alpha = 1.0 / (8 * BASIS.variance)
     means = np.mean(np.exp(alpha * run.energy_sq), axis=1)
     e0 = f.l2_norm() ** 2

@@ -11,8 +11,9 @@ from snselab.errors import ConfigError, StructuralError
 from snselab.experiments import (ContractionConfig, CouplingStudyConfig,
                                  StationaryBiasConfig, StudyReport,
                                  TemporalOrderConfig)
-from snselab.forcing import NoiseStream, low_mode_basis
-from snselab.integrator import SchemeParams, simulate
+from snselab.forcing import low_mode_basis
+from snselab.integrator import SchemeParams, batch_increments, run_scheme
+from snselab.spectral import SpectralField
 from snselab.runner import (CONFIGS, EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_OK, STUDIES,
                             SUBCOMMANDS, checkpoint, load_config, main, restore,
                             run_study, study_config)
@@ -90,25 +91,25 @@ def test_checkpoint_restore_roundtrip(tmp_path):
 
 
 def test_restore_then_continue_matches_straight_run(tmp_path):
-    from snselab.integrator import run_scheme, batch_increments
     g = make_grid(16)
     p = SchemeParams(1.0, 0.02, 16)
     basis = low_mode_basis(g, 4, 0.5)
     f = random_field(g, seed=5, rms=1.0)
+    tape = batch_increments(9, [0], 1, basis.d, p.delta)
     # 300 steps cross a 256-step tape chunk that the resumed run never sees
     for n_steps in (20, 300):
-        full = simulate(f, n_steps, p, basis, NoiseStream(9, 0))
-        half = simulate(f, n_steps // 2, p, basis, NoiseStream(9, 0))
+        full = run_scheme(g, f.coeffs, n_steps, p, basis, tape)
+        half = run_scheme(g, f.coeffs, n_steps // 2, p, basis, tape)
         where = tmp_path / str(n_steps)
-        checkpoint(half.final(), p, seed=9, trajectory_id=0, step_index=n_steps // 2,
-                   directory=where)
+        checkpoint(SpectralField(g, half.states[-1, 0]), p, seed=9, trajectory_id=0,
+                   step_index=n_steps // 2, directory=where)
         state, params, seed, traj, step = restore(where / f"state_{n_steps // 2:08d}.fld")
-        # index-addressed tape: continuation reads cells step.. of the same stream
+        # index-addressed tape: continuation reads cells step.. of the same trajectory
         inc = batch_increments(seed, [traj], 1, basis.d, params.delta)
         resumed = run_scheme(g, state.coeffs, n_steps - step, params, basis,
                              lambda n0, n1: inc(n0 + step, n1 + step))
-        assert np.array_equal(resumed.states[:, 0], full.states[step:])
-        assert np.array_equal(resumed.energy_sq[:, 0], full.energy_sq[step:])
+        assert np.array_equal(resumed.states, full.states[step:])
+        assert np.array_equal(resumed.energy_sq, full.energy_sq[step:])
 
 
 def test_version_1_sidecar_restores_like_version_2(tmp_path):
@@ -237,6 +238,16 @@ BAD_CONFIGS = [
     ("simulate", "[discretization]\nsolver = krylov\n"),
     ("simulate", "[io]\ncheckpoint_cadence = abc\n"),
     ("simulate", "[forcing]\npreset = explicit\ndir1 = 1, 0, tan, 0.3\n"),
+    ("simulate", "[forcing]\npreset = explicit\ndir1 = 99, 0, cos, 1.0\n"),
+    ("simulate", "[forcing]\npreset = explicit\ndir1 = 1, 0, cos, inf\n"),
+    ("simulate", "[forcing]\nshells = 0\n"),
+    ("simulate", "[forcing]\nvariance = -1\n"),
+    ("simulate", "[forcing]\nvariance = nan\n"),
+    ("simulate", "[forcing]\namplitudes = 0.1, 0.1\n"),
+    ("simulate", "[physics]\nnu = nan\n"),
+    ("simulate", "[discretization]\ndelta = inf\n"),
+    ("simulate", "[discretization]\ndelta0 = nan\n"),
+    ("simulate", "[discretization]\ntol = nan\n"),
     ("converge-time", "[forcing]\npreset = low-mode\n"),
     ("converge-space", "[discretization]\nsolver = krylov\n"),
     ("converge-space", "[experiment]\nreference_shells = many\n"),
@@ -272,9 +283,18 @@ def test_bad_study_config_is_config_error(monkeypatch, tmp_path, subcommand, tex
     assert seen == []
 
 
+# an argument that starts with "[" is the text of the run's config file
 @pytest.mark.parametrize("argv", [["simulate", "--steps", "-3"],
-                                  ["certify-metric", "--triples", "0", "--enforce"]])
+                                  ["certify-metric", "--triples", "0", "--enforce"],
+                                  ["couple", "--ensemble", "0"],
+                                  ["couple", "--horizon", "-1"],
+                                  ["lyapunov", "[experiment]\nn_seeds = 0\n"],
+                                  ["lyapunov", "[experiment]\nensemble = 0\n"],
+                                  ["bias", "[experiment]\nreplicas = 0\n"],
+                                  ["converge-time", "[experiment]\nensemble = 0\n"]])
 def test_negative_or_zero_counts_exit_2(tmp_path, argv):
+    argv = [f"--config={_write_config(tmp_path, a)}" if a.startswith("[") else a
+            for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
