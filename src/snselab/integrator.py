@@ -172,8 +172,7 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
         c_new = rhs_w - spectral.advect_frozen(grid, uv, system.analysis, c)
         d = c_new - c
         c = c_new
-        top = math.sqrt(np.max(inc_weight * np.einsum("...i,...i->...", d, d),
-                               initial=0.0))
+        top = math.sqrt((inc_weight * np.einsum("...i,...i->...", d, d)).max(initial=0.0))
         if not math.isfinite(top):
             raise SolverError(f"non-finite state (relative increment {top:.3e})",
                               residual=top)

@@ -15,19 +15,38 @@ its mean cost is a certified upper bound for the exact value.
 
 All Wasserstein numbers here are distances between *empirical* laws;
 reports carry ensemble sizes so readers can judge the sampling error.
+
+The two exact solvers, scipy.optimize's `linear_sum_assignment` and
+`linprog`, are module attributes bound on first use (`__getattr__`):
+importing scipy.optimize costs more than the rest of the package's
+start-up, and only exact transport needs it.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import CapacityError, ConfigError, StructuralError
 from .spectral import SpectralField, SpectralGrid, norm_l2_sq
 
 DEFAULT_SUPPORT_LIMIT = 512
+
+_SOLVERS = ("linear_sum_assignment", "linprog")
+
+
+def __getattr__(name: str):
+    """Import scipy.optimize when one of `_SOLVERS` is first looked up and
+    bind both here; a name already bound (a replacement) is kept."""
+    if name not in _SOLVERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import optimize
+
+    for solver in _SOLVERS:
+        globals().setdefault(solver, getattr(optimize, solver))
+    return globals()[name]
 
 
 @dataclass(frozen=True)
@@ -187,8 +206,11 @@ def wasserstein_exact(a: Ensemble, b: Ensemble, cost: str, dp: DistanceParams,
             f"support {a.size}x{b.size} exceeds limit {support_limit}; "
             "use wasserstein_coupled_bound for large ensembles")
     cmat = cost_matrix(a, b, cost, dp)
+    # through the module, so that the solvers load on first use and a
+    # rebound solver is the one called
+    solvers = sys.modules[__name__]
     if a.uniform and b.uniform and a.size == b.size:
-        rows, cols = linear_sum_assignment(cmat)
+        rows, cols = solvers.linear_sum_assignment(cmat)
         coupling = np.zeros_like(cmat)
         coupling[rows, cols] = 1.0 / a.size
         return TransportResult(float(cmat[rows, cols].mean()), coupling,
@@ -202,8 +224,8 @@ def wasserstein_exact(a: Ensemble, b: Ensemble, cost: str, dp: DistanceParams,
     for j in range(nb - 1):  # last column constraint is redundant
         a_eq[na + j, j::nb] = 1.0
         b_eq[na + j] = b.weights[j]
-    res = linprog(cmat.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs")
+    res = solvers.linprog(cmat.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                          method="highs")
     if not res.success:
         raise StructuralError(f"transport LP failed: {res.message}")
     return TransportResult(float(res.fun), res.x.reshape(na, nb),

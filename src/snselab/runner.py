@@ -379,7 +379,8 @@ def study_config(cls, cfg: RunConfig, threads: int = 1):
     ("auto" means None); every other field keeps its default, and a class
     with a `threads` field gets `threads`.  A key that neither sets a
     field nor is read elsewhere (`_read_elsewhere`), a field set from two
-    places, or a value of the wrong type is a `ConfigError`.
+    places, a value of the wrong type, or a forcing with no shell or a
+    variance that is negative or not finite is a `ConfigError`.
     """
     fields = {f.name for f in dataclasses.fields(cls)}
     names = fields - {"threads"}
@@ -400,6 +401,11 @@ def study_config(cls, cfg: RunConfig, threads: int = 1):
     hints = typing.get_type_hints(cls)
     kwargs = {name: _coerce(hints[name], getattr(cls, name), val, where)
               for name, (where, val) in given.items()}
+    # the forcing every subcommand builds from these two needs a shell and
+    # a variance >= 0
+    for name, lo in (("forcing_shells", 1), ("forcing_variance", 0.0)):
+        if name in kwargs:
+            _finite(kwargs[name], given[name][0], lo=lo)
     if "threads" in fields:
         kwargs["threads"] = threads
     return cls(**kwargs)

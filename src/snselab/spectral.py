@@ -30,6 +30,9 @@ as dense DFT matrix products.  At these truncation sizes (tens of active
 modes, a few hundred grid points) one BLAS gemm per transform is several
 times faster than batched small FFTs, and the result is the same Fourier
 sum evaluated to rounding; the test suite checks it against numpy's FFT.
+The padded size is the smallest 2-3-5-smooth length above the alias-free
+minimum (`smooth_length`): a fast FFT length, found without importing an
+FFT library.
 
 The transforms act on a real *packed* layout: a coefficient vector c of
 length n_half is held as the real vector rc = [Re c | Im c] of length
@@ -47,12 +50,12 @@ wraps the single-field case.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from . import rng
 from .errors import GridMismatchError, StructuralError
@@ -60,6 +63,16 @@ from .errors import GridMismatchError, StructuralError
 TWO_PI_SQ = 4.0 * np.pi ** 2
 
 _MAGIC = b"SNSEFLD1"
+
+
+def smooth_length(n: int) -> int:
+    """Smallest m >= n whose only prime factors are 2, 3 and 5; for n >= 1
+    the same as ``scipy.fft.next_fast_len(n, real=True)``."""
+    m = max(int(n), 1)
+    # 30**bits holds every power of 2, 3 and 5 that can divide m
+    while m // math.gcd(m, 30 ** m.bit_length()) != 1:
+        m += 1
+    return m
 
 
 @lru_cache(maxsize=None)
@@ -92,7 +105,7 @@ class SpectralGrid:
         Number of distinct eigenvalue shells retained (the cutoff N).
     pad : int, optional
         Points per dimension of the padded grid used for products.
-        Defaults to the smallest fast FFT length >= 3*max|k| + 1.
+        Defaults to the smallest 2-3-5-smooth length >= 3*max|k| + 1.
     """
 
     def __init__(self, shells: int, pad: int | None = None):
@@ -118,7 +131,7 @@ class SpectralGrid:
         self.max_wavenumber = int(max(self.kx.max(), self.ky.max()))
 
         min_pad = 3 * self.max_wavenumber + 1
-        self.pad = int(pad) if pad is not None else next_fast_len(min_pad, real=True)
+        self.pad = int(pad) if pad is not None else smooth_length(min_pad)
         if self.pad < min_pad:
             raise ValueError(
                 f"pad={self.pad} is below the alias-free minimum {min_pad}")

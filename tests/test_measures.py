@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from snselab import measures
 from snselab.errors import CapacityError, ConfigError, StructuralError
 from snselab.measures import (DistanceParams, Ensemble, certify_triangle,
                               default_alpha, rho,
@@ -141,6 +142,24 @@ def test_lp_route_matches_assignment():
     lp = wasserstein_exact(a_lp, b, "rho", DP)
     assert lp.method == "transport-lp"
     assert lp.value == pytest.approx(exact.value, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("solver, weights", [("linear_sum_assignment", None),
+                                             ("linprog", [0.5 + 1e-13, 0.5 - 1e-13])])
+def test_exact_transport_calls_solver_bound_on_module(monkeypatch, solver, weights):
+    # a solver rebound on the module (as a tracer does) must see every call
+    original = getattr(measures, solver)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(solver)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(measures, solver, spy)
+    fields = _fields(26, 27, 28, 29)
+    a = Ensemble(G, np.stack([f.coeffs for f in fields[:2]]), weights)
+    wasserstein_exact(a, _ensemble(fields[2:]), "rho", DP)
+    assert calls == [solver]
 
 
 def test_coupled_bound_dominates_exact():

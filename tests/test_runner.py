@@ -1,12 +1,16 @@
 import configparser
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import snselab
 from snselab.errors import ConfigError, StructuralError
 from snselab.experiments import (ContractionConfig, CouplingStudyConfig,
                                  StationaryBiasConfig, StudyReport,
@@ -260,6 +264,10 @@ BAD_CONFIGS = [
     ("bias", "[discretization]\ndelta0 = 0.1\n"),
     ("bias", "[experiment]\nn_ladder = 10, x, 40\n"),
     ("couple", "[discretization]\nsolver = krylov\ntol = 1e-3\n"),
+    ("couple", "[forcing]\nshells = 0\n"),
+    ("couple", "[forcing]\nvariance = -1\n"),
+    ("contraction", "[forcing]\nshells = 0\n"),
+    ("contraction", "[forcing]\nvariance = -1\n"),
     ("lyapunov", "[experiment]\nseeds = 2\n"),
     ("lyapunov", "[experiment]\nmargin_factor = wide\n"),
     ("certify-metric", "[initial]\nkind = zero\n"),
@@ -281,6 +289,29 @@ def test_bad_study_config_is_config_error(monkeypatch, tmp_path, subcommand, tex
         argv = [subcommand, "--config", _write_config(tmp_path, text)]
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert seen == []
+
+
+@pytest.mark.parametrize("key, val", [("shells", 0), ("variance", -1.0),
+                                      ("variance", float("nan"))])
+def test_forcing_checked_for_every_subcommand(key, val):
+    cfg = load_config(None)
+    cfg.sections["forcing"] = {key: val}
+    for cls in CONFIGS.values():
+        with pytest.raises(ConfigError) as err:
+            study_config(cls, cfg)
+        assert err.value.field == f"forcing.{key}"
+
+
+def test_import_loads_neither_scipy_fft_nor_optimize():
+    # scipy.optimize loads on the first exact transport, scipy.fft never
+    src = str(Path(snselab.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, snselab.runner; "
+            "print(sorted({'scipy.fft', 'scipy.optimize'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # an argument that starts with "[" is the text of the run's config file

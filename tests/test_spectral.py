@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.fft import next_fast_len
 
 from snselab import spectral
 from snselab.errors import GridMismatchError, StructuralError
@@ -24,6 +25,18 @@ def test_grid_counts():
     assert G16.n_modes == 100
     assert G16.lambda_next == 34
     assert G16.pad >= 3 * G16.max_wavenumber + 1
+
+
+def test_smooth_length_is_scipy_real_fast_length():
+    ns = range(1, 4097)
+    assert [spectral.smooth_length(n) for n in ns] == [next_fast_len(n, real=True)
+                                                       for n in ns]
+
+
+def test_default_pad_is_scipy_real_fast_length():
+    for s in range(1, 41):
+        g = make_grid(s)
+        assert g.pad == next_fast_len(3 * g.max_wavenumber + 1, real=True), s
 
 
 def test_mean_free_is_structural():
