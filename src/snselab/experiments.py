@@ -19,7 +19,6 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import coupling as coupling_mod
-from . import forcing as forcing_mod
 from . import integrator as integ
 from . import measures as measures_mod
 from . import rng, spectral
@@ -277,7 +276,6 @@ class TemporalOrderConfig:
     refine: int = 16
     p_moment: float = 0.5
     ic: InitialCondition = InitialCondition(kind="random", amplitude=1.0)
-    noise_on: bool = True
     threads: int = 1
     n_boot: int = 200
 
@@ -287,17 +285,19 @@ def temporal_order_study(cfg: TemporalOrderConfig, seed: int) -> StudyReport:
     δ_min/refine on the base tape.
 
     The base tape holds one Brownian sub-increment per cell of width
-    delta_base = δ_min/refine.  One pass over it advances the reference by
-    one step per cell and each rung delta by one step whenever its
-    delta/delta_base cells have elapsed, with the rung's increment summed
-    from exactly those cells.  The measured pathwise gap
+    delta_base = δ_min/refine.  The reference is `integrator.run_scheme`
+    over that tape, one step per cell, and the rungs step in its observer:
+    rung delta advances whenever its delta/delta_base cells have elapsed,
+    with its increment summed from exactly those cells.  The measured
+    pathwise gap
 
         E sup_{k <= K} |xi_coarse^k - xi_ref(t_k)|^p
 
     therefore isolates the time-discretization error.  The reported order
     is the slope of the 1/p-normalized moment, directly comparable between
-    the stochastic (order ~1/2) and deterministic (order 1) regimes.  The
-    rungs advance in lockstep in one thread, so ``cfg.threads`` is ignored.
+    the stochastic (order ~1/2) and deterministic (order 1) regimes; the
+    deterministic one is ``forcing_variance = 0``.  The rungs advance in
+    lockstep in one thread, so ``cfg.threads`` is ignored.
     """
     deltas = tuple(sorted(set(cfg.deltas), reverse=True))
     _require(len(cfg.deltas) >= 4, "ladder needs >= 4 rungs", "deltas")
@@ -317,51 +317,47 @@ def temporal_order_study(cfg: TemporalOrderConfig, seed: int) -> StudyReport:
     xi0 = cfg.ic.build(grid, seed)
     delta_base = d_min / cfg.refine
     m, d = cfg.ensemble, basis.d
-    traj_ids = np.arange(m)
 
-    def stepper(delta):
-        return integ.step_system(grid, SchemeParams(cfg.nu, delta, cfg.shells,
-                                                    delta0=deltas[0]))
-
-    def advance(c, inc, system):
-        noise = inc @ basis.packed
-        c, _ = integ._advance_one(grid, c, noise, system,
-                                  np.sqrt(spectral.packed_norm_sq(noise)))
-        return c
+    def params(delta):
+        return SchemeParams(cfg.nu, delta, cfg.shells, delta0=deltas[0])
 
     # base cells per fine step (delta/refine) and per step of each rung
     r_fs = [round(delta / cfg.refine / delta_base) for delta in deltas]
     r_cs = [cfg.refine * r_f for r_f in r_fs]
-    rungs = [stepper(delta) for delta in deltas]
-    ref_step = stepper(delta_base)
-    # every path marches as packed states (see spectral.pack)
+    rungs = [integ.step_system(grid, params(delta)) for delta in deltas]
+    # the rungs march as packed states (see spectral.pack)
     c0 = np.broadcast_to(spectral.pack(xi0.coeffs), (m, 2 * grid.n_half))
-    ref = c0.copy()
     cs = [c0.copy() for _ in deltas]
     sups = [np.zeros(m) for _ in deltas]
 
-    n_base = round(cfg.horizon / delta_base)
-    period = math.lcm(*r_cs)   # chunks hold whole steps of every rung
-    chunk = max(1, (1 << 22) // max(1, m * d * period)) * period
-    for b0 in range(0, n_base, chunk):
-        take = min(chunk, n_base - b0)
-        if cfg.noise_on:
-            g = forcing_mod.gaussian_cells(seed, traj_ids, np.arange(b0, b0 + take), d)
-            base_inc = np.sqrt(delta_base) * g
-        else:
-            base_inc = np.zeros((m, take, d))
-        # a rung's increment is the sum of its fine-step (delta/refine) increments
-        coarse = [sum_fine(sum_fine(base_inc.reshape(m, take // r_c, cfg.refine, r_f, d),
-                                    axis=3), axis=2)
-                  for r_f, r_c in zip(r_fs, r_cs)]
-        for i in range(take):
-            ref = advance(ref, base_inc[:, i], ref_step)
-            for k, r_c in enumerate(r_cs):
-                j, rem = divmod(i + 1, r_c)
-                if rem == 0:
-                    cs[k] = advance(cs[k], coarse[k][:, j - 1], rungs[k])
-                    np.maximum(sups[k], np.sqrt(spectral.packed_norm_sq(cs[k] - ref)),
-                               out=sups[k])
+    draw = integ.batch_increments(seed, np.arange(m), 1, d, delta_base)
+    pieces = []   # (n0, increments of cells n0, n0 + 1, ...) of the draws still read
+
+    def tape(n0, n1):
+        # no rung step reads further back than r_cs[0] cells
+        pieces[:] = [pc for pc in pieces if pc[0] + len(pc[1]) > n0 - r_cs[0]]
+        pieces.append((n0, draw(n0, n1)))
+        return pieces[-1][1]
+
+    def follow(step, ref, noise, noise_scale):
+        for k, r_c in enumerate(r_cs):
+            if step % r_c:
+                continue
+            # the rung step's cells step - r_c .. step - 1, from one draw or several
+            lo = step - r_c
+            parts = [inc[max(lo - n0, 0): step - n0] for n0, inc in pieces
+                     if n0 < step and lo < n0 + len(inc)]
+            cells = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            # a rung's increment is the sum of its fine-step (delta/refine) increments
+            dw = sum_fine(sum_fine(cells.reshape(cfg.refine, r_fs[k], m, d), axis=1))
+            noise_k = dw @ basis.packed
+            cs[k], _ = integ._advance_one(grid, cs[k], noise_k, rungs[k],
+                                          np.sqrt(spectral.packed_norm_sq(noise_k)))
+            np.maximum(sups[k], np.sqrt(spectral.packed_norm_sq(cs[k] - ref)), out=sups[k])
+
+    integ.run_scheme(grid, np.broadcast_to(xi0.coeffs, (m, grid.n_half)),
+                     round(cfg.horizon / delta_base), params(delta_base), basis, tape,
+                     keep_states=False, observer=follow)
 
     rows = [{"delta": delta, "err_p": float(np.mean(sup ** cfg.p_moment)),
              "err_sq": float(np.mean(sup ** 2))} for delta, sup in zip(deltas, sups)]
@@ -407,7 +403,6 @@ class SpatialOrderConfig:
     ic: InitialCondition = InitialCondition(kind="random-phase", amplitude=1.5,
                                             spectral_slope=-2.0)
     record_stride: int = 1
-    noise_on: bool = True
     threads: int = 1
     n_boot: int = 200
 
@@ -442,8 +437,7 @@ def spatial_order_study(cfg: SpatialOrderConfig, seed: int) -> StudyReport:
         p = SchemeParams(cfg.nu, cfg.delta, shells)
         c0 = np.broadcast_to(spectral.embed_coeffs(ref_grid, grid, xi0.coeffs),
                              (cfg.ensemble, grid.n_half))
-        inc = (integ.batch_increments(seed, traj_ids, 1, basis.d, cfg.delta)
-               if cfg.noise_on else None)
+        inc = integ.batch_increments(seed, traj_ids, 1, basis.d, cfg.delta)
         return integ.run_scheme(grid, c0, n_steps, p, basis, inc,
                                 record_stride=cfg.record_stride)
 
@@ -498,7 +492,6 @@ class HolderConfig:
     forcing_shells: int = 4
     forcing_variance: float = 0.5
     ic: InitialCondition = InitialCondition(kind="random", amplitude=1.0)
-    noise_on: bool = True
     threads: int = 1
     n_boot: int = 200
 
@@ -519,8 +512,7 @@ def holder_study(cfg: HolderConfig, seed: int) -> StudyReport:
     basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
     p = SchemeParams(cfg.nu, cfg.delta, cfg.shells)
     xi0 = cfg.ic.build(grid, seed)
-    inc = (integ.batch_increments(seed, np.arange(cfg.ensemble), 1, basis.d, cfg.delta)
-           if cfg.noise_on else None)
+    inc = integ.batch_increments(seed, np.arange(cfg.ensemble), 1, basis.d, cfg.delta)
     run = integ.run_scheme(grid, np.broadcast_to(xi0.coeffs,
                                                  (cfg.ensemble, grid.n_half)),
                            cfg.burn_steps + cfg.window_steps, p, basis, inc,

@@ -16,12 +16,13 @@ making coarse/fine couplings exact by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng, spectral
-from .errors import RangeError, StructuralError
+from .errors import ConfigError, RangeError, StructuralError
 from .spectral import SpectralField, SpectralGrid, TWO_PI_SQ
 
 
@@ -112,8 +113,13 @@ def low_mode_basis(grid: SpectralGrid, shells: int, variance: float = 0.5,
 
     Directions are cos and sin per canonical wavevector with |k|^2 within
     ``shells`` eigenvalue shells.  With no explicit amplitude list the
-    total variance |sigma|^2 is split evenly.
+    total variance |sigma|^2 is split evenly; a variance of 0 gives the
+    unforced scheme, with every direction zero.
     """
+    if shells < 1:
+        raise ConfigError(f"need >= 1 forcing shell, got {shells!r}", field="shells")
+    if not (variance >= 0 and math.isfinite(variance)):
+        raise ConfigError(f"must be finite and >= 0, got {variance!r}", field="variance")
     mask = grid.mode_mask(shells)
     idx = np.flatnonzero(mask)
     d = 2 * idx.size

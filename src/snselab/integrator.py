@@ -35,8 +35,8 @@ and one march loop, `run_scheme`, iterates over it.  Its observer sees
 each step's packed state and noise, which is how the coupled run steps
 its nudged copies after the plain batch, and one `MarchRecord` per batch
 holds the per-step energies and the strided states.  The temporal ladder
-of `experiments` keeps its own base-cell walk, because each of its rungs
-sums base cells.
+of `experiments` steps its rungs the same way, in an observer of the
+reference's march over the base tape.
 """
 
 from __future__ import annotations
@@ -301,14 +301,14 @@ def batch_increments(seed: int, trajectory_ids, fine_factor: int, d: int,
         chunk = max(1, min(INCREMENT_CHUNK, (1 << 22) // max(1, traj.size * d * r)))
     root = np.sqrt(delta / r)
 
+    def draw(a: int, b: int) -> np.ndarray:
+        g = forcing_mod.gaussian_cells(seed, traj, np.arange(a * r, b * r), d)
+        fine = root * g.reshape(traj.size, b - a, r, d)
+        return sum_fine(fine, axis=2).transpose(1, 0, 2)
+
     def provider(n0: int, n1: int) -> np.ndarray:
-        out = np.empty((n1 - n0, traj.size, d))
-        for a in range(n0, n1, chunk):
-            b = min(a + chunk, n1)
-            g = forcing_mod.gaussian_cells(seed, traj, np.arange(a * r, b * r), d)
-            fine = root * g.reshape(traj.size, b - a, r, d)
-            out[a - n0: b - n0] = sum_fine(fine, axis=2).transpose(1, 0, 2)
-        return out
+        # the output is allocated after every chunk's raw normals are freed
+        return np.concatenate([draw(a, min(a + chunk, n1)) for a in range(n0, n1, chunk)])
 
     return provider
 

@@ -3,12 +3,12 @@ import pytest
 
 from snselab import integrator, spectral
 from snselab.errors import ConfigError, FitError
-from snselab.experiments import (ContractionConfig, HolderConfig,
-                                 InitialCondition, ObservableSpec,
+from snselab.experiments import (ContractionConfig, CouplingStudyConfig,
+                                 HolderConfig, InitialCondition, ObservableSpec,
                                  SpatialOrderConfig, StationaryBiasConfig,
                                  TemporalOrderConfig, WeakErrorConfig,
-                                 clipped_energy, contraction_study, fit_rate,
-                                 holder_study, low_mode_re, smoothed_energy,
+                                 clipped_energy, contraction_study, coupling_study,
+                                 fit_rate, holder_study, low_mode_re, smoothed_energy,
                                  spatial_order_study, temporal_order_study,
                                  weak_error_study)
 from snselab.measures import DistanceParams
@@ -157,6 +157,15 @@ def test_bias_requires_short_burn():
         exp.stationary_bias_study(cfg, seed=0)
 
 
+def test_study_rejects_negative_forcing_variance():
+    # the check sits in forcing.low_mode_basis, so a study called from
+    # Python stops before an SVD of a non-finite forcing
+    with pytest.raises(ConfigError) as err:
+        coupling_study(CouplingStudyConfig(forcing_variance=-1.0, horizon=0.05,
+                                           ensemble=2), 1)
+    assert err.value.field == "variance"
+
+
 def test_lyapunov_alpha_admissibility_guard():
     # alpha above nu / (4 |sigma|^2) leaves the range of the moment bound
     import snselab.experiments as exp
@@ -177,7 +186,7 @@ def test_weak_rejects_undeclared_lipschitz():
 def test_temporal_noise_off_recovers_deterministic_order_one():
     cfg = TemporalOrderConfig(
         deltas=(1 / 20, 1 / 40, 1 / 80, 1 / 160),
-        shells=6, horizon=0.5, ensemble=1, refine=8, noise_on=False,
+        shells=6, horizon=0.5, ensemble=1, refine=8, forcing_variance=0.0,
         ic=InitialCondition(kind="random", amplitude=1.5, spectral_slope=-2.0))
     report = temporal_order_study(cfg, seed=3)
     fit = report.fits["order_p"]
@@ -224,18 +233,22 @@ def _per_rung_errors(cfg, seed, delta):
 
 def test_temporal_shared_reference_keeps_finest_rung_exact():
     # the finest rung's own reference is the shared one, so its errors match
-    # the per-rung reference implementation bit for bit
-    cfg = TemporalOrderConfig(deltas=(1 / 10, 1 / 20, 1 / 40, 1 / 80), shells=6,
-                              horizon=0.2, ensemble=4, refine=4)
-    report = temporal_order_study(cfg, seed=7)
-    finest = report.tables["rungs"][-1]
-    assert finest["delta"] == 1 / 80
-    err_p, err_sq = _per_rung_errors(cfg, 7, 1 / 80)
-    assert finest["err_p_moment"] == err_p
-    assert finest["err_mean_square"] == err_sq
-    again = temporal_order_study(cfg, seed=7)
-    assert again.tables == report.tables
-    assert again.fits == report.fits
+    # the per-rung reference implementation bit for bit.  The second ladder
+    # marches 600 base steps, so its 5-cell finest rung straddles both
+    # boundaries of the reference's 256-step tape pieces
+    for cfg in (TemporalOrderConfig(deltas=(1 / 10, 1 / 20, 1 / 40, 1 / 80), shells=6,
+                                    horizon=0.2, ensemble=4, refine=4),
+                TemporalOrderConfig(deltas=(3 / 100, 2 / 100, 1 / 100, 1 / 200),
+                                    shells=6, horizon=0.6, ensemble=4, refine=5)):
+        report = temporal_order_study(cfg, seed=7)
+        finest = report.tables["rungs"][-1]
+        assert finest["delta"] == min(cfg.deltas)
+        err_p, err_sq = _per_rung_errors(cfg, 7, min(cfg.deltas))
+        assert finest["err_p_moment"] == err_p
+        assert finest["err_mean_square"] == err_sq
+        again = temporal_order_study(cfg, seed=7)
+        assert again.tables == report.tables
+        assert again.fits == report.fits
 
 
 def test_spatial_resolved_regime_flagged():
@@ -243,7 +256,7 @@ def test_spatial_resolved_regime_flagged():
     # errors at rounding level, fit refused with a note
     cfg = SpatialOrderConfig(
         shell_ladder=(4, 6, 8), reference_shells=10, delta=0.01, horizon=0.05,
-        ensemble=1, noise_on=False,
+        ensemble=1, forcing_variance=0.0,
         ic=InitialCondition(kind="harmonic", amplitude=1.0, mode=(1, 0)))
     report = spatial_order_study(cfg, seed=0)
     assert report.scalars["resolved_regime"] is True
@@ -254,7 +267,7 @@ def test_holder_noise_off_single_mode_smooth():
     # smooth decay: increments scale like the lag itself, exponent ~ m
     cfg = HolderConfig(shells=6, delta=1 / 128, burn_steps=0, window_steps=256,
                        lag_min_steps=2, lag_max_steps=128, n_lags=8, moment=2,
-                       ensemble=1, noise_on=False,
+                       ensemble=1, forcing_variance=0.0,
                        ic=InitialCondition(kind="harmonic", mode=(1, 0)))
     report = holder_study(cfg, seed=0)
     assert report.scalars["exponent"] == pytest.approx(2.0, abs=0.1)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from snselab import forcing, spectral
-from snselab.errors import RangeError, StructuralError
+from snselab.errors import ConfigError, RangeError, StructuralError
 from snselab.forcing import (ForcingBasis, apply, basis_from_fields,
                              check_nondegeneracy, low_mode_basis,
                              pseudo_inverse_apply, sum_fine)
@@ -21,6 +21,21 @@ def test_low_mode_preset_shape():
     # normalized eigenfunction directions: diagonal Gram
     off = BASIS.gram - np.diag(np.diag(BASIS.gram))
     assert np.max(np.abs(off)) <= 1e-14
+
+
+@pytest.mark.parametrize("shells, variance, field", [
+    (0, 0.5, "shells"), (4, -1.0, "variance"), (4, float("nan"), "variance")])
+def test_low_mode_basis_rejects_bad_shells_and_variance(shells, variance, field):
+    with pytest.raises(ConfigError) as err:
+        low_mode_basis(G, shells, variance)
+    assert err.value.field == field
+
+
+def test_zero_variance_gives_zero_directions():
+    # the unforced scheme: every direction, and so every noise term, is zero
+    basis = low_mode_basis(G, 4, 0.0)
+    assert basis.d == BASIS.d
+    assert not np.any(basis.coeff_matrix) and not np.any(basis.packed)
 
 
 def test_trace_identity_matches_norms():

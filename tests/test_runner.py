@@ -232,11 +232,11 @@ BAD_CONFIGS = [
     ("converge-time", "[experiment]\nnu = 2.0\n[physics]\nnu = 1.0\n"),
     ("converge-time", "[experiment]\nhorizon = abc\n"),
     ("converge-time", "[experiment]\nensemble = 2.5\n"),
-    ("converge-time", "[experiment]\nnoise_on = 1\n"),
     ("converge-time", "[initial]\namplitude = big\n"),
     ("converge-time", "[initial]\nmode_kz = 1\n"),
     ("weak", "[observable]\nkind = no-such-observable\n"),
     ("couple", "[nudge]\nbeta = strong\n"),
+    ("couple", "[nudge]\ncompute_shifts = 1\n"),
     ("simulate", "[experiment]\nstepz = 4\n"),
     ("simulate", "[discretization]\nshells = abc\n"),
     ("simulate", "[discretization]\nsolver = krylov\n"),
@@ -440,7 +440,9 @@ horizon = 0.2
 ensemble = 1
 refine = 4
 p_moment = 1.0
-noise_on = false
+
+[forcing]
+variance = 0
 """)
     code = main(["converge-time", "--config", path, "--seed", "0",
                  "--out", str(tmp_path / "enf"), "--enforce"])
