@@ -43,7 +43,6 @@ class NudgeParams:
     shells_controlled: int
     beta: float
     base: SchemeParams
-    enforce_paper_condition: bool = True
 
     def __post_init__(self):
         if self.shells_controlled < 1:
@@ -51,14 +50,13 @@ class NudgeParams:
                               field="shells_controlled")
         if self.beta < 0:
             raise ConfigError("beta must be nonnegative", field="beta")
-        if self.enforce_paper_condition:
-            lam_next = int(spectral.eigenvalue_shells(
-                self.shells_controlled + 1)[self.shells_controlled])
-            if self.base.nu * lam_next < 2.0 * self.beta - 1e-12:
-                raise ConfigError(
-                    f"nu*lambda_(K+1)={self.base.nu * lam_next} < 2*beta={2 * self.beta}; "
-                    "relax beta or widen the controlled band",
-                    field="beta")
+        lam_next = int(spectral.eigenvalue_shells(
+            self.shells_controlled + 1)[self.shells_controlled])
+        if self.base.nu * lam_next < 2.0 * self.beta - 1e-12:
+            raise ConfigError(
+                f"nu*lambda_(K+1)={self.base.nu * lam_next} < 2*beta={2 * self.beta}; "
+                "relax beta or widen the controlled band",
+                field="beta")
 
 
 def propose_beta(shells_controlled: int, base: SchemeParams,
@@ -84,27 +82,29 @@ def propose_beta(shells_controlled: int, base: SchemeParams,
 
 @dataclass
 class CoupledPair:
-    """A plain ensemble, its nudged shadow, and the coupling records."""
+    """A plain ensemble, its nudged shadow, and the coupling records (the
+    last two None without ``compute_shifts``)."""
 
     primary: EnsembleRun
     nudged: EnsembleRun
-    gaps_sq: np.ndarray            # |zeta^n|^2, shape (n_steps+1, M)
-    shifts: np.ndarray | None      # psi_j, shape (n_steps, M, d)
+    gaps_sq: np.ndarray                  # |zeta^n|^2, shape (n_steps+1, M)
+    kl_bound: np.ndarray | None          # delta sum_j |psi_j|^2, shape (M,)
+    shift_sq_mean: np.ndarray | None     # member mean of |psi_j|^2, shape (n_steps,)
     params: NudgeParams
 
 
 def _coupled_run(grid: SpectralGrid, c0: np.ndarray, ct0: np.ndarray, n_steps: int,
                  np_: NudgeParams, basis: ForcingBasis, increments,
-                 record_stride: int = 1, compute_shifts: bool = True,
-                 keep_states: bool = False):
+                 compute_shifts: bool = True, keep_states: bool = False):
     """March a plain batch with `integ.run_scheme` and step k nudged copies
-    after each of its steps; record gaps and shifts.
+    after each of its steps; record gaps and sum the shifts' |psi|^2.
 
     ``c0`` holds M plain rows and ``ct0`` k * M nudged rows: copy j takes
     rows j M .. (j+1) M - 1, and each row i is nudged toward plain row
     i mod M.  The k copies march as one packed batch on the plain batch's
     noise, repeated k times along the member axis, and each batch's
-    ``iterations`` counts its own sweeps.
+    ``iterations`` counts its own sweeps.  The sums are sum_j |psi_j|^2 per
+    nudged row (k M,) and each copy's member mean per step (n_steps, k).
     """
     p = np_.base
     b = basis.project_to(grid)
@@ -119,15 +119,16 @@ def _coupled_run(grid: SpectralGrid, c0: np.ndarray, ct0: np.ndarray, n_steps: i
     k = mt // m
 
     pinv_t = forcing_mod.pinv_matrix(b).T if compute_shifts else None
-    rec_t = integ.MarchRecord(grid, ct, n_steps, record_stride, keep_states)
+    rec_t = integ.MarchRecord(grid, ct, n_steps, 1, keep_states)
     iters_t = np.zeros(n_steps, dtype=np.int64)
     gaps = np.empty((n_steps + 1, mt))
-    shifts = np.empty((n_steps, mt, b.d)) if compute_shifts else None
+    shift_sq = np.zeros(mt) if compute_shifts else None
+    shift_sq_mean = np.empty((n_steps, k)) if compute_shifts else None
     gaps[0] = spectral.packed_norm_sq(ct - np.tile(c, (k, 1)))
 
     def follow(step, c, noise, nscale):
         # the control references xi^n at the new level, so the plain step comes first
-        nonlocal ct
+        nonlocal ct, shift_sq
         c_k = np.tile(c, (k, 1))   # plain row i mod M beside each nudged row
         ct, iters_t[step - 1] = integ._advance_one(
             grid, ct, np.tile(noise, (k, 1)), system_n, np.tile(nscale, k),
@@ -146,24 +147,27 @@ def _coupled_run(grid: SpectralGrid, c0: np.ndarray, ct0: np.ndarray, n_steps: i
                 raise RangeError(
                     f"controlled modes left range(sigma) at step {step}",
                     float(np.max(resid)))
-            shifts[step - 1] = -np_.beta * eta
+            psi_sq = np_.beta ** 2 * np.sum(eta ** 2, axis=1)   # psi = -beta eta
+            shift_sq += psi_sq
+            shift_sq_mean[step - 1] = np.mean(psi_sq.reshape(k, m), axis=1)
         rec_t.push(step, ct)
 
-    primary = integ.run_scheme(grid, c0, n_steps, p, basis, increments, record_stride,
-                               keep_states, observer=follow)
-    return primary, rec_t.run(p, iters_t), gaps, shifts
+    primary = integ.run_scheme(grid, c0, n_steps, p, basis, increments,
+                               keep_states=keep_states, observer=follow)
+    return primary, rec_t.run(p, iters_t), gaps, shift_sq, shift_sq_mean
 
 
 def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
                       np_: NudgeParams, basis: ForcingBasis, seed: int,
-                      trajectory_ids, record_stride: int = 1,
-                      compute_shifts: bool = True,
+                      trajectory_ids, compute_shifts: bool = True,
                       keep_states: bool = False) -> list[CoupledPair]:
     """Batched coupled pairs, one per nudged start, on one tape per trajectory id.
 
     The plain ensemble marches once and every returned pair shares it as
     ``primary``; the nudged ensembles march together as one batch.
     """
+    if len(xi_tilde0s) == 0:
+        raise ConfigError("need at least one nudged start", field="xi_tilde0s")
     grid = np_.base.grid()
     m = len(trajectory_ids)
     c0 = np.broadcast_to(spectral.embed_coeffs(xi0.grid, grid, xi0.coeffs),
@@ -172,9 +176,8 @@ def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
         np.broadcast_to(spectral.embed_coeffs(xt.grid, grid, xt.coeffs), (m, grid.n_half))
         for xt in xi_tilde0s])
     inc = integ.batch_increments(seed, trajectory_ids, 1, basis.d, np_.base.delta)
-    primary, nudged, gaps, shifts = _coupled_run(
-        grid, c0, ct0, n_steps, np_, basis, inc, record_stride,
-        compute_shifts, keep_states)
+    primary, nudged, gaps, shift_sq, shift_sq_mean = _coupled_run(
+        grid, c0, ct0, n_steps, np_, basis, inc, compute_shifts, keep_states)
     pairs = []
     for j in range(len(xi_tilde0s)):
         rows = slice(j * m, (j + 1) * m)
@@ -182,8 +185,9 @@ def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
                            nudged.states[:, rows] if keep_states else None,
                            nudged.energy_sq[:, rows], nudged.h1_sq[:, rows],
                            nudged.iterations)
-        pairs.append(CoupledPair(primary, copy, gaps[:, rows],
-                                 shifts[:, rows] if compute_shifts else None, np_))
+        kl = np_.base.delta * shift_sq[rows] if compute_shifts else None
+        pairs.append(CoupledPair(primary, copy, gaps[:, rows], kl,
+                                 shift_sq_mean[:, j] if compute_shifts else None, np_))
     return pairs
 
 
@@ -218,11 +222,10 @@ class GirsanovCost:
 
 
 def girsanov_cost(pair: CoupledPair) -> GirsanovCost:
-    if pair.shifts is None:
-        raise ConfigError("coupled run was made without shift recording",
+    if pair.kl_bound is None:
+        raise ConfigError("coupled run was made without compute_shifts",
                           field="compute_shifts")
-    cost = pair.params.base.delta * np.sum(pair.shifts ** 2, axis=(0, -1))
-    return GirsanovCost(np.atleast_1d(cost), pair.params.base.delta)
+    return GirsanovCost(pair.kl_bound, pair.params.base.delta)
 
 
 def kl_majorant(np_: NudgeParams, basis: ForcingBasis, gap0_sq: float,
@@ -245,12 +248,9 @@ class ContractionFit:
     per_step_log_factor: float | None
     theoretical_log_factor: float
     r_squared: float | None
-    rate_ok: bool | None
-    n_fit: int
 
 
-def pathwise_contraction_check(pair: CoupledPair, band: float = 0.5,
-                               floor_rel: float = 1e-20) -> ContractionFit:
+def pathwise_contraction_check(pair: CoupledPair, floor_rel: float = 1e-20) -> ContractionFit:
     """Fit log E|zeta^n|^2 against n and compare with -(3/4) log(1+beta delta).
 
     Steps whose mean square gap has collapsed below floor_rel * |zeta^0|^2
@@ -260,17 +260,16 @@ def pathwise_contraction_check(pair: CoupledPair, band: float = 0.5,
     gaps = np.mean(pair.gaps_sq, axis=1)
     theo = -0.75 * np.log1p(pair.params.beta * pair.params.base.delta)
     if gaps[0] == 0.0 or np.all(gaps == 0.0):
-        return ContractionFit(True, None, theo, None, None, 0)
+        return ContractionFit(True, None, theo, None)
     keep = gaps > floor_rel * gaps[0]
     keep &= gaps > 0
     n = np.flatnonzero(keep)
     if n.size < 3:
-        return ContractionFit(False, None, theo, None, None, int(n.size))
+        return ContractionFit(False, None, theo, None)
     y = np.log(gaps[n])
     slope, intercept = np.polyfit(n.astype(float), y, 1)
     pred = slope * n + intercept
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    rate_ok = bool(-slope >= band * (-theo))
-    return ContractionFit(False, float(slope), theo, r2, rate_ok, int(n.size))
+    return ContractionFit(False, float(slope), theo, r2)

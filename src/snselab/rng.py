@@ -54,6 +54,19 @@ def _mulhilo(a, b):
     return hi, lo
 
 
+def _rounds(c0, c1, c2, c3, k0, k1):
+    """Philox-4x64-10 on counter words c0..c3 under key words k0, k1: uint64
+    arrays or scalars that broadcast, so a constant word is never materialized."""
+    with np.errstate(over="ignore"):
+        for _ in range(_ROUNDS):
+            hi0, lo0 = _mulhilo(_M0, c0)
+            hi1, lo1 = _mulhilo(_M1, c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+            k0 = k0 + _W0
+            k1 = k1 + _W1
+    return c0, c1, c2, c3
+
+
 def philox4x64(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
     """Apply the Philox-4x64-10 bijection to an array of counter blocks.
 
@@ -68,42 +81,25 @@ def philox4x64(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
     """
     counter = np.asarray(counter, dtype=_U64)
     key = np.asarray(key, dtype=_U64)
-    with np.errstate(over="ignore"):
-        c0 = np.ascontiguousarray(counter[..., 0])
-        c1 = np.ascontiguousarray(counter[..., 1])
-        c2 = np.ascontiguousarray(counter[..., 2])
-        c3 = np.ascontiguousarray(counter[..., 3])
-        k0 = np.broadcast_to(key[..., 0], c0.shape).copy()
-        k1 = np.broadcast_to(key[..., 1], c0.shape).copy()
-        for _ in range(_ROUNDS):
-            hi0, lo0 = _mulhilo(_M0, c0)
-            hi1, lo1 = _mulhilo(_M1, c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-            k0 = k0 + _W0
-            k1 = k1 + _W1
-    return np.stack([c0, c1, c2, c3], axis=-1)
+    words = _rounds(*(counter[..., i] for i in range(4)), key[..., 0], key[..., 1])
+    return np.stack(words, axis=-1)
 
 
 def _blocks(seed: int, stream_ids, cells, n_words: int, tag: int) -> np.ndarray:
     """Raw uint64 words for every (stream, cell) pair.
 
     Returns shape (n_streams, n_cells, n_words); ``stream_ids`` and
-    ``cells`` are 1-d integer arrays.
+    ``cells`` are 1-d integer arrays; block b is the cipher of counter
+    (cell, b, tag, 0) under key (seed, stream).
     """
     stream_ids = np.asarray(stream_ids, dtype=_U64)
     cells = np.asarray(cells, dtype=_U64)
     n_blocks = -(-n_words // 4)
-    shape = (stream_ids.size, cells.size, n_blocks)
-    counter = np.empty(shape + (4,), dtype=_U64)
-    counter[..., 0] = cells[None, :, None]
-    counter[..., 1] = np.arange(n_blocks, dtype=_U64)[None, None, :]
-    counter[..., 2] = _U64(tag)
-    counter[..., 3] = _U64(0)
-    key = np.empty(shape + (2,), dtype=_U64)
-    key[..., 0] = _U64(seed)
-    key[..., 1] = stream_ids[:, None, None]
-    words = philox4x64(counter, key)
-    return words.reshape(shape[0], shape[1], n_blocks * 4)[..., :n_words]
+    words = np.stack(_rounds(cells[None, :, None],
+                             np.arange(n_blocks, dtype=_U64)[None, None, :],
+                             _U64(tag), _U64(0), _U64(seed), stream_ids[:, None, None]),
+                     axis=-1)
+    return words.reshape(stream_ids.size, cells.size, n_blocks * 4)[..., :n_words]
 
 
 def uniforms(seed: int, stream_ids, cells, n: int, tag: int = Tag.SAMPLES) -> np.ndarray:

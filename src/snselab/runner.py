@@ -325,18 +325,20 @@ def _read_elsewhere(cls, where: str) -> bool:
 
 
 def _scalar(kind: type, val, where: str):
-    """`val` as a `kind`: an int passes as a float, a bool only as a bool."""
+    """`val` as a `kind`: an int passes as a float, a bool only as a bool,
+    and a float only if it is finite."""
     accepted = (int, float) if kind is float else kind
     if not isinstance(val, accepted) or (isinstance(val, bool) and kind is not bool):
         raise ConfigError(f"expected {kind.__name__}, got {val!r}", field=where)
+    if kind is float and not np.isfinite(val):
+        raise ConfigError(f"expected a finite number, got {val!r}", field=where)
     return kind(val)
 
 
-def _finite(val: float, where: str, lo: float = -np.inf) -> float:
-    """`val` if it is finite and >= `lo`."""
-    if not (np.isfinite(val) and val >= lo):
-        bound = "" if lo == -np.inf else f" >= {lo:g}"
-        raise ConfigError(f"expected a finite number{bound}, got {val!r}", field=where)
+def _finite(val: float, where: str, lo: float) -> float:
+    """`val` (finite, as `_scalar` returns it) if it is >= `lo`."""
+    if not val >= lo:
+        raise ConfigError(f"expected a finite number >= {lo:g}, got {val!r}", field=where)
     return val
 
 
@@ -352,6 +354,8 @@ def _coerce(kind, default, val, where: str):
         kind = next(k for k in typing.get_args(kind) if k is not type(None))
     if typing.get_origin(kind) is tuple or kind is tuple:
         items = val if isinstance(val, tuple) else (val,)
+        if not items:
+            raise ConfigError("expected at least one value", field=where)
         return tuple(_scalar(type(default[0]), v, where) for v in items)
     return _scalar(kind, val, where)
 
@@ -379,8 +383,9 @@ def study_config(cls, cfg: RunConfig, threads: int = 1):
     ("auto" means None); every other field keeps its default, and a class
     with a `threads` field gets `threads`.  A key that neither sets a
     field nor is read elsewhere (`_read_elsewhere`), a field set from two
-    places, a value of the wrong type, or a forcing with no shell or a
-    variance that is negative or not finite is a `ConfigError`.
+    places, a value of the wrong type, a float that is not finite, an
+    empty list, or a forcing with no shell or a negative variance is a
+    `ConfigError`.
     """
     fields = {f.name for f in dataclasses.fields(cls)}
     names = fields - {"threads"}
@@ -431,8 +436,7 @@ def build_forcing(cfg: RunConfig, grid) -> forcing_mod.ForcingBasis:
                            lo=0.0)
         amplitudes = sec.get("amplitudes")
         if amplitudes is not None:
-            amplitudes = tuple(_finite(_scalar(float, a, "forcing.amplitudes"),
-                                       "forcing.amplitudes") for a in amplitudes)
+            amplitudes = tuple(_scalar(float, a, "forcing.amplitudes") for a in amplitudes)
         try:
             return forcing_mod.low_mode_basis(grid, shells, variance, amplitudes)
         except StructuralError as err:
@@ -444,7 +448,7 @@ def build_forcing(cfg: RunConfig, grid) -> forcing_mod.ForcingBasis:
             if not isinstance(val, tuple) or len(val) != 4 or val[2] not in ("cos", "sin"):
                 raise ConfigError("expected 'kx, ky, cos|sin, amplitude'", field=where)
             kx, ky, kind, amp = (_scalar(int, val[0], where), _scalar(int, val[1], where),
-                                 val[2], _finite(_scalar(float, val[3], where), where))
+                                 val[2], _scalar(float, val[3], where))
             try:
                 fields.append(spectral.harmonic_field(grid, kx, ky, kind=kind,
                                                       amplitude=amp, normalized=True))

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from snselab import spectral
-from snselab.coupling import (CoupledPair, NudgeParams, coupled_ensembles,
-                              girsanov_cost, kl_majorant, pathwise_contraction_check,
-                              propose_beta)
+from snselab.coupling import (NudgeParams, coupled_ensembles, girsanov_cost, kl_majorant,
+                              pathwise_contraction_check, propose_beta)
 from snselab.errors import ConfigError, RangeError, SolverError
-from snselab.forcing import ForcingBasis, low_mode_basis
+from snselab.forcing import (ForcingBasis, low_mode_basis, pinv_matrix,
+                             pseudo_inverse_apply)
 from snselab.integrator import SchemeParams, batch_increments, run_scheme
 from snselab.spectral import (SpectralField, harmonic_field, make_grid,
                               random_field)
@@ -38,7 +38,6 @@ def test_propose_beta_saturates_condition():
 def test_nudge_params_enforce_condition():
     with pytest.raises(ConfigError):
         NudgeParams(4, 100.0, P)  # nu lambda_5 = 8 < 2*100
-    NudgeParams(4, 100.0, P, enforce_paper_condition=False)
 
 
 def test_identical_states_reduce_to_plain_step():
@@ -71,6 +70,12 @@ def test_beta_zero_coupled_walk_is_run_scheme():
     assert np.array_equal(pair.primary.states, run.states)
     assert np.array_equal(pair.primary.energy_sq, run.energy_sq)
     assert np.array_equal(pair.nudged.states, run.states)
+
+
+def test_coupled_run_needs_a_nudged_start():
+    f = random_field(G, seed=4, rms=1.0)
+    with pytest.raises(ConfigError):
+        coupled_ensembles(f, [], 5, _nudge(), BASIS8, seed=3, trajectory_ids=[0])
 
 
 def test_coupled_run_reports_failing_step_index():
@@ -115,8 +120,9 @@ def test_plain_path_is_shared_across_nudged_starts():
         # | |zeta_a| - |zeta_b| | <= |zeta_a - zeta_b| = |xi_tilde_a - xi_tilde_b|
         gap_diff = np.abs(np.sqrt(pair.gaps_sq) - np.sqrt(solo.gaps_sq))
         assert np.all(gap_diff <= bound)
-        assert np.allclose(pair.shifts, solo.shifts, rtol=0.0,
-                           atol=1e-9 * np.max(np.abs(solo.shifts)))
+        assert np.allclose(pair.kl_bound, solo.kl_bound, rtol=1e-9, atol=0.0)
+        assert np.allclose(pair.shift_sq_mean, solo.shift_sq_mean, rtol=0.0,
+                           atol=1e-9 * np.max(solo.shift_sq_mean))
 
 
 def test_plain_path_does_not_depend_on_nudged_copies():
@@ -164,7 +170,9 @@ def test_identical_initial_data_zero_gaps_and_shifts():
     f = random_field(G, seed=5, rms=1.0)
     pair = _pair(f, f, 20, seed=3, traj_id=1)
     assert np.allclose(pair.gaps_sq, 0.0, atol=1e-22)
-    assert np.allclose(pair.shifts, 0.0, atol=1e-11)
+    # every |psi_j| component within 1e-11
+    assert np.all(pair.shift_sq_mean <= BASIS8.d * 1e-22)
+    assert np.all(pair.kl_bound <= P.delta * 20 * BASIS8.d * 1e-22)
 
 
 def test_gap_decays_in_paper_regime():
@@ -213,14 +221,22 @@ def test_girsanov_zero_for_identical_data():
     assert cost.tv_from_kl() == pytest.approx(0.5)
 
 
-def test_girsanov_single_shift_sum():
-    # one step, one member, one recorded shift psi_1 = (1, 0, ...), delta = 0.25
-    shifts = np.zeros((1, 1, BASIS8.d))
-    shifts[0, 0, 0] = 1.0
-    p = SchemeParams(1.0, 0.25, 16)
-    pair = CoupledPair(None, None, np.zeros((2, 1)), shifts,
-                       NudgeParams(4, 1.0, p))
-    assert girsanov_cost(pair).kl_mean == pytest.approx(0.25)
+def test_girsanov_identity_from_recorded_states():
+    # the run's sums are delta beta^2 sum_j |sigma^-1 P_K zeta^j|^2 per member, and
+    # their member mean per step, with zeta^j rebuilt from the recorded states
+    K = 4
+    np_ = _nudge(K=K)
+    f = random_field(G, seed=10, rms=1.0)
+    pair = coupled_ensembles(f, _starts(f)[2:], 8, np_, BASIS8, seed=6,
+                             trajectory_ids=[0, 1], keep_states=True)[0]
+    zeta = pair.nudged.states[1:] - pair.primary.states[1:]
+    psi_sq = np_.beta ** 2 * np.array([
+        [np.sum(pseudo_inverse_apply(BASIS8, spectral.project_coeffs(G, z, K)) ** 2)
+         for z in step] for step in zeta])
+    assert np.allclose(pair.kl_bound, P.delta * psi_sq.sum(axis=0), rtol=1e-10, atol=0.0)
+    assert np.allclose(pair.shift_sq_mean, psi_sq.mean(axis=1), rtol=1e-10, atol=0.0)
+    assert girsanov_cost(pair).kl_mean == pytest.approx(P.delta * psi_sq.sum(axis=0).mean(),
+                                                        rel=1e-10)
 
 
 def test_girsanov_requires_recorded_shifts():
@@ -280,10 +296,13 @@ def test_uniqueness_transfer_shifted_tape():
     n_steps = 60
     pair = _pair(f, g, n_steps, np_, seed=21, traj_id=2, keep_states=True)
     tape = batch_increments(21, [2], 1, BASIS8.d, P.delta)
+    # psi_j = -beta sigma^-1 P_K (xi_tilde^j - xi^j), shape (n_steps, 1, d)
+    zk = spectral.project_coeffs(G, pair.nudged.states[1:] - pair.primary.states[1:], 4)
+    psi = -np_.beta * spectral.pack(zk) @ pinv_matrix(BASIS8).T
 
     def shifted(n0, n1):
         # over step n the shifted increment is DW_n + delta psi_n
-        return tape(n0, n1) + P.delta * pair.shifts[n0:n1]
+        return tape(n0, n1) + P.delta * psi[n0:n1]
 
     run = run_scheme(G, g.coeffs, n_steps, P, BASIS8, shifted)
     diff = spectral.norm_l2(run.states - pair.nudged.states)

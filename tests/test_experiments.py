@@ -57,6 +57,26 @@ def test_fit_noisy_calibration():
     assert hits >= 0.95 * n_seeds
 
 
+@pytest.mark.parametrize("xs", [[1.0, 2.0, 4.0], [0.04, 0.02, 0.01, 0.005],
+                                [1.0, 1.0, 3.0, 9.0, 27.0]])
+def test_fit_bootstrap_matches_polyfit_loop(xs):
+    # the one-array slopes against np.polyfit per resample; at 3 and 4 points
+    # some resamples draw one abscissa only and are skipped by both
+    from snselab import rng
+
+    xs = np.array(xs)
+    ys = xs ** 0.7 * np.exp(0.2 * np.random.default_rng(len(xs)).standard_normal(xs.size))
+    fit = fit_rate(xs, ys, seed=3, boot_stream=2)
+    u = rng.uniforms(3, [2], np.arange(200), xs.size, tag=rng.Tag.BOOTSTRAP)[0]
+    idx = np.minimum((u * xs.size).astype(np.intp), xs.size - 1)
+    logx, logy = np.log(xs), np.log(ys)
+    slopes = [np.polyfit(logx[row], logy[row], 1)[0] for row in idx
+              if np.unique(logx[row]).size >= 2]
+    assert len(slopes) < 200
+    lo, hi = np.percentile(slopes, [2.5, 97.5])
+    assert fit.ci_halfwidth == pytest.approx(0.5 * (hi - lo), rel=1e-12)
+
+
 def test_fit_bootstrap_deterministic():
     xs = np.geomspace(1, 10, 6)
     g = np.random.default_rng(0)
@@ -142,6 +162,13 @@ def test_holder_rejects_sub_step_lags():
     cfg = HolderConfig(lag_min_steps=0)
     with pytest.raises(ConfigError):
         holder_study(cfg, seed=0)
+
+
+def test_holder_requires_two_lags():
+    for n_lags in (0, 1):
+        with pytest.raises(ConfigError) as err:
+            holder_study(HolderConfig(n_lags=n_lags), seed=0)
+        assert err.value.field == "n_lags"
 
 
 def test_holder_requires_decade_span():

@@ -20,6 +20,21 @@ def test_philox_matches_numpy(trial):
     assert np.array_equal(ref, mine)
 
 
+def test_blocks_are_the_cipher_of_their_counters():
+    # _blocks keeps its constant counter and key words scalar; the cipher of
+    # the full counter and key arrays gives the same words
+    streams, cells, n, blocks = np.array([0, 3, 9]), np.array([2, 5]), 7, 2
+    counter = np.zeros((3, 2, blocks, 4), dtype=np.uint64)
+    counter[..., 0] = cells[None, :, None]
+    counter[..., 1] = np.arange(blocks)[None, None, :]
+    counter[..., 2] = rng.Tag.BOOTSTRAP
+    key = np.zeros((3, 2, blocks, 2), dtype=np.uint64)
+    key[..., 0] = 11
+    key[..., 1] = streams[:, None, None]
+    want = rng.philox4x64(counter, key).reshape(3, 2, 4 * blocks)[..., :n]
+    assert np.array_equal(rng._blocks(11, streams, cells, n, rng.Tag.BOOTSTRAP), want)
+
+
 def test_pure_function_of_key_and_counter():
     a = rng.standard_normals(7, [3], [11], 8)
     b = rng.standard_normals(7, [3], [11], 8)

@@ -222,6 +222,13 @@ def test_example_configs_build_their_study(monkeypatch, name, subcommand, expect
     assert seen == [expected]
 
 
+@pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.cfg")), ids=lambda p: p.name)
+def test_every_example_config_builds(path):
+    # each shipped config, named after its subcommand, builds that subcommand's config
+    cls = CONFIGS[path.stem.replace("_", "-")]
+    assert isinstance(study_config(cls, load_config(str(path))), cls)
+
+
 # (subcommand, config text; for replay the run's manifest): each exits 2
 BAD_CONFIGS = [
     ("converge-time", "[experiment]\nensembel = 1\n"),
@@ -272,6 +279,17 @@ BAD_CONFIGS = [
     ("lyapunov", "[experiment]\nmargin_factor = wide\n"),
     ("certify-metric", "[initial]\nkind = zero\n"),
     ("certify-metric", "[distance]\neps = abc\n"),
+    # a non-finite float or an empty list, whichever field it sets
+    ("couple", "[experiment]\nperturbations = ,\n"),
+    ("couple", "[experiment]\nhorizon = nan\n"),
+    ("couple", "[experiment]\nhorizon = inf\n"),
+    ("contraction", "[experiment]\nhorizon = nan\n"),
+    ("converge-time", "[experiment]\nhorizon = nan\n"),
+    ("lyapunov", "[experiment]\nhorizon = nan\n"),
+    ("contraction", "[experiment]\nshells_list = ,\n"),
+    ("contraction", "[experiment]\ndeltas = ,\n"),
+    ("weak", "[experiment]\nshells_list = ,\n"),
+    ("weak", "[experiment]\ndeltas = ,\n"),
     ("replay", "[experiment]\nsteps = 2\n"),
     ("replay", "[meta]\nsubcommand = simulate\n"),
     ("replay", "[meta]\nsubcommand = simulate\nseed = abc\n"),
@@ -288,6 +306,12 @@ def test_bad_study_config_is_config_error(monkeypatch, tmp_path, subcommand, tex
     else:
         argv = [subcommand, "--config", _write_config(tmp_path, text)]
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert seen == []
+
+
+def test_empty_perturbation_flag_is_config_error(monkeypatch, tmp_path):
+    seen = _capture_studies(monkeypatch)
+    assert main(["couple", "--perturbation", ",", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert seen == []
 
 
