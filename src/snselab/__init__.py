@@ -13,7 +13,7 @@ from .spectral import (SpectralField, SpectralGrid, VelocityField, advect, axpy,
                        zero_field)
 from .forcing import (ForcingBasis, apply, check_nondegeneracy, low_mode_basis,
                       pseudo_inverse_apply)
-from .integrator import EnsembleRun, SchemeParams, batch_increments, run_scheme
+from .integrator import EnsembleRun, SchemeParams, batch_increments, march, run_scheme
 from .coupling import (CoupledPair, NudgeParams, coupled_ensembles, girsanov_cost,
                        pathwise_contraction_check, propose_beta)
 from .measures import (DistanceParams, Ensemble, certify_triangle, rho,

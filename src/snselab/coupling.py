@@ -13,10 +13,10 @@ turns the nudged run back into the plain scheme, so the path-space cost
 delta sum_j |psi_j|^2 bounds the Kullback-Leibler divergence (and through
 it the total variation distance) between the two time-marginal laws.
 
-Both systems advance on one noise tape.  The plain batch marches in
-`integrator.run_scheme`, and its observer steps the nudged copies after
-each plain step, because the control term references xi^n at the new
-time level; the copies record through their own `integrator.MarchRecord`.
+Both systems advance on one noise tape.  The plain batch is one
+`integrator.march`, and its observer steps the nudged copies after each
+plain step, because the control term references xi^n at the new time
+level; the copies record through their own `integrator.MarchRecord`.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ from . import spectral
 from .errors import ConfigError, RangeError
 from .forcing import ForcingBasis
 from .integrator import EnsembleRun, SchemeParams
-from .spectral import SpectralField, SpectralGrid
+from .spectral import SpectralField
 
 SHIFT_TOL = 1e-8   # relative residual above which a shift leaves range(sigma)
+GAP_FLOOR = 1e-20  # E|zeta^n|^2 / |zeta^0|^2 below which a gap has collapsed
 
 
 @dataclass(frozen=True)
@@ -60,21 +61,20 @@ class NudgeParams:
 
 
 def propose_beta(shells_controlled: int, base: SchemeParams,
-                 basis: ForcingBasis | None = None, margin: float = 1.0) -> dict:
+                 basis: ForcingBasis | None = None) -> dict:
     """Saturating gain beta = nu lambda_{K+1} / 2 for a given K.
 
     Also reports whether beta clears the admissibility floor
-    beta >= margin * max(1/delta0, delta0^2 |sigma|^4/nu^3, |sigma|^4/nu^5),
-    whose absolute constant the theory leaves free.
+    beta >= max(1/delta0, delta0^2 |sigma|^4/nu^3, |sigma|^4/nu^5), taking
+    the absolute constant, which the theory leaves free, as 1.
     """
     lam_next = int(spectral.eigenvalue_shells(shells_controlled + 1)[shells_controlled])
     beta = 0.5 * base.nu * lam_next
     out = {"beta": beta, "lambda_next": lam_next, "floor_ok": None, "floor": None}
     if basis is not None:
         s2 = basis.variance
-        floor = margin * max(1.0 / base.delta0,
-                             base.delta0 ** 2 * s2 ** 2 / base.nu ** 3,
-                             s2 ** 2 / base.nu ** 5)
+        floor = max(1.0 / base.delta0, base.delta0 ** 2 * s2 ** 2 / base.nu ** 3,
+                    s2 ** 2 / base.nu ** 5)
         out["floor"] = floor
         out["floor_ok"] = bool(beta >= floor)
     return out
@@ -93,38 +93,40 @@ class CoupledPair:
     params: NudgeParams
 
 
-def _coupled_run(grid: SpectralGrid, c0: np.ndarray, ct0: np.ndarray, n_steps: int,
-                 np_: NudgeParams, basis: ForcingBasis, increments,
-                 compute_shifts: bool = True, keep_states: bool = False):
-    """March a plain batch with `integ.run_scheme` and step k nudged copies
-    after each of its steps; record gaps and sum the shifts' |psi|^2.
+def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
+                      np_: NudgeParams, basis: ForcingBasis, seed: int,
+                      trajectory_ids, compute_shifts: bool = True,
+                      keep_states: bool = False) -> list[CoupledPair]:
+    """Batched coupled pairs, one per nudged start, on one tape per trajectory id.
 
-    ``c0`` holds M plain rows and ``ct0`` k * M nudged rows: copy j takes
-    rows j M .. (j+1) M - 1, and each row i is nudged toward plain row
-    i mod M.  The k copies march as one packed batch on the plain batch's
-    noise, repeated k times along the member axis, and each batch's
-    ``iterations`` counts its own sweeps.  The sums are sum_j |psi_j|^2 per
-    nudged row (k M,) and each copy's member mean per step (n_steps, k).
+    The plain ensemble of M = len(trajectory_ids) rows marches once in
+    `integ.march`, and every returned pair shares it as ``primary``.  Its
+    observer steps the k nudged copies after each plain step, as one batch
+    of k M rows (`integ.start_rows`): copy j takes rows j M .. (j+1) M - 1,
+    and each row i is nudged toward plain row i mod M on the plain row's
+    noise.  Each batch's ``iterations`` counts its own sweeps.  The
+    observer records gaps and sums sum_j |psi_j|^2 per nudged row and
+    each copy's member mean of |psi_j|^2 per step.
     """
+    if len(xi_tilde0s) == 0:
+        raise ConfigError("need at least one nudged start", field="xi_tilde0s")
     p = np_.base
+    grid = p.grid()
     b = basis.project_to(grid)
     mask = grid.mode_mask(np_.shells_controlled).astype(np.float64)
     system_n = integ.step_system(grid, p, p.delta * np_.beta * mask)
     mask = np.concatenate([mask, mask])   # P_K on packed states
     nudge = p.delta * np_.beta * mask
 
-    c = np.atleast_2d(spectral.pack(np.asarray(c0, dtype=np.complex128)))
-    ct = np.atleast_2d(spectral.pack(np.asarray(ct0, dtype=np.complex128)))
-    m, mt = c.shape[0], ct.shape[0]
-    k = mt // m
-
+    m, k = len(trajectory_ids), len(xi_tilde0s)
+    ct = spectral.pack(integ.start_rows(grid, xi_tilde0s, m))
     pinv_t = forcing_mod.pinv_matrix(b).T if compute_shifts else None
     rec_t = integ.MarchRecord(grid, ct, n_steps, 1, keep_states)
     iters_t = np.zeros(n_steps, dtype=np.int64)
-    gaps = np.empty((n_steps + 1, mt))
-    shift_sq = np.zeros(mt) if compute_shifts else None
+    gaps = np.empty((n_steps + 1, k * m))
+    shift_sq = np.zeros(k * m) if compute_shifts else None
     shift_sq_mean = np.empty((n_steps, k)) if compute_shifts else None
-    gaps[0] = spectral.packed_norm_sq(ct - np.tile(c, (k, 1)))
+    gaps[0] = spectral.packed_norm_sq(ct - spectral.pack(integ.start_rows(grid, [xi0] * k, m)))
 
     def follow(step, c, noise, nscale):
         # the control references xi^n at the new level, so the plain step comes first
@@ -152,40 +154,16 @@ def _coupled_run(grid: SpectralGrid, c0: np.ndarray, ct0: np.ndarray, n_steps: i
             shift_sq_mean[step - 1] = np.mean(psi_sq.reshape(k, m), axis=1)
         rec_t.push(step, ct)
 
-    primary = integ.run_scheme(grid, c0, n_steps, p, basis, increments,
-                               keep_states=keep_states, observer=follow)
-    return primary, rec_t.run(p, iters_t), gaps, shift_sq, shift_sq_mean
-
-
-def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
-                      np_: NudgeParams, basis: ForcingBasis, seed: int,
-                      trajectory_ids, compute_shifts: bool = True,
-                      keep_states: bool = False) -> list[CoupledPair]:
-    """Batched coupled pairs, one per nudged start, on one tape per trajectory id.
-
-    The plain ensemble marches once and every returned pair shares it as
-    ``primary``; the nudged ensembles march together as one batch.
-    """
-    if len(xi_tilde0s) == 0:
-        raise ConfigError("need at least one nudged start", field="xi_tilde0s")
-    grid = np_.base.grid()
-    m = len(trajectory_ids)
-    c0 = np.broadcast_to(spectral.embed_coeffs(xi0.grid, grid, xi0.coeffs),
-                         (m, grid.n_half))
-    ct0 = np.concatenate([
-        np.broadcast_to(spectral.embed_coeffs(xt.grid, grid, xt.coeffs), (m, grid.n_half))
-        for xt in xi_tilde0s])
-    inc = integ.batch_increments(seed, trajectory_ids, 1, basis.d, np_.base.delta)
-    primary, nudged, gaps, shift_sq, shift_sq_mean = _coupled_run(
-        grid, c0, ct0, n_steps, np_, basis, inc, compute_shifts, keep_states)
+    primary = integ.march(p, basis, [xi0], seed, trajectory_ids, n_steps,
+                          keep_states=keep_states, observer=follow)
+    nudged = rec_t.run(p, iters_t)
     pairs = []
-    for j in range(len(xi_tilde0s)):
+    for j in range(k):
         rows = slice(j * m, (j + 1) * m)
-        copy = EnsembleRun(grid, nudged.params, nudged.step_indices,
+        copy = EnsembleRun(grid, p, nudged.step_indices,
                            nudged.states[:, rows] if keep_states else None,
-                           nudged.energy_sq[:, rows], nudged.h1_sq[:, rows],
-                           nudged.iterations)
-        kl = np_.base.delta * shift_sq[rows] if compute_shifts else None
+                           nudged.energy_sq[:, rows], nudged.iterations)
+        kl = p.delta * shift_sq[rows] if compute_shifts else None
         pairs.append(CoupledPair(primary, copy, gaps[:, rows], kl,
                                  shift_sq_mean[:, j] if compute_shifts else None, np_))
     return pairs
@@ -228,16 +206,15 @@ def girsanov_cost(pair: CoupledPair) -> GirsanovCost:
     return GirsanovCost(pair.kl_bound, pair.params.base.delta)
 
 
-def kl_majorant(np_: NudgeParams, basis: ForcingBasis, gap0_sq: float,
-                c_tilde: float = 1.0) -> float:
-    """Closed-form majorant shape c~ beta (1+beta delta) |sigma^-1|^2 |zeta0|^2.
+def kl_majorant(np_: NudgeParams, basis: ForcingBasis, gap0_sq: float) -> float:
+    """Closed-form majorant shape beta (1+beta delta) |sigma^-1|^2 |zeta0|^2.
 
-    The state-dependent exponential factor of the full bound is dropped
-    (it is O(1) at desk scale); used for order-of-magnitude comparisons.
+    The absolute constant and the state-dependent exponential factor of
+    the full bound are dropped (the factor is O(1) at desk scale); used for
+    order-of-magnitude comparisons.
     """
     b = np_.beta
-    return float(c_tilde * b * (1.0 + b * np_.base.delta)
-                 * basis.pinv_norm() ** 2 * gap0_sq)
+    return float(b * (1.0 + b * np_.base.delta) * basis.pinv_norm() ** 2 * gap0_sq)
 
 
 # -- pathwise contraction fit ---------------------------------------------------
@@ -250,10 +227,10 @@ class ContractionFit:
     r_squared: float | None
 
 
-def pathwise_contraction_check(pair: CoupledPair, floor_rel: float = 1e-20) -> ContractionFit:
+def pathwise_contraction_check(pair: CoupledPair) -> ContractionFit:
     """Fit log E|zeta^n|^2 against n and compare with -(3/4) log(1+beta delta).
 
-    Steps whose mean square gap has collapsed below floor_rel * |zeta^0|^2
+    Steps whose mean square gap has collapsed below GAP_FLOOR * |zeta^0|^2
     (numerical coupling floor) are excluded from the fit.  All-zero gaps
     report an exact coupling rather than an error.
     """
@@ -261,7 +238,7 @@ def pathwise_contraction_check(pair: CoupledPair, floor_rel: float = 1e-20) -> C
     theo = -0.75 * np.log1p(pair.params.beta * pair.params.base.delta)
     if gaps[0] == 0.0 or np.all(gaps == 0.0):
         return ContractionFit(True, None, theo, None)
-    keep = gaps > floor_rel * gaps[0]
+    keep = gaps > GAP_FLOOR * gaps[0]
     keep &= gaps > 0
     n = np.flatnonzero(keep)
     if n.size < 3:

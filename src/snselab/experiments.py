@@ -255,6 +255,16 @@ def _require(cond: bool, message: str, field_name: str):
         raise ConfigError(message, field=field_name)
 
 
+def _whole_steps(span: float, step: float, field_name: str) -> int:
+    """How many steps of ``step`` make up ``span``: a whole number >= 1, or
+    a `ConfigError` on ``field_name``."""
+    ratio = span / step if step > 0 else math.nan
+    n = round(ratio) if math.isfinite(ratio) else 0
+    _require(n >= 1 and abs(ratio - n) < 1e-9,
+             f"{span!r} is not a whole number of steps of {step!r}", field_name)
+    return n
+
+
 def _monotone(ladder) -> bool:
     """Whether `ladder` strictly increases or strictly decreases."""
     diffs = np.diff(np.asarray(ladder, dtype=float))
@@ -302,14 +312,11 @@ def temporal_order_study(cfg: TemporalOrderConfig, seed: int) -> StudyReport:
     _require(len(cfg.deltas) >= 4, "ladder needs >= 4 rungs", "deltas")
     _require(_monotone(cfg.deltas), "ladder must be strictly monotone", "deltas")
     d_min = deltas[-1]
-    ratios = [d / d_min for d in deltas]
-    _require(all(abs(r - round(r)) < 1e-9 for r in ratios),
-             "rungs must be integer multiples of the smallest step", "deltas")
+    for delta in deltas:
+        _whole_steps(delta, d_min, "deltas")
+        _whole_steps(cfg.horizon, delta, "horizon")
     _require(cfg.refine >= 2, "reference refinement must be >= 2", "refine")
     _require(cfg.ensemble >= 1, "need >= 1 member", "ensemble")
-    steps = [cfg.horizon / d for d in deltas]
-    _require(all(abs(s - round(s)) < 1e-9 for s in steps),
-             "horizon must be a whole number of steps at every rung", "horizon")
 
     grid = make_grid(cfg.shells)
     basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
@@ -422,23 +429,16 @@ def spatial_order_study(cfg: SpatialOrderConfig, seed: int) -> StudyReport:
              "reference cutoff must be strictly largest", "reference_shells")
     _require(cfg.forcing_shells <= min(ladder),
              "forcing must be resolved on the smallest rung", "forcing_shells")
-    n_steps = round(cfg.horizon / cfg.delta)
-    _require(abs(n_steps * cfg.delta - cfg.horizon) < 1e-9, "horizon not a whole "
-             "number of steps", "horizon")
+    n_steps = _whole_steps(cfg.horizon, cfg.delta, "horizon")
 
     ref_grid = make_grid(cfg.reference_shells)
     xi0 = cfg.ic.build(ref_grid, seed)
     traj_ids = np.arange(cfg.ensemble)
 
     def run_at(shells: int) -> integ.EnsembleRun:
-        grid = make_grid(shells)
-        basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
-        p = SchemeParams(cfg.nu, cfg.delta, shells)
-        c0 = np.broadcast_to(spectral.embed_coeffs(ref_grid, grid, xi0.coeffs),
-                             (cfg.ensemble, grid.n_half))
-        inc = integ.batch_increments(seed, traj_ids, 1, basis.d, cfg.delta)
-        return integ.run_scheme(grid, c0, n_steps, p, basis, inc,
-                                record_stride=cfg.record_stride)
+        basis = low_mode_basis(make_grid(shells), cfg.forcing_shells, cfg.forcing_variance)
+        return integ.march(SchemeParams(cfg.nu, cfg.delta, shells), basis, [xi0], seed,
+                           traj_ids, n_steps, record_stride=cfg.record_stride)
 
     runs = _pmap(run_at, ladder + (cfg.reference_shells,), cfg.threads)
     ref = runs[-1]
@@ -491,7 +491,6 @@ class HolderConfig:
     forcing_shells: int = 4
     forcing_variance: float = 0.5
     ic: InitialCondition = InitialCondition(kind="random", amplitude=1.0)
-    threads: int = 1
     n_boot: int = 200
 
 
@@ -511,12 +510,8 @@ def holder_study(cfg: HolderConfig, seed: int) -> StudyReport:
     grid = make_grid(cfg.shells)
     basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
     p = SchemeParams(cfg.nu, cfg.delta, cfg.shells)
-    xi0 = cfg.ic.build(grid, seed)
-    inc = integ.batch_increments(seed, np.arange(cfg.ensemble), 1, basis.d, cfg.delta)
-    run = integ.run_scheme(grid, np.broadcast_to(xi0.coeffs,
-                                                 (cfg.ensemble, grid.n_half)),
-                           cfg.burn_steps + cfg.window_steps, p, basis, inc,
-                           record_stride=1)
+    run = integ.march(p, basis, [cfg.ic.build(grid, seed)], seed, np.arange(cfg.ensemble),
+                      cfg.burn_steps + cfg.window_steps)
     states = run.states[cfg.burn_steps:]           # (W+1, M, n_half)
 
     rows = []
@@ -563,17 +558,21 @@ class ContractionConfig:
     threads: int = 1
     n_boot: int = 200
 
+    def __post_init__(self):
+        for delta in self.deltas:
+            _whole_steps(self.horizon, delta, "horizon")
+
 
 def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
     """Decay of the coupled-bound Wasserstein distance, grid-uniformly.
 
     Two ensembles start from initial conditions separated by a low-mode
     gap and advance under the synchronized coupling (one tape per member
-    pair, drawn once per cell); both march as one batch of 2M rows.  The
-    mean weighted cost over pairs upper-bounds the exact empirical
-    Wasserstein distance (computed alongside for small ensembles); the
-    fitted exponential rate is compared across the (cutoff, step) grid to
-    exhibit discretization uniformity.
+    pair, drawn once per cell); both are one `integrator.march` of 2M
+    rows.  The mean weighted cost over pairs upper-bounds the exact
+    empirical Wasserstein distance (computed alongside for small
+    ensembles); the fitted exponential rate is compared across the
+    (cutoff, step) grid to exhibit discretization uniformity.
     """
     _require(_monotone(cfg.shells_list), "ladder must be strictly monotone", "shells_list")
     _require(_monotone(cfg.deltas), "ladder must be strictly monotone", "deltas")
@@ -592,17 +591,13 @@ def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
         basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
         p = SchemeParams(cfg.nu, delta, shells)
         stride = max(1, round(cfg.record_time / delta))
-        n_steps = round(cfg.horizon / delta)
         xi0 = cfg.ic.build(grid, seed)
         gap = spectral.harmonic_field(grid, *cfg.gap_mode, amplitude=cfg.gap_amplitude,
                                       normalized=True)
         m = cfg.ensemble
-        c0 = np.broadcast_to(xi0.coeffs, (m, grid.n_half))
-        ct0 = np.broadcast_to(xi0.coeffs + gap.coeffs, (m, grid.n_half))
-        tape = integ.batch_increments(seed, traj_ids, 1, basis.d, delta)
-        run = integ.run_scheme(grid, np.concatenate([c0, ct0]), n_steps, p, basis,
-                               lambda n0, n1: np.tile(tape(n0, n1), (1, 2, 1)),
-                               record_stride=stride)
+        run = integ.march(p, basis, [xi0, SpectralField(grid, xi0.coeffs + gap.coeffs)],
+                          seed, traj_ids, _whole_steps(cfg.horizon, delta, "horizon"),
+                          record_stride=stride)
         states_a, states_b = run.states[:, :m], run.states[:, m:]
 
         times = run.times
@@ -690,6 +685,9 @@ class WeakErrorConfig:
     report_lipschitz: bool = False
     threads: int = 1
 
+    def __post_init__(self):
+        _whole_steps(self.horizon, self.record_time, "horizon")
+
 
 def weak_error_study(cfg: WeakErrorConfig, seed: int) -> StudyReport:
     """sup over recorded times of the observable-mean gap to the reference.
@@ -716,30 +714,22 @@ def weak_error_study(cfg: WeakErrorConfig, seed: int) -> StudyReport:
              "reference cutoff must dominate the grid", "reference_shells")
     _require(cfg.forcing_shells <= min(cfg.shells_list),
              "forcing must fit inside every cutoff", "forcing_shells")
-    for d in cfg.deltas:
-        ratio = d / cfg.reference_delta
-        _require(abs(ratio - round(ratio)) < 1e-9,
-                 "each delta must be an integer multiple of the reference step",
-                 "deltas")
+    for delta in (cfg.reference_delta, *cfg.deltas):
+        _whole_steps(delta, cfg.reference_delta, "deltas")
+        _whole_steps(cfg.record_time, delta, "record_time")
 
     ref_grid = make_grid(cfg.reference_shells)
     xi0 = cfg.ic.build(ref_grid, seed)
     traj_ids = np.arange(cfg.ensemble)
-    n_rec = round(cfg.horizon / cfg.record_time)
+    n_rec = _whole_steps(cfg.horizon, cfg.record_time, "horizon")
 
     def observable_means(shells: int, delta: float) -> np.ndarray:
         grid = make_grid(shells)
         basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
-        p = SchemeParams(cfg.nu, delta, shells)
-        stride = round(cfg.record_time / delta)
-        _require(stride >= 1 and abs(stride * delta - cfg.record_time) < 1e-9,
-                 "record_time must be a whole number of steps", "record_time")
-        r = round(delta / cfg.reference_delta)
-        c0 = np.broadcast_to(spectral.embed_coeffs(ref_grid, grid, xi0.coeffs),
-                             (cfg.ensemble, grid.n_half))
-        inc = integ.batch_increments(seed, traj_ids, r, basis.d, delta)
-        run = integ.run_scheme(grid, c0, n_rec * stride, p, basis, inc,
-                               record_stride=stride)
+        stride = _whole_steps(cfg.record_time, delta, "record_time")
+        r = _whole_steps(delta, cfg.reference_delta, "deltas")
+        run = integ.march(SchemeParams(cfg.nu, delta, shells), basis, [xi0], seed, traj_ids,
+                          n_rec * stride, r=r, record_stride=stride)
         means = np.empty((len(cfg.observables), run.step_indices.size))
         for i, obs in enumerate(cfg.observables):
             means[i] = np.mean(obs.evaluate(grid, run.states), axis=-1)
@@ -790,7 +780,6 @@ class StationaryBiasConfig:
     forcing_variance: float = 0.5
     observable: ObservableSpec = ObservableSpec("clipped-norm", radius=4.0)
     ic: InitialCondition = InitialCondition(kind="random", amplitude=3.0)
-    threads: int = 1
     n_boot: int = 200
 
 
@@ -817,34 +806,32 @@ def stationary_bias_study(cfg: StationaryBiasConfig, seed: int) -> StudyReport:
     p = SchemeParams(cfg.nu, cfg.delta, cfg.shells)
     obs = cfg.observable
 
-    def observe_run(c0, n_steps, tape_seed, traj_ids):
-        """Per-step observable values (n_steps, M) of one run from c0."""
+    def observe_run(xi0, n_steps, tape_seed, traj_ids):
+        """Per-step observable values (n_steps, M) of one run from xi0."""
         vals = np.empty((n_steps, len(traj_ids)))
 
         def watch(step, c, noise, noise_scale):
             vals[step - 1] = obs.evaluate(grid, spectral.unpack(c))
 
-        inc = integ.batch_increments(tape_seed, traj_ids, 1, basis.d, cfg.delta)
-        c0 = np.broadcast_to(c0, (len(traj_ids), grid.n_half))
-        integ.run_scheme(grid, c0, n_steps, p, basis, inc, keep_states=False,
-                         observer=watch)
+        integ.march(p, basis, [xi0], tape_seed, traj_ids, n_steps, keep_states=False,
+                    observer=watch)
         return vals
 
     # stationary proxy: single long run, second half averaged
-    ref_vals = observe_run(spectral.zero_field(grid).coeffs, cfg.reference_steps, seed,
+    ref_vals = observe_run(spectral.zero_field(grid), cfg.reference_steps, seed,
                            [REFERENCE_TRAJECTORY])
     proxy = float(np.mean(ref_vals[int(cfg.reference_steps * cfg.burn_fraction):, 0]))
 
     xi0 = cfg.ic.build(grid, seed)
     traj = np.arange(cfg.replicas)
 
-    def run_leg(start_coeffs, burn_steps: int):
-        vals = observe_run(start_coeffs, burn_steps + n_max, seed + 1, traj)[burn_steps:]
+    def run_leg(burn_steps: int):
+        vals = observe_run(xi0, burn_steps + n_max, seed + 1, traj)[burn_steps:]
         running = np.cumsum(vals, axis=0)
         return {n: running[n - 1] / n for n in cfg.n_ladder}
 
-    bias_leg = run_leg(xi0.coeffs, 0)
-    mse_leg = run_leg(xi0.coeffs, cfg.mse_burn_steps)
+    bias_leg = run_leg(0)
+    mse_leg = run_leg(cfg.mse_burn_steps)
 
     bias_rows, mse_rows = [], []
     for n in sorted(cfg.n_ladder):
@@ -896,6 +883,9 @@ class CouplingStudyConfig:
     threads: int = 1
     n_boot: int = 200
 
+    def __post_init__(self):
+        _whole_steps(self.horizon, self.delta, "horizon")
+
 
 def coupling_study(cfg: CouplingStudyConfig, seed: int) -> StudyReport:
     """Gap decay and Girsanov cost of the nudged coupling.
@@ -917,8 +907,7 @@ def coupling_study(cfg: CouplingStudyConfig, seed: int) -> StudyReport:
         _require(cfg.forcing_shells >= cfg.shells_controlled,
                  "shift reconstruction needs forcing covering the controlled band",
                  "forcing_shells")
-    n_steps = round(cfg.horizon / cfg.delta)
-    _require(n_steps >= 1, "horizon must span at least one step", "horizon")
+    n_steps = _whole_steps(cfg.horizon, cfg.delta, "horizon")
     _require(cfg.ensemble >= 1, "need >= 1 member", "ensemble")
     xi0 = cfg.ic.build(grid, seed)
     gap_dir = spectral.harmonic_field(grid, *cfg.gap_mode, amplitude=1.0,
@@ -1003,6 +992,9 @@ class LyapunovConfig:
     ic: InitialCondition = InitialCondition(kind="random", amplitude=1.0)
     threads: int = 1
 
+    def __post_init__(self):
+        _whole_steps(self.horizon, self.delta, "horizon")
+
 
 def lyapunov_study(cfg: LyapunovConfig, seed: int) -> StudyReport:
     """Ensemble means of exp(alpha |xi^n|^2) against the Lyapunov envelope
@@ -1021,8 +1013,7 @@ def lyapunov_study(cfg: LyapunovConfig, seed: int) -> StudyReport:
     _require(cfg.n_seeds >= 1, "need >= 1 seed", "n_seeds")
     _require(cfg.ensemble >= 1, "need >= 1 member", "ensemble")
     p = SchemeParams(cfg.nu, cfg.delta, cfg.shells)
-    n_steps = round(cfg.horizon / cfg.delta)
-    _require(n_steps >= 1, "horizon must span at least one step", "horizon")
+    n_steps = _whole_steps(cfg.horizon, cfg.delta, "horizon")
     lam1 = 1.0
     c_const = (1.0 + cfg.nu * p.delta0) * basis.variance / cfg.nu
     traj = np.arange(cfg.ensemble)
@@ -1030,10 +1021,7 @@ def lyapunov_study(cfg: LyapunovConfig, seed: int) -> StudyReport:
     def run_seed(k: int) -> dict:
         sk = seed + k
         xi0 = cfg.ic.build(grid, sk)
-        c0 = np.broadcast_to(xi0.coeffs, (cfg.ensemble, grid.n_half))
-        run = integ.run_scheme(grid, c0, n_steps, p, basis,
-                               integ.batch_increments(sk, traj, 1, basis.d, cfg.delta),
-                               keep_states=False)
+        run = integ.march(p, basis, [xi0], sk, traj, n_steps, keep_states=False)
         e0 = float(spectral.norm_l2_sq(xi0.coeffs))
         n = np.arange(n_steps + 1)
         envelope = np.exp(alpha * (2.0 * e0 / (1.0 + cfg.nu * lam1 * cfg.delta) ** n

@@ -19,12 +19,11 @@ layout [Re c | Im c] of `spectral` (see `spectral.pack`), so whole
 ensembles advance in single vectorized steps: the noise coefficients, the
 frozen velocity, every fixed-point sweep and the per-step norms stay real,
 and complex coefficients appear only where states leave the march (the
-recorded `EnsembleRun.states` and observers).  A single path is a batch
-of one: `run_scheme` on one row with the provider `batch_increments(seed,
-[id], ...)`.  Each member reads its own index-addressed noise, so its path
-does not depend on which other members share the batch, up to the solve
-tolerance: the fixed-point stop is batch-wide, every row sweeps as often
-as the stiffest one, and ``iterations`` records that batch maximum.
+recorded `EnsembleRun.states` and observers).  Each member reads its own
+index-addressed noise, so its path does not depend on which other members
+share the batch, up to the solve tolerance: the fixed-point stop is
+batch-wide, every row sweeps as often as the stiffest one, and
+``iterations`` records that batch maximum.
 
 One kernel, `_advance_one`, takes every step: the plain scheme by default,
 and the nudged scheme when the caller adds delta beta P_K to the diagonal
@@ -34,9 +33,14 @@ pieces and turns each Brownian increment into its noise coefficients,
 and one march loop, `run_scheme`, iterates over it.  Its observer sees
 each step's packed state and noise, which is how the coupled run steps
 its nudged copies after the plain batch, and one `MarchRecord` per batch
-holds the per-step energies and the strided states.  The temporal ladder
-of `experiments` steps its rungs the same way, in an observer of the
-reference's march over the base tape.
+holds the per-step energies |c|^2 and the strided states.  The temporal
+ladder of `experiments` steps its rungs the same way, in an observer of
+the reference's march over the base tape.
+
+Every march from initial fields goes through `march`, which owns the
+layout of the synchronous coupling: k starts, each repeated for the M
+members of ``ids`` (`start_rows`), stack as k M rows, and row j M + i
+reads tape id i.  A single path is the march of one start on one id.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ from .spectral import SpectralField, SpectralGrid
 
 INCREMENT_CHUNK = 256  # coarse steps of tape generated per philox call
 MAX_SWEEPS = 200       # fixed-point sweeps per solve before GMRES takes over
+DRAW_BUDGET = 32 << 20  # bytes one philox draw of the tape may hold at once
+DRAW_BYTES = 28         # bytes a draw holds per normal (3.5 float64 words, tracemalloc)
 
 
 @dataclass(frozen=True)
@@ -92,14 +98,15 @@ class SchemeParams:
 class EnsembleRun:
     """Batched trajectories sharing params; leading axis is the member.
 
-    A single path is a run with M = 1."""
+    ``energy_sq`` is |c|^2 of every row at every step; other norms come
+    from ``states`` or from an observer of the march.  A single path is a
+    run with M = 1."""
 
     grid: SpectralGrid
     params: SchemeParams
     step_indices: np.ndarray
     states: np.ndarray | None     # (n_rec, M, n_half) or None if not kept
     energy_sq: np.ndarray         # (n_steps+1, M)
-    h1_sq: np.ndarray
     iterations: np.ndarray        # (n_steps,)
 
     @property
@@ -285,20 +292,20 @@ def energy_identity_residual(xi_prev: SpectralField, xi_new: SpectralField,
 
 # -- increment providers -------------------------------------------------------
 
-def batch_increments(seed: int, trajectory_ids, fine_factor: int, d: int,
-                     delta: float, chunk: int | None = None):
+def batch_increments(seed: int, trajectory_ids, fine_factor: int, d: int, delta: float):
     """Coarse increments for a batch of trajectories, drawn on demand.
 
     Output of the provider has shape (steps, M, d).  It draws exactly the
-    tape cells of the requested steps, at most ``chunk`` steps per philox
-    call; generation is keyed by absolute tape cells, so values do not
-    depend on chunk size.
+    tape cells of the requested steps, in philox calls of at most
+    `INCREMENT_CHUNK` steps whose working set stays within `DRAW_BUDGET`;
+    generation is keyed by absolute tape cells, so values do not depend on
+    how a request is split.
     """
     traj = np.asarray(trajectory_ids)
     r = int(fine_factor)
-    if chunk is None:
-        # keep one chunk of raw normals around ~32 MB
-        chunk = max(1, min(INCREMENT_CHUNK, (1 << 22) // max(1, traj.size * d * r)))
+    # keep one chunk's working set, not just its normals, around ~32 MB
+    step_bytes = DRAW_BYTES * max(1, traj.size * d * r)
+    chunk = max(1, min(INCREMENT_CHUNK, DRAW_BUDGET // step_bytes))
     root = np.sqrt(delta / r)
 
     def draw(a: int, b: int) -> np.ndarray:
@@ -336,10 +343,10 @@ def tape_steps(n_steps: int, basis: ForcingBasis | None, increments):
 
 
 class MarchRecord:
-    """What a march records of one batch: |c|^2 and |grad c|^2 of every
-    row at every step, and the step numbers and (if ``keep_states``)
-    complex states of every ``stride``-th step.  Construction records
-    step 0 from the packed start ``c``."""
+    """What a march records of one batch: |c|^2 of every row at every
+    step, and the step numbers and (if ``keep_states``) complex states of
+    every ``stride``-th step.  Construction records step 0 from the packed
+    start ``c``."""
 
     def __init__(self, grid: SpectralGrid, c: np.ndarray, n_steps: int, stride: int,
                  keep_states: bool):
@@ -350,13 +357,11 @@ class MarchRecord:
         self.states = (np.empty((n_rec, m, grid.n_half), dtype=np.complex128)
                        if keep_states else None)
         self.energy = np.empty((n_steps + 1, m))
-        self.h1 = np.empty((n_steps + 1, m))
         self.rec_idx = np.empty(n_rec, dtype=np.int64)
         self.push(0, c)
 
     def push(self, step: int, c: np.ndarray) -> None:
         self.energy[step] = spectral.packed_norm_sq(c)
-        self.h1[step] = spectral.packed_norm_sq(c, self.grid.lam_packed)
         if step % self.stride == 0:
             self.rec_idx[self.slot] = step
             if self.states is not None:
@@ -367,7 +372,7 @@ class MarchRecord:
         n = self.slot
         return EnsembleRun(self.grid, p, self.rec_idx[:n],
                            self.states[:n] if self.states is not None else None,
-                           self.energy, self.h1, iterations)
+                           self.energy, iterations)
 
 
 def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams,
@@ -408,3 +413,25 @@ def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams
         rec.push(step, c)
 
     return rec.run(p, iters)
+
+
+def start_rows(grid: SpectralGrid, starts, m: int) -> np.ndarray:
+    """Complex start rows (k m, n_half) of k fields on any grids: start j,
+    embedded on ``grid``, fills rows j m .. (j+1) m - 1."""
+    return np.concatenate([
+        np.broadcast_to(spectral.embed_coeffs(s.grid, grid, s.coeffs), (m, grid.n_half))
+        for s in starts])
+
+
+def march(p: SchemeParams, basis: ForcingBasis, starts, seed: int, ids, n_steps: int,
+          r: int = 1, **run_kw) -> EnsembleRun:
+    """March k = len(starts) fields, each for the M = len(ids) members of
+    ``ids``, on the grid of ``p``: `run_scheme` on the `start_rows`, where
+    row j M + i reads tape id i of ``batch_increments(seed, ids, r, ...)``.
+    ``run_kw`` goes to `run_scheme`."""
+    grid = p.grid()
+    tape = batch_increments(seed, ids, r, basis.d, p.delta)
+    k = len(starts)
+    inc = tape if k == 1 else (lambda n0, n1: np.tile(tape(n0, n1), (1, k, 1)))
+    return run_scheme(grid, start_rows(grid, starts, len(ids)), n_steps, p, basis, inc,
+                      **run_kw)

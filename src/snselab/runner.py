@@ -488,13 +488,19 @@ def run_simulate(cfg: RunConfig, seed: int, ck_root: Path) -> exp.StudyReport:
 
     rows = []
     if sim.steps > 0:
-        run = integ.run_scheme(grid, xi0.coeffs, sim.steps, p, basis,
-                               integ.batch_increments(seed, [0], 1, basis.d, p.delta),
-                               record_stride=sim.record_stride)
+        # |grad c|^2 of the packed row (1, 2 n_half) at every step, start included
+        h1_sq = np.empty((sim.steps + 1, 1))
+        h1_sq[0] = spectral.packed_norm_sq(spectral.pack(xi0.coeffs[None]), grid.lam_packed)
+
+        def record_h1(step, c, noise, noise_scale):
+            h1_sq[step] = spectral.packed_norm_sq(c, grid.lam_packed)
+
+        run = integ.march(p, basis, [xi0], seed, [0], sim.steps,
+                          record_stride=sim.record_stride, observer=record_h1)
         for n in range(sim.steps + 1):
             rows.append({"step": n, "t": n * sim.delta,
                          "energy_sq": float(run.energy_sq[n, 0]),
-                         "h1_sq": float(run.h1_sq[n, 0]),
+                         "h1_sq": float(h1_sq[n, 0]),
                          "iterations": int(run.iterations[n - 1]) if n > 0 else 0})
         if sim.checkpoint_cadence > 0:
             for i, n in enumerate(run.step_indices):

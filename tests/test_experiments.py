@@ -4,13 +4,13 @@ import pytest
 from snselab import integrator, spectral
 from snselab.errors import ConfigError, FitError
 from snselab.experiments import (ContractionConfig, CouplingStudyConfig,
-                                 HolderConfig, InitialCondition, ObservableSpec,
-                                 SpatialOrderConfig, StationaryBiasConfig,
+                                 HolderConfig, InitialCondition, LyapunovConfig,
+                                 ObservableSpec, SpatialOrderConfig, StationaryBiasConfig,
                                  TemporalOrderConfig, WeakErrorConfig,
                                  clipped_energy, contraction_study, coupling_study,
-                                 fit_rate, holder_study, low_mode_re, smoothed_energy,
-                                 spatial_order_study, temporal_order_study,
-                                 weak_error_study)
+                                 fit_rate, holder_study, low_mode_re, lyapunov_study,
+                                 smoothed_energy, spatial_order_study,
+                                 temporal_order_study, weak_error_study)
 from snselab.measures import DistanceParams
 from snselab.spectral import harmonic_field, make_grid, random_field
 
@@ -300,6 +300,20 @@ def test_holder_noise_off_single_mode_smooth():
     assert report.scalars["exponent"] == pytest.approx(2.0, abs=0.1)
 
 
+@pytest.mark.parametrize("make, study", [
+    (lambda: CouplingStudyConfig(horizon=0.015, delta=0.01), coupling_study),
+    (lambda: ContractionConfig(horizon=1.0, deltas=(0.03, 0.01)), contraction_study),
+    (lambda: LyapunovConfig(horizon=0.07), lyapunov_study),
+    (lambda: WeakErrorConfig(horizon=0.5, record_time=0.2), weak_error_study),
+])
+def test_horizon_off_the_step_grid_is_refused(monkeypatch, make, study):
+    # round(horizon / delta) steps would stop short of the horizon or overshoot it
+    monkeypatch.setattr(integrator, "_advance_one", None)   # no step may be taken
+    with pytest.raises(ConfigError) as err:
+        study(make(), seed=1)
+    assert err.value.field == "horizon"
+
+
 def test_weak_error_constant_observable_is_zero():
     grid = make_grid(6)
     cfg = WeakErrorConfig(
@@ -424,8 +438,8 @@ def test_h1_moment_stable_under_refinement():
         basis = low_mode_basis(grid, 4, 0.5)
         c0 = np.broadcast_to(embed_coeffs(fine, grid, ic.coeffs), (32, grid.n_half))
         run = run_scheme(grid, c0, 100, SchemeParams(1.0, 0.02, shells), basis,
-                         batch_increments(5, np.arange(32), 1, basis.d, 0.02),
-                         keep_states=False)
-        sups.append(float(np.max(np.mean(run.h1_sq, axis=1))))
+                         batch_increments(5, np.arange(32), 1, basis.d, 0.02))
+        h1_sq = spectral.sobolev_norm_sq(grid, run.states, 1.0)
+        sups.append(float(np.max(np.mean(h1_sq, axis=1))))
     assert np.all(np.isfinite(sups))
     assert abs(sups[1] - sups[0]) <= 0.2 * sups[0]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from snselab import forcing, spectral
+from snselab import forcing, integrator, spectral
 from snselab.errors import ConfigError, RangeError, StructuralError
 from snselab.forcing import (ForcingBasis, apply, basis_from_fields,
                              check_nondegeneracy, low_mode_basis,
@@ -65,6 +65,21 @@ def test_coarse_is_sum_of_fines_bitwise(n, r, ids):
     coarse = batch_increments(7, ids, r, 6, 0.05)(n, n + 1)[0]
     fines = batch_increments(7, ids, 1, 6, 0.05 / r)(n * r, n * r + r)
     assert np.array_equal(coarse, sum_fine(fines, axis=0))
+
+
+def test_one_call_over_several_chunks_equals_per_step_calls(monkeypatch):
+    # a budget of 3 steps' working set splits a 10-step request into 4 draws
+    ids, r, d = [2, 7], 3, 5
+    step_bytes = integrator.DRAW_BYTES * len(ids) * d * r
+    monkeypatch.setattr(integrator, "DRAW_BUDGET", 3 * step_bytes)
+    provider = batch_increments(11, ids, r, d, 0.05)
+    calls = []
+    monkeypatch.setattr(forcing, "gaussian_cells",
+                        lambda *a, _draw=forcing.gaussian_cells: calls.append(a) or _draw(*a))
+    whole = provider(4, 14)
+    assert len(calls) == 4
+    steps = np.concatenate([provider(n, n + 1) for n in range(4, 14)])
+    assert np.array_equal(whole, steps)
 
 
 def test_increment_moments():

@@ -383,7 +383,8 @@ def test_single_mode_energies_closed_form():
     run = run_scheme(G, f.coeffs, 30, p, None, None)
     want = f.l2_norm() ** 2 / (1.0 + p.nu * p.delta) ** (2 * np.arange(31))
     assert np.allclose(run.energy_sq[:, 0], want, rtol=1e-9, atol=1e-12)
-    assert np.allclose(run.h1_sq[:, 0], want, rtol=1e-9, atol=1e-12)
+    h1_sq = spectral.sobolev_norm_sq(G, run.states[:, 0], 1.0)
+    assert np.allclose(h1_sq, want, rtol=1e-9, atol=1e-12)
 
 
 def test_replay_bit_identical():
@@ -397,17 +398,42 @@ def test_replay_bit_identical():
 
 def test_recorded_energy_is_norm_of_recorded_state():
     # the march's packed norms and the complex norm_l2_sq agree bit for bit,
-    # so a checkpointed state reproduces its recorded energy exactly
+    # so a checkpointed state reproduces its recorded energy exactly; so does
+    # |grad c|^2 taken, as `simulate` takes it, of the packed rows an observer sees
     p = SchemeParams(1.0, 0.02, 16)
     f = random_field(G, seed=14)
     for ids in ([3], [4, 9, 2]):
-        run = _path(f, 30, p, BASIS, 5, ids, record_stride=7)
+        h1_sq = {}
+
+        def record_h1(step, c, noise, noise_scale):
+            h1_sq[step] = spectral.packed_norm_sq(c, G.lam_packed)
+
+        run = _path(f, 30, p, BASIS, 5, ids, record_stride=7, observer=record_h1)
         assert np.array_equal(run.energy_sq[run.step_indices],
                               spectral.norm_l2_sq(run.states))
-        assert np.array_equal(run.h1_sq[run.step_indices],
-                              spectral.sobolev_norm_sq(G, run.states, 1.0))
+        for i, n in enumerate(run.step_indices[1:], start=1):
+            assert np.array_equal(h1_sq[n], spectral.sobolev_norm_sq(G, run.states[i], 1.0))
         last = spectral.norm_l2_sq(run.states[-1, -1].copy())
         assert last == run.energy_sq[run.step_indices[-1], -1]
+
+
+def test_march_stacks_starts_over_one_tape():
+    # k = 2 starts on another grid: start j is embedded and repeated for the M
+    # members, and row j M + i reads tape id i, exactly as a hand-built run_scheme
+    p = SchemeParams(1.0, 0.02, 16)
+    fine = make_grid(20)
+    starts = [random_field(fine, seed=21), random_field(G, seed=22)]
+    ids = np.array([6, 1, 4])
+    got = integrator.march(p, BASIS, starts, 8, ids, 300, record_stride=3)
+    c0 = np.concatenate([np.broadcast_to(spectral.embed_coeffs(s.grid, G, s.coeffs),
+                                         (ids.size, G.n_half)) for s in starts])
+    tape = batch_increments(8, ids, 1, BASIS.d, p.delta)
+    want = run_scheme(G, c0, 300, p, BASIS,
+                      lambda n0, n1: np.concatenate([tape(n0, n1)] * 2, axis=1),
+                      record_stride=3)
+    assert got.states.shape == (101, 2 * ids.size, G.n_half)
+    for name in ("step_indices", "states", "energy_sq", "iterations"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_ensemble_member_matches_solo_run():

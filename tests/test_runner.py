@@ -290,6 +290,11 @@ BAD_CONFIGS = [
     ("contraction", "[experiment]\ndeltas = ,\n"),
     ("weak", "[experiment]\nshells_list = ,\n"),
     ("weak", "[experiment]\ndeltas = ,\n"),
+    # a horizon that is not a whole number of steps (of every rung, of record_time)
+    ("couple", "[experiment]\nhorizon = 0.015\n[discretization]\ndelta = 0.01\n"),
+    ("contraction", "[experiment]\nhorizon = 1.0\ndeltas = 0.03, 0.01\n"),
+    ("lyapunov", "[experiment]\nhorizon = 0.07\n"),
+    ("weak", "[experiment]\nhorizon = 0.5\nrecord_time = 0.2\n"),
     ("replay", "[experiment]\nsteps = 2\n"),
     ("replay", "[meta]\nsubcommand = simulate\n"),
     ("replay", "[meta]\nsubcommand = simulate\nseed = abc\n"),
