@@ -412,6 +412,9 @@ class SpatialOrderConfig:
     threads: int = 1
     n_boot: int = 200
 
+    def __post_init__(self):
+        _require(self.ensemble >= 1, "need >= 1 member", "ensemble")
+
 
 def spatial_order_study(cfg: SpatialOrderConfig, seed: int) -> StudyReport:
     """Galerkin truncation error against the largest-cutoff reference.
@@ -492,6 +495,9 @@ class HolderConfig:
     forcing_variance: float = 0.5
     ic: InitialCondition = InitialCondition(kind="random", amplitude=1.0)
     n_boot: int = 200
+
+    def __post_init__(self):
+        _require(self.ensemble >= 1, "need >= 1 member", "ensemble")
 
 
 def holder_study(cfg: HolderConfig, seed: int) -> StudyReport:
@@ -687,6 +693,7 @@ class WeakErrorConfig:
 
     def __post_init__(self):
         _whole_steps(self.horizon, self.record_time, "horizon")
+        _require(self.ensemble >= 1, "need >= 1 member", "ensemble")
 
 
 def weak_error_study(cfg: WeakErrorConfig, seed: int) -> StudyReport:

@@ -60,7 +60,8 @@ from .spectral import SpectralField, SpectralGrid
 INCREMENT_CHUNK = 256  # coarse steps of tape generated per philox call
 MAX_SWEEPS = 200       # fixed-point sweeps per solve before GMRES takes over
 DRAW_BUDGET = 32 << 20  # bytes one philox draw of the tape may hold at once
-DRAW_BYTES = 28         # bytes a draw holds per normal (3.5 float64 words, tracemalloc)
+DRAW_BYTES = 16         # bytes a draw holds per normal (its word and uniform, tracemalloc)
+BLOCK_BYTES = 1 << 20   # bytes of packed rows formed or unpacked in one call
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,7 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
         c_new = rhs_w - spectral.advect_frozen(grid, uv, system.analysis, c)
         d = c_new - c
         c = c_new
-        top = math.sqrt((inc_weight * np.einsum("...i,...i->...", d, d)).max(initial=0.0))
+        top = math.sqrt(np.maximum.reduce(inc_weight * np.vecdot(d, d), initial=0.0))
         if not math.isfinite(top):
             raise SolverError(f"non-finite state (relative increment {top:.3e})",
                               residual=top)
@@ -309,9 +310,9 @@ def batch_increments(seed: int, trajectory_ids, fine_factor: int, d: int, delta:
     root = np.sqrt(delta / r)
 
     def draw(a: int, b: int) -> np.ndarray:
-        g = forcing_mod.gaussian_cells(seed, traj, np.arange(a * r, b * r), d)
-        fine = root * g.reshape(traj.size, b - a, r, d)
-        return sum_fine(fine, axis=2).transpose(1, 0, 2)
+        fine = forcing_mod.gaussian_cells(seed, traj, np.arange(a * r, b * r), d)
+        fine *= root
+        return sum_fine(fine.reshape(traj.size, b - a, r, d), axis=2).transpose(1, 0, 2)
 
     def provider(n0: int, n1: int) -> np.ndarray:
         # the output is allocated after every chunk's raw normals are freed
@@ -327,9 +328,13 @@ def tape_steps(n_steps: int, basis: ForcingBasis | None, increments):
 
     The one walk over an increment provider: it asks for INCREMENT_CHUNK
     steps at a time and maps each increment (M, d) to its packed noise
-    coefficients ``dw @ basis.packed`` and their norms, one step at a
-    time.  ``basis`` must live on the marching grid; without it or without
-    ``increments`` every step is unforced, (step, None, 0.0).
+    coefficients ``inc @ basis.packed`` and their norms.  It forms them
+    for a block of steps in one stacked product and one norm call, with a
+    block's noise held to `BLOCK_BYTES`; a stacked product multiplies
+    each step's (M, d) matrix on its own, so every step's noise is the
+    per-step product bit for bit.  ``basis`` must live on the marching
+    grid; without it or without ``increments`` every step is unforced,
+    (step, None, 0.0).
     """
     if basis is None or increments is None:
         for step in range(1, n_steps + 1):
@@ -337,16 +342,20 @@ def tape_steps(n_steps: int, basis: ForcingBasis | None, increments):
         return
     for pos in range(0, n_steps, INCREMENT_CHUNK):
         dw = increments(pos, min(pos + INCREMENT_CHUNK, n_steps))
-        for j, inc in enumerate(dw):
-            noise = inc @ basis.packed
-            yield pos + j + 1, noise, np.sqrt(spectral.packed_norm_sq(noise))
+        step_bytes = 8 * dw.shape[1] * basis.packed.shape[1]
+        block = max(1, BLOCK_BYTES // step_bytes)
+        for b0 in range(0, len(dw), block):
+            noise = dw[b0:b0 + block] @ basis.packed
+            scale = np.sqrt(spectral.packed_norm_sq(noise))
+            for j in range(len(noise)):
+                yield pos + b0 + j + 1, noise[j], scale[j]
 
 
 class MarchRecord:
     """What a march records of one batch: |c|^2 of every row at every
-    step, and the step numbers and (if ``keep_states``) complex states of
-    every ``stride``-th step.  Construction records step 0 from the packed
-    start ``c``."""
+    step, and the step numbers and (if ``keep_states``) states of every
+    ``stride``-th step.  The states stay packed until `run` unpacks them
+    in place.  Construction records step 0 from the packed start ``c``."""
 
     def __init__(self, grid: SpectralGrid, c: np.ndarray, n_steps: int, stride: int,
                  keep_states: bool):
@@ -354,8 +363,7 @@ class MarchRecord:
             raise ConfigError("record stride must be >= 1", field="record_stride")
         n_rec, m = n_steps // stride + 1, c.shape[0]
         self.grid, self.stride, self.slot = grid, stride, 0
-        self.states = (np.empty((n_rec, m, grid.n_half), dtype=np.complex128)
-                       if keep_states else None)
+        self.states = np.empty((n_rec,) + c.shape) if keep_states else None
         self.energy = np.empty((n_steps + 1, m))
         self.rec_idx = np.empty(n_rec, dtype=np.int64)
         self.push(0, c)
@@ -365,14 +373,19 @@ class MarchRecord:
         if step % self.stride == 0:
             self.rec_idx[self.slot] = step
             if self.states is not None:
-                self.states[self.slot] = spectral.unpack(c)
+                self.states[self.slot] = c
             self.slot += 1
 
     def run(self, p: SchemeParams, iterations: np.ndarray) -> EnsembleRun:
-        n = self.slot
-        return EnsembleRun(self.grid, p, self.rec_idx[:n],
-                           self.states[:n] if self.states is not None else None,
-                           self.energy, iterations)
+        n, states = self.slot, None
+        if self.states is not None:
+            # a complex row takes the bytes of its packed row, so the record
+            # is unpacked over itself, `BLOCK_BYTES` of it at a time
+            states = self.states[:n].view(np.complex128)
+            block = max(1, BLOCK_BYTES // self.states[0].nbytes)
+            for i in range(0, n, block):
+                states[i:i + block] = spectral.unpack(self.states[i:i + block])
+        return EnsembleRun(self.grid, p, self.rec_idx[:n], states, self.energy, iterations)
 
 
 def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams,
@@ -388,6 +401,8 @@ def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams
     called as observer(step, c, noise, noise_scale) after every step
     (step >= 1) with the packed state and the step's packed noise; a
     `SolverError` it raises carries the step index like one of the march.
+    Underflow is ignored for the whole march: a norm of a state or an
+    increment with subnormal entries underflows harmlessly.
     """
     if p.shells != grid.shells:
         raise StructuralError("params cutoff differs from grid")
@@ -399,18 +414,19 @@ def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams
     rec = MarchRecord(grid, c, n_steps, record_stride, keep_states)
     iters = np.zeros(n_steps, dtype=np.int64)
 
-    for step, noise, noise_scale in tape_steps(n_steps, b, increments):
-        try:
-            # |c_prev| is the square root of the energy recorded last step
-            c, sweeps = _advance_one(grid, c, noise, system, noise_scale,
-                                     c_norm=np.sqrt(rec.energy[step - 1]))
-            if observer is not None:
-                observer(step, c, noise, noise_scale)
-        except SolverError as err:
-            err.step_index = step
-            raise
-        iters[step - 1] = sweeps
-        rec.push(step, c)
+    with np.errstate(under="ignore"):
+        for step, noise, noise_scale in tape_steps(n_steps, b, increments):
+            try:
+                # |c_prev| is the square root of the energy recorded last step
+                c, sweeps = _advance_one(grid, c, noise, system, noise_scale,
+                                         c_norm=np.sqrt(rec.energy[step - 1]))
+                if observer is not None:
+                    observer(step, c, noise, noise_scale)
+            except SolverError as err:
+                err.step_index = step
+                raise
+            iters[step - 1] = sweeps
+            rec.push(step, c)
 
     return rec.run(p, iters)
 

@@ -6,12 +6,13 @@ There is no sequential generator state, so ensembles can be evaluated in
 any order, in any batch composition, on any number of threads, and the
 resulting numbers are identical bit for bit.
 
-The block cipher is Philox-4x64 with 10 rounds, the same keyed generator
-exposed by :class:`numpy.random.Philox`; the vectorized implementation
-here is tested against numpy's output.  Uniform variates take the top 53
-bits of each 64-bit word, and standard normals are produced by the
-inverse-CDF transform, so exactly one word is consumed per normal and the
-counter layout is static.
+The block cipher is Philox-4x64 with 10 rounds (Salmon, Moraes, Dror and
+Shaw, SC'11).  The tape words come from numpy's C implementation,
+:class:`numpy.random.Philox`, set to each block's counter; the vectorized
+`philox4x64` here is the reference they are tested against.  Uniform
+variates take the top 53 bits of each 64-bit word, and standard normals
+are produced by the inverse-CDF transform, so exactly one word is
+consumed per normal and the counter layout is static.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ _M1 = _U64(0xCA5A826395121157)
 _W0 = _U64(0x9E3779B97F4A7C15)
 _W1 = _U64(0xBB67AE8584CAA73B)
 _MASK32 = _U64(0xFFFFFFFF)
+_MASK64 = (1 << 64) - 1
 _S32 = _U64(32)
 _ROUNDS = 10
 
@@ -91,24 +93,53 @@ def _blocks(seed: int, stream_ids, cells, n_words: int, tag: int) -> np.ndarray:
     Returns shape (n_streams, n_cells, n_words); ``stream_ids`` and
     ``cells`` are 1-d integer arrays; block b is the cipher of counter
     (cell, b, tag, 0) under key (seed, stream).
+
+    The words come from numpy's C Philox-4x64-10, which encrypts counters
+    c + 1, c + 2, ... of a state set to counter c, so one ``random_raw``
+    read from counter (cell_0 + b 2^64 + tag 2^128 - 1) mod 2^256 gives
+    block b of a run of consecutive cells cell_0, cell_0 + 1, ...  There
+    is one read per (stream, block, run).
     """
-    stream_ids = np.asarray(stream_ids, dtype=_U64)
-    cells = np.asarray(cells, dtype=_U64)
+    stream_ids = np.asarray(stream_ids, dtype=_U64).reshape(-1)
+    cells = np.asarray(cells, dtype=_U64).reshape(-1)
     n_blocks = -(-n_words // 4)
-    words = np.stack(_rounds(cells[None, :, None],
-                             np.arange(n_blocks, dtype=_U64)[None, None, :],
-                             _U64(tag), _U64(0), _U64(seed), stream_ids[:, None, None]),
-                     axis=-1)
-    return words.reshape(stream_ids.size, cells.size, n_blocks * 4)[..., :n_words]
+    out = np.empty((stream_ids.size, cells.size, n_blocks, 4), dtype=_U64)
+    # a run ends where the next cell is not one more (a wrap to 0 ends it too)
+    ends = np.flatnonzero((cells[1:] <= cells[:-1]) | (cells[1:] - cells[:-1] != 1)) + 1
+    bounds = [0, *ends.tolist(), cells.size] if cells.size else []
+    # (block, first, end, the counter words of the read); a negative counter
+    # (cell 0, block 0, tag 0) shifts to words 2^64 - 1, as mod 2^256
+    reads = [(b, i0, i1, [((c0 + (b << 64) + (tag << 128) - 1) >> 64 * w) & _MASK64
+                          for w in range(4)])
+             for b in range(n_blocks)
+             for i0, i1, c0 in zip(bounds[:-1], bounds[1:], cells[bounds[:-1]].tolist())]
+    gen = np.random.Philox(key=0)
+    state = gen.state
+    for s, stream in enumerate(stream_ids.tolist()):
+        state["state"]["key"][:] = (seed, stream)
+        for b, i0, i1, counter in reads:
+            state["state"]["counter"][:] = counter
+            state["buffer_pos"] = 4    # an empty buffer: the next read encrypts
+            gen.state = state
+            out[s, i0:i1, b] = gen.random_raw(4 * (i1 - i0)).reshape(-1, 4)
+    return out.reshape(stream_ids.size, cells.size, n_blocks * 4)[..., :n_words]
 
 
 def uniforms(seed: int, stream_ids, cells, n: int, tag: int = Tag.SAMPLES) -> np.ndarray:
-    """Deterministic uniforms in (0, 1), shape (n_streams, n_cells, n)."""
+    """Deterministic uniforms in (0, 1), shape (n_streams, n_cells, n).
+
+    In place after the one conversion, so a draw holds its words and its
+    uniforms and nothing more."""
     words = _blocks(seed, stream_ids, cells, n, tag)
-    return ((words >> _U64(11)).astype(np.float64) + 0.5) * _INV53
+    words >>= _U64(11)
+    u = words.astype(np.float64)
+    u += 0.5
+    u *= _INV53
+    return u
 
 
 def standard_normals(seed: int, stream_ids, cells, n: int,
                      tag: int = Tag.NOISE) -> np.ndarray:
     """Deterministic standard normals, shape (n_streams, n_cells, n)."""
-    return ndtri(uniforms(seed, stream_ids, cells, n, tag))
+    u = uniforms(seed, stream_ids, cells, n, tag)
+    return ndtri(u, out=u)

@@ -140,20 +140,27 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _csv_column(values: list) -> list[str]:
+    """`_csv_cell` of every value, with one mapped formatter for a column
+    of only Python floats, or of only ints and strings."""
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return list(map("{:.17g}".format, values))
+    if kinds <= {int, str}:
+        return list(map(str, values))
+    return list(map(_csv_cell, values))
+
+
 def write_table_csv(rows: list[dict], path: Path) -> None:
     if not rows:
         path.write_text("")
         return
-    keys = []
-    for row in rows:
-        for k in row:
-            if k not in keys:
-                keys.append(k)
+    keys = list(dict.fromkeys(k for row in rows for k in row))
+    columns = [_csv_column([row.get(k, "") for row in rows]) for k in keys]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(keys)
-        for row in rows:
-            writer.writerow([_csv_cell(row.get(k, "")) for k in keys])
+        writer.writerows(zip(*columns))
 
 
 def _jsonable(obj):
@@ -486,33 +493,27 @@ def run_simulate(cfg: RunConfig, seed: int, ck_root: Path) -> exp.StudyReport:
     xi0 = sim.ic.build(grid, seed)
     checkpoint(xi0, p, seed, 0, 0, ck_root)
 
-    rows = []
-    if sim.steps > 0:
-        # |grad c|^2 of the packed row (1, 2 n_half) at every step, start included
-        h1_sq = np.empty((sim.steps + 1, 1))
-        h1_sq[0] = spectral.packed_norm_sq(spectral.pack(xi0.coeffs[None]), grid.lam_packed)
+    # |grad c|^2 of the packed row (1, 2 n_half) at every step, start included
+    h1_sq = np.empty((sim.steps + 1, 1))
+    h1_sq[0] = spectral.packed_norm_sq(spectral.pack(xi0.coeffs[None]), grid.lam_packed)
 
-        def record_h1(step, c, noise, noise_scale):
-            h1_sq[step] = spectral.packed_norm_sq(c, grid.lam_packed)
+    def record_h1(step, c, noise, noise_scale):
+        h1_sq[step] = spectral.packed_norm_sq(c, grid.lam_packed)
 
-        run = integ.march(p, basis, [xi0], seed, [0], sim.steps,
-                          record_stride=sim.record_stride, observer=record_h1)
-        for n in range(sim.steps + 1):
-            rows.append({"step": n, "t": n * sim.delta,
-                         "energy_sq": float(run.energy_sq[n, 0]),
-                         "h1_sq": float(h1_sq[n, 0]),
-                         "iterations": int(run.iterations[n - 1]) if n > 0 else 0})
-        if sim.checkpoint_cadence > 0:
-            for i, n in enumerate(run.step_indices):
-                if n > 0 and n % sim.checkpoint_cadence == 0:
-                    checkpoint(spectral.SpectralField(grid, run.states[i, 0]), p, seed, 0,
-                               int(n), ck_root)
-        checkpoint(spectral.SpectralField(grid, run.states[-1, 0]), p, seed, 0,
-                   int(run.step_indices[-1]), ck_root)
-    else:
-        rows.append({"step": 0, "t": 0.0, "energy_sq": xi0.l2_norm() ** 2,
-                     "h1_sq": spectral.sobolev_norm_sq(grid, xi0.coeffs, 1.0),
-                     "iterations": 0})
+    # steps = 0 marches too, so row 0 is always the march's packed |c|^2
+    run = integ.march(p, basis, [xi0], seed, [0], sim.steps,
+                      record_stride=sim.record_stride, observer=record_h1)
+    rows = [{"step": n, "t": n * sim.delta, "energy_sq": e, "h1_sq": h, "iterations": it}
+            for n, (e, h, it) in enumerate(zip(run.energy_sq[:, 0].tolist(),
+                                               h1_sq[:, 0].tolist(),
+                                               [0, *run.iterations.tolist()]))]
+    if sim.checkpoint_cadence > 0:
+        for i, n in enumerate(run.step_indices):
+            if n > 0 and n % sim.checkpoint_cadence == 0:
+                checkpoint(spectral.SpectralField(grid, run.states[i, 0]), p, seed, 0,
+                           int(n), ck_root)
+    checkpoint(spectral.SpectralField(grid, run.states[-1, 0]), p, seed, 0,
+               int(run.step_indices[-1]), ck_root)
     report = exp.StudyReport("simulate", dataclasses.asdict(sim), seed)
     report.tables["diagnostics"] = rows
     report.scalars.update(steps=sim.steps, final_energy_sq=rows[-1]["energy_sq"])

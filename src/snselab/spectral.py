@@ -326,9 +326,12 @@ def packed_norm_sq(rc: np.ndarray, weight: np.ndarray | None = None) -> np.ndarr
     same normalization for a packed weight (``grid.lam_packed`` gives
     |grad f|^2).  `norm_l2_sq`, `sobolev_norm_sq` and the per-step norms of
     a march all reduce to this one sum, so a recorded energy equals
-    `norm_l2_sq` of the recorded state bit for bit."""
+    `norm_l2_sq` of the recorded state bit for bit.  The sum is one
+    ``np.vecdot`` ufunc call, a BLAS dot per row; OpenBLAS splits a dot
+    over threads only above 10,000 entries, far above any packed row, so
+    the sum does not depend on the thread count."""
     wrc = rc if weight is None else weight * rc
-    return TWO_PI_SQ * 2.0 * np.einsum("...i,...i->...", wrc, rc)
+    return TWO_PI_SQ * 2.0 * np.vecdot(wrc, rc)
 
 
 def norm_l2_sq(coeffs: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -65,6 +67,9 @@ def test_step_residual_small():
 @given(shells=st.sampled_from([4, 10, 16]), m=st.sampled_from([1, 3]),
        rms=st.floats(0.0, 20.0), delta=st.sampled_from([0.01, 0.05]),
        nudged=st.booleans(), seed=st.integers(0, 10 ** 6))
+# a march ignores underflow (norms of subnormal states), and so does this step
+# taken outside one
+@np.errstate(under="ignore")
 def test_packed_kernel_solves_step_system(shells, m, rms, delta, nudged, seed):
     # the nudged system D_n c + delta Adv c = c_prev + rhs_extra + noise is the
     # plain one with noise + rhs_extra - delta beta P_K c on the right
@@ -434,6 +439,53 @@ def test_march_stacks_starts_over_one_tape():
     assert got.states.shape == (101, 2 * ids.size, G.n_half)
     for name in ("step_indices", "states", "energy_sq", "iterations"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("m", [1, 3, 128])
+@pytest.mark.parametrize("block_steps", [None, 7])
+def test_block_noise_is_the_per_step_product(monkeypatch, m, block_steps):
+    # 300 steps cross the 256-step chunk; blocks of 7 steps end inside it
+    # (256 = 36 * 7 + 4), and at M = 128 the default block does too
+    grid = make_grid(8)
+    basis = low_mode_basis(grid, 4, 0.5)
+    if block_steps is not None:
+        monkeypatch.setattr(integrator, "BLOCK_BYTES",
+                            block_steps * 8 * m * basis.packed.shape[1])
+    tape = batch_increments(5, np.arange(m), 1, basis.d, 0.01)
+    dw = tape(0, 300)
+    steps = list(integrator.tape_steps(300, basis, tape))
+    assert [step for step, _, _ in steps] == list(range(1, 301))
+    for step, noise, noise_scale in steps:
+        want = dw[step - 1] @ basis.packed
+        assert np.array_equal(noise, want)
+        assert np.array_equal(noise_scale, np.sqrt(spectral.packed_norm_sq(want)))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 7 * 3 * 2 * G.n_half * 8, None])
+def test_record_unpacks_in_place_to_the_marched_states(monkeypatch, block_bytes):
+    # blocks of 1 record, of 7 records (34 = 4 * 7 + 6), and the whole record
+    if block_bytes is not None:
+        monkeypatch.setattr(integrator, "BLOCK_BYTES", block_bytes)
+    p = SchemeParams(1.0, 0.02, 16)
+    f = random_field(G, seed=31)
+    seen = {0: spectral.pack(np.broadcast_to(f.coeffs, (3, G.n_half)))}
+    run = _path(f, 100, p, BASIS, 9, [0, 1, 2], record_stride=3,
+                observer=lambda step, c, noise, noise_scale: seen.update({step: c.copy()}))
+    assert run.states.shape == (34, 3, G.n_half) and run.states.dtype == np.complex128
+    for i, n in enumerate(run.step_indices):
+        assert np.array_equal(run.states[i], spectral.unpack(seen[n]))
+
+
+def test_march_with_underflowing_increments_is_quiet():
+    # from rms 1e-150 the advection, and so every sweep increment, is ~1e-300,
+    # and its squares underflow; the march ignores underflow, so the
+    # np.seterr(all="warn") of conftest.py stays silent
+    p = SchemeParams(1.0, 0.05, 16)
+    f = random_field(G, seed=1, rms=1e-150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run = run_scheme(G, f.coeffs, 3, p, None, None)
+    assert np.all(run.iterations >= 1) and np.all(run.energy_sq > 0)
 
 
 def test_ensemble_member_matches_solo_run():

@@ -35,6 +35,27 @@ def test_blocks_are_the_cipher_of_their_counters():
     assert np.array_equal(rng._blocks(11, streams, cells, n, rng.Tag.BOOTSTRAP), want)
 
 
+@pytest.mark.parametrize("seed, streams, cells, n, tag", [
+    # cell 0 borrows from the block word of the counter before encrypting
+    (20260809, [0, 1, 127], np.arange(0, 300), 20, rng.Tag.NOISE),
+    (5, [4], [7, 8, 9, 3, 4, 0, 2], 56, rng.Tag.INITIAL),   # four runs of cells
+    (2 ** 64 - 1, [2 ** 64 - 1], [2 ** 64 - 2, 2 ** 64 - 1, 0], 7, rng.Tag.BOOTSTRAP),
+    (1, [3], [], 4, rng.Tag.NOISE),
+])
+def test_block_words_are_the_reference_cipher(seed, streams, cells, n, tag):
+    cells = np.asarray(cells, dtype=np.uint64)
+    blocks = -(-n // 4)
+    counter = np.zeros((len(streams), cells.size, blocks, 4), dtype=np.uint64)
+    counter[..., 0] = cells[None, :, None]
+    counter[..., 1] = np.arange(blocks)[None, None, :]
+    counter[..., 2] = tag
+    key = np.zeros((len(streams), cells.size, blocks, 2), dtype=np.uint64)
+    key[..., 0] = seed
+    key[..., 1] = np.asarray(streams, dtype=np.uint64)[:, None, None]
+    want = rng.philox4x64(counter, key).reshape(len(streams), cells.size, 4 * blocks)[..., :n]
+    assert np.array_equal(rng._blocks(seed, streams, cells, n, tag), want)
+
+
 def test_pure_function_of_key_and_counter():
     a = rng.standard_normals(7, [3], [11], 8)
     b = rng.standard_normals(7, [3], [11], 8)

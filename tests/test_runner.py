@@ -82,6 +82,18 @@ def test_simulate_zero_steps_emits_manifest_and_checkpoint(tmp_path):
     assert len(cks) == 1
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_simulate_zero_steps_row_is_row_zero_of_a_march(tmp_path, seed):
+    # steps = 0 records the packed |c|^2 and |grad c|^2 that step 0 of a march does
+    first = []
+    for steps in (0, 1):
+        out = tmp_path / f"run{steps}"
+        assert main(["simulate", "--steps", str(steps), "--seed", str(seed),
+                     "--out", str(out)]) == EXIT_OK
+        first.append((out / "tables" / "diagnostics.csv").read_text().splitlines()[1])
+    assert first[0] == first[1]
+
+
 # -- checkpoints ------------------------------------------------------------------
 
 def test_checkpoint_restore_roundtrip(tmp_path):
@@ -264,6 +276,9 @@ BAD_CONFIGS = [
     ("converge-space", "[experiment]\nreference_shells = many\n"),
     ("holder", "[distance]\neps = 0.1\n"),
     ("holder", "[discretization]\ndelta = fast\n"),
+    ("holder", "[experiment]\nensemble = 0\n"),
+    ("weak", "[experiment]\nensemble = 0\n"),
+    ("converge-space", "[experiment]\nensemble = 0\n"),
     ("contraction", "[nudge]\nbeta = 1.0\n"),
     ("contraction", "[distance]\nalpha = big\n"),
     ("weak", "[forcing]\npreset = explicit\n"),
