@@ -9,10 +9,17 @@ with diffusion and advection at the new time level and the advecting
 velocity frozen at the old one.  The diagonal part is inverted exactly in
 Fourier space; the O(delta) advection perturbation is handled by
 preconditioned fixed-point iteration, which stops on an a-posteriori bound
-of its error (`_fixed_point_solve`).  A step on which the fixed point
-cannot finish within `MAX_SWEEPS` sweeps, by its own contraction estimate,
-is solved again by restarted GMRES.  Both solvers stop at tol * scale in
-the L^2 norm.
+of its error (`_fixed_point_solve`).  The iteration runs in increment form:
+each sweep maps the last increment to the next one and adds it to the
+state.  From the third sweep on an increment is tiny next to the state, so
+a sweep may run in float32 (mixed-precision iterative refinement: Carson
+and Higham, SIAM J. Sci. Comput. 40(2), 2018) when its predicted increment,
+times `SWEEP32_ERROR` = 2^-18, the bound on a float32 sweep's relative
+error, fits in the solve's error budget: all float32 sweeps of a solve
+together add at most `SWEEP32_SHARE` = 5% of tol * scale to any row.  A
+step on which the fixed point cannot finish within `MAX_SWEEPS` sweeps, by
+its own contraction estimate, is solved again by restarted GMRES.  Both
+solvers stop at tol * scale in the L^2 norm.
 
 Everything operates on batched states (M, 2 n_half) in the real packed
 layout [Re c | Im c] of `spectral` (see `spectral.pack`), so whole
@@ -59,6 +66,10 @@ from .spectral import SpectralField, SpectralGrid
 
 INCREMENT_CHUNK = 256  # coarse steps of tape generated per philox call
 MAX_SWEEPS = 200       # fixed-point sweeps per solve before GMRES takes over
+SWEEP32_ERROR = 2.0 ** -18  # bound on a float32 sweep's error relative to its increment
+SWEEP32_SHARE = 0.05        # share of tol * scale the float32 sweeps of a solve may add
+SWEEP32_MIN_WORK = 1 << 17  # rows * 2 n_half * pad^2 below which a float32 sweep does not pay
+SWEEP32_SCALES = (2.0 ** -50, 2.0 ** 50)  # row scales whose sweeps stay in float32's range
 DRAW_BUDGET = 32 << 20  # bytes one philox draw of the tape may hold at once
 DRAW_BYTES = 16         # bytes a draw holds per normal (its word and uniform, tracemalloc)
 BLOCK_BYTES = 1 << 20   # bytes of packed rows formed or unpacked in one call
@@ -120,14 +131,17 @@ class EnsembleRun:
 class StepSystem(NamedTuple):
     """Diagonal part of one step's system in the packed [Re | Im] layout.
 
-    ``analysis`` is ``grid._anal`` with delta D^-1 folded into its columns,
-    so one `spectral.advect_frozen` call returns delta D^-1 P_N(u . grad c).
+    ``analysis`` is ``grid._anal`` with -delta D^-1 folded into its columns,
+    so one `spectral.advect_frozen` call returns the sweep map
+    -delta D^-1 P_N(u . grad c); ``analysis32`` is its float32 copy, for
+    the float32 sweeps of `_fixed_point_solve`.
     """
 
     p: SchemeParams
     diag: np.ndarray          # D, (2 n_half,)
     inv_diag: np.ndarray      # D^-1
     analysis: np.ndarray      # (pad^2, 2 n_half)
+    analysis32: np.ndarray    # (pad^2, 2 n_half), float32
 
 
 def step_system(grid: SpectralGrid, p: SchemeParams, extra_diag=None) -> StepSystem:
@@ -137,24 +151,52 @@ def step_system(grid: SpectralGrid, p: SchemeParams, extra_diag=None) -> StepSys
         diag = diag + extra_diag
     diag = np.concatenate([diag, diag])
     inv_diag = 1.0 / diag
-    return StepSystem(p, diag, inv_diag, grid._anal * (p.delta * inv_diag))
+    analysis = grid._anal * (-p.delta * inv_diag)
+    # entries below float32's range come only with steps too small to
+    # contract slowly enough for a float32 sweep
+    with np.errstate(under="ignore"):
+        return StepSystem(p, diag, inv_diag, analysis, analysis.astype(np.float32))
 
 
 def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
-    """Solve (D + delta Adv) c = rhs by c <- D^-1 rhs - delta D^-1 Adv c.
+    """Solve (D + delta Adv) c = rhs by fixed-point iteration in increment form.
+
+    With the sweep map S = -delta D^-1 Adv (one `spectral.advect_frozen`
+    call on ``system.analysis``), the iteration c_k = D^-1 rhs + S c_{k-1}
+    from c_0 = D^-1 rhs is taken through its increments Delta_k = c_k -
+    c_{k-1}: sweep 1 gives Delta_1 = S c_0, each later sweep Delta_{k+1} =
+    S Delta_k, and every sweep adds its increment to c.
+
+    Float32 sweeps (mixed-precision iterative refinement): from sweep 3 on,
+    each sweep refines an increment far below the state, so its float32
+    rounding can stay far below tol.  A sweep runs in float32 when its
+    predicted relative increment, rho_k |Delta_k| with the last ratio
+    rho_k = |Delta_k| / |Delta_{k-1}|, times `SWEEP32_ERROR` fits in what
+    is left of the solve's budget of `SWEEP32_SHARE` * tol; each float32
+    sweep then spends `SWEEP32_ERROR` times its measured increment.
+    `SWEEP32_ERROR` = 2^-18 bounds the error of a float32 sweep relative to
+    its increment (tests measure at most a quarter of it), so all float32
+    sweeps of a solve together add at most 5% of tol * scale to any row.
+    A float32 sweep casts Delta_k (or takes the last sweep's float32
+    increment) and the velocity to float32, maps them with the float32
+    copies of the gradient synthesis and ``system.analysis``, and adds the
+    result to c in float64.  Sweeps 1 and 2 stay float64, and so does the
+    whole solve when any row's scale lies outside `SWEEP32_SCALES` (there
+    a float32 increment could overflow, or underflow to nothing) or when
+    the sweep is smaller than `SWEEP32_MIN_WORK`, where the casts cost more
+    than float32 gemms save.
 
     Error-bound stopping: the iteration is an affine contraction, so with
-    the relative increment |Delta_k| = |c_k - c_{k-1}| / scale and the
-    contraction estimate rho_k = |Delta_k| / |Delta_{k-1}|, the iterate c_k
-    lies within about rho_k |Delta_k| / (1 - rho_k) of the solution.  The
-    first sweep has no estimate and stops on |Delta_1| <= tol; from the
-    second on the solve stops once twice that bound is <= tol, with rho_k
-    capped at 1/3.  The factor 2 covers the growth of the increment ratio
-    from one sweep to the next (an estimate from the last ratio alone was
-    seen to miss tol by 9%), and the cap keeps 2 rho / (1 - rho) <= 1, so
-    the solve never stops later than |Delta_k| <= tol would.  The stop is
-    batch-wide: |Delta_k| and rho_k come from the largest relative
-    increment of any row.
+    the relative increment |Delta_k| / scale and the contraction estimate
+    rho_k, the iterate c_k lies within about rho_k |Delta_k| / (1 - rho_k)
+    of the solution.  The first sweep has no estimate and stops on
+    |Delta_1| <= tol; from the second on the solve stops once twice that
+    bound is <= tol, with rho_k capped at 1/3.  The factor 2 covers the
+    growth of the increment ratio from one sweep to the next (an estimate
+    from the last ratio alone was seen to miss tol by 9%), and the cap
+    keeps 2 rho / (1 - rho) <= 1, so the solve never stops later than
+    |Delta_k| <= tol would.  The stop is batch-wide: |Delta_k| and rho_k
+    come from the largest relative increment of any row.
 
     Hand-over: from sweep 3 on, the steady rate r_k = (|Delta_k| /
     |Delta_{k-2}|)^(1/2) is the two-sweep ratio, which sees through a
@@ -170,20 +212,35 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
     reaches `MAX_SWEEPS`, so that the caller solves the step another way.
     """
     tol = system.p.tol
-    rhs_w = rhs * system.inv_diag
-    c = rhs_w
+    c = rhs * system.inv_diag
+    d = c
+    s = np.maximum(scale, 1e-100)
     # squared relative increment of a row = inc_weight * sum of its squares
-    inc_weight = (spectral.TWO_PI_SQ * 2.0) / np.maximum(scale, 1e-100) ** 2
+    inc_weight = (spectral.TWO_PI_SQ * 2.0) / s ** 2
+    # relative error the float32 sweeps may still add
+    lo, hi = SWEEP32_SCALES
+    room = (SWEEP32_SHARE * tol if rhs.size * grid.pad ** 2 >= SWEEP32_MIN_WORK
+            and lo <= s.min() and s.max() <= hi else 0.0)
+    uv32 = d32 = None   # float32 velocity; float32 increment of the last sweep
     prev_inc = prev2_inc = math.inf
     was_slow = False
     for it in range(1, MAX_SWEEPS + 1):
-        c_new = rhs_w - spectral.advect_frozen(grid, uv, system.analysis, c)
-        d = c_new - c
-        c = c_new
+        if it > 2 and SWEEP32_ERROR * prev_inc * (prev_inc / prev2_inc) <= room:
+            if uv32 is None:
+                uv32 = uv.astype(np.float32)
+            d32 = spectral.advect_frozen(grid, uv32, system.analysis32,
+                                         d.astype(np.float32) if d32 is None else d32)
+            d = d32.astype(np.float64)
+        else:
+            d32 = None
+            d = spectral.advect_frozen(grid, uv, system.analysis, d)
+        c += d
         top = math.sqrt(np.maximum.reduce(inc_weight * np.vecdot(d, d), initial=0.0))
         if not math.isfinite(top):
             raise SolverError(f"non-finite state (relative increment {top:.3e})",
                               residual=top)
+        if d32 is not None:
+            room -= SWEEP32_ERROR * top
         rho = top / prev_inc
         # a capped rho of 1/3 on the first sweep turns the test into top <= tol
         capped = 1.0 / 3.0 if it == 1 else min(rho, 1.0 / 3.0)
@@ -203,7 +260,8 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
 
 def _krylov_solve(grid, uv, rhs, system: StepSystem, scale):
     """Row-by-row restarted GMRES on the real step operator
-    D (I + delta D^-1 Adv), which acts on packed states directly.
+    D (I + delta D^-1 Adv) = D (I - S), with the sweep map S of
+    `_fixed_point_solve`, which acts on packed states directly.
 
     Each row stops once its residual is <= tol * scale in the L^2 norm, the
     norm of the fixed point's increments.  D >= 1 and Adv is skew-adjoint,
@@ -226,7 +284,7 @@ def _krylov_solve(grid, uv, rhs, system: StepSystem, scale):
     for i in range(rhs2.shape[0]):
         def matvec(x, i=i):
             return system.diag * (
-                x + spectral.advect_frozen(grid, uv2[i], system.analysis, x))
+                x - spectral.advect_frozen(grid, uv2[i], system.analysis, x))
 
         op = LinearOperator((n2, n2), matvec=matvec, dtype=np.float64)
         inner = []
@@ -402,7 +460,8 @@ def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams
     (step >= 1) with the packed state and the step's packed noise; a
     `SolverError` it raises carries the step index like one of the march.
     Underflow is ignored for the whole march: a norm of a state or an
-    increment with subnormal entries underflows harmlessly.
+    increment with subnormal entries underflows harmlessly, and so does a
+    float32 sweep's entry far below its row's scale.
     """
     if p.shells != grid.shells:
         raise StructuralError("params cutoff differs from grid")

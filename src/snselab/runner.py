@@ -483,7 +483,8 @@ def run_study(subcommand: str, cfg: RunConfig, seed: int,
 
 def run_simulate(cfg: RunConfig, seed: int, ck_root: Path) -> exp.StudyReport:
     """One path with its per-step energies; checkpoints go to `ck_root` at
-    step 0, every `checkpoint_cadence` steps and the last step."""
+    step 0 and at the recorded steps (multiples of `record_stride`) that are
+    multiples of `checkpoint_cadence` or the last one recorded."""
     sim = study_config(SimulateConfig, cfg)
     if sim.steps < 0:
         raise ConfigError("steps must be >= 0", field="experiment.steps")
@@ -496,24 +497,24 @@ def run_simulate(cfg: RunConfig, seed: int, ck_root: Path) -> exp.StudyReport:
     # |grad c|^2 of the packed row (1, 2 n_half) at every step, start included
     h1_sq = np.empty((sim.steps + 1, 1))
     h1_sq[0] = spectral.packed_norm_sq(spectral.pack(xi0.coeffs[None]), grid.lam_packed)
+    kept = {}   # the states checkpointed after the march, by step
 
-    def record_h1(step, c, noise, noise_scale):
+    def observe(step, c, noise, noise_scale):
         h1_sq[step] = spectral.packed_norm_sq(c, grid.lam_packed)
+        if step % sim.record_stride == 0 and (
+                step + sim.record_stride > sim.steps
+                or sim.checkpoint_cadence > 0 and step % sim.checkpoint_cadence == 0):
+            kept[step] = spectral.unpack(c[0])
 
     # steps = 0 marches too, so row 0 is always the march's packed |c|^2
     run = integ.march(p, basis, [xi0], seed, [0], sim.steps,
-                      record_stride=sim.record_stride, observer=record_h1)
+                      record_stride=sim.record_stride, keep_states=False, observer=observe)
     rows = [{"step": n, "t": n * sim.delta, "energy_sq": e, "h1_sq": h, "iterations": it}
             for n, (e, h, it) in enumerate(zip(run.energy_sq[:, 0].tolist(),
                                                h1_sq[:, 0].tolist(),
                                                [0, *run.iterations.tolist()]))]
-    if sim.checkpoint_cadence > 0:
-        for i, n in enumerate(run.step_indices):
-            if n > 0 and n % sim.checkpoint_cadence == 0:
-                checkpoint(spectral.SpectralField(grid, run.states[i, 0]), p, seed, 0,
-                           int(n), ck_root)
-    checkpoint(spectral.SpectralField(grid, run.states[-1, 0]), p, seed, 0,
-               int(run.step_indices[-1]), ck_root)
+    for n, state in kept.items():
+        checkpoint(spectral.SpectralField(grid, state), p, seed, 0, n, ck_root)
     report = exp.StudyReport("simulate", dataclasses.asdict(sim), seed)
     report.tables["diagnostics"] = rows
     report.scalars.update(steps=sim.steps, final_energy_sq=rows[-1]["energy_sq"])

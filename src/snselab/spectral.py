@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -185,6 +185,14 @@ class SpectralGrid:
             np.concatenate([e_mat.real.T, -e_mat.imag.T], axis=1) / (p * p))
         for arr in (self._synth, self._synth_grad, self._synth_vel, self._anal):
             arr.flags.writeable = False
+
+    @cached_property
+    def _synth_grad32(self) -> np.ndarray:
+        """Float32 copy of the gradient synthesis, made on first use (see
+        `advect_frozen`)."""
+        out = self._synth_grad.astype(np.float32)
+        out.flags.writeable = False
+        return out
 
     # -- identity ---------------------------------------------------------
 
@@ -373,9 +381,12 @@ def advect_frozen(grid: SpectralGrid, uv: np.ndarray, analysis: np.ndarray,
 
     ``uv`` comes from `velocity_values`, ``target`` is packed and so is the
     result.  ``analysis`` is ``grid._anal``, or a copy with a per-mode
-    factor folded into its columns, which then multiplies the result.
+    factor folded into its columns, which then multiplies the result.  A
+    float32 ``target`` takes a float32 copy of the gradient synthesis, and
+    ``uv`` and ``analysis`` must then be float32 as well: every gemm and
+    product of the call runs in single precision.
     """
-    g = target @ grid._synth_grad
+    g = target @ (grid._synth_grad if target.dtype == np.float64 else grid._synth_grad32)
     g *= uv
     p2 = grid.pad * grid.pad
     return (g[..., :p2] + g[..., p2:]) @ analysis

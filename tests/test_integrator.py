@@ -137,8 +137,8 @@ def _dense_solve(grid, system, prev, rhs):
     eye = np.eye(prev.shape[-1])
     out = np.empty_like(rhs)
     for i in range(len(prev)):
-        adv_t = advect_frozen(grid, uv[i], system.analysis, eye)   # row j: delta D^-1 Adv e_j
-        out[i] = np.linalg.solve(system.diag[:, None] * (eye + adv_t.T), rhs[i])
+        adv_t = advect_frozen(grid, uv[i], system.analysis, eye)   # row j: -delta D^-1 Adv e_j
+        out[i] = np.linalg.solve(system.diag[:, None] * (eye - adv_t.T), rhs[i])
     return out
 
 
@@ -179,6 +179,98 @@ def test_solve_is_within_tol_of_dense_solve(shells, m, rms, delta, solver, seed)
     err = np.sqrt(spectral.packed_norm_sq(c - _dense_solve(grid, system, prev, prev + noise)))
     scale = np.sqrt(spectral.packed_norm_sq(prev)) + noise_scale
     assert np.all(err <= p.tol * scale)
+
+
+def _scaled_step(shells, m, rms, delta, seed, lam):
+    """`_random_step` times ``lam``: states and noise times lam, nu times lam and
+    delta over lam, which is the same step system times lam (exactly so for a
+    power of two)."""
+    grid, p, prev, noise, noise_scale = _random_step(shells, m, rms, delta, seed)
+    p = SchemeParams(p.nu * lam, p.delta / lam, shells)
+    return grid, p, lam * prev, lam * noise, lam * noise_scale
+
+
+def _solve_sweeps(grid, p, prev, noise, noise_scale):
+    """`_fixed_point_solve` of one step, and the output of each of its sweeps
+    (float32 or float64)."""
+    sweeps = []
+
+    def recording_advect(*args):
+        out = advect_frozen(*args)
+        sweeps.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "advect_frozen", recording_advect)
+        scale = np.sqrt(spectral.packed_norm_sq(prev)) + noise_scale
+        solved = integrator._fixed_point_solve(grid, spectral.velocity_values(grid, prev),
+                                               prev + noise, step_system(grid, p), scale)
+    return solved, sweeps
+
+
+@given(shells=st.integers(3, 16), m=st.sampled_from([1, 3, 64]), rms=st.floats(4.0, 40.0),
+       delta=st.sampled_from([0.05, 0.1]), log2_lam=st.integers(-40, 40),
+       seed=st.integers(0, 10 ** 6))
+# a march ignores underflow, which a float32 sweep meets on entries far below its row
+@np.errstate(under="ignore")
+def test_float32_sweep_error_is_within_a_quarter_of_its_bound(shells, m, rms, delta,
+                                                              log2_lam, seed):
+    # sweeps 1 and 2 are float64 in both solves, so sweep 3 maps the same
+    # increment once in float32 and once in float64
+    step = _scaled_step(shells, m, rms, delta, seed, 2.0 ** log2_lam)
+    outs = {}
+    for share in (0.0, 1e300):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrator, "SWEEP32_SHARE", share)
+            mp.setattr(integrator, "SWEEP32_MIN_WORK", 0)
+            outs[share] = _solve_sweeps(*step)[1]
+    if len(outs[0.0]) < 3:
+        return   # solved in two sweeps
+    single, double = outs[1e300][2], outs[0.0][2]
+    assert single.dtype == np.float32 and double.dtype == np.float64
+    err = np.sqrt(np.vecdot(single - double, single - double))
+    assert np.all(err <= integrator.SWEEP32_ERROR / 4 * np.sqrt(np.vecdot(double, double)))
+
+
+# (shells, members, rms, delta, seed): the nudged-coupling and temporal-ladder shapes
+# and a stiffer step with many float32 sweeps
+@pytest.mark.parametrize("shells, m, rms, delta, seed", [
+    (16, 64, 1.0, 0.01, 0), (16, 192, 3.0, 0.01, 1), (16, 128, 1.0, 1 / 40, 2),
+    (10, 64, 30.0, 0.05, 3)])
+@np.errstate(under="ignore")
+def test_mixed_solve_agrees_with_float64_solve(monkeypatch, shells, m, rms, delta, seed):
+    step = _random_step(shells, m, rms, delta, seed)
+    (mixed, n_mixed), sweeps = _solve_sweeps(*step)
+    monkeypatch.setattr(integrator, "SWEEP32_SHARE", 0.0)
+    (double, n_double), _ = _solve_sweeps(*step)
+    assert sum(out.dtype == np.float32 for out in sweeps) > 0
+    assert n_mixed == n_double
+    grid, p, prev, noise, noise_scale = step
+    err = np.sqrt(spectral.packed_norm_sq(mixed - double))
+    assert np.all(err <= 0.1 * p.tol * (np.sqrt(spectral.packed_norm_sq(prev)) + noise_scale))
+
+
+# (lam, rescaled, members, float32 sweeps): a state of rms 8 lam, with the step
+# rescaled so that it contracts as at lam = 1, or at rms 1e-150 unscaled (a row
+# scale below 1e-100 is taken as 1e-100, so a rescaled step that small stops
+# early in float64 as well); outside SWEEP32_SCALES, and below SWEEP32_MIN_WORK
+# (one member), no sweep is float32
+@pytest.mark.parametrize("lam, rescaled, m, float32", [
+    (1.0, True, 64, True), (1.0, True, 1, False), (1e-150, False, 64, False),
+    (2.0 ** -60, True, 64, False), (2.0 ** 60, True, 64, False), (1e150, True, 64, False)])
+def test_float32_sweeps_stay_inside_their_scale_range(lam, rescaled, m, float32):
+    # underflow is ignored as in a march; any other floating-point warning fails
+    with np.errstate(under="ignore"):
+        grid, p, prev, noise, noise_scale = _scaled_step(16, m, 8.0, 0.05, 7,
+                                                         lam if rescaled else 1.0)
+        if not rescaled:
+            prev, noise, noise_scale = lam * prev, lam * noise, lam * noise_scale
+        (c, _), sweeps = _solve_sweeps(grid, p, prev, noise, noise_scale)
+        err = np.sqrt(spectral.packed_norm_sq(
+            c - _dense_solve(grid, step_system(grid, p), prev, prev + noise)))
+        scale = np.sqrt(spectral.packed_norm_sq(prev)) + noise_scale
+    assert np.all(err <= p.tol * scale)
+    assert any(out.dtype == np.float32 for out in sweeps) == float32
 
 
 # stalls from random step solves: the increment ratio hovers at 0.9-1.0
@@ -235,7 +327,7 @@ def _increment_stop_sweeps(grid, uv, rhs, system, scale):
     c = rhs_w
     inc_weight = (spectral.TWO_PI_SQ * 2.0) / np.maximum(scale, 1e-100) ** 2
     for it in range(1, integrator.MAX_SWEEPS + 1):
-        c_new = rhs_w - advect_frozen(grid, uv, system.analysis, c)
+        c_new = rhs_w + advect_frozen(grid, uv, system.analysis, c)
         d = c_new - c
         c = c_new
         if np.sqrt(np.max(inc_weight * np.einsum("...i,...i->...", d, d))) <= p.tol:

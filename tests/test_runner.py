@@ -513,6 +513,38 @@ checkpoint_cadence = 2
     assert main(["replay", str(out), "--out", str(replay_out)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("steps, stride, cadence", [(7, 1, 3), (10, 3, 4), (5, 10, 0),
+                                                    (6, 2, 0)])
+def test_simulate_checkpoints_the_recorded_steps_at_cadence_and_the_last(
+        tmp_path, steps, stride, cadence):
+    # checkpoints: step 0, recorded steps (multiples of the stride) at the
+    # cadence, and the last recorded step, each the file of a run that
+    # checkpoints every step
+    def run(name, stride, cadence):
+        cfgp = _write_config(tmp_path, f"""
+[discretization]
+shells = 8
+delta = 0.05
+
+[reproducibility]
+record_stride = {stride}
+
+[io]
+checkpoint_cadence = {cadence}
+""")
+        out = tmp_path / name
+        assert main(["simulate", "--config", cfgp, "--steps", str(steps), "--seed", "4",
+                     "--out", str(out)]) == EXIT_OK
+        return {p.name: p.read_bytes() for p in out.glob("checkpoints/*/state_*")}
+
+    every = run("every", 1, 1)
+    got = run("run", stride, cadence)
+    recorded = range(0, steps + 1, stride)
+    want = {0, recorded[-1]} | {n for n in recorded if cadence and n % cadence == 0}
+    assert sorted(got) == sorted(f"state_{n:08d}.{ext}" for n in want for ext in ("fld", "json"))
+    assert all(got[name] == every[name] for name in got)
+
+
 def test_explicit_forcing_preset(tmp_path):
     cfgp = _write_config(tmp_path, """
 [discretization]
