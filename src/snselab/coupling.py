@@ -180,7 +180,6 @@ class GirsanovCost:
     """
 
     kl_bound: np.ndarray
-    delta: float
 
     @property
     def kl_mean(self) -> float:
@@ -203,7 +202,7 @@ def girsanov_cost(pair: CoupledPair) -> GirsanovCost:
     if pair.kl_bound is None:
         raise ConfigError("coupled run was made without compute_shifts",
                           field="compute_shifts")
-    return GirsanovCost(pair.kl_bound, pair.params.base.delta)
+    return GirsanovCost(pair.kl_bound)
 
 
 def kl_majorant(np_: NudgeParams, basis: ForcingBasis, gap0_sq: float) -> float:

@@ -23,7 +23,7 @@ from . import integrator as integ
 from . import measures as measures_mod
 from . import rng, spectral
 from .errors import ConfigError, FitError
-from .forcing import low_mode_basis, sum_fine
+from .forcing import low_mode_basis
 from .integrator import SchemeParams
 from .measures import DistanceParams, Ensemble, default_alpha
 from .spectral import SpectralField, SpectralGrid, make_grid
@@ -151,13 +151,6 @@ def smoothed_energy(radius: float = 3.0) -> ObservableSpec:
 
 def low_mode_re(kx: int = 1, ky: int = 0) -> ObservableSpec:
     return ObservableSpec("low-mode-coefficient", mode=(kx, ky))
-
-
-OBSERVABLE_PRESETS = {
-    "clipped-norm": clipped_energy,
-    "smoothed-energy": smoothed_energy,
-    "low-mode-coefficient": low_mode_re,
-}
 
 
 # -- initial data -----------------------------------------------------------------
@@ -294,11 +287,14 @@ def temporal_order_study(cfg: TemporalOrderConfig, seed: int) -> StudyReport:
     δ_min/refine on the base tape.
 
     The base tape holds one Brownian sub-increment per cell of width
-    delta_base = δ_min/refine.  The reference is `integrator.run_scheme`
-    over that tape, one step per cell, and the rungs step in its observer:
-    rung delta advances whenever its delta/delta_base cells have elapsed,
-    with its increment summed from exactly those cells.  The measured
-    pathwise gap
+    delta_base = δ_min/refine.  The reference is the `integrator.march` of
+    the ensemble over that tape, one step per cell, and the rungs step in
+    its observer: rung delta advances whenever its delta/delta_base cells
+    have elapsed, on the sum of the noise those cells gave the reference
+    (the noise map is linear, so this is the noise of the cells' summed
+    increment, as in Giles's multilevel coupling).  The sum is taken in two
+    levels: every cell adds into the finest rung's sum, and every finest
+    rung step adds that into each rung's.  The measured pathwise gap
 
         E sup_{k <= K} |xi_coarse^k - xi_ref(t_k)|^p
 
@@ -322,48 +318,38 @@ def temporal_order_study(cfg: TemporalOrderConfig, seed: int) -> StudyReport:
     basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
     xi0 = cfg.ic.build(grid, seed)
     delta_base = d_min / cfg.refine
-    m, d = cfg.ensemble, basis.d
+    m = cfg.ensemble
 
     def params(delta):
         return SchemeParams(cfg.nu, delta, cfg.shells, delta0=deltas[0])
 
-    # base cells per fine step (delta/refine) and per step of each rung
-    r_fs = [round(delta / cfg.refine / delta_base) for delta in deltas]
-    r_cs = [cfg.refine * r_f for r_f in r_fs]
+    # base cells per step of each rung, a multiple of the finest rung's ``refine``
+    r_cs = [cfg.refine * round(delta / d_min) for delta in deltas]
     rungs = [integ.step_system(grid, params(delta)) for delta in deltas]
-    # the rungs march as packed states (see spectral.pack)
+    # the rungs march as packed states (see spectral.pack), each summing the
+    # noise of its cells in its own buffer
     c0 = np.broadcast_to(spectral.pack(xi0.coeffs), (m, 2 * grid.n_half))
     cs = [c0.copy() for _ in deltas]
+    sums = [np.zeros(c0.shape) for _ in deltas]
     sups = [np.zeros(m) for _ in deltas]
-
-    draw = integ.batch_increments(seed, np.arange(m), 1, d, delta_base)
-    pieces = []   # (n0, increments of cells n0, n0 + 1, ...) of the draws still read
-
-    def tape(n0, n1):
-        # no rung step reads further back than r_cs[0] cells
-        pieces[:] = [pc for pc in pieces if pc[0] + len(pc[1]) > n0 - r_cs[0]]
-        pieces.append((n0, draw(n0, n1)))
-        return pieces[-1][1]
+    fine = np.zeros(c0.shape)   # the noise of the finest rung's step so far
 
     def follow(step, ref, noise, noise_scale):
+        np.add(fine, noise, out=fine)
+        if step % cfg.refine:
+            return
         for k, r_c in enumerate(r_cs):
+            sums[k] += fine
             if step % r_c:
                 continue
-            # the rung step's cells step - r_c .. step - 1, from one draw or several
-            lo = step - r_c
-            parts = [inc[max(lo - n0, 0): step - n0] for n0, inc in pieces
-                     if n0 < step and lo < n0 + len(inc)]
-            cells = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            # a rung's increment is the sum of its fine-step (delta/refine) increments
-            dw = sum_fine(sum_fine(cells.reshape(cfg.refine, r_fs[k], m, d), axis=1))
-            noise_k = dw @ basis.packed
-            cs[k], _ = integ._advance_one(grid, cs[k], noise_k, rungs[k],
-                                          np.sqrt(spectral.packed_norm_sq(noise_k)))
+            cs[k], _ = integ._advance_one(grid, cs[k], sums[k], rungs[k],
+                                          np.sqrt(spectral.packed_norm_sq(sums[k])))
             np.maximum(sups[k], np.sqrt(spectral.packed_norm_sq(cs[k] - ref)), out=sups[k])
+            sums[k][:] = 0.0
+        fine[:] = 0.0
 
-    integ.run_scheme(grid, np.broadcast_to(xi0.coeffs, (m, grid.n_half)),
-                     round(cfg.horizon / delta_base), params(delta_base), basis, tape,
-                     keep_states=False, observer=follow)
+    integ.march(params(delta_base), basis, [xi0], seed, np.arange(m),
+                round(cfg.horizon / delta_base), keep_states=False, observer=follow)
 
     rows = [{"delta": delta, "err_p": float(np.mean(sup ** cfg.p_moment)),
              "err_sq": float(np.mean(sup ** 2))} for delta, sup in zip(deltas, sups)]
@@ -832,13 +818,16 @@ def stationary_bias_study(cfg: StationaryBiasConfig, seed: int) -> StudyReport:
     xi0 = cfg.ic.build(grid, seed)
     traj = np.arange(cfg.replicas)
 
-    def run_leg(burn_steps: int):
-        vals = observe_run(xi0, burn_steps + n_max, seed + 1, traj)[burn_steps:]
-        running = np.cumsum(vals, axis=0)
+    # both legs read one march: the bias leg its first n_max steps, the MSE
+    # leg the n_max steps after the burn-in
+    vals = observe_run(xi0, cfg.mse_burn_steps + n_max, seed + 1, traj)
+
+    def leg(window):
+        running = np.cumsum(window, axis=0)
         return {n: running[n - 1] / n for n in cfg.n_ladder}
 
-    bias_leg = run_leg(0)
-    mse_leg = run_leg(cfg.mse_burn_steps)
+    bias_leg = leg(vals[:n_max])
+    mse_leg = leg(vals[cfg.mse_burn_steps:])
 
     bias_rows, mse_rows = [], []
     for n in sorted(cfg.n_ladder):

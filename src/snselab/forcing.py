@@ -34,11 +34,12 @@ def gaussian_cells(seed: int, trajectory_ids, cells, d: int) -> np.ndarray:
 
 
 def sum_fine(fines: np.ndarray, axis: int = 0) -> np.ndarray:
-    """The one summation used to aggregate sub-increments everywhere.
+    """The summation `integrator.batch_increments` uses to aggregate the
+    sub-increments of a coarse step, a reduction over one axis.
 
-    Keeping a single code path (reduction over a fixed leading axis) makes
-    'coarse equals the sum of its fines' an exact identity rather than a
-    floating-point coincidence.
+    The temporal ladder of `experiments` sums noise coefficients instead,
+    after the linear noise map, so its rungs agree with this sum up to
+    rounding.
     """
     return np.add.reduce(np.moveaxis(fines, axis, 0), axis=0)
 

@@ -42,12 +42,14 @@ each step's packed state and noise, which is how the coupled run steps
 its nudged copies after the plain batch, and one `MarchRecord` per batch
 holds the per-step energies |c|^2 and the strided states.  The temporal
 ladder of `experiments` steps its rungs the same way, in an observer of
-the reference's march over the base tape.
+the reference's march over the base tape, each rung on the summed noise
+of its cells.
 
 Every march from initial fields goes through `march`, which owns the
 layout of the synchronous coupling: k starts, each repeated for the M
 members of ``ids`` (`start_rows`), stack as k M rows, and row j M + i
 reads tape id i.  A single path is the march of one start on one id.
+No study calls `run_scheme` or `batch_increments` itself.
 """
 
 from __future__ import annotations

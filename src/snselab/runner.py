@@ -164,8 +164,6 @@ def write_table_csv(rows: list[dict], path: Path) -> None:
 
 
 def _jsonable(obj):
-    if isinstance(obj, exp.RateFit):
-        return obj.as_dict()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):
@@ -482,9 +480,9 @@ def run_study(subcommand: str, cfg: RunConfig, seed: int,
 # -- simulate / replay ---------------------------------------------------------------
 
 def run_simulate(cfg: RunConfig, seed: int, ck_root: Path) -> exp.StudyReport:
-    """One path with its per-step energies; checkpoints go to `ck_root` at
-    step 0 and at the recorded steps (multiples of `record_stride`) that are
-    multiples of `checkpoint_cadence` or the last one recorded."""
+    """One path with its energies at every `record_stride`-th step;
+    checkpoints go to `ck_root` at step 0, at the multiples of
+    `checkpoint_cadence` and at the final step, whatever the stride."""
     sim = study_config(SimulateConfig, cfg)
     if sim.steps < 0:
         raise ConfigError("steps must be >= 0", field="experiment.steps")
@@ -494,30 +492,31 @@ def run_simulate(cfg: RunConfig, seed: int, ck_root: Path) -> exp.StudyReport:
     xi0 = sim.ic.build(grid, seed)
     checkpoint(xi0, p, seed, 0, 0, ck_root)
 
-    # |grad c|^2 of the packed row (1, 2 n_half) at every step, start included
+    # |grad c|^2 of the packed row (1, 2 n_half) at the recorded steps, start included
     h1_sq = np.empty((sim.steps + 1, 1))
     h1_sq[0] = spectral.packed_norm_sq(spectral.pack(xi0.coeffs[None]), grid.lam_packed)
     kept = {}   # the states checkpointed after the march, by step
 
     def observe(step, c, noise, noise_scale):
-        h1_sq[step] = spectral.packed_norm_sq(c, grid.lam_packed)
-        if step % sim.record_stride == 0 and (
-                step + sim.record_stride > sim.steps
-                or sim.checkpoint_cadence > 0 and step % sim.checkpoint_cadence == 0):
+        if step % sim.record_stride == 0:
+            h1_sq[step] = spectral.packed_norm_sq(c, grid.lam_packed)
+        cadence = sim.checkpoint_cadence
+        if step == sim.steps or cadence > 0 and step % cadence == 0:
             kept[step] = spectral.unpack(c[0])
 
     # steps = 0 marches too, so row 0 is always the march's packed |c|^2
     run = integ.march(p, basis, [xi0], seed, [0], sim.steps,
                       record_stride=sim.record_stride, keep_states=False, observer=observe)
+    idx = run.step_indices
     rows = [{"step": n, "t": n * sim.delta, "energy_sq": e, "h1_sq": h, "iterations": it}
-            for n, (e, h, it) in enumerate(zip(run.energy_sq[:, 0].tolist(),
-                                               h1_sq[:, 0].tolist(),
-                                               [0, *run.iterations.tolist()]))]
+            for n, e, h, it in zip(idx.tolist(), run.energy_sq[idx, 0].tolist(),
+                                   h1_sq[idx, 0].tolist(),
+                                   np.append(0, run.iterations)[idx].tolist())]
     for n, state in kept.items():
         checkpoint(spectral.SpectralField(grid, state), p, seed, 0, n, ck_root)
     report = exp.StudyReport("simulate", dataclasses.asdict(sim), seed)
     report.tables["diagnostics"] = rows
-    report.scalars.update(steps=sim.steps, final_energy_sq=rows[-1]["energy_sq"])
+    report.scalars.update(steps=sim.steps, final_energy_sq=run.energy_sq[-1, 0].item())
     return report
 
 

@@ -251,9 +251,10 @@ def test_criterion_13_stationary_bias_legs():
 # 14 --------------------------------------------------------------------------
 
 def test_criterion_14_reproducibility(tmp_path_factory):
+    # `couple` marches in one thread whatever --threads says; the contraction
+    # grid's four (shells, delta) cells are spread over threads by `_pmap`
     base = tmp_path_factory.mktemp("repro")
-    cfg_path = base / "run.cfg"
-    cfg_path.write_text("""
+    configs = {"couple": """
 [discretization]
 shells = 8
 delta = 0.02
@@ -268,26 +269,40 @@ ensemble = 16
 [nudge]
 shells = 4
 beta = auto
-""")
-    outs = {}
-    for threads in (1, 4, 8):
-        out = base / f"t{threads}"
-        code = runner.main(["couple", "--config", str(cfg_path), "--seed", "5",
-                            "--threads", str(threads), "--out", str(out)])
-        assert code == 0
-        outs[threads] = out
-    ref_files = sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*")
-                       if p.is_file())
-    same_threads = all(
-        (outs[1] / rel).read_bytes() == (outs[t] / rel).read_bytes()
-        for t in (4, 8) for rel in ref_files)
+""", "contraction": """
+[experiment]
+shells_list = 3, 4
+deltas = 0.02, 0.01
+horizon = 1.0
+record_time = 0.25
+ensemble = 8
+"""}
+    same_threads, counts = True, {}
+    for study, text in configs.items():
+        cfg_path = base / f"{study}.cfg"
+        cfg_path.write_text(text)
+        outs = {}
+        for threads in (1, 4, 8):
+            out = base / f"{study}-t{threads}"
+            code = runner.main([study, "--config", str(cfg_path), "--seed", "5",
+                                "--threads", str(threads), "--out", str(out)])
+            assert code == 0
+            outs[threads] = out
+        files = {t: sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+                 for t, out in outs.items()}
+        counts[study] = len(files[1])
+        same_threads = same_threads and all(
+            files[t] == files[1] and all((outs[1] / rel).read_bytes()
+                                         == (outs[t] / rel).read_bytes() for rel in files[1])
+            for t in (4, 8))
 
     replay_out = base / "replayed"
-    code = runner.main(["replay", str(outs[1]), "--out", str(replay_out)])
+    code = runner.main(["replay", str(base / "couple-t1"), "--out", str(replay_out)])
     replay_ok = code == 0
     _criterion(14, same_threads and replay_ok,
                f"replay reproduces all artifacts byte-identically; thread "
-               f"counts 1/4/8 agree on {len(ref_files)} files")
+               f"counts 1/4/8 agree on {counts['couple']} couple and "
+               f"{counts['contraction']} contraction files")
 
 
 def test_zz_summary():

@@ -223,10 +223,11 @@ def test_temporal_noise_off_recovers_deterministic_order_one():
 
 def _per_rung_errors(cfg, seed, delta):
     """Reference implementation: one rung against its own reference at
-    delta/refine, both reading the base tape at min(deltas)/refine."""
+    delta/refine, both reading the base tape at min(deltas)/refine.  A fine
+    step's noise is the sum of its cells' noise, and the rung's the running
+    sum of its fine steps'."""
     from snselab import integrator as integ
-    from snselab import spectral
-    from snselab.forcing import gaussian_cells, low_mode_basis, sum_fine
+    from snselab.forcing import gaussian_cells, low_mode_basis
     from snselab.integrator import SchemeParams
 
     grid = make_grid(cfg.shells)
@@ -242,16 +243,17 @@ def _per_rung_errors(cfg, seed, delta):
     c = np.broadcast_to(spectral.pack(xi0.coeffs), (m, 2 * grid.n_half)).copy()
     cf = c.copy()
     sup = np.zeros(m)
-    g = gaussian_cells(seed, np.arange(m), np.arange(n_coarse * cfg.refine * r_f), basis.d)
-    fine = sum_fine((np.sqrt(delta_base) * g).reshape(m, n_coarse, cfg.refine, r_f,
-                                                      basis.d), axis=3)
-    coarse = sum_fine(fine, axis=2)
+    g = np.sqrt(delta_base) * gaussian_cells(seed, np.arange(m),
+                                             np.arange(n_coarse * cfg.refine * r_f), basis.d)
+    cell = 0
     for j in range(n_coarse):
+        noise_c = np.zeros_like(c)
         for jf in range(cfg.refine):
-            noise_f = fine[:, j, jf] @ basis.packed
+            noise_f = sum(g[:, i] @ basis.packed for i in range(cell, cell + r_f))
+            cell += r_f
             cf, _ = integ._advance_one(grid, cf, noise_f, sys_f,
                                        np.sqrt(spectral.packed_norm_sq(noise_f)))
-        noise_c = coarse[:, j] @ basis.packed
+            noise_c += noise_f
         c, _ = integ._advance_one(grid, c, noise_c, sys_c,
                                   np.sqrt(spectral.packed_norm_sq(noise_c)))
         np.maximum(sup, np.sqrt(spectral.packed_norm_sq(c - cf)), out=sup)
@@ -262,7 +264,7 @@ def test_temporal_shared_reference_keeps_finest_rung_exact():
     # the finest rung's own reference is the shared one, so its errors match
     # the per-rung reference implementation bit for bit.  The second ladder
     # marches 600 base steps, so its 5-cell finest rung straddles both
-    # boundaries of the reference's 256-step tape pieces
+    # boundaries of the reference's 256-step tape chunks
     for cfg in (TemporalOrderConfig(deltas=(1 / 10, 1 / 20, 1 / 40, 1 / 80), shells=6,
                                     horizon=0.2, ensemble=4, refine=4),
                 TemporalOrderConfig(deltas=(3 / 100, 2 / 100, 1 / 100, 1 / 200),
@@ -276,6 +278,48 @@ def test_temporal_shared_reference_keeps_finest_rung_exact():
         again = temporal_order_study(cfg, seed=7)
         assert again.tables == report.tables
         assert again.fits == report.fits
+
+
+def test_temporal_every_rung_steps_on_its_cells_summed_noise():
+    # the rungs of 30, 20, 10 and 5 base cells do not nest (20 does not
+    # divide 30); each rung, hand-stepped on the summed noise of its cells
+    # against a hand-marched reference on the same tape, gives the study's
+    # errors up to the order in which the noise is summed
+    from snselab import integrator as integ
+    from snselab.forcing import gaussian_cells, low_mode_basis
+    from snselab.integrator import SchemeParams
+
+    cfg = TemporalOrderConfig(deltas=(3 / 100, 2 / 100, 1 / 100, 1 / 200), shells=6,
+                              horizon=0.6, ensemble=4, refine=5)
+    seed, m = 7, cfg.ensemble
+    grid = make_grid(cfg.shells)
+    basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
+    delta_base = min(cfg.deltas) / cfg.refine
+    n_base = round(cfg.horizon / delta_base)
+    g = np.sqrt(delta_base) * gaussian_cells(seed, np.arange(m), np.arange(n_base), basis.d)
+    noise = [g[:, i] @ basis.packed for i in range(n_base)]
+
+    def step(c, delta, noise_k):
+        system = integ.step_system(grid, SchemeParams(cfg.nu, delta, cfg.shells,
+                                                      delta0=max(cfg.deltas)))
+        return integ._advance_one(grid, c, noise_k, system,
+                                  np.sqrt(spectral.packed_norm_sq(noise_k)))[0]
+
+    c0 = np.broadcast_to(spectral.pack(cfg.ic.build(grid, seed).coeffs), (m, 2 * grid.n_half))
+    refs = [c0]
+    for i in range(n_base):
+        refs.append(step(refs[-1], delta_base, noise[i]))
+    report = temporal_order_study(cfg, seed)
+    assert [row["delta"] for row in report.tables["rungs"]] == list(cfg.deltas)
+    for row in report.tables["rungs"]:
+        r = round(row["delta"] / delta_base)
+        c, sup = c0, np.zeros(m)
+        for n in range(r, n_base + 1, r):
+            c = step(c, row["delta"], sum(noise[n - r:n]))
+            np.maximum(sup, np.sqrt(spectral.packed_norm_sq(c - refs[n])), out=sup)
+        want_p, want_sq = np.mean(sup ** cfg.p_moment), np.mean(sup ** 2)
+        assert row["err_p_moment"] == pytest.approx(want_p, rel=1e-12, abs=0)
+        assert row["err_mean_square"] == pytest.approx(want_sq, rel=1e-12, abs=0)
 
 
 def test_spatial_resolved_regime_flagged():

@@ -514,12 +514,12 @@ checkpoint_cadence = 2
 
 
 @pytest.mark.parametrize("steps, stride, cadence", [(7, 1, 3), (10, 3, 4), (5, 10, 0),
-                                                    (6, 2, 0)])
+                                                    (6, 2, 0), (7, 10, 0)])
 def test_simulate_checkpoints_the_recorded_steps_at_cadence_and_the_last(
         tmp_path, steps, stride, cadence):
-    # checkpoints: step 0, recorded steps (multiples of the stride) at the
-    # cadence, and the last recorded step, each the file of a run that
-    # checkpoints every step
+    # checkpoints: step 0, the multiples of the cadence and the final step,
+    # whatever the stride, each the file of a run that checkpoints every
+    # step; the stride thins the diagnostics to its multiples
     def run(name, stride, cadence):
         cfgp = _write_config(tmp_path, f"""
 [discretization]
@@ -535,14 +535,18 @@ checkpoint_cadence = {cadence}
         out = tmp_path / name
         assert main(["simulate", "--config", cfgp, "--steps", str(steps), "--seed", "4",
                      "--out", str(out)]) == EXIT_OK
-        return {p.name: p.read_bytes() for p in out.glob("checkpoints/*/state_*")}
+        ckpts = {p.name: p.read_bytes() for p in out.glob("checkpoints/*/state_*")}
+        lines = (out / "tables" / "diagnostics.csv").read_text().splitlines()
+        summary = json.loads((out / "summary.json").read_text())
+        return ckpts, lines, summary["scalars"]["final_energy_sq"]
 
-    every = run("every", 1, 1)
-    got = run("run", stride, cadence)
-    recorded = range(0, steps + 1, stride)
-    want = {0, recorded[-1]} | {n for n in recorded if cadence and n % cadence == 0}
+    every, every_lines, every_final = run("every", 1, 1)
+    got, lines, final = run("run", stride, cadence)
+    want = {0, steps} | {n for n in range(steps + 1) if cadence and n % cadence == 0}
     assert sorted(got) == sorted(f"state_{n:08d}.{ext}" for n in want for ext in ("fld", "json"))
     assert all(got[name] == every[name] for name in got)
+    assert lines == every_lines[:1] + every_lines[1::stride]
+    assert final == every_final
 
 
 def test_explicit_forcing_preset(tmp_path):
