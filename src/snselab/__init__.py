@@ -7,13 +7,11 @@ __version__ = "0.1.0"
 
 from .errors import (CapacityError, ConfigError, FitError, GridMismatchError,
                      RangeError, SnseLabError, SolverError, StructuralError)
-from .spectral import (SpectralField, SpectralGrid, VelocityField, advect, axpy,
-                       biot_savart, harmonic_field, inner, load_field, make_grid,
-                       project, random_field, save_field, scale, sobolev_norm,
-                       zero_field)
-from .forcing import (ForcingBasis, apply, check_nondegeneracy, low_mode_basis,
-                      pseudo_inverse_apply)
-from .integrator import EnsembleRun, SchemeParams, batch_increments, march, run_scheme
+from .spectral import (SpectralField, SpectralGrid, harmonic_field, load_field, make_grid,
+                       random_field, save_field, zero_field)
+from .forcing import ForcingBasis, apply, low_mode_basis
+from .integrator import (EnsembleRun, SchemeParams, batch_increments, ladder, march,
+                         run_scheme)
 from .coupling import (CoupledPair, NudgeParams, coupled_ensembles, girsanov_cost,
                        pathwise_contraction_check, propose_beta)
 from .measures import (DistanceParams, Ensemble, certify_triangle, rho,

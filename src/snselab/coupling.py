@@ -185,14 +185,6 @@ class GirsanovCost:
     def kl_mean(self) -> float:
         return float(np.mean(self.kl_bound))
 
-    def tv_bound(self, a: float = 1.0) -> float:
-        """2^((1-a)/(1+a)) (E (integral |phi|^2)^a)^(1/(1+a)) for a in (0, 1]."""
-        if not 0.0 < a <= 1.0:
-            raise ValueError("a must lie in (0, 1]")
-        cost = np.atleast_1d(self.kl_bound)
-        return float(2.0 ** ((1.0 - a) / (1.0 + a))
-                     * np.mean(cost ** a) ** (1.0 / (1.0 + a)))
-
     def tv_from_kl(self) -> float:
         """1 - exp(-KL)/2, using the mean cost as the KL estimate."""
         return float(1.0 - 0.5 * np.exp(-self.kl_mean))

@@ -141,18 +141,6 @@ class ObservableSpec:
         return max(float(1.0 / np.sqrt(dp.alpha * np.e)), reach)
 
 
-def clipped_energy(radius: float = 3.0) -> ObservableSpec:
-    return ObservableSpec("clipped-norm", radius=radius)
-
-
-def smoothed_energy(radius: float = 3.0) -> ObservableSpec:
-    return ObservableSpec("smoothed-energy", radius=radius)
-
-
-def low_mode_re(kx: int = 1, ky: int = 0) -> ObservableSpec:
-    return ObservableSpec("low-mode-coefficient", mode=(kx, ky))
-
-
 # -- initial data -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -286,15 +274,9 @@ def temporal_order_study(cfg: TemporalOrderConfig, seed: int) -> StudyReport:
     """Strong error of each rung against one shared reference at
     δ_min/refine on the base tape.
 
-    The base tape holds one Brownian sub-increment per cell of width
-    delta_base = δ_min/refine.  The reference is the `integrator.march` of
-    the ensemble over that tape, one step per cell, and the rungs step in
-    its observer: rung delta advances whenever its delta/delta_base cells
-    have elapsed, on the sum of the noise those cells gave the reference
-    (the noise map is linear, so this is the noise of the cells' summed
-    increment, as in Giles's multilevel coupling).  The sum is taken in two
-    levels: every cell adds into the finest rung's sum, and every finest
-    rung step adds that into each rung's.  The measured pathwise gap
+    The reference is the march of the ensemble at delta_base =
+    δ_min/refine, and each rung δ steps on the same Brownian path in
+    `integrator.ladder`.  The measured pathwise gap
 
         E sup_{k <= K} |xi_coarse^k - xi_ref(t_k)|^p
 
@@ -316,40 +298,24 @@ def temporal_order_study(cfg: TemporalOrderConfig, seed: int) -> StudyReport:
 
     grid = make_grid(cfg.shells)
     basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
-    xi0 = cfg.ic.build(grid, seed)
     delta_base = d_min / cfg.refine
-    m = cfg.ensemble
 
     def params(delta):
         return SchemeParams(cfg.nu, delta, cfg.shells, delta0=deltas[0])
 
-    # base cells per step of each rung, a multiple of the finest rung's ``refine``
-    r_cs = [cfg.refine * round(delta / d_min) for delta in deltas]
-    rungs = [integ.step_system(grid, params(delta)) for delta in deltas]
-    # the rungs march as packed states (see spectral.pack), each summing the
-    # noise of its cells in its own buffer
-    c0 = np.broadcast_to(spectral.pack(xi0.coeffs), (m, 2 * grid.n_half))
-    cs = [c0.copy() for _ in deltas]
-    sums = [np.zeros(c0.shape) for _ in deltas]
-    sups = [np.zeros(m) for _ in deltas]
-    fine = np.zeros(c0.shape)   # the noise of the finest rung's step so far
+    # base steps per step of each rung
+    strides = [cfg.refine * round(delta / d_min) for delta in deltas]
+    sups = [np.zeros(cfg.ensemble) for _ in deltas]
 
-    def follow(step, ref, noise, noise_scale):
-        np.add(fine, noise, out=fine)
-        if step % cfg.refine:
-            return
-        for k, r_c in enumerate(r_cs):
-            sums[k] += fine
-            if step % r_c:
-                continue
-            cs[k], _ = integ._advance_one(grid, cs[k], sums[k], rungs[k],
-                                          np.sqrt(spectral.packed_norm_sq(sums[k])))
-            np.maximum(sups[k], np.sqrt(spectral.packed_norm_sq(cs[k] - ref)), out=sups[k])
-            sums[k][:] = 0.0
-        fine[:] = 0.0
+    def track(step, ref, cs):
+        for k, stride in enumerate(strides):
+            if step % stride == 0:
+                np.maximum(sups[k], np.sqrt(spectral.packed_norm_sq(cs[k] - ref)),
+                           out=sups[k])
 
-    integ.march(params(delta_base), basis, [xi0], seed, np.arange(m),
-                round(cfg.horizon / delta_base), keep_states=False, observer=follow)
+    integ.ladder(params(delta_base), [params(delta) for delta in deltas], basis,
+                 cfg.ic.build(grid, seed), seed, np.arange(cfg.ensemble),
+                 round(cfg.horizon / delta_base), track)
 
     rows = [{"delta": delta, "err_p": float(np.mean(sup ** cfg.p_moment)),
              "err_sq": float(np.mean(sup ** 2))} for delta, sup in zip(deltas, sups)]
@@ -687,7 +653,10 @@ def weak_error_study(cfg: WeakErrorConfig, seed: int) -> StudyReport:
 
     Runs share tapes with the reference (common random numbers) so the
     difference of means converges at the pathwise rate rather than the
-    1/sqrt(M) rate of two independent estimators.  Errors are tabulated
+    1/sqrt(M) rate of two independent estimators.  Each cutoff makes one
+    march, at the finest delta, and steps the coarser deltas on its noise
+    in `integrator.ladder`; ``cfg.threads`` maps over the cutoffs.  Every
+    delta must be a whole multiple of the finest.  Errors are tabulated
     against the controlling function g(N, delta) = max(delta^s,
     delta^(p/2))^(beta/2) + N^(-s/4) of the weak convergence bound.
     """
@@ -710,39 +679,54 @@ def weak_error_study(cfg: WeakErrorConfig, seed: int) -> StudyReport:
     for delta in (cfg.reference_delta, *cfg.deltas):
         _whole_steps(delta, cfg.reference_delta, "deltas")
         _whole_steps(cfg.record_time, delta, "record_time")
+    for delta in cfg.deltas:
+        _whole_steps(delta, min(cfg.deltas), "deltas")
 
     ref_grid = make_grid(cfg.reference_shells)
     xi0 = cfg.ic.build(ref_grid, seed)
-    traj_ids = np.arange(cfg.ensemble)
     n_rec = _whole_steps(cfg.horizon, cfg.record_time, "horizon")
 
-    def observable_means(shells: int, delta: float) -> np.ndarray:
+    def observable_means(shells: int, deltas) -> dict:
+        """{delta: observable means (n_obs, n_rec + 1)} of one ladder on
+        ``shells``, marched at the finest delta."""
         grid = make_grid(shells)
         basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
-        stride = _whole_steps(cfg.record_time, delta, "record_time")
-        r = _whole_steps(delta, cfg.reference_delta, "deltas")
-        run = integ.march(SchemeParams(cfg.nu, delta, shells), basis, [xi0], seed, traj_ids,
-                          n_rec * stride, r=r, record_stride=stride)
-        means = np.empty((len(cfg.observables), run.step_indices.size))
-        for i, obs in enumerate(cfg.observables):
-            means[i] = np.mean(obs.evaluate(grid, run.states), axis=-1)
-        return means
+        deltas = sorted(deltas)
+        stride = _whole_steps(cfg.record_time, deltas[0], "record_time")
+        means = np.empty((len(deltas), len(cfg.observables), n_rec + 1))
 
-    cells = [(shells, delta) for shells in cfg.shells_list for delta in cfg.deltas]
-    ref_means = observable_means(cfg.reference_shells, cfg.reference_delta)
-    all_means = _pmap(lambda cell: observable_means(*cell), cells, cfg.threads)
+        def observe(step, c, cs):
+            if step % stride:
+                return
+            for j, state in enumerate([c, *cs]):
+                states = spectral.unpack(state)
+                for i, obs in enumerate(cfg.observables):
+                    means[j, i, step // stride] = np.mean(obs.evaluate(grid, states))
+
+        params = [SchemeParams(cfg.nu, delta, shells) for delta in deltas]
+        integ.ladder(params[0], params[1:], basis, xi0, seed, np.arange(cfg.ensemble),
+                     n_rec * stride, observe,
+                     r=_whole_steps(deltas[0], cfg.reference_delta, "deltas"))
+        return dict(zip(deltas, means))
+
+    ref_means = observable_means(cfg.reference_shells,
+                                 [cfg.reference_delta])[cfg.reference_delta]
+    grids = _pmap(lambda shells: observable_means(shells, cfg.deltas), cfg.shells_list,
+                  cfg.threads)
 
     p_small = cfg.strong_moment
     rows = []
-    for (shells, delta), means in zip(cells, all_means):
+    for shells, grid_means in zip(cfg.shells_list, grids):
         modes = make_grid(shells).n_modes
-        g = (max(delta ** cfg.s, delta ** (p_small / 2.0))
-             ** (cfg.holder_exponent / 2.0) + modes ** (-cfg.s / 4.0))
-        for i, obs in enumerate(cfg.observables):
-            err = float(np.max(np.abs(means[i] - ref_means[i])))
-            rows.append({"shells": shells, "delta": delta, "modes": modes,
-                         "observable": obs.kind, "weak_error": err,
-                         "g_control": float(g)})
+        for delta in cfg.deltas:
+            means = grid_means[delta]
+            g = (max(delta ** cfg.s, delta ** (p_small / 2.0))
+                 ** (cfg.holder_exponent / 2.0) + modes ** (-cfg.s / 4.0))
+            for i, obs in enumerate(cfg.observables):
+                err = float(np.max(np.abs(means[i] - ref_means[i])))
+                rows.append({"shells": shells, "delta": delta, "modes": modes,
+                             "observable": obs.kind, "weak_error": err,
+                             "g_control": float(g)})
     report = StudyReport("weak-error", asdict(cfg), seed)
     report.tables["grid"] = rows
     for obs in cfg.observables:

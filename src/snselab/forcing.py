@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng, spectral
-from .errors import ConfigError, RangeError, StructuralError
+from .errors import ConfigError, StructuralError
 from .spectral import SpectralField, SpectralGrid, TWO_PI_SQ
 
 
@@ -35,12 +35,7 @@ def gaussian_cells(seed: int, trajectory_ids, cells, d: int) -> np.ndarray:
 
 def sum_fine(fines: np.ndarray, axis: int = 0) -> np.ndarray:
     """The summation `integrator.batch_increments` uses to aggregate the
-    sub-increments of a coarse step, a reduction over one axis.
-
-    The temporal ladder of `experiments` sums noise coefficients instead,
-    after the linear noise map, so its rungs agree with this sum up to
-    rounding.
-    """
+    sub-increments of a coarse step, a reduction over one axis."""
     return np.add.reduce(np.moveaxis(fines, axis, 0), axis=0)
 
 
@@ -165,64 +160,6 @@ def apply_forcing(basis: ForcingBasis, eta: np.ndarray) -> np.ndarray:
 def apply(basis: ForcingBasis, eta: np.ndarray) -> SpectralField:
     """Field-level forcing application (single coefficient vector)."""
     return SpectralField(basis.grid, apply_forcing(basis, eta))
-
-
-@dataclass(frozen=True)
-class NondegeneracyReport:
-    satisfied: bool
-    witness: tuple
-    residuals: np.ndarray
-
-
-def check_nondegeneracy(basis: ForcingBasis, K: int, tol: float = 1e-10) -> NondegeneracyReport:
-    """Decide whether span(sigma) contains every mode of the first K shells.
-
-    Each normalized real eigenfunction within the cutoff is fit by least
-    squares against the directions; a residual above ``tol`` marks the
-    mode as uncovered and lands in the witness list.
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    grid = basis.grid
-    mask = grid.mode_mask(K)
-    idx = np.flatnonzero(mask)
-    targets = np.zeros((2 * idx.size, grid.n_half), dtype=np.complex128)
-    names = []
-    base = 1.0 / (2.0 * np.sqrt(2.0) * np.pi)
-    for j, i in enumerate(idx):
-        targets[2 * j, i] = base
-        targets[2 * j + 1, i] = -1j * base
-        names.append((int(grid.kx[i]), int(grid.ky[i]), "cos"))
-        names.append((int(grid.kx[i]), int(grid.ky[i]), "sin"))
-    # packed vectors scaled so that their Euclidean norm is the L^2 norm
-    l2 = 2.0 * np.pi * np.sqrt(2.0)
-    dmat = l2 * basis.packed                # (d, 2 n_half)
-    tmat = l2 * spectral.pack(targets)      # (t, 2 n_half)
-    sol, *_ = np.linalg.lstsq(dmat.T, tmat.T, rcond=None)
-    resid = np.linalg.norm(dmat.T @ sol - tmat.T, axis=0)
-    uncovered = tuple(n for n, r in zip(names, resid) if r > tol)
-    return NondegeneracyReport(satisfied=len(uncovered) == 0,
-                               witness=uncovered, residuals=resid)
-
-
-def pseudo_inverse_apply(basis: ForcingBasis, f: SpectralField | np.ndarray,
-                         tol: float = 1e-8) -> np.ndarray:
-    """Minimum-norm eta with sum eta_k sigma_k = f, via the Gram system.
-
-    Raises RangeError when f is not within the numerical range of sigma
-    (reconstruction residual above tol * |f|).
-    """
-    coeffs = f.coeffs if isinstance(f, SpectralField) else np.asarray(f)
-    b = TWO_PI_SQ * 2.0 * (basis.coeff_matrix @ np.conj(coeffs)).real
-    eta = np.linalg.pinv(basis.gram, rcond=1e-12) @ b
-    recon = apply_forcing(basis, eta)
-    fnorm = float(spectral.norm_l2(coeffs))
-    residual = float(spectral.norm_l2(recon - coeffs))
-    if fnorm > 0 and residual > tol * fnorm:
-        raise RangeError(
-            f"field outside range of forcing (residual {residual:.3e} > "
-            f"{tol:.1e} * |f|)", residual)
-    return eta
 
 
 def pinv_matrix(basis: ForcingBasis) -> np.ndarray:

@@ -40,10 +40,10 @@ pieces and turns each Brownian increment into its noise coefficients,
 and one march loop, `run_scheme`, iterates over it.  Its observer sees
 each step's packed state and noise, which is how the coupled run steps
 its nudged copies after the plain batch, and one `MarchRecord` per batch
-holds the per-step energies |c|^2 and the strided states.  The temporal
-ladder of `experiments` steps its rungs the same way, in an observer of
-the reference's march over the base tape, each rung on the summed noise
-of its cells.
+holds the per-step energies |c|^2 and the strided states.  `ladder` is
+the one place coarser steps of a path are taken: it steps every rung of a
+delta ladder in an observer of the finest march, on that march's summed
+noise, for the temporal and weak studies alike.
 
 Every march from initial fields goes through `march`, which owns the
 layout of the synchronous coupling: k starts, each repeated for the M
@@ -72,6 +72,7 @@ SWEEP32_ERROR = 2.0 ** -18  # bound on a float32 sweep's error relative to its i
 SWEEP32_SHARE = 0.05        # share of tol * scale the float32 sweeps of a solve may add
 SWEEP32_MIN_WORK = 1 << 17  # rows * 2 n_half * pad^2 below which a float32 sweep does not pay
 SWEEP32_SCALES = (2.0 ** -50, 2.0 ** 50)  # row scales whose sweeps stay in float32's range
+RESCALE_BELOW = 2.0 ** -400  # row scale below which a solve runs in units of its rows' scales
 DRAW_BUDGET = 32 << 20  # bytes one philox draw of the tape may hold at once
 DRAW_BYTES = 16         # bytes a draw holds per normal (its word and uniform, tracemalloc)
 BLOCK_BYTES = 1 << 20   # bytes of packed rows formed or unpacked in one call
@@ -155,8 +156,10 @@ def step_system(grid: SpectralGrid, p: SchemeParams, extra_diag=None) -> StepSys
     inv_diag = 1.0 / diag
     analysis = grid._anal * (-p.delta * inv_diag)
     # entries below float32's range come only with steps too small to
-    # contract slowly enough for a float32 sweep
-    with np.errstate(under="ignore"):
+    # contract slowly enough for a float32 sweep, and entries above it
+    # (delta D^-1 beyond ~1e38) with steps that contract only from states
+    # far below `SWEEP32_SCALES`, where no sweep is float32
+    with np.errstate(under="ignore", over="ignore"):
         return StepSystem(p, diag, inv_diag, analysis, analysis.astype(np.float32))
 
 
@@ -198,7 +201,13 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
     from the last ratio alone was seen to miss tol by 9%), and the cap
     keeps 2 rho / (1 - rho) <= 1, so the solve never stops later than
     |Delta_k| <= tol would.  The stop is batch-wide: |Delta_k| and rho_k
-    come from the largest relative increment of any row.
+    come from the largest relative increment of any row.  When a row's
+    scale is below `RESCALE_BELOW` = 2^-400 (a zero row included), where
+    squared increments could underflow, every row iterates in units of
+    the power of two 2^e of its scale, an exact rescaling undone on
+    return, so increments are relative before they are squared; above
+    it, absolute units give the same bits and spare an M = 1 march about
+    4 us per step.
 
     Hand-over: from sweep 3 on, the steady rate r_k = (|Delta_k| /
     |Delta_{k-2}|)^(1/2) is the two-sweep ratio, which sees through a
@@ -215,14 +224,22 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
     """
     tol = system.p.tol
     c = rhs * system.inv_diag
-    d = c
-    s = np.maximum(scale, 1e-100)
+    expo = None
     # squared relative increment of a row = inc_weight * sum of its squares
-    inc_weight = (spectral.TWO_PI_SQ * 2.0) / s ** 2
+    smallest = np.minimum.reduce(scale)
+    if smallest >= RESCALE_BELOW:
+        inc_weight = (spectral.TWO_PI_SQ * 2.0) / scale ** 2
+    else:
+        # scale = mant 2^expo with mant in [1/2, 1), or 0 for a zero row
+        mant, expo = np.frexp(scale)
+        expo = expo[..., None]
+        c = np.ldexp(c, -expo)
+        inc_weight = (spectral.TWO_PI_SQ * 2.0) / np.maximum(mant, 0.5) ** 2
+    d = c
     # relative error the float32 sweeps may still add
     lo, hi = SWEEP32_SCALES
     room = (SWEEP32_SHARE * tol if rhs.size * grid.pad ** 2 >= SWEEP32_MIN_WORK
-            and lo <= s.min() and s.max() <= hi else 0.0)
+            and lo <= smallest and scale.max() <= hi else 0.0)
     uv32 = d32 = None   # float32 velocity; float32 increment of the last sweep
     prev_inc = prev2_inc = math.inf
     was_slow = False
@@ -247,7 +264,7 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
         # a capped rho of 1/3 on the first sweep turns the test into top <= tol
         capped = 1.0 / 3.0 if it == 1 else min(rho, 1.0 / 3.0)
         if 2.0 * capped * top <= tol * (1.0 - capped):
-            return c, it
+            return (c if expo is None else np.ldexp(c, expo)), it
         if it > 2:
             # the sweep at which 2 r |Delta| / (1 - r) reaches tol at the two-sweep rate r
             rate = math.sqrt(top / prev2_inc)
@@ -325,14 +342,6 @@ def _advance_one(grid, c_prev, noise, system: StepSystem, noise_scale,
     return solved if solved is not None else _krylov_solve(grid, uv, rhs, system, scale)
 
 
-def step_residual(grid, c_prev, c_new, noise_coeffs, p: SchemeParams) -> np.ndarray:
-    """L^2 residual of the implicit step system at c_new (diagnostic)."""
-    diag = 1.0 + p.delta * p.nu * grid.lam
-    adv = spectral.advect_coeffs(grid, c_prev, c_new)
-    rhs = c_prev + (noise_coeffs if noise_coeffs is not None else 0.0)
-    return spectral.norm_l2(diag * c_new + p.delta * adv - rhs)
-
-
 def energy_identity_residual(xi_prev: SpectralField, xi_new: SpectralField,
                              noise_field: SpectralField | None,
                              p: SchemeParams) -> float:
@@ -346,7 +355,8 @@ def energy_identity_residual(xi_prev: SpectralField, xi_new: SpectralField,
            + spectral.norm_l2_sq(xi_new.coeffs - xi_prev.coeffs)
            - xi_prev.l2_norm() ** 2
            + 2.0 * p.nu * p.delta * spectral.sobolev_norm_sq(grid, xi_new.coeffs, 1.0))
-    rhs = 0.0 if noise_field is None else 2.0 * spectral.inner(noise_field, xi_new)
+    rhs = 0.0 if noise_field is None else 2.0 * spectral.inner_product(
+        noise_field.coeffs, xi_new.coeffs)
     scale = max(xi_prev.l2_norm() ** 2, xi_new.l2_norm() ** 2, 1e-300)
     return float(abs(lhs - rhs) / scale)
 
@@ -512,3 +522,57 @@ def march(p: SchemeParams, basis: ForcingBasis, starts, seed: int, ids, n_steps:
     inc = tape if k == 1 else (lambda n0, n1: np.tile(tape(n0, n1), (1, k, 1)))
     return run_scheme(grid, start_rows(grid, starts, len(ids)), n_steps, p, basis, inc,
                       **run_kw)
+
+
+def ladder(p: SchemeParams, rungs, basis: ForcingBasis, start, seed: int, ids,
+           n_steps: int, reducer: Callable[..., None], r: int = 1) -> EnsembleRun:
+    """March ``start`` at ``p`` and, on the same Brownian path, a coarser
+    copy of it at each `SchemeParams` of ``rungs``: the one place rungs step.
+
+    A rung's delta is a whole multiple, its stride, of ``p.delta``.  The
+    rung steps once per stride in the march's observer, through
+    `_advance_one`, on the sum of the noise its stride's base steps gave
+    the march.  The noise map is linear, so that is the noise of the
+    summed Brownian increment, as in Giles's multilevel coupling
+    (Operations Research 56(3), 2008); it matches a lone march on
+    ``batch_increments(seed, ids, r * stride, ...)``, which sums the
+    increments before the map (`forcing.sum_fine`), up to rounding.  The
+    sum has two levels: every base step adds its noise into one buffer,
+    and every g base steps, g the gcd of the strides, that buffer is added
+    into each rung's; a rung steps on its buffer and clears it.  (Adding
+    every base step into every rung made the temporal ladder about 10%
+    slower.)
+
+    ``reducer(step, c, cs)`` sees the march's packed state ``c`` and the
+    list ``cs`` of the rungs' packed states, at step 0 and after every
+    g-th base step, once the rungs due at that step have stepped: rung k
+    is at ``step`` when ``step`` is a multiple of its stride.  No path is
+    kept beyond the current states; the reducer takes what the caller
+    needs.  Returns the march's `EnsembleRun`, without states; ``r`` goes
+    to `march`.
+    """
+    grid = p.grid()
+    strides = [round(q.delta / p.delta) for q in rungs]
+    g = math.gcd(*strides) or 1
+    systems = [step_system(grid, q) for q in rungs]
+    c0 = spectral.pack(start_rows(grid, [start], len(ids)))
+    cs = [c0] * len(rungs)      # `_advance_one` never writes to its state
+    part = np.zeros(c0.shape)   # the noise of the base steps since the last g-th
+    sums = [np.zeros(c0.shape) for _ in rungs]
+
+    def follow(step, c, noise, noise_scale):
+        np.add(part, noise, out=part)
+        if step % g:
+            return
+        for k, stride in enumerate(strides):
+            sums[k] += part
+            if step % stride == 0:
+                cs[k], _ = _advance_one(grid, cs[k], sums[k], systems[k],
+                                        np.sqrt(spectral.packed_norm_sq(sums[k])))
+                sums[k][:] = 0.0
+        part[:] = 0.0
+        reducer(step, c, cs)
+
+    reducer(0, c0, cs)
+    return march(p, basis, [start], seed, ids, n_steps, r=r, keep_states=False,
+                 observer=follow)

@@ -58,7 +58,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import rng
-from .errors import GridMismatchError, StructuralError
+from .errors import StructuralError
 
 TWO_PI_SQ = 4.0 * np.pi ** 2
 
@@ -284,26 +284,6 @@ class SpectralField:
         return self.grid.to_real(self.coeffs)
 
 
-@dataclass(frozen=True)
-class VelocityField:
-    """Divergence-free velocity recovered from a vorticity field."""
-
-    u1: SpectralField
-    u2: SpectralField
-
-    @property
-    def grid(self) -> SpectralGrid:
-        return self.u1.grid
-
-
-def _same_grid(*fields: SpectralField) -> SpectralGrid:
-    g = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != g:
-            raise GridMismatchError(f"grids differ: {f.grid} vs {g}")
-    return g
-
-
 # -- coefficient-level kernels (batched over leading axes) -----------------
 
 def pack(coeffs: np.ndarray) -> np.ndarray:
@@ -364,11 +344,6 @@ def project_coeffs(grid: SpectralGrid, coeffs: np.ndarray, m_shells: int) -> np.
     return np.where(grid.mode_mask(m_shells), coeffs, 0.0)
 
 
-def velocity_coeffs(grid: SpectralGrid, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Biot-Savart: u_hat(k) = (i ky, -i kx) xi_hat(k) / |k|^2."""
-    return grid.ik_perp1 * xi, grid.ik_perp2 * xi
-
-
 def velocity_values(grid: SpectralGrid, xi: np.ndarray) -> np.ndarray:
     """Velocity of packed xi on the padded grid, flat (..., 2 pad^2) = [u1 | u2]
     (the frozen factor of the semi-implicit solve, one gemm for both)."""
@@ -421,63 +396,6 @@ def embed_coeffs(src: SpectralGrid, dst: SpectralGrid, coeffs: np.ndarray) -> np
     out = np.zeros(coeffs.shape[:-1] + (dst.n_half,), dtype=np.complex128)
     out[..., di] = coeffs[..., si]
     return out
-
-
-# -- public field-level operations ------------------------------------------
-
-def project(f: SpectralField, m_shells: int) -> SpectralField:
-    """P_M f: zero every mode beyond the first M eigenvalue shells."""
-    if m_shells >= f.grid.shells:
-        return SpectralField(f.grid, f.coeffs)
-    return SpectralField(f.grid, project_coeffs(f.grid, f.coeffs, m_shells))
-
-
-def biot_savart(xi: SpectralField) -> VelocityField:
-    """Velocity with div u = 0 and curl u = xi (both spectral identities)."""
-    u1, u2 = velocity_coeffs(xi.grid, xi.coeffs)
-    return VelocityField(SpectralField(xi.grid, u1), SpectralField(xi.grid, u2))
-
-
-def advect(source: SpectralField, target: SpectralField) -> SpectralField:
-    """Dealiased bilinear advection P_N((K * source) . grad target)."""
-    g = _same_grid(source, target)
-    return SpectralField(g, advect_coeffs(g, source.coeffs, target.coeffs))
-
-
-def sobolev_norm(f: SpectralField, s: float) -> float:
-    """Homogeneous Sobolev norm; s=0 is |f|, s=1 is |grad f|."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    return float(np.sqrt(sobolev_norm_sq(f.grid, f.coeffs, s)))
-
-
-def inner(f: SpectralField, g: SpectralField) -> float:
-    _same_grid(f, g)
-    return float(inner_product(f.coeffs, g.coeffs))
-
-
-def axpy(a: float, f: SpectralField, g: SpectralField) -> SpectralField:
-    """a*f + g."""
-    grid = _same_grid(f, g)
-    return SpectralField(grid, a * f.coeffs + g.coeffs)
-
-
-def scale(a: float, f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, a * f.coeffs)
-
-
-def divergence_defect(u: VelocityField) -> float:
-    """max_k |k . u_hat(k)|, zero to rounding for Biot-Savart output."""
-    g = u.grid
-    d = g.kx * u.u1.coeffs + g.ky * u.u2.coeffs
-    return float(np.max(np.abs(d))) if d.size else 0.0
-
-
-def curl_defect(xi: SpectralField, u: VelocityField) -> float:
-    """max_k |i k^perp . u_hat - xi_hat|: residual of grad-perp . u = xi."""
-    g = xi.grid
-    r = 1j * (g.kx * u.u2.coeffs - g.ky * u.u1.coeffs) - xi.coeffs
-    return float(np.max(np.abs(r)))
 
 
 # -- constructors ------------------------------------------------------------

@@ -1,0 +1,188 @@
+"""Field-level operations, diagnostics and observable constructors that only
+the tests use.  The package marches packed coefficient arrays; these wrap
+its kernels for single `SpectralField`s, or check a result against its
+definition."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from snselab import spectral
+from snselab.errors import GridMismatchError, RangeError
+from snselab.experiments import ObservableSpec
+from snselab.forcing import ForcingBasis, apply_forcing
+from snselab.integrator import SchemeParams
+from snselab.spectral import TWO_PI_SQ, SpectralField, SpectralGrid
+
+
+# -- spectral fields ----------------------------------------------------------
+
+@dataclass(frozen=True)
+class VelocityField:
+    """Divergence-free velocity recovered from a vorticity field."""
+
+    u1: SpectralField
+    u2: SpectralField
+
+    @property
+    def grid(self) -> SpectralGrid:
+        return self.u1.grid
+
+
+def _same_grid(*fields: SpectralField) -> SpectralGrid:
+    g = fields[0].grid
+    for f in fields[1:]:
+        if f.grid != g:
+            raise GridMismatchError(f"grids differ: {f.grid} vs {g}")
+    return g
+
+
+def project(f: SpectralField, m_shells: int) -> SpectralField:
+    """P_M f: zero every mode beyond the first M eigenvalue shells."""
+    if m_shells >= f.grid.shells:
+        return SpectralField(f.grid, f.coeffs)
+    return SpectralField(f.grid, spectral.project_coeffs(f.grid, f.coeffs, m_shells))
+
+
+def biot_savart(xi: SpectralField) -> VelocityField:
+    """Velocity with div u = 0 and curl u = xi (both spectral identities):
+    u_hat(k) = (i ky, -i kx) xi_hat(k) / |k|^2."""
+    g = xi.grid
+    return VelocityField(SpectralField(g, g.ik_perp1 * xi.coeffs),
+                         SpectralField(g, g.ik_perp2 * xi.coeffs))
+
+
+def advect(source: SpectralField, target: SpectralField) -> SpectralField:
+    """Dealiased bilinear advection P_N((K * source) . grad target)."""
+    g = _same_grid(source, target)
+    return SpectralField(g, spectral.advect_coeffs(g, source.coeffs, target.coeffs))
+
+
+def sobolev_norm(f: SpectralField, s: float) -> float:
+    """Homogeneous Sobolev norm; s=0 is |f|, s=1 is |grad f|."""
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    return float(np.sqrt(spectral.sobolev_norm_sq(f.grid, f.coeffs, s)))
+
+
+def inner(f: SpectralField, g: SpectralField) -> float:
+    _same_grid(f, g)
+    return float(spectral.inner_product(f.coeffs, g.coeffs))
+
+
+def axpy(a: float, f: SpectralField, g: SpectralField) -> SpectralField:
+    """a*f + g."""
+    grid = _same_grid(f, g)
+    return SpectralField(grid, a * f.coeffs + g.coeffs)
+
+
+def scale(a: float, f: SpectralField) -> SpectralField:
+    return SpectralField(f.grid, a * f.coeffs)
+
+
+def divergence_defect(u: VelocityField) -> float:
+    """max_k |k . u_hat(k)|, zero to rounding for Biot-Savart output."""
+    g = u.grid
+    d = g.kx * u.u1.coeffs + g.ky * u.u2.coeffs
+    return float(np.max(np.abs(d))) if d.size else 0.0
+
+
+def curl_defect(xi: SpectralField, u: VelocityField) -> float:
+    """max_k |i k^perp . u_hat - xi_hat|: residual of grad-perp . u = xi."""
+    g = xi.grid
+    r = 1j * (g.kx * u.u2.coeffs - g.ky * u.u1.coeffs) - xi.coeffs
+    return float(np.max(np.abs(r)))
+
+
+# -- forcing ------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class NondegeneracyReport:
+    satisfied: bool
+    witness: tuple
+    residuals: np.ndarray
+
+
+def check_nondegeneracy(basis: ForcingBasis, K: int, tol: float = 1e-10) -> NondegeneracyReport:
+    """Decide whether span(sigma) contains every mode of the first K shells.
+
+    Each normalized real eigenfunction within the cutoff is fit by least
+    squares against the directions; a residual above ``tol`` marks the
+    mode as uncovered and lands in the witness list.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    grid = basis.grid
+    idx = np.flatnonzero(grid.mode_mask(K))
+    targets = np.zeros((2 * idx.size, grid.n_half), dtype=np.complex128)
+    names = []
+    base = 1.0 / (2.0 * np.sqrt(2.0) * np.pi)
+    for j, i in enumerate(idx):
+        targets[2 * j, i] = base
+        targets[2 * j + 1, i] = -1j * base
+        names.append((int(grid.kx[i]), int(grid.ky[i]), "cos"))
+        names.append((int(grid.kx[i]), int(grid.ky[i]), "sin"))
+    # packed vectors scaled so that their Euclidean norm is the L^2 norm
+    l2 = 2.0 * np.pi * np.sqrt(2.0)
+    dmat = l2 * basis.packed                # (d, 2 n_half)
+    tmat = l2 * spectral.pack(targets)      # (t, 2 n_half)
+    sol, *_ = np.linalg.lstsq(dmat.T, tmat.T, rcond=None)
+    resid = np.linalg.norm(dmat.T @ sol - tmat.T, axis=0)
+    uncovered = tuple(n for n, r in zip(names, resid) if r > tol)
+    return NondegeneracyReport(satisfied=len(uncovered) == 0,
+                               witness=uncovered, residuals=resid)
+
+
+def pseudo_inverse_apply(basis: ForcingBasis, f: SpectralField | np.ndarray,
+                         tol: float = 1e-8) -> np.ndarray:
+    """Minimum-norm eta with sum eta_k sigma_k = f, via the Gram system.
+
+    Raises RangeError when f is not within the numerical range of sigma
+    (reconstruction residual above tol * |f|).
+    """
+    coeffs = f.coeffs if isinstance(f, SpectralField) else np.asarray(f)
+    b = TWO_PI_SQ * 2.0 * (basis.coeff_matrix @ np.conj(coeffs)).real
+    eta = np.linalg.pinv(basis.gram, rcond=1e-12) @ b
+    recon = apply_forcing(basis, eta)
+    fnorm = float(spectral.norm_l2(coeffs))
+    residual = float(spectral.norm_l2(recon - coeffs))
+    if fnorm > 0 and residual > tol * fnorm:
+        raise RangeError(
+            f"field outside range of forcing (residual {residual:.3e} > "
+            f"{tol:.1e} * |f|)", residual)
+    return eta
+
+
+# -- scheme and coupling diagnostics --------------------------------------------
+
+def step_residual(grid, c_prev, c_new, noise_coeffs, p: SchemeParams) -> np.ndarray:
+    """L^2 residual of the implicit step system at c_new."""
+    diag = 1.0 + p.delta * p.nu * grid.lam
+    adv = spectral.advect_coeffs(grid, c_prev, c_new)
+    rhs = c_prev + (noise_coeffs if noise_coeffs is not None else 0.0)
+    return spectral.norm_l2(diag * c_new + p.delta * adv - rhs)
+
+
+def tv_bound(cost, a: float = 1.0) -> float:
+    """2^((1-a)/(1+a)) (E (integral |phi|^2)^a)^(1/(1+a)) for a in (0, 1], from
+    a `coupling.GirsanovCost`."""
+    if not 0.0 < a <= 1.0:
+        raise ValueError("a must lie in (0, 1]")
+    kl = np.atleast_1d(cost.kl_bound)
+    return float(2.0 ** ((1.0 - a) / (1.0 + a)) * np.mean(kl ** a) ** (1.0 / (1.0 + a)))
+
+
+# -- observables ----------------------------------------------------------------
+
+def clipped_energy(radius: float = 3.0) -> ObservableSpec:
+    return ObservableSpec("clipped-norm", radius=radius)
+
+
+def smoothed_energy(radius: float = 3.0) -> ObservableSpec:
+    return ObservableSpec("smoothed-energy", radius=radius)
+
+
+def low_mode_re(kx: int = 1, ky: int = 0) -> ObservableSpec:
+    return ObservableSpec("low-mode-coefficient", mode=(kx, ky))

@@ -19,8 +19,9 @@ from snselab.experiments import (BANDS, CertifyMetricConfig, ContractionConfig,
                                  lyapunov_study, spatial_order_study,
                                  stationary_bias_study, temporal_order_study)
 from snselab.integrator import SchemeParams, run_scheme
-from snselab.spectral import (advect, harmonic_field, inner, make_grid,
-                              random_field, sobolev_norm)
+from snselab.spectral import harmonic_field, make_grid, random_field
+
+from helpers import advect, inner, sobolev_norm
 
 pytestmark = pytest.mark.acceptance
 

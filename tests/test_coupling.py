@@ -5,11 +5,12 @@ from snselab import spectral
 from snselab.coupling import (NudgeParams, coupled_ensembles, girsanov_cost, kl_majorant,
                               pathwise_contraction_check, propose_beta)
 from snselab.errors import ConfigError, RangeError, SolverError
-from snselab.forcing import (ForcingBasis, low_mode_basis, pinv_matrix,
-                             pseudo_inverse_apply)
+from snselab.forcing import ForcingBasis, low_mode_basis, pinv_matrix
 from snselab.integrator import SchemeParams, batch_increments, run_scheme
 from snselab.spectral import (SpectralField, harmonic_field, make_grid,
                               random_field)
+
+from helpers import project, pseudo_inverse_apply, tv_bound
 
 G = make_grid(16)
 BASIS8 = low_mode_basis(G, 8, 0.5)   # covers the controlled band below
@@ -215,8 +216,8 @@ def test_girsanov_zero_for_identical_data():
     # both solves are run independently, so the gap sits at the solver
     # rounding floor rather than exactly zero
     assert cost.kl_mean <= 1e-24
-    assert cost.tv_bound(a=1.0) <= 1e-12
-    assert cost.tv_bound(a=0.5) <= 1e-8
+    assert tv_bound(cost, a=1.0) <= 1e-12
+    assert tv_bound(cost, a=0.5) <= 1e-8
     assert cost.tv_from_kl() == pytest.approx(0.5)
 
 
@@ -249,14 +250,12 @@ def test_girsanov_invariant_under_direction_relabeling():
     # relabeling the directions by a permutation (an orthogonal change
     # fixing the Gram matrix) permutes the shift coordinates but leaves
     # |psi_j|^2, and so the path-space cost, unchanged
-    from snselab.forcing import pseudo_inverse_apply
-
     perm = np.random.default_rng(0).permutation(BASIS8.d)
     basis_p = ForcingBasis(G, BASIS8.coeff_matrix[perm])
     assert np.allclose(basis_p.gram, BASIS8.gram)  # equal-amplitude preset
     for seed in range(5):
         zeta = random_field(make_grid(16), seed=seed, rms=0.3)
-        zk = spectral.project(zeta, 8)
+        zk = project(zeta, 8)
         eta = pseudo_inverse_apply(BASIS8, zk)
         eta_p = pseudo_inverse_apply(basis_p, zk)
         assert np.sum(eta ** 2) == pytest.approx(np.sum(eta_p ** 2), rel=1e-10)

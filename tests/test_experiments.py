@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,13 @@ from snselab.experiments import (ContractionConfig, CouplingStudyConfig,
                                  HolderConfig, InitialCondition, LyapunovConfig,
                                  ObservableSpec, SpatialOrderConfig, StationaryBiasConfig,
                                  TemporalOrderConfig, WeakErrorConfig,
-                                 clipped_energy, contraction_study, coupling_study,
-                                 fit_rate, holder_study, low_mode_re, lyapunov_study,
-                                 smoothed_energy, spatial_order_study,
+                                 contraction_study, coupling_study, fit_rate,
+                                 holder_study, lyapunov_study, spatial_order_study,
                                  temporal_order_study, weak_error_study)
 from snselab.measures import DistanceParams
 from snselab.spectral import harmonic_field, make_grid, random_field
+
+from helpers import clipped_energy, low_mode_re, smoothed_energy
 
 
 # -- rate fitting ----------------------------------------------------------------
@@ -206,6 +209,15 @@ def test_weak_rejects_undeclared_lipschitz():
                           alpha=0.0)
     with pytest.raises(ConfigError):
         weak_error_study(cfg, seed=0)
+
+
+def test_weak_deltas_must_be_multiples_of_the_finest():
+    # the coarser deltas step on the finest delta's march
+    cfg = WeakErrorConfig(deltas=(0.04, 0.03), reference_delta=0.01, horizon=0.24,
+                          record_time=0.12)
+    with pytest.raises(ConfigError) as err:
+        weak_error_study(cfg, seed=0)
+    assert err.value.field == "deltas"
 
 
 # -- cheap end-to-end studies ---------------------------------------------------------------
@@ -419,6 +431,68 @@ def test_contraction_pair_marches_as_one_batch(monkeypatch):
     second = contraction_study(cfg, seed=3)
     assert repr((first.tables, first.scalars, first.checks)) == repr(
         (second.tables, second.scalars, second.checks))
+
+
+def test_weak_delta_leg_steps_its_rungs_on_one_march(monkeypatch):
+    # each cutoff makes one ladder march at the finest delta (r = 2 reference
+    # cells per step): its states, and so the finest cell's weak error, are
+    # a lone march's bit for bit.  A coarser delta steps on the summed noise
+    # of its base steps and agrees with a lone march on its own summed tape,
+    # r = delta / reference_delta, to the solve tolerance (rounding of the
+    # noise sum aside)
+    cfg = WeakErrorConfig(shells_list=(3, 4), deltas=(0.04, 0.02, 0.01), reference_shells=6,
+                          reference_delta=0.005, horizon=0.4, record_time=0.2,
+                          ensemble=4, forcing_shells=2)
+    seed, m = 5, cfg.ensemble
+    calls, ladder = [], integrator.ladder
+
+    def recording(p, rungs, basis, start, seed, ids, n_steps, reducer, r=1):
+        seen = {}
+
+        def spy(step, c, cs):
+            seen[step] = [c.copy()] + [x.copy() for x in cs]
+            reducer(step, c, cs)
+
+        calls.append((p, rungs, basis, start, n_steps, r, seen))
+        return ladder(p, rungs, basis, start, seed, ids, n_steps, spy, r=r)
+
+    monkeypatch.setattr(integrator, "ladder", recording)
+    report = weak_error_study(cfg, seed)
+    monkeypatch.undo()
+    assert len(calls) == 1 + len(cfg.shells_list)   # the reference, one ladder per cutoff
+    obs = cfg.observables[0]
+
+    def lone(q, basis, start, r):
+        stride = round(cfg.record_time / q.delta)
+        return integrator.march(q, basis, [start], seed, np.arange(m),
+                                round(cfg.horizon / q.delta), r=r, record_stride=stride)
+
+    def means(run):
+        return np.array([np.mean(obs.evaluate(run.grid, s)) for s in run.states])
+
+    (p_ref, _, basis_ref, xi0, _, _, _), *ladders = calls
+    ref = means(lone(p_ref, basis_ref, xi0, 1))
+    errors = {(row["shells"], row["delta"]): row["weak_error"]
+              for row in report.tables["grid"]}
+    for (p, rungs, basis, start, n_steps, r, seen), shells in zip(ladders, cfg.shells_list):
+        assert p.delta == min(cfg.deltas) and r == 2
+        assert [q.delta for q in rungs] == sorted(cfg.deltas)[1:]
+        base_stride = round(cfg.record_time / p.delta)
+        for j, q in enumerate([p, *rungs]):
+            run = lone(q, basis, start, round(q.delta / cfg.reference_delta))
+            got = np.array([spectral.unpack(seen[n * base_stride][j])
+                            for n in range(run.step_indices.size)])
+            if j == 0:
+                assert np.array_equal(got, run.states)
+            norms = np.sqrt(run.energy_sq)
+            summed = np.concatenate([np.zeros_like(norms[:1]), np.cumsum(norms[1:], axis=0)])
+            bound = 2.0 * q.tol * summed[run.step_indices]
+            assert np.all(spectral.norm_l2(got - run.states) <= bound)
+        assert errors[shells, p.delta] == float(np.max(np.abs(
+            means(lone(p, basis, start, 2)) - ref)))
+    threaded = weak_error_study(replace(cfg, threads=2), seed)
+    assert repr((threaded.tables, threaded.scalars, threaded.checks)) == repr(
+        (report.tables, report.scalars, report.checks))
 
 
 def test_weak_error_bounded_by_strong_component():

@@ -9,10 +9,11 @@ from snselab.coupling import NudgeParams, coupled_ensembles, propose_beta
 from snselab.errors import ConfigError, SolverError
 from snselab.forcing import low_mode_basis
 from snselab.integrator import (SchemeParams, _advance_one, batch_increments,
-                                energy_identity_residual, run_scheme, step_residual,
-                                step_system)
+                                energy_identity_residual, run_scheme, step_system)
 from snselab.spectral import (SpectralField, advect_coeffs, advect_frozen,
                               harmonic_field, make_grid, random_field, zero_field)
+
+from helpers import step_residual
 
 G = make_grid(16)
 BASIS = low_mode_basis(G, 4, 0.5)
@@ -48,9 +49,11 @@ def test_single_mode_step_analytic(mode, delta):
 
 
 def test_zero_state_zero_noise_stays_zero():
+    # the row's scale is 0: it solves at sweep 1, without a NaN
     p = SchemeParams(1.0, 0.05, 16)
-    out = _step(zero_field(G), p, BASIS, np.zeros(BASIS.d))
-    assert spectral.norm_l2(out) == 0.0
+    run = run_scheme(G, zero_field(G).coeffs, 1, p, BASIS,
+                     lambda n0, n1: np.zeros((1, 1, BASIS.d)))
+    assert spectral.norm_l2(run.states[-1, 0]) == 0.0 and run.iterations[0] == 1
 
 
 def test_step_residual_small():
@@ -251,10 +254,9 @@ def test_mixed_solve_agrees_with_float64_solve(monkeypatch, shells, m, rms, delt
 
 
 # (lam, rescaled, members, float32 sweeps): a state of rms 8 lam, with the step
-# rescaled so that it contracts as at lam = 1, or at rms 1e-150 unscaled (a row
-# scale below 1e-100 is taken as 1e-100, so a rescaled step that small stops
-# early in float64 as well); outside SWEEP32_SCALES, and below SWEEP32_MIN_WORK
-# (one member), no sweep is float32
+# rescaled so that it contracts as at lam = 1, or at rms 1e-150 unscaled, where
+# the advection is negligible and the step solves at sweep 1; outside
+# SWEEP32_SCALES, and below SWEEP32_MIN_WORK (one member), no sweep is float32
 @pytest.mark.parametrize("lam, rescaled, m, float32", [
     (1.0, True, 64, True), (1.0, True, 1, False), (1e-150, False, 64, False),
     (2.0 ** -60, True, 64, False), (2.0 ** 60, True, 64, False), (1e150, True, 64, False)])
@@ -271,6 +273,34 @@ def test_float32_sweeps_stay_inside_their_scale_range(lam, rescaled, m, float32)
         scale = np.sqrt(spectral.packed_norm_sq(prev)) + noise_scale
     assert np.all(err <= p.tol * scale)
     assert any(out.dtype == np.float32 for out in sweeps) == float32
+
+
+@given(shells=st.sampled_from([4, 10, 16]), m=st.sampled_from([1, 3]),
+       rms=st.floats(0.5, 20.0), delta=st.sampled_from([0.01, 0.05]),
+       log10_lam=st.floats(-150.0, 150.0), seed=st.integers(0, 10 ** 6))
+# at 1e-150 squared absolute increments underflow; at 1e150 the squared scale nears overflow
+@example(shells=16, m=3, rms=8.0, delta=0.05, log10_lam=-150.0, seed=7)
+@example(shells=16, m=3, rms=8.0, delta=0.05, log10_lam=150.0, seed=7)
+# a march ignores underflow, and so does this step taken outside one
+@np.errstate(under="ignore")
+def test_solve_is_scale_free(shells, m, rms, delta, log10_lam, seed):
+    # the step system times lam solves to tol * scale at every scale; errors
+    # are measured in units of lam, where their squares neither underflow
+    # nor overflow
+    lam = 10.0 ** log10_lam
+    grid, p, prev, noise, noise_scale = _scaled_step(shells, m, rms, delta, seed, lam)
+    system = step_system(grid, p)
+    c, _ = _advance_one(grid, prev, noise, system, noise_scale)
+    err = np.sqrt(spectral.packed_norm_sq(
+        (c - _dense_solve(grid, system, prev, prev + noise)) / lam))
+    scale = np.sqrt(spectral.packed_norm_sq(prev / lam)) + noise_scale / lam
+    assert np.all(err <= p.tol * scale)
+    # above RESCALE_BELOW the solve keeps absolute units; rescaling rows by
+    # powers of two is exact, so there it would give the same bits
+    if log10_lam >= -100:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrator, "RESCALE_BELOW", np.inf)
+            assert np.array_equal(_advance_one(grid, prev, noise, system, noise_scale)[0], c)
 
 
 # stalls from random step solves: the increment ratio hovers at 0.9-1.0

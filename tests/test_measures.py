@@ -8,7 +8,9 @@ from snselab.measures import (DistanceParams, Ensemble, certify_triangle,
                               default_alpha, rho,
                               rho_weighted, log_rho_weighted, triangle_constant,
                               wasserstein_coupled_bound, wasserstein_exact)
-from snselab.spectral import make_grid, random_field, scale, zero_field
+from snselab.spectral import make_grid, random_field, zero_field
+
+from helpers import scale
 
 G = make_grid(8)
 DP = DistanceParams(eps=1.0, s=1.0, alpha=0.0)

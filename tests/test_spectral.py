@@ -6,11 +6,11 @@ from scipy.fft import next_fast_len
 
 from snselab import spectral
 from snselab.errors import GridMismatchError, StructuralError
-from snselab.spectral import (SpectralField, advect, axpy, biot_savart,
-                              divergence_defect, curl_defect, eigenvalue_shells,
-                              harmonic_field, inner, load_field, make_grid,
-                              project, random_field, save_field, scale,
-                              sobolev_norm, zero_field)
+from snselab.spectral import (SpectralField, eigenvalue_shells, harmonic_field,
+                              load_field, make_grid, random_field, save_field, zero_field)
+
+from helpers import (advect, axpy, biot_savart, curl_defect, divergence_defect, inner,
+                     project, scale, sobolev_norm)
 
 G16 = make_grid(16)
 
