@@ -5,11 +5,11 @@ convergence, contraction, and long-time bias studies built on them."""
 
 __version__ = "0.1.0"
 
-from .errors import (CapacityError, ConfigError, FitError, GridMismatchError,
-                     RangeError, SnseLabError, SolverError, StructuralError)
+from .errors import (CapacityError, ConfigError, FitError, RangeError, SnseLabError,
+                     SolverError, StructuralError)
 from .spectral import (SpectralField, SpectralGrid, harmonic_field, load_field, make_grid,
                        random_field, save_field, zero_field)
-from .forcing import ForcingBasis, apply, low_mode_basis
+from .forcing import ForcingBasis, low_mode_basis
 from .integrator import (EnsembleRun, SchemeParams, batch_increments, ladder, march,
                          run_scheme)
 from .coupling import (CoupledPair, NudgeParams, coupled_ensembles, girsanov_cost,

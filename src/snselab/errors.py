@@ -9,10 +9,6 @@ class StructuralError(SnseLabError):
     """Incompatible shapes, grids, formats, or corrupted on-disk data."""
 
 
-class GridMismatchError(StructuralError):
-    """Operands live on different spectral grids."""
-
-
 class ConfigError(SnseLabError):
     """Invalid or inconsistent run configuration.
 

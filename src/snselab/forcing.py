@@ -157,11 +157,6 @@ def apply_forcing(basis: ForcingBasis, eta: np.ndarray) -> np.ndarray:
     return eta @ basis.coeff_matrix
 
 
-def apply(basis: ForcingBasis, eta: np.ndarray) -> SpectralField:
-    """Field-level forcing application (single coefficient vector)."""
-    return SpectralField(basis.grid, apply_forcing(basis, eta))
-
-
 def pinv_matrix(basis: ForcingBasis) -> np.ndarray:
     """Real matrix applying sigma^{-1} to packed coefficients in one matmul.
 

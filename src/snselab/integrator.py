@@ -70,7 +70,7 @@ INCREMENT_CHUNK = 256  # coarse steps of tape generated per philox call
 MAX_SWEEPS = 200       # fixed-point sweeps per solve before GMRES takes over
 SWEEP32_ERROR = 2.0 ** -18  # bound on a float32 sweep's error relative to its increment
 SWEEP32_SHARE = 0.05        # share of tol * scale the float32 sweeps of a solve may add
-SWEEP32_MIN_WORK = 1 << 17  # rows * 2 n_half * pad^2 below which a float32 sweep does not pay
+SWEEP32_MIN_WORK = 1 << 17  # rows * 2 n_half * n_nodes below which a float32 sweep does not pay
 SWEEP32_SCALES = (2.0 ** -50, 2.0 ** 50)  # row scales whose sweeps stay in float32's range
 RESCALE_BELOW = 2.0 ** -400  # row scale below which a solve runs in units of its rows' scales
 DRAW_BUDGET = 32 << 20  # bytes one philox draw of the tape may hold at once
@@ -143,8 +143,8 @@ class StepSystem(NamedTuple):
     p: SchemeParams
     diag: np.ndarray          # D, (2 n_half,)
     inv_diag: np.ndarray      # D^-1
-    analysis: np.ndarray      # (pad^2, 2 n_half)
-    analysis32: np.ndarray    # (pad^2, 2 n_half), float32
+    analysis: np.ndarray      # (n_nodes, 2 n_half)
+    analysis32: np.ndarray    # (n_nodes, 2 n_half), float32
 
 
 def step_system(grid: SpectralGrid, p: SchemeParams, extra_diag=None) -> StepSystem:
@@ -238,7 +238,7 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
     d = c
     # relative error the float32 sweeps may still add
     lo, hi = SWEEP32_SCALES
-    room = (SWEEP32_SHARE * tol if rhs.size * grid.pad ** 2 >= SWEEP32_MIN_WORK
+    room = (SWEEP32_SHARE * tol if rhs.size * grid.n_nodes >= SWEEP32_MIN_WORK
             and lo <= smallest and scale.max() <= hi else 0.0)
     uv32 = d32 = None   # float32 velocity; float32 increment of the last sweep
     prev_inc = prev2_inc = math.inf

@@ -20,23 +20,26 @@ eigenvalues, ties entering wholesale.  This makes the Poincare inequality
 |grad (I - P_M) f|^2 >= lambda_{M+1} |(I - P_M) f|^2 hold by construction,
 with lambda_{M+1} the (M+1)-th distinct eigenvalue.
 
-The quadratic advection term is evaluated pseudospectrally on a padded
-grid with at least 3*max|k| + 1 points per dimension, which makes the
-truncated product equal to the exact Galerkin bilinear form (no aliasing,
-not merely filtered).
+The quadratic advection term is evaluated pseudospectrally on the nodes of
+a rank-1 lattice rule (Sloan and Joe, Lattice Methods for Multiple
+Integration, 1994), x_j = 2pi (j, pad j mod n) / n for j = 0 .. n - 1,
+with pad = 3*max|k| + 1 and n = `SpectralGrid.n_nodes`.  The rule
+integrates exp(i h.x) exactly whenever n does not divide h.(1, pad), and
+n is the smallest node count for which that holds for every nonzero
+frequency a projected product can reach.  So the truncated product
+equals the exact Galerkin bilinear form (no aliasing, not merely
+filtered; Orszag 1971), on fewer nodes than the alias-free pad x pad box.
 
-Transforms between coefficients and padded-grid samples are carried out
-as dense DFT matrix products.  At these truncation sizes (tens of active
-modes, a few hundred grid points) one BLAS gemm per transform is several
-times faster than batched small FFTs, and the result is the same Fourier
-sum evaluated to rounding; the test suite checks it against numpy's FFT.
-The padded size is the smallest 2-3-5-smooth length above the alias-free
-minimum (`smooth_length`): a fast FFT length, found without importing an
-FFT library.
+Transforms between coefficients and node samples are carried out as
+dense DFT matrix products.  At these truncation sizes (tens of active
+modes, a few hundred nodes) one BLAS gemm per transform is several times
+faster than batched small FFTs, and the result is the same Fourier sum
+evaluated to rounding; the test suite checks products against numpy's
+FFT on a box of their own and against a direct triad sum.
 
 The transforms act on a real *packed* layout: a coefficient vector c of
 length n_half is held as the real vector rc = [Re c | Im c] of length
-2 n_half, and every dense DFT matrix maps rc to grid samples or grid
+2 n_half, and every dense DFT matrix maps rc to node samples or node
 samples back to rc with one real gemm.  The time-marching kernels keep
 their state in this layout from the noise tape to the recorded diagnostics
 (`velocity_values`, `advect_frozen`, `packed_norm_sq`); `pack` and `unpack`
@@ -50,7 +53,6 @@ wraps the single-field case.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -65,14 +67,27 @@ TWO_PI_SQ = 4.0 * np.pi ** 2
 _MAGIC = b"SNSEFLD1"
 
 
-def smooth_length(n: int) -> int:
-    """Smallest m >= n whose only prime factors are 2, 3 and 5; for n >= 1
-    the same as ``scipy.fft.next_fast_len(n, real=True)``."""
-    m = max(int(n), 1)
-    # 30**bits holds every power of 2, 3 and 5 that can divide m
-    while m // math.gcd(m, 30 ** m.bit_length()) != 1:
-        m += 1
-    return m
+def _lattice_size(images: np.ndarray, lo: int) -> int:
+    """Smallest n >= ``lo`` that divides no nonzero sum of two or three of
+    ``images``.
+
+    ``images`` are the 1-D integers k.(1, pad) of the active modes and
+    their conjugates (a set closed under negation), so the sums of two
+    and of three are the images of T - T and T + T - T, the frequencies a
+    node sample's analysis and a projected product can reach.  The sums
+    come from exact integer-count convolutions of the set's indicator.
+    """
+    off = int(images.max())
+    ind = np.zeros(2 * off + 1)
+    ind[images + off] = 1.0
+    two = np.convolve(ind, ind)
+    reach = np.convolve(two, ind) > 0.5
+    reach[off:off + two.size] |= two > 0.5
+    sums = np.flatnonzero(reach[3 * off + 1:]) + 1   # positive; the set is symmetric
+    n = lo
+    while not np.all(sums % n):
+        n += 1
+    return n
 
 
 @lru_cache(maxsize=None)
@@ -97,18 +112,21 @@ def eigenvalue_shells(count: int) -> np.ndarray:
 
 
 class SpectralGrid:
-    """Shell-truncated spectral grid with padded transform bookkeeping.
+    """Shell-truncated spectral grid with the lattice rule of its products.
 
     Parameters
     ----------
     shells : int
         Number of distinct eigenvalue shells retained (the cutoff N).
-    pad : int, optional
-        Points per dimension of the padded grid used for products.
-        Defaults to the smallest 2-3-5-smooth length >= 3*max|k| + 1.
+
+    Products are sampled on ``n_nodes`` lattice nodes with generator
+    (1, ``pad``), pad = 3*max|k| + 1 (see the module docstring).  Since
+    |h_x| < pad for every reachable frequency h, h.(1, pad) vanishes only
+    at h = 0 and stays below pad^2 in modulus, so 2 n_half <= n_nodes <=
+    pad^2.
     """
 
-    def __init__(self, shells: int, pad: int | None = None):
+    def __init__(self, shells: int):
         lams = eigenvalue_shells(shells + 1)
         self.shells = int(shells)
         self.lambda_cut = int(lams[shells - 1])
@@ -130,11 +148,9 @@ class SpectralGrid:
         self.n_modes = 2 * self.n_half
         self.max_wavenumber = int(max(self.kx.max(), self.ky.max()))
 
-        min_pad = 3 * self.max_wavenumber + 1
-        self.pad = int(pad) if pad is not None else smooth_length(min_pad)
-        if self.pad < min_pad:
-            raise ValueError(
-                f"pad={self.pad} is below the alias-free minimum {min_pad}")
+        self.pad = 3 * self.max_wavenumber + 1
+        images = self.kx + self.pad * self.ky
+        self.n_nodes = _lattice_size(np.concatenate([images, -images]), self.n_modes)
 
         # Biot-Savart symbol: u_hat = (i ky, -i kx) xi_hat / |k|^2, the unique
         # divergence-free velocity with grad-perp . u = xi (stream function
@@ -150,40 +166,40 @@ class SpectralGrid:
 
         self._index = {(int(a), int(b)): i
                        for i, (a, b) in enumerate(zip(self.kx, self.ky))}
-        self._build_transforms()
+        self._build_transforms(images)
 
-    def _build_transforms(self):
-        """Dense DFT matrices evaluating the truncated Fourier sums.
+    def _build_transforms(self, images):
+        """Dense DFT matrices evaluating the truncated Fourier sums at the
+        lattice nodes.
 
         With packed coefficients split as rc = [Re c | Im c], samples of a
         field with per-mode multiplier m are rc @ block(m), where
 
-            block(m) = [  2 Re(m E) ]        E[k, x] = exp(i k . x_j),
+            block(m) = [  2 Re(m E) ]        E[k, j] = exp(i k . x_j),
                        [ -2 Im(m E) ]
 
         because every stored mode carries its implicit conjugate partner.
-        The analysis map back to coefficients is the plain DFT sum with
-        the 1/P^2 quadrature weight.
+        On the lattice k . x_j = 2pi j k.(1, pad) / n_nodes, so E is read
+        from the n_nodes-th roots of unity at j times the mode's image
+        k.(1, pad), mod n_nodes.
+        The analysis map back to coefficients is the lattice rule: the
+        plain DFT sum with the 1/n_nodes quadrature weight.
         """
-        p = self.pad
-        x = 2.0 * np.pi * np.arange(p) / p
-        phase = (self.kx[:, None, None] * x[None, :, None]
-                 + self.ky[:, None, None] * x[None, None, :])
-        e_mat = np.exp(1j * phase.reshape(self.n_half, p * p))
+        n = self.n_nodes
+        roots = np.exp(2j * np.pi * np.arange(n) / n)
+        e_mat = roots[np.outer(images, np.arange(n)) % n]
 
         def block(mult):
             w = mult[:, None] * e_mat
             return np.concatenate([2.0 * w.real, -2.0 * w.imag], axis=0)
 
-        one = np.ones(self.n_half)
-        self._synth = np.ascontiguousarray(block(one))
         self._synth_grad = np.ascontiguousarray(
             np.concatenate([block(self.ikx), block(self.iky)], axis=1))
         self._synth_vel = np.ascontiguousarray(
             np.concatenate([block(self.ik_perp1), block(self.ik_perp2)], axis=1))
         self._anal = np.ascontiguousarray(
-            np.concatenate([e_mat.real.T, -e_mat.imag.T], axis=1) / (p * p))
-        for arr in (self._synth, self._synth_grad, self._synth_vel, self._anal):
+            np.concatenate([e_mat.real.T, -e_mat.imag.T], axis=1) / n)
+        for arr in (self._synth_grad, self._synth_vel, self._anal):
             arr.flags.writeable = False
 
     @cached_property
@@ -197,15 +213,14 @@ class SpectralGrid:
     # -- identity ---------------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, SpectralGrid)
-                and other.shells == self.shells and other.pad == self.pad)
+        return isinstance(other, SpectralGrid) and other.shells == self.shells
 
     def __hash__(self):
-        return hash((self.shells, self.pad))
+        return hash(self.shells)
 
     def __repr__(self):
         return (f"SpectralGrid(shells={self.shells}, lambda_cut={self.lambda_cut}, "
-                f"n_half={self.n_half}, pad={self.pad})")
+                f"n_half={self.n_half}, n_nodes={self.n_nodes})")
 
     # -- mode bookkeeping --------------------------------------------------
 
@@ -230,24 +245,6 @@ class SpectralGrid:
         if (-kx, -ky) in self._index:
             return self._index[(-kx, -ky)], True
         raise KeyError(f"wavevector ({kx}, {ky}) not active at shells={self.shells}")
-
-    # -- transforms --------------------------------------------------------
-
-    def to_real_flat(self, coeffs: np.ndarray) -> np.ndarray:
-        """Samples on the padded grid as a flat (..., pad*pad) array."""
-        return pack(coeffs) @ self._synth
-
-    def to_real(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real-space samples on the padded grid, shape (..., pad, pad)."""
-        flat = self.to_real_flat(coeffs)
-        return flat.reshape(coeffs.shape[:-1] + (self.pad, self.pad))
-
-    def from_real_flat(self, values: np.ndarray) -> np.ndarray:
-        return unpack(values @ self._anal)
-
-    def from_real(self, values: np.ndarray) -> np.ndarray:
-        """Project padded-grid samples back onto the active modes."""
-        return self.from_real_flat(values.reshape(values.shape[:-2] + (-1,)))
 
 
 @lru_cache(maxsize=None)
@@ -278,10 +275,6 @@ class SpectralField:
 
     def l2_norm(self) -> float:
         return float(norm_l2(self.coeffs))
-
-    def values(self) -> np.ndarray:
-        """Real-space samples on the padded grid."""
-        return self.grid.to_real(self.coeffs)
 
 
 # -- coefficient-level kernels (batched over leading axes) -----------------
@@ -340,12 +333,8 @@ def inner_product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return TWO_PI_SQ * 2.0 * np.sum(f * np.conj(g), axis=-1).real
 
 
-def project_coeffs(grid: SpectralGrid, coeffs: np.ndarray, m_shells: int) -> np.ndarray:
-    return np.where(grid.mode_mask(m_shells), coeffs, 0.0)
-
-
 def velocity_values(grid: SpectralGrid, xi: np.ndarray) -> np.ndarray:
-    """Velocity of packed xi on the padded grid, flat (..., 2 pad^2) = [u1 | u2]
+    """Velocity of packed xi at the lattice nodes, flat (..., 2 n_nodes) = [u1 | u2]
     (the frozen factor of the semi-implicit solve, one gemm for both)."""
     return xi @ grid._synth_vel
 
@@ -363,15 +352,8 @@ def advect_frozen(grid: SpectralGrid, uv: np.ndarray, analysis: np.ndarray,
     """
     g = target @ (grid._synth_grad if target.dtype == np.float64 else grid._synth_grad32)
     g *= uv
-    p2 = grid.pad * grid.pad
-    return (g[..., :p2] + g[..., p2:]) @ analysis
-
-
-def advect_coeffs(grid: SpectralGrid, source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """P_N( (K * source) . grad(target) ) of complex coefficients, exact on
-    the padded grid."""
-    uv = velocity_values(grid, pack(source))
-    return unpack(advect_frozen(grid, uv, grid._anal, pack(target)))
+    n = grid.n_nodes
+    return (g[..., :n] + g[..., n:]) @ analysis
 
 
 @lru_cache(maxsize=None)

@@ -10,11 +10,44 @@ from dataclasses import dataclass
 import numpy as np
 
 from snselab import spectral
-from snselab.errors import GridMismatchError, RangeError
+from snselab.errors import RangeError, StructuralError
 from snselab.experiments import ObservableSpec
 from snselab.forcing import ForcingBasis, apply_forcing
 from snselab.integrator import SchemeParams
 from snselab.spectral import TWO_PI_SQ, SpectralField, SpectralGrid
+
+
+class GridMismatchError(StructuralError):
+    """Operands live on different spectral grids."""
+
+
+# -- node samples and coefficient kernels ---------------------------------------
+
+def to_nodes(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Samples of the fields with complex ``coeffs`` (..., n_half) at the
+    lattice nodes x_j = 2pi (j, pad j mod n) / n, j < n = ``grid.n_nodes``,
+    shape (..., n); the Fourier sum is taken at the nodes' coordinates."""
+    n = grid.n_nodes
+    j = np.arange(n)
+    x1, x2 = 2.0 * np.pi * j / n, 2.0 * np.pi * (grid.pad * j % n) / n
+    e_mat = np.exp(1j * (grid.kx[:, None] * x1 + grid.ky[:, None] * x2))
+    return spectral.pack(coeffs) @ np.concatenate([2.0 * e_mat.real, -2.0 * e_mat.imag])
+
+
+def from_nodes(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
+    """The grid's lattice-rule analysis of node samples back to the active modes."""
+    return spectral.unpack(values @ grid._anal)
+
+
+def project_coeffs(grid: SpectralGrid, coeffs: np.ndarray, m_shells: int) -> np.ndarray:
+    return np.where(grid.mode_mask(m_shells), coeffs, 0.0)
+
+
+def advect_coeffs(grid: SpectralGrid, source: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """P_N( (K * source) . grad(target) ) of complex coefficients, exact at
+    the lattice nodes."""
+    uv = spectral.velocity_values(grid, spectral.pack(source))
+    return spectral.unpack(spectral.advect_frozen(grid, uv, grid._anal, spectral.pack(target)))
 
 
 # -- spectral fields ----------------------------------------------------------
@@ -43,7 +76,7 @@ def project(f: SpectralField, m_shells: int) -> SpectralField:
     """P_M f: zero every mode beyond the first M eigenvalue shells."""
     if m_shells >= f.grid.shells:
         return SpectralField(f.grid, f.coeffs)
-    return SpectralField(f.grid, spectral.project_coeffs(f.grid, f.coeffs, m_shells))
+    return SpectralField(f.grid, project_coeffs(f.grid, f.coeffs, m_shells))
 
 
 def biot_savart(xi: SpectralField) -> VelocityField:
@@ -57,7 +90,7 @@ def biot_savart(xi: SpectralField) -> VelocityField:
 def advect(source: SpectralField, target: SpectralField) -> SpectralField:
     """Dealiased bilinear advection P_N((K * source) . grad target)."""
     g = _same_grid(source, target)
-    return SpectralField(g, spectral.advect_coeffs(g, source.coeffs, target.coeffs))
+    return SpectralField(g, advect_coeffs(g, source.coeffs, target.coeffs))
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
@@ -97,6 +130,11 @@ def curl_defect(xi: SpectralField, u: VelocityField) -> float:
 
 
 # -- forcing ------------------------------------------------------------------
+
+def apply(basis: ForcingBasis, eta: np.ndarray) -> SpectralField:
+    """Field-level forcing application (single coefficient vector)."""
+    return SpectralField(basis.grid, apply_forcing(basis, eta))
+
 
 @dataclass(frozen=True)
 class NondegeneracyReport:
@@ -160,7 +198,7 @@ def pseudo_inverse_apply(basis: ForcingBasis, f: SpectralField | np.ndarray,
 def step_residual(grid, c_prev, c_new, noise_coeffs, p: SchemeParams) -> np.ndarray:
     """L^2 residual of the implicit step system at c_new."""
     diag = 1.0 + p.delta * p.nu * grid.lam
-    adv = spectral.advect_coeffs(grid, c_prev, c_new)
+    adv = advect_coeffs(grid, c_prev, c_new)
     rhs = c_prev + (noise_coeffs if noise_coeffs is not None else 0.0)
     return spectral.norm_l2(diag * c_new + p.delta * adv - rhs)
 

@@ -10,7 +10,7 @@ from snselab.integrator import SchemeParams, batch_increments, run_scheme
 from snselab.spectral import (SpectralField, harmonic_field, make_grid,
                               random_field)
 
-from helpers import project, pseudo_inverse_apply, tv_bound
+from helpers import project, project_coeffs, pseudo_inverse_apply, tv_bound
 
 G = make_grid(16)
 BASIS8 = low_mode_basis(G, 8, 0.5)   # covers the controlled band below
@@ -231,7 +231,7 @@ def test_girsanov_identity_from_recorded_states():
                              trajectory_ids=[0, 1], keep_states=True)[0]
     zeta = pair.nudged.states[1:] - pair.primary.states[1:]
     psi_sq = np_.beta ** 2 * np.array([
-        [np.sum(pseudo_inverse_apply(BASIS8, spectral.project_coeffs(G, z, K)) ** 2)
+        [np.sum(pseudo_inverse_apply(BASIS8, project_coeffs(G, z, K)) ** 2)
          for z in step] for step in zeta])
     assert np.allclose(pair.kl_bound, P.delta * psi_sq.sum(axis=0), rtol=1e-10, atol=0.0)
     assert np.allclose(pair.shift_sq_mean, psi_sq.mean(axis=1), rtol=1e-10, atol=0.0)
@@ -295,7 +295,7 @@ def test_uniqueness_transfer_shifted_tape():
     pair = _pair(f, g, n_steps, np_, seed=21, traj_id=2, keep_states=True)
     tape = batch_increments(21, [2], 1, BASIS8.d, P.delta)
     # psi_j = -beta sigma^-1 P_K (xi_tilde^j - xi^j), shape (n_steps, 1, d)
-    zk = spectral.project_coeffs(G, pair.nudged.states[1:] - pair.primary.states[1:], 4)
+    zk = project_coeffs(G, pair.nudged.states[1:] - pair.primary.states[1:], 4)
     psi = -np_.beta * spectral.pack(zk) @ pinv_matrix(BASIS8).T
 
     def shifted(n0, n1):

@@ -4,11 +4,11 @@ from hypothesis import given, strategies as st
 
 from snselab import forcing, integrator, spectral
 from snselab.errors import ConfigError, RangeError, StructuralError
-from snselab.forcing import ForcingBasis, apply, basis_from_fields, low_mode_basis, sum_fine
+from snselab.forcing import ForcingBasis, basis_from_fields, low_mode_basis, sum_fine
 from snselab.integrator import batch_increments
 from snselab.spectral import harmonic_field, make_grid
 
-from helpers import check_nondegeneracy, pseudo_inverse_apply
+from helpers import apply, check_nondegeneracy, pseudo_inverse_apply
 
 G = make_grid(16)
 BASIS = low_mode_basis(G, 4, 0.5)

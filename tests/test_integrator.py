@@ -10,10 +10,10 @@ from snselab.errors import ConfigError, SolverError
 from snselab.forcing import low_mode_basis
 from snselab.integrator import (SchemeParams, _advance_one, batch_increments,
                                 energy_identity_residual, run_scheme, step_system)
-from snselab.spectral import (SpectralField, advect_coeffs, advect_frozen,
-                              harmonic_field, make_grid, random_field, zero_field)
+from snselab.spectral import (SpectralField, advect_frozen, harmonic_field, make_grid,
+                              random_field, zero_field)
 
-from helpers import step_residual
+from helpers import advect_coeffs, step_residual
 
 G = make_grid(16)
 BASIS = low_mode_basis(G, 4, 0.5)

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.fft import next_fast_len
 
 from snselab import spectral
-from snselab.errors import GridMismatchError, StructuralError
-from snselab.spectral import (SpectralField, eigenvalue_shells, harmonic_field,
-                              load_field, make_grid, random_field, save_field, zero_field)
+from snselab.errors import StructuralError
+from snselab.spectral import (SpectralField, SpectralGrid, eigenvalue_shells,
+                              harmonic_field, load_field, make_grid, random_field,
+                              save_field, zero_field)
 
-from helpers import (advect, axpy, biot_savart, curl_defect, divergence_defect, inner,
-                     project, scale, sobolev_norm)
+from helpers import (GridMismatchError, advect, axpy, biot_savart, curl_defect,
+                     divergence_defect, from_nodes, inner, project, scale, sobolev_norm,
+                     to_nodes)
 
 G16 = make_grid(16)
 
@@ -27,16 +28,38 @@ def test_grid_counts():
     assert G16.pad >= 3 * G16.max_wavenumber + 1
 
 
-def test_smooth_length_is_scipy_real_fast_length():
-    ns = range(1, 4097)
-    assert [spectral.smooth_length(n) for n in ns] == [next_fast_len(n, real=True)
-                                                       for n in ns]
-
-
-def test_default_pad_is_scipy_real_fast_length():
+def test_lattice_rule_is_exact_for_every_product():
+    # certificate: with T the active modes and their conjugates, no nonzero
+    # h in (T + T - T) or (T - T) has h.(1, pad) = 0 mod n_nodes, so the
+    # rule integrates every frequency a projected product or a node
+    # sample's analysis reaches; every smaller count from 2 n_half fails
     for s in range(1, 41):
-        g = make_grid(s)
-        assert g.pad == next_fast_len(3 * g.max_wavenumber + 1, real=True), s
+        g = SpectralGrid(s)
+        m = g.max_wavenumber
+        assert g.pad == 3 * m + 1
+        assert 2 * g.n_half <= g.n_nodes <= g.pad ** 2, s
+        tx = np.concatenate([g.kx, -g.kx])
+        ty = np.concatenate([g.ky, -g.ky])
+        sums = np.zeros((4 * m + 1, 4 * m + 1), dtype=bool)   # T + T
+        sums[(tx[:, None] + tx).ravel() + 2 * m, (ty[:, None] + ty).ravel() + 2 * m] = True
+        sx, sy = np.nonzero(sums)
+        sx, sy = sx - 2 * m, sy - 2 * m
+        reach = np.zeros((6 * m + 1, 6 * m + 1), dtype=bool)
+        reach[(sx[:, None] - tx).ravel() + 3 * m, (sy[:, None] - ty).ravel() + 3 * m] = True
+        reach[(tx[:, None] - tx).ravel() + 3 * m, (ty[:, None] - ty).ravel() + 3 * m] = True
+        reach[3 * m, 3 * m] = False
+        hx, hy = np.nonzero(reach)
+        image = (hx - 3 * m) + g.pad * (hy - 3 * m)
+        assert np.all(image % g.n_nodes != 0), s
+        for n in range(2 * g.n_half, g.n_nodes):
+            assert np.any(image % n == 0), (s, n)
+
+
+def test_node_counts():
+    # 64 nodes per product on the old 2-3-5-smooth box at 3-5 shells,
+    # 225 at 10, 256 at 16 and 1296 at 54
+    for shells, n_nodes in [(3, 25), (4, 46), (5, 49), (10, 124), (16, 233), (54, 1003)]:
+        assert SpectralGrid(shells).n_nodes == n_nodes, shells
 
 
 def test_mean_free_is_structural():
@@ -47,18 +70,23 @@ def test_mean_free_is_structural():
 # -- transforms -----------------------------------------------------------------
 
 def test_roundtrip_against_fft_oracle():
-    f = random_field(G16, seed=3, rms=2.0)
-    vals = f.values()
-    # oracle: full-box inverse FFT of the scattered spectrum
-    p = G16.pad
-    spec = np.zeros((p, p), dtype=np.complex128)
-    for i in range(G16.n_half):
-        spec[G16.kx[i] % p, G16.ky[i] % p] = f.coeffs[i]
-        spec[-G16.kx[i] % p, -G16.ky[i] % p] = np.conj(f.coeffs[i])
-    oracle = np.fft.ifft2(spec).real * p * p
-    assert np.max(np.abs(vals - oracle)) <= 1e-13 * np.max(np.abs(oracle))
-    back = G16.from_real(vals)
-    assert np.max(np.abs(back - f.coeffs)) <= 1e-13 * np.max(np.abs(f.coeffs))
+    c = np.stack([random_field(G16, seed=s, rms=2.0).coeffs for s in (3, 4, 5)])
+    nodes = to_nodes(G16, c)
+    # oracle: inverse FFT of the scattered spectra on an alias-free box of its
+    # own; the means of products of two and of three fields over its nodes
+    # and over the lattice are both the exact integrals
+    box = _grid_values(G16, c, 1.0)
+    for idx in [(0, 1), (1, 1), (0, 1, 2), (0, 0, 2)]:
+        want = np.mean(np.prod(box[list(idx)], axis=0))
+        got = np.mean(np.prod(nodes[list(idx)], axis=0))
+        assert abs(got - want) <= 1e-13 * np.mean(np.prod(np.abs(box[list(idx)]), axis=0))
+    back = from_nodes(G16, nodes)
+    assert np.max(np.abs(back - c)) <= 1e-13 * np.max(np.abs(c))
+    # the velocity synthesis is the Fourier sum at the nodes' coordinates
+    uv = spectral.velocity_values(G16, spectral.pack(c))
+    want = np.concatenate([to_nodes(G16, G16.ik_perp1 * c), to_nodes(G16, G16.ik_perp2 * c)],
+                          axis=-1)
+    assert np.max(np.abs(uv - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
@@ -75,8 +103,9 @@ def test_pack_unpack_round_trip_bit_exact(rc):
 
 
 def _grid_values(grid, coeffs, mult):
-    """Samples of the field with coefficients mult * coeffs by numpy's FFT."""
-    p = grid.pad
+    """Samples of the field with coefficients mult * coeffs by numpy's FFT, on
+    the alias-free box of 3 max|k| + 1 points a side."""
+    p = 3 * grid.max_wavenumber + 1
     spec = np.zeros(coeffs.shape[:-1] + (p, p), dtype=np.complex128)
     spec[..., grid.kx % p, grid.ky % p] = mult * coeffs
     spec[..., -grid.kx % p, -grid.ky % p] = np.conj(mult * coeffs)
@@ -90,12 +119,11 @@ def test_packed_advect_frozen_matches_complex_fft(shells):
     tgt = np.stack([random_field(grid, seed=s + 10, rms=1.0).coeffs for s in range(3)])
     prod = (_grid_values(grid, src, grid.ik_perp1) * _grid_values(grid, tgt, grid.ikx)
             + _grid_values(grid, src, grid.ik_perp2) * _grid_values(grid, tgt, grid.iky))
-    p = grid.pad
+    p = 3 * grid.max_wavenumber + 1
     want = np.fft.fft2(prod)[..., grid.kx % p, grid.ky % p] / (p * p)
     uv = spectral.velocity_values(grid, spectral.pack(src))
     got = spectral.unpack(spectral.advect_frozen(grid, uv, grid._anal, spectral.pack(tgt)))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    assert np.array_equal(spectral.advect_coeffs(grid, src, tgt), got)
 
 
 def test_parseval_cosine():
@@ -205,9 +233,10 @@ def test_advect_single_mode_vanishes():
     assert advect(f, f).l2_norm() <= 1e-15 * f.l2_norm()
 
 
-@pytest.mark.parametrize("shells", [4, 6])
+@pytest.mark.parametrize("shells", [3, 4, 6, 10, 12, 16])
 def test_advect_matches_convolution_oracle(shells):
     grid = make_grid(shells)
+    assert grid.n_nodes < grid.pad ** 2   # a lattice, not the pad x pad box
     for seed in range(3):
         src = random_field(grid, seed=seed, rms=1.5)
         tgt = random_field(grid, seed=seed + 100, rms=0.8)
@@ -226,15 +255,37 @@ def test_advect_two_mode_against_oracle():
     assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12
 
 
-@pytest.mark.parametrize("shells", [4, 8, 16])
+@pytest.mark.parametrize("shells", [3, 4, 8, 10, 12, 16])
 def test_advect_energy_orthogonality(shells):
-    # (B(xi, xi), xi) = 0: 100 random fields per cutoff
+    # (B(xi, xi), xi) = 0 to rounding: 100 random fields per cutoff
     grid = make_grid(shells)
+    assert grid.n_nodes < grid.pad ** 2
     for seed in range(100):
         f = random_field(grid, seed=seed, rms=1.0 + (seed % 5))
         val = inner(advect(f, f), f)
-        bound = 1e-10 * f.l2_norm() ** 2 * sobolev_norm(f, 1.0)
-        assert abs(val) <= max(bound, 1e-16)
+        bound = 16 * np.finfo(np.float64).eps * f.l2_norm() ** 2 * sobolev_norm(f, 1.0)
+        assert abs(val) <= bound
+
+
+def test_float32_advect_frozen_matches_convolution_oracle():
+    # a float32 sweep's product at 16 shells (233 lattice nodes): the triad
+    # sum and the energy orthogonality, to float32 rounding
+    grid = G16
+    assert grid.n_nodes < grid.pad ** 2
+    eps32 = np.finfo(np.float32).eps
+    for seed in range(3):
+        src = random_field(grid, seed=seed, rms=1.5)
+        tgt = random_field(grid, seed=seed + 100, rms=0.8)
+        uv = spectral.velocity_values(grid, spectral.pack(src.coeffs)).astype(np.float32)
+        anal32 = grid._anal.astype(np.float32)
+        got = spectral.advect_frozen(grid, uv, anal32, spectral.pack(tgt.coeffs).astype(np.float32))
+        assert got.dtype == np.float32
+        want = _advect_oracle(grid, src, tgt).coeffs
+        diff = spectral.unpack(got.astype(np.float64)) - want
+        assert np.max(np.abs(diff)) <= 64 * eps32 * np.max(np.abs(want))
+        own = spectral.advect_frozen(grid, uv, anal32, spectral.pack(src.coeffs).astype(np.float32))
+        val = spectral.inner_product(spectral.unpack(own.astype(np.float64)), src.coeffs)
+        assert abs(val) <= 16 * eps32 * src.l2_norm() ** 2 * sobolev_norm(src, 1.0)
 
 
 def test_advect_result_mean_free_and_truncated():
