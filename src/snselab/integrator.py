@@ -74,7 +74,7 @@ SWEEP32_MIN_WORK = 1 << 17  # rows * 2 n_half * n_nodes below which a float32 sw
 SWEEP32_SCALES = (2.0 ** -50, 2.0 ** 50)  # row scales whose sweeps stay in float32's range
 RESCALE_BELOW = 2.0 ** -400  # row scale below which a solve runs in units of its rows' scales
 DRAW_BUDGET = 32 << 20  # bytes one philox draw of the tape may hold at once
-DRAW_BYTES = 16         # bytes a draw holds per normal (its word and uniform, tracemalloc)
+DRAW_BYTES = 16         # bytes per normal a tape chunk holds: its words (normals in place), sums
 BLOCK_BYTES = 1 << 20   # bytes of packed rows formed or unpacked in one call
 
 

@@ -340,6 +340,13 @@ def _scalar(kind: type, val, where: str):
     return kind(val)
 
 
+def _uint64(val: int, where: str) -> int:
+    """`val` if it fits a word of the 64-bit tape cipher (a seed, a cell)."""
+    if not 0 <= val < 1 << 64:
+        raise ConfigError(f"expected an integer in [0, 2^64), got {val}", field=where)
+    return val
+
+
 def _finite(val: float, where: str, lo: float) -> float:
     """`val` (finite, as `_scalar` returns it) if it is >= `lo`."""
     if not val >= lo:
@@ -389,8 +396,9 @@ def study_config(cls, cfg: RunConfig, threads: int = 1):
     with a `threads` field gets `threads`.  A key that neither sets a
     field nor is read elsewhere (`_read_elsewhere`), a field set from two
     places, a value of the wrong type, a float that is not finite, an
-    empty list, or a forcing with no shell or a negative variance is a
-    `ConfigError`.
+    empty list, a forcing with no shell or a negative variance, a negative
+    checkpoint cadence, or an initial amplitude < 0 or cell outside
+    [0, 2^64) is a `ConfigError`.
     """
     fields = {f.name for f in dataclasses.fields(cls)}
     names = fields - {"threads"}
@@ -412,10 +420,16 @@ def study_config(cls, cfg: RunConfig, threads: int = 1):
     kwargs = {name: _coerce(hints[name], getattr(cls, name), val, where)
               for name, (where, val) in given.items()}
     # the forcing every subcommand builds from these two needs a shell and
-    # a variance >= 0
-    for name, lo in (("forcing_shells", 1), ("forcing_variance", 0.0)):
+    # a variance >= 0; a checkpoint cadence is a step count (0: none), an
+    # initial field's amplitude is its L^2 norm, and its cell a tape cell
+    for name, lo in (("forcing_shells", 1), ("forcing_variance", 0.0),
+                     ("checkpoint_cadence", 0)):
         if name in kwargs:
             _finite(kwargs[name], given[name][0], lo=lo)
+    if "ic" in kwargs:
+        ic, where = kwargs["ic"], given["ic"][0]
+        _finite(ic.amplitude, f"{where}.amplitude", lo=0.0)
+        _uint64(ic.cell, f"{where}.cell")
     if "threads" in fields:
         kwargs["threads"] = threads
     return cls(**kwargs)
@@ -561,6 +575,7 @@ def run_replay(run_dir: Path, out_dir: Path | None) -> int:
 
 def execute(subcommand: str, cfg: RunConfig, seed: int, threads: int,
             out_dir: Path, enforce: bool) -> int:
+    _uint64(seed, "reproducibility.seed")
     manifest = effective_manifest(cfg, subcommand, seed)
     if subcommand == "simulate":
         report = run_simulate(cfg, seed, out_dir / "checkpoints" / _manifest_digest(manifest))

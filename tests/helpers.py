@@ -1,7 +1,7 @@
-"""Field-level operations, diagnostics and observable constructors that only
-the tests use.  The package marches packed coefficient arrays; these wrap
-its kernels for single `SpectralField`s, or check a result against its
-definition."""
+"""Field-level operations, diagnostics, observable constructors and the
+reference Philox cipher that only the tests use.  The package marches
+packed coefficient arrays; these wrap its kernels for single
+`SpectralField`s, or check a result against its definition."""
 
 from __future__ import annotations
 
@@ -19,6 +19,62 @@ from snselab.spectral import TWO_PI_SQ, SpectralField, SpectralGrid
 
 class GridMismatchError(StructuralError):
     """Operands live on different spectral grids."""
+
+
+# -- the reference cipher -------------------------------------------------------
+
+_U64 = np.uint64
+_M0 = _U64(0xD2E7470EE14C6C93)
+_M1 = _U64(0xCA5A826395121157)
+_W0 = _U64(0x9E3779B97F4A7C15)
+_W1 = _U64(0xBB67AE8584CAA73B)
+_MASK32 = _U64(0xFFFFFFFF)
+_S32 = _U64(32)
+_ROUNDS = 10
+
+
+def _mulhilo(a, b):
+    """Full 128-bit product of uint64 operands as (hi, lo) words."""
+    lo = a * b
+    ah, al = a >> _S32, a & _MASK32
+    bh, bl = b >> _S32, b & _MASK32
+    t = ah * bl + ((al * bl) >> _S32)
+    u = al * bh + (t & _MASK32)
+    hi = ah * bh + (t >> _S32) + (u >> _S32)
+    return hi, lo
+
+
+def _rounds(c0, c1, c2, c3, k0, k1):
+    """Philox-4x64-10 on counter words c0..c3 under key words k0, k1: uint64
+    arrays or scalars that broadcast, so a constant word is never materialized."""
+    with np.errstate(over="ignore"):
+        for _ in range(_ROUNDS):
+            hi0, lo0 = _mulhilo(_M0, c0)
+            hi1, lo1 = _mulhilo(_M1, c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+            k0 = k0 + _W0
+            k1 = k1 + _W1
+    return c0, c1, c2, c3
+
+
+def philox4x64(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Apply the Philox-4x64-10 bijection (Salmon, Moraes, Dror and Shaw,
+    SC'11) to an array of counter blocks: the vectorized reference that the
+    tape's words, from numpy's C Philox, are tested against.
+
+    Parameters
+    ----------
+    counter : uint64 array, shape (..., 4)
+    key : uint64 array broadcastable to (..., 2)
+
+    Returns
+    -------
+    uint64 array of shape (..., 4) with the cipher output.
+    """
+    counter = np.asarray(counter, dtype=_U64)
+    key = np.asarray(key, dtype=_U64)
+    words = _rounds(*(counter[..., i] for i in range(4)), key[..., 0], key[..., 1])
+    return np.stack(words, axis=-1)
 
 
 # -- node samples and coefficient kernels ---------------------------------------

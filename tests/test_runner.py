@@ -346,16 +346,32 @@ def test_forcing_checked_for_every_subcommand(key, val):
         assert err.value.field == f"forcing.{key}"
 
 
-def test_import_loads_neither_scipy_fft_nor_optimize():
-    # scipy.optimize loads on the first exact transport, scipy.fft never
+def test_import_loads_no_scipy():
+    # scipy.optimize loads on the first exact transport; the import loads no scipy
     src = str(Path(snselab.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = ("import sys, snselab.runner; "
-            "print(sorted({'scipy.fft', 'scipy.optimize'} & set(sys.modules)))")
+    code = ("import sys, numpy as np, snselab.runner\n"
+            "from snselab import measures, spectral\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "grid = spectral.SpectralGrid(3)\n"
+            "a = measures.Ensemble(grid, np.zeros((2, grid.n_half)))\n"
+            "measures.wasserstein_exact(a, a, 'rho', measures.DistanceParams(1.0, 1.0))\n"
+            "print('scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "True"]
+
+
+# values out of range, with the field each names; a seed keys the 64-bit cipher
+OUT_OF_RANGE = {
+    ("simulate", "[reproducibility]\nseed = -1\n"): "reproducibility.seed",
+    ("couple", "--seed", "-3"): "reproducibility.seed",
+    ("weak", "--seed", str(2 ** 64)): "reproducibility.seed",
+    ("simulate", "[initial]\nkind = random\namplitude = -2\n"): "initial.amplitude",
+    ("simulate", "[io]\ncheckpoint_cadence = -5\n"): "io.checkpoint_cadence",
+    ("couple", "[initial]\ncell = -1\n"): "initial.cell",
+}
 
 
 # an argument that starts with "[" is the text of the run's config file
@@ -366,11 +382,16 @@ def test_import_loads_neither_scipy_fft_nor_optimize():
                                   ["lyapunov", "[experiment]\nn_seeds = 0\n"],
                                   ["lyapunov", "[experiment]\nensemble = 0\n"],
                                   ["bias", "[experiment]\nreplicas = 0\n"],
-                                  ["converge-time", "[experiment]\nensemble = 0\n"]])
-def test_negative_or_zero_counts_exit_2(tmp_path, argv):
+                                  ["converge-time", "[experiment]\nensemble = 0\n"]]
+                         + [list(argv) for argv in OUT_OF_RANGE])
+def test_negative_or_zero_counts_exit_2(tmp_path, caplog, argv):
+    field = OUT_OF_RANGE.get(tuple(argv))
     argv = [f"--config={_write_config(tmp_path, a)}" if a.startswith("[") else a
             for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    if field is not None:
+        assert f"configuration error: {field}: " in caplog.text
+        assert not (tmp_path / "out").exists()
 
 
 def test_flag_replaces_other_spelling_of_its_field(monkeypatch, tmp_path):
