@@ -12,12 +12,17 @@ class StructuralError(SnseLabError):
 class ConfigError(SnseLabError):
     """Invalid or inconsistent run configuration.
 
-    Carries the offending field name so command-line users can find it.
+    Carries the offending field name so command-line users can find it;
+    a caller that knows where the field sits may qualify ``field``.
     """
 
     def __init__(self, message: str, field: str | None = None):
-        super().__init__(message if field is None else f"{field}: {message}")
+        super().__init__(message)
         self.field = field
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return message if self.field is None else f"{self.field}: {message}"
 
 
 class SolverError(SnseLabError):

@@ -166,11 +166,16 @@ class InitialCondition:
             return spectral.harmonic_field(grid, *self.mode, kind=self.mode_kind,
                                            amplitude=self.amplitude, normalized=True)
         if self.kind in ("random", "random-phase"):
-            return spectral.random_field(grid, seed, stream_id=0,
-                                         rms=self.amplitude,
-                                         spectral_slope=self.spectral_slope,
-                                         cell=self.cell,
-                                         phase_only=self.kind == "random-phase")
+            try:
+                return spectral.random_field(grid, seed, stream_id=0,
+                                             rms=self.amplitude,
+                                             spectral_slope=self.spectral_slope,
+                                             cell=self.cell,
+                                             phase_only=self.kind == "random-phase")
+            except ConfigError as err:
+                # a run's config sets the recipe in its [initial] section
+                err.field = f"initial.{err.field}"
+                raise
         raise ConfigError(f"unknown initial condition {self.kind!r}", field="kind")
 
 
@@ -526,11 +531,13 @@ def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
 
     Two ensembles start from initial conditions separated by a low-mode
     gap and advance under the synchronized coupling (one tape per member
-    pair, drawn once per cell); both are one `integrator.march` of 2M
-    rows.  The mean weighted cost over pairs upper-bounds the exact
-    empirical Wasserstein distance (computed alongside for small
-    ensembles); the fitted exponential rate is compared across the
-    (cutoff, step) grid to exhibit discretization uniformity.
+    pair); both are one `integrator.march` of 2M rows.  The cutoffs at one
+    delta march on the same increments, drawn once per delta before the
+    cells map over ``cfg.threads``, which only read them.  The mean
+    weighted cost over pairs upper-bounds the exact empirical Wasserstein
+    distance (computed alongside for small ensembles); the fitted
+    exponential rate is compared across the (cutoff, step) grid to exhibit
+    discretization uniformity.
     """
     _require(_monotone(cfg.shells_list), "ladder must be strictly monotone", "shells_list")
     _require(_monotone(cfg.deltas), "ladder must be strictly monotone", "deltas")
@@ -540,13 +547,17 @@ def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
         cfg.nu, cfg.forcing_variance)
     dp = DistanceParams(cfg.eps, cfg.s, alpha)
     traj_ids = np.arange(cfg.ensemble)
+    bases = {shells: low_mode_basis(make_grid(shells), cfg.forcing_shells,
+                                    cfg.forcing_variance) for shells in cfg.shells_list}
+    d = bases[cfg.shells_list[0]].d
+    tapes = {delta: integ.batch_increments(seed, traj_ids, 1, d, delta)(
+        0, _whole_steps(cfg.horizon, delta, "horizon")) for delta in cfg.deltas}
 
     cells = [(shells, delta) for shells in cfg.shells_list for delta in cfg.deltas]
 
     def run_cell(cell) -> dict:
         shells, delta = cell
-        grid = make_grid(shells)
-        basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
+        grid, basis, tape = make_grid(shells), bases[shells], tapes[delta]
         p = SchemeParams(cfg.nu, delta, shells)
         stride = max(1, round(cfg.record_time / delta))
         xi0 = cfg.ic.build(grid, seed)
@@ -554,7 +565,7 @@ def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
                                       normalized=True)
         m = cfg.ensemble
         run = integ.march(p, basis, [xi0, SpectralField(grid, xi0.coeffs + gap.coeffs)],
-                          seed, traj_ids, _whole_steps(cfg.horizon, delta, "horizon"),
+                          seed, traj_ids, len(tape), tape=lambda n0, n1: tape[n0:n1],
                           record_stride=stride)
         states_a, states_b = run.states[:, :m], run.states[:, m:]
 

@@ -511,13 +511,15 @@ def start_rows(grid: SpectralGrid, starts, m: int) -> np.ndarray:
 
 
 def march(p: SchemeParams, basis: ForcingBasis, starts, seed: int, ids, n_steps: int,
-          r: int = 1, **run_kw) -> EnsembleRun:
+          r: int = 1, tape=None, **run_kw) -> EnsembleRun:
     """March k = len(starts) fields, each for the M = len(ids) members of
     ``ids``, on the grid of ``p``: `run_scheme` on the `start_rows`, where
-    row j M + i reads tape id i of ``batch_increments(seed, ids, r, ...)``.
+    row j M + i reads tape id i of ``batch_increments(seed, ids, r, ...)``,
+    or of ``tape``, a provider of the same increments drawn beforehand.
     ``run_kw`` goes to `run_scheme`."""
     grid = p.grid()
-    tape = batch_increments(seed, ids, r, basis.d, p.delta)
+    if tape is None:
+        tape = batch_increments(seed, ids, r, basis.d, p.delta)
     k = len(starts)
     inc = tape if k == 1 else (lambda n0, n1: np.tile(tape(n0, n1), (1, k, 1)))
     return run_scheme(grid, start_rows(grid, starts, len(ids)), n_steps, p, basis, inc,

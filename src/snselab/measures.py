@@ -16,14 +16,17 @@ its mean cost is a certified upper bound for the exact value.
 All Wasserstein numbers here are distances between *empirical* laws;
 reports carry ensemble sizes so readers can judge the sampling error.
 
-The two exact solvers, scipy.optimize's `linear_sum_assignment` and
-`linprog`, are module attributes bound on first use (`__getattr__`):
-importing scipy.optimize costs more than the rest of the package's
-start-up, and only exact transport needs it.
+The two exact solvers are module attributes, so that a caller (a tracer, a
+test) can rebind them: `linear_sum_assignment`, a negative-cycle-canceling
+assignment in numpy started from the synchronized pairing, and
+scipy.optimize's `linprog`, bound on first use (`__getattr__`) because
+importing scipy.optimize costs more than the rest of the package's start-up
+and only the transport LP of unequal weights needs it.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -34,19 +37,86 @@ from .spectral import SpectralField, SpectralGrid, norm_l2_sq
 
 DEFAULT_SUPPORT_LIMIT = 512
 
-_SOLVERS = ("linear_sum_assignment", "linprog")
-
 
 def __getattr__(name: str):
-    """Import scipy.optimize when one of `_SOLVERS` is first looked up and
-    bind both here; a name already bound (a replacement) is kept."""
-    if name not in _SOLVERS:
+    """Import scipy.optimize when `linprog` is first looked up and bind it
+    here; a name already bound (a replacement) is kept."""
+    if name != "linprog":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from scipy import optimize
 
-    for solver in _SOLVERS:
-        globals().setdefault(solver, getattr(optimize, solver))
-    return globals()[name]
+    return globals().setdefault(name, optimize.linprog)
+
+
+def linear_sum_assignment(c) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns (``arange(n)``, ``col``) of a least-cost pairing of
+    the square cost matrix ``c``, by negative-cycle canceling (Klein,
+    Management Science 14, 1967).
+
+    It starts from the identity pairing, the synchronized coupling, which
+    is optimal or nearly so for the ensembles the studies compare.  On the
+    exchange graph ``w[i, j] = c[i, col[j]] - c[i, col[i]]`` (row i takes
+    row j's column) a cycle is a rotation of columns that changes the
+    cost by its weight.  A round runs Jacobi Bellman-Ford passes from zero
+    potentials, keeping only strict improvements, and after each pass
+    walks the predecessors of the nodes it updated; a cycle there is
+    applied as soon as it forms, and the next round starts afresh.  A
+    pass that improves nothing ends the search: its potentials certify
+    that no negative cycle is left, so the pairing is optimal.
+
+    The loop ends in floating point.  A cycle is applied only if it lowers
+    the cost of its rows as `math.fsum` sums them; a correctly rounded sum
+    is monotone, so each applied cycle lowers the exact total and no
+    pairing comes back.  In exact arithmetic a relaxation in pass n (of n
+    nodes) leaves a cycle, a negative one, among the predecessors, so a
+    round that reaches pass n without an applied cycle has met only
+    rounding and ends the search.  Costs up to exp(700) (the `_price`
+    clamp) keep every path sum of up to 512 nodes finite.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise StructuralError(f"assignment needs a square cost matrix, got {c.shape}")
+    n = c.shape[0]
+    rows, col = np.arange(n), np.arange(n)
+    while (cycle := _negative_cycle(c, col)) is not None:
+        col[cycle] = np.roll(col[cycle], -1)
+    return rows, col
+
+
+def _negative_cycle(c: np.ndarray, col: np.ndarray) -> np.ndarray | None:
+    """Rows r_0, ..., r_(k-1) of a cycle whose rotation (row r_i takes the
+    column of r_(i+1), cyclically) lowers the cost of ``col``, or None."""
+    n, nodes = c.shape[0], np.arange(c.shape[0])
+    w = c[:, col]
+    w -= c[nodes, col][:, None]
+    relaxed = np.empty_like(w)
+    dist = np.zeros(n)
+    pred = np.full(n, -1)
+    for _ in range(n):
+        np.add(dist[:, None], w, out=relaxed)
+        via = relaxed.argmin(axis=0)
+        best = relaxed[via, nodes]
+        updated = np.flatnonzero(best < dist)
+        if updated.size == 0:
+            return None
+        dist[updated] = best[updated]
+        pred[updated] = via[updated]
+        back = pred.tolist()
+        walked = [-1] * n           # the updated node whose walk reached each node
+        for v in updated.tolist():
+            x = v
+            while x >= 0 and walked[x] < 0:
+                walked[x] = v
+                x = back[x]
+            if x < 0 or walked[x] != v:
+                continue            # a root, or a node an earlier walk has seen
+            cycle = [x]             # back[r] takes r's column: walk back, then reverse
+            while (x := back[x]) != cycle[0]:
+                cycle.append(x)
+            cycle = np.array(cycle[::-1])
+            if math.fsum(c[cycle, np.roll(col[cycle], -1)]) < math.fsum(c[cycle, col[cycle]]):
+                return cycle
+    return None
 
 
 @dataclass(frozen=True)
@@ -206,8 +276,8 @@ def wasserstein_exact(a: Ensemble, b: Ensemble, cost: str, dp: DistanceParams,
             f"support {a.size}x{b.size} exceeds limit {support_limit}; "
             "use wasserstein_coupled_bound for large ensembles")
     cmat = cost_matrix(a, b, cost, dp)
-    # through the module, so that the solvers load on first use and a
-    # rebound solver is the one called
+    # through the module, so that the LP loads on first use and a rebound
+    # solver is the one called
     solvers = sys.modules[__name__]
     if a.uniform and b.uniform and a.size == b.size:
         rows, cols = solvers.linear_sum_assignment(cmat)

@@ -60,7 +60,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import rng
-from .errors import StructuralError
+from .errors import ConfigError, StructuralError
 
 TWO_PI_SQ = 4.0 * np.pi ** 2
 
@@ -417,16 +417,23 @@ def random_field(grid: SpectralGrid, seed: int, stream_id: int = 0,
     With ``phase_only`` the moduli follow the envelope exactly and only the
     phases are random, which pins the energy in every shell (useful when a
     study's result should not wobble with the draw of the initial data).
+    A slope whose envelope or L^2 norm overflows on ``grid`` is a
+    `ConfigError`.
     """
     if phase_only:
         u = rng.uniforms(seed, [stream_id], [cell], grid.n_half,
                          tag=rng.Tag.INITIAL)[0, 0]
-        c = np.exp(2j * np.pi * u) * grid.lam ** (spectral_slope / 2.0)
+        z = np.exp(2j * np.pi * u)
     else:
         z = rng.standard_normals(seed, [stream_id], [cell], 2 * grid.n_half,
                                  tag=rng.Tag.INITIAL)[0, 0]
-        c = (z[:grid.n_half] + 1j * z[grid.n_half:]) * grid.lam ** (spectral_slope / 2.0)
-    n = norm_l2(c)
+        z = z[:grid.n_half] + 1j * z[grid.n_half:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = z * grid.lam ** (spectral_slope / 2.0)
+        n = norm_l2(c)
+    if not np.isfinite(n):
+        raise ConfigError(f"the |k|^{spectral_slope:g} envelope overflows on the "
+                          f"{grid.shells}-shell grid", field="spectral_slope")
     if n > 0 and rms > 0:
         c *= rms / n
     else:

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment as scipy_assignment
 
 from snselab import measures
 from snselab.errors import CapacityError, ConfigError, StructuralError
@@ -144,6 +147,42 @@ def test_lp_route_matches_assignment():
     lp = wasserstein_exact(a_lp, b, "rho", DP)
     assert lp.method == "transport-lp"
     assert lp.value == pytest.approx(exact.value, rel=1e-9, abs=1e-12)
+
+
+def _costs(kind: str, n: int, gen: np.random.Generator) -> np.ndarray:
+    if kind == "small integers":        # ties everywhere
+        return gen.integers(0, 4, (n, n)).astype(float)
+    if kind == "constant":              # a study's t = 0: every member equal
+        return np.full((n, n), gen.random())
+    if kind == "equal rows":
+        return np.repeat(gen.random((1, n)), n, axis=0)
+    if kind == "equal columns":
+        return np.repeat(gen.random((n, 1)), n, axis=1)
+    # weighted costs up to `_price`'s clamp at exp(700), many of them at it
+    return np.exp(np.minimum(gen.uniform(600.0, 720.0, (n, n)), 700.0))
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 40),
+       st.sampled_from(["small integers", "constant", "equal rows", "equal columns",
+                        "up to exp(700)"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_assignment_is_an_optimal_permutation(n, kind, seed):
+    c = _costs(kind, n, np.random.default_rng(seed))
+    rows, cols = measures.linear_sum_assignment(c)
+    assert rows.tolist() == list(range(n))
+    assert sorted(cols.tolist()) == list(range(n))
+    value = math.fsum(c[rows, cols])
+    # it starts from the identity pairing and only lowers the cost
+    assert value <= math.fsum(np.diag(c))
+    ref_rows, ref_cols = scipy_assignment(c)
+    ref = math.fsum(c[ref_rows, ref_cols])
+    assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+def test_assignment_needs_a_square_matrix():
+    with pytest.raises(StructuralError):
+        measures.linear_sum_assignment(np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("solver, weights", [("linear_sum_assignment", None),

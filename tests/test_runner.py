@@ -347,7 +347,8 @@ def test_forcing_checked_for_every_subcommand(key, val):
 
 
 def test_import_loads_no_scipy():
-    # scipy.optimize loads on the first exact transport; the import loads no scipy
+    # the import loads no scipy, an equal-size uniform exact transport (an
+    # assignment) still none, and scipy.optimize loads on the first transport LP
     src = str(Path(snselab.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -355,12 +356,16 @@ def test_import_loads_no_scipy():
             "from snselab import measures, spectral\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
             "grid = spectral.SpectralGrid(3)\n"
+            "dp = measures.DistanceParams(1.0, 1.0)\n"
             "a = measures.Ensemble(grid, np.zeros((2, grid.n_half)))\n"
-            "measures.wasserstein_exact(a, a, 'rho', measures.DistanceParams(1.0, 1.0))\n"
+            "measures.wasserstein_exact(a, a, 'rho', dp)\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "b = measures.Ensemble(grid, np.zeros((3, grid.n_half)))\n"
+            "measures.wasserstein_exact(a, b, 'rho', dp)\n"
             "print('scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["[]", "True"]
+    assert out.stdout.split() == ["[]", "False", "True"]
 
 
 # values out of range, with the field each names; a seed keys the 64-bit cipher
@@ -371,6 +376,7 @@ OUT_OF_RANGE = {
     ("simulate", "[initial]\nkind = random\namplitude = -2\n"): "initial.amplitude",
     ("simulate", "[io]\ncheckpoint_cadence = -5\n"): "io.checkpoint_cadence",
     ("couple", "[initial]\ncell = -1\n"): "initial.cell",
+    ("simulate", "[initial]\nspectral_slope = 1e308\n"): "initial.spectral_slope",
 }
 
 
