@@ -163,6 +163,7 @@ class InitialCondition:
         if self.kind == "zero":
             return spectral.zero_field(grid)
         if self.kind == "harmonic":
+            _require_mode(grid, self.mode, "initial.mode")
             return spectral.harmonic_field(grid, *self.mode, kind=self.mode_kind,
                                            amplitude=self.amplitude, normalized=True)
         if self.kind in ("random", "random-phase"):
@@ -239,6 +240,16 @@ def _pmap(fn, items: Iterable, threads: int) -> list:
 def _require(cond: bool, message: str, field_name: str):
     if not cond:
         raise ConfigError(message, field=field_name)
+
+
+def _require_mode(grid: SpectralGrid, mode, field_name: str):
+    """A `ConfigError` on ``field_name`` unless ``mode`` is a wavevector
+    (kx, ky) of ``grid``; a mode of any other length fails to unpack."""
+    try:
+        grid.index_of(*mode)
+    except (KeyError, TypeError):
+        raise ConfigError(f"{mode!r} is not a mode (kx, ky) of the {grid.shells}-shell "
+                          "grid", field=field_name) from None
 
 
 def _whole_steps(span: float, step: float, field_name: str) -> int:
@@ -366,7 +377,6 @@ class SpatialOrderConfig:
     ic: InitialCondition = InitialCondition(kind="random-phase", amplitude=1.5,
                                             spectral_slope=-2.0)
     record_stride: int = 1
-    threads: int = 1
     n_boot: int = 200
 
     def __post_init__(self):
@@ -376,10 +386,13 @@ class SpatialOrderConfig:
 def spatial_order_study(cfg: SpatialOrderConfig, seed: int) -> StudyReport:
     """Galerkin truncation error against the largest-cutoff reference.
 
-    All runs share one tape and one initial datum (restricted per rung).
-    The fitted abscissa is the Galerkin dimension (mode count) of each
-    rung, the natural size against which the squared error scales like
-    1/N for H^1 data; shell counts are reported alongside.
+    The reference march steps every cutoff as a rung of `integrator.ladder`
+    (one tape, one initial datum restricted per rung; each rung a lone
+    march bit for bit), and a reducer keeps the running sup of |embed(xi_N)
+    - xi_ref|^2 over every ``record_stride``-th step.  The fitted abscissa
+    is the Galerkin dimension (mode count) of each rung, the natural size
+    against which the squared error scales like 1/N for H^1 data; shell
+    counts are reported alongside.
     """
     ladder = tuple(sorted(set(cfg.shell_ladder)))
     _require(_monotone(cfg.shell_ladder), "ladder must be strictly monotone",
@@ -390,26 +403,27 @@ def spatial_order_study(cfg: SpatialOrderConfig, seed: int) -> StudyReport:
     _require(cfg.forcing_shells <= min(ladder),
              "forcing must be resolved on the smallest rung", "forcing_shells")
     n_steps = _whole_steps(cfg.horizon, cfg.delta, "horizon")
+    _require(cfg.record_stride >= 1, "record stride must be >= 1", "record_stride")
 
     ref_grid = make_grid(cfg.reference_shells)
-    xi0 = cfg.ic.build(ref_grid, seed)
-    traj_ids = np.arange(cfg.ensemble)
+    basis = low_mode_basis(ref_grid, cfg.forcing_shells, cfg.forcing_variance)
+    cols = [spectral.packed_columns(make_grid(shells), ref_grid) for shells in ladder]
+    sups = [np.zeros(cfg.ensemble) for _ in ladder]
 
-    def run_at(shells: int) -> integ.EnsembleRun:
-        basis = low_mode_basis(make_grid(shells), cfg.forcing_shells, cfg.forcing_variance)
-        return integ.march(SchemeParams(cfg.nu, cfg.delta, shells), basis, [xi0], seed,
-                           traj_ids, n_steps, record_stride=cfg.record_stride)
+    def track(step, ref, cs):
+        if step % cfg.record_stride:
+            return
+        for k, c in enumerate(cs):
+            diff = ref.copy()
+            diff[:, cols[k]] -= c
+            np.maximum(sups[k], spectral.packed_norm_sq(diff), out=sups[k])
 
-    runs = _pmap(run_at, ladder + (cfg.reference_shells,), cfg.threads)
-    ref = runs[-1]
-    rows = []
-    for shells, run in zip(ladder, runs[:-1]):
-        emb = spectral.embed_coeffs(run.grid, ref_grid, run.states)
-        diff_sq = spectral.norm_l2_sq(emb - ref.states)  # (n_rec, M)
-        sup_sq = np.max(diff_sq, axis=0)
-        rows.append({"shells": shells, "modes": run.grid.n_modes,
-                     "err_sup_sq": float(np.mean(sup_sq)),
-                     "paths": cfg.ensemble})
+    integ.ladder(SchemeParams(cfg.nu, cfg.delta, cfg.reference_shells),
+                 [SchemeParams(cfg.nu, cfg.delta, shells) for shells in ladder], basis,
+                 cfg.ic.build(ref_grid, seed), seed, np.arange(cfg.ensemble), n_steps, track)
+    rows = [{"shells": shells, "modes": make_grid(shells).n_modes,
+             "err_sup_sq": float(np.mean(sup)), "paths": cfg.ensemble}
+            for shells, sup in zip(ladder, sups)]
 
     report = StudyReport("spatial-order", asdict(cfg), seed)
     report.tables["rungs"] = rows
@@ -543,6 +557,7 @@ def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
     _require(_monotone(cfg.deltas), "ladder must be strictly monotone", "deltas")
     _require(cfg.forcing_shells <= min(cfg.shells_list),
              "forcing must fit inside every cutoff", "forcing_shells")
+    _require_mode(make_grid(min(cfg.shells_list)), cfg.gap_mode, "gap_mode")
     alpha = cfg.alpha if cfg.alpha is not None else default_alpha(
         cfg.nu, cfg.forcing_variance)
     dp = DistanceParams(cfg.eps, cfg.s, alpha)
@@ -550,7 +565,7 @@ def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
     bases = {shells: low_mode_basis(make_grid(shells), cfg.forcing_shells,
                                     cfg.forcing_variance) for shells in cfg.shells_list}
     d = bases[cfg.shells_list[0]].d
-    tapes = {delta: integ.batch_increments(seed, traj_ids, 1, d, delta)(
+    tapes = {delta: integ.batch_increments(seed, traj_ids, d, delta)(
         0, _whole_steps(cfg.horizon, delta, "horizon")) for delta in cfg.deltas}
 
     cells = [(shells, delta) for shells in cfg.shells_list for delta in cfg.deltas]
@@ -652,7 +667,6 @@ class WeakErrorConfig:
     strong_moment: float = 0.5
     ic: InitialCondition = InitialCondition(kind="random", amplitude=1.0)
     report_lipschitz: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         _whole_steps(self.horizon, self.record_time, "horizon")
@@ -662,14 +676,14 @@ class WeakErrorConfig:
 def weak_error_study(cfg: WeakErrorConfig, seed: int) -> StudyReport:
     """sup over recorded times of the observable-mean gap to the reference.
 
-    Runs share tapes with the reference (common random numbers) so the
+    Every (N, delta) cell is a rung of one `integrator.ladder` on the
+    reference march, so all share its tape (common random numbers) and the
     difference of means converges at the pathwise rate rather than the
-    1/sqrt(M) rate of two independent estimators.  Each cutoff makes one
-    march, at the finest delta, and steps the coarser deltas on its noise
-    in `integrator.ladder`; ``cfg.threads`` maps over the cutoffs.  Every
-    delta must be a whole multiple of the finest.  Errors are tabulated
-    against the controlling function g(N, delta) = max(delta^s,
-    delta^(p/2))^(beta/2) + N^(-s/4) of the weak convergence bound.
+    1/sqrt(M) rate of two independent estimators; one reducer takes the
+    observable means at the record times.  Every delta must be a whole
+    multiple of ``reference_delta``.  Errors are tabulated against the
+    controlling function g(N, delta) = max(delta^s, delta^(p/2))^(beta/2)
+    + N^(-s/4) of the weak convergence bound.
     """
     alpha = cfg.alpha if cfg.alpha is not None else default_alpha(
         cfg.nu, cfg.forcing_variance)
@@ -690,54 +704,43 @@ def weak_error_study(cfg: WeakErrorConfig, seed: int) -> StudyReport:
     for delta in (cfg.reference_delta, *cfg.deltas):
         _whole_steps(delta, cfg.reference_delta, "deltas")
         _whole_steps(cfg.record_time, delta, "record_time")
-    for delta in cfg.deltas:
-        _whole_steps(delta, min(cfg.deltas), "deltas")
+    for obs in cfg.observables:
+        if obs.kind == "low-mode-coefficient":
+            _require_mode(make_grid(min(cfg.shells_list)), obs.mode, "observables")
 
     ref_grid = make_grid(cfg.reference_shells)
-    xi0 = cfg.ic.build(ref_grid, seed)
     n_rec = _whole_steps(cfg.horizon, cfg.record_time, "horizon")
+    stride = _whole_steps(cfg.record_time, cfg.reference_delta, "record_time")
+    cells = [(shells, delta) for shells in cfg.shells_list for delta in cfg.deltas]
+    grids = [ref_grid] + [make_grid(shells) for shells, _ in cells]
+    # observable means (n_obs, n_rec + 1) of the reference, then of each cell
+    means = np.empty((len(grids), len(cfg.observables), n_rec + 1))
 
-    def observable_means(shells: int, deltas) -> dict:
-        """{delta: observable means (n_obs, n_rec + 1)} of one ladder on
-        ``shells``, marched at the finest delta."""
-        grid = make_grid(shells)
-        basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
-        deltas = sorted(deltas)
-        stride = _whole_steps(cfg.record_time, deltas[0], "record_time")
-        means = np.empty((len(deltas), len(cfg.observables), n_rec + 1))
+    def observe(step, c, cs):
+        if step % stride:
+            return
+        for j, state in enumerate([c, *cs]):
+            states = spectral.unpack(state)
+            for i, obs in enumerate(cfg.observables):
+                means[j, i, step // stride] = np.mean(obs.evaluate(grids[j], states))
 
-        def observe(step, c, cs):
-            if step % stride:
-                return
-            for j, state in enumerate([c, *cs]):
-                states = spectral.unpack(state)
-                for i, obs in enumerate(cfg.observables):
-                    means[j, i, step // stride] = np.mean(obs.evaluate(grid, states))
-
-        params = [SchemeParams(cfg.nu, delta, shells) for delta in deltas]
-        integ.ladder(params[0], params[1:], basis, xi0, seed, np.arange(cfg.ensemble),
-                     n_rec * stride, observe,
-                     r=_whole_steps(deltas[0], cfg.reference_delta, "deltas"))
-        return dict(zip(deltas, means))
-
-    ref_means = observable_means(cfg.reference_shells,
-                                 [cfg.reference_delta])[cfg.reference_delta]
-    grids = _pmap(lambda shells: observable_means(shells, cfg.deltas), cfg.shells_list,
-                  cfg.threads)
+    integ.ladder(SchemeParams(cfg.nu, cfg.reference_delta, cfg.reference_shells),
+                 [SchemeParams(cfg.nu, delta, shells) for shells, delta in cells],
+                 low_mode_basis(ref_grid, cfg.forcing_shells, cfg.forcing_variance),
+                 cfg.ic.build(ref_grid, seed), seed, np.arange(cfg.ensemble),
+                 n_rec * stride, observe)
 
     p_small = cfg.strong_moment
     rows = []
-    for shells, grid_means in zip(cfg.shells_list, grids):
+    for (shells, delta), cell_means in zip(cells, means[1:]):
         modes = make_grid(shells).n_modes
-        for delta in cfg.deltas:
-            means = grid_means[delta]
-            g = (max(delta ** cfg.s, delta ** (p_small / 2.0))
-                 ** (cfg.holder_exponent / 2.0) + modes ** (-cfg.s / 4.0))
-            for i, obs in enumerate(cfg.observables):
-                err = float(np.max(np.abs(means[i] - ref_means[i])))
-                rows.append({"shells": shells, "delta": delta, "modes": modes,
-                             "observable": obs.kind, "weak_error": err,
-                             "g_control": float(g)})
+        g = (max(delta ** cfg.s, delta ** (p_small / 2.0))
+             ** (cfg.holder_exponent / 2.0) + modes ** (-cfg.s / 4.0))
+        for i, obs in enumerate(cfg.observables):
+            err = float(np.max(np.abs(cell_means[i] - means[0, i])))
+            rows.append({"shells": shells, "delta": delta, "modes": modes,
+                         "observable": obs.kind, "weak_error": err,
+                         "g_control": float(g)})
     report = StudyReport("weak-error", asdict(cfg), seed)
     report.tables["grid"] = rows
     for obs in cfg.observables:
@@ -793,6 +796,8 @@ def stationary_bias_study(cfg: StationaryBiasConfig, seed: int) -> StudyReport:
     basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
     p = SchemeParams(cfg.nu, cfg.delta, cfg.shells)
     obs = cfg.observable
+    if obs.kind == "low-mode-coefficient":
+        _require_mode(grid, obs.mode, "observable")
 
     def observe_run(xi0, n_steps, tape_seed, traj_ids):
         """Per-step observable values (n_steps, M) of one run from xi0."""
@@ -901,6 +906,7 @@ def coupling_study(cfg: CouplingStudyConfig, seed: int) -> StudyReport:
     n_steps = _whole_steps(cfg.horizon, cfg.delta, "horizon")
     _require(cfg.ensemble >= 1, "need >= 1 member", "ensemble")
     xi0 = cfg.ic.build(grid, seed)
+    _require_mode(grid, cfg.gap_mode, "gap_mode")
     gap_dir = spectral.harmonic_field(grid, *cfg.gap_mode, amplitude=1.0,
                                       normalized=True)
     traj = np.arange(cfg.ensemble)

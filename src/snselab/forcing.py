@@ -8,10 +8,11 @@ low-mode nondegeneracy checkable by inspection.
 
 Noise tapes are index-addressed: the Gaussian for (trajectory, cell,
 component) is a pure function of the seed, so coupled runs, restarts, and
-parallel ensembles all read the same tape.  A trajectory's coarse
-increment over step n is *defined* as the sum of its fine_factor
-sub-increments, cells n R .. n R + R - 1 (`integrator.batch_increments`),
-making coarse/fine couplings exact by construction.
+parallel ensembles all read the same tape.  A trajectory's increment over
+step n is sqrt(delta) times its cell n (`integrator.batch_increments`).
+A coarser discretization of the same path, in time or in the cutoff,
+steps on the march's noise summed over its step and restricted to its
+modes (`integrator.ladder`), so coarse/fine couplings share one tape.
 """
 
 from __future__ import annotations
@@ -33,12 +34,6 @@ def gaussian_cells(seed: int, trajectory_ids, cells, d: int) -> np.ndarray:
     return rng.standard_normals(seed, trajectory_ids, cells, d, tag=rng.Tag.NOISE)
 
 
-def sum_fine(fines: np.ndarray, axis: int = 0) -> np.ndarray:
-    """The summation `integrator.batch_increments` uses to aggregate the
-    sub-increments of a coarse step, a reduction over one axis."""
-    return np.add.reduce(np.moveaxis(fines, axis, 0), axis=0)
-
-
 # -- forcing basis -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -53,7 +48,6 @@ class ForcingBasis:
 
     grid: SpectralGrid
     coeff_matrix: np.ndarray
-    labels: tuple = ()
     gram: np.ndarray = field(init=False)
     norms: dict = field(init=False)
     packed: np.ndarray = field(init=False)
@@ -100,7 +94,7 @@ class ForcingBasis:
         if grid == self.grid:
             return self
         mat = spectral.embed_coeffs(self.grid, grid, self.coeff_matrix)
-        return ForcingBasis(grid, mat, self.labels)
+        return ForcingBasis(grid, mat)
 
 
 def low_mode_basis(grid: SpectralGrid, shells: int, variance: float = 0.5,
@@ -127,15 +121,12 @@ def low_mode_basis(grid: SpectralGrid, shells: int, variance: float = 0.5,
             raise StructuralError(
                 f"expected {d} amplitudes (cos and sin per mode), got {q.shape}")
     rows = np.zeros((d, grid.n_half), dtype=np.complex128)
-    labels = []
     # normalized eigenfunctions: cos -> 1/(2 sqrt(2) pi), sin -> -i like it
     base = 1.0 / (2.0 * np.sqrt(2.0) * np.pi)
     for j, i in enumerate(idx):
         rows[2 * j, i] = q[2 * j] * base
         rows[2 * j + 1, i] = -1j * q[2 * j + 1] * base
-        labels.append((int(grid.kx[i]), int(grid.ky[i]), "cos"))
-        labels.append((int(grid.kx[i]), int(grid.ky[i]), "sin"))
-    return ForcingBasis(grid, rows, tuple(labels))
+    return ForcingBasis(grid, rows)
 
 
 def basis_from_fields(fields: list[SpectralField]) -> ForcingBasis:
@@ -146,15 +137,6 @@ def basis_from_fields(fields: list[SpectralField]) -> ForcingBasis:
         if f.grid != grid:
             raise StructuralError("forcing directions live on different grids")
     return ForcingBasis(grid, np.stack([f.coeffs for f in fields]))
-
-
-def apply_forcing(basis: ForcingBasis, eta: np.ndarray) -> np.ndarray:
-    """sum_k eta_k sigma_k as complex coefficients; eta may be batched (..., d)."""
-    eta = np.asarray(eta, dtype=np.float64)
-    if eta.shape[-1] != basis.d:
-        raise StructuralError(
-            f"coefficient vector has length {eta.shape[-1]}, expected {basis.d}")
-    return eta @ basis.coeff_matrix
 
 
 def pinv_matrix(basis: ForcingBasis) -> np.ndarray:

@@ -41,15 +41,18 @@ and one march loop, `run_scheme`, iterates over it.  Its observer sees
 each step's packed state and noise, which is how the coupled run steps
 its nudged copies after the plain batch, and one `MarchRecord` per batch
 holds the per-step energies |c|^2 and the strided states.  `ladder` is
-the one place coarser steps of a path are taken: it steps every rung of a
-delta ladder in an observer of the finest march, on that march's summed
-noise, for the temporal and weak studies alike.
+the one place coarser discretizations of a path are stepped: every rung,
+at any cutoff up to the march's and any whole multiple of its delta,
+steps in an observer of the finest march on that march's summed noise,
+restricted to the rung's modes.  The temporal, spatial and weak studies
+each make one such march.
 
 Every march from initial fields goes through `march`, which owns the
 layout of the synchronous coupling: k starts, each repeated for the M
 members of ``ids`` (`start_rows`), stack as k M rows, and row j M + i
 reads tape id i.  A single path is the march of one start on one id.
-No study calls `run_scheme` or `batch_increments` itself.
+No study calls `run_scheme` itself, and only the contraction study,
+whose cutoffs share a tape per delta, draws one with `batch_increments`.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ import numpy as np
 from . import forcing as forcing_mod
 from . import spectral
 from .errors import ConfigError, SolverError, StructuralError
-from .forcing import ForcingBasis, sum_fine
+from .forcing import ForcingBasis
 from .spectral import SpectralField, SpectralGrid
 
 INCREMENT_CHUNK = 256  # coarse steps of tape generated per philox call
@@ -74,7 +77,7 @@ SWEEP32_MIN_WORK = 1 << 17  # rows * 2 n_half * n_nodes below which a float32 sw
 SWEEP32_SCALES = (2.0 ** -50, 2.0 ** 50)  # row scales whose sweeps stay in float32's range
 RESCALE_BELOW = 2.0 ** -400  # row scale below which a solve runs in units of its rows' scales
 DRAW_BUDGET = 32 << 20  # bytes one philox draw of the tape may hold at once
-DRAW_BYTES = 16         # bytes per normal a tape chunk holds: its words (normals in place), sums
+DRAW_BYTES = 16         # bytes per normal of a tape chunk: its words (normals in place), their copy out
 BLOCK_BYTES = 1 << 20   # bytes of packed rows formed or unpacked in one call
 
 
@@ -363,8 +366,9 @@ def energy_identity_residual(xi_prev: SpectralField, xi_new: SpectralField,
 
 # -- increment providers -------------------------------------------------------
 
-def batch_increments(seed: int, trajectory_ids, fine_factor: int, d: int, delta: float):
-    """Coarse increments for a batch of trajectories, drawn on demand.
+def batch_increments(seed: int, trajectory_ids, d: int, delta: float):
+    """Brownian increments for a batch of trajectories, drawn on demand:
+    step n of trajectory i is sqrt(delta) times tape cell n of id i.
 
     Output of the provider has shape (steps, M, d).  It draws exactly the
     tape cells of the requested steps, in philox calls of at most
@@ -373,19 +377,17 @@ def batch_increments(seed: int, trajectory_ids, fine_factor: int, d: int, delta:
     how a request is split.
     """
     traj = np.asarray(trajectory_ids)
-    r = int(fine_factor)
     # keep one chunk's working set, not just its normals, around ~32 MB
-    step_bytes = DRAW_BYTES * max(1, traj.size * d * r)
+    step_bytes = DRAW_BYTES * max(1, traj.size * d)
     chunk = max(1, min(INCREMENT_CHUNK, DRAW_BUDGET // step_bytes))
-    root = np.sqrt(delta / r)
+    root = np.sqrt(delta)
 
     def draw(a: int, b: int) -> np.ndarray:
-        fine = forcing_mod.gaussian_cells(seed, traj, np.arange(a * r, b * r), d)
-        fine *= root
-        return sum_fine(fine.reshape(traj.size, b - a, r, d), axis=2).transpose(1, 0, 2)
+        cells = forcing_mod.gaussian_cells(seed, traj, np.arange(a, b), d)
+        cells *= root
+        return cells.transpose(1, 0, 2)
 
     def provider(n0: int, n1: int) -> np.ndarray:
-        # the output is allocated after every chunk's raw normals are freed
         return np.concatenate([draw(a, min(a + chunk, n1)) for a in range(n0, n1, chunk)])
 
     return provider
@@ -511,15 +513,15 @@ def start_rows(grid: SpectralGrid, starts, m: int) -> np.ndarray:
 
 
 def march(p: SchemeParams, basis: ForcingBasis, starts, seed: int, ids, n_steps: int,
-          r: int = 1, tape=None, **run_kw) -> EnsembleRun:
+          tape=None, **run_kw) -> EnsembleRun:
     """March k = len(starts) fields, each for the M = len(ids) members of
     ``ids``, on the grid of ``p``: `run_scheme` on the `start_rows`, where
-    row j M + i reads tape id i of ``batch_increments(seed, ids, r, ...)``,
+    row j M + i reads tape id i of ``batch_increments(seed, ids, ...)``,
     or of ``tape``, a provider of the same increments drawn beforehand.
     ``run_kw`` goes to `run_scheme`."""
     grid = p.grid()
     if tape is None:
-        tape = batch_increments(seed, ids, r, basis.d, p.delta)
+        tape = batch_increments(seed, ids, basis.d, p.delta)
     k = len(starts)
     inc = tape if k == 1 else (lambda n0, n1: np.tile(tape(n0, n1), (1, k, 1)))
     return run_scheme(grid, start_rows(grid, starts, len(ids)), n_steps, p, basis, inc,
@@ -527,54 +529,60 @@ def march(p: SchemeParams, basis: ForcingBasis, starts, seed: int, ids, n_steps:
 
 
 def ladder(p: SchemeParams, rungs, basis: ForcingBasis, start, seed: int, ids,
-           n_steps: int, reducer: Callable[..., None], r: int = 1) -> EnsembleRun:
-    """March ``start`` at ``p`` and, on the same Brownian path, a coarser
-    copy of it at each `SchemeParams` of ``rungs``: the one place rungs step.
+           n_steps: int, reducer: Callable[..., None]) -> EnsembleRun:
+    """March ``start`` at ``p`` and, on the same Brownian path, a copy of it
+    at each `SchemeParams` of ``rungs``: the one place rungs step.
 
-    A rung's delta is a whole multiple, its stride, of ``p.delta``.  The
-    rung steps once per stride in the march's observer, through
-    `_advance_one`, on the sum of the noise its stride's base steps gave
-    the march.  The noise map is linear, so that is the noise of the
-    summed Brownian increment, as in Giles's multilevel coupling
-    (Operations Research 56(3), 2008); it matches a lone march on
-    ``batch_increments(seed, ids, r * stride, ...)``, which sums the
-    increments before the map (`forcing.sum_fine`), up to rounding.  The
-    sum has two levels: every base step adds its noise into one buffer,
-    and every g base steps, g the gcd of the strides, that buffer is added
-    into each rung's; a rung steps on its buffer and clears it.  (Adding
-    every base step into every rung made the temporal ladder about 10%
-    slower.)
+    A rung's cutoff is at most ``p.shells`` and its delta a whole multiple,
+    its stride, of ``p.delta`` (else a `StructuralError`).  It starts from
+    ``start`` embedded on its grid and steps once per stride in the
+    march's observer, through `_advance_one`, on the sum of the noise its
+    stride's base steps gave the march, restricted to its own modes
+    (`spectral.packed_columns`, a slice on the march's grid); its noise
+    scale is that sum's norm.  The noise map is linear and a mode's noise
+    does not depend on the cutoff, so that is the noise of the summed
+    Brownian increment on the rung's grid, as in Giles's multilevel
+    coupling (Operations Research 56(3), 2008): a stride-1 rung is a lone
+    `march` on its grid bit for bit, and a coarser one matches a lone
+    march on the summed tape up to rounding.  The sum has two levels:
+    every base step adds its noise into one buffer, and every g base
+    steps, g the gcd of the strides, that buffer is added into each
+    rung's; a rung steps on its buffer and clears it.  (Adding every base
+    step into every rung made the temporal ladder about 10% slower.)
 
     ``reducer(step, c, cs)`` sees the march's packed state ``c`` and the
     list ``cs`` of the rungs' packed states, at step 0 and after every
     g-th base step, once the rungs due at that step have stepped: rung k
     is at ``step`` when ``step`` is a multiple of its stride.  No path is
     kept beyond the current states; the reducer takes what the caller
-    needs.  Returns the march's `EnsembleRun`, without states; ``r`` goes
-    to `march`.
+    needs.  Returns the march's `EnsembleRun`, without states.
     """
     grid = p.grid()
     strides = [round(q.delta / p.delta) for q in rungs]
+    if any(q.shells > p.shells or k < 1 or abs(q.delta / p.delta - k) > 1e-9
+           for q, k in zip(rungs, strides)):
+        raise StructuralError("a rung needs a cutoff <= the march's and a whole stride")
     g = math.gcd(*strides) or 1
-    systems = [step_system(grid, q) for q in rungs]
+    grids = [q.grid() for q in rungs]
+    systems = [step_system(gr, q) for gr, q in zip(grids, rungs)]
+    cols = [spectral.packed_columns(gr, grid) for gr in grids]
     c0 = spectral.pack(start_rows(grid, [start], len(ids)))
-    cs = [c0] * len(rungs)      # `_advance_one` never writes to its state
+    cs = [spectral.pack(start_rows(gr, [start], len(ids))) for gr in grids]
     part = np.zeros(c0.shape)   # the noise of the base steps since the last g-th
-    sums = [np.zeros(c0.shape) for _ in rungs]
+    sums = [np.zeros(c.shape) for c in cs]
 
     def follow(step, c, noise, noise_scale):
         np.add(part, noise, out=part)
         if step % g:
             return
         for k, stride in enumerate(strides):
-            sums[k] += part
+            sums[k] += part[:, cols[k]]
             if step % stride == 0:
-                cs[k], _ = _advance_one(grid, cs[k], sums[k], systems[k],
+                cs[k], _ = _advance_one(grids[k], cs[k], sums[k], systems[k],
                                         np.sqrt(spectral.packed_norm_sq(sums[k])))
                 sums[k][:] = 0.0
         part[:] = 0.0
         reducer(step, c, cs)
 
     reducer(0, c0, cs)
-    return march(p, basis, [start], seed, ids, n_steps, r=r, keep_states=False,
-                 observer=follow)
+    return march(p, basis, [start], seed, ids, n_steps, keep_states=False, observer=follow)

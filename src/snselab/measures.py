@@ -207,13 +207,6 @@ class Ensemble:
         # |x|^2 cached once; weighted costs then price pairs in O(1)
         self.norm_sq = norm_l2_sq(self.members)
 
-    @classmethod
-    def from_fields(cls, fields: list[SpectralField], weights=None) -> "Ensemble":
-        if not fields:
-            raise StructuralError("empty ensemble")
-        grid = fields[0].grid
-        return cls(grid, np.stack([f.coeffs for f in fields]), weights)
-
     @property
     def size(self) -> int:
         return self.members.shape[0]
@@ -259,7 +252,6 @@ class TransportResult:
     coupling: np.ndarray
     method: str
     cost: str
-    pair_costs: np.ndarray
 
 
 def wasserstein_exact(a: Ensemble, b: Ensemble, cost: str, dp: DistanceParams,
@@ -284,7 +276,7 @@ def wasserstein_exact(a: Ensemble, b: Ensemble, cost: str, dp: DistanceParams,
         coupling = np.zeros_like(cmat)
         coupling[rows, cols] = 1.0 / a.size
         return TransportResult(float(cmat[rows, cols].mean()), coupling,
-                               "assignment", cost, cmat)
+                               "assignment", cost)
     na, nb = a.size, b.size
     a_eq = np.zeros((na + nb - 1, na * nb))
     b_eq = np.empty(na + nb - 1)
@@ -298,8 +290,7 @@ def wasserstein_exact(a: Ensemble, b: Ensemble, cost: str, dp: DistanceParams,
                           method="highs")
     if not res.success:
         raise StructuralError(f"transport LP failed: {res.message}")
-    return TransportResult(float(res.fun), res.x.reshape(na, nb),
-                           "transport-lp", cost, cmat)
+    return TransportResult(float(res.fun), res.x.reshape(na, nb), "transport-lp", cost)
 
 
 def wasserstein_coupled_bound(a_members, b_members, cost: str, dp: DistanceParams,

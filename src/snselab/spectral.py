@@ -372,6 +372,16 @@ def _mode_map(src: SpectralGrid, dst: SpectralGrid) -> tuple[np.ndarray, np.ndar
     return np.asarray(src_idx, dtype=np.intp), np.asarray(dst_idx, dtype=np.intp)
 
 
+def packed_columns(src: SpectralGrid, dst: SpectralGrid):
+    """The columns of ``dst``'s packed layout that hold the modes of the
+    coarser ``src``, in ``src``'s order: a slice when the grids are equal,
+    so that reading them takes no gather."""
+    if src == dst:
+        return slice(None)
+    di = _mode_map(src, dst)[1]
+    return np.concatenate([di, di + dst.n_half])
+
+
 def embed_coeffs(src: SpectralGrid, dst: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     """Re-index coefficients onto another grid (zero-fill / truncate)."""
     si, di = _mode_map(src, dst)

@@ -1,5 +1,6 @@
-"""Field-level operations, diagnostics, observable constructors and the
-reference Philox cipher that only the tests use.  The package marches
+"""Field-level operations, diagnostics, observable constructors, the
+summed-tape reference and the reference Philox cipher that only the
+tests use.  The package marches
 packed coefficient arrays; these wrap its kernels for single
 `SpectralField`s, or check a result against its definition."""
 
@@ -12,8 +13,9 @@ import numpy as np
 from snselab import spectral
 from snselab.errors import RangeError, StructuralError
 from snselab.experiments import ObservableSpec
-from snselab.forcing import ForcingBasis, apply_forcing
-from snselab.integrator import SchemeParams
+from snselab.forcing import ForcingBasis
+from snselab.integrator import SchemeParams, batch_increments
+from snselab.measures import Ensemble
 from snselab.spectral import TWO_PI_SQ, SpectralField, SpectralGrid
 
 
@@ -185,7 +187,30 @@ def curl_defect(xi: SpectralField, u: VelocityField) -> float:
     return float(np.max(np.abs(r)))
 
 
-# -- forcing ------------------------------------------------------------------
+# -- forcing and noise tapes ----------------------------------------------------
+
+def apply_forcing(basis: ForcingBasis, eta: np.ndarray) -> np.ndarray:
+    """sum_k eta_k sigma_k as complex coefficients; eta may be batched (..., d)."""
+    eta = np.asarray(eta, dtype=np.float64)
+    if eta.shape[-1] != basis.d:
+        raise StructuralError(
+            f"coefficient vector has length {eta.shape[-1]}, expected {basis.d}")
+    return eta @ basis.coeff_matrix
+
+
+def summed_increments(seed: int, trajectory_ids, r: int, d: int, delta: float):
+    """Increments of steps ``delta``, step n the sum of the r tape cells
+    n r .. n r + r - 1 of steps delta / r, added in order before the noise
+    map: the lone-march reference that a rung of stride r in
+    `integrator.ladder`, which sums the mapped noise, matches up to rounding."""
+    fine = batch_increments(seed, trajectory_ids, d, delta / r)
+
+    def provider(n0: int, n1: int) -> np.ndarray:
+        cells = fine(n0 * r, n1 * r)
+        return np.add.reduce(cells.reshape(n1 - n0, r, *cells.shape[1:]), axis=1)
+
+    return provider
+
 
 def apply(basis: ForcingBasis, eta: np.ndarray) -> SpectralField:
     """Field-level forcing application (single coefficient vector)."""
@@ -268,7 +293,14 @@ def tv_bound(cost, a: float = 1.0) -> float:
     return float(2.0 ** ((1.0 - a) / (1.0 + a)) * np.mean(kl ** a) ** (1.0 / (1.0 + a)))
 
 
-# -- observables ----------------------------------------------------------------
+# -- ensembles and observables ----------------------------------------------------
+
+def ensemble_from_fields(fields: list[SpectralField], weights=None) -> Ensemble:
+    """An `Ensemble` of fields that live on one grid."""
+    if not fields:
+        raise StructuralError("empty ensemble")
+    return Ensemble(fields[0].grid, np.stack([f.coeffs for f in fields]), weights)
+
 
 def clipped_energy(radius: float = 3.0) -> ObservableSpec:
     return ObservableSpec("clipped-norm", radius=radius)

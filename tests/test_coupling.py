@@ -55,7 +55,7 @@ def test_beta_zero_is_plain_step():
     g = random_field(G, seed=3, rms=1.0)
     pair = _pair(g, f, 1, _nudge(beta=0.0), seed=4, keep_states=True)
     plain = run_scheme(G, f.coeffs, 1, P, BASIS8,
-                       batch_increments(4, [0], 1, BASIS8.d, P.delta)).states[1, 0]
+                       batch_increments(4, [0], BASIS8.d, P.delta)).states[1, 0]
     assert np.max(np.abs(pair.nudged.states[1, 0] - plain)) <= 1e-12 * f.l2_norm()
 
 
@@ -67,7 +67,7 @@ def test_beta_zero_coupled_walk_is_run_scheme():
     pair = coupled_ensembles(f, [f], 300, _nudge(beta=0.0), BASIS8, seed=17,
                              trajectory_ids=ids, compute_shifts=False, keep_states=True)[0]
     run = run_scheme(G, np.broadcast_to(f.coeffs, (3, G.n_half)), 300, P, BASIS8,
-                     batch_increments(17, ids, 1, BASIS8.d, P.delta))
+                     batch_increments(17, ids, BASIS8.d, P.delta))
     assert np.array_equal(pair.primary.states, run.states)
     assert np.array_equal(pair.primary.energy_sq, run.energy_sq)
     assert np.array_equal(pair.nudged.states, run.states)
@@ -134,7 +134,7 @@ def test_plain_path_does_not_depend_on_nudged_copies():
     pair = coupled_ensembles(f, _starts(f), 300, _nudge(), BASIS8, seed=17,
                              trajectory_ids=ids, keep_states=True)[0]
     run = run_scheme(G, np.broadcast_to(f.coeffs, (3, G.n_half)), 300, P, BASIS8,
-                     batch_increments(17, ids, 1, BASIS8.d, P.delta))
+                     batch_increments(17, ids, BASIS8.d, P.delta))
     assert np.array_equal(pair.primary.states, run.states)
     assert np.array_equal(pair.primary.energy_sq, run.energy_sq)
     assert np.array_equal(pair.primary.iterations, run.iterations)
@@ -293,7 +293,7 @@ def test_uniqueness_transfer_shifted_tape():
         G, 2, 1, "sin", normalized=True).coeffs)
     n_steps = 60
     pair = _pair(f, g, n_steps, np_, seed=21, traj_id=2, keep_states=True)
-    tape = batch_increments(21, [2], 1, BASIS8.d, P.delta)
+    tape = batch_increments(21, [2], BASIS8.d, P.delta)
     # psi_j = -beta sigma^-1 P_K (xi_tilde^j - xi^j), shape (n_steps, 1, d)
     zk = project_coeffs(G, pair.nudged.states[1:] - pair.primary.states[1:], 4)
     psi = -np_.beta * spectral.pack(zk) @ pinv_matrix(BASIS8).T

@@ -12,10 +12,11 @@ from snselab.experiments import (ContractionConfig, CouplingStudyConfig,
                                  contraction_study, coupling_study, fit_rate,
                                  holder_study, lyapunov_study, spatial_order_study,
                                  temporal_order_study, weak_error_study)
+from snselab.forcing import low_mode_basis
 from snselab.measures import DistanceParams
 from snselab.spectral import harmonic_field, make_grid, random_field
 
-from helpers import clipped_energy, low_mode_re, smoothed_energy
+from helpers import clipped_energy, low_mode_re, smoothed_energy, summed_increments
 
 
 # -- rate fitting ----------------------------------------------------------------
@@ -211,12 +212,18 @@ def test_weak_rejects_undeclared_lipschitz():
         weak_error_study(cfg, seed=0)
 
 
-def test_weak_deltas_must_be_multiples_of_the_finest():
-    # the coarser deltas step on the finest delta's march
-    cfg = WeakErrorConfig(deltas=(0.04, 0.03), reference_delta=0.01, horizon=0.24,
-                          record_time=0.12)
+def test_weak_deltas_need_only_be_multiples_of_the_reference_delta():
+    # every cell steps on the reference march, so 0.03 need not be a multiple
+    # of 0.04; a delta that is no multiple of reference_delta is refused
+    cfg = WeakErrorConfig(shells_list=(3, 4), deltas=(0.04, 0.03), reference_shells=6,
+                          reference_delta=0.01, horizon=0.24, record_time=0.12,
+                          ensemble=4, forcing_shells=2)
+    report = weak_error_study(cfg, seed=0)
+    assert [(row["shells"], row["delta"]) for row in report.tables["grid"]] == [
+        (3, 0.04), (3, 0.03), (4, 0.04), (4, 0.03)]
+    assert all(np.isfinite(row["weak_error"]) for row in report.tables["grid"])
     with pytest.raises(ConfigError) as err:
-        weak_error_study(cfg, seed=0)
+        weak_error_study(replace(cfg, deltas=(0.04, 0.025)), seed=0)
     assert err.value.field == "deltas"
 
 
@@ -419,7 +426,7 @@ def test_contraction_pair_marches_as_one_batch(monkeypatch):
     for grid, c0, n_steps, p, basis, kw, run in calls:
         assert c0.shape[0] == 2 * m
         for half in (slice(0, m), slice(m, 2 * m)):
-            tape = integrator.batch_increments(3, np.arange(m), 1, basis.d, p.delta)
+            tape = integrator.batch_increments(3, np.arange(m), basis.d, p.delta)
             solo = run_scheme(grid, c0[half], n_steps, p, basis, tape, **kw)
             # each run solves step j within tol * scale_j, scale_j >= |xi^j|: the
             # two stay within the solve errors of both summed over the steps
@@ -434,65 +441,88 @@ def test_contraction_pair_marches_as_one_batch(monkeypatch):
 
 
 def test_weak_delta_leg_steps_its_rungs_on_one_march(monkeypatch):
-    # each cutoff makes one ladder march at the finest delta (r = 2 reference
-    # cells per step): its states, and so the finest cell's weak error, are
-    # a lone march's bit for bit.  A coarser delta steps on the summed noise
-    # of its base steps and agrees with a lone march on its own summed tape,
-    # r = delta / reference_delta, to the solve tolerance (rounding of the
-    # noise sum aside)
+    # the study is one ladder: the reference march steps every (N, delta)
+    # cell as a rung.  A cell at the reference delta reads a lone march's
+    # noise on its grid and is that march bit for bit, and so is its weak
+    # error.  A coarser delta agrees with a lone march on its own summed
+    # tape, r = delta / reference_delta, to the solve tolerance (rounding of
+    # the noise sum aside)
     cfg = WeakErrorConfig(shells_list=(3, 4), deltas=(0.04, 0.02, 0.01), reference_shells=6,
-                          reference_delta=0.005, horizon=0.4, record_time=0.2,
+                          reference_delta=0.01, horizon=0.4, record_time=0.2,
                           ensemble=4, forcing_shells=2)
-    seed, m = 5, cfg.ensemble
+    seed, ids = 5, np.arange(cfg.ensemble)
     calls, ladder = [], integrator.ladder
 
-    def recording(p, rungs, basis, start, seed, ids, n_steps, reducer, r=1):
+    def recording(p, rungs, basis, start, seed, ids, n_steps, reducer):
         seen = {}
 
         def spy(step, c, cs):
             seen[step] = [c.copy()] + [x.copy() for x in cs]
             reducer(step, c, cs)
 
-        calls.append((p, rungs, basis, start, n_steps, r, seen))
-        return ladder(p, rungs, basis, start, seed, ids, n_steps, spy, r=r)
+        calls.append((p, rungs, start, seen))
+        return ladder(p, rungs, basis, start, seed, ids, n_steps, spy)
 
     monkeypatch.setattr(integrator, "ladder", recording)
     report = weak_error_study(cfg, seed)
     monkeypatch.undo()
-    assert len(calls) == 1 + len(cfg.shells_list)   # the reference, one ladder per cutoff
+    (p, rungs, start, seen), = calls
+    assert (p.shells, p.delta) == (cfg.reference_shells, cfg.reference_delta)
+    assert [(q.shells, q.delta) for q in rungs] == [
+        (shells, delta) for shells in cfg.shells_list for delta in cfg.deltas]
     obs = cfg.observables[0]
 
-    def lone(q, basis, start, r):
-        stride = round(cfg.record_time / q.delta)
-        return integrator.march(q, basis, [start], seed, np.arange(m),
-                                round(cfg.horizon / q.delta), r=r, record_stride=stride)
+    def lone(q):
+        basis = low_mode_basis(q.grid(), cfg.forcing_shells, cfg.forcing_variance)
+        tape = summed_increments(seed, ids, round(q.delta / p.delta), basis.d, q.delta)
+        return integrator.march(q, basis, [start], seed, ids, round(cfg.horizon / q.delta),
+                                tape=tape, record_stride=round(cfg.record_time / q.delta))
 
     def means(run):
         return np.array([np.mean(obs.evaluate(run.grid, s)) for s in run.states])
 
-    (p_ref, _, basis_ref, xi0, _, _, _), *ladders = calls
-    ref = means(lone(p_ref, basis_ref, xi0, 1))
     errors = {(row["shells"], row["delta"]): row["weak_error"]
               for row in report.tables["grid"]}
-    for (p, rungs, basis, start, n_steps, r, seen), shells in zip(ladders, cfg.shells_list):
-        assert p.delta == min(cfg.deltas) and r == 2
-        assert [q.delta for q in rungs] == sorted(cfg.deltas)[1:]
-        base_stride = round(cfg.record_time / p.delta)
-        for j, q in enumerate([p, *rungs]):
-            run = lone(q, basis, start, round(q.delta / cfg.reference_delta))
-            got = np.array([spectral.unpack(seen[n * base_stride][j])
-                            for n in range(run.step_indices.size)])
-            if j == 0:
-                assert np.array_equal(got, run.states)
-            norms = np.sqrt(run.energy_sq)
-            summed = np.concatenate([np.zeros_like(norms[:1]), np.cumsum(norms[1:], axis=0)])
-            bound = 2.0 * q.tol * summed[run.step_indices]
-            assert np.all(spectral.norm_l2(got - run.states) <= bound)
-        assert errors[shells, p.delta] == float(np.max(np.abs(
-            means(lone(p, basis, start, 2)) - ref)))
-    threaded = weak_error_study(replace(cfg, threads=2), seed)
-    assert repr((threaded.tables, threaded.scalars, threaded.checks)) == repr(
-        (report.tables, report.scalars, report.checks))
+    ref = means(lone(p))
+    base_stride = round(cfg.record_time / p.delta)
+    for j, q in enumerate([p, *rungs]):
+        run = lone(q)
+        got = np.array([spectral.unpack(seen[n * base_stride][j])
+                        for n in range(run.step_indices.size)])
+        if q.delta == p.delta:
+            assert np.array_equal(got, run.states)
+            if j:
+                assert errors[q.shells, q.delta] == float(np.max(np.abs(means(run) - ref)))
+        norms = np.sqrt(run.energy_sq)
+        summed = np.concatenate([np.zeros_like(norms[:1]), np.cumsum(norms[1:], axis=0)])
+        bound = 2.0 * q.tol * summed[run.step_indices]
+        assert np.all(spectral.norm_l2(got - run.states) <= bound)
+
+
+def test_spatial_rungs_match_per_cutoff_marches():
+    # the one ladder's report equals the per-cutoff marches' bit for bit: each
+    # cutoff marched alone on the shared tape and start, embedded on the
+    # reference grid, its squared gap's sup over the records
+    cfg = SpatialOrderConfig(shell_ladder=(3, 4, 6), reference_shells=8, delta=0.01,
+                             horizon=0.07, ensemble=3, record_stride=2)
+    seed, ids = 9, np.arange(cfg.ensemble)
+    report = spatial_order_study(cfg, seed)
+    ref_grid = make_grid(cfg.reference_shells)
+    xi0 = cfg.ic.build(ref_grid, seed)
+
+    def run_at(shells):
+        basis = low_mode_basis(make_grid(shells), cfg.forcing_shells, cfg.forcing_variance)
+        return integrator.march(integrator.SchemeParams(cfg.nu, cfg.delta, shells), basis,
+                                [xi0], seed, ids, 7, record_stride=cfg.record_stride)
+
+    ref = run_at(cfg.reference_shells)
+    assert list(ref.step_indices) == [0, 2, 4, 6]
+    for row, shells in zip(report.tables["rungs"], cfg.shell_ladder):
+        run = run_at(shells)
+        emb = spectral.embed_coeffs(run.grid, ref_grid, run.states)
+        sup_sq = np.max(spectral.norm_l2_sq(emb - ref.states), axis=0)
+        assert row == {"shells": shells, "modes": run.grid.n_modes,
+                       "err_sup_sq": float(np.mean(sup_sq)), "paths": cfg.ensemble}
 
 
 def test_weak_error_bounded_by_strong_component():
@@ -519,11 +549,11 @@ def test_weak_error_bounded_by_strong_component():
     run_c = run_scheme(grid_c, np.broadcast_to(embed_coeffs(grid_r, grid_c, ic.coeffs),
                                                (32, grid_c.n_half)),
                        25, SchemeParams(1.0, 0.02, 6), basis_c,
-                       batch_increments(seed, ids, 2, basis_c.d, 0.02),
+                       summed_increments(seed, ids, 2, basis_c.d, 0.02),
                        record_stride=5)
     run_r = run_scheme(grid_r, np.broadcast_to(ic.coeffs, (32, grid_r.n_half)),
                        50, SchemeParams(1.0, 0.01, 8), basis_r,
-                       batch_increments(seed, ids, 1, basis_r.d, 0.01),
+                       batch_increments(seed, ids, basis_r.d, 0.01),
                        record_stride=10)
     diff = embed_coeffs(grid_c, grid_r, run_c.states) - run_r.states
     strong = float(np.max(np.mean(norm_l2(diff), axis=1)))
@@ -556,7 +586,7 @@ def test_h1_moment_stable_under_refinement():
         basis = low_mode_basis(grid, 4, 0.5)
         c0 = np.broadcast_to(embed_coeffs(fine, grid, ic.coeffs), (32, grid.n_half))
         run = run_scheme(grid, c0, 100, SchemeParams(1.0, 0.02, shells), basis,
-                         batch_increments(5, np.arange(32), 1, basis.d, 0.02))
+                         batch_increments(5, np.arange(32), basis.d, 0.02))
         h1_sq = spectral.sobolev_norm_sq(grid, run.states, 1.0)
         sups.append(float(np.max(np.mean(h1_sq, axis=1))))
     assert np.all(np.isfinite(sups))

@@ -4,11 +4,11 @@ from hypothesis import given, strategies as st
 
 from snselab import forcing, integrator, spectral
 from snselab.errors import ConfigError, RangeError, StructuralError
-from snselab.forcing import ForcingBasis, basis_from_fields, low_mode_basis, sum_fine
+from snselab.forcing import ForcingBasis, basis_from_fields, low_mode_basis
 from snselab.integrator import batch_increments
 from snselab.spectral import harmonic_field, make_grid
 
-from helpers import apply, check_nondegeneracy, pseudo_inverse_apply
+from helpers import apply, check_nondegeneracy, pseudo_inverse_apply, summed_increments
 
 G = make_grid(16)
 BASIS = low_mode_basis(G, 4, 0.5)
@@ -53,26 +53,32 @@ def test_directions_mean_free_and_within_cutoff():
 
 def test_stream_determinism():
     # a step's increment does not depend on the call or on the steps drawn with it
-    a = batch_increments(9, [4], 8, BASIS.d, 0.02)(12, 13)
-    b = batch_increments(9, [4], 8, BASIS.d, 0.02)(10, 14)
+    a = batch_increments(9, [4], BASIS.d, 0.02)(12, 13)
+    b = batch_increments(9, [4], BASIS.d, 0.02)(10, 14)
     assert np.array_equal(a[0], b[2])
+    # step n is sqrt(delta) times tape cell n
+    cell = forcing.gaussian_cells(9, [4], [12], BASIS.d)[:, 0]
+    assert np.array_equal(a[0], np.sqrt(0.02) * cell)
 
 
 @given(st.integers(0, 50), st.integers(1, 32), st.sampled_from([[3], [3, 0, 8]]))
 def test_coarse_is_sum_of_fines_bitwise(n, r, ids):
-    # coarse step n at fine factor r sums fine cells n r .. n r + r - 1, drawn
-    # as steps of delta / r at fine factor 1
-    coarse = batch_increments(7, ids, r, 6, 0.05)(n, n + 1)[0]
-    fines = batch_increments(7, ids, 1, 6, 0.05 / r)(n * r, n * r + r)
-    assert np.array_equal(coarse, sum_fine(fines, axis=0))
+    # the summed-tape reference of the ladder tests: coarse step n of r
+    # cells sums fine cells n r .. n r + r - 1 of steps delta / r, in order
+    coarse = summed_increments(7, ids, r, 6, 0.05)(n, n + 1)[0]
+    fines = batch_increments(7, ids, 6, 0.05 / r)(n * r, n * r + r)
+    want = fines[0]
+    for fine in fines[1:]:
+        want = want + fine
+    assert np.array_equal(coarse, want)
 
 
 def test_one_call_over_several_chunks_equals_per_step_calls(monkeypatch):
     # a budget of 3 steps' working set splits a 10-step request into 4 draws
-    ids, r, d = [2, 7], 3, 5
-    step_bytes = integrator.DRAW_BYTES * len(ids) * d * r
+    ids, d = [2, 7], 5
+    step_bytes = integrator.DRAW_BYTES * len(ids) * d
     monkeypatch.setattr(integrator, "DRAW_BUDGET", 3 * step_bytes)
-    provider = batch_increments(11, ids, r, d, 0.05)
+    provider = batch_increments(11, ids, d, 0.05)
     calls = []
     monkeypatch.setattr(forcing, "gaussian_cells",
                         lambda *a, _draw=forcing.gaussian_cells: calls.append(a) or _draw(*a))
@@ -94,7 +100,7 @@ def test_increment_moments():
 
 
 def test_trajectories_decorrelated():
-    a, b = batch_increments(5, [0, 1], 1, 4, 0.1)(3, 4)[0]
+    a, b = batch_increments(5, [0, 1], 4, 0.1)(3, 4)[0]
     assert not np.array_equal(a, b)
 
 

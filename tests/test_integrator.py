@@ -6,14 +6,14 @@ from hypothesis import example, given, strategies as st
 
 from snselab import integrator, spectral
 from snselab.coupling import NudgeParams, coupled_ensembles, propose_beta
-from snselab.errors import ConfigError, SolverError
+from snselab.errors import ConfigError, SolverError, StructuralError
 from snselab.forcing import low_mode_basis
 from snselab.integrator import (SchemeParams, _advance_one, batch_increments,
                                 energy_identity_residual, run_scheme, step_system)
 from snselab.spectral import (SpectralField, advect_frozen, harmonic_field, make_grid,
                               random_field, zero_field)
 
-from helpers import advect_coeffs, step_residual
+from helpers import advect_coeffs, step_residual, summed_increments
 
 G = make_grid(16)
 BASIS = low_mode_basis(G, 4, 0.5)
@@ -30,7 +30,7 @@ def _path(f, n_steps, p, basis, seed, trajectory_ids, **kwargs):
     """`run_scheme` from f, shared by every member, on the members' tapes."""
     ids = np.asarray(trajectory_ids)
     return run_scheme(f.grid, np.broadcast_to(f.coeffs, (ids.size, f.grid.n_half)),
-                      n_steps, p, basis, batch_increments(seed, ids, 1, basis.d, p.delta),
+                      n_steps, p, basis, batch_increments(seed, ids, basis.d, p.delta),
                       **kwargs)
 
 
@@ -554,13 +554,69 @@ def test_march_stacks_starts_over_one_tape():
     got = integrator.march(p, BASIS, starts, 8, ids, 300, record_stride=3)
     c0 = np.concatenate([np.broadcast_to(spectral.embed_coeffs(s.grid, G, s.coeffs),
                                          (ids.size, G.n_half)) for s in starts])
-    tape = batch_increments(8, ids, 1, BASIS.d, p.delta)
+    tape = batch_increments(8, ids, BASIS.d, p.delta)
     want = run_scheme(G, c0, 300, p, BASIS,
                       lambda n0, n1: np.concatenate([tape(n0, n1)] * 2, axis=1),
                       record_stride=3)
     assert got.states.shape == (101, 2 * ids.size, G.n_half)
     for name in ("step_indices", "states", "energy_sq", "iterations"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def _ladder_states(p, rungs, start, seed, ids, n_steps):
+    """{step: [march state, rung states...]} of `integrator.ladder`, complex."""
+    seen = {}
+
+    def keep(step, c, cs):
+        seen[step] = [spectral.unpack(x) for x in (c, *cs)]
+
+    integrator.ladder(p, rungs, BASIS, start, seed, ids, n_steps, keep)
+    return seen
+
+
+def test_ladder_stride_one_rung_on_a_coarser_grid_is_a_lone_march():
+    # a rung at the march's delta reads the march's noise on its own modes,
+    # which is the noise a lone march on its grid forms: states and energies
+    # are that march's bit for bit, across the 256-step tape chunk, and a rung
+    # on the march's own grid is the march itself
+    p = SchemeParams(1.0, 0.01, 16)
+    ids = np.array([6, 1, 4])
+    start = random_field(G, seed=23)
+    rungs = [SchemeParams(1.0, 0.01, shells) for shells in (6, 10, 16)]
+    seen = _ladder_states(p, rungs, start, 8, ids, 300)
+    for k, q in enumerate(rungs, start=1):
+        lone = integrator.march(q, low_mode_basis(q.grid(), 4, 0.5), [start], 8, ids, 300)
+        got = np.array([seen[n][k] for n in range(301)])
+        assert np.array_equal(got, lone.states)
+        assert np.array_equal(spectral.norm_l2_sq(got), lone.energy_sq)
+
+
+def test_ladder_coarser_delta_on_a_coarser_grid_matches_a_summed_tape():
+    # a rung of stride 4 on 8 shells sums the mapped noise of its 4 base steps;
+    # a lone march on the tape summed before the map agrees to the solve tolerance
+    p = SchemeParams(1.0, 0.005, 16)
+    q = SchemeParams(1.0, 0.02, 8)
+    ids = np.arange(3)
+    start = random_field(G, seed=24)
+    seen = _ladder_states(p, [q], start, 8, ids, 400)
+    basis = low_mode_basis(q.grid(), 4, 0.5)
+    lone = integrator.march(q, basis, [start], 8, ids, 100,
+                            tape=summed_increments(8, ids, 4, basis.d, q.delta))
+    got = np.array([seen[4 * n][1] for n in range(101)])
+    norms = np.sqrt(lone.energy_sq)
+    summed = np.concatenate([np.zeros_like(norms[:1]), np.cumsum(norms[1:], axis=0)])
+    diff = spectral.norm_l2(got - lone.states)
+    assert np.all(diff <= 2.0 * q.tol * summed) and np.any(diff > 0)
+
+
+@pytest.mark.parametrize("shells, delta", [(20, 0.02), (8, 0.01), (8, 0.03), (8, 0.05)])
+def test_ladder_refuses_a_rung_finer_than_the_march(monkeypatch, shells, delta):
+    # a rung must sit on the march's grid or a coarser one, at a whole
+    # multiple of its delta; the refusal comes before any step
+    monkeypatch.setattr(integrator, "_advance_one", None)
+    with pytest.raises(StructuralError):
+        integrator.ladder(SchemeParams(1.0, 0.02, 16), [SchemeParams(1.0, delta, shells)],
+                          BASIS, random_field(G, seed=25), 8, [0], 10, lambda *a: None)
 
 
 @pytest.mark.parametrize("m", [1, 3, 128])
@@ -573,7 +629,7 @@ def test_block_noise_is_the_per_step_product(monkeypatch, m, block_steps):
     if block_steps is not None:
         monkeypatch.setattr(integrator, "BLOCK_BYTES",
                             block_steps * 8 * m * basis.packed.shape[1])
-    tape = batch_increments(5, np.arange(m), 1, basis.d, 0.01)
+    tape = batch_increments(5, np.arange(m), basis.d, 0.01)
     dw = tape(0, 300)
     steps = list(integrator.tape_steps(300, basis, tape))
     assert [step for step, _, _ in steps] == list(range(1, 301))
@@ -656,9 +712,9 @@ def test_coupled_error_shrinks_with_delta():
     for delta in (1 / 32, 1 / 64, 1 / 128):
         n_steps = round(horizon / delta)
         coarse = run_scheme(G, c0, n_steps, SchemeParams(1.0, delta, 16), BASIS,
-                            batch_increments(31, ids, 8, BASIS.d, delta))
+                            summed_increments(31, ids, 8, BASIS.d, delta))
         fine = run_scheme(G, c0, 8 * n_steps, SchemeParams(1.0, delta / 8, 16), BASIS,
-                          batch_increments(31, ids, 1, BASIS.d, delta / 8), record_stride=8)
+                          batch_increments(31, ids, BASIS.d, delta / 8), record_stride=8)
         errs.append(spectral.norm_l2(coarse.states[-1] - fine.states[-1]))
     errs = np.array(errs)
     frac = np.mean((errs[1] < errs[0]) & (errs[2] < errs[1]))

@@ -13,7 +13,7 @@ from snselab.measures import (DistanceParams, Ensemble, certify_triangle,
                               wasserstein_coupled_bound, wasserstein_exact)
 from snselab.spectral import make_grid, random_field, zero_field
 
-from helpers import scale
+from helpers import ensemble_from_fields, scale
 
 G = make_grid(8)
 DP = DistanceParams(eps=1.0, s=1.0, alpha=0.0)
@@ -108,19 +108,15 @@ def test_scale_consistency_in_eps():
 
 # -- exact transport ----------------------------------------------------------------
 
-def _ensemble(fields, weights=None):
-    return Ensemble.from_fields(fields, weights)
-
-
 def test_dirac_pair_cost():
     f, g = _fields(10, 11)
-    res = wasserstein_exact(_ensemble([f]), _ensemble([g]), "rho", DP)
+    res = wasserstein_exact(ensemble_from_fields([f]), ensemble_from_fields([g]), "rho", DP)
     assert res.value == pytest.approx(rho(f, g, DP), rel=1e-12)
 
 
 def test_same_ensemble_zero_with_identity_coupling():
     fields = _fields(12, 13, 14)
-    a = _ensemble(fields)
+    a = ensemble_from_fields(fields)
     res = wasserstein_exact(a, a, "rho", DP)
     assert res.value == 0.0
     assert np.allclose(np.diag(res.coupling), 1.0 / 3.0)
@@ -128,8 +124,8 @@ def test_same_ensemble_zero_with_identity_coupling():
 
 def test_two_by_two_matches_permutation_enumeration():
     fields = _fields(15, 16, 17, 18)
-    a = _ensemble(fields[:2])
-    b = _ensemble(fields[2:])
+    a = ensemble_from_fields(fields[:2])
+    b = ensemble_from_fields(fields[2:])
     res = wasserstein_exact(a, b, "rho", DP)
     costs = [(rho(fields[0], fields[2], DP) + rho(fields[1], fields[3], DP)) / 2,
              (rho(fields[0], fields[3], DP) + rho(fields[1], fields[2], DP)) / 2]
@@ -138,8 +134,8 @@ def test_two_by_two_matches_permutation_enumeration():
 
 def test_lp_route_matches_assignment():
     fields = _fields(20, 21, 22, 23, 24, 25)
-    a = _ensemble(fields[:3])
-    b = _ensemble(fields[3:])
+    a = ensemble_from_fields(fields[:3])
+    b = ensemble_from_fields(fields[3:])
     exact = wasserstein_exact(a, b, "rho", DP)
     # near-uniform weights force the LP branch on the same marginals
     w = np.array([1 / 3 + 1e-13, 1 / 3, 1 / 3 - 1e-13])
@@ -199,7 +195,7 @@ def test_exact_transport_calls_solver_bound_on_module(monkeypatch, solver, weigh
     monkeypatch.setattr(measures, solver, spy)
     fields = _fields(26, 27, 28, 29)
     a = Ensemble(G, np.stack([f.coeffs for f in fields[:2]]), weights)
-    wasserstein_exact(a, _ensemble(fields[2:]), "rho", DP)
+    wasserstein_exact(a, ensemble_from_fields(fields[2:]), "rho", DP)
     assert calls == [solver]
 
 
@@ -209,7 +205,7 @@ def test_coupled_bound_dominates_exact():
                     for i in range(6)]
         fields_b = [random_field(G, seed=500 + seed * 10 + i, rms=1.0)
                     for i in range(6)]
-        a, b = _ensemble(fields_a), _ensemble(fields_b)
+        a, b = ensemble_from_fields(fields_a), ensemble_from_fields(fields_b)
         exact = wasserstein_exact(a, b, "rho", DP).value
         bound = wasserstein_coupled_bound(a.members, b.members, "rho", DP, G)
         assert exact <= bound + 1e-12
@@ -225,7 +221,7 @@ def test_coupled_bound_trivia():
 
 def test_capacity_error():
     fields = [random_field(G, seed=40 + i) for i in range(4)]
-    a = _ensemble(fields)
+    a = ensemble_from_fields(fields)
     with pytest.raises(CapacityError):
         wasserstein_exact(a, a, "rho", DP, support_limit=3)
 
@@ -233,16 +229,16 @@ def test_capacity_error():
 def test_weight_validation():
     fields = _fields(41, 42)
     with pytest.raises(StructuralError):
-        Ensemble.from_fields(fields, [0.7, 0.2])
+        ensemble_from_fields(fields, [0.7, 0.2])
     with pytest.raises(StructuralError):
-        Ensemble.from_fields(fields, [1.2, -0.2])
+        ensemble_from_fields(fields, [1.2, -0.2])
 
 
 def test_weighted_cost_ordering():
     dp = DistanceParams(0.5, 0.5, default_alpha(1.0, 0.5))
     fields_a = [random_field(G, seed=50 + i, rms=1.0) for i in range(4)]
     fields_b = [random_field(G, seed=60 + i, rms=1.0) for i in range(4)]
-    a, b = _ensemble(fields_a), _ensemble(fields_b)
+    a, b = ensemble_from_fields(fields_a), ensemble_from_fields(fields_b)
     exact = wasserstein_exact(a, b, "rho_weighted", dp).value
     bound = wasserstein_coupled_bound(a.members, b.members, "rho_weighted", dp, G)
     assert exact <= bound + 1e-12
@@ -287,7 +283,7 @@ def test_certify_random_triples():
 def test_wasserstein_triangle_across_ensembles():
     # lifted triangle inequality of the metric cost on small ensembles
     ens = [
-        _ensemble([random_field(G, seed=200 + 10 * j + i, rms=0.5 + 0.5 * j)
+        ensemble_from_fields([random_field(G, seed=200 + 10 * j + i, rms=0.5 + 0.5 * j)
                    for i in range(4)])
         for j in range(3)
     ]

@@ -111,7 +111,7 @@ def test_restore_then_continue_matches_straight_run(tmp_path):
     p = SchemeParams(1.0, 0.02, 16)
     basis = low_mode_basis(g, 4, 0.5)
     f = random_field(g, seed=5, rms=1.0)
-    tape = batch_increments(9, [0], 1, basis.d, p.delta)
+    tape = batch_increments(9, [0], basis.d, p.delta)
     # 300 steps cross a 256-step tape chunk that the resumed run never sees
     for n_steps in (20, 300):
         full = run_scheme(g, f.coeffs, n_steps, p, basis, tape)
@@ -121,7 +121,7 @@ def test_restore_then_continue_matches_straight_run(tmp_path):
                    step_index=n_steps // 2, directory=where)
         state, params, seed, traj, step = restore(where / f"state_{n_steps // 2:08d}.fld")
         # index-addressed tape: continuation reads cells step.. of the same trajectory
-        inc = batch_increments(seed, [traj], 1, basis.d, params.delta)
+        inc = batch_increments(seed, [traj], basis.d, params.delta)
         resumed = run_scheme(g, state.coeffs, n_steps - step, params, basis,
                              lambda n0, n1: inc(n0 + step, n1 + step))
         assert np.array_equal(resumed.states, full.states[step:])
@@ -377,6 +377,13 @@ OUT_OF_RANGE = {
     ("simulate", "[io]\ncheckpoint_cadence = -5\n"): "io.checkpoint_cadence",
     ("couple", "[initial]\ncell = -1\n"): "initial.cell",
     ("simulate", "[initial]\nspectral_slope = 1e308\n"): "initial.spectral_slope",
+    # a mode that is not a wavevector of the grid that reads it
+    ("simulate", "--steps", "2",
+     "[discretization]\nshells = 6\n[initial]\nkind = harmonic\nmode_kx = 9\n"): "initial.mode",
+    ("weak", "[experiment]\nshells_list = 3, 4\nreference_shells = 6\n[forcing]\nshells = 2\n"
+             "[observable]\nkind = low-mode-coefficient\nmode_kx = 5\n"): "observables",
+    ("contraction", "[experiment]\ngap_mode = 9, 0\n"): "gap_mode",
+    ("couple", "[experiment]\ngap_mode = 9, 0\n"): "gap_mode",
 }
 
 
