@@ -330,7 +330,7 @@ def temporal_order_study(cfg: TemporalOrderConfig, seed: int) -> StudyReport:
                            out=sups[k])
 
     integ.ladder(params(delta_base), [params(delta) for delta in deltas], basis,
-                 cfg.ic.build(grid, seed), seed, np.arange(cfg.ensemble),
+                 [cfg.ic.build(grid, seed)], seed, np.arange(cfg.ensemble),
                  round(cfg.horizon / delta_base), track)
 
     rows = [{"delta": delta, "err_p": float(np.mean(sup ** cfg.p_moment)),
@@ -420,7 +420,8 @@ def spatial_order_study(cfg: SpatialOrderConfig, seed: int) -> StudyReport:
 
     integ.ladder(SchemeParams(cfg.nu, cfg.delta, cfg.reference_shells),
                  [SchemeParams(cfg.nu, cfg.delta, shells) for shells in ladder], basis,
-                 cfg.ic.build(ref_grid, seed), seed, np.arange(cfg.ensemble), n_steps, track)
+                 [cfg.ic.build(ref_grid, seed)], seed, np.arange(cfg.ensemble), n_steps,
+                 track)
     rows = [{"shells": shells, "modes": make_grid(shells).n_modes,
              "err_sup_sq": float(np.mean(sup)), "paths": cfg.ensemble}
             for shells, sup in zip(ladder, sups)]
@@ -545,83 +546,83 @@ def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
 
     Two ensembles start from initial conditions separated by a low-mode
     gap and advance under the synchronized coupling (one tape per member
-    pair); both are one `integrator.march` of 2M rows.  The cutoffs at one
-    delta march on the same increments, drawn once per delta before the
-    cells map over ``cfg.threads``, which only read them.  The mean
-    weighted cost over pairs upper-bounds the exact empirical Wasserstein
-    distance (computed alongside for small ensembles); the fitted
-    exponential rate is compared across the (cutoff, step) grid to exhibit
-    discretization uniformity.
+    pair).  The (cutoff, delta) grid is one `integrator.ladder` on one
+    Brownian path: its march is the finest cell, with the pair, built on
+    the top grid, as its two starts, and every other cell is a rung that
+    starts from the pair's projection.  At each record time a reducer
+    takes every cell's mean weighted cost over pairs, an upper bound on
+    the exact empirical Wasserstein distance (computed alongside for small
+    ensembles).  The fitted exponential rates are compared across the grid
+    to exhibit discretization uniformity.  Every delta must be a whole
+    multiple of the smallest, and ``record_time`` a whole number of steps
+    of each.  The cells advance in lockstep in one thread, so
+    ``cfg.threads`` is ignored.
     """
     _require(_monotone(cfg.shells_list), "ladder must be strictly monotone", "shells_list")
     _require(_monotone(cfg.deltas), "ladder must be strictly monotone", "deltas")
     _require(cfg.forcing_shells <= min(cfg.shells_list),
              "forcing must fit inside every cutoff", "forcing_shells")
     _require_mode(make_grid(min(cfg.shells_list)), cfg.gap_mode, "gap_mode")
+    d_min = min(cfg.deltas)
+    for delta in cfg.deltas:
+        _whole_steps(delta, d_min, "deltas")
+        _whole_steps(cfg.record_time, delta, "record_time")
     alpha = cfg.alpha if cfg.alpha is not None else default_alpha(
         cfg.nu, cfg.forcing_variance)
     dp = DistanceParams(cfg.eps, cfg.s, alpha)
-    traj_ids = np.arange(cfg.ensemble)
-    bases = {shells: low_mode_basis(make_grid(shells), cfg.forcing_shells,
-                                    cfg.forcing_variance) for shells in cfg.shells_list}
-    d = bases[cfg.shells_list[0]].d
-    tapes = {delta: integ.batch_increments(seed, traj_ids, d, delta)(
-        0, _whole_steps(cfg.horizon, delta, "horizon")) for delta in cfg.deltas}
-
+    m = cfg.ensemble
+    top = make_grid(max(cfg.shells_list))
+    xi0 = cfg.ic.build(top, seed)
+    gap = spectral.harmonic_field(top, *cfg.gap_mode, amplitude=cfg.gap_amplitude,
+                                  normalized=True)
     cells = [(shells, delta) for shells in cfg.shells_list for delta in cfg.deltas]
+    # the march's cell, then the rungs' in grid order
+    order = sorted(cells, key=lambda cell: cell != (top.shells, d_min))
+    params = [SchemeParams(cfg.nu, delta, shells) for shells, delta in order]
+    grids = [q.grid() for q in params]
+    record = _whole_steps(cfg.record_time, d_min, "record_time")
+    series = {cell: ([], [], []) for cell in cells}   # times, coupled, exact
 
-    def run_cell(cell) -> dict:
-        shells, delta = cell
-        grid, basis, tape = make_grid(shells), bases[shells], tapes[delta]
-        p = SchemeParams(cfg.nu, delta, shells)
-        stride = max(1, round(cfg.record_time / delta))
-        xi0 = cfg.ic.build(grid, seed)
-        gap = spectral.harmonic_field(grid, *cfg.gap_mode, amplitude=cfg.gap_amplitude,
-                                      normalized=True)
-        m = cfg.ensemble
-        run = integ.march(p, basis, [xi0, SpectralField(grid, xi0.coeffs + gap.coeffs)],
-                          seed, traj_ids, len(tape), tape=lambda n0, n1: tape[n0:n1],
-                          record_stride=stride)
-        states_a, states_b = run.states[:, :m], run.states[:, m:]
+    def observe(step, c, cs):
+        if step % record:
+            return
+        for (shells, delta), grid, state in zip(order, grids, [c, *cs]):
+            times, coupled, exact = series[shells, delta]
+            states = spectral.unpack(state)
+            times.append(step // round(delta / d_min) * delta)
+            coupled.append(measures_mod.wasserstein_coupled_bound(
+                states[:m], states[m:], "rho_weighted", dp, grid))
+            if m <= cfg.exact_limit:
+                exact.append(measures_mod.wasserstein_exact(
+                    Ensemble(grid, states[:m]), Ensemble(grid, states[m:]),
+                    "rho_weighted", dp).value)
 
-        times = run.times
-        coupled = np.array([
-            measures_mod.wasserstein_coupled_bound(states_a[i], states_b[i],
-                                                   "rho_weighted", dp, grid)
-            for i in range(times.size)])
-        exact = None
-        if m <= cfg.exact_limit:
-            exact = np.array([
-                measures_mod.wasserstein_exact(Ensemble(grid, states_a[i]),
-                                               Ensemble(grid, states_b[i]),
-                                               "rho_weighted", dp).value
-                for i in range(times.size)])
-        keep = (times > 0) & (coupled > cfg.fit_floor * max(coupled[0], 1e-300))
-        if np.count_nonzero(keep) < 3:
-            raise FitError(f"too few usable contraction points at cell {cell}")
-        fit = fit_series_exponential(times[keep], coupled[keep])
-        return {"shells": shells, "delta": delta, "times": times,
-                "coupled": coupled, "exact": exact, "fit": fit}
-
-    results = _pmap(run_cell, cells, cfg.threads)
+    integ.ladder(params[0], params[1:],
+                 low_mode_basis(top, cfg.forcing_shells, cfg.forcing_variance),
+                 [xi0, SpectralField(top, xi0.coeffs + gap.coeffs)], seed, np.arange(m),
+                 _whole_steps(cfg.horizon, d_min, "horizon"), observe)
 
     report = StudyReport("wasserstein-contraction", asdict(cfg), seed)
-    series_rows, cell_rows = [], []
-    rates = []
-    for res in results:
-        for i, t in enumerate(res["times"]):
-            row = {"shells": res["shells"], "delta": res["delta"], "t": float(t),
-                   "w_coupled": float(res["coupled"][i])}
-            if res["exact"] is not None:
-                row["w_exact"] = float(res["exact"][i])
+    series_rows, cell_rows, ordering = [], [], []
+    for shells, delta in cells:
+        times, coupled, exact = (np.array(x) for x in series[shells, delta])
+        keep = (times > 0) & (coupled > cfg.fit_floor * max(coupled[0], 1e-300))
+        if np.count_nonzero(keep) < 3:
+            raise FitError(f"too few usable contraction points at cell {(shells, delta)}")
+        for i, t in enumerate(times):
+            row = {"shells": shells, "delta": delta, "t": float(t),
+                   "w_coupled": float(coupled[i])}
+            if exact.size:
+                row["w_exact"] = float(exact[i])
             series_rows.append(row)
-        fit = res["fit"]
-        rates.append(-fit["slope"])
-        cell_rows.append({"shells": res["shells"], "delta": res["delta"],
+        if exact.size:
+            ordering.append(bool(np.all(exact <= coupled + 1e-12)))
+        fit = fit_series_exponential(times[keep], coupled[keep])
+        cell_rows.append({"shells": shells, "delta": delta,
                           "rate": -fit["slope"], "r_squared": fit["r_squared"]})
     report.tables["series"] = series_rows
     report.tables["cells"] = cell_rows
-    rates = np.array(rates)
+    rates = np.array([r["rate"] for r in cell_rows])
     report.scalars["rate_min"] = float(rates.min())
     report.scalars["rate_max"] = float(rates.max())
     report.scalars["rate_spread"] = float(rates.max() / max(rates.min(), 1e-300))
@@ -632,8 +633,6 @@ def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
                                         for r in cell_rows)
     report.checks["uniform_band_3x"] = bands["rate_spread"].contains(
         report.scalars["rate_spread"])
-    ordering = [bool(np.all(res["exact"] <= res["coupled"] + 1e-12))
-                for res in results if res["exact"] is not None]
     if ordering:
         report.checks["exact_below_coupled"] = all(ordering)
     return report
@@ -727,7 +726,7 @@ def weak_error_study(cfg: WeakErrorConfig, seed: int) -> StudyReport:
     integ.ladder(SchemeParams(cfg.nu, cfg.reference_delta, cfg.reference_shells),
                  [SchemeParams(cfg.nu, delta, shells) for shells, delta in cells],
                  low_mode_basis(ref_grid, cfg.forcing_shells, cfg.forcing_variance),
-                 cfg.ic.build(ref_grid, seed), seed, np.arange(cfg.ensemble),
+                 [cfg.ic.build(ref_grid, seed)], seed, np.arange(cfg.ensemble),
                  n_rec * stride, observe)
 
     p_small = cfg.strong_moment

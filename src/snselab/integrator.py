@@ -44,15 +44,14 @@ holds the per-step energies |c|^2 and the strided states.  `ladder` is
 the one place coarser discretizations of a path are stepped: every rung,
 at any cutoff up to the march's and any whole multiple of its delta,
 steps in an observer of the finest march on that march's summed noise,
-restricted to the rung's modes.  The temporal, spatial and weak studies
-each make one such march.
+restricted to the rung's modes.  The temporal, spatial, weak and
+contraction studies each make one such march.
 
 Every march from initial fields goes through `march`, which owns the
 layout of the synchronous coupling: k starts, each repeated for the M
 members of ``ids`` (`start_rows`), stack as k M rows, and row j M + i
 reads tape id i.  A single path is the march of one start on one id.
-No study calls `run_scheme` itself, and only the contraction study,
-whose cutoffs share a tape per delta, draws one with `batch_increments`.
+No study calls `run_scheme` or `batch_increments` itself.
 """
 
 from __future__ import annotations
@@ -513,29 +512,29 @@ def start_rows(grid: SpectralGrid, starts, m: int) -> np.ndarray:
 
 
 def march(p: SchemeParams, basis: ForcingBasis, starts, seed: int, ids, n_steps: int,
-          tape=None, **run_kw) -> EnsembleRun:
+          **run_kw) -> EnsembleRun:
     """March k = len(starts) fields, each for the M = len(ids) members of
     ``ids``, on the grid of ``p``: `run_scheme` on the `start_rows`, where
-    row j M + i reads tape id i of ``batch_increments(seed, ids, ...)``,
-    or of ``tape``, a provider of the same increments drawn beforehand.
+    row j M + i reads tape id i of ``batch_increments(seed, ids, ...)``.
     ``run_kw`` goes to `run_scheme`."""
     grid = p.grid()
-    if tape is None:
-        tape = batch_increments(seed, ids, basis.d, p.delta)
+    tape = batch_increments(seed, ids, basis.d, p.delta)
     k = len(starts)
     inc = tape if k == 1 else (lambda n0, n1: np.tile(tape(n0, n1), (1, k, 1)))
     return run_scheme(grid, start_rows(grid, starts, len(ids)), n_steps, p, basis, inc,
                       **run_kw)
 
 
-def ladder(p: SchemeParams, rungs, basis: ForcingBasis, start, seed: int, ids,
+def ladder(p: SchemeParams, rungs, basis: ForcingBasis, starts, seed: int, ids,
            n_steps: int, reducer: Callable[..., None]) -> EnsembleRun:
-    """March ``start`` at ``p`` and, on the same Brownian path, a copy of it
-    at each `SchemeParams` of ``rungs``: the one place rungs step.
+    """`march` the k ``starts`` at ``p`` and, on the same Brownian path, a
+    copy of them at each `SchemeParams` of ``rungs``: the one place rungs
+    step.  Every state, the march's and each rung's, holds the k M rows of
+    `start_rows`, and row j M + i reads tape id i.
 
     A rung's cutoff is at most ``p.shells`` and its delta a whole multiple,
     its stride, of ``p.delta`` (else a `StructuralError`).  It starts from
-    ``start`` embedded on its grid and steps once per stride in the
+    the ``starts`` embedded on its grid and steps once per stride in the
     march's observer, through `_advance_one`, on the sum of the noise its
     stride's base steps gave the march, restricted to its own modes
     (`spectral.packed_columns`, a slice on the march's grid); its noise
@@ -566,8 +565,8 @@ def ladder(p: SchemeParams, rungs, basis: ForcingBasis, start, seed: int, ids,
     grids = [q.grid() for q in rungs]
     systems = [step_system(gr, q) for gr, q in zip(grids, rungs)]
     cols = [spectral.packed_columns(gr, grid) for gr in grids]
-    c0 = spectral.pack(start_rows(grid, [start], len(ids)))
-    cs = [spectral.pack(start_rows(gr, [start], len(ids))) for gr in grids]
+    c0 = spectral.pack(start_rows(grid, starts, len(ids)))
+    cs = [spectral.pack(start_rows(gr, starts, len(ids))) for gr in grids]
     part = np.zeros(c0.shape)   # the noise of the base steps since the last g-th
     sums = [np.zeros(c.shape) for c in cs]
 
@@ -585,4 +584,4 @@ def ladder(p: SchemeParams, rungs, basis: ForcingBasis, start, seed: int, ids,
         reducer(step, c, cs)
 
     reducer(0, c0, cs)
-    return march(p, basis, [start], seed, ids, n_steps, keep_states=False, observer=follow)
+    return march(p, basis, starts, seed, ids, n_steps, keep_states=False, observer=follow)

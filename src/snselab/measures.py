@@ -294,7 +294,7 @@ def wasserstein_exact(a: Ensemble, b: Ensemble, cost: str, dp: DistanceParams,
 
 
 def wasserstein_coupled_bound(a_members, b_members, cost: str, dp: DistanceParams,
-                              grid: SpectralGrid, weights=None) -> float:
+                              grid: SpectralGrid) -> float:
     """Mean cost over matched sample pairs: an upper bound for the exact
     value on the induced marginals (any coupling dominates the infimum)."""
     a = np.asarray(a_members)
@@ -302,10 +302,7 @@ def wasserstein_coupled_bound(a_members, b_members, cost: str, dp: DistanceParam
     if a.shape != b.shape:
         raise StructuralError("pair arrays must have matching shapes")
     vals = _price(np.sqrt(norm_l2_sq(a - b)), norm_l2_sq(a), norm_l2_sq(b), cost, dp)
-    if weights is None:
-        return float(np.mean(vals))
-    w = np.asarray(weights)
-    return float(np.sum(w * vals) / np.sum(w))
+    return float(np.mean(vals))
 
 
 # -- generalized triangle certification ------------------------------------------

@@ -252,8 +252,9 @@ def test_criterion_13_stationary_bias_legs():
 # 14 --------------------------------------------------------------------------
 
 def test_criterion_14_reproducibility(tmp_path_factory):
-    # `couple` marches in one thread whatever --threads says; the contraction
-    # grid's four (shells, delta) cells are spread over threads by `_pmap`
+    # `couple` and `contraction` march in one thread whatever --threads says
+    # (the contraction grid's four (shells, delta) cells are one ladder); the
+    # Lyapunov study's two seeds are spread over threads by `_pmap`
     base = tmp_path_factory.mktemp("repro")
     configs = {"couple": """
 [discretization]
@@ -275,8 +276,16 @@ beta = auto
 shells_list = 3, 4
 deltas = 0.02, 0.01
 horizon = 1.0
-record_time = 0.25
+record_time = 0.2
 ensemble = 8
+""", "lyapunov": """
+[discretization]
+shells = 6
+
+[experiment]
+horizon = 1.0
+ensemble = 4
+n_seeds = 2
 """}
     same_threads, counts = True, {}
     for study, text in configs.items():
@@ -302,8 +311,8 @@ ensemble = 8
     replay_ok = code == 0
     _criterion(14, same_threads and replay_ok,
                f"replay reproduces all artifacts byte-identically; thread "
-               f"counts 1/4/8 agree on {counts['couple']} couple and "
-               f"{counts['contraction']} contraction files")
+               f"counts 1/4/8 agree on {counts['couple']} couple, "
+               f"{counts['contraction']} contraction and {counts['lyapunov']} lyapunov files")
 
 
 def test_zz_summary():

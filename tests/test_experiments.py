@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from snselab import integrator, spectral
+from snselab import integrator, measures, spectral
 from snselab.errors import ConfigError, FitError
 from snselab.experiments import (ContractionConfig, CouplingStudyConfig,
                                  HolderConfig, InitialCondition, LyapunovConfig,
@@ -407,37 +407,80 @@ def test_contraction_identical_initial_data_zero_series():
 
 
 def test_contraction_pair_marches_as_one_batch(monkeypatch):
-    # each half of the one-batch march agrees with a march of that half alone
-    # on the same tape, to the solve tolerance; the report replays bit for bit
+    # the grid is one ladder: its march is the finest cell, with the pair
+    # (xi0, xi0 + gap) built on the top grid as its two starts, and every
+    # other cell is a rung.  The march, and every rung at its delta on a
+    # coarser cutoff, is a lone 2-start march from the projected starts bit
+    # for bit; a coarser delta agrees with a lone march on its own summed
+    # tape to the solve tolerance.  Each cell's coupled bound is read from
+    # that cell's states, and the report replays bit for bit
     cfg = ContractionConfig(shells_list=(3, 4), deltas=(0.02, 0.01), horizon=1.0,
-                            record_time=0.25, ensemble=4, forcing_shells=2)
-    calls, run_scheme = [], integrator.run_scheme
+                            record_time=0.2, ensemble=4, forcing_shells=2)
+    seed, m = 3, cfg.ensemble
+    ids = np.arange(m)
+    calls, ladder = [], integrator.ladder
 
-    def recording(grid, c0, n_steps, p, basis, increments, **kw):
-        run = run_scheme(grid, c0, n_steps, p, basis, increments, **kw)
-        calls.append((grid, c0, n_steps, p, basis, kw, run))
-        return run
+    def recording(p, rungs, basis, starts, seed, ids, n_steps, reducer):
+        seen = {}
 
-    monkeypatch.setattr(integrator, "run_scheme", recording)
-    first = contraction_study(cfg, seed=3)
+        def spy(step, c, cs):
+            seen[step] = [spectral.unpack(x) for x in (c, *cs)]
+            reducer(step, c, cs)
+
+        calls.append((p, rungs, starts, n_steps, seen))
+        return ladder(p, rungs, basis, starts, seed, ids, n_steps, spy)
+
+    monkeypatch.setattr(integrator, "ladder", recording)
+    first = contraction_study(cfg, seed)
     monkeypatch.undo()
-    assert len(calls) == 4
-    m = cfg.ensemble
-    for grid, c0, n_steps, p, basis, kw, run in calls:
-        assert c0.shape[0] == 2 * m
-        for half in (slice(0, m), slice(m, 2 * m)):
-            tape = integrator.batch_increments(3, np.arange(m), basis.d, p.delta)
-            solo = run_scheme(grid, c0[half], n_steps, p, basis, tape, **kw)
-            # each run solves step j within tol * scale_j, scale_j >= |xi^j|: the
-            # two stay within the solve errors of both summed over the steps
-            norms = np.sqrt(solo.energy_sq)
-            summed = np.concatenate([np.zeros_like(norms[:1]), np.cumsum(norms[1:], axis=0)])
-            bound = 2.0 * p.tol * summed[solo.step_indices]
-            diff = spectral.norm_l2(run.states[:, half] - solo.states)
-            assert np.all(diff <= bound)
-    second = contraction_study(cfg, seed=3)
+    (p, rungs, starts, n_steps, seen), = calls
+    assert (p.shells, p.delta) == (4, 0.01)
+    assert sorted((q.shells, q.delta) for q in [p, *rungs]) == sorted(
+        (shells, delta) for shells in cfg.shells_list for delta in cfg.deltas)
+    assert [s.grid.shells for s in starts] == [4, 4]
+    dp = DistanceParams(cfg.eps, cfg.s, first.scalars["alpha"])
+    for j, q in enumerate([p, *rungs]):
+        stride, grid = round(q.delta / p.delta), q.grid()
+        basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
+        n = n_steps // stride
+        got = np.array([seen[stride * i][j] for i in range(n + 1)])
+        if stride == 1:
+            assert np.array_equal(got, integrator.march(q, basis, starts, seed, ids, n).states)
+        else:
+            tape = summed_increments(seed, ids, stride, basis.d, q.delta)
+            lone = integrator.run_scheme(grid, integrator.start_rows(grid, starts, m), n, q,
+                                         basis, lambda n0, n1: np.tile(tape(n0, n1), (1, 2, 1)))
+            norms = np.sqrt(lone.energy_sq)
+            summed = np.concatenate([np.zeros_like(norms[:1]),
+                                     np.cumsum(norms[1:], axis=0)])
+            diff = spectral.norm_l2(got - lone.states)
+            assert np.all(diff <= 2.0 * q.tol * summed) and np.any(diff > 0)
+        rows = [r for r in first.tables["series"]
+                if (r["shells"], r["delta"]) == (q.shells, q.delta)]
+        record = round(cfg.record_time / q.delta)
+        assert [r["w_coupled"] for r in rows] == [
+            measures.wasserstein_coupled_bound(x[:m], x[m:], "rho_weighted", dp, grid)
+            for x in got[::record]]
+    second = contraction_study(cfg, seed)
     assert repr((first.tables, first.scalars, first.checks)) == repr(
         (second.tables, second.scalars, second.checks))
+
+
+@pytest.mark.parametrize("deltas, record_time, field", [
+    ((0.03, 0.02), 0.06, "deltas"), ((0.02, 0.01), 0.25, "record_time"),
+    ((0.02, 0.01), 0.015, "record_time")])
+def test_contraction_grid_off_the_finest_step_is_refused(monkeypatch, deltas, record_time,
+                                                         field):
+    # every delta steps as a whole stride of the smallest on one ladder, and
+    # every record time falls on a step of every delta; both are refused
+    # before any step, where the ladder's StructuralError or a rounded
+    # record stride came before
+    monkeypatch.setattr(integrator, "_advance_one", None)
+    cfg = ContractionConfig(shells_list=(3, 4), deltas=deltas, horizon=1.2,
+                            record_time=record_time, ensemble=4)
+    with pytest.raises(ConfigError) as err:
+        contraction_study(cfg, seed=1)
+    assert err.value.field == field
 
 
 def test_weak_delta_leg_steps_its_rungs_on_one_march(monkeypatch):
@@ -453,30 +496,32 @@ def test_weak_delta_leg_steps_its_rungs_on_one_march(monkeypatch):
     seed, ids = 5, np.arange(cfg.ensemble)
     calls, ladder = [], integrator.ladder
 
-    def recording(p, rungs, basis, start, seed, ids, n_steps, reducer):
+    def recording(p, rungs, basis, starts, seed, ids, n_steps, reducer):
         seen = {}
 
         def spy(step, c, cs):
             seen[step] = [c.copy()] + [x.copy() for x in cs]
             reducer(step, c, cs)
 
-        calls.append((p, rungs, start, seen))
-        return ladder(p, rungs, basis, start, seed, ids, n_steps, spy)
+        calls.append((p, rungs, starts, seen))
+        return ladder(p, rungs, basis, starts, seed, ids, n_steps, spy)
 
     monkeypatch.setattr(integrator, "ladder", recording)
     report = weak_error_study(cfg, seed)
     monkeypatch.undo()
-    (p, rungs, start, seen), = calls
+    (p, rungs, starts, seen), = calls
     assert (p.shells, p.delta) == (cfg.reference_shells, cfg.reference_delta)
     assert [(q.shells, q.delta) for q in rungs] == [
         (shells, delta) for shells in cfg.shells_list for delta in cfg.deltas]
     obs = cfg.observables[0]
 
     def lone(q):
-        basis = low_mode_basis(q.grid(), cfg.forcing_shells, cfg.forcing_variance)
+        grid = q.grid()
+        basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
         tape = summed_increments(seed, ids, round(q.delta / p.delta), basis.d, q.delta)
-        return integrator.march(q, basis, [start], seed, ids, round(cfg.horizon / q.delta),
-                                tape=tape, record_stride=round(cfg.record_time / q.delta))
+        return integrator.run_scheme(grid, integrator.start_rows(grid, starts, cfg.ensemble),
+                                     round(cfg.horizon / q.delta), q, basis, tape,
+                                     record_stride=round(cfg.record_time / q.delta))
 
     def means(run):
         return np.array([np.mean(obs.evaluate(run.grid, s)) for s in run.states])

@@ -570,7 +570,7 @@ def _ladder_states(p, rungs, start, seed, ids, n_steps):
     def keep(step, c, cs):
         seen[step] = [spectral.unpack(x) for x in (c, *cs)]
 
-    integrator.ladder(p, rungs, BASIS, start, seed, ids, n_steps, keep)
+    integrator.ladder(p, rungs, BASIS, [start], seed, ids, n_steps, keep)
     return seen
 
 
@@ -599,14 +599,43 @@ def test_ladder_coarser_delta_on_a_coarser_grid_matches_a_summed_tape():
     ids = np.arange(3)
     start = random_field(G, seed=24)
     seen = _ladder_states(p, [q], start, 8, ids, 400)
-    basis = low_mode_basis(q.grid(), 4, 0.5)
-    lone = integrator.march(q, basis, [start], 8, ids, 100,
-                            tape=summed_increments(8, ids, 4, basis.d, q.delta))
+    grid = q.grid()
+    basis = low_mode_basis(grid, 4, 0.5)
+    lone = run_scheme(grid, integrator.start_rows(grid, [start], ids.size), 100, q, basis,
+                      summed_increments(8, ids, 4, basis.d, q.delta))
     got = np.array([seen[4 * n][1] for n in range(101)])
     norms = np.sqrt(lone.energy_sq)
     summed = np.concatenate([np.zeros_like(norms[:1]), np.cumsum(norms[1:], axis=0)])
     diff = spectral.norm_l2(got - lone.states)
     assert np.all(diff <= 2.0 * q.tol * summed) and np.any(diff > 0)
+
+
+def test_ladder_stacks_starts_over_one_tape():
+    # k = 2 starts on another grid, as in `march`: the march and a rung on a
+    # coarser grid each hold start j, embedded and repeated for the M members,
+    # in rows j M .. (j + 1) M - 1, and row j M + i reads tape id i, exactly as
+    # a hand-built run_scheme on the stacked rows does
+    p = SchemeParams(1.0, 0.02, 16)
+    q = SchemeParams(1.0, 0.02, 8)
+    starts = [random_field(make_grid(20), seed=26), random_field(G, seed=27)]
+    ids = np.array([6, 1, 4])
+    seen = {}
+
+    def keep(step, c, cs):
+        seen[step] = [spectral.unpack(x) for x in (c, *cs)]
+
+    run = integrator.ladder(p, [q], BASIS, starts, 8, ids, 300, keep)
+    for j, r in enumerate((p, q)):
+        grid = r.grid()
+        basis = low_mode_basis(grid, 4, 0.5)
+        tape = batch_increments(8, ids, basis.d, r.delta)
+        want = run_scheme(grid, integrator.start_rows(grid, starts, ids.size), 300, r, basis,
+                          lambda n0, n1: np.concatenate([tape(n0, n1)] * 2, axis=1))
+        assert want.states.shape == (301, 2 * ids.size, grid.n_half)
+        assert np.array_equal(np.array([seen[n][j] for n in range(301)]), want.states)
+        if j == 0:
+            for name in ("energy_sq", "iterations"):
+                assert np.array_equal(getattr(run, name), getattr(want, name))
 
 
 @pytest.mark.parametrize("shells, delta", [(20, 0.02), (8, 0.01), (8, 0.03), (8, 0.05)])
@@ -616,7 +645,7 @@ def test_ladder_refuses_a_rung_finer_than_the_march(monkeypatch, shells, delta):
     monkeypatch.setattr(integrator, "_advance_one", None)
     with pytest.raises(StructuralError):
         integrator.ladder(SchemeParams(1.0, 0.02, 16), [SchemeParams(1.0, delta, shells)],
-                          BASIS, random_field(G, seed=25), 8, [0], 10, lambda *a: None)
+                          BASIS, [random_field(G, seed=25)], 8, [0], 10, lambda *a: None)
 
 
 @pytest.mark.parametrize("m", [1, 3, 128])

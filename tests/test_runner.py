@@ -383,6 +383,9 @@ OUT_OF_RANGE = {
     ("weak", "[experiment]\nshells_list = 3, 4\nreference_shells = 6\n[forcing]\nshells = 2\n"
              "[observable]\nkind = low-mode-coefficient\nmode_kx = 5\n"): "observables",
     ("contraction", "[experiment]\ngap_mode = 9, 0\n"): "gap_mode",
+    # a delta off the smallest one's steps, a record time off a delta's steps
+    ("contraction", "[experiment]\ndeltas = 0.03, 0.02\nhorizon = 1.2\n"): "deltas",
+    ("contraction", "[experiment]\nrecord_time = 0.25\n"): "record_time",
     ("couple", "[experiment]\ngap_mode = 9, 0\n"): "gap_mode",
 }
 
@@ -475,20 +478,34 @@ def test_replay_reproduces_bytes(tmp_path):
 
 
 def _fast_contraction_config(tmp_path):
-    # four (shells, delta) cells, so `_pmap` runs them on more than one thread
+    # four (shells, delta) cells on one ladder, in one thread
     return _write_config(tmp_path, """
 [experiment]
 shells_list = 3, 4
 deltas = 0.02, 0.01
 horizon = 1.0
-record_time = 0.25
+record_time = 0.2
 ensemble = 8
 """)
 
 
+def _fast_lyapunov_config(tmp_path):
+    # two seeds, so `_pmap` runs them on more than one thread
+    return _write_config(tmp_path, """
+[discretization]
+shells = 6
+
+[experiment]
+horizon = 1.0
+ensemble = 4
+n_seeds = 2
+""")
+
+
 @pytest.mark.parametrize("subcommand, make_config", [
-    ("couple", _fast_couple_config), ("contraction", _fast_contraction_config)],
-    ids=["couple", "contraction"])
+    ("couple", _fast_couple_config), ("contraction", _fast_contraction_config),
+    ("lyapunov", _fast_lyapunov_config)],
+    ids=["couple", "contraction", "lyapunov"])
 def test_thread_count_changes_nothing(tmp_path, subcommand, make_config):
     cfgp = make_config(tmp_path)
     outs = []
