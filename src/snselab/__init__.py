@@ -14,8 +14,8 @@ from .integrator import (EnsembleRun, SchemeParams, batch_increments, ladder, ma
                          run_scheme)
 from .coupling import (CoupledPair, NudgeParams, coupled_ensembles, girsanov_cost,
                        pathwise_contraction_check, propose_beta)
-from .measures import (DistanceParams, Ensemble, certify_triangle, rho,
-                       rho_weighted, wasserstein_coupled_bound, wasserstein_exact)
+from .measures import (DistanceParams, certify_triangle, wasserstein_coupled_bound,
+                       wasserstein_exact)
 from .experiments import (InitialCondition, ObservableSpec, RateFit, StudyReport,
                           fit_rate)
 

@@ -25,7 +25,7 @@ from . import rng, spectral
 from .errors import ConfigError, FitError
 from .forcing import low_mode_basis
 from .integrator import SchemeParams
-from .measures import DistanceParams, Ensemble, default_alpha
+from .measures import DistanceParams, default_alpha
 from .spectral import SpectralField, SpectralGrid, make_grid
 
 REFERENCE_TRAJECTORY = 1 << 32   # tape id reserved for proxy/reference paths
@@ -579,23 +579,20 @@ def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
     # the march's cell, then the rungs' in grid order
     order = sorted(cells, key=lambda cell: cell != (top.shells, d_min))
     params = [SchemeParams(cfg.nu, delta, shells) for shells, delta in order]
-    grids = [q.grid() for q in params]
     record = _whole_steps(cfg.record_time, d_min, "record_time")
     series = {cell: ([], [], []) for cell in cells}   # times, coupled, exact
 
     def observe(step, c, cs):
         if step % record:
             return
-        for (shells, delta), grid, state in zip(order, grids, [c, *cs]):
+        for (shells, delta), state in zip(order, [c, *cs]):
             times, coupled, exact = series[shells, delta]
-            states = spectral.unpack(state)
             times.append(step // round(delta / d_min) * delta)
             coupled.append(measures_mod.wasserstein_coupled_bound(
-                states[:m], states[m:], "rho_weighted", dp, grid))
+                state[:m], state[m:], "rho_weighted", dp))
             if m <= cfg.exact_limit:
                 exact.append(measures_mod.wasserstein_exact(
-                    Ensemble(grid, states[:m]), Ensemble(grid, states[m:]),
-                    "rho_weighted", dp).value)
+                    state[:m], state[m:], "rho_weighted", dp))
 
     integ.ladder(params[0], params[1:],
                  low_mode_basis(top, cfg.forcing_shells, cfg.forcing_variance),
@@ -659,17 +656,15 @@ class WeakErrorConfig:
     forcing_shells: int = 4
     forcing_variance: float = 0.5
     observables: tuple = (ObservableSpec("clipped-norm"),)
-    eps: float = 0.1
     s: float = 0.5
-    alpha: float | None = None
     holder_exponent: float = 0.49
     strong_moment: float = 0.5
     ic: InitialCondition = InitialCondition(kind="random", amplitude=1.0)
-    report_lipschitz: bool = False
 
     def __post_init__(self):
         _whole_steps(self.horizon, self.record_time, "horizon")
         _require(self.ensemble >= 1, "need >= 1 member", "ensemble")
+        _require(0.0 < self.s <= 1.0, "s must lie in (0, 1]", "s")
 
 
 def weak_error_study(cfg: WeakErrorConfig, seed: int) -> StudyReport:
@@ -684,16 +679,6 @@ def weak_error_study(cfg: WeakErrorConfig, seed: int) -> StudyReport:
     controlling function g(N, delta) = max(delta^s, delta^(p/2))^(beta/2)
     + N^(-s/4) of the weak convergence bound.
     """
-    alpha = cfg.alpha if cfg.alpha is not None else default_alpha(
-        cfg.nu, cfg.forcing_variance)
-    dp = DistanceParams(cfg.eps, cfg.s, alpha)
-    if cfg.report_lipschitz:
-        for obs in cfg.observables:
-            if obs.lipschitz_constant(dp) is None:
-                raise ConfigError(
-                    f"observable {obs.kind!r} has no certified constant under the "
-                    "weighted distance; clip it or drop lipschitz reporting",
-                    field="observables")
     _require(_monotone(cfg.shells_list), "ladder must be strictly monotone", "shells_list")
     _require(_monotone(cfg.deltas), "ladder must be strictly monotone", "deltas")
     _require(cfg.reference_shells >= max(cfg.shells_list),
@@ -1066,19 +1051,14 @@ def certify_metric_study(cfg: CertifyMetricConfig, seed: int) -> StudyReport:
                              tag=rng.Tag.SAMPLES)[0]
     # normalized so |field| ~ O(1), matching the energy scale of the dynamics
     norm = 2.0 * np.pi * np.sqrt(2.0 * grid.n_half)
-    fields = (z[:, :grid.n_half] + 1j * z[:, grid.n_half:]) / norm
-    triples = fields.reshape(n, 3, grid.n_half)
+    u, v, w = (z / norm).reshape(n, 3, -1).transpose(1, 0, 2)
 
-    d_uv = np.sqrt(spectral.norm_l2_sq(triples[:, 0] - triples[:, 1]))
-    d_uw = np.sqrt(spectral.norm_l2_sq(triples[:, 0] - triples[:, 2]))
-    d_wv = np.sqrt(spectral.norm_l2_sq(triples[:, 2] - triples[:, 1]))
-    r_uv = measures_mod.rho_from_dist(d_uv, dp)
-    r_uw = measures_mod.rho_from_dist(d_uw, dp)
-    r_wv = measures_mod.rho_from_dist(d_wv, dp)
+    r_uv, r_uw, r_wv = (
+        measures_mod.rho_from_dist(np.sqrt(spectral.packed_norm_sq(x - y)), dp)
+        for x, y in ((u, v), (u, w), (w, v)))
     metric_violations = int(np.sum(r_uv > r_uw + r_wv + 1e-12))
 
-    cert = measures_mod.certify_triangle(
-        dp, 2.0, ((triples[i, 0], triples[i, 1], triples[i, 2]) for i in range(n)))
+    cert = measures_mod.certify_triangle(dp, 2.0, u, v, w)
 
     report = StudyReport("metric-certification", asdict(cfg), seed)
     report.scalars["k_tilde"] = cert.k_tilde

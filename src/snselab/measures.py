@@ -1,27 +1,27 @@
 """Distance-like functions on fields and exact transport between ensembles.
 
-The base distance is rho(x, y) = min(1, |x - y|^s / eps), an actual metric
-for s in (0, 1]; its Lyapunov-weighted companion
+A field is a packed coefficient row [Re c | Im c] (`spectral.pack`), the
+layout a march holds, and an ensemble is an (M, 2 n_half) array of such
+rows standing for the uniform empirical law of its members.  The base
+distance is rho(x, y) = min(1, |x - y|^s / eps), an actual metric for s in
+(0, 1]; its Lyapunov-weighted companion
 
     rho_a(x, y) = rho(x, y)^(1/2) exp(a |x|^2 + a |y|^2)
 
 drops the triangle inequality but keeps a generalized form with an
 explicit constant, certified empirically by `certify_triangle`.  Both lift
-to empirical laws through the coupling infimum; for finite ensembles the
-infimum is computed exactly, by optimal assignment when both sides are
-uniform with equal cardinality and by a transportation LP otherwise.  Any
-synchronized (shared-tape) pairing of samples is a particular coupling, so
-its mean cost is a certified upper bound for the exact value.
+to empirical laws through the coupling infimum; between two ensembles of
+one size it is an optimal assignment, computed exactly.  Any synchronized
+(shared-tape) pairing of samples is a particular coupling, so its mean
+cost is a certified upper bound for the exact value.
 
 All Wasserstein numbers here are distances between *empirical* laws;
 reports carry ensemble sizes so readers can judge the sampling error.
 
-The two exact solvers are module attributes, so that a caller (a tracer, a
-test) can rebind them: `linear_sum_assignment`, a negative-cycle-canceling
-assignment in numpy started from the synchronized pairing, and
-scipy.optimize's `linprog`, bound on first use (`__getattr__`) because
-importing scipy.optimize costs more than the rest of the package's start-up
-and only the transport LP of unequal weights needs it.
+The assignment solver, `linear_sum_assignment`, is a negative-cycle
+canceler in numpy started from the synchronized pairing.  It is a module
+attribute and is called through the module, so that a caller (a tracer, a
+test) can rebind it.
 """
 
 from __future__ import annotations
@@ -33,14 +33,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigError, StructuralError
-from .spectral import SpectralField, SpectralGrid, norm_l2_sq
+from .spectral import packed_norm_sq
 
-DEFAULT_SUPPORT_LIMIT = 512
+ASSIGNMENT_LIMIT = 512   # rows per side of an exact transport
 
 
 def __getattr__(name: str):
     """Import scipy.optimize when `linprog` is first looked up and bind it
-    here; a name already bound (a replacement) is kept."""
+    here; a name already bound (a replacement) is kept.
+
+    No function of the package calls it.  The binding exists only because
+    `bench/tracer.py`'s `EXTERNAL_BOUNDARIES` looks it up; ROADMAP item 1
+    removes both."""
     if name != "linprog":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from scipy import optimize
@@ -154,80 +158,6 @@ def rho_from_dist(dist, dp: DistanceParams):
     return np.minimum(1.0, np.asarray(dist) ** dp.s / dp.eps)
 
 
-def _coeffs(x) -> np.ndarray:
-    return x.coeffs if isinstance(x, SpectralField) else np.asarray(x)
-
-
-def rho(x, y, dp: DistanceParams) -> float:
-    """Clamped snowflake distance of two fields; a metric in [0, 1]."""
-    d = np.sqrt(norm_l2_sq(_coeffs(x) - _coeffs(y)))
-    return float(rho_from_dist(d, dp))
-
-
-def log_rho_weighted(x, y, dp: DistanceParams) -> float:
-    """log of the Lyapunov-weighted distance (safe for large fields)."""
-    cx, cy = _coeffs(x), _coeffs(y)
-    r = rho(x, y, dp)
-    if r == 0.0:
-        return -np.inf
-    return float(0.5 * np.log(r) + dp.alpha * (norm_l2_sq(cx) + norm_l2_sq(cy)))
-
-
-def rho_weighted(x, y, dp: DistanceParams) -> float:
-    """rho^(1/2) exp(alpha |x|^2 + alpha |y|^2), evaluated in log space."""
-    lw = log_rho_weighted(x, y, dp)
-    return 0.0 if lw == -np.inf else float(np.exp(lw))
-
-
-# -- ensembles -------------------------------------------------------------------
-
-@dataclass
-class Ensemble:
-    """Weighted finite collection of fields standing in for a law on L^2."""
-
-    grid: SpectralGrid
-    members: np.ndarray            # (M, n_half) complex coefficients
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.members = np.asarray(self.members, dtype=np.complex128)
-        if self.members.ndim != 2 or self.members.shape[1] != self.grid.n_half:
-            raise StructuralError("members must have shape (M, n_half)")
-        m = self.members.shape[0]
-        if self.weights is None:
-            self.weights = np.full(m, 1.0 / m)
-            self.uniform = True
-        else:
-            self.weights = np.asarray(self.weights, dtype=np.float64)
-            if self.weights.shape != (m,) or np.any(self.weights < 0):
-                raise StructuralError("weights must be nonnegative, one per member")
-            if abs(self.weights.sum() - 1.0) > 1e-12:
-                raise StructuralError("weights must sum to 1 within 1e-12")
-            self.uniform = bool(np.allclose(self.weights, 1.0 / m, rtol=0, atol=1e-15))
-        # |x|^2 cached once; weighted costs then price pairs in O(1)
-        self.norm_sq = norm_l2_sq(self.members)
-
-    @property
-    def size(self) -> int:
-        return self.members.shape[0]
-
-
-def _pair_dists(a: Ensemble, b: Ensemble) -> np.ndarray:
-    """|a_i - b_j| matrix from direct differences, blocked over rows.
-
-    Differencing before taking norms keeps coincident members at exactly
-    zero separation (a Gram-matrix evaluation would cancel catastrophically
-    on the diagonal).
-    """
-    n = a.members.shape[1]
-    out = np.empty((a.size, b.size))
-    block = max(1, (1 << 22) // max(1, b.size * n))
-    for i0 in range(0, a.size, block):
-        diff = a.members[i0:i0 + block, None, :] - b.members[None, :, :]
-        out[i0:i0 + block] = np.sqrt(norm_l2_sq(diff))
-    return out
-
-
 def _price(dist, norm_sq_a, norm_sq_b, cost: str, dp: DistanceParams) -> np.ndarray:
     """``cost`` of pairs at separation ``dist`` with squared norms
     ``norm_sq_a`` and ``norm_sq_b`` (any shapes that broadcast together)."""
@@ -240,68 +170,64 @@ def _price(dist, norm_sq_a, norm_sq_b, cost: str, dp: DistanceParams) -> np.ndar
     raise ConfigError(f"unknown cost {cost!r}", field="cost")
 
 
-def cost_matrix(a: Ensemble, b: Ensemble, cost: str, dp: DistanceParams) -> np.ndarray:
-    if a.grid != b.grid:
-        raise StructuralError("ensembles live on different grids")
-    return _price(_pair_dists(a, b), a.norm_sq[:, None], b.norm_sq[None, :], cost, dp)
+def _rows(*arrays) -> list[np.ndarray]:
+    """C-contiguous float64 copies (or the arrays themselves) of packed
+    rows of one shape, so that every norm sums its row in one order."""
+    if any(np.iscomplexobj(x) for x in arrays):
+        raise StructuralError("fields are packed real rows; see spectral.pack")
+    out = [np.ascontiguousarray(x, dtype=np.float64) for x in arrays]
+    if any(x.shape != out[0].shape for x in out):
+        raise StructuralError(
+            f"packed rows of different shapes: {', '.join(str(x.shape) for x in out)}")
+    return out
 
 
-@dataclass(frozen=True)
-class TransportResult:
-    value: float
-    coupling: np.ndarray
-    method: str
-    cost: str
+# -- transport between ensembles -------------------------------------------------
 
+def _pair_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a_i - b_j| matrix of packed rows from direct differences, blocked
+    over rows of ``a`` (about 32 MB of differences per block).
 
-def wasserstein_exact(a: Ensemble, b: Ensemble, cost: str, dp: DistanceParams,
-                      support_limit: int = DEFAULT_SUPPORT_LIMIT) -> TransportResult:
-    """Exact coupling infimum between two empirical laws.
-
-    Equal-size uniform ensembles reduce to an optimal assignment; general
-    weights solve the primal transportation LP.  Above ``support_limit``
-    points per side a CapacityError points the caller at the synchronized
-    coupled bound instead.
+    Differencing before taking norms keeps coincident members at exactly
+    zero separation (a Gram-matrix evaluation would cancel catastrophically
+    on the diagonal).
     """
-    if a.size > support_limit or b.size > support_limit:
+    m, n = a.shape
+    out = np.empty((m, m))
+    block = max(1, (1 << 22) // max(1, m * n))
+    for i0 in range(0, m, block):
+        out[i0:i0 + block] = np.sqrt(packed_norm_sq(a[i0:i0 + block, None] - b[None]))
+    return out
+
+
+def wasserstein_exact(a, b, cost: str, dp: DistanceParams) -> float:
+    """Exact coupling infimum between the uniform empirical laws of the
+    packed rows ``a`` and ``b``, two (M, 2 n_half) arrays: the mean cost of
+    an optimal assignment.  Above `ASSIGNMENT_LIMIT` rows a CapacityError,
+    raised before any cost is priced, points the caller at the
+    synchronized coupled bound instead.
+    """
+    a, b = _rows(a, b)
+    if a.ndim != 2:
+        raise StructuralError(f"exact transport needs (M, 2 n_half) rows, got {a.shape}")
+    if a.shape[0] > ASSIGNMENT_LIMIT:
         raise CapacityError(
-            f"support {a.size}x{b.size} exceeds limit {support_limit}; "
+            f"{a.shape[0]} rows exceed the assignment's limit of {ASSIGNMENT_LIMIT}; "
             "use wasserstein_coupled_bound for large ensembles")
-    cmat = cost_matrix(a, b, cost, dp)
-    # through the module, so that the LP loads on first use and a rebound
-    # solver is the one called
-    solvers = sys.modules[__name__]
-    if a.uniform and b.uniform and a.size == b.size:
-        rows, cols = solvers.linear_sum_assignment(cmat)
-        coupling = np.zeros_like(cmat)
-        coupling[rows, cols] = 1.0 / a.size
-        return TransportResult(float(cmat[rows, cols].mean()), coupling,
-                               "assignment", cost)
-    na, nb = a.size, b.size
-    a_eq = np.zeros((na + nb - 1, na * nb))
-    b_eq = np.empty(na + nb - 1)
-    for i in range(na):
-        a_eq[i, i * nb:(i + 1) * nb] = 1.0
-        b_eq[i] = a.weights[i]
-    for j in range(nb - 1):  # last column constraint is redundant
-        a_eq[na + j, j::nb] = 1.0
-        b_eq[na + j] = b.weights[j]
-    res = solvers.linprog(cmat.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                          method="highs")
-    if not res.success:
-        raise StructuralError(f"transport LP failed: {res.message}")
-    return TransportResult(float(res.fun), res.x.reshape(na, nb), "transport-lp", cost)
+    cmat = _price(_pair_dists(a, b), packed_norm_sq(a)[:, None],
+                  packed_norm_sq(b)[None, :], cost, dp)
+    # through the module, so that a rebound solver is the one called
+    rows, cols = sys.modules[__name__].linear_sum_assignment(cmat)
+    return float(cmat[rows, cols].mean())
 
 
-def wasserstein_coupled_bound(a_members, b_members, cost: str, dp: DistanceParams,
-                              grid: SpectralGrid) -> float:
-    """Mean cost over matched sample pairs: an upper bound for the exact
-    value on the induced marginals (any coupling dominates the infimum)."""
-    a = np.asarray(a_members)
-    b = np.asarray(b_members)
-    if a.shape != b.shape:
-        raise StructuralError("pair arrays must have matching shapes")
-    vals = _price(np.sqrt(norm_l2_sq(a - b)), norm_l2_sq(a), norm_l2_sq(b), cost, dp)
+def wasserstein_coupled_bound(a, b, cost: str, dp: DistanceParams) -> float:
+    """Mean cost over the matched pairs of packed rows ``a`` and ``b``:
+    an upper bound for the exact value on the induced marginals (any
+    coupling dominates the infimum)."""
+    a, b = _rows(a, b)
+    vals = _price(np.sqrt(packed_norm_sq(a - b)), packed_norm_sq(a), packed_norm_sq(b),
+                  cost, dp)
     return float(np.mean(vals))
 
 
@@ -330,26 +256,26 @@ def triangle_constant(dp: DistanceParams, gamma: float = 2.0) -> float:
     return float(max(1.0, np.exp(dp.alpha * big_c)))
 
 
-def certify_triangle(dp: DistanceParams, gamma: float, samples,
+def certify_triangle(dp: DistanceParams, gamma: float, u, v, w,
                      slack: float = 1e-12) -> TriangleCertificate:
-    """Test the weighted generalized triangle inequality on sample triples.
+    """Test the weighted generalized triangle inequality on the triples
+    (u_i, v_i, w_i) of three packed row arrays of one shape, all at once.
 
-    ``samples`` is an iterable of (u, v, w) fields or coefficient arrays.
     Comparisons run in log space; a triple violates when
     log rho_alpha(u, v) > log(K~ [..]) + slack.
     """
+    u, v, w = _rows(u, v, w)
     k_tilde = triangle_constant(dp, gamma)
-    dp_g = dp.with_alpha(gamma * dp.alpha)
-    violations = []
-    n = 0
-    for u, v, w in samples:
-        n += 1
-        lhs = log_rho_weighted(u, v, dp)
-        if lhs == -np.inf:
-            continue
-        r1 = log_rho_weighted(u, w, dp_g)
-        r2 = log_rho_weighted(w, v, dp_g)
-        rhs = np.log(k_tilde) + np.logaddexp(r1, r2)
-        if lhs > rhs + slack:
-            violations.append((n - 1, float(lhs), float(rhs)))
-    return TriangleCertificate(k_tilde, gamma, n, tuple(violations))
+    n_u, n_v, n_w = (packed_norm_sq(x) for x in (u, v, w))
+
+    def log_weighted(x, y, norm_sq, alpha):
+        r = rho_from_dist(np.sqrt(packed_norm_sq(x - y)), dp)
+        with np.errstate(divide="ignore"):          # log 0 = -inf: never violates
+            return 0.5 * np.log(r) + alpha * norm_sq
+
+    lhs = log_weighted(u, v, n_u + n_v, dp.alpha)
+    rhs = np.log(k_tilde) + np.logaddexp(log_weighted(u, w, n_u + n_w, gamma * dp.alpha),
+                                         log_weighted(w, v, n_w + n_v, gamma * dp.alpha))
+    bad = np.flatnonzero(lhs > rhs + slack)
+    return TriangleCertificate(k_tilde, gamma, int(lhs.size), tuple(
+        (int(i), float(lhs[i]), float(rhs[i])) for i in bad))

@@ -116,23 +116,17 @@ def effective_manifest(cfg: RunConfig, subcommand: str,
     out["meta"] = {"schema": SCHEMA, "version": __version__,
                    "subcommand": subcommand, "seed": str(seed)}
     for section, body in sorted(cfg.sections.items()):
-        out[section] = {key: ", ".join(_fmt(v) for v in val)
-                        if isinstance(val, tuple) else _fmt(val)
+        out[section] = {key: ", ".join(map(_csv_cell, val))
+                        if isinstance(val, tuple) else _csv_cell(val)
                         for key, val in sorted(body.items())}
     return out
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
 
 
 # -- artifact emission --------------------------------------------------------------
 
 def _csv_cell(v) -> str:
+    """A manifest value or a table cell as text: floats to 17 significant
+    digits, so that they read back bit for bit."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float) or isinstance(v, np.floating):

@@ -1,6 +1,6 @@
 """Field-level operations, diagnostics, observable constructors, the
-summed-tape reference and the reference Philox cipher that only the
-tests use.  The package marches
+summed-tape reference, the transport references and the reference Philox
+cipher that only the tests use.  The package marches
 packed coefficient arrays; these wrap its kernels for single
 `SpectralField`s, or check a result against its definition."""
 
@@ -10,12 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from snselab import spectral
+from snselab import measures, spectral
 from snselab.errors import RangeError, StructuralError
 from snselab.experiments import ObservableSpec
 from snselab.forcing import ForcingBasis
 from snselab.integrator import SchemeParams, batch_increments
-from snselab.measures import Ensemble
 from snselab.spectral import TWO_PI_SQ, SpectralField, SpectralGrid
 
 
@@ -293,14 +292,59 @@ def tv_bound(cost, a: float = 1.0) -> float:
     return float(2.0 ** ((1.0 - a) / (1.0 + a)) * np.mean(kl ** a) ** (1.0 / (1.0 + a)))
 
 
-# -- ensembles and observables ----------------------------------------------------
+# -- ensembles, distances and transport references ------------------------------
 
-def ensemble_from_fields(fields: list[SpectralField], weights=None) -> Ensemble:
-    """An `Ensemble` of fields that live on one grid."""
+def packed_rows(fields: list[SpectralField]) -> np.ndarray:
+    """Packed rows (M, 2 n_half) of fields that live on one grid: an
+    ensemble as `measures` reads it."""
     if not fields:
         raise StructuralError("empty ensemble")
-    return Ensemble(fields[0].grid, np.stack([f.coeffs for f in fields]), weights)
+    _same_grid(*fields)
+    return spectral.pack(np.stack([f.coeffs for f in fields]))
 
+
+def rho(f: SpectralField, g: SpectralField, dp: measures.DistanceParams) -> float:
+    """The clamped distance min(1, |f - g|^s / eps) of two fields."""
+    _same_grid(f, g)
+    return float(measures.rho_from_dist(spectral.norm_l2(f.coeffs - g.coeffs), dp))
+
+
+def complex_transport(a: np.ndarray, b: np.ndarray, cost: str,
+                      dp: measures.DistanceParams) -> tuple[float, float]:
+    """(exact, coupled bound) of the complex members ``a`` and ``b``
+    (M, n_half), with every separation and norm taken of complex
+    coefficients: the reference that `measures` on packed rows must match
+    bit for bit."""
+    na, nb = spectral.norm_l2_sq(a), spectral.norm_l2_sq(b)
+    dist = np.sqrt(spectral.norm_l2_sq(a[:, None, :] - b[None, :, :]))
+    cmat = measures._price(dist, na[:, None], nb[None, :], cost, dp)
+    rows, cols = measures.linear_sum_assignment(cmat)
+    pairs = measures._price(np.sqrt(spectral.norm_l2_sq(a - b)), na, nb, cost, dp)
+    return float(cmat[rows, cols].mean()), float(np.mean(pairs))
+
+
+def transport_lp(cost: np.ndarray, wa, wb) -> float:
+    """Least cost of moving the weights ``wa`` onto ``wb`` under the cost
+    matrix ``cost``, by the primal transportation LP (scipy's HiGHS): the
+    reference for weights and sizes that an assignment cannot take."""
+    from scipy.optimize import linprog
+
+    na, nb = cost.shape
+    a_eq = np.zeros((na + nb - 1, na * nb))
+    b_eq = np.empty(na + nb - 1)
+    for i in range(na):
+        a_eq[i, i * nb:(i + 1) * nb] = 1.0
+        b_eq[i] = wa[i]
+    for j in range(nb - 1):  # last column constraint is redundant
+        a_eq[na + j, j::nb] = 1.0
+        b_eq[na + j] = wb[j]
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if not res.success:
+        raise StructuralError(f"transport LP failed: {res.message}")
+    return float(res.fun)
+
+
+# -- observables --------------------------------------------------------------------
 
 def clipped_energy(radius: float = 3.0) -> ObservableSpec:
     return ObservableSpec("clipped-norm", radius=radius)

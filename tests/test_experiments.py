@@ -205,13 +205,6 @@ def test_lyapunov_alpha_admissibility_guard():
     assert err.value.field == "alpha"
 
 
-def test_weak_rejects_undeclared_lipschitz():
-    cfg = WeakErrorConfig(observables=(low_mode_re(),), report_lipschitz=True,
-                          alpha=0.0)
-    with pytest.raises(ConfigError):
-        weak_error_study(cfg, seed=0)
-
-
 def test_weak_deltas_need_only_be_multiples_of_the_reference_delta():
     # every cell steps on the reference march, so 0.03 need not be a multiple
     # of 0.04; a delta that is no multiple of reference_delta is refused
@@ -459,7 +452,8 @@ def test_contraction_pair_marches_as_one_batch(monkeypatch):
                 if (r["shells"], r["delta"]) == (q.shells, q.delta)]
         record = round(cfg.record_time / q.delta)
         assert [r["w_coupled"] for r in rows] == [
-            measures.wasserstein_coupled_bound(x[:m], x[m:], "rho_weighted", dp, grid)
+            measures.wasserstein_coupled_bound(
+                spectral.pack(x[:m]), spectral.pack(x[m:]), "rho_weighted", dp)
             for x in got[::record]]
     second = contraction_study(cfg, seed)
     assert repr((first.tables, first.scalars, first.checks)) == repr(

@@ -275,6 +275,9 @@ BAD_CONFIGS = [
     ("converge-space", "[discretization]\nsolver = krylov\n"),
     ("converge-space", "[experiment]\nreference_shells = many\n"),
     ("holder", "[distance]\neps = 0.1\n"),
+    # the weak study reads only s of [distance]
+    ("weak", "[distance]\neps = 0.1\n"),
+    ("weak", "[distance]\nalpha = 0.01\n"),
     ("holder", "[discretization]\ndelta = fast\n"),
     ("holder", "[experiment]\nensemble = 0\n"),
     ("weak", "[experiment]\nensemble = 0\n"),
@@ -347,8 +350,8 @@ def test_forcing_checked_for_every_subcommand(key, val):
 
 
 def test_import_loads_no_scipy():
-    # the import loads no scipy, an equal-size uniform exact transport (an
-    # assignment) still none, and scipy.optimize loads on the first transport LP
+    # neither the import nor an exact transport (an assignment) loads scipy;
+    # the tracer's lookup of measures.linprog still finds scipy's LP
     src = str(Path(snselab.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -356,16 +359,14 @@ def test_import_loads_no_scipy():
             "from snselab import measures, spectral\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
             "grid = spectral.SpectralGrid(3)\n"
-            "dp = measures.DistanceParams(1.0, 1.0)\n"
-            "a = measures.Ensemble(grid, np.zeros((2, grid.n_half)))\n"
-            "measures.wasserstein_exact(a, a, 'rho', dp)\n"
-            "print('scipy.optimize' in sys.modules)\n"
-            "b = measures.Ensemble(grid, np.zeros((3, grid.n_half)))\n"
-            "measures.wasserstein_exact(a, b, 'rho', dp)\n"
-            "print('scipy.optimize' in sys.modules)")
+            "a = np.zeros((2, 2 * grid.n_half))\n"
+            "measures.wasserstein_exact(a, a, 'rho', measures.DistanceParams(1.0, 1.0))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "from scipy.optimize import linprog\n"
+            "print(getattr(measures, 'linprog') is linprog)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["[]", "False", "True"]
+    assert out.stdout.split() == ["[]", "[]", "True"]
 
 
 # values out of range, with the field each names; a seed keys the 64-bit cipher
@@ -383,6 +384,8 @@ OUT_OF_RANGE = {
     ("weak", "[experiment]\nshells_list = 3, 4\nreference_shells = 6\n[forcing]\nshells = 2\n"
              "[observable]\nkind = low-mode-coefficient\nmode_kx = 5\n"): "observables",
     ("contraction", "[experiment]\ngap_mode = 9, 0\n"): "gap_mode",
+    ("weak", "[distance]\ns = 2\n"): "s",
+    ("weak", "[distance]\ns = 0\n"): "s",
     # a delta off the smallest one's steps, a record time off a delta's steps
     ("contraction", "[experiment]\ndeltas = 0.03, 0.02\nhorizon = 1.2\n"): "deltas",
     ("contraction", "[experiment]\nrecord_time = 0.25\n"): "record_time",
