@@ -16,7 +16,8 @@ it the total variation distance) between the two time-marginal laws.
 Both systems advance on one noise tape.  The plain batch is one
 `integrator.march`, and its observer steps the nudged copies after each
 plain step, because the control term references xi^n at the new time
-level; the copies record through their own `integrator.MarchRecord`.
+level.  Like the march, the copies keep only their energies and sweep
+counts; a caller sees both batches' states through the run's observer.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class CoupledPair:
 def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
                       np_: NudgeParams, basis: ForcingBasis, seed: int,
                       trajectory_ids, compute_shifts: bool = True,
-                      keep_states: bool = False) -> list[CoupledPair]:
+                      observer=None) -> list[CoupledPair]:
     """Batched coupled pairs, one per nudged start, on one tape per trajectory id.
 
     The plain ensemble of M = len(trajectory_ids) rows marches once in
@@ -106,7 +107,9 @@ def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
     and each row i is nudged toward plain row i mod M on the plain row's
     noise.  Each batch's ``iterations`` counts its own sweeps.  The
     observer records gaps and sums sum_j |psi_j|^2 per nudged row and
-    each copy's member mean of |psi_j|^2 per step.
+    each copy's member mean of |psi_j|^2 per step.  ``observer(step, c,
+    ct)``, if given, sees the packed plain rows ``c`` (M) and nudged rows
+    ``ct`` (k M) at step 0 and after every nudged step.
     """
     if len(xi_tilde0s) == 0:
         raise ConfigError("need at least one nudged start", field="xi_tilde0s")
@@ -120,13 +123,15 @@ def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
 
     m, k = len(trajectory_ids), len(xi_tilde0s)
     ct = spectral.pack(integ.start_rows(grid, xi_tilde0s, m))
+    c0 = spectral.pack(integ.start_rows(grid, [xi0], m))
     pinv_t = forcing_mod.pinv_matrix(b).T if compute_shifts else None
-    rec_t = integ.MarchRecord(grid, ct, n_steps, 1, keep_states)
+    energy_t = np.empty((n_steps + 1, k * m))
+    energy_t[0] = spectral.packed_norm_sq(ct)
     iters_t = np.zeros(n_steps, dtype=np.int64)
     gaps = np.empty((n_steps + 1, k * m))
     shift_sq = np.zeros(k * m) if compute_shifts else None
     shift_sq_mean = np.empty((n_steps, k)) if compute_shifts else None
-    gaps[0] = spectral.packed_norm_sq(ct - spectral.pack(integ.start_rows(grid, [xi0] * k, m)))
+    gaps[0] = spectral.packed_norm_sq(ct - np.tile(c0, (k, 1)))
 
     def follow(step, c, noise, nscale):
         # the control references xi^n at the new level, so the plain step comes first
@@ -136,7 +141,7 @@ def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
             grid, ct, np.tile(noise, (k, 1)), system_n, np.tile(nscale, k),
             rhs_extra=nudge * c_k,
             extra_scale=np.tile(np_.beta * p.delta * np.sqrt(spectral.packed_norm_sq(c)), k),
-            c_norm=np.sqrt(rec_t.energy[step - 1]))
+            c_norm=np.sqrt(energy_t[step - 1]))
         zeta = ct - c_k
         gaps[step] = spectral.packed_norm_sq(zeta)
         if compute_shifts:
@@ -152,17 +157,17 @@ def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
             psi_sq = np_.beta ** 2 * np.sum(eta ** 2, axis=1)   # psi = -beta eta
             shift_sq += psi_sq
             shift_sq_mean[step - 1] = np.mean(psi_sq.reshape(k, m), axis=1)
-        rec_t.push(step, ct)
+        energy_t[step] = spectral.packed_norm_sq(ct)
+        if observer is not None:
+            observer(step, c, ct)
 
-    primary = integ.march(p, basis, [xi0], seed, trajectory_ids, n_steps,
-                          keep_states=keep_states, observer=follow)
-    nudged = rec_t.run(p, iters_t)
+    if observer is not None:
+        observer(0, c0, ct)
+    primary = integ.march(p, basis, [xi0], seed, trajectory_ids, n_steps, follow)
     pairs = []
     for j in range(k):
         rows = slice(j * m, (j + 1) * m)
-        copy = EnsembleRun(grid, p, nudged.step_indices,
-                           nudged.states[:, rows] if keep_states else None,
-                           nudged.energy_sq[:, rows], nudged.iterations)
+        copy = EnsembleRun(grid, p, energy_t[:, rows], iters_t)
         kl = p.delta * shift_sq[rows] if compute_shifts else None
         pairs.append(CoupledPair(primary, copy, gaps[:, rows], kl,
                                  shift_sq_mean[:, j] if compute_shifts else None, np_))

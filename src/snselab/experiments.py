@@ -311,6 +311,7 @@ def temporal_order_study(cfg: TemporalOrderConfig, seed: int) -> StudyReport:
         _whole_steps(cfg.horizon, delta, "horizon")
     _require(cfg.refine >= 2, "reference refinement must be >= 2", "refine")
     _require(cfg.ensemble >= 1, "need >= 1 member", "ensemble")
+    _require(cfg.p_moment > 0, "moment must be positive", "p_moment")
 
     grid = make_grid(cfg.shells)
     basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
@@ -473,7 +474,13 @@ class HolderConfig:
 
 
 def holder_study(cfg: HolderConfig, seed: int) -> StudyReport:
-    """Fit of log E|xi(t) - xi(s)|^m against log|t - s| over a lag ladder."""
+    """Fit of log E|xi(t) - xi(s)|^m against log|t - s| over a lag ladder.
+
+    An observer of the march keeps the packed rows of the window, the
+    steps ``burn_steps`` .. ``burn_steps + window_steps``; every lag's
+    moment averages over all pairs of window steps that lag apart."""
+    _require(cfg.burn_steps >= 0, "burn-in must be >= 0 steps", "burn_steps")
+    _require(cfg.moment > 0, "moment must be positive", "moment")
     _require(cfg.lag_min_steps >= 1, "lags must span at least one step",
              "lag_min_steps")
     _require(cfg.n_lags >= 2, "need >= 2 lags", "n_lags")
@@ -488,14 +495,21 @@ def holder_study(cfg: HolderConfig, seed: int) -> StudyReport:
     grid = make_grid(cfg.shells)
     basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
     p = SchemeParams(cfg.nu, cfg.delta, cfg.shells)
-    run = integ.march(p, basis, [cfg.ic.build(grid, seed)], seed, np.arange(cfg.ensemble),
-                      cfg.burn_steps + cfg.window_steps)
-    states = run.states[cfg.burn_steps:]           # (W+1, M, n_half)
+    xi0 = cfg.ic.build(grid, seed)
+    window = np.empty((cfg.window_steps + 1, cfg.ensemble, 2 * grid.n_half))
+    if cfg.burn_steps == 0:
+        window[0] = spectral.pack(integ.start_rows(grid, [xi0], cfg.ensemble))
+
+    def keep(step, c, noise, noise_scale):
+        if step >= cfg.burn_steps:
+            window[step - cfg.burn_steps] = c
+
+    integ.march(p, basis, [xi0], seed, np.arange(cfg.ensemble),
+                cfg.burn_steps + cfg.window_steps, keep)
 
     rows = []
     for lag in lags:
-        diff = states[lag:] - states[:-lag]
-        moments = spectral.norm_l2_sq(diff) ** (cfg.moment / 2.0)
+        moments = spectral.packed_norm_sq(window[lag:] - window[:-lag]) ** (cfg.moment / 2.0)
         rows.append({"lag_steps": int(lag), "lag_time": float(lag * cfg.delta),
                      "moment": float(np.mean(moments)),
                      "origins": int(moments.shape[0]), "paths": cfg.ensemble})
@@ -539,6 +553,7 @@ class ContractionConfig:
     def __post_init__(self):
         for delta in self.deltas:
             _whole_steps(self.horizon, delta, "horizon")
+        _require(self.ensemble >= 1, "need >= 1 member", "ensemble")
 
 
 def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
@@ -775,6 +790,8 @@ def stationary_bias_study(cfg: StationaryBiasConfig, seed: int) -> StudyReport:
     _require(0.0 < cfg.burn_fraction < 1.0, "burn fraction must be in (0,1)",
              "burn_fraction")
     _require(cfg.replicas >= 2, "need >= 2 replicas for a standard error", "replicas")
+    _require(cfg.reference_steps >= 1, "the stationary proxy needs >= 1 step",
+             "reference_steps")
     n_max = max(cfg.n_ladder)
     grid = make_grid(cfg.shells)
     basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
@@ -790,8 +807,7 @@ def stationary_bias_study(cfg: StationaryBiasConfig, seed: int) -> StudyReport:
         def watch(step, c, noise, noise_scale):
             vals[step - 1] = obs.evaluate(grid, spectral.unpack(c))
 
-        integ.march(p, basis, [xi0], tape_seed, traj_ids, n_steps, keep_states=False,
-                    observer=watch)
+        integ.march(p, basis, [xi0], tape_seed, traj_ids, n_steps, watch)
         return vals
 
     # stationary proxy: single long run, second half averaged
@@ -993,6 +1009,7 @@ def lyapunov_study(cfg: LyapunovConfig, seed: int) -> StudyReport:
              f"alpha={alpha} violates the moment condition cap {cond_cap}", "alpha")
     _require(cfg.n_seeds >= 1, "need >= 1 seed", "n_seeds")
     _require(cfg.ensemble >= 1, "need >= 1 member", "ensemble")
+    _require(cfg.margin_factor > 0, "envelope margin must be positive", "margin_factor")
     p = SchemeParams(cfg.nu, cfg.delta, cfg.shells)
     n_steps = _whole_steps(cfg.horizon, cfg.delta, "horizon")
     lam1 = 1.0
@@ -1002,7 +1019,7 @@ def lyapunov_study(cfg: LyapunovConfig, seed: int) -> StudyReport:
     def run_seed(k: int) -> dict:
         sk = seed + k
         xi0 = cfg.ic.build(grid, sk)
-        run = integ.march(p, basis, [xi0], sk, traj, n_steps, keep_states=False)
+        run = integ.march(p, basis, [xi0], sk, traj, n_steps)
         e0 = float(spectral.norm_l2_sq(xi0.coeffs))
         n = np.arange(n_steps + 1)
         envelope = np.exp(alpha * (2.0 * e0 / (1.0 + cfg.nu * lam1 * cfg.delta) ** n

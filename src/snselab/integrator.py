@@ -25,12 +25,11 @@ Everything operates on batched states (M, 2 n_half) in the real packed
 layout [Re c | Im c] of `spectral` (see `spectral.pack`), so whole
 ensembles advance in single vectorized steps: the noise coefficients, the
 frozen velocity, every fixed-point sweep and the per-step norms stay real,
-and complex coefficients appear only where states leave the march (the
-recorded `EnsembleRun.states` and observers).  Each member reads its own
-index-addressed noise, so its path does not depend on which other members
-share the batch, up to the solve tolerance: the fixed-point stop is
-batch-wide, every row sweeps as often as the stiffest one, and
-``iterations`` records that batch maximum.
+and a state leaves the march only through its observer, still packed.
+Each member reads its own index-addressed noise, so its path does not
+depend on which other members share the batch, up to the solve
+tolerance: the fixed-point stop is batch-wide, every row sweeps as often
+as the stiffest one, and ``iterations`` records that batch maximum.
 
 One kernel, `_advance_one`, takes every step: the plain scheme by default,
 and the nudged scheme when the caller adds delta beta P_K to the diagonal
@@ -39,13 +38,14 @@ generator, `tape_steps`, walks an increment provider in `INCREMENT_CHUNK`
 pieces and turns each Brownian increment into its noise coefficients,
 and one march loop, `run_scheme`, iterates over it.  Its observer sees
 each step's packed state and noise, which is how the coupled run steps
-its nudged copies after the plain batch, and one `MarchRecord` per batch
-holds the per-step energies |c|^2 and the strided states.  `ladder` is
-the one place coarser discretizations of a path are stepped: every rung,
-at any cutoff up to the march's and any whole multiple of its delta,
-steps in an observer of the finest march on that march's summed noise,
-restricted to the rung's modes.  The temporal, spatial, weak and
-contraction studies each make one such march.
+its nudged copies after the plain batch and how every study takes its
+statistics of a path; the march itself keeps only the per-step energies
+|c|^2 and sweep counts of its `EnsembleRun`.  `ladder` is the one place
+coarser discretizations of a path are stepped: every rung, at any cutoff
+up to the march's and any whole multiple of its delta, steps in an
+observer of the finest march on that march's summed noise, restricted to
+the rung's modes.  The temporal, spatial, weak and contraction studies
+each make one such march.
 
 Every march from initial fields goes through `march`, which owns the
 layout of the synchronous coupling: k starts, each repeated for the M
@@ -77,7 +77,7 @@ SWEEP32_SCALES = (2.0 ** -50, 2.0 ** 50)  # row scales whose sweeps stay in floa
 RESCALE_BELOW = 2.0 ** -400  # row scale below which a solve runs in units of its rows' scales
 DRAW_BUDGET = 32 << 20  # bytes one philox draw of the tape may hold at once
 DRAW_BYTES = 16         # bytes per normal of a tape chunk: its words (normals in place), their copy out
-BLOCK_BYTES = 1 << 20   # bytes of packed rows formed or unpacked in one call
+BLOCK_BYTES = 1 << 20   # bytes of packed noise rows formed in one call
 
 
 @dataclass(frozen=True)
@@ -113,22 +113,17 @@ class SchemeParams:
 
 @dataclass
 class EnsembleRun:
-    """Batched trajectories sharing params; leading axis is the member.
+    """What a march of a batch keeps; the leading axis of each row is the
+    member.
 
-    ``energy_sq`` is |c|^2 of every row at every step; other norms come
-    from ``states`` or from an observer of the march.  A single path is a
-    run with M = 1."""
+    ``energy_sq`` is |c|^2 of every row at every step; every other view
+    of the states comes from an observer of the march.  A single path is
+    a run with M = 1."""
 
     grid: SpectralGrid
     params: SchemeParams
-    step_indices: np.ndarray
-    states: np.ndarray | None     # (n_rec, M, n_half) or None if not kept
     energy_sq: np.ndarray         # (n_steps+1, M)
     iterations: np.ndarray        # (n_steps,)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.step_indices * self.params.delta
 
 
 # -- implicit solve ------------------------------------------------------------
@@ -422,59 +417,22 @@ def tape_steps(n_steps: int, basis: ForcingBasis | None, increments):
                 yield pos + b0 + j + 1, noise[j], scale[j]
 
 
-class MarchRecord:
-    """What a march records of one batch: |c|^2 of every row at every
-    step, and the step numbers and (if ``keep_states``) states of every
-    ``stride``-th step.  The states stay packed until `run` unpacks them
-    in place.  Construction records step 0 from the packed start ``c``."""
-
-    def __init__(self, grid: SpectralGrid, c: np.ndarray, n_steps: int, stride: int,
-                 keep_states: bool):
-        if stride < 1:
-            raise ConfigError("record stride must be >= 1", field="record_stride")
-        n_rec, m = n_steps // stride + 1, c.shape[0]
-        self.grid, self.stride, self.slot = grid, stride, 0
-        self.states = np.empty((n_rec,) + c.shape) if keep_states else None
-        self.energy = np.empty((n_steps + 1, m))
-        self.rec_idx = np.empty(n_rec, dtype=np.int64)
-        self.push(0, c)
-
-    def push(self, step: int, c: np.ndarray) -> None:
-        self.energy[step] = spectral.packed_norm_sq(c)
-        if step % self.stride == 0:
-            self.rec_idx[self.slot] = step
-            if self.states is not None:
-                self.states[self.slot] = c
-            self.slot += 1
-
-    def run(self, p: SchemeParams, iterations: np.ndarray) -> EnsembleRun:
-        n, states = self.slot, None
-        if self.states is not None:
-            # a complex row takes the bytes of its packed row, so the record
-            # is unpacked over itself, `BLOCK_BYTES` of it at a time
-            states = self.states[:n].view(np.complex128)
-            block = max(1, BLOCK_BYTES // self.states[0].nbytes)
-            for i in range(0, n, block):
-                states[i:i + block] = spectral.unpack(self.states[i:i + block])
-        return EnsembleRun(self.grid, p, self.rec_idx[:n], states, self.energy, iterations)
-
-
 def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams,
-               basis: ForcingBasis | None, increments, record_stride: int = 1,
-               keep_states: bool = True,
+               basis: ForcingBasis | None, increments,
                observer: Callable[..., None] | None = None) -> EnsembleRun:
     """March a batch of states n_steps forward.
 
     ``c0`` holds complex coefficients, (n_half,) or (M, n_half); the march
-    itself runs on packed states and unpacks only what it hands out.
-    ``increments`` is a provider (n0, n1) -> Brownian increments
-    (steps, M, d), or None for the unforced scheme.  ``observer`` is
-    called as observer(step, c, noise, noise_scale) after every step
-    (step >= 1) with the packed state and the step's packed noise; a
-    `SolverError` it raises carries the step index like one of the march.
-    Underflow is ignored for the whole march: a norm of a state or an
-    increment with subnormal entries underflows harmlessly, and so does a
-    float32 sweep's entry far below its row's scale.
+    itself runs on packed states.  ``increments`` is a provider (n0, n1)
+    -> Brownian increments (steps, M, d), or None for the unforced scheme.
+    The march keeps only |c|^2 of every row at every step, which the next
+    step's solve reads, and the sweep counts; ``observer`` is the one view
+    of its states, called as observer(step, c, noise, noise_scale) after
+    every step (step >= 1) with the packed state and the step's packed
+    noise.  A `SolverError` it raises carries the step index like one of
+    the march.  Underflow is ignored for the whole march: a norm of a
+    state or an increment with subnormal entries underflows harmlessly,
+    and so does a float32 sweep's entry far below its row's scale.
     """
     if p.shells != grid.shells:
         raise StructuralError("params cutoff differs from grid")
@@ -483,7 +441,8 @@ def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams
         c = c[None, :]
     b = basis.project_to(grid) if basis is not None else None
     system = step_system(grid, p)
-    rec = MarchRecord(grid, c, n_steps, record_stride, keep_states)
+    energy = np.empty((n_steps + 1, c.shape[0]))
+    energy[0] = spectral.packed_norm_sq(c)
     iters = np.zeros(n_steps, dtype=np.int64)
 
     with np.errstate(under="ignore"):
@@ -491,16 +450,16 @@ def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams
             try:
                 # |c_prev| is the square root of the energy recorded last step
                 c, sweeps = _advance_one(grid, c, noise, system, noise_scale,
-                                         c_norm=np.sqrt(rec.energy[step - 1]))
+                                         c_norm=np.sqrt(energy[step - 1]))
                 if observer is not None:
                     observer(step, c, noise, noise_scale)
             except SolverError as err:
                 err.step_index = step
                 raise
             iters[step - 1] = sweeps
-            rec.push(step, c)
+            energy[step] = spectral.packed_norm_sq(c)
 
-    return rec.run(p, iters)
+    return EnsembleRun(grid, p, energy, iters)
 
 
 def start_rows(grid: SpectralGrid, starts, m: int) -> np.ndarray:
@@ -512,21 +471,21 @@ def start_rows(grid: SpectralGrid, starts, m: int) -> np.ndarray:
 
 
 def march(p: SchemeParams, basis: ForcingBasis, starts, seed: int, ids, n_steps: int,
-          **run_kw) -> EnsembleRun:
+          observer: Callable[..., None] | None = None) -> EnsembleRun:
     """March k = len(starts) fields, each for the M = len(ids) members of
     ``ids``, on the grid of ``p``: `run_scheme` on the `start_rows`, where
-    row j M + i reads tape id i of ``batch_increments(seed, ids, ...)``.
-    ``run_kw`` goes to `run_scheme`."""
+    row j M + i reads tape id i of ``batch_increments(seed, ids, ...)``,
+    with ``observer`` as its observer."""
     grid = p.grid()
     tape = batch_increments(seed, ids, basis.d, p.delta)
     k = len(starts)
     inc = tape if k == 1 else (lambda n0, n1: np.tile(tape(n0, n1), (1, k, 1)))
     return run_scheme(grid, start_rows(grid, starts, len(ids)), n_steps, p, basis, inc,
-                      **run_kw)
+                      observer)
 
 
 def ladder(p: SchemeParams, rungs, basis: ForcingBasis, starts, seed: int, ids,
-           n_steps: int, reducer: Callable[..., None]) -> EnsembleRun:
+           n_steps: int, reducer: Callable[..., None]) -> None:
     """`march` the k ``starts`` at ``p`` and, on the same Brownian path, a
     copy of them at each `SchemeParams` of ``rungs``: the one place rungs
     step.  Every state, the march's and each rung's, holds the k M rows of
@@ -554,7 +513,7 @@ def ladder(p: SchemeParams, rungs, basis: ForcingBasis, starts, seed: int, ids,
     g-th base step, once the rungs due at that step have stepped: rung k
     is at ``step`` when ``step`` is a multiple of its stride.  No path is
     kept beyond the current states; the reducer takes what the caller
-    needs.  Returns the march's `EnsembleRun`, without states.
+    needs.
     """
     grid = p.grid()
     strides = [round(q.delta / p.delta) for q in rungs]
@@ -584,4 +543,4 @@ def ladder(p: SchemeParams, rungs, basis: ForcingBasis, starts, seed: int, ids,
         reducer(step, c, cs)
 
     reducer(0, c0, cs)
-    return march(p, basis, starts, seed, ids, n_steps, keep_states=False, observer=follow)
+    march(p, basis, starts, seed, ids, n_steps, follow)

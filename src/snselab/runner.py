@@ -494,6 +494,8 @@ def run_simulate(cfg: RunConfig, seed: int, ck_root: Path) -> exp.StudyReport:
     sim = study_config(SimulateConfig, cfg)
     if sim.steps < 0:
         raise ConfigError("steps must be >= 0", field="experiment.steps")
+    if sim.record_stride < 1:
+        raise ConfigError("record stride must be >= 1", field="record_stride")
     p = integ.SchemeParams(sim.nu, sim.delta, sim.shells, sim.delta0, sim.tol)
     grid = p.grid()
     basis = build_forcing(cfg, grid)
@@ -513,9 +515,8 @@ def run_simulate(cfg: RunConfig, seed: int, ck_root: Path) -> exp.StudyReport:
             kept[step] = spectral.unpack(c[0])
 
     # steps = 0 marches too, so row 0 is always the march's packed |c|^2
-    run = integ.march(p, basis, [xi0], seed, [0], sim.steps,
-                      record_stride=sim.record_stride, keep_states=False, observer=observe)
-    idx = run.step_indices
+    run = integ.march(p, basis, [xi0], seed, [0], sim.steps, observe)
+    idx = np.arange(0, sim.steps + 1, sim.record_stride)
     rows = [{"step": n, "t": n * sim.delta, "energy_sq": e, "h1_sq": h, "iterations": it}
             for n, e, h, it in zip(idx.tolist(), run.energy_sq[idx, 0].tolist(),
                                    h1_sq[idx, 0].tolist(),

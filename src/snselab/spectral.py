@@ -44,7 +44,7 @@ samples back to rc with one real gemm.  The time-marching kernels keep
 their state in this layout from the noise tape to the recorded diagnostics
 (`velocity_values`, `advect_frozen`, `packed_norm_sq`); `pack` and `unpack`
 convert exactly, in both directions, where complex arrays enter or leave:
-`SpectralField`, the recorded states of a run, observers and checkpoints.
+`SpectralField`, the observers of a march that need them and checkpoints.
 
 All coefficient routines accept arrays with arbitrary leading batch axes,
 ``(..., n_half)`` complex or ``(..., 2 n_half)`` packed; `SpectralField`
@@ -307,7 +307,7 @@ def packed_norm_sq(rc: np.ndarray, weight: np.ndarray | None = None) -> np.ndarr
     same normalization for a packed weight (``grid.lam_packed`` gives
     |grad f|^2).  `norm_l2_sq`, `sobolev_norm_sq` and the per-step norms of
     a march all reduce to this one sum, so a recorded energy equals
-    `norm_l2_sq` of the recorded state bit for bit.  The sum is one
+    `norm_l2_sq` of the observed state bit for bit.  The sum is one
     ``np.vecdot`` ufunc call, a BLAS dot per row; OpenBLAS splits a dot
     over threads only above 10,000 entries, far above any packed row, so
     the sum does not depend on the thread count."""

@@ -1,16 +1,17 @@
 """Field-level operations, diagnostics, observable constructors, the
-summed-tape reference, the transport references and the reference Philox
-cipher that only the tests use.  The package marches
+summed-tape reference, the state recorder, the transport references and
+the reference Philox cipher that only the tests use.  The package marches
 packed coefficient arrays; these wrap its kernels for single
 `SpectralField`s, or check a result against its definition."""
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
 
-from snselab import measures, spectral
+from snselab import coupling, integrator, measures, spectral
 from snselab.errors import RangeError, StructuralError
 from snselab.experiments import ObservableSpec
 from snselab.forcing import ForcingBasis
@@ -209,6 +210,43 @@ def summed_increments(seed: int, trajectory_ids, r: int, d: int, delta: float):
         return np.add.reduce(cells.reshape(n1 - n0, r, *cells.shape[1:]), axis=1)
 
     return provider
+
+
+def record(march, *args, stride: int = 1, **kwargs):
+    """Call ``march`` (`integrator.run_scheme`, `integrator.march` or
+    `coupling.coupled_ensembles`) with an observer that keeps the complex
+    states at step 0 and at every ``stride``-th step, (n_rec, M, n_half).
+    An ``observer`` among ``kwargs`` sees every step as well.  Returns
+    (result, states), and for a coupled run (pairs, plain states, nudged
+    states), the nudged ones (n_rec, k M, n_half) with copy j in rows
+    j M .. (j+1) M - 1."""
+    kept = {}
+    inner = kwargs.pop("observer", None)
+
+    def keep(step, *rows):
+        if step % stride == 0:
+            kept[step] = [spectral.unpack(r) for r in rows]
+
+    if march is coupling.coupled_ensembles:
+        def observe(step, c, ct):
+            keep(step, c, ct)
+            if inner is not None:
+                inner(step, c, ct)
+    else:
+        given = inspect.signature(march).bind(*args, **kwargs).arguments
+        if march is integrator.march:
+            grid = given["p"].grid()
+            kept[0] = [integrator.start_rows(grid, given["starts"], len(given["ids"]))]
+        else:
+            kept[0] = [np.atleast_2d(np.asarray(given["c0"], dtype=np.complex128))]
+
+        def observe(step, c, noise, noise_scale):
+            keep(step, c)
+            if inner is not None:
+                inner(step, c, noise, noise_scale)
+
+    out = march(*args, observer=observe, **kwargs)
+    return (out, *(np.array(x) for x in zip(*(kept[n] for n in sorted(kept)))))
 
 
 def apply(basis: ForcingBasis, eta: np.ndarray) -> SpectralField:

@@ -21,7 +21,7 @@ from snselab.experiments import (BANDS, CertifyMetricConfig, ContractionConfig,
 from snselab.integrator import SchemeParams, run_scheme
 from snselab.spectral import harmonic_field, make_grid, random_field
 
-from helpers import advect, inner, sobolev_norm
+from helpers import advect, inner, record, sobolev_norm
 
 pytestmark = pytest.mark.acceptance
 
@@ -52,7 +52,7 @@ def test_criterion_01_deterministic_single_mode_step():
         for delta in (0.1, 0.01):
             p = SchemeParams(1.0, delta, 16)
             f = harmonic_field(g, *mode, kind="cos", amplitude=1.0)
-            out = run_scheme(g, f.coeffs, 1, p, None, None).states[-1, 0]
+            out = record(run_scheme, g, f.coeffs, 1, p, None, None)[1][-1, 0]
             want = f.coeffs / (1.0 + p.nu * delta * lam)
             rel = np.max(np.abs(out - want)) / np.max(np.abs(want))
             worst = max(worst, rel)
@@ -94,6 +94,7 @@ def test_criterion_03_temporal_strong_order():
     fit = report.fits["moment_p"]
     band = BANDS["temporal-order"]["moment_p"]
     ok = band.contains(fit.slope) and fit.r_squared >= band.r2
+    assert report.passed() == ok
     _criterion(3, ok,
                f"log E sup|err| (p=0.5 moment) slope {fit.slope:.3f} in "
                f"[{band.lo:.2f}, {band.hi:.2f}], r2 {fit.r_squared:.4f} >= {band.r2} "
@@ -107,6 +108,7 @@ def test_criterion_04_spatial_strong_order():
     fit = report.fits["order_sq_vs_modes"]
     band = BANDS["spatial-order"]["order_sq_vs_modes"]
     ok = band.contains(fit.slope) and fit.r_squared >= band.r2
+    assert report.passed() == ok
     _criterion(4, ok,
                f"log E sup|err|^2 vs log N slope {fit.slope:.3f} in "
                f"[{band.lo}, {band.hi}], r2 {fit.r_squared:.4f} >= {band.r2}")
@@ -118,6 +120,7 @@ def test_criterion_05_exponential_lyapunov():
     report = lyapunov_study(LyapunovConfig(n_seeds=20), SEED)
     frac = report.scalars["fraction_ok"]
     floor = BANDS["exponential-lyapunov"]["fraction_ok"].lo
+    assert report.passed() == (frac >= floor)
     _criterion(5, frac >= floor,
                f"exp-moment envelope held in {frac:.0%} of 20 seeds (>= {floor:.0%}), "
                f"alpha {report.scalars['alpha']:.3g}, worst mean/envelope ratio "
@@ -129,7 +132,7 @@ def test_criterion_05_exponential_lyapunov():
 def test_criterion_06_noise_free_energy_decay():
     p = SchemeParams(1.0, 0.05, 16, tol=1e-13)
     f = random_field(make_grid(16), seed=SEED, rms=2.0)
-    run = run_scheme(f.grid, f.coeffs, 1000, p, None, None, record_stride=1000)
+    run = run_scheme(f.grid, f.coeffs, 1000, p, None, None)
     n = np.arange(1001)
     bound = f.l2_norm() / (1.0 + p.nu * 1.0 * p.delta) ** n
     ratio = np.max(np.sqrt(run.energy_sq[:, 0]) / bound)
@@ -189,6 +192,7 @@ def test_criterion_09_wasserstein_contraction_uniformity(contraction_reports):
     bands = BANDS["wasserstein-contraction"]
     ok = (all(r > 0 for r in rates) and all(r >= bands["rate"].r2 for r in r2s)
           and bands["rate_spread"].contains(report.scalars["rate_spread"]))
+    assert report.passed() == ok
     _criterion(9, ok,
                f"coupled-bound W decays in all 9 (N, delta) cells: rates "
                f"[{min(rates):.3f}, {max(rates):.3f}], spread "
@@ -230,6 +234,7 @@ def test_criterion_12_holder_exponent():
     report = holder_study(HolderConfig(ensemble=128), SEED)
     exp_ = report.scalars["exponent"]
     band = BANDS["holder-regularity"]["exponent"]
+    assert report.passed() == band.contains(exp_)
     _criterion(12, band.contains(exp_),
                f"E|xi(t)-xi(s)|^2 ~ |t-s|^e over lags [2 delta, 200 delta]: "
                f"e = {exp_:.3f} in [{band.lo}, {band.hi}]")
@@ -242,6 +247,7 @@ def test_criterion_13_stationary_bias_legs():
     b, m = report.scalars["bias_exponent"], report.scalars["mse_exponent"]
     bands = BANDS["stationary-bias"]
     ok = bands["bias_exponent"].contains(b) and bands["mse_exponent"].contains(m)
+    assert report.passed() == ok
     _criterion(13, ok,
                f"time-average bias decay exponent {b:.3f} in "
                f"[{bands['bias_exponent'].lo}, {bands['bias_exponent'].hi}] and replica "

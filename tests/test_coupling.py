@@ -10,7 +10,7 @@ from snselab.integrator import SchemeParams, batch_increments, run_scheme
 from snselab.spectral import (SpectralField, harmonic_field, make_grid,
                               random_field)
 
-from helpers import project, project_coeffs, pseudo_inverse_apply, tv_bound
+from helpers import project, project_coeffs, pseudo_inverse_apply, record, tv_bound
 
 G = make_grid(16)
 BASIS8 = low_mode_basis(G, 8, 0.5)   # covers the controlled band below
@@ -29,6 +29,13 @@ def _pair(f, g, n_steps, np_=None, basis=BASIS8, seed=0, traj_id=0, **kwargs):
                              trajectory_ids=[traj_id], **kwargs)[0]
 
 
+def _recorded_pair(f, g, n_steps, np_=None, basis=BASIS8, seed=0, traj_id=0, **kwargs):
+    """`_pair` and the `record` of its states: (pair, plain states, nudged states)."""
+    (pair,), plain, nudged = record(coupled_ensembles, f, [g], n_steps, np_ or _nudge(),
+                                    basis, seed=seed, trajectory_ids=[traj_id], **kwargs)
+    return pair, plain, nudged
+
+
 def test_propose_beta_saturates_condition():
     prop = propose_beta(8, P, BASIS8)
     assert prop["lambda_next"] == 16
@@ -44,8 +51,8 @@ def test_nudge_params_enforce_condition():
 def test_identical_states_reduce_to_plain_step():
     # nudged toward the plain step from its own start, the nudged step is that step
     f = random_field(G, seed=1, rms=1.2)
-    pair = _pair(f, f, 1, seed=4, keep_states=True)
-    plain, nudged = pair.primary.states[1, 0], pair.nudged.states[1, 0]
+    _, plain, nudged = _recorded_pair(f, f, 1, seed=4)
+    plain, nudged = plain[1, 0], nudged[1, 0]
     assert np.max(np.abs(nudged - plain)) <= 1e-10 * f.l2_norm()
 
 
@@ -53,10 +60,10 @@ def test_beta_zero_is_plain_step():
     # nudged from f toward the plain step from g with beta = 0: the plain step from f
     f = random_field(G, seed=2, rms=1.2)
     g = random_field(G, seed=3, rms=1.0)
-    pair = _pair(g, f, 1, _nudge(beta=0.0), seed=4, keep_states=True)
-    plain = run_scheme(G, f.coeffs, 1, P, BASIS8,
-                       batch_increments(4, [0], BASIS8.d, P.delta)).states[1, 0]
-    assert np.max(np.abs(pair.nudged.states[1, 0] - plain)) <= 1e-12 * f.l2_norm()
+    _, _, nudged = _recorded_pair(g, f, 1, _nudge(beta=0.0), seed=4)
+    plain = record(run_scheme, G, f.coeffs, 1, P, BASIS8,
+                   batch_increments(4, [0], BASIS8.d, P.delta))[1][1, 0]
+    assert np.max(np.abs(nudged[1, 0] - plain)) <= 1e-12 * f.l2_norm()
 
 
 def test_beta_zero_coupled_walk_is_run_scheme():
@@ -64,13 +71,14 @@ def test_beta_zero_coupled_walk_is_run_scheme():
     # kernel call is the plain one, bit for bit
     f = random_field(G, seed=7, rms=1.0)
     ids = np.arange(3)
-    pair = coupled_ensembles(f, [f], 300, _nudge(beta=0.0), BASIS8, seed=17,
-                             trajectory_ids=ids, compute_shifts=False, keep_states=True)[0]
-    run = run_scheme(G, np.broadcast_to(f.coeffs, (3, G.n_half)), 300, P, BASIS8,
-                     batch_increments(17, ids, BASIS8.d, P.delta))
-    assert np.array_equal(pair.primary.states, run.states)
+    (pair,), plain, nudged = record(coupled_ensembles, f, [f], 300, _nudge(beta=0.0),
+                                    BASIS8, seed=17, trajectory_ids=ids,
+                                    compute_shifts=False)
+    run, states = record(run_scheme, G, np.broadcast_to(f.coeffs, (3, G.n_half)), 300, P,
+                         BASIS8, batch_increments(17, ids, BASIS8.d, P.delta))
+    assert np.array_equal(plain, states)
     assert np.array_equal(pair.primary.energy_sq, run.energy_sq)
-    assert np.array_equal(pair.nudged.states, run.states)
+    assert np.array_equal(nudged, states)
 
 
 def test_coupled_run_needs_a_nudged_start():
@@ -101,22 +109,22 @@ def test_plain_path_is_shared_across_nudged_starts():
     ids = np.arange(4)
     np_ = _nudge()
     starts = _starts(f)
-    pairs = coupled_ensembles(f, starts, 40, np_, BASIS8, seed=5, trajectory_ids=ids,
-                              keep_states=True)
+    pairs, plain, nudged = record(coupled_ensembles, f, starts, 40, np_, BASIS8, seed=5,
+                                  trajectory_ids=ids)
     assert len(pairs) == 3
-    for start, pair in zip(starts, pairs):
-        solo = coupled_ensembles(f, [start], 40, np_, BASIS8, seed=5, trajectory_ids=ids,
-                                 keep_states=True)[0]
+    for k, (start, pair) in enumerate(zip(starts, pairs)):
+        (solo,), solo_plain, solo_nudged = record(coupled_ensembles, f, [start], 40, np_,
+                                                  BASIS8, seed=5, trajectory_ids=ids)
         assert pair.primary is pairs[0].primary
         assert np.array_equal(pair.primary.energy_sq, solo.primary.energy_sq)
-        assert np.array_equal(pair.primary.states, solo.primary.states)
+        assert np.array_equal(plain, solo_plain)
         # each run solves step j within tol * scale_j, scale_j >= |xi_tilde^j|, so
         # the two stay within the solve errors of both runs summed over the steps
         # (one step alone differs by up to 1.7 tol * scale_j here)
         norms = np.sqrt(solo.nudged.energy_sq)
         summed = np.concatenate([np.zeros_like(norms[:1]), np.cumsum(norms[1:], axis=0)])
         bound = 2.0 * P.tol * summed
-        diff = spectral.norm_l2(pair.nudged.states - solo.nudged.states)
+        diff = spectral.norm_l2(nudged[:, k * ids.size:(k + 1) * ids.size] - solo_nudged)
         assert np.all(diff <= bound)
         # | |zeta_a| - |zeta_b| | <= |zeta_a - zeta_b| = |xi_tilde_a - xi_tilde_b|
         gap_diff = np.abs(np.sqrt(pair.gaps_sq) - np.sqrt(solo.gaps_sq))
@@ -131,11 +139,11 @@ def test_plain_path_does_not_depend_on_nudged_copies():
     # for bit, and its iterations count its own sweeps; 300 steps cross a chunk
     f = random_field(G, seed=7, rms=1.0)
     ids = np.arange(3)
-    pair = coupled_ensembles(f, _starts(f), 300, _nudge(), BASIS8, seed=17,
-                             trajectory_ids=ids, keep_states=True)[0]
-    run = run_scheme(G, np.broadcast_to(f.coeffs, (3, G.n_half)), 300, P, BASIS8,
-                     batch_increments(17, ids, BASIS8.d, P.delta))
-    assert np.array_equal(pair.primary.states, run.states)
+    (pair, *_), plain, _ = record(coupled_ensembles, f, _starts(f), 300, _nudge(), BASIS8,
+                                  seed=17, trajectory_ids=ids)
+    run, states = record(run_scheme, G, np.broadcast_to(f.coeffs, (3, G.n_half)), 300, P,
+                         BASIS8, batch_increments(17, ids, BASIS8.d, P.delta))
+    assert np.array_equal(plain, states)
     assert np.array_equal(pair.primary.energy_sq, run.energy_sq)
     assert np.array_equal(pair.primary.iterations, run.iterations)
 
@@ -227,9 +235,9 @@ def test_girsanov_identity_from_recorded_states():
     K = 4
     np_ = _nudge(K=K)
     f = random_field(G, seed=10, rms=1.0)
-    pair = coupled_ensembles(f, _starts(f)[2:], 8, np_, BASIS8, seed=6,
-                             trajectory_ids=[0, 1], keep_states=True)[0]
-    zeta = pair.nudged.states[1:] - pair.primary.states[1:]
+    (pair,), plain, nudged = record(coupled_ensembles, f, _starts(f)[2:], 8, np_, BASIS8,
+                                    seed=6, trajectory_ids=[0, 1])
+    zeta = nudged[1:] - plain[1:]
     psi_sq = np_.beta ** 2 * np.array([
         [np.sum(pseudo_inverse_apply(BASIS8, project_coeffs(G, z, K)) ** 2)
          for z in step] for step in zeta])
@@ -292,16 +300,16 @@ def test_uniqueness_transfer_shifted_tape():
     g = SpectralField(G, f.coeffs + 5e-2 * harmonic_field(
         G, 2, 1, "sin", normalized=True).coeffs)
     n_steps = 60
-    pair = _pair(f, g, n_steps, np_, seed=21, traj_id=2, keep_states=True)
+    _, plain, nudged = _recorded_pair(f, g, n_steps, np_, seed=21, traj_id=2)
     tape = batch_increments(21, [2], BASIS8.d, P.delta)
     # psi_j = -beta sigma^-1 P_K (xi_tilde^j - xi^j), shape (n_steps, 1, d)
-    zk = project_coeffs(G, pair.nudged.states[1:] - pair.primary.states[1:], 4)
+    zk = project_coeffs(G, nudged[1:] - plain[1:], 4)
     psi = -np_.beta * spectral.pack(zk) @ pinv_matrix(BASIS8).T
 
     def shifted(n0, n1):
         # over step n the shifted increment is DW_n + delta psi_n
         return tape(n0, n1) + P.delta * psi[n0:n1]
 
-    run = run_scheme(G, g.coeffs, n_steps, P, BASIS8, shifted)
-    diff = spectral.norm_l2(run.states - pair.nudged.states)
+    _, states = record(run_scheme, G, g.coeffs, n_steps, P, BASIS8, shifted)
+    diff = spectral.norm_l2(states - nudged)
     assert np.max(diff) <= 1e-8

@@ -16,7 +16,7 @@ from snselab.forcing import low_mode_basis
 from snselab.measures import DistanceParams
 from snselab.spectral import harmonic_field, make_grid, random_field
 
-from helpers import clipped_energy, low_mode_re, smoothed_energy, summed_increments
+from helpers import clipped_energy, low_mode_re, record, smoothed_energy, summed_increments
 
 
 # -- rate fitting ----------------------------------------------------------------
@@ -356,6 +356,29 @@ def test_holder_noise_off_single_mode_smooth():
     assert report.scalars["exponent"] == pytest.approx(2.0, abs=0.1)
 
 
+@pytest.mark.parametrize("burn_steps", [0, 5])
+def test_holder_moments_are_those_of_the_marched_window(burn_steps):
+    # the study's observer keeps the window's packed rows, from the start rows
+    # when there is no burn-in; every lag moment equals the one taken of the
+    # march's complex states bit for bit
+    cfg = HolderConfig(shells=6, burn_steps=burn_steps, window_steps=40, lag_min_steps=1,
+                       lag_max_steps=35, n_lags=5, ensemble=3, n_boot=10)
+    seed = 7
+    report = holder_study(cfg, seed)
+    grid = make_grid(cfg.shells)
+    _, states = record(integrator.march, integrator.SchemeParams(cfg.nu, cfg.delta, cfg.shells),
+                       low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance),
+                       [cfg.ic.build(grid, seed)], seed, np.arange(cfg.ensemble),
+                       burn_steps + cfg.window_steps)
+    window = states[burn_steps:]
+    assert len(report.tables["lags"]) == 5
+    for row in report.tables["lags"]:
+        lag = row["lag_steps"]
+        moments = spectral.norm_l2_sq(window[lag:] - window[:-lag]) ** (cfg.moment / 2.0)
+        assert row["moment"] == float(np.mean(moments))
+        assert row["origins"] == cfg.window_steps + 1 - lag
+
+
 @pytest.mark.parametrize("make, study", [
     (lambda: CouplingStudyConfig(horizon=0.015, delta=0.01), coupling_study),
     (lambda: ContractionConfig(horizon=1.0, deltas=(0.03, 0.01)), contraction_study),
@@ -438,23 +461,25 @@ def test_contraction_pair_marches_as_one_batch(monkeypatch):
         n = n_steps // stride
         got = np.array([seen[stride * i][j] for i in range(n + 1)])
         if stride == 1:
-            assert np.array_equal(got, integrator.march(q, basis, starts, seed, ids, n).states)
+            assert np.array_equal(got, record(integrator.march, q, basis, starts, seed, ids,
+                                              n)[1])
         else:
             tape = summed_increments(seed, ids, stride, basis.d, q.delta)
-            lone = integrator.run_scheme(grid, integrator.start_rows(grid, starts, m), n, q,
-                                         basis, lambda n0, n1: np.tile(tape(n0, n1), (1, 2, 1)))
+            lone, states = record(integrator.run_scheme, grid,
+                                  integrator.start_rows(grid, starts, m), n, q, basis,
+                                  lambda n0, n1: np.tile(tape(n0, n1), (1, 2, 1)))
             norms = np.sqrt(lone.energy_sq)
             summed = np.concatenate([np.zeros_like(norms[:1]),
                                      np.cumsum(norms[1:], axis=0)])
-            diff = spectral.norm_l2(got - lone.states)
+            diff = spectral.norm_l2(got - states)
             assert np.all(diff <= 2.0 * q.tol * summed) and np.any(diff > 0)
         rows = [r for r in first.tables["series"]
                 if (r["shells"], r["delta"]) == (q.shells, q.delta)]
-        record = round(cfg.record_time / q.delta)
+        every = round(cfg.record_time / q.delta)
         assert [r["w_coupled"] for r in rows] == [
             measures.wasserstein_coupled_bound(
                 spectral.pack(x[:m]), spectral.pack(x[m:]), "rho_weighted", dp)
-            for x in got[::record]]
+            for x in got[::every]]
     second = contraction_study(cfg, seed)
     assert repr((first.tables, first.scalars, first.checks)) == repr(
         (second.tables, second.scalars, second.checks))
@@ -510,32 +535,36 @@ def test_weak_delta_leg_steps_its_rungs_on_one_march(monkeypatch):
     obs = cfg.observables[0]
 
     def lone(q):
+        """(run, states at the record times) of a lone march at q."""
         grid = q.grid()
         basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
         tape = summed_increments(seed, ids, round(q.delta / p.delta), basis.d, q.delta)
-        return integrator.run_scheme(grid, integrator.start_rows(grid, starts, cfg.ensemble),
-                                     round(cfg.horizon / q.delta), q, basis, tape,
-                                     record_stride=round(cfg.record_time / q.delta))
+        return record(integrator.run_scheme, grid,
+                      integrator.start_rows(grid, starts, cfg.ensemble),
+                      round(cfg.horizon / q.delta), q, basis, tape,
+                      stride=round(cfg.record_time / q.delta))
 
-    def means(run):
-        return np.array([np.mean(obs.evaluate(run.grid, s)) for s in run.states])
+    def means(grid, states):
+        return np.array([np.mean(obs.evaluate(grid, s)) for s in states])
 
     errors = {(row["shells"], row["delta"]): row["weak_error"]
               for row in report.tables["grid"]}
-    ref = means(lone(p))
+    ref = means(p.grid(), lone(p)[1])
     base_stride = round(cfg.record_time / p.delta)
     for j, q in enumerate([p, *rungs]):
-        run = lone(q)
+        run, states = lone(q)
+        record_steps = round(cfg.record_time / q.delta) * np.arange(len(states))
         got = np.array([spectral.unpack(seen[n * base_stride][j])
-                        for n in range(run.step_indices.size)])
+                        for n in range(len(states))])
         if q.delta == p.delta:
-            assert np.array_equal(got, run.states)
+            assert np.array_equal(got, states)
             if j:
-                assert errors[q.shells, q.delta] == float(np.max(np.abs(means(run) - ref)))
+                assert errors[q.shells, q.delta] == float(
+                    np.max(np.abs(means(run.grid, states) - ref)))
         norms = np.sqrt(run.energy_sq)
         summed = np.concatenate([np.zeros_like(norms[:1]), np.cumsum(norms[1:], axis=0)])
-        bound = 2.0 * q.tol * summed[run.step_indices]
-        assert np.all(spectral.norm_l2(got - run.states) <= bound)
+        bound = 2.0 * q.tol * summed[record_steps]
+        assert np.all(spectral.norm_l2(got - states) <= bound)
 
 
 def test_spatial_rungs_match_per_cutoff_marches():
@@ -551,15 +580,15 @@ def test_spatial_rungs_match_per_cutoff_marches():
 
     def run_at(shells):
         basis = low_mode_basis(make_grid(shells), cfg.forcing_shells, cfg.forcing_variance)
-        return integrator.march(integrator.SchemeParams(cfg.nu, cfg.delta, shells), basis,
-                                [xi0], seed, ids, 7, record_stride=cfg.record_stride)
+        return record(integrator.march, integrator.SchemeParams(cfg.nu, cfg.delta, shells),
+                      basis, [xi0], seed, ids, 7, stride=cfg.record_stride)
 
-    ref = run_at(cfg.reference_shells)
-    assert list(ref.step_indices) == [0, 2, 4, 6]
+    _, ref = run_at(cfg.reference_shells)
+    assert len(ref) == 4   # steps 0, 2, 4 and 6
     for row, shells in zip(report.tables["rungs"], cfg.shell_ladder):
-        run = run_at(shells)
-        emb = spectral.embed_coeffs(run.grid, ref_grid, run.states)
-        sup_sq = np.max(spectral.norm_l2_sq(emb - ref.states), axis=0)
+        run, states = run_at(shells)
+        emb = spectral.embed_coeffs(run.grid, ref_grid, states)
+        sup_sq = np.max(spectral.norm_l2_sq(emb - ref), axis=0)
         assert row == {"shells": shells, "modes": run.grid.n_modes,
                        "err_sup_sq": float(np.mean(sup_sq)), "paths": cfg.ensemble}
 
@@ -585,16 +614,15 @@ def test_weak_error_bounded_by_strong_component():
     basis_c = low_mode_basis(grid_c, 4, 0.5)
     basis_r = low_mode_basis(grid_r, 4, 0.5)
     ids = np.arange(cfg.ensemble)
-    run_c = run_scheme(grid_c, np.broadcast_to(embed_coeffs(grid_r, grid_c, ic.coeffs),
-                                               (32, grid_c.n_half)),
-                       25, SchemeParams(1.0, 0.02, 6), basis_c,
-                       summed_increments(seed, ids, 2, basis_c.d, 0.02),
-                       record_stride=5)
-    run_r = run_scheme(grid_r, np.broadcast_to(ic.coeffs, (32, grid_r.n_half)),
-                       50, SchemeParams(1.0, 0.01, 8), basis_r,
-                       batch_increments(seed, ids, basis_r.d, 0.01),
-                       record_stride=10)
-    diff = embed_coeffs(grid_c, grid_r, run_c.states) - run_r.states
+    _, states_c = record(run_scheme, grid_c,
+                         np.broadcast_to(embed_coeffs(grid_r, grid_c, ic.coeffs),
+                                         (32, grid_c.n_half)),
+                         25, SchemeParams(1.0, 0.02, 6), basis_c,
+                         summed_increments(seed, ids, 2, basis_c.d, 0.02), stride=5)
+    _, states_r = record(run_scheme, grid_r, np.broadcast_to(ic.coeffs, (32, grid_r.n_half)),
+                         50, SchemeParams(1.0, 0.01, 8), basis_r,
+                         batch_increments(seed, ids, basis_r.d, 0.01), stride=10)
+    diff = embed_coeffs(grid_c, grid_r, states_c) - states_r
     strong = float(np.max(np.mean(norm_l2(diff), axis=1)))
     assert weak <= strong + 1e-12
 
@@ -624,9 +652,9 @@ def test_h1_moment_stable_under_refinement():
         grid = make_grid(shells)
         basis = low_mode_basis(grid, 4, 0.5)
         c0 = np.broadcast_to(embed_coeffs(fine, grid, ic.coeffs), (32, grid.n_half))
-        run = run_scheme(grid, c0, 100, SchemeParams(1.0, 0.02, shells), basis,
-                         batch_increments(5, np.arange(32), basis.d, 0.02))
-        h1_sq = spectral.sobolev_norm_sq(grid, run.states, 1.0)
+        _, states = record(run_scheme, grid, c0, 100, SchemeParams(1.0, 0.02, shells), basis,
+                           batch_increments(5, np.arange(32), basis.d, 0.02))
+        h1_sq = spectral.sobolev_norm_sq(grid, states, 1.0)
         sups.append(float(np.max(np.mean(h1_sq, axis=1))))
     assert np.all(np.isfinite(sups))
     assert abs(sups[1] - sups[0]) <= 0.2 * sups[0]

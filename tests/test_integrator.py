@@ -13,7 +13,7 @@ from snselab.integrator import (SchemeParams, _advance_one, batch_increments,
 from snselab.spectral import (SpectralField, advect_frozen, harmonic_field, make_grid,
                               random_field, zero_field)
 
-from helpers import advect_coeffs, step_residual, summed_increments
+from helpers import advect_coeffs, record, step_residual, summed_increments
 
 G = make_grid(16)
 BASIS = low_mode_basis(G, 4, 0.5)
@@ -23,15 +23,15 @@ def _step(f, p, basis=None, eta=None):
     """One `run_scheme` step from field f: unforced, or forced by the unit
     normals eta (the noise is sqrt(delta) P_N sigma eta)."""
     inc = None if eta is None else (lambda n0, n1: np.sqrt(p.delta) * eta[None, None])
-    return run_scheme(f.grid, f.coeffs, 1, p, basis, inc).states[-1, 0]
+    return record(run_scheme, f.grid, f.coeffs, 1, p, basis, inc)[1][-1, 0]
 
 
 def _path(f, n_steps, p, basis, seed, trajectory_ids, **kwargs):
-    """`run_scheme` from f, shared by every member, on the members' tapes."""
+    """`record` of `run_scheme` from f, shared by every member, on the
+    members' tapes: (run, states)."""
     ids = np.asarray(trajectory_ids)
-    return run_scheme(f.grid, np.broadcast_to(f.coeffs, (ids.size, f.grid.n_half)),
-                      n_steps, p, basis, batch_increments(seed, ids, basis.d, p.delta),
-                      **kwargs)
+    return record(run_scheme, f.grid, np.broadcast_to(f.coeffs, (ids.size, f.grid.n_half)),
+                  n_steps, p, basis, batch_increments(seed, ids, basis.d, p.delta), **kwargs)
 
 
 # -- single analytic steps -----------------------------------------------------
@@ -51,9 +51,9 @@ def test_single_mode_step_analytic(mode, delta):
 def test_zero_state_zero_noise_stays_zero():
     # the row's scale is 0: it solves at sweep 1, without a NaN
     p = SchemeParams(1.0, 0.05, 16)
-    run = run_scheme(G, zero_field(G).coeffs, 1, p, BASIS,
-                     lambda n0, n1: np.zeros((1, 1, BASIS.d)))
-    assert spectral.norm_l2(run.states[-1, 0]) == 0.0 and run.iterations[0] == 1
+    run, states = record(run_scheme, G, zero_field(G).coeffs, 1, p, BASIS,
+                         lambda n0, n1: np.zeros((1, 1, BASIS.d)))
+    assert spectral.norm_l2(states[-1, 0]) == 0.0 and run.iterations[0] == 1
 
 
 def test_step_residual_small():
@@ -338,14 +338,14 @@ def test_diverging_fixed_point_falls_back_to_gmres(rms, delta, fallback_steps):
     # the same right-hand side; later steps may contract again
     c0 = np.stack([random_field(G, seed=s, rms=rms).coeffs for s in range(4)])
     p = SchemeParams(1.0, delta, 16)
-    fp = run_scheme(G, c0, 3, p, None, None)
+    fp, fp_states = record(run_scheme, G, c0, 3, p, None, None)
     c, kr_states, kr_iters = spectral.pack(c0), [c0], []
     for _ in range(3):
         c, it = _gmres_step(G, c, p)
         kr_states.append(spectral.unpack(c))
         kr_iters.append(it)
     kr_energy = np.array([spectral.norm_l2_sq(s) for s in kr_states])
-    assert np.array_equal(fp.states[:fallback_steps + 1], kr_states[:fallback_steps + 1])
+    assert np.array_equal(fp_states[:fallback_steps + 1], kr_states[:fallback_steps + 1])
     assert np.array_equal(fp.iterations[:fallback_steps], kr_iters[:fallback_steps])
     assert np.all(np.abs(fp.energy_sq - kr_energy) <= 1e-10 * kr_energy)
 
@@ -392,7 +392,8 @@ def test_error_bound_stop_never_sweeps_more_than_increment_stop(
         coupled_ensembles(xi0, [random_field(grid, seed=3, rms=rms)], steps, np_, basis,
                           seed=5, trajectory_ids=range(m), compute_shifts=False)
     else:
-        _path(xi0, steps, p, basis, 5, range(m), keep_states=False)
+        run_scheme(grid, np.broadcast_to(xi0.coeffs, (m, grid.n_half)), steps, p, basis,
+                   batch_increments(5, np.arange(m), basis.d, p.delta))
     new, old = np.array(counts).T
     assert np.all(new <= old)
     assert new.sum() < old.sum()
@@ -407,15 +408,11 @@ def test_krylov_policy_matches_fixed_point():
     assert np.max(np.abs(a - spectral.unpack(b))) <= 1e-9 * f.l2_norm()
 
 
-@pytest.mark.parametrize("name, value", [("tol", 0.0), ("tol", -1e-12),
-                                         ("record_stride", 0)])
+@pytest.mark.parametrize("name, value", [("tol", 0.0), ("tol", -1e-12)])
 def test_bad_solver_parameters_raise_config_error(name, value):
-    kwargs = {name: value}
-    stride = kwargs.pop("record_stride", 1)
     with pytest.raises(ConfigError) as err:
-        p = SchemeParams(1.0, 0.05, 16, **kwargs)
-        run_scheme(G, random_field(G, seed=1).coeffs, 2, p, None, None,
-                   record_stride=stride)
+        p = SchemeParams(1.0, 0.05, 16, **{name: value})
+        run_scheme(G, random_field(G, seed=1).coeffs, 2, p, None, None)
     assert err.value.field == name
 
 
@@ -480,9 +477,9 @@ def test_krylov_reports_gmres_iterations(monkeypatch):
 def test_zero_steps_returns_projected_initial():
     p = SchemeParams(1.0, 0.01, 16)
     want = spectral.embed_coeffs(make_grid(20), G, random_field(make_grid(20), seed=6).coeffs)
-    run = _path(SpectralField(G, want), 0, p, BASIS, 1, [0])
-    assert run.states.shape[0] == 1
-    assert np.array_equal(run.states[0, 0], want)
+    _, states = _path(SpectralField(G, want), 0, p, BASIS, 1, [0])
+    assert states.shape[0] == 1
+    assert np.array_equal(states[0, 0], want)
 
 
 def test_noise_free_energy_monotone():
@@ -507,19 +504,18 @@ def test_single_mode_energies_closed_form():
     # geometrically by (1 + nu delta)^-2 per step
     p = SchemeParams(1.0, 0.1, 16)
     f = harmonic_field(G, 1, 0, "cos")
-    run = run_scheme(G, f.coeffs, 30, p, None, None)
+    run, states = record(run_scheme, G, f.coeffs, 30, p, None, None)
     want = f.l2_norm() ** 2 / (1.0 + p.nu * p.delta) ** (2 * np.arange(31))
     assert np.allclose(run.energy_sq[:, 0], want, rtol=1e-9, atol=1e-12)
-    h1_sq = spectral.sobolev_norm_sq(G, run.states[:, 0], 1.0)
+    h1_sq = spectral.sobolev_norm_sq(G, states[:, 0], 1.0)
     assert np.allclose(h1_sq, want, rtol=1e-9, atol=1e-12)
 
 
 def test_replay_bit_identical():
     p = SchemeParams(1.0, 0.02, 16)
     f = random_field(G, seed=10)
-    t1 = _path(f, 40, p, BASIS, 123, [5])
-    t2 = _path(f, 40, p, BASIS, 123, [5])
-    assert np.array_equal(t1.states, t2.states)
+    (t1, states1), (t2, states2) = (_path(f, 40, p, BASIS, 123, [5]) for _ in range(2))
+    assert np.array_equal(states1, states2)
     assert np.array_equal(t1.energy_sq, t2.energy_sq)
 
 
@@ -535,13 +531,13 @@ def test_recorded_energy_is_norm_of_recorded_state():
         def record_h1(step, c, noise, noise_scale):
             h1_sq[step] = spectral.packed_norm_sq(c, G.lam_packed)
 
-        run = _path(f, 30, p, BASIS, 5, ids, record_stride=7, observer=record_h1)
-        assert np.array_equal(run.energy_sq[run.step_indices],
-                              spectral.norm_l2_sq(run.states))
-        for i, n in enumerate(run.step_indices[1:], start=1):
-            assert np.array_equal(h1_sq[n], spectral.sobolev_norm_sq(G, run.states[i], 1.0))
-        last = spectral.norm_l2_sq(run.states[-1, -1].copy())
-        assert last == run.energy_sq[run.step_indices[-1], -1]
+        run, states = _path(f, 30, p, BASIS, 5, ids, stride=7, observer=record_h1)
+        steps = np.arange(0, 31, 7)
+        assert np.array_equal(run.energy_sq[steps], spectral.norm_l2_sq(states))
+        for i, n in enumerate(steps[1:], start=1):
+            assert np.array_equal(h1_sq[n], spectral.sobolev_norm_sq(G, states[i], 1.0))
+        last = spectral.norm_l2_sq(states[-1, -1].copy())
+        assert last == run.energy_sq[steps[-1], -1]
 
 
 def test_march_stacks_starts_over_one_tape():
@@ -551,15 +547,16 @@ def test_march_stacks_starts_over_one_tape():
     fine = make_grid(20)
     starts = [random_field(fine, seed=21), random_field(G, seed=22)]
     ids = np.array([6, 1, 4])
-    got = integrator.march(p, BASIS, starts, 8, ids, 300, record_stride=3)
+    got, got_states = record(integrator.march, p, BASIS, starts, 8, ids, 300, stride=3)
     c0 = np.concatenate([np.broadcast_to(spectral.embed_coeffs(s.grid, G, s.coeffs),
                                          (ids.size, G.n_half)) for s in starts])
     tape = batch_increments(8, ids, BASIS.d, p.delta)
-    want = run_scheme(G, c0, 300, p, BASIS,
-                      lambda n0, n1: np.concatenate([tape(n0, n1)] * 2, axis=1),
-                      record_stride=3)
-    assert got.states.shape == (101, 2 * ids.size, G.n_half)
-    for name in ("step_indices", "states", "energy_sq", "iterations"):
+    want, want_states = record(run_scheme, G, c0, 300, p, BASIS,
+                               lambda n0, n1: np.concatenate([tape(n0, n1)] * 2, axis=1),
+                               stride=3)
+    assert got_states.shape == (101, 2 * ids.size, G.n_half)
+    assert np.array_equal(got_states, want_states)
+    for name in ("energy_sq", "iterations"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
@@ -585,9 +582,10 @@ def test_ladder_stride_one_rung_on_a_coarser_grid_is_a_lone_march():
     rungs = [SchemeParams(1.0, 0.01, shells) for shells in (6, 10, 16)]
     seen = _ladder_states(p, rungs, start, 8, ids, 300)
     for k, q in enumerate(rungs, start=1):
-        lone = integrator.march(q, low_mode_basis(q.grid(), 4, 0.5), [start], 8, ids, 300)
+        lone, states = record(integrator.march, q, low_mode_basis(q.grid(), 4, 0.5), [start],
+                              8, ids, 300)
         got = np.array([seen[n][k] for n in range(301)])
-        assert np.array_equal(got, lone.states)
+        assert np.array_equal(got, states)
         assert np.array_equal(spectral.norm_l2_sq(got), lone.energy_sq)
 
 
@@ -601,16 +599,16 @@ def test_ladder_coarser_delta_on_a_coarser_grid_matches_a_summed_tape():
     seen = _ladder_states(p, [q], start, 8, ids, 400)
     grid = q.grid()
     basis = low_mode_basis(grid, 4, 0.5)
-    lone = run_scheme(grid, integrator.start_rows(grid, [start], ids.size), 100, q, basis,
-                      summed_increments(8, ids, 4, basis.d, q.delta))
+    lone, states = record(run_scheme, grid, integrator.start_rows(grid, [start], ids.size),
+                          100, q, basis, summed_increments(8, ids, 4, basis.d, q.delta))
     got = np.array([seen[4 * n][1] for n in range(101)])
     norms = np.sqrt(lone.energy_sq)
     summed = np.concatenate([np.zeros_like(norms[:1]), np.cumsum(norms[1:], axis=0)])
-    diff = spectral.norm_l2(got - lone.states)
+    diff = spectral.norm_l2(got - states)
     assert np.all(diff <= 2.0 * q.tol * summed) and np.any(diff > 0)
 
 
-def test_ladder_stacks_starts_over_one_tape():
+def test_ladder_stacks_starts_over_one_tape(monkeypatch):
     # k = 2 starts on another grid, as in `march`: the march and a rung on a
     # coarser grid each hold start j, embedded and repeated for the M members,
     # in rows j M .. (j + 1) M - 1, and row j M + i reads tape id i, exactly as
@@ -624,15 +622,21 @@ def test_ladder_stacks_starts_over_one_tape():
     def keep(step, c, cs):
         seen[step] = [spectral.unpack(x) for x in (c, *cs)]
 
-    run = integrator.ladder(p, [q], BASIS, starts, 8, ids, 300, keep)
+    # the march the rungs step in, as `ladder` makes it
+    runs, march = [], integrator.march
+    monkeypatch.setattr(integrator, "march", lambda *a: runs.append(march(*a)))
+    integrator.ladder(p, [q], BASIS, starts, 8, ids, 300, keep)
+    monkeypatch.undo()
+    (run,) = runs
     for j, r in enumerate((p, q)):
         grid = r.grid()
         basis = low_mode_basis(grid, 4, 0.5)
         tape = batch_increments(8, ids, basis.d, r.delta)
-        want = run_scheme(grid, integrator.start_rows(grid, starts, ids.size), 300, r, basis,
-                          lambda n0, n1: np.concatenate([tape(n0, n1)] * 2, axis=1))
-        assert want.states.shape == (301, 2 * ids.size, grid.n_half)
-        assert np.array_equal(np.array([seen[n][j] for n in range(301)]), want.states)
+        want, states = record(run_scheme, grid, integrator.start_rows(grid, starts, ids.size),
+                              300, r, basis,
+                              lambda n0, n1: np.concatenate([tape(n0, n1)] * 2, axis=1))
+        assert states.shape == (301, 2 * ids.size, grid.n_half)
+        assert np.array_equal(np.array([seen[n][j] for n in range(301)]), states)
         if j == 0:
             for name in ("energy_sq", "iterations"):
                 assert np.array_equal(getattr(run, name), getattr(want, name))
@@ -669,18 +673,28 @@ def test_block_noise_is_the_per_step_product(monkeypatch, m, block_steps):
 
 
 @pytest.mark.parametrize("block_bytes", [1, 7 * 3 * 2 * G.n_half * 8, None])
-def test_record_unpacks_in_place_to_the_marched_states(monkeypatch, block_bytes):
-    # blocks of 1 record, of 7 records (34 = 4 * 7 + 6), and the whole record
-    if block_bytes is not None:
-        monkeypatch.setattr(integrator, "BLOCK_BYTES", block_bytes)
+def test_observed_path_does_not_depend_on_the_noise_block(monkeypatch, block_bytes):
+    # noise blocks of 1 step, of 7 steps (100 = 14 * 7 + 2), and the default:
+    # an observer sees the same packed states, and the march records their energies
     p = SchemeParams(1.0, 0.02, 16)
     f = random_field(G, seed=31)
+    want, want_states = _path(f, 100, p, BASIS, 9, [0, 1, 2], stride=3)
+    if block_bytes is not None:
+        monkeypatch.setattr(integrator, "BLOCK_BYTES", block_bytes)
     seen = {0: spectral.pack(np.broadcast_to(f.coeffs, (3, G.n_half)))}
-    run = _path(f, 100, p, BASIS, 9, [0, 1, 2], record_stride=3,
-                observer=lambda step, c, noise, noise_scale: seen.update({step: c.copy()}))
-    assert run.states.shape == (34, 3, G.n_half) and run.states.dtype == np.complex128
-    for i, n in enumerate(run.step_indices):
-        assert np.array_equal(run.states[i], spectral.unpack(seen[n]))
+
+    def keep(step, c, noise, noise_scale):
+        seen[step] = c.copy()
+
+    run, states = _path(f, 100, p, BASIS, 9, [0, 1, 2], stride=3, observer=keep)
+    assert states.shape == (34, 3, G.n_half) and states.dtype == np.complex128
+    assert np.array_equal(states, want_states)
+    for i, n in enumerate(range(0, 101, 3)):
+        assert np.array_equal(states[i], spectral.unpack(seen[n]))
+    for n in range(101):
+        assert np.array_equal(run.energy_sq[n], spectral.packed_norm_sq(seen[n]))
+    for name in ("energy_sq", "iterations"):
+        assert np.array_equal(getattr(run, name), getattr(want, name))
 
 
 def test_march_with_underflowing_increments_is_quiet():
@@ -700,10 +714,10 @@ def test_ensemble_member_matches_solo_run():
     # accumulate differently for different batch heights)
     p = SchemeParams(1.0, 0.02, 16)
     f = random_field(G, seed=11)
-    run = _path(f, 25, p, BASIS, 77, [4, 9, 2])
-    solo = _path(f, 25, p, BASIS, 77, [9])
-    scale = np.max(np.abs(solo.states))
-    assert np.max(np.abs(run.states[:, 1] - solo.states[:, 0])) <= 1e-11 * scale
+    _, states = _path(f, 25, p, BASIS, 77, [4, 9, 2])
+    _, solo = _path(f, 25, p, BASIS, 77, [9])
+    scale = np.max(np.abs(solo))
+    assert np.max(np.abs(states[:, 1] - solo[:, 0])) <= 1e-11 * scale
 
 
 def test_energy_identity_per_step():
@@ -723,8 +737,8 @@ def test_heat_decay_oracle_fine_steps():
     delta_f = 1.0 / 512
     p_f = SchemeParams(1.0, delta_f, 16)
     f = harmonic_field(G, 1, 0, "cos", amplitude=1.0)
-    run = run_scheme(G, f.coeffs, 512, p_f, None, None, record_stride=16)
-    final = spectral.norm_l2(run.states[-1, 0])
+    _, states = record(run_scheme, G, f.coeffs, 512, p_f, None, None, stride=16)
+    final = spectral.norm_l2(states[-1, 0])
     want = np.exp(-1.0) * f.l2_norm()
     assert abs(final - want) <= 1.0 * delta_f * f.l2_norm()
 
@@ -740,11 +754,11 @@ def test_coupled_error_shrinks_with_delta():
     errs = []
     for delta in (1 / 32, 1 / 64, 1 / 128):
         n_steps = round(horizon / delta)
-        coarse = run_scheme(G, c0, n_steps, SchemeParams(1.0, delta, 16), BASIS,
-                            summed_increments(31, ids, 8, BASIS.d, delta))
-        fine = run_scheme(G, c0, 8 * n_steps, SchemeParams(1.0, delta / 8, 16), BASIS,
-                          batch_increments(31, ids, BASIS.d, delta / 8), record_stride=8)
-        errs.append(spectral.norm_l2(coarse.states[-1] - fine.states[-1]))
+        _, coarse = record(run_scheme, G, c0, n_steps, SchemeParams(1.0, delta, 16), BASIS,
+                           summed_increments(31, ids, 8, BASIS.d, delta))
+        _, fine = record(run_scheme, G, c0, 8 * n_steps, SchemeParams(1.0, delta / 8, 16),
+                         BASIS, batch_increments(31, ids, BASIS.d, delta / 8), stride=8)
+        errs.append(spectral.norm_l2(coarse[-1] - fine[-1]))
     errs = np.array(errs)
     frac = np.mean((errs[1] < errs[0]) & (errs[2] < errs[1]))
     assert frac >= 0.9
@@ -756,7 +770,9 @@ def test_lyapunov_bound_on_ensemble():
     # empirical mean of exp(alpha |xi^n|^2) under the discrete envelope
     p = SchemeParams(1.0, 0.05, 16)
     f = random_field(G, seed=2, rms=1.0)
-    run = _path(f, 128, p, BASIS, 5, np.arange(128), keep_states=False)
+    ids = np.arange(128)
+    run = run_scheme(G, np.broadcast_to(f.coeffs, (ids.size, G.n_half)), 128, p, BASIS,
+                     batch_increments(5, ids, BASIS.d, p.delta))
     alpha = 1.0 / (8 * BASIS.variance)
     means = np.mean(np.exp(alpha * run.energy_sq), axis=1)
     e0 = f.l2_norm() ** 2

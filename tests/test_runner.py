@@ -23,6 +23,8 @@ from snselab.runner import (CONFIGS, EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_OK, STUD
                             run_study, study_config)
 from snselab.spectral import make_grid, random_field
 
+from helpers import record
+
 
 def _write_config(tmp_path, text):
     path = tmp_path / "run.cfg"
@@ -114,17 +116,17 @@ def test_restore_then_continue_matches_straight_run(tmp_path):
     tape = batch_increments(9, [0], basis.d, p.delta)
     # 300 steps cross a 256-step tape chunk that the resumed run never sees
     for n_steps in (20, 300):
-        full = run_scheme(g, f.coeffs, n_steps, p, basis, tape)
-        half = run_scheme(g, f.coeffs, n_steps // 2, p, basis, tape)
+        full, full_states = record(run_scheme, g, f.coeffs, n_steps, p, basis, tape)
+        _, half = record(run_scheme, g, f.coeffs, n_steps // 2, p, basis, tape)
         where = tmp_path / str(n_steps)
-        checkpoint(SpectralField(g, half.states[-1, 0]), p, seed=9, trajectory_id=0,
+        checkpoint(SpectralField(g, half[-1, 0]), p, seed=9, trajectory_id=0,
                    step_index=n_steps // 2, directory=where)
         state, params, seed, traj, step = restore(where / f"state_{n_steps // 2:08d}.fld")
         # index-addressed tape: continuation reads cells step.. of the same trajectory
         inc = batch_increments(seed, [traj], basis.d, params.delta)
-        resumed = run_scheme(g, state.coeffs, n_steps - step, params, basis,
-                             lambda n0, n1: inc(n0 + step, n1 + step))
-        assert np.array_equal(resumed.states, full.states[step:])
+        resumed, states = record(run_scheme, g, state.coeffs, n_steps - step, params, basis,
+                                 lambda n0, n1: inc(n0 + step, n1 + step))
+        assert np.array_equal(states, full_states[step:])
         assert np.array_equal(resumed.energy_sq, full.energy_sq[step:])
 
 
@@ -390,6 +392,18 @@ OUT_OF_RANGE = {
     ("contraction", "[experiment]\ndeltas = 0.03, 0.02\nhorizon = 1.2\n"): "deltas",
     ("contraction", "[experiment]\nrecord_time = 0.25\n"): "record_time",
     ("couple", "[experiment]\ngap_mode = 9, 0\n"): "gap_mode",
+    # values on which a study divided by zero or reported a NaN exponent, a NaN
+    # proxy or a negative envelope instead of exiting 2
+    ("converge-time", "[experiment]\np_moment = 0\n"): "p_moment",
+    ("holder", "[experiment]\nmoment = 0\n"): "moment",
+    ("contraction", "[experiment]\nensemble = 0\n"): "ensemble",
+    ("holder", "[experiment]\nburn_steps = -5\n"): "burn_steps",
+    ("bias", "[experiment]\nreference_steps = 0\n"): "reference_steps",
+    ("lyapunov", "[experiment]\nmargin_factor = -1\n"): "margin_factor",
+    # the record stride of a path, and of the spatial study's sup, is checked by
+    # the run that reads it, before anything is written
+    ("simulate", "[reproducibility]\nrecord_stride = 0\n"): "record_stride",
+    ("converge-space", "[reproducibility]\nrecord_stride = 0\n"): "record_stride",
 }
 
 
