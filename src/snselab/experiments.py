@@ -1005,6 +1005,7 @@ def lyapunov_study(cfg: LyapunovConfig, seed: int) -> StudyReport:
     grid = make_grid(cfg.shells)
     basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
     cond_cap = cfg.nu / (4.0 * basis.variance)
+    _require(alpha > 0, f"alpha={alpha} must be positive", "alpha")
     _require(alpha <= cond_cap + 1e-15,
              f"alpha={alpha} violates the moment condition cap {cond_cap}", "alpha")
     _require(cfg.n_seeds >= 1, "need >= 1 seed", "n_seeds")

@@ -30,6 +30,12 @@ Each member reads its own index-addressed noise, so its path does not
 depend on which other members share the batch, up to the solve
 tolerance: the fixed-point stop is batch-wide, every row sweeps as often
 as the stiffest one, and ``iterations`` records that batch maximum.
+A batch of one row (a single path, as `simulate` and the stationary
+proxy march it) keeps its per-step bookkeeping in Python floats: its
+noise scale, |c_prev|, the solve's scale, weight and relative
+increments.  The arithmetic and its order are the batch form's, so
+every bit is the same; what goes is numpy calls on one-element arrays,
+about a fifth of a one-row step at 10 shells (see `_fixed_point_solve`).
 
 One kernel, `_advance_one`, takes every step: the plain scheme by default,
 and the nudged scheme when the caller adds delta beta P_K to the diagonal
@@ -203,8 +209,16 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
     squared increments could underflow, every row iterates in units of
     the power of two 2^e of its scale, an exact rescaling undone on
     return, so increments are relative before they are squared; above
-    it, absolute units give the same bits and spare an M = 1 march about
-    4 us per step.
+    it, absolute units give the same bits for less work.
+
+    One row: a batch of one row, chosen once from the row count, keeps its
+    scale, inc_weight and relative increments in Python floats, and its
+    increment is sqrt(inc_weight |Delta_k|^2) in place of the batch's max
+    over rows: the same products in the same order, so the same bits and
+    sweeps.  A row below `RESCALE_BELOW` keeps the array code, and so do
+    float32 sweeps and GMRES.  At 10 shells a one-row solve of 4 sweeps
+    took about 34 us in place of 45 us for the array form, and a rescaled
+    one about 5 us more (one BLAS thread, 2-vCPU Xeon).
 
     Hand-over: from sweep 3 on, the steady rate r_k = (|Delta_k| /
     |Delta_{k-2}|)^(1/2) is the two-sweep ratio, which sees through a
@@ -222,11 +236,15 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
     tol = system.p.tol
     c = rhs * system.inv_diag
     expo = None
+    one_row = len(rhs) == 1
+    if one_row and not isinstance(scale, float):
+        scale = scale.item()
     # squared relative increment of a row = inc_weight * sum of its squares
-    smallest = np.minimum.reduce(scale)
+    smallest = scale if one_row else np.minimum.reduce(scale)
     if smallest >= RESCALE_BELOW:
-        inc_weight = (spectral.TWO_PI_SQ * 2.0) / scale ** 2
+        inc_weight = (spectral.TWO_PI_SQ * 2.0) / (scale * scale)
     else:
+        one_row = False   # a rescaled row keeps the array code
         # scale = mant 2^expo with mant in [1/2, 1), or 0 for a zero row
         mant, expo = np.frexp(scale)
         expo = expo[..., None]
@@ -236,7 +254,7 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
     # relative error the float32 sweeps may still add
     lo, hi = SWEEP32_SCALES
     room = (SWEEP32_SHARE * tol if rhs.size * grid.n_nodes >= SWEEP32_MIN_WORK
-            and lo <= smallest and scale.max() <= hi else 0.0)
+            and lo <= smallest and (scale if one_row else scale.max()) <= hi else 0.0)
     uv32 = d32 = None   # float32 velocity; float32 increment of the last sweep
     prev_inc = prev2_inc = math.inf
     was_slow = False
@@ -251,7 +269,10 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
             d32 = None
             d = spectral.advect_frozen(grid, uv, system.analysis, d)
         c += d
-        top = math.sqrt(np.maximum.reduce(inc_weight * np.vecdot(d, d), initial=0.0))
+        if one_row:
+            top = math.sqrt(inc_weight * float(np.vecdot(d[0], d[0])))
+        else:
+            top = math.sqrt(np.maximum.reduce(inc_weight * np.vecdot(d, d), initial=0.0))
         if not math.isfinite(top):
             raise SolverError(f"non-finite state (relative increment {top:.3e})",
                               residual=top)
@@ -322,11 +343,12 @@ def _advance_one(grid, c_prev, noise, system: StepSystem, noise_scale,
     The plain step solves D c + delta Adv c = c_prev + noise.  Nudging
     builds its `StepSystem` with delta beta P_K added to D and passes
     rhs_extra = delta beta P_K xi, with ``extra_scale`` bounding its norm
-    in the solver's stopping scale.  ``c_norm`` is |c_prev|, when the
-    caller already holds it.  The fixed point solves the step unless it
-    hands over (see `_fixed_point_solve`); then the whole batch is solved
-    again by GMRES from the same right-hand side, and ``sweeps`` is the
-    GMRES count.
+    in the solver's stopping scale; it is added only when nudging.
+    ``c_norm`` is |c_prev|, when the caller already holds it; it and
+    ``noise_scale`` may be floats for a batch of one row.  The fixed point
+    solves the step unless it hands over (see `_fixed_point_solve`); then
+    the whole batch is solved again by GMRES from the same right-hand
+    side, and ``sweeps`` is the GMRES count.
     """
     rhs = c_prev if rhs_extra is None else c_prev + rhs_extra
     if noise is not None:
@@ -334,7 +356,8 @@ def _advance_one(grid, c_prev, noise, system: StepSystem, noise_scale,
     uv = spectral.velocity_values(grid, c_prev)
     if c_norm is None:
         c_norm = np.sqrt(spectral.packed_norm_sq(c_prev))
-    scale = c_norm + noise_scale + extra_scale
+    scale = (c_norm + noise_scale if rhs_extra is None
+             else c_norm + noise_scale + extra_scale)
     solved = _fixed_point_solve(grid, uv, rhs, system, scale)
     return solved if solved is not None else _krylov_solve(grid, uv, rhs, system, scale)
 
@@ -398,7 +421,8 @@ def tape_steps(n_steps: int, basis: ForcingBasis | None, increments):
     for a block of steps in one stacked product and one norm call, with a
     block's noise held to `BLOCK_BYTES`; a stacked product multiplies
     each step's (M, d) matrix on its own, so every step's noise is the
-    per-step product bit for bit.  ``basis`` must live on the marching
+    per-step product bit for bit.  A batch of one row gets its norm as a
+    float, the others an (M,) array.  ``basis`` must live on the marching
     grid; without it or without ``increments`` every step is unforced,
     (step, None, 0.0).
     """
@@ -413,6 +437,8 @@ def tape_steps(n_steps: int, basis: ForcingBasis | None, increments):
         for b0 in range(0, len(dw), block):
             noise = dw[b0:b0 + block] @ basis.packed
             scale = np.sqrt(spectral.packed_norm_sq(noise))
+            if scale.shape[1] == 1:
+                scale = scale[:, 0].tolist()
             for j in range(len(noise)):
                 yield pos + b0 + j + 1, noise[j], scale[j]
 
@@ -426,13 +452,14 @@ def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams
     itself runs on packed states.  ``increments`` is a provider (n0, n1)
     -> Brownian increments (steps, M, d), or None for the unforced scheme.
     The march keeps only |c|^2 of every row at every step, which the next
-    step's solve reads, and the sweep counts; ``observer`` is the one view
-    of its states, called as observer(step, c, noise, noise_scale) after
-    every step (step >= 1) with the packed state and the step's packed
-    noise.  A `SolverError` it raises carries the step index like one of
-    the march.  Underflow is ignored for the whole march: a norm of a
-    state or an increment with subnormal entries underflows harmlessly,
-    and so does a float32 sweep's entry far below its row's scale.
+    step's solve reads (as a float when M = 1), and the sweep counts;
+    ``observer`` is the one view of its states, called as observer(step,
+    c, noise, noise_scale) after every step (step >= 1) with the packed
+    state and the step's packed noise.  A `SolverError` it raises carries
+    the step index like one of the march.  Underflow is ignored for the
+    whole march: a norm of a state or an increment with subnormal entries
+    underflows harmlessly, and so does a float32 sweep's entry far below
+    its row's scale.
     """
     if p.shells != grid.shells:
         raise StructuralError("params cutoff differs from grid")
@@ -444,13 +471,16 @@ def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams
     energy = np.empty((n_steps + 1, c.shape[0]))
     energy[0] = spectral.packed_norm_sq(c)
     iters = np.zeros(n_steps, dtype=np.int64)
+    one_row = c.shape[0] == 1
 
     with np.errstate(under="ignore"):
         for step, noise, noise_scale in tape_steps(n_steps, b, increments):
             try:
                 # |c_prev| is the square root of the energy recorded last step
+                c_norm = (math.sqrt(energy[step - 1, 0]) if one_row
+                          else np.sqrt(energy[step - 1]))
                 c, sweeps = _advance_one(grid, c, noise, system, noise_scale,
-                                         c_norm=np.sqrt(energy[step - 1]))
+                                         c_norm=c_norm)
                 if observer is not None:
                     observer(step, c, noise, noise_scale)
             except SolverError as err:

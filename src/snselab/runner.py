@@ -391,8 +391,9 @@ def study_config(cls, cfg: RunConfig, threads: int = 1):
     field nor is read elsewhere (`_read_elsewhere`), a field set from two
     places, a value of the wrong type, a float that is not finite, an
     empty list, a forcing with no shell or a negative variance, a negative
-    checkpoint cadence, or an initial amplitude < 0 or cell outside
-    [0, 2^64) is a `ConfigError`.
+    checkpoint cadence, a bootstrap of fewer than one resample (``n_boot``),
+    or an initial amplitude < 0 or cell outside [0, 2^64) is a
+    `ConfigError`.
     """
     fields = {f.name for f in dataclasses.fields(cls)}
     names = fields - {"threads"}
@@ -414,10 +415,11 @@ def study_config(cls, cfg: RunConfig, threads: int = 1):
     kwargs = {name: _coerce(hints[name], getattr(cls, name), val, where)
               for name, (where, val) in given.items()}
     # the forcing every subcommand builds from these two needs a shell and
-    # a variance >= 0; a checkpoint cadence is a step count (0: none), an
-    # initial field's amplitude is its L^2 norm, and its cell a tape cell
+    # a variance >= 0; a checkpoint cadence is a step count (0: none), a
+    # fit's bootstrap needs a resample, an initial field's amplitude is its
+    # L^2 norm, and its cell a tape cell
     for name, lo in (("forcing_shells", 1), ("forcing_variance", 0.0),
-                     ("checkpoint_cadence", 0)):
+                     ("checkpoint_cadence", 0), ("n_boot", 1)):
         if name in kwargs:
             _finite(kwargs[name], given[name][0], lo=lo)
     if "ic" in kwargs:

@@ -472,6 +472,102 @@ def test_krylov_reports_gmres_iterations(monkeypatch):
     assert _gmres_step(G, rows, p)[1] == max(solo)
 
 
+# -- one row ---------------------------------------------------------------------
+
+def _one_row_step(kind):
+    """(grid, uv, rhs, system, scale) of one step of one packed row, scale a
+    (1,) array: a row of rms 20 (a few sweeps), the same row times 2^-450
+    (below RESCALE_BELOW), a zero row, and a row holding a NaN."""
+    grid, p, prev, noise, noise_scale = _random_step(10, 1, 20.0, 0.05, 11)
+    if kind == "tiny":
+        prev, noise, noise_scale = (np.ldexp(x, -450) for x in (prev, noise, noise_scale))
+    elif kind == "zero":
+        prev, noise, noise_scale = 0.0 * prev, 0.0 * noise, 0.0 * noise_scale
+    elif kind == "nan":
+        prev[0, 3] = np.nan
+    scale = np.sqrt(spectral.packed_norm_sq(prev)) + noise_scale
+    return (grid, spectral.velocity_values(grid, prev), prev + noise, step_system(grid, p),
+            scale)
+
+
+@pytest.mark.parametrize("kind", ["normal", "tiny", "zero", "nan"])
+def test_one_row_solve_is_the_array_solve(kind):
+    # a one-row solve gives the same bits and sweeps for a float scale and a
+    # (1,) array; above RESCALE_BELOW it keeps its bookkeeping in floats, and
+    # gives the bits of the array code that rescaling the row by 2^e (exact)
+    # runs; a non-finite row fails either way
+    grid, uv, rhs, system, scale = _one_row_step(kind)
+    # (scale, RESCALE_BELOW) of each solve
+    cases = [(scale, integrator.RESCALE_BELOW), (float(scale[0]), integrator.RESCALE_BELOW)]
+    if kind == "normal":
+        cases.append((scale, np.inf))
+    outs = []
+    for s, rescale_below in cases:
+        with pytest.MonkeyPatch.context() as mp, np.errstate(under="ignore"):
+            mp.setattr(integrator, "RESCALE_BELOW", rescale_below)
+            if kind == "nan":
+                with pytest.raises(SolverError):
+                    integrator._fixed_point_solve(grid, uv, rhs, system, s)
+                continue
+            outs.append(integrator._fixed_point_solve(grid, uv, rhs, system, s))
+    for c, sweeps in outs[1:]:
+        assert np.array_equal(c.view(np.uint64), outs[0][0].view(np.uint64))
+        assert sweeps == outs[0][1]
+    if kind == "normal":
+        assert outs[0][1] >= 3
+    if kind == "zero":
+        assert not np.any(outs[0][0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1e300])
+@pytest.mark.parametrize("m", [1, 3])
+def test_non_finite_step_fails_at_its_step(m, bad):
+    # one increment of step 3 is NaN, or so large that the step's squared
+    # norms overflow: a NaN noise scale takes the rescaled solve, an infinite
+    # one the floats of one row, where the relative increment reads 0 inf
+    # (a warning only in a batch's array form)
+    tape = batch_increments(4, np.arange(m), BASIS.d, 0.02)
+
+    def provider(n0, n1):
+        dw = tape(n0, n1)
+        if n0 <= 2 < n1:
+            dw[2 - n0, -1, 0] = bad
+        return dw
+
+    f = random_field(G, seed=8)
+    seen = []
+    with pytest.raises(SolverError) as err, np.errstate(over="ignore", invalid="ignore"):
+        run_scheme(G, np.broadcast_to(f.coeffs, (m, G.n_half)), 10,
+                   SchemeParams(1.0, 0.02, 16), BASIS, provider,
+                   observer=lambda step, *rest: seen.append(step))
+    assert err.value.step_index == 3
+    assert seen == [1, 2]
+
+
+def test_one_row_march_is_the_stepped_kernel():
+    # 300 steps cross the 256-step tape chunk.  The observer sees the row's
+    # noise scale as a float, the norm of the step's packed noise, and the
+    # march records the norm of every state it sees; each state is the
+    # kernel's step from the last one with |c_prev| taken afresh, bit for bit
+    p = SchemeParams(1.0, 0.02, 16)
+    f = random_field(G, seed=3, rms=8.0)
+    seen = {0: spectral.pack(f.coeffs[None])}
+    system = step_system(G, p)
+
+    def keep(step, c, noise, noise_scale):
+        assert type(noise_scale) is float
+        assert noise_scale == np.sqrt(spectral.packed_norm_sq(noise))[0]
+        want, _ = _advance_one(G, seen[step - 1], noise, system,
+                               np.sqrt(spectral.packed_norm_sq(noise)))
+        assert np.array_equal(c, want)
+        seen[step] = c.copy()
+
+    run = integrator.march(p, BASIS, [f], 9, [4], 300, keep)
+    assert run.energy_sq.shape == (301, 1)
+    for n in range(301):
+        assert np.array_equal(run.energy_sq[n], spectral.packed_norm_sq(seen[n]))
+
+
 # -- trajectories ----------------------------------------------------------------
 
 def test_zero_steps_returns_projected_initial():
@@ -669,7 +765,11 @@ def test_block_noise_is_the_per_step_product(monkeypatch, m, block_steps):
     for step, noise, noise_scale in steps:
         want = dw[step - 1] @ basis.packed
         assert np.array_equal(noise, want)
-        assert np.array_equal(noise_scale, np.sqrt(spectral.packed_norm_sq(want)))
+        want_scale = np.sqrt(spectral.packed_norm_sq(want))
+        if m == 1:   # one row's scale comes as a float
+            assert type(noise_scale) is float
+            want_scale = want_scale[0]
+        assert np.array_equal(noise_scale, want_scale)
 
 
 @pytest.mark.parametrize("block_bytes", [1, 7 * 3 * 2 * G.n_half * 8, None])

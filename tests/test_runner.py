@@ -400,6 +400,12 @@ OUT_OF_RANGE = {
     ("holder", "[experiment]\nburn_steps = -5\n"): "burn_steps",
     ("bias", "[experiment]\nreference_steps = 0\n"): "reference_steps",
     ("lyapunov", "[experiment]\nmargin_factor = -1\n"): "margin_factor",
+    # an exponential moment of weight alpha <= 0 and a bootstrap of no
+    # resample, which reported a meaningless ratio and a NaN half-width
+    ("lyapunov", "[experiment]\nalpha = -1\n"): "alpha",
+    ("lyapunov", "[experiment]\nalpha = 0\n"): "alpha",
+    ("holder", "[experiment]\nn_boot = -3\n"): "experiment.n_boot",
+    ("converge-time", "[experiment]\nn_boot = 0\n"): "experiment.n_boot",
     # the record stride of a path, and of the spatial study's sup, is checked by
     # the run that reads it, before anything is written
     ("simulate", "[reproducibility]\nrecord_stride = 0\n"): "record_stride",
