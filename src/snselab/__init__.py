@@ -12,11 +12,10 @@ from .spectral import (SpectralField, SpectralGrid, harmonic_field, load_field, 
 from .forcing import ForcingBasis, low_mode_basis
 from .integrator import (EnsembleRun, SchemeParams, batch_increments, ladder, march,
                          run_scheme)
-from .coupling import (CoupledPair, NudgeParams, coupled_ensembles, girsanov_cost,
-                       pathwise_contraction_check, propose_beta)
+from .coupling import CoupledPair, NudgeParams, coupled_ensembles, propose_beta
 from .measures import (DistanceParams, certify_triangle, wasserstein_coupled_bound,
                        wasserstein_exact)
 from .experiments import (InitialCondition, ObservableSpec, RateFit, StudyReport,
-                          fit_rate)
+                          fit_rate, pathwise_contraction_check)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

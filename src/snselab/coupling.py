@@ -16,8 +16,9 @@ it the total variation distance) between the two time-marginal laws.
 Both systems advance on one noise tape.  The plain batch is one
 `integrator.march`, and its observer steps the nudged copies after each
 plain step, because the control term references xi^n at the new time
-level.  Like the march, the copies keep only their energies and sweep
-counts; a caller sees both batches' states through the run's observer.
+level.  A run returns per nudged start only its gaps and, with shifts,
+its per-member cost and per-step mean |psi_j|^2 (`CoupledPair`); a
+caller sees both batches' states through the run's observer.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ from . import integrator as integ
 from . import spectral
 from .errors import ConfigError, RangeError
 from .forcing import ForcingBasis
-from .integrator import EnsembleRun, SchemeParams
+from .integrator import SchemeParams
 from .spectral import SpectralField
 
 SHIFT_TOL = 1e-8   # relative residual above which a shift leaves range(sigma)
-GAP_FLOOR = 1e-20  # E|zeta^n|^2 / |zeta^0|^2 below which a gap has collapsed
 
 
 @dataclass(frozen=True)
@@ -83,15 +83,12 @@ def propose_beta(shells_controlled: int, base: SchemeParams,
 
 @dataclass
 class CoupledPair:
-    """A plain ensemble, its nudged shadow, and the coupling records (the
-    last two None without ``compute_shifts``)."""
+    """One nudged start's coupling records (the last two None without
+    ``compute_shifts``)."""
 
-    primary: EnsembleRun
-    nudged: EnsembleRun
     gaps_sq: np.ndarray                  # |zeta^n|^2, shape (n_steps+1, M)
     kl_bound: np.ndarray | None          # delta sum_j |psi_j|^2, shape (M,)
     shift_sq_mean: np.ndarray | None     # member mean of |psi_j|^2, shape (n_steps,)
-    params: NudgeParams
 
 
 def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
@@ -101,15 +98,14 @@ def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
     """Batched coupled pairs, one per nudged start, on one tape per trajectory id.
 
     The plain ensemble of M = len(trajectory_ids) rows marches once in
-    `integ.march`, and every returned pair shares it as ``primary``.  Its
-    observer steps the k nudged copies after each plain step, as one batch
-    of k M rows (`integ.start_rows`): copy j takes rows j M .. (j+1) M - 1,
-    and each row i is nudged toward plain row i mod M on the plain row's
-    noise.  Each batch's ``iterations`` counts its own sweeps.  The
-    observer records gaps and sums sum_j |psi_j|^2 per nudged row and
-    each copy's member mean of |psi_j|^2 per step.  ``observer(step, c,
-    ct)``, if given, sees the packed plain rows ``c`` (M) and nudged rows
-    ``ct`` (k M) at step 0 and after every nudged step.
+    `integ.march`, and its observer steps the k nudged copies after each
+    plain step, as one batch of k M rows (`integ.start_rows`): copy j
+    takes rows j M .. (j+1) M - 1, and each row i is nudged toward plain
+    row i mod M on the plain row's noise.  The observer records gaps and
+    sums sum_j |psi_j|^2 per nudged row and each copy's member mean of
+    |psi_j|^2 per step.  ``observer(step, c, ct)``, if given, sees the
+    packed plain rows ``c`` (M) and nudged rows ``ct`` (k M) at step 0 and
+    after every nudged step.
     """
     if len(xi_tilde0s) == 0:
         raise ConfigError("need at least one nudged start", field="xi_tilde0s")
@@ -125,9 +121,7 @@ def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
     ct = spectral.pack(integ.start_rows(grid, xi_tilde0s, m))
     c0 = spectral.pack(integ.start_rows(grid, [xi0], m))
     pinv_t = forcing_mod.pinv_matrix(b).T if compute_shifts else None
-    energy_t = np.empty((n_steps + 1, k * m))
-    energy_t[0] = spectral.packed_norm_sq(ct)
-    iters_t = np.zeros(n_steps, dtype=np.int64)
+    energy_t = spectral.packed_norm_sq(ct)   # |c~|^2 of the last step: the next c_norm
     gaps = np.empty((n_steps + 1, k * m))
     shift_sq = np.zeros(k * m) if compute_shifts else None
     shift_sq_mean = np.empty((n_steps, k)) if compute_shifts else None
@@ -135,13 +129,13 @@ def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
 
     def follow(step, c, noise, nscale):
         # the control references xi^n at the new level, so the plain step comes first
-        nonlocal ct, shift_sq
+        nonlocal ct, energy_t, shift_sq
         c_k = np.tile(c, (k, 1))   # plain row i mod M beside each nudged row
-        ct, iters_t[step - 1] = integ._advance_one(
+        ct, _ = integ._advance_one(
             grid, ct, np.tile(noise, (k, 1)), system_n, np.tile(nscale, k),
             rhs_extra=nudge * c_k,
             extra_scale=np.tile(np_.beta * p.delta * np.sqrt(spectral.packed_norm_sq(c)), k),
-            c_norm=np.sqrt(energy_t[step - 1]))
+            c_norm=np.sqrt(energy_t))
         zeta = ct - c_k
         gaps[step] = spectral.packed_norm_sq(zeta)
         if compute_shifts:
@@ -157,49 +151,18 @@ def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
             psi_sq = np_.beta ** 2 * np.sum(eta ** 2, axis=1)   # psi = -beta eta
             shift_sq += psi_sq
             shift_sq_mean[step - 1] = np.mean(psi_sq.reshape(k, m), axis=1)
-        energy_t[step] = spectral.packed_norm_sq(ct)
+        energy_t = spectral.packed_norm_sq(ct)
         if observer is not None:
             observer(step, c, ct)
 
     if observer is not None:
         observer(0, c0, ct)
-    primary = integ.march(p, basis, [xi0], seed, trajectory_ids, n_steps, follow)
-    pairs = []
-    for j in range(k):
-        rows = slice(j * m, (j + 1) * m)
-        copy = EnsembleRun(grid, p, energy_t[:, rows], iters_t)
-        kl = p.delta * shift_sq[rows] if compute_shifts else None
-        pairs.append(CoupledPair(primary, copy, gaps[:, rows], kl,
-                                 shift_sq_mean[:, j] if compute_shifts else None, np_))
-    return pairs
-
-
-# -- information-theoretic cost -----------------------------------------------
-
-@dataclass(frozen=True)
-class GirsanovCost:
-    """Path-space cost of the shift removing the nudging feedback.
-
-    ``kl_bound`` is delta * sum_j |psi_j|^2 (per member when batched), an
-    upper bound for KL(law of shifted path || law of driving path).
-    """
-
-    kl_bound: np.ndarray
-
-    @property
-    def kl_mean(self) -> float:
-        return float(np.mean(self.kl_bound))
-
-    def tv_from_kl(self) -> float:
-        """1 - exp(-KL)/2, using the mean cost as the KL estimate."""
-        return float(1.0 - 0.5 * np.exp(-self.kl_mean))
-
-
-def girsanov_cost(pair: CoupledPair) -> GirsanovCost:
-    if pair.kl_bound is None:
-        raise ConfigError("coupled run was made without compute_shifts",
-                          field="compute_shifts")
-    return GirsanovCost(pair.kl_bound)
+    integ.march(p, basis, [xi0], seed, trajectory_ids, n_steps, follow)
+    rows = [slice(j * m, (j + 1) * m) for j in range(k)]
+    if not compute_shifts:
+        return [CoupledPair(gaps[:, r], None, None) for r in rows]
+    return [CoupledPair(gaps[:, r], p.delta * shift_sq[r], shift_sq_mean[:, j])
+            for j, r in enumerate(rows)]
 
 
 def kl_majorant(np_: NudgeParams, basis: ForcingBasis, gap0_sq: float) -> float:
@@ -211,38 +174,3 @@ def kl_majorant(np_: NudgeParams, basis: ForcingBasis, gap0_sq: float) -> float:
     """
     b = np_.beta
     return float(b * (1.0 + b * np_.base.delta) * basis.pinv_norm() ** 2 * gap0_sq)
-
-
-# -- pathwise contraction fit ---------------------------------------------------
-
-@dataclass(frozen=True)
-class ContractionFit:
-    exact_coupling: bool
-    per_step_log_factor: float | None
-    theoretical_log_factor: float
-    r_squared: float | None
-
-
-def pathwise_contraction_check(pair: CoupledPair) -> ContractionFit:
-    """Fit log E|zeta^n|^2 against n and compare with -(3/4) log(1+beta delta).
-
-    Steps whose mean square gap has collapsed below GAP_FLOOR * |zeta^0|^2
-    (numerical coupling floor) are excluded from the fit.  All-zero gaps
-    report an exact coupling rather than an error.
-    """
-    gaps = np.mean(pair.gaps_sq, axis=1)
-    theo = -0.75 * np.log1p(pair.params.beta * pair.params.base.delta)
-    if gaps[0] == 0.0 or np.all(gaps == 0.0):
-        return ContractionFit(True, None, theo, None)
-    keep = gaps > GAP_FLOOR * gaps[0]
-    keep &= gaps > 0
-    n = np.flatnonzero(keep)
-    if n.size < 3:
-        return ContractionFit(False, None, theo, None)
-    y = np.log(gaps[n])
-    slope, intercept = np.polyfit(n.astype(float), y, 1)
-    pred = slope * n + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return ContractionFit(False, float(slope), theo, r2)

@@ -38,7 +38,7 @@ def gaussian_cells(seed: int, trajectory_ids, cells, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ForcingBasis:
-    """The d forcing directions with Gram and norm metadata.
+    """The d forcing directions with their Gram matrix and total variance.
 
     coeff_matrix holds complex coefficients, one row per direction, and
     ``packed`` the same rows in the real [Re | Im] layout of the marching
@@ -49,7 +49,7 @@ class ForcingBasis:
     grid: SpectralGrid
     coeff_matrix: np.ndarray
     gram: np.ndarray = field(init=False)
-    norms: dict = field(init=False)
+    variance: float = field(init=False)   # |sigma|^2 = Tr(Q_0)
     packed: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -65,18 +65,11 @@ class ForcingBasis:
         gram = TWO_PI_SQ * 2.0 * (c @ c.conj().T).real
         gram.flags.writeable = False
         object.__setattr__(self, "gram", gram)
-        norms = {s: float(np.sum(spectral.sobolev_norm_sq(self.grid, c, s)))
-                 for s in (0.0, 1.0, 2.0)}
-        object.__setattr__(self, "norms", norms)
+        object.__setattr__(self, "variance", float(np.sum(spectral.packed_norm_sq(packed))))
 
     @property
     def d(self) -> int:
         return self.coeff_matrix.shape[0]
-
-    @property
-    def variance(self) -> float:
-        """|sigma|^2 = Tr(Q_0)."""
-        return self.norms[0.0]
 
     def directions(self) -> list[SpectralField]:
         return [SpectralField(self.grid, row) for row in self.coeff_matrix]

@@ -321,12 +321,12 @@ def step_residual(grid, c_prev, c_new, noise_coeffs, p: SchemeParams) -> np.ndar
     return spectral.norm_l2(diag * c_new + p.delta * adv - rhs)
 
 
-def tv_bound(cost, a: float = 1.0) -> float:
+def tv_bound(kl_bound, a: float = 1.0) -> float:
     """2^((1-a)/(1+a)) (E (integral |phi|^2)^a)^(1/(1+a)) for a in (0, 1], from
-    a `coupling.GirsanovCost`."""
+    a coupled run's per-member costs (`coupling.CoupledPair.kl_bound`)."""
     if not 0.0 < a <= 1.0:
         raise ValueError("a must lie in (0, 1]")
-    kl = np.atleast_1d(cost.kl_bound)
+    kl = np.atleast_1d(kl_bound)
     return float(2.0 ** ((1.0 - a) / (1.0 + a)) * np.mean(kl ** a) ** (1.0 / (1.0 + a)))
 
 

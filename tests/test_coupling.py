@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from snselab import spectral
-from snselab.coupling import (NudgeParams, coupled_ensembles, girsanov_cost, kl_majorant,
-                              pathwise_contraction_check, propose_beta)
+from snselab import integrator, spectral
+from snselab.coupling import NudgeParams, coupled_ensembles, kl_majorant, propose_beta
 from snselab.errors import ConfigError, RangeError, SolverError
+from snselab.experiments import (CouplingStudyConfig, coupling_study,
+                                 pathwise_contraction_check)
 from snselab.forcing import ForcingBasis, low_mode_basis, pinv_matrix
 from snselab.integrator import SchemeParams, batch_increments, run_scheme
 from snselab.spectral import (SpectralField, harmonic_field, make_grid,
@@ -71,13 +72,12 @@ def test_beta_zero_coupled_walk_is_run_scheme():
     # kernel call is the plain one, bit for bit
     f = random_field(G, seed=7, rms=1.0)
     ids = np.arange(3)
-    (pair,), plain, nudged = record(coupled_ensembles, f, [f], 300, _nudge(beta=0.0),
-                                    BASIS8, seed=17, trajectory_ids=ids,
-                                    compute_shifts=False)
+    _, plain, nudged = record(coupled_ensembles, f, [f], 300, _nudge(beta=0.0), BASIS8,
+                              seed=17, trajectory_ids=ids, compute_shifts=False)
     run, states = record(run_scheme, G, np.broadcast_to(f.coeffs, (3, G.n_half)), 300, P,
                          BASIS8, batch_increments(17, ids, BASIS8.d, P.delta))
     assert np.array_equal(plain, states)
-    assert np.array_equal(pair.primary.energy_sq, run.energy_sq)
+    assert np.array_equal(spectral.norm_l2_sq(plain), run.energy_sq)
     assert np.array_equal(nudged, states)
 
 
@@ -115,13 +115,11 @@ def test_plain_path_is_shared_across_nudged_starts():
     for k, (start, pair) in enumerate(zip(starts, pairs)):
         (solo,), solo_plain, solo_nudged = record(coupled_ensembles, f, [start], 40, np_,
                                                   BASIS8, seed=5, trajectory_ids=ids)
-        assert pair.primary is pairs[0].primary
-        assert np.array_equal(pair.primary.energy_sq, solo.primary.energy_sq)
         assert np.array_equal(plain, solo_plain)
         # each run solves step j within tol * scale_j, scale_j >= |xi_tilde^j|, so
         # the two stay within the solve errors of both runs summed over the steps
         # (one step alone differs by up to 1.7 tol * scale_j here)
-        norms = np.sqrt(solo.nudged.energy_sq)
+        norms = spectral.norm_l2(solo_nudged)
         summed = np.concatenate([np.zeros_like(norms[:1]), np.cumsum(norms[1:], axis=0)])
         bound = 2.0 * P.tol * summed
         diff = spectral.norm_l2(nudged[:, k * ids.size:(k + 1) * ids.size] - solo_nudged)
@@ -134,18 +132,27 @@ def test_plain_path_is_shared_across_nudged_starts():
                            atol=1e-9 * np.max(solo.shift_sq_mean))
 
 
-def test_plain_path_does_not_depend_on_nudged_copies():
+def test_plain_path_does_not_depend_on_nudged_copies(monkeypatch):
     # the plain batch of a coupled run is the run_scheme march of its tape, bit
     # for bit, and its iterations count its own sweeps; 300 steps cross a chunk
+    march, marched = integrator.march, []
+
+    def spy(*args, **kwargs):
+        marched.append(march(*args, **kwargs))
+        return marched[-1]
+
+    monkeypatch.setattr(integrator, "march", spy)
     f = random_field(G, seed=7, rms=1.0)
     ids = np.arange(3)
-    (pair, *_), plain, _ = record(coupled_ensembles, f, _starts(f), 300, _nudge(), BASIS8,
-                                  seed=17, trajectory_ids=ids)
+    _, plain, _ = record(coupled_ensembles, f, _starts(f), 300, _nudge(), BASIS8,
+                         seed=17, trajectory_ids=ids)
+    monkeypatch.undo()
     run, states = record(run_scheme, G, np.broadcast_to(f.coeffs, (3, G.n_half)), 300, P,
                          BASIS8, batch_increments(17, ids, BASIS8.d, P.delta))
     assert np.array_equal(plain, states)
-    assert np.array_equal(pair.primary.energy_sq, run.energy_sq)
-    assert np.array_equal(pair.primary.iterations, run.iterations)
+    (primary,) = marched
+    assert np.array_equal(primary.energy_sq, run.energy_sq)
+    assert np.array_equal(primary.iterations, run.iterations)
 
 
 def test_stacked_nudged_batch_reports_failing_step_index():
@@ -192,17 +199,16 @@ def test_gap_decays_in_paper_regime():
                              trajectory_ids=np.arange(16))[0]
     mean_gap = np.mean(pair.gaps_sq, axis=1)
     assert mean_gap[-1] <= 1e-3 * mean_gap[0]
-    fit = pathwise_contraction_check(pair)
-    assert not fit.exact_coupling
-    assert fit.per_step_log_factor <= 0.0
-    assert fit.r_squared >= 0.9
+    fit = pathwise_contraction_check(pair.gaps_sq, np_)
+    assert not fit["exact_coupling"]
+    assert fit["per_step_log_factor"] <= 0.0
+    assert fit["r_squared"] >= 0.9
 
 
 def test_exact_coupling_reported():
     f = random_field(G, seed=7)
     pair = _pair(f, f, 10, seed=1)
-    fit = pathwise_contraction_check(pair)
-    assert fit.exact_coupling
+    assert pathwise_contraction_check(pair.gaps_sq, _nudge())["exact_coupling"]
 
 
 def test_linear_regime_fitted_factor_matches_oracle():
@@ -210,23 +216,32 @@ def test_linear_regime_fitted_factor_matches_oracle():
     a = harmonic_field(G, 1, 0, "cos", amplitude=1.0)
     b = harmonic_field(G, 1, 0, "cos", amplitude=2.0)
     pair = _pair(a, b, 200, np_, SILENT8, compute_shifts=False)
-    fit = pathwise_contraction_check(pair)
+    fit = pathwise_contraction_check(pair.gaps_sq, np_)
     want = -2.0 * np.log1p(P.delta * (P.nu + np_.beta))
-    assert fit.per_step_log_factor == pytest.approx(want, abs=1e-6)
+    assert fit["per_step_log_factor"] == pytest.approx(want, abs=1e-6)
 
 
 # -- Girsanov accounting --------------------------------------------------------
 
+def _study(**kwargs):
+    """A small coupling study on 8 shells, K = 4 and 4 forced shells."""
+    return coupling_study(CouplingStudyConfig(
+        shells=8, horizon=0.15, shells_controlled=4, ensemble=2, forcing_shells=4,
+        **kwargs), seed=2)
+
+
 def test_girsanov_zero_for_identical_data():
     f = random_field(G, seed=8)
     pair = _pair(f, f, 15, seed=2)
-    cost = girsanov_cost(pair)
     # both solves are run independently, so the gap sits at the solver
     # rounding floor rather than exactly zero
-    assert cost.kl_mean <= 1e-24
-    assert tv_bound(cost, a=1.0) <= 1e-12
-    assert tv_bound(cost, a=0.5) <= 1e-8
-    assert cost.tv_from_kl() == pytest.approx(0.5)
+    assert np.mean(pair.kl_bound) <= 1e-24
+    assert tv_bound(pair.kl_bound, a=1.0) <= 1e-12
+    assert tv_bound(pair.kl_bound, a=0.5) <= 1e-8
+    # the study's total-variation column reads 1 - exp(-KL)/2 of the mean cost
+    (row,) = _study(perturbations=(0.0,)).tables["perturbations"]
+    assert row["kl_mean"] <= 1e-24
+    assert row["tv_from_kl"] == pytest.approx(0.5)
 
 
 def test_girsanov_identity_from_recorded_states():
@@ -243,15 +258,22 @@ def test_girsanov_identity_from_recorded_states():
          for z in step] for step in zeta])
     assert np.allclose(pair.kl_bound, P.delta * psi_sq.sum(axis=0), rtol=1e-10, atol=0.0)
     assert np.allclose(pair.shift_sq_mean, psi_sq.mean(axis=1), rtol=1e-10, atol=0.0)
-    assert girsanov_cost(pair).kl_mean == pytest.approx(P.delta * psi_sq.sum(axis=0).mean(),
-                                                        rel=1e-10)
+    assert np.mean(pair.kl_bound) == pytest.approx(P.delta * psi_sq.sum(axis=0).mean(),
+                                                   rel=1e-10)
 
 
-def test_girsanov_requires_recorded_shifts():
+def test_no_shifts_record_no_cost():
     f = random_field(G, seed=9)
     pair = _pair(f, f, 5, compute_shifts=False)
-    with pytest.raises(ConfigError):
-        girsanov_cost(pair)
+    assert pair.kl_bound is None and pair.shift_sq_mean is None
+    # a study has cost columns, scalars, fits and kl-* checks exactly when it has shifts
+    for shifts in (True, False):
+        report = _study(perturbations=(1e-2, 1e-1, 1.0), compute_shifts=shifts)
+        columns = {key for table in report.tables.values() for row in table for key in row}
+        cost = {key for key in (*columns, *report.scalars, *report.fits)
+                if "kl" in key or key == "shift_sq_mean"}
+        assert bool(cost) == shifts
+        assert any(key.startswith("kl-") for key in report.checks) == shifts
 
 
 def test_girsanov_invariant_under_direction_relabeling():
@@ -277,10 +299,10 @@ def test_kl_against_majorant_shape():
         G, 1, 0, "cos", normalized=True).coeffs)
     pair = coupled_ensembles(f, [g], 600, np_, BASIS8, seed=13,
                              trajectory_ids=np.arange(8))[0]
-    cost = girsanov_cost(pair)
+    kl_mean = np.mean(pair.kl_bound)
     major = kl_majorant(np_, BASIS8, float(pair.gaps_sq[0].mean()))
-    assert np.isfinite(cost.kl_mean) and cost.kl_mean > 0
-    assert cost.kl_mean <= 10 * major
+    assert np.isfinite(kl_mean) and kl_mean > 0
+    assert kl_mean <= 10 * major
 
 
 def test_range_error_when_forcing_misses_controlled_band():

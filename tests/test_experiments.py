@@ -100,14 +100,15 @@ def test_clipped_energy_values():
     obs = clipped_energy(radius=1.0)
     big = random_field(G, seed=1, rms=3.0)
     small = random_field(G, seed=2, rms=0.5)
-    assert obs.evaluate(G, big.coeffs[None, :])[0] == pytest.approx(1.0)
-    assert obs.evaluate(G, small.coeffs[None, :])[0] == pytest.approx(0.25, rel=1e-12)
+    assert obs.evaluate(G, spectral.pack(big.coeffs[None, :]))[0] == pytest.approx(1.0)
+    assert obs.evaluate(G, spectral.pack(small.coeffs[None, :]))[0] == pytest.approx(
+        0.25, rel=1e-12)
 
 
 def test_smoothed_energy_bounded():
     obs = smoothed_energy(radius=2.0)
     f = random_field(G, seed=3, rms=1.0)
-    val = obs.evaluate(G, f.coeffs)
+    val = obs.evaluate(G, spectral.pack(f.coeffs))
     assert 0.0 < val < 1.0
     assert val == pytest.approx(np.exp(-1.0 / 4.0), rel=1e-12)
 
@@ -115,9 +116,30 @@ def test_smoothed_energy_bounded():
 def test_low_mode_coefficient_reads_projection():
     obs = low_mode_re(1, 0)
     f = harmonic_field(G, 1, 0, "cos", amplitude=1.0, normalized=True)
-    assert obs.evaluate(G, f.coeffs) == pytest.approx(1.0, rel=1e-12)
+    assert obs.evaluate(G, spectral.pack(f.coeffs)) == pytest.approx(1.0, rel=1e-12)
     g = harmonic_field(G, 1, 0, "sin", amplitude=1.0, normalized=True)
-    assert obs.evaluate(G, g.coeffs) == pytest.approx(0.0, abs=1e-14)
+    assert obs.evaluate(G, spectral.pack(g.coeffs)) == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("obs", [
+    clipped_energy(radius=1.0), smoothed_energy(radius=2.0), low_mode_re(1, 0),
+    ObservableSpec("low-mode-coefficient", mode=(2, 1), mode_kind="sin"),
+    # (1, -1) is stored through its conjugate (-1, 1)
+    ObservableSpec("low-mode-coefficient", mode=(1, -1)),
+    ObservableSpec("low-mode-coefficient", mode=(1, -1), mode_kind="sin")])
+def test_packed_observable_is_complex_definition(obs):
+    # on packed rows each kind reads what it reads on the complex coefficients
+    coeffs = np.array([random_field(G, seed=k, rms=0.5 * k).coeffs for k in range(1, 6)])
+    if obs.kind == "low-mode-coefficient":
+        e = harmonic_field(G, *obs.mode, kind=obs.mode_kind, amplitude=1.0, normalized=True)
+        want = spectral.TWO_PI_SQ * 2.0 * (coeffs @ np.conj(e.coeffs)).real
+    else:
+        want = (np.minimum(spectral.norm_l2_sq(coeffs), obs.radius ** 2)
+                if obs.kind == "clipped-norm"
+                else np.exp(-spectral.norm_l2_sq(coeffs) / obs.radius ** 2))
+    got = obs.evaluate(G, spectral.pack(coeffs))
+    assert np.array_equal(got, want)
+    assert np.array_equal(obs.evaluate(G, spectral.pack(coeffs[2])), want[2])
 
 
 def test_lipschitz_declarations():
@@ -545,7 +567,7 @@ def test_weak_delta_leg_steps_its_rungs_on_one_march(monkeypatch):
                       stride=round(cfg.record_time / q.delta))
 
     def means(grid, states):
-        return np.array([np.mean(obs.evaluate(grid, s)) for s in states])
+        return np.array([np.mean(obs.evaluate(grid, spectral.pack(s))) for s in states])
 
     errors = {(row["shells"], row["delta"]): row["weak_error"]
               for row in report.tables["grid"]}

@@ -39,7 +39,7 @@ def test_zero_variance_gives_zero_directions():
 
 
 def test_trace_identity_matches_norms():
-    assert np.trace(BASIS.gram) == pytest.approx(BASIS.norms[0.0], rel=1e-12)
+    assert np.trace(BASIS.gram) == pytest.approx(BASIS.variance, rel=1e-12)
 
 
 def test_directions_mean_free_and_within_cutoff():

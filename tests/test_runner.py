@@ -256,6 +256,8 @@ BAD_CONFIGS = [
     ("converge-time", "[initial]\namplitude = big\n"),
     ("converge-time", "[initial]\nmode_kz = 1\n"),
     ("weak", "[observable]\nkind = no-such-observable\n"),
+    ("bias", "[observable]\nkind = low-mode-coefficient\nmode_kind = tan\n"),
+    ("simulate", "[initial]\nkind = harmonic\nmode_kind = tan\n"),
     ("couple", "[nudge]\nbeta = strong\n"),
     ("couple", "[nudge]\ncompute_shifts = 1\n"),
     ("simulate", "[experiment]\nstepz = 4\n"),
