@@ -194,7 +194,7 @@ class InitialCondition:
                 # a run's config sets the recipe in its [initial] section
                 err.field = f"initial.{err.field}"
                 raise
-        raise ConfigError(f"unknown initial condition {self.kind!r}", field="kind")
+        raise ConfigError(f"unknown initial condition {self.kind!r}", field="initial.kind")
 
 
 # -- reports ------------------------------------------------------------------------
@@ -337,19 +337,16 @@ def temporal_order_study(cfg: TemporalOrderConfig, seed: int) -> StudyReport:
     def params(delta):
         return SchemeParams(cfg.nu, delta, cfg.shells, delta0=deltas[0])
 
-    # base steps per step of each rung
-    strides = [cfg.refine * round(delta / d_min) for delta in deltas]
     sups = [np.zeros(cfg.ensemble) for _ in deltas]
 
     def track(step, ref, cs):
-        for k, stride in enumerate(strides):
-            if step % stride == 0:
-                np.maximum(sups[k], np.sqrt(spectral.packed_norm_sq(cs[k] - ref)),
-                           out=sups[k])
+        for sup, c in zip(sups, cs):
+            if c is not None:
+                np.maximum(sup, np.sqrt(spectral.packed_norm_sq(c - ref)), out=sup)
 
     integ.ladder(params(delta_base), [params(delta) for delta in deltas], basis,
                  [cfg.ic.build(grid, seed)], seed, np.arange(cfg.ensemble),
-                 round(cfg.horizon / delta_base), track)
+                 round(cfg.horizon / delta_base), cfg.refine, track)
 
     rows = [{"delta": delta, "err_p": float(np.mean(sup ** cfg.p_moment)),
              "err_sq": float(np.mean(sup ** 2))} for delta, sup in zip(deltas, sups)]
@@ -429,8 +426,6 @@ def spatial_order_study(cfg: SpatialOrderConfig, seed: int) -> StudyReport:
     sups = [np.zeros(cfg.ensemble) for _ in ladder]
 
     def track(step, ref, cs):
-        if step % cfg.record_stride:
-            return
         for k, c in enumerate(cs):
             diff = ref.copy()
             diff[:, cols[k]] -= c
@@ -439,7 +434,7 @@ def spatial_order_study(cfg: SpatialOrderConfig, seed: int) -> StudyReport:
     integ.ladder(SchemeParams(cfg.nu, cfg.delta, cfg.reference_shells),
                  [SchemeParams(cfg.nu, cfg.delta, shells) for shells in ladder], basis,
                  [cfg.ic.build(ref_grid, seed)], seed, np.arange(cfg.ensemble), n_steps,
-                 track)
+                 cfg.record_stride, track)
     rows = [{"shells": shells, "modes": make_grid(shells).n_modes,
              "err_sup_sq": float(np.mean(sup)), "paths": cfg.ensemble}
             for shells, sup in zip(ladder, sups)]
@@ -611,15 +606,13 @@ def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
     # the march's cell, then the rungs' in grid order
     order = sorted(cells, key=lambda cell: cell != (top.shells, d_min))
     params = [SchemeParams(cfg.nu, delta, shells) for shells, delta in order]
+    n_steps = _whole_steps(cfg.horizon, d_min, "horizon")
     record = _whole_steps(cfg.record_time, d_min, "record_time")
-    series = {cell: ([], [], []) for cell in cells}   # times, coupled, exact
+    series = {cell: ([], []) for cell in cells}   # coupled, exact
 
     def observe(step, c, cs):
-        if step % record:
-            return
-        for (shells, delta), state in zip(order, [c, *cs]):
-            times, coupled, exact = series[shells, delta]
-            times.append(step // round(delta / d_min) * delta)
+        for cell, state in zip(order, [c, *cs]):
+            coupled, exact = series[cell]
             coupled.append(measures_mod.wasserstein_coupled_bound(
                 state[:m], state[m:], "rho_weighted", dp))
             if m <= cfg.exact_limit:
@@ -629,12 +622,13 @@ def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
     integ.ladder(params[0], params[1:],
                  low_mode_basis(top, cfg.forcing_shells, cfg.forcing_variance),
                  [xi0, SpectralField(top, xi0.coeffs + gap.coeffs)], seed, np.arange(m),
-                 _whole_steps(cfg.horizon, d_min, "horizon"), observe)
+                 n_steps, record, observe)
 
     report = StudyReport("wasserstein-contraction", asdict(cfg), seed)
     series_rows, cell_rows, ordering = [], [], []
+    times = np.arange(0, n_steps + 1, record) * d_min
     for shells, delta in cells:
-        times, coupled, exact = (np.array(x) for x in series[shells, delta])
+        coupled, exact = (np.array(x) for x in series[shells, delta])
         keep = (times > 0) & (coupled > cfg.fit_floor * max(coupled[0], 1e-300))
         if np.count_nonzero(keep) < 3:
             raise FitError(f"too few usable contraction points at cell {(shells, delta)}")
@@ -759,8 +753,6 @@ def weak_error_study(cfg: WeakErrorConfig, seed: int) -> StudyReport:
     means = np.empty((len(grids), len(cfg.observables), n_rec + 1))
 
     def observe(step, c, cs):
-        if step % stride:
-            return
         for j, state in enumerate([c, *cs]):
             for i, obs in enumerate(cfg.observables):
                 means[j, i, step // stride] = np.mean(obs.evaluate(grids[j], state))
@@ -769,7 +761,7 @@ def weak_error_study(cfg: WeakErrorConfig, seed: int) -> StudyReport:
                  [SchemeParams(cfg.nu, delta, shells) for shells, delta in cells],
                  low_mode_basis(ref_grid, cfg.forcing_shells, cfg.forcing_variance),
                  [cfg.ic.build(ref_grid, seed)], seed, np.arange(cfg.ensemble),
-                 n_rec * stride, observe)
+                 n_rec * stride, stride, observe)
 
     p_small = cfg.strong_moment
     rows = []

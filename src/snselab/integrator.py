@@ -50,8 +50,9 @@ statistics of a path; the march itself keeps only the per-step energies
 coarser discretizations of a path are stepped: every rung, at any cutoff
 up to the march's and any whole multiple of its delta, steps in an
 observer of the finest march on that march's summed noise, restricted to
-the rung's modes.  The temporal, spatial, weak and contraction studies
-each make one such march.
+the rung's modes, and its reducer sees, at the caller's record steps,
+only the rungs that stepped there.  The temporal, spatial, weak and
+contraction studies each make one such march.
 
 Every march from initial fields goes through `march`, which owns the
 layout of the synchronous coupling: k starts, each repeated for the M
@@ -515,7 +516,7 @@ def march(p: SchemeParams, basis: ForcingBasis, starts, seed: int, ids, n_steps:
 
 
 def ladder(p: SchemeParams, rungs, basis: ForcingBasis, starts, seed: int, ids,
-           n_steps: int, reducer: Callable[..., None]) -> None:
+           n_steps: int, record: int, reducer: Callable[..., None]) -> None:
     """`march` the k ``starts`` at ``p`` and, on the same Brownian path, a
     copy of them at each `SchemeParams` of ``rungs``: the one place rungs
     step.  Every state, the march's and each rung's, holds the k M rows of
@@ -538,12 +539,12 @@ def ladder(p: SchemeParams, rungs, basis: ForcingBasis, starts, seed: int, ids,
     rung's; a rung steps on its buffer and clears it.  (Adding every base
     step into every rung made the temporal ladder about 10% slower.)
 
-    ``reducer(step, c, cs)`` sees the march's packed state ``c`` and the
-    list ``cs`` of the rungs' packed states, at step 0 and after every
-    g-th base step, once the rungs due at that step have stepped: rung k
-    is at ``step`` when ``step`` is a multiple of its stride.  No path is
-    kept beyond the current states; the reducer takes what the caller
-    needs.
+    ``reducer(step, c, cs)`` sees the march's packed state ``c`` at step 0
+    and after every ``record``-th base step, a positive multiple of g
+    (else a `StructuralError` before any step), and a fresh list ``cs``:
+    rung k's packed state if it stepped at ``step`` (every rung at step
+    0), else None, so no reducer reads a stale rung.  No path is kept
+    beyond the current states; the reducer takes what the caller needs.
     """
     grid = p.grid()
     strides = [round(q.delta / p.delta) for q in rungs]
@@ -551,6 +552,8 @@ def ladder(p: SchemeParams, rungs, basis: ForcingBasis, starts, seed: int, ids,
            for q, k in zip(rungs, strides)):
         raise StructuralError("a rung needs a cutoff <= the march's and a whole stride")
     g = math.gcd(*strides) or 1
+    if record < 1 or record % g:
+        raise StructuralError(f"record {record!r} is not a positive multiple of {g}")
     grids = [q.grid() for q in rungs]
     systems = [step_system(gr, q) for gr, q in zip(grids, rungs)]
     cols = [spectral.packed_columns(gr, grid) for gr in grids]
@@ -570,7 +573,8 @@ def ladder(p: SchemeParams, rungs, basis: ForcingBasis, starts, seed: int, ids,
                                         np.sqrt(spectral.packed_norm_sq(sums[k])))
                 sums[k][:] = 0.0
         part[:] = 0.0
-        reducer(step, c, cs)
+        if step % record == 0:
+            reducer(step, c, [x if step % s == 0 else None for x, s in zip(cs, strides)])
 
-    reducer(0, c0, cs)
+    reducer(0, c0, list(cs))
     march(p, basis, starts, seed, ids, n_steps, follow)

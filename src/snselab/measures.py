@@ -139,9 +139,6 @@ class DistanceParams:
         if self.alpha < 0:
             raise ConfigError("alpha must be nonnegative", field="alpha")
 
-    def with_alpha(self, alpha: float) -> "DistanceParams":
-        return DistanceParams(self.eps, self.s, alpha)
-
 
 def default_alpha(nu: float, sigma_sq: float) -> float:
     """Lyapunov weight nu / (8 |sigma|^2), inside the admissible band

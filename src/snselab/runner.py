@@ -379,7 +379,11 @@ def _nested(default, section: dict, where: str):
                                   f"{where}.{key}")
         else:
             raise ConfigError(f"unknown key {key!r}", field=f"{where}.{key}")
-    return dataclasses.replace(default, mode=tuple(mode), **kwargs)
+    try:
+        return dataclasses.replace(default, mode=tuple(mode), **kwargs)
+    except ConfigError as err:   # a section's dataclass names the bare field
+        err.field = f"{where}.{err.field}"
+        raise
 
 
 def study_config(cls, cfg: RunConfig, threads: int = 1):

@@ -656,14 +656,15 @@ def test_march_stacks_starts_over_one_tape():
         assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
-def _ladder_states(p, rungs, start, seed, ids, n_steps):
-    """{step: [march state, rung states...]} of `integrator.ladder`, complex."""
+def _ladder_states(p, rungs, start, seed, ids, n_steps, record=1):
+    """{step: [march state, rung states...]} of `integrator.ladder`, complex,
+    None for a rung that did not step there."""
     seen = {}
 
     def keep(step, c, cs):
-        seen[step] = [spectral.unpack(x) for x in (c, *cs)]
+        seen[step] = [None if x is None else spectral.unpack(x) for x in (c, *cs)]
 
-    integrator.ladder(p, rungs, BASIS, [start], seed, ids, n_steps, keep)
+    integrator.ladder(p, rungs, BASIS, [start], seed, ids, n_steps, record, keep)
     return seen
 
 
@@ -692,7 +693,7 @@ def test_ladder_coarser_delta_on_a_coarser_grid_matches_a_summed_tape():
     q = SchemeParams(1.0, 0.02, 8)
     ids = np.arange(3)
     start = random_field(G, seed=24)
-    seen = _ladder_states(p, [q], start, 8, ids, 400)
+    seen = _ladder_states(p, [q], start, 8, ids, 400, record=4)
     grid = q.grid()
     basis = low_mode_basis(grid, 4, 0.5)
     lone, states = record(run_scheme, grid, integrator.start_rows(grid, [start], ids.size),
@@ -721,7 +722,7 @@ def test_ladder_stacks_starts_over_one_tape(monkeypatch):
     # the march the rungs step in, as `ladder` makes it
     runs, march = [], integrator.march
     monkeypatch.setattr(integrator, "march", lambda *a: runs.append(march(*a)))
-    integrator.ladder(p, [q], BASIS, starts, 8, ids, 300, keep)
+    integrator.ladder(p, [q], BASIS, starts, 8, ids, 300, 1, keep)
     monkeypatch.undo()
     (run,) = runs
     for j, r in enumerate((p, q)):
@@ -745,7 +746,47 @@ def test_ladder_refuses_a_rung_finer_than_the_march(monkeypatch, shells, delta):
     monkeypatch.setattr(integrator, "_advance_one", None)
     with pytest.raises(StructuralError):
         integrator.ladder(SchemeParams(1.0, 0.02, 16), [SchemeParams(1.0, delta, shells)],
-                          BASIS, [random_field(G, seed=25)], 8, [0], 10, lambda *a: None)
+                          BASIS, [random_field(G, seed=25)], 8, [0], 10, 1, lambda *a: None)
+
+
+def test_ladder_hands_its_reducer_only_current_rungs():
+    # rungs of strides 2, 3 and 4 recorded every base step: rung k's entry is
+    # None exactly when it did not step there, and otherwise the state a
+    # ladder of that rung alone, recorded at its own stride, hands over (the
+    # one the lone-march tests above check).  Each call gets a fresh list, so
+    # the lists kept here still hold the states of their own step
+    p = SchemeParams(1.0, 0.005, 16)
+    strides = (2, 3, 4)
+    rungs = [SchemeParams(1.0, stride * p.delta, 8) for stride in strides]
+    ids = np.arange(3)
+    start = random_field(G, seed=28)
+    seen = {}
+
+    def keep(step, c, cs):
+        seen[step] = cs
+
+    integrator.ladder(p, rungs, BASIS, [start], 8, ids, 24, 1, keep)
+    assert sorted(seen) == list(range(25))
+    for k, (q, stride) in enumerate(zip(rungs, strides)):
+        alone = _ladder_states(p, [q], start, 8, ids, 24, record=stride)
+        assert sorted(alone) == list(range(0, 25, stride))
+        for step, cs in seen.items():
+            if step % stride:
+                assert cs[k] is None
+            else:
+                assert np.array_equal(spectral.unpack(cs[k]), alone[step][1])
+
+
+@pytest.mark.parametrize("record", [3, 0])
+def test_ladder_refuses_a_record_off_its_rungs_steps(monkeypatch, record):
+    # rungs of strides 2 and 4 step together every 2 base steps; a record
+    # at any other cadence is refused before any step
+    monkeypatch.setattr(integrator, "_advance_one", None)
+    with pytest.raises(StructuralError):
+        integrator.ladder(SchemeParams(1.0, 0.01, 16),
+                          [SchemeParams(1.0, 0.02, 8), SchemeParams(1.0, 0.04, 8)],
+                          BASIS, [random_field(G, seed=25)], 8, [0], 10, record,
+                          lambda *a: None)
 
 
 @pytest.mark.parametrize("m", [1, 3, 128])

@@ -273,7 +273,8 @@ def test_certify_reduction_when_witness_equals_endpoint():
     dp = DistanceParams(0.1, 0.5, 0.25)
     u, v = _fields(82, 83)
     lhs = _rho_weighted(u, v, dp)
-    rhs = triangle_constant(dp, 2.0) * _rho_weighted(u, v, dp.with_alpha(2 * dp.alpha))
+    dp_g = DistanceParams(dp.eps, dp.s, 2 * dp.alpha)
+    rhs = triangle_constant(dp, 2.0) * _rho_weighted(u, v, dp_g)
     assert lhs <= rhs * (1 + 1e-12)
     cert = certify_triangle(dp, 2.0, packed_rows([u]), packed_rows([v]), packed_rows([u]))
     assert cert.violations == ()
@@ -296,7 +297,7 @@ def test_certify_reports_each_violation_with_its_logs():
     cert = certify_triangle(dp, 2.0, packed_rows([f, f, g]), packed_rows([f, g, h]),
                             packed_rows([h, h, f]), slack=-math.inf)
     assert [i for i, *_ in cert.violations] == [1, 2]
-    dp_g = dp.with_alpha(2 * dp.alpha)
+    dp_g = DistanceParams(dp.eps, dp.s, 2 * dp.alpha)
     for (_, lhs, rhs), (u, v, w) in zip(cert.violations, [(f, g, h), (g, h, f)]):
         assert lhs == pytest.approx(math.log(_rho_weighted(u, v, dp)), rel=1e-12)
         want = math.log(triangle_constant(dp, 2.0) * (_rho_weighted(u, w, dp_g)

@@ -412,6 +412,12 @@ OUT_OF_RANGE = {
     # the run that reads it, before anything is written
     ("simulate", "[reproducibility]\nrecord_stride = 0\n"): "record_stride",
     ("converge-space", "[reproducibility]\nrecord_stride = 0\n"): "record_stride",
+    # a nested section's own check names the field within its section
+    ("bias", "[observable]\nkind = low-mode-coefficient\nmode_kind = tan\n"):
+        "observable.mode_kind",
+    ("simulate", "[initial]\nkind = harmonic\nmode_kind = tan\n"): "initial.mode_kind",
+    ("weak", "[observable]\nkind = x\n"): "observable.kind",
+    ("simulate", "[initial]\nkind = x\n"): "initial.kind",
 }
 
 
