@@ -213,7 +213,8 @@ class StudyReport:
     notes: list = field(default_factory=list)
 
     def passed(self) -> bool:
-        return all(self.checks.values())
+        """Whether the ledger holds a check and every check holds."""
+        return bool(self.checks) and all(self.checks.values())
 
 
 class Band(NamedTuple):

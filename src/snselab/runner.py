@@ -554,18 +554,15 @@ def run_replay(run_dir: Path, out_dir: Path | None) -> int:
     replay_dir = out_dir if out_dir is not None else run_dir / "replay"
     execute(subcommand, cfg, seed, 1, replay_dir, enforce=False)
 
-    mismatches = []
-    for path in sorted(run_dir.rglob("*")):
-        if not path.is_file() or replay_dir in path.parents:
-            continue
-        rel = path.relative_to(run_dir)
-        if rel.parts and rel.parts[0] == "replay":
-            continue
-        twin = replay_dir / rel
-        if not twin.exists():
-            mismatches.append(f"missing from replay: {rel}")
-        elif path.read_bytes() != twin.read_bytes():
-            mismatches.append(f"differs: {rel}")
+    # the run's files outside the replay's own subtree, and the replay's
+    ran = {path.relative_to(run_dir) for path in run_dir.rglob("*") if path.is_file()
+           and replay_dir not in path.parents and run_dir / "replay" not in path.parents}
+    replayed = {path.relative_to(replay_dir) for path in replay_dir.rglob("*")
+                if path.is_file()}
+    mismatches = [f"missing from replay: {rel}" for rel in sorted(ran - replayed)]
+    mismatches += [f"missing from run: {rel}" for rel in sorted(replayed - ran)]
+    mismatches += [f"differs: {rel}" for rel in sorted(ran & replayed)
+                   if (run_dir / rel).read_bytes() != (replay_dir / rel).read_bytes()]
     if mismatches:
         for m in mismatches:
             log.error("replay mismatch: %s", m)
@@ -576,18 +573,22 @@ def run_replay(run_dir: Path, out_dir: Path | None) -> int:
 
 def execute(subcommand: str, cfg: RunConfig, seed: int, threads: int,
             out_dir: Path, enforce: bool) -> int:
+    """Run one subcommand into `out_dir`; under `enforce`, a report that
+    does not pass (`StudyReport.passed`) exits 4."""
+    if "meta" in cfg.sections:
+        raise ConfigError("only a run's manifest holds [meta]", field="meta")
     _uint64(seed, "reproducibility.seed")
     manifest = effective_manifest(cfg, subcommand, seed)
     if subcommand == "simulate":
         report = run_simulate(cfg, seed, out_dir / "checkpoints" / _manifest_digest(manifest))
     else:
         report = run_study(subcommand, cfg, seed, threads)
-    summary = write_bundle(report, out_dir, manifest)
-    failed = [k for k, ok in summary["checks"].items() if not ok]
-    for key, ok in sorted(summary["checks"].items()):
+    write_bundle(report, out_dir, manifest)
+    for key, ok in sorted(report.checks.items()):
         log.info("%s: %s", key, "pass" if ok else "FAIL")
-    if failed and enforce:
-        log.error("acceptance checks failed: %s", ", ".join(failed))
+    if enforce and not report.passed():
+        log.error("acceptance checks failed: %s", ", ".join(
+            k for k, ok in report.checks.items() if not ok) or "the ledger holds none")
         return EXIT_ACCEPTANCE
     return EXIT_OK
 

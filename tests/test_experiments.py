@@ -8,7 +8,7 @@ from snselab.errors import ConfigError, FitError
 from snselab.experiments import (ContractionConfig, CouplingStudyConfig,
                                  HolderConfig, InitialCondition, LyapunovConfig,
                                  ObservableSpec, SpatialOrderConfig, StationaryBiasConfig,
-                                 TemporalOrderConfig, WeakErrorConfig,
+                                 StudyReport, TemporalOrderConfig, WeakErrorConfig,
                                  contraction_study, coupling_study, fit_rate,
                                  holder_study, lyapunov_study, spatial_order_study,
                                  temporal_order_study, weak_error_study)
@@ -17,6 +17,37 @@ from snselab.measures import DistanceParams
 from snselab.spectral import harmonic_field, make_grid, random_field
 
 from helpers import clipped_energy, low_mode_re, record, smoothed_energy, summed_increments
+
+
+# -- ledgers -----------------------------------------------------------------------
+
+def test_report_passes_only_on_a_ledger_of_holding_checks():
+    report = StudyReport("study", {}, 0)
+    assert not report.passed()
+    report.checks["a"] = True
+    assert report.passed()
+    report.checks["b"] = False
+    assert not report.passed()
+
+
+@pytest.mark.parametrize("kl", [np.nan, np.inf])
+def test_coupling_ledger_fails_on_a_nan_or_infinite_kl(monkeypatch, kl):
+    # gate 8 passes on this ledger: a NaN or infinite mean KL cost fails it
+    import snselab.experiments as exp
+    plain = exp.coupling_mod.coupled_ensembles
+
+    def coupled(*args, **kwargs):
+        pairs = plain(*args, **kwargs)
+        pairs[1].kl_bound[:] = kl
+        return pairs
+
+    monkeypatch.setattr(exp.coupling_mod, "coupled_ensembles", coupled)
+    cfg = CouplingStudyConfig(shells=8, delta=0.02, horizon=1.0, ensemble=8,
+                              shells_controlled=4, forcing_shells=4,
+                              perturbations=(1e-2, 1e-1, 1.0))
+    with np.errstate(invalid="ignore"):   # an infinite cost's fit residual is NaN
+        checks = exp.coupling_study(cfg, 1).checks
+    assert not checks["kl-linearity-band"] and not checks["kl-majorant-spread"]
 
 
 # -- rate fitting ----------------------------------------------------------------

@@ -12,18 +12,18 @@ import pytest
 
 import snselab
 from snselab.errors import ConfigError, StructuralError
-from snselab.experiments import (ContractionConfig, CouplingStudyConfig,
-                                 StationaryBiasConfig, StudyReport,
-                                 TemporalOrderConfig)
+from snselab.experiments import (BANDS, ContractionConfig, CouplingStudyConfig,
+                                 StationaryBiasConfig, StudyReport, TemporalOrderConfig)
 from snselab.forcing import low_mode_basis
 from snselab.integrator import SchemeParams, batch_increments, run_scheme
 from snselab.spectral import SpectralField
 from snselab.runner import (CONFIGS, EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_OK, STUDIES,
-                            SUBCOMMANDS, checkpoint, load_config, main, restore,
-                            run_study, study_config)
+                            SUBCOMMANDS, RunConfig, checkpoint, load_config, main,
+                            restore, run_study, study_config)
 from snselab.spectral import make_grid, random_field
 
 from helpers import record
+from test_acceptance import GATES, SEED as GATE_SEED
 
 
 def _write_config(tmp_path, text):
@@ -220,6 +220,18 @@ def test_study_defaults_come_from_config_class(monkeypatch, subcommand):
 
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+# gate config file -> the subcommand that runs it
+GATE_FILES = {name: subcommand for subcommand, name, _ in GATES.values()}
+
+
+def test_example_configs_are_the_gate_files():
+    assert sorted(path.name for path in EXAMPLES.iterdir()) == sorted(GATE_FILES)
+
+
+# the four example configs that became gate files, by their former names;
+# each former name is its subcommand's
+FORMER_EXAMPLES = {"converge_time.cfg": "gate03.cfg", "bias.cfg": "gate13.cfg",
+                   "contraction.cfg": "gate09.cfg", "couple.cfg": "gate08.cfg"}
 
 
 @pytest.mark.parametrize("name, subcommand, expected", [
@@ -228,19 +240,40 @@ EXAMPLES = Path(__file__).resolve().parents[1] / "scripts" / "configs"
     ("contraction.cfg", "contraction", ContractionConfig()),
     ("couple.cfg", "couple", CouplingStudyConfig(
         horizon=6.0, shells_controlled=4, forcing_shells=4,
-        perturbations=(0.01, 0.1, 1.0))),
+        perturbations=(0.01, 0.1, 1.0), ensemble=128)),
 ])
 def test_example_configs_build_their_study(monkeypatch, name, subcommand, expected):
     seen = _capture_studies(monkeypatch)
-    run_study(subcommand, load_config(str(EXAMPLES / name)), seed=1, threads=1)
+    run_study(subcommand, load_config(str(EXAMPLES / FORMER_EXAMPLES[name])),
+              seed=GATE_SEED, threads=1)
     assert seen == [expected]
 
 
-@pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.cfg")), ids=lambda p: p.name)
-def test_every_example_config_builds(path):
-    # each shipped config, named after its subcommand, builds that subcommand's config
-    cls = CONFIGS[path.stem.replace("_", "-")]
-    assert isinstance(study_config(cls, load_config(str(path))), cls)
+@pytest.mark.parametrize("name", sorted(FORMER_EXAMPLES))
+def test_every_example_config_builds(name):
+    # each former example's gate file runs the subcommand its old name gave
+    subcommand = Path(name).stem.replace("_", "-")
+    gate_file = FORMER_EXAMPLES[name]
+    assert GATE_FILES[gate_file] == subcommand
+    cls = CONFIGS[subcommand]
+    assert isinstance(study_config(cls, load_config(str(EXAMPLES / gate_file))), cls)
+
+
+@pytest.mark.parametrize("name", sorted(GATE_FILES))
+def test_every_gate_file_builds(name):
+    # each gate file builds its subcommand's config at the gates' seed, and
+    # every key it sets moves a field off the config class's default
+    cfg = load_config(str(EXAMPLES / name))
+    cls = CONFIGS[GATE_FILES[name]]
+    built = study_config(cls, cfg)
+    assert cfg.get("reproducibility", "seed") == GATE_SEED
+    for section, body in cfg.sections.items():
+        for key, val in body.items():
+            if f"{section}.{key}" not in ("reproducibility.seed", "io.out_dir"):
+                assert study_config(cls, RunConfig({section: {key: val}})) != cls()
+    if cls is ContractionConfig:
+        # gate 10 reads the exact transport's check from this file's ledger
+        assert built.ensemble <= built.exact_limit
 
 
 # (subcommand, config text; for replay the run's manifest): each exits 2
@@ -317,6 +350,8 @@ BAD_CONFIGS = [
     ("contraction", "[experiment]\nhorizon = 1.0\ndeltas = 0.03, 0.01\n"),
     ("lyapunov", "[experiment]\nhorizon = 0.07\n"),
     ("weak", "[experiment]\nhorizon = 0.5\nrecord_time = 0.2\n"),
+    # [meta] is the manifest's own section; replay removes it before it runs
+    ("simulate", "[meta]\n"),
     ("replay", "[experiment]\nsteps = 2\n"),
     ("replay", "[meta]\nsubcommand = simulate\n"),
     ("replay", "[meta]\nsubcommand = simulate\nseed = abc\n"),
@@ -553,6 +588,41 @@ def test_thread_count_changes_nothing(tmp_path, subcommand, make_config):
         assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes(), f
 
 
+# the fast CI tier's tiny run of each banded study
+TINY_CONFIGS = {
+    "couple": "[forcing]\nshells = 4\n[discretization]\nshells = 8\n[experiment]\n"
+              "horizon = 0.2\nensemble = 8\nperturbations = 0.01, 0.1, 1.0\n"
+              "[nudge]\nshells = 4\n",
+    "contraction": "[experiment]\nshells_list = 3, 4\ndeltas = 0.02, 0.01\nhorizon = 1.0\n"
+                   "record_time = 0.2\nensemble = 8\n",
+    "converge-time": "[discretization]\nshells = 6\n[experiment]\n"
+                     "deltas = 0.03, 0.02, 0.01, 0.005\nhorizon = 0.6\nensemble = 4\n"
+                     "refine = 5\n",
+    "converge-space": "[experiment]\nshell_ladder = 3, 4, 6\nreference_shells = 8\n"
+                      "horizon = 0.05\nensemble = 4\n[reproducibility]\nrecord_stride = 2\n",
+    "holder": "[discretization]\nshells = 6\n[experiment]\nburn_steps = 8\n"
+              "window_steps = 64\nlag_min_steps = 1\nlag_max_steps = 40\nn_lags = 6\n"
+              "ensemble = 4\n",
+    "bias": "[discretization]\nshells = 6\n[experiment]\nn_ladder = 10, 20, 40\n"
+            "replicas = 4\nreference_steps = 400\nmse_burn_steps = 5\n",
+    "lyapunov": "[discretization]\nshells = 6\n[experiment]\nhorizon = 1.0\nensemble = 4\n"
+                "n_seeds = 2\n",
+}
+
+
+@pytest.mark.parametrize("subcommand", TINY_CONFIGS)
+def test_ledger_fails_when_its_bands_cannot_hold(monkeypatch, tmp_path, subcommand):
+    # the ledger is what a gate passes on: it holds checks, and with every
+    # band of the study moved above any statistic (its r^2 floor kept) it fails
+    cfg = load_config(_write_config(tmp_path, TINY_CONFIGS[subcommand]))
+    report = run_study(subcommand, cfg, seed=3, threads=1)
+    assert report.checks
+    # finite, since the Lyapunov floor is multiplied by a seed count
+    monkeypatch.setitem(BANDS, report.name, {
+        key: band._replace(lo=1e300) for key, band in BANDS[report.name].items()})
+    assert not run_study(subcommand, cfg, seed=3, threads=1).passed()
+
+
 def test_enforce_gates_exit_code(tmp_path):
     # an impossible band: a deterministic run has strong order ~1, so its
     # p = 1 moment slope is ~1, far outside [0.40, 0.60]; --enforce must exit 4
@@ -573,6 +643,14 @@ variance = 0
     code = main(["converge-time", "--config", path, "--seed", "0",
                  "--out", str(tmp_path / "enf"), "--enforce"])
     assert code == EXIT_ACCEPTANCE
+
+
+def test_replay_flags_a_file_the_run_lacks(tmp_path, caplog):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--steps", "5", "--out", str(out)]) == EXIT_OK
+    (out / "tables" / "diagnostics.csv").unlink()
+    assert main(["replay", str(out)]) == EXIT_ACCEPTANCE
+    assert "missing from run: tables/diagnostics.csv" in caplog.text
 
 
 def test_simulate_with_cadence_and_replay(tmp_path):
@@ -687,6 +765,28 @@ ensemble = 8
                  "--out", str(out)])
     assert code == EXIT_OK
     assert (out / "tables" / "rungs.csv").exists()
+
+
+def test_converge_space_with_two_rungs_fails_under_enforce(tmp_path):
+    # two rungs refuse the fit, so the ledger holds no check
+    path = _write_config(tmp_path, """
+[discretization]
+delta = 0.01
+
+[forcing]
+shells = 3
+
+[experiment]
+shells_list = 3, 4
+reference_shells = 8
+horizon = 0.05
+ensemble = 2
+""")
+    out = tmp_path / "space"
+    code = main(["converge-space", "--config", path, "--seed", "2", "--out", str(out),
+                 "--enforce"])
+    assert code == EXIT_ACCEPTANCE
+    assert json.loads((out / "summary.json").read_text())["checks"] == {}
 
 
 def test_weak_subcommand(tmp_path):
