@@ -173,8 +173,12 @@ class InitialCondition:
     cell: int = 0
 
     def __post_init__(self):
+        _require(self.kind in ("zero", "harmonic", "random", "random-phase"),
+                 f"unknown initial condition {self.kind!r}", "kind")
         _require(self.mode_kind in ("cos", "sin"),
                  f"mode kind must be 'cos' or 'sin', got {self.mode_kind!r}", "mode_kind")
+        _at_least(self, amplitude=0.0, cell=0)
+        _require(self.cell < 1 << 64, f"a tape cell is < 2^64, got {self.cell}", "cell")
 
     def build(self, grid: SpectralGrid, seed: int) -> SpectralField:
         if self.kind == "zero":
@@ -183,18 +187,14 @@ class InitialCondition:
             _require_mode(grid, self.mode, "initial.mode")
             return spectral.harmonic_field(grid, *self.mode, kind=self.mode_kind,
                                            amplitude=self.amplitude, normalized=True)
-        if self.kind in ("random", "random-phase"):
-            try:
-                return spectral.random_field(grid, seed, stream_id=0,
-                                             rms=self.amplitude,
-                                             spectral_slope=self.spectral_slope,
-                                             cell=self.cell,
-                                             phase_only=self.kind == "random-phase")
-            except ConfigError as err:
-                # a run's config sets the recipe in its [initial] section
-                err.field = f"initial.{err.field}"
-                raise
-        raise ConfigError(f"unknown initial condition {self.kind!r}", field="initial.kind")
+        try:
+            return spectral.random_field(grid, seed, stream_id=0, rms=self.amplitude,
+                                         spectral_slope=self.spectral_slope, cell=self.cell,
+                                         phase_only=self.kind == "random-phase")
+        except ConfigError as err:
+            # a run's config sets the recipe in its [initial] section
+            err.field = f"initial.{err.field}"
+            raise
 
 
 # -- reports ------------------------------------------------------------------------
@@ -260,6 +260,13 @@ def _require(cond: bool, message: str, field_name: str):
         raise ConfigError(message, field=field_name)
 
 
+def _at_least(cfg, **floors):
+    """A `ConfigError` on the first field in ``floors`` below its floor, or NaN."""
+    for name, lo in floors.items():
+        val = getattr(cfg, name)
+        _require(val >= lo, f"must be >= {lo!r}, got {val!r}", name)
+
+
 def _require_mode(grid: SpectralGrid, mode, field_name: str):
     """A `ConfigError` on ``field_name`` unless ``mode`` is a wavevector
     (kx, ky) of ``grid``; a mode of any other length fails to unpack."""
@@ -303,6 +310,16 @@ class TemporalOrderConfig:
     threads: int = 1
     n_boot: int = 200
 
+    def __post_init__(self):
+        _require(len(self.deltas) >= 4, "ladder needs >= 4 rungs", "deltas")
+        _require(_monotone(self.deltas), "ladder must be strictly monotone", "deltas")
+        for delta in self.deltas:
+            _whole_steps(delta, min(self.deltas), "deltas")
+            _whole_steps(self.horizon, delta, "horizon")
+        _at_least(self, refine=2, ensemble=1, n_boot=1, forcing_shells=1,
+                  forcing_variance=0.0)
+        _require(self.p_moment > 0, "moment must be positive", "p_moment")
+
 
 def temporal_order_study(cfg: TemporalOrderConfig, seed: int) -> StudyReport:
     """Strong error of each rung against one shared reference at
@@ -320,20 +337,10 @@ def temporal_order_study(cfg: TemporalOrderConfig, seed: int) -> StudyReport:
     deterministic one is ``forcing_variance = 0``.  The rungs advance in
     lockstep in one thread, so ``cfg.threads`` is ignored.
     """
-    deltas = tuple(sorted(set(cfg.deltas), reverse=True))
-    _require(len(cfg.deltas) >= 4, "ladder needs >= 4 rungs", "deltas")
-    _require(_monotone(cfg.deltas), "ladder must be strictly monotone", "deltas")
-    d_min = deltas[-1]
-    for delta in deltas:
-        _whole_steps(delta, d_min, "deltas")
-        _whole_steps(cfg.horizon, delta, "horizon")
-    _require(cfg.refine >= 2, "reference refinement must be >= 2", "refine")
-    _require(cfg.ensemble >= 1, "need >= 1 member", "ensemble")
-    _require(cfg.p_moment > 0, "moment must be positive", "p_moment")
-
+    deltas = tuple(sorted(cfg.deltas, reverse=True))
     grid = make_grid(cfg.shells)
     basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
-    delta_base = d_min / cfg.refine
+    delta_base = deltas[-1] / cfg.refine
 
     def params(delta):
         return SchemeParams(cfg.nu, delta, cfg.shells, delta0=deltas[0])
@@ -396,7 +403,16 @@ class SpatialOrderConfig:
     n_boot: int = 200
 
     def __post_init__(self):
-        _require(self.ensemble >= 1, "need >= 1 member", "ensemble")
+        _require(_monotone(self.shell_ladder), "ladder must be strictly monotone",
+                 "shell_ladder")
+        _require(len(self.shell_ladder) >= 2, "need >= 2 rungs", "shell_ladder")
+        _require(self.reference_shells > max(self.shell_ladder),
+                 "reference cutoff must be strictly largest", "reference_shells")
+        _require(self.forcing_shells <= min(self.shell_ladder),
+                 "forcing must be resolved on the smallest rung", "forcing_shells")
+        _whole_steps(self.horizon, self.delta, "horizon")
+        _at_least(self, record_stride=1, ensemble=1, n_boot=1, forcing_shells=1,
+                  forcing_variance=0.0)
 
 
 def spatial_order_study(cfg: SpatialOrderConfig, seed: int) -> StudyReport:
@@ -410,17 +426,8 @@ def spatial_order_study(cfg: SpatialOrderConfig, seed: int) -> StudyReport:
     against which the squared error scales like 1/N for H^1 data; shell
     counts are reported alongside.
     """
-    ladder = tuple(sorted(set(cfg.shell_ladder)))
-    _require(_monotone(cfg.shell_ladder), "ladder must be strictly monotone",
-             "shell_ladder")
-    _require(len(ladder) >= 2, "need >= 2 rungs", "shell_ladder")
-    _require(cfg.reference_shells > max(ladder),
-             "reference cutoff must be strictly largest", "reference_shells")
-    _require(cfg.forcing_shells <= min(ladder),
-             "forcing must be resolved on the smallest rung", "forcing_shells")
+    ladder = tuple(sorted(cfg.shell_ladder))
     n_steps = _whole_steps(cfg.horizon, cfg.delta, "horizon")
-    _require(cfg.record_stride >= 1, "record stride must be >= 1", "record_stride")
-
     ref_grid = make_grid(cfg.reference_shells)
     basis = low_mode_basis(ref_grid, cfg.forcing_shells, cfg.forcing_variance)
     cols = [spectral.packed_columns(make_grid(shells), ref_grid) for shells in ladder]
@@ -483,7 +490,20 @@ class HolderConfig:
     n_boot: int = 200
 
     def __post_init__(self):
-        _require(self.ensemble >= 1, "need >= 1 member", "ensemble")
+        _at_least(self, burn_steps=0, lag_min_steps=1, lag_max_steps=1, n_lags=2,
+                  ensemble=1, n_boot=1, forcing_shells=1, forcing_variance=0.0)
+        _require(self.moment > 0, "moment must be positive", "moment")
+        lags = self.lags()
+        _require(lags.max() < self.window_steps, "largest lag exceeds the window",
+                 "lag_max_steps")
+        decades = np.log10(lags.max() / lags.min())
+        _require(decades >= 1.5, f"lag ladder spans {decades:.2f} decades, need >= 1.5",
+                 "lag_max_steps")
+
+    def lags(self) -> np.ndarray:
+        """The lag ladder: ``n_lags`` geometric steps, rounded, without repeats."""
+        return np.unique(np.round(np.geomspace(self.lag_min_steps, self.lag_max_steps,
+                                               self.n_lags)).astype(int))
 
 
 def holder_study(cfg: HolderConfig, seed: int) -> StudyReport:
@@ -492,19 +512,7 @@ def holder_study(cfg: HolderConfig, seed: int) -> StudyReport:
     An observer of the march keeps the packed rows of the window, the
     steps ``burn_steps`` .. ``burn_steps + window_steps``; every lag's
     moment averages over all pairs of window steps that lag apart."""
-    _require(cfg.burn_steps >= 0, "burn-in must be >= 0 steps", "burn_steps")
-    _require(cfg.moment > 0, "moment must be positive", "moment")
-    _require(cfg.lag_min_steps >= 1, "lags must span at least one step",
-             "lag_min_steps")
-    _require(cfg.n_lags >= 2, "need >= 2 lags", "n_lags")
-    lags = np.unique(np.round(np.geomspace(cfg.lag_min_steps, cfg.lag_max_steps,
-                                           cfg.n_lags)).astype(int))
-    _require(lags.max() < cfg.window_steps, "largest lag exceeds the window",
-             "lag_max_steps")
-    decades = np.log10(lags.max() / lags.min())
-    _require(decades >= 1.5, f"lag ladder spans {decades:.2f} decades, need >= 1.5",
-             "lag_max_steps")
-
+    lags = cfg.lags()
     grid = make_grid(cfg.shells)
     basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
     p = SchemeParams(cfg.nu, cfg.delta, cfg.shells)
@@ -564,9 +572,17 @@ class ContractionConfig:
     n_boot: int = 200
 
     def __post_init__(self):
+        _at_least(self, ensemble=1, n_boot=1, forcing_shells=1, forcing_variance=0.0)
+        _require(_monotone(self.shells_list), "ladder must be strictly monotone",
+                 "shells_list")
+        _require(_monotone(self.deltas), "ladder must be strictly monotone", "deltas")
+        _require(self.forcing_shells <= min(self.shells_list),
+                 "forcing must fit inside every cutoff", "forcing_shells")
+        _require_mode(make_grid(min(self.shells_list)), self.gap_mode, "gap_mode")
         for delta in self.deltas:
             _whole_steps(self.horizon, delta, "horizon")
-        _require(self.ensemble >= 1, "need >= 1 member", "ensemble")
+            _whole_steps(delta, min(self.deltas), "deltas")
+            _whole_steps(self.record_time, delta, "record_time")
 
 
 def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
@@ -586,15 +602,7 @@ def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
     of each.  The cells advance in lockstep in one thread, so
     ``cfg.threads`` is ignored.
     """
-    _require(_monotone(cfg.shells_list), "ladder must be strictly monotone", "shells_list")
-    _require(_monotone(cfg.deltas), "ladder must be strictly monotone", "deltas")
-    _require(cfg.forcing_shells <= min(cfg.shells_list),
-             "forcing must fit inside every cutoff", "forcing_shells")
-    _require_mode(make_grid(min(cfg.shells_list)), cfg.gap_mode, "gap_mode")
     d_min = min(cfg.deltas)
-    for delta in cfg.deltas:
-        _whole_steps(delta, d_min, "deltas")
-        _whole_steps(cfg.record_time, delta, "record_time")
     alpha = cfg.alpha if cfg.alpha is not None else default_alpha(
         cfg.nu, cfg.forcing_variance)
     dp = DistanceParams(cfg.eps, cfg.s, alpha)
@@ -708,7 +716,7 @@ class WeakErrorConfig:
     nu: float = 1.0
     forcing_shells: int = 4
     forcing_variance: float = 0.5
-    observables: tuple = (ObservableSpec("clipped-norm"),)
+    observable: ObservableSpec = ObservableSpec("clipped-norm")
     s: float = 0.5
     holder_exponent: float = 0.49
     strong_moment: float = 0.5
@@ -716,8 +724,21 @@ class WeakErrorConfig:
 
     def __post_init__(self):
         _whole_steps(self.horizon, self.record_time, "horizon")
-        _require(self.ensemble >= 1, "need >= 1 member", "ensemble")
+        _at_least(self, ensemble=1, forcing_shells=1, forcing_variance=0.0)
         _require(0.0 < self.s <= 1.0, "s must lie in (0, 1]", "s")
+        _require(_monotone(self.shells_list), "ladder must be strictly monotone",
+                 "shells_list")
+        _require(_monotone(self.deltas), "ladder must be strictly monotone", "deltas")
+        _require(self.reference_shells >= max(self.shells_list),
+                 "reference cutoff must dominate the grid", "reference_shells")
+        _require(self.forcing_shells <= min(self.shells_list),
+                 "forcing must fit inside every cutoff", "forcing_shells")
+        for delta in (self.reference_delta, *self.deltas):
+            _whole_steps(delta, self.reference_delta, "deltas")
+            _whole_steps(self.record_time, delta, "record_time")
+        if self.observable.kind == "low-mode-coefficient":
+            _require_mode(make_grid(min(self.shells_list)), self.observable.mode,
+                          "observable.mode")
 
 
 def weak_error_study(cfg: WeakErrorConfig, seed: int) -> StudyReport:
@@ -732,31 +753,18 @@ def weak_error_study(cfg: WeakErrorConfig, seed: int) -> StudyReport:
     controlling function g(N, delta) = max(delta^s, delta^(p/2))^(beta/2)
     + N^(-s/4) of the weak convergence bound.
     """
-    _require(_monotone(cfg.shells_list), "ladder must be strictly monotone", "shells_list")
-    _require(_monotone(cfg.deltas), "ladder must be strictly monotone", "deltas")
-    _require(cfg.reference_shells >= max(cfg.shells_list),
-             "reference cutoff must dominate the grid", "reference_shells")
-    _require(cfg.forcing_shells <= min(cfg.shells_list),
-             "forcing must fit inside every cutoff", "forcing_shells")
-    for delta in (cfg.reference_delta, *cfg.deltas):
-        _whole_steps(delta, cfg.reference_delta, "deltas")
-        _whole_steps(cfg.record_time, delta, "record_time")
-    for obs in cfg.observables:
-        if obs.kind == "low-mode-coefficient":
-            _require_mode(make_grid(min(cfg.shells_list)), obs.mode, "observables")
-
+    obs = cfg.observable
     ref_grid = make_grid(cfg.reference_shells)
     n_rec = _whole_steps(cfg.horizon, cfg.record_time, "horizon")
     stride = _whole_steps(cfg.record_time, cfg.reference_delta, "record_time")
     cells = [(shells, delta) for shells in cfg.shells_list for delta in cfg.deltas]
     grids = [ref_grid] + [make_grid(shells) for shells, _ in cells]
-    # observable means (n_obs, n_rec + 1) of the reference, then of each cell
-    means = np.empty((len(grids), len(cfg.observables), n_rec + 1))
+    # observable means at the record times of the reference, then of each cell
+    means = np.empty((len(grids), n_rec + 1))
 
     def observe(step, c, cs):
         for j, state in enumerate([c, *cs]):
-            for i, obs in enumerate(cfg.observables):
-                means[j, i, step // stride] = np.mean(obs.evaluate(grids[j], state))
+            means[j, step // stride] = np.mean(obs.evaluate(grids[j], state))
 
     integ.ladder(SchemeParams(cfg.nu, cfg.reference_delta, cfg.reference_shells),
                  [SchemeParams(cfg.nu, delta, shells) for shells, delta in cells],
@@ -770,22 +778,19 @@ def weak_error_study(cfg: WeakErrorConfig, seed: int) -> StudyReport:
         modes = make_grid(shells).n_modes
         g = (max(delta ** cfg.s, delta ** (p_small / 2.0))
              ** (cfg.holder_exponent / 2.0) + modes ** (-cfg.s / 4.0))
-        for i, obs in enumerate(cfg.observables):
-            err = float(np.max(np.abs(cell_means[i] - means[0, i])))
-            rows.append({"shells": shells, "delta": delta, "modes": modes,
-                         "observable": obs.kind, "weak_error": err,
-                         "g_control": float(g)})
+        rows.append({"shells": shells, "delta": delta, "modes": modes,
+                     "observable": obs.kind,
+                     "weak_error": float(np.max(np.abs(cell_means - means[0]))),
+                     "g_control": float(g)})
     report = StudyReport("weak-error", asdict(cfg), seed)
     report.tables["grid"] = rows
-    for obs in cfg.observables:
-        sub = [r for r in rows if r["observable"] == obs.kind]
-        errs = np.array([r["weak_error"] for r in sub])
-        gs = np.array([r["g_control"] for r in sub])
-        report.scalars[f"max_error_{obs.kind}"] = float(errs.max())
-        pos = errs > 0
-        if np.count_nonzero(pos) >= 3 and np.unique(gs[pos]).size >= 2:
-            corr = np.corrcoef(np.log(gs[pos]), np.log(errs[pos]))[0, 1]
-            report.scalars[f"g_correlation_{obs.kind}"] = float(corr)
+    errs = np.array([r["weak_error"] for r in rows])
+    gs = np.array([r["g_control"] for r in rows])
+    report.scalars[f"max_error_{obs.kind}"] = float(errs.max())
+    pos = errs > 0
+    if np.count_nonzero(pos) >= 3 and np.unique(gs[pos]).size >= 2:
+        corr = np.corrcoef(np.log(gs[pos]), np.log(errs[pos]))[0, 1]
+        report.scalars[f"g_correlation_{obs.kind}"] = float(corr)
     return report
 
 
@@ -807,6 +812,20 @@ class StationaryBiasConfig:
     ic: InitialCondition = InitialCondition(kind="random", amplitude=3.0)
     n_boot: int = 200
 
+    def __post_init__(self):
+        _require(all(n > 0 for n in self.n_ladder), "ladder entries must be positive",
+                 "n_ladder")
+        _require(len(set(self.n_ladder)) >= 3, "need >= 3 ladder points", "n_ladder")
+        _require(0 <= self.mse_burn_steps < max(self.n_ladder),
+                 "burn-in must be shorter than the measured run", "mse_burn_steps")
+        _require(0.0 < self.burn_fraction < 1.0, "burn fraction must be in (0,1)",
+                 "burn_fraction")
+        # a standard error needs two replicas, the stationary proxy one step
+        _at_least(self, replicas=2, reference_steps=1, n_boot=1, shells=1,
+                  forcing_shells=1, forcing_variance=0.0)
+        if self.observable.kind == "low-mode-coefficient":
+            _require_mode(make_grid(self.shells), self.observable.mode, "observable.mode")
+
 
 def stationary_bias_study(cfg: StationaryBiasConfig, seed: int) -> StudyReport:
     """1/(n delta) legs of the time-average estimator error.
@@ -817,23 +836,11 @@ def stationary_bias_study(cfg: StationaryBiasConfig, seed: int) -> StudyReport:
     MSE leg starts replicas after a burn-in window so the variance term
     O(1/(n delta)) dominates the squared bias.
     """
-    _require(all(n > 0 for n in cfg.n_ladder), "ladder entries must be positive",
-             "n_ladder")
-    _require(len(set(cfg.n_ladder)) >= 3, "need >= 3 ladder points", "n_ladder")
-    _require(0 <= cfg.mse_burn_steps < max(cfg.n_ladder),
-             "burn-in must be shorter than the measured run", "mse_burn_steps")
-    _require(0.0 < cfg.burn_fraction < 1.0, "burn fraction must be in (0,1)",
-             "burn_fraction")
-    _require(cfg.replicas >= 2, "need >= 2 replicas for a standard error", "replicas")
-    _require(cfg.reference_steps >= 1, "the stationary proxy needs >= 1 step",
-             "reference_steps")
     n_max = max(cfg.n_ladder)
     grid = make_grid(cfg.shells)
     basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
     p = SchemeParams(cfg.nu, cfg.delta, cfg.shells)
     obs = cfg.observable
-    if obs.kind == "low-mode-coefficient":
-        _require_mode(grid, obs.mode, "observable")
 
     def observe_run(xi0, n_steps, tape_seed, traj_ids):
         """Per-step observable values (n_steps, M) of one run from xi0."""
@@ -916,6 +923,12 @@ class CouplingStudyConfig:
 
     def __post_init__(self):
         _whole_steps(self.horizon, self.delta, "horizon")
+        _at_least(self, ensemble=1, n_boot=1, shells=1, forcing_shells=1,
+                  forcing_variance=0.0)
+        _require(not self.compute_shifts or self.forcing_shells >= self.shells_controlled,
+                 "shift reconstruction needs forcing covering the controlled band",
+                 "forcing_shells")
+        _require_mode(make_grid(self.shells), self.gap_mode, "gap_mode")
 
 
 def coupling_study(cfg: CouplingStudyConfig, seed: int) -> StudyReport:
@@ -934,14 +947,8 @@ def coupling_study(cfg: CouplingStudyConfig, seed: int) -> StudyReport:
     proposal = coupling_mod.propose_beta(cfg.shells_controlled, p, basis)
     beta = cfg.beta if cfg.beta is not None else proposal["beta"]
     np_ = coupling_mod.NudgeParams(cfg.shells_controlled, beta, p)
-    if cfg.compute_shifts:
-        _require(cfg.forcing_shells >= cfg.shells_controlled,
-                 "shift reconstruction needs forcing covering the controlled band",
-                 "forcing_shells")
     n_steps = _whole_steps(cfg.horizon, cfg.delta, "horizon")
-    _require(cfg.ensemble >= 1, "need >= 1 member", "ensemble")
     xi0 = cfg.ic.build(grid, seed)
-    _require_mode(grid, cfg.gap_mode, "gap_mode")
     gap_dir = spectral.harmonic_field(grid, *cfg.gap_mode, amplitude=1.0,
                                       normalized=True)
     traj = np.arange(cfg.ensemble)
@@ -1023,6 +1030,11 @@ class LyapunovConfig:
 
     def __post_init__(self):
         _whole_steps(self.horizon, self.delta, "horizon")
+        _require(self.alpha is None or self.alpha > 0, f"alpha={self.alpha} must be positive",
+                 "alpha")
+        _at_least(self, n_seeds=1, ensemble=1, forcing_shells=1, forcing_variance=0.0)
+        _require(self.margin_factor > 0, "envelope margin must be positive",
+                 "margin_factor")
 
 
 def lyapunov_study(cfg: LyapunovConfig, seed: int) -> StudyReport:
@@ -1037,12 +1049,8 @@ def lyapunov_study(cfg: LyapunovConfig, seed: int) -> StudyReport:
     grid = make_grid(cfg.shells)
     basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
     cond_cap = cfg.nu / (4.0 * basis.variance)
-    _require(alpha > 0, f"alpha={alpha} must be positive", "alpha")
     _require(alpha <= cond_cap + 1e-15,
              f"alpha={alpha} violates the moment condition cap {cond_cap}", "alpha")
-    _require(cfg.n_seeds >= 1, "need >= 1 seed", "n_seeds")
-    _require(cfg.ensemble >= 1, "need >= 1 member", "ensemble")
-    _require(cfg.margin_factor > 0, "envelope margin must be positive", "margin_factor")
     p = SchemeParams(cfg.nu, cfg.delta, cfg.shells)
     n_steps = _whole_steps(cfg.horizon, cfg.delta, "horizon")
     lam1 = 1.0
@@ -1069,8 +1077,8 @@ def lyapunov_study(cfg: LyapunovConfig, seed: int) -> StudyReport:
     report.scalars["alpha"] = alpha
     report.scalars["fraction_ok"] = n_ok / cfg.n_seeds
     report.scalars["worst_ratio"] = max(r["worst"] for r in rows)
-    floor = BANDS["exponential-lyapunov"]["fraction_ok"].lo
-    report.checks["envelope_95pct"] = bool(n_ok >= int(np.ceil(floor * cfg.n_seeds)))
+    report.checks["envelope_95pct"] = BANDS["exponential-lyapunov"]["fraction_ok"].contains(
+        report.scalars["fraction_ok"])
     return report
 
 
@@ -1086,11 +1094,13 @@ class CertifyMetricConfig:
     s: float = 0.5
     alpha: float | None = None
 
+    def __post_init__(self):
+        _at_least(self, triples=1, forcing_variance=0.0)
+
 
 def certify_metric_study(cfg: CertifyMetricConfig, seed: int) -> StudyReport:
     """Metric axioms of the clamped distance plus the weighted generalized
     triangle inequality (gamma = 2), tested on random field triples."""
-    _require(cfg.triples >= 1, "need >= 1 triple", "triples")
     grid = make_grid(cfg.shells)
     alpha = cfg.alpha if cfg.alpha is not None else default_alpha(
         cfg.nu, cfg.forcing_variance)

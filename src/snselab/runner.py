@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -172,8 +173,8 @@ def _jsonable(obj):
 
 
 def write_bundle(report: exp.StudyReport, out_dir: Path,
-                 manifest: configparser.ConfigParser) -> dict:
-    """Emit manifest, per-table CSVs, and the JSON summary; returns summary.
+                 manifest: configparser.ConfigParser) -> None:
+    """Emit manifest, per-table CSVs, and the JSON summary.
 
     The summary's `config` is the study config without `threads`, which
     changes no number.
@@ -198,7 +199,6 @@ def write_bundle(report: exp.StudyReport, out_dir: Path,
     }
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return summary
 
 
 # -- trajectory checkpoints -----------------------------------------------------------
@@ -246,7 +246,7 @@ def restore(field_path: Path):
 @dataclasses.dataclass(frozen=True)
 class SimulateConfig:
     """One path of `steps` steps from `ic` under `[forcing]`
-    (`build_forcing`), checkpointed every `checkpoint_cadence` steps."""
+    (`build_forcing`), checkpointed every `checkpoint_cadence` steps (0: never)."""
 
     shells: int = 16
     delta: float = 0.01
@@ -259,6 +259,10 @@ class SimulateConfig:
     ic: InitialCondition = InitialCondition()
     record_stride: int = 1
     checkpoint_cadence: int = 0
+
+    def __post_init__(self):
+        exp._at_least(self, steps=0, record_stride=1, checkpoint_cadence=0,
+                      forcing_shells=1, forcing_variance=0.0)
 
 
 # study subcommand -> (config dataclass, study function)
@@ -301,7 +305,7 @@ _ALIASES = {
     ("io", "checkpoint_cadence"): ("checkpoint_cadence",),
 }
 # sections whose keys set the fields of one nested value
-_NESTED = {"initial": ("ic",), "observable": ("observable", "observables")}
+_NESTED = {"initial": ("ic",), "observable": ("observable",)}
 
 
 def _field_name(names, where: str) -> str | None:
@@ -334,25 +338,9 @@ def _scalar(kind: type, val, where: str):
     return kind(val)
 
 
-def _uint64(val: int, where: str) -> int:
-    """`val` if it fits a word of the 64-bit tape cipher (a seed, a cell)."""
-    if not 0 <= val < 1 << 64:
-        raise ConfigError(f"expected an integer in [0, 2^64), got {val}", field=where)
-    return val
-
-
-def _finite(val: float, where: str, lo: float) -> float:
-    """`val` (finite, as `_scalar` returns it) if it is >= `lo`."""
-    if not val >= lo:
-        raise ConfigError(f"expected a finite number >= {lo:g}, got {val!r}", field=where)
-    return val
-
-
 def _coerce(kind, default, val, where: str):
     """`val` as a field declared `kind` whose default is `default`."""
     if isinstance(val, dict):       # a nested section
-        if isinstance(default, tuple):
-            return (_nested(default[0], val, where),)
         return _nested(default, val, where)
     if type(None) in typing.get_args(kind):
         if val == "auto":
@@ -386,21 +374,14 @@ def _nested(default, section: dict, where: str):
         raise
 
 
-def study_config(cls, cfg: RunConfig, threads: int = 1):
-    """The `cls` instance a run describes.
-
-    Each field the file or a flag sets is coerced to the field's type
-    ("auto" means None); every other field keeps its default, and a class
-    with a `threads` field gets `threads`.  A key that neither sets a
-    field nor is read elsewhere (`_read_elsewhere`), a field set from two
-    places, a value of the wrong type, a float that is not finite, an
-    empty list, a forcing with no shell or a negative variance, a negative
-    checkpoint cadence, a bootstrap of fewer than one resample (``n_boot``),
-    or an initial amplitude < 0 or cell outside [0, 2^64) is a
-    `ConfigError`.
-    """
-    fields = {f.name for f in dataclasses.fields(cls)}
-    names = fields - {"threads"}
+@contextlib.contextmanager
+def _fields_set(cls, cfg: RunConfig):
+    """Yields field -> (the key that sets it, its value) for each field of
+    `cls` the run sets, and a `ConfigError` raised inside on such a field
+    names that key (`physics.nu` for `nu`).  A key that sets no field and
+    is not read elsewhere (`_read_elsewhere`), or a field set twice, is
+    itself a `ConfigError`."""
+    names = {f.name for f in dataclasses.fields(cls)} - {"threads"}
     given = {}
     for section, body in cfg.sections.items():
         items = ([(section, body)] if section in _NESTED else
@@ -415,24 +396,30 @@ def study_config(cls, cfg: RunConfig, threads: int = 1):
                 raise ConfigError(f"{name} is also set by {given[name][0]}",
                                   field=where)
             given[name] = (where, val)
+    try:
+        yield given
+    except ConfigError as err:
+        err.field = given.get(err.field, (err.field,))[0]
+        raise
+
+
+def study_config(cls, cfg: RunConfig, threads: int = 1):
+    """The `cls` instance a run describes.
+
+    Each field the file or a flag sets is coerced to the field's type
+    ("auto" means None); every other field keeps its default, and a class
+    with a `threads` field gets `threads`.  A value of the wrong type, a
+    float that is not finite or an empty list is a `ConfigError` here; a
+    value out of range is one that `cls` raises when it is built.  Either
+    names the key that set the field.
+    """
     hints = typing.get_type_hints(cls)
-    kwargs = {name: _coerce(hints[name], getattr(cls, name), val, where)
-              for name, (where, val) in given.items()}
-    # the forcing every subcommand builds from these two needs a shell and
-    # a variance >= 0; a checkpoint cadence is a step count (0: none), a
-    # fit's bootstrap needs a resample, an initial field's amplitude is its
-    # L^2 norm, and its cell a tape cell
-    for name, lo in (("forcing_shells", 1), ("forcing_variance", 0.0),
-                     ("checkpoint_cadence", 0), ("n_boot", 1)):
-        if name in kwargs:
-            _finite(kwargs[name], given[name][0], lo=lo)
-    if "ic" in kwargs:
-        ic, where = kwargs["ic"], given["ic"][0]
-        _finite(ic.amplitude, f"{where}.amplitude", lo=0.0)
-        _uint64(ic.cell, f"{where}.cell")
-    if "threads" in fields:
-        kwargs["threads"] = threads
-    return cls(**kwargs)
+    with _fields_set(cls, cfg) as given:
+        kwargs = {name: _coerce(hints[name], getattr(cls, name), val, where)
+                  for name, (where, val) in given.items()}
+        if "threads" in hints:
+            kwargs["threads"] = threads
+        return cls(**kwargs)
 
 
 def build_forcing(cfg: RunConfig, grid) -> forcing_mod.ForcingBasis:
@@ -448,11 +435,10 @@ def build_forcing(cfg: RunConfig, grid) -> forcing_mod.ForcingBasis:
     sec = cfg.sections.get("forcing", {})
     preset = sec.get("preset", "low-mode")
     if preset == "low-mode":
-        shells = _finite(_scalar(int, sec.get("shells", SimulateConfig.forcing_shells),
-                                 "forcing.shells"), "forcing.shells", lo=1)
-        variance = sec.get("variance", SimulateConfig.forcing_variance)
-        variance = _finite(_scalar(float, variance, "forcing.variance"), "forcing.variance",
-                           lo=0.0)
+        shells = _scalar(int, sec.get("shells", SimulateConfig.forcing_shells),
+                         "forcing.shells")
+        variance = _scalar(float, sec.get("variance", SimulateConfig.forcing_variance),
+                           "forcing.variance")
         amplitudes = sec.get("amplitudes")
         if amplitudes is not None:
             amplitudes = tuple(_scalar(float, a, "forcing.amplitudes") for a in amplitudes)
@@ -488,7 +474,8 @@ def run_study(subcommand: str, cfg: RunConfig, seed: int,
         raise ConfigError(f"unknown study subcommand {subcommand!r}",
                           field="subcommand")
     cls, study = STUDIES[subcommand]
-    return study(study_config(cls, cfg, threads), seed)
+    with _fields_set(cls, cfg):
+        return study(study_config(cls, cfg, threads), seed)
 
 
 # -- simulate / replay ---------------------------------------------------------------
@@ -498,11 +485,8 @@ def run_simulate(cfg: RunConfig, seed: int, ck_root: Path) -> exp.StudyReport:
     checkpoints go to `ck_root` at step 0, at the multiples of
     `checkpoint_cadence` and at the final step, whatever the stride."""
     sim = study_config(SimulateConfig, cfg)
-    if sim.steps < 0:
-        raise ConfigError("steps must be >= 0", field="experiment.steps")
-    if sim.record_stride < 1:
-        raise ConfigError("record stride must be >= 1", field="record_stride")
-    p = integ.SchemeParams(sim.nu, sim.delta, sim.shells, sim.delta0, sim.tol)
+    with _fields_set(SimulateConfig, cfg):
+        p = integ.SchemeParams(sim.nu, sim.delta, sim.shells, sim.delta0, sim.tol)
     grid = p.grid()
     basis = build_forcing(cfg, grid)
     xi0 = sim.ic.build(grid, seed)
@@ -577,7 +561,9 @@ def execute(subcommand: str, cfg: RunConfig, seed: int, threads: int,
     does not pass (`StudyReport.passed`) exits 4."""
     if "meta" in cfg.sections:
         raise ConfigError("only a run's manifest holds [meta]", field="meta")
-    _uint64(seed, "reproducibility.seed")
+    if not 0 <= seed < 1 << 64:   # a word of the 64-bit tape cipher
+        raise ConfigError(f"expected an integer in [0, 2^64), got {seed}",
+                          field="reproducibility.seed")
     manifest = effective_manifest(cfg, subcommand, seed)
     if subcommand == "simulate":
         report = run_simulate(cfg, seed, out_dir / "checkpoints" / _manifest_digest(manifest))

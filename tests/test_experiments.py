@@ -187,23 +187,33 @@ def test_unknown_observable_kind():
 
 
 # -- study validation contracts ----------------------------------------------------------
+# a config checks its own fields when it is built, whoever builds it
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: InitialCondition(amplitude=-2.0), "amplitude"),
+    (lambda: InitialCondition(cell=-1), "cell"),
+    (lambda: HolderConfig(n_boot=0), "n_boot")])
+def test_config_checks_its_own_fields_when_built(make, field):
+    # a negative amplitude built a zero field, a negative cell overflowed
+    # the tape's cipher, and a bootstrap of no resample gave a NaN half-width
+    with pytest.raises(ConfigError) as err:
+        make()
+    assert err.value.field == field
+
 
 def test_temporal_requires_enough_rungs():
-    cfg = TemporalOrderConfig(deltas=(0.1, 0.05, 0.025))
     with pytest.raises(ConfigError):
-        temporal_order_study(cfg, seed=0)
+        TemporalOrderConfig(deltas=(0.1, 0.05, 0.025))
 
 
 def test_temporal_rejects_repeated_rungs():
-    cfg = TemporalOrderConfig(deltas=(0.1, 0.1, 0.1, 0.1, 0.1))
     with pytest.raises(ConfigError):
-        temporal_order_study(cfg, seed=0)
+        TemporalOrderConfig(deltas=(0.1, 0.1, 0.1, 0.1, 0.1))
 
 
 def test_spatial_requires_strictly_larger_reference():
-    cfg = SpatialOrderConfig(shell_ladder=(4, 6, 8), reference_shells=8)
     with pytest.raises(ConfigError):
-        spatial_order_study(cfg, seed=0)
+        SpatialOrderConfig(shell_ladder=(4, 6, 8), reference_shells=8)
 
 
 def test_spatial_two_rungs_emits_raw_table_without_fit():
@@ -216,38 +226,34 @@ def test_spatial_two_rungs_emits_raw_table_without_fit():
 
 
 def test_holder_rejects_sub_step_lags():
-    cfg = HolderConfig(lag_min_steps=0)
     with pytest.raises(ConfigError):
-        holder_study(cfg, seed=0)
+        HolderConfig(lag_min_steps=0)
 
 
 def test_holder_requires_two_lags():
     for n_lags in (0, 1):
         with pytest.raises(ConfigError) as err:
-            holder_study(HolderConfig(n_lags=n_lags), seed=0)
+            HolderConfig(n_lags=n_lags)
         assert err.value.field == "n_lags"
 
 
 def test_holder_requires_decade_span():
-    cfg = HolderConfig(lag_min_steps=2, lag_max_steps=20)
     with pytest.raises(ConfigError):
-        holder_study(cfg, seed=0)
+        HolderConfig(lag_min_steps=2, lag_max_steps=20)
 
 
 def test_bias_requires_short_burn():
-    cfg = StationaryBiasConfig(n_ladder=(10, 20, 40), mse_burn_steps=100)
     with pytest.raises(ConfigError):
-        import snselab.experiments as exp
-        exp.stationary_bias_study(cfg, seed=0)
+        StationaryBiasConfig(n_ladder=(10, 20, 40), mse_burn_steps=100)
 
 
 def test_study_rejects_negative_forcing_variance():
-    # the check sits in forcing.low_mode_basis, so a study called from
+    # the config refuses it when it is built, so a study called from
     # Python stops before an SVD of a non-finite forcing
     with pytest.raises(ConfigError) as err:
         coupling_study(CouplingStudyConfig(forcing_variance=-1.0, horizon=0.05,
                                            ensemble=2), 1)
-    assert err.value.field == "variance"
+    assert err.value.field == "forcing_variance"
 
 
 def test_lyapunov_alpha_admissibility_guard():
@@ -451,7 +457,7 @@ def test_weak_error_constant_observable_is_zero():
     cfg = WeakErrorConfig(
         shells_list=(4, 6), deltas=(0.04, 0.02), reference_shells=6,
         reference_delta=0.01, horizon=0.4, record_time=0.2, ensemble=4,
-        observables=(clipped_energy(radius=1e-6),))  # clip makes it constant
+        observable=clipped_energy(radius=1e-6))  # clip makes it constant
     report = weak_error_study(cfg, seed=1)
     errs = [row["weak_error"] for row in report.tables["grid"]]
     assert max(errs) <= 1e-12
@@ -549,10 +555,9 @@ def test_contraction_grid_off_the_finest_step_is_refused(monkeypatch, deltas, re
     # before any step, where the ladder's StructuralError or a rounded
     # record stride came before
     monkeypatch.setattr(integrator, "_advance_one", None)
-    cfg = ContractionConfig(shells_list=(3, 4), deltas=deltas, horizon=1.2,
-                            record_time=record_time, ensemble=4)
     with pytest.raises(ConfigError) as err:
-        contraction_study(cfg, seed=1)
+        contraction_study(ContractionConfig(shells_list=(3, 4), deltas=deltas, horizon=1.2,
+                                            record_time=record_time, ensemble=4), seed=1)
     assert err.value.field == field
 
 
@@ -587,7 +592,7 @@ def test_weak_delta_leg_steps_its_rungs_on_one_march(monkeypatch):
     assert (p.shells, p.delta) == (cfg.reference_shells, cfg.reference_delta)
     assert [(q.shells, q.delta) for q in rungs] == [
         (shells, delta) for shells in cfg.shells_list for delta in cfg.deltas]
-    obs = cfg.observables[0]
+    obs = cfg.observable
 
     def lone(q):
         """(run, states at the record times) of a lone march at q."""
@@ -660,7 +665,7 @@ def test_weak_error_bounded_by_strong_component():
     grid_c, grid_r = make_grid(6), make_grid(8)
     cfg = WeakErrorConfig(shells_list=(6,), deltas=(0.02,), reference_shells=8,
                           reference_delta=0.01, horizon=0.5, record_time=0.1,
-                          ensemble=32, observables=(low_mode_re(1, 0),),
+                          ensemble=32, observable=low_mode_re(1, 0),
                           forcing_shells=4)
     report = weak_error_study(cfg, seed)
     weak = max(r["weak_error"] for r in report.tables["grid"])

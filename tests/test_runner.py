@@ -1,6 +1,7 @@
 import configparser
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from snselab.forcing import low_mode_basis
 from snselab.integrator import SchemeParams, batch_increments, run_scheme
 from snselab.spectral import SpectralField
 from snselab.runner import (CONFIGS, EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_OK, STUDIES,
-                            SUBCOMMANDS, RunConfig, checkpoint, load_config, main,
+                            SUBCOMMANDS, checkpoint, load_config, main,
                             restore, run_study, study_config)
 from snselab.spectral import make_grid, random_field
 
@@ -71,7 +72,7 @@ delta_ladder = 0.02, 0.005, 0.01, 0.0025
     caplog.clear()
     code = main(["converge-time", "--config", path, "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
-    assert "deltas: ladder must be strictly monotone" in caplog.text
+    assert "discretization.delta_ladder: ladder must be strictly monotone" in caplog.text
 
 
 def test_simulate_zero_steps_emits_manifest_and_checkpoint(tmp_path):
@@ -220,12 +221,14 @@ def test_study_defaults_come_from_config_class(monkeypatch, subcommand):
 
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+# the fast CI tier's run shapes
+FAST = EXAMPLES / "fast"
 # gate config file -> the subcommand that runs it
 GATE_FILES = {name: subcommand for subcommand, name, _ in GATES.values()}
 
 
 def test_example_configs_are_the_gate_files():
-    assert sorted(path.name for path in EXAMPLES.iterdir()) == sorted(GATE_FILES)
+    assert sorted(path.name for path in EXAMPLES.iterdir()) == sorted([*GATE_FILES, "fast"])
 
 
 # the four example configs that became gate files, by their former names;
@@ -262,15 +265,17 @@ def test_every_example_config_builds(name):
 @pytest.mark.parametrize("name", sorted(GATE_FILES))
 def test_every_gate_file_builds(name):
     # each gate file builds its subcommand's config at the gates' seed, and
-    # every key it sets moves a field off the config class's default
+    # every key it sets moves a field off the config class's default (a key
+    # sets one field, and no field twice)
     cfg = load_config(str(EXAMPLES / name))
     cls = CONFIGS[GATE_FILES[name]]
     built = study_config(cls, cfg)
     assert cfg.get("reproducibility", "seed") == GATE_SEED
-    for section, body in cfg.sections.items():
-        for key, val in body.items():
-            if f"{section}.{key}" not in ("reproducibility.seed", "io.out_dir"):
-                assert study_config(cls, RunConfig({section: {key: val}})) != cls()
+    keys = [f"{section}.{key}" for section, body in cfg.sections.items() for key in body
+            if f"{section}.{key}" not in ("reproducibility.seed", "io.out_dir")]
+    moved = [f.name for f in dataclasses.fields(cls)
+             if getattr(built, f.name) != getattr(cls(), f.name)]
+    assert len(moved) == len(keys)
     if cls is ContractionConfig:
         # gate 10 reads the exact transport's check from this file's ledger
         assert built.ensemble <= built.exact_limit
@@ -408,7 +413,8 @@ def test_import_loads_no_scipy():
     assert out.stdout.split() == ["[]", "[]", "True"]
 
 
-# values out of range, with the field each names; a seed keys the 64-bit cipher
+# values out of range, with the key each names, whether the config class or
+# the run rejects it; a seed keys the 64-bit cipher
 OUT_OF_RANGE = {
     ("simulate", "[reproducibility]\nseed = -1\n"): "reproducibility.seed",
     ("couple", "--seed", "-3"): "reproducibility.seed",
@@ -421,38 +427,40 @@ OUT_OF_RANGE = {
     ("simulate", "--steps", "2",
      "[discretization]\nshells = 6\n[initial]\nkind = harmonic\nmode_kx = 9\n"): "initial.mode",
     ("weak", "[experiment]\nshells_list = 3, 4\nreference_shells = 6\n[forcing]\nshells = 2\n"
-             "[observable]\nkind = low-mode-coefficient\nmode_kx = 5\n"): "observables",
-    ("contraction", "[experiment]\ngap_mode = 9, 0\n"): "gap_mode",
-    ("weak", "[distance]\ns = 2\n"): "s",
-    ("weak", "[distance]\ns = 0\n"): "s",
+             "[observable]\nkind = low-mode-coefficient\nmode_kx = 5\n"): "observable.mode",
+    ("contraction", "[experiment]\ngap_mode = 9, 0\n"): "experiment.gap_mode",
+    ("weak", "[distance]\ns = 2\n"): "distance.s",
+    ("weak", "[distance]\ns = 0\n"): "distance.s",
     # a delta off the smallest one's steps, a record time off a delta's steps
-    ("contraction", "[experiment]\ndeltas = 0.03, 0.02\nhorizon = 1.2\n"): "deltas",
-    ("contraction", "[experiment]\nrecord_time = 0.25\n"): "record_time",
-    ("couple", "[experiment]\ngap_mode = 9, 0\n"): "gap_mode",
+    ("contraction", "[experiment]\ndeltas = 0.03, 0.02\nhorizon = 1.2\n"): "experiment.deltas",
+    ("contraction", "[experiment]\nrecord_time = 0.25\n"): "experiment.record_time",
+    ("couple", "[experiment]\ngap_mode = 9, 0\n"): "experiment.gap_mode",
     # values on which a study divided by zero or reported a NaN exponent, a NaN
     # proxy or a negative envelope instead of exiting 2
-    ("converge-time", "[experiment]\np_moment = 0\n"): "p_moment",
-    ("holder", "[experiment]\nmoment = 0\n"): "moment",
-    ("contraction", "[experiment]\nensemble = 0\n"): "ensemble",
-    ("holder", "[experiment]\nburn_steps = -5\n"): "burn_steps",
-    ("bias", "[experiment]\nreference_steps = 0\n"): "reference_steps",
-    ("lyapunov", "[experiment]\nmargin_factor = -1\n"): "margin_factor",
+    ("converge-time", "[experiment]\np_moment = 0\n"): "experiment.p_moment",
+    ("holder", "[experiment]\nmoment = 0\n"): "experiment.moment",
+    ("contraction", "[experiment]\nensemble = 0\n"): "experiment.ensemble",
+    ("holder", "[experiment]\nburn_steps = -5\n"): "experiment.burn_steps",
+    ("bias", "[experiment]\nreference_steps = 0\n"): "experiment.reference_steps",
+    ("lyapunov", "[experiment]\nmargin_factor = -1\n"): "experiment.margin_factor",
     # an exponential moment of weight alpha <= 0 and a bootstrap of no
     # resample, which reported a meaningless ratio and a NaN half-width
-    ("lyapunov", "[experiment]\nalpha = -1\n"): "alpha",
-    ("lyapunov", "[experiment]\nalpha = 0\n"): "alpha",
+    ("lyapunov", "[experiment]\nalpha = -1\n"): "experiment.alpha",
+    ("lyapunov", "[experiment]\nalpha = 0\n"): "experiment.alpha",
     ("holder", "[experiment]\nn_boot = -3\n"): "experiment.n_boot",
     ("converge-time", "[experiment]\nn_boot = 0\n"): "experiment.n_boot",
-    # the record stride of a path, and of the spatial study's sup, is checked by
-    # the run that reads it, before anything is written
-    ("simulate", "[reproducibility]\nrecord_stride = 0\n"): "record_stride",
-    ("converge-space", "[reproducibility]\nrecord_stride = 0\n"): "record_stride",
+    # the record stride of a path, and of the spatial study's sup
+    ("simulate", "[reproducibility]\nrecord_stride = 0\n"): "reproducibility.record_stride",
+    ("converge-space", "[reproducibility]\nrecord_stride = 0\n"):
+        "reproducibility.record_stride",
     # a nested section's own check names the field within its section
     ("bias", "[observable]\nkind = low-mode-coefficient\nmode_kind = tan\n"):
         "observable.mode_kind",
     ("simulate", "[initial]\nkind = harmonic\nmode_kind = tan\n"): "initial.mode_kind",
     ("weak", "[observable]\nkind = x\n"): "observable.kind",
     ("simulate", "[initial]\nkind = x\n"): "initial.kind",
+    # a value that the scheme's parameters, which the run builds, reject
+    ("simulate", "[physics]\nnu = -1\n"): "physics.nu",
 }
 
 
@@ -466,14 +474,30 @@ OUT_OF_RANGE = {
                                   ["bias", "[experiment]\nreplicas = 0\n"],
                                   ["converge-time", "[experiment]\nensemble = 0\n"]]
                          + [list(argv) for argv in OUT_OF_RANGE])
-def test_negative_or_zero_counts_exit_2(tmp_path, caplog, argv):
+def test_negative_or_zero_counts_exit_2(monkeypatch, tmp_path, caplog, argv):
+    # every such value is refused before any study runs
+    seen = _capture_studies(monkeypatch)
     field = OUT_OF_RANGE.get(tuple(argv))
     argv = [f"--config={_write_config(tmp_path, a)}" if a.startswith("[") else a
             for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert seen == []
     if field is not None:
         assert f"configuration error: {field}: " in caplog.text
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    # NudgeParams, which the coupling study builds, needs nu lambda_{K+1} >= 2 beta
+    (["couple", "--beta", "100"], "nudge.beta"),
+    # the Lyapunov study caps alpha by the variance of the forcing it builds
+    (["lyapunov", "[experiment]\nalpha = 10\n"], "experiment.alpha")])
+def test_a_study_names_the_key_that_set_a_field_it_refuses(tmp_path, caplog, argv, key):
+    argv = [f"--config={_write_config(tmp_path, a)}" if a.startswith("[") else a
+            for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"configuration error: {key}: " in caplog.text
+    assert not (tmp_path / "out").exists()
 
 
 def test_flag_replaces_other_spelling_of_its_field(monkeypatch, tmp_path):
@@ -543,34 +567,12 @@ def test_replay_reproduces_bytes(tmp_path):
         assert twin.read_bytes() == orig.read_bytes()
 
 
-def _fast_contraction_config(tmp_path):
-    # four (shells, delta) cells on one ladder, in one thread
-    return _write_config(tmp_path, """
-[experiment]
-shells_list = 3, 4
-deltas = 0.02, 0.01
-horizon = 1.0
-record_time = 0.2
-ensemble = 8
-""")
-
-
-def _fast_lyapunov_config(tmp_path):
-    # two seeds, so `_pmap` runs them on more than one thread
-    return _write_config(tmp_path, """
-[discretization]
-shells = 6
-
-[experiment]
-horizon = 1.0
-ensemble = 4
-n_seeds = 2
-""")
-
-
+# the contraction run steps four (shells, delta) cells on one ladder in one
+# thread; the Lyapunov run has two seeds, so `_pmap` spreads them over threads
 @pytest.mark.parametrize("subcommand, make_config", [
-    ("couple", _fast_couple_config), ("contraction", _fast_contraction_config),
-    ("lyapunov", _fast_lyapunov_config)],
+    ("couple", _fast_couple_config),
+    ("contraction", lambda tmp_path: str(FAST / "contraction.cfg")),
+    ("lyapunov", lambda tmp_path: str(FAST / "lyapunov.cfg"))],
     ids=["couple", "contraction", "lyapunov"])
 def test_thread_count_changes_nothing(tmp_path, subcommand, make_config):
     cfgp = make_config(tmp_path)
@@ -588,39 +590,20 @@ def test_thread_count_changes_nothing(tmp_path, subcommand, make_config):
         assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes(), f
 
 
-# the fast CI tier's tiny run of each banded study
-TINY_CONFIGS = {
-    "couple": "[forcing]\nshells = 4\n[discretization]\nshells = 8\n[experiment]\n"
-              "horizon = 0.2\nensemble = 8\nperturbations = 0.01, 0.1, 1.0\n"
-              "[nudge]\nshells = 4\n",
-    "contraction": "[experiment]\nshells_list = 3, 4\ndeltas = 0.02, 0.01\nhorizon = 1.0\n"
-                   "record_time = 0.2\nensemble = 8\n",
-    "converge-time": "[discretization]\nshells = 6\n[experiment]\n"
-                     "deltas = 0.03, 0.02, 0.01, 0.005\nhorizon = 0.6\nensemble = 4\n"
-                     "refine = 5\n",
-    "converge-space": "[experiment]\nshell_ladder = 3, 4, 6\nreference_shells = 8\n"
-                      "horizon = 0.05\nensemble = 4\n[reproducibility]\nrecord_stride = 2\n",
-    "holder": "[discretization]\nshells = 6\n[experiment]\nburn_steps = 8\n"
-              "window_steps = 64\nlag_min_steps = 1\nlag_max_steps = 40\nn_lags = 6\n"
-              "ensemble = 4\n",
-    "bias": "[discretization]\nshells = 6\n[experiment]\nn_ladder = 10, 20, 40\n"
-            "replicas = 4\nreference_steps = 400\nmse_burn_steps = 5\n",
-    "lyapunov": "[discretization]\nshells = 6\n[experiment]\nhorizon = 1.0\nensemble = 4\n"
-                "n_seeds = 2\n",
-}
-
-
-@pytest.mark.parametrize("subcommand", TINY_CONFIGS)
-def test_ledger_fails_when_its_bands_cannot_hold(monkeypatch, tmp_path, subcommand):
-    # the ledger is what a gate passes on: it holds checks, and with every
-    # band of the study moved above any statistic (its r^2 floor kept) it fails
-    cfg = load_config(_write_config(tmp_path, TINY_CONFIGS[subcommand]))
+@pytest.mark.parametrize("subcommand", ["couple", "contraction", "converge-time",
+                                        "converge-space", "holder", "bias", "lyapunov"])
+def test_ledger_fails_when_its_bands_cannot_hold(monkeypatch, subcommand):
+    # the ledger is what a gate passes on: on the fast CI tier's run of each
+    # banded study it holds checks, and with every band of the study moved
+    # above any statistic (its r^2 floor kept) it fails
+    cfg = load_config(str(FAST / f"{subcommand}.cfg"))
     report = run_study(subcommand, cfg, seed=3, threads=1)
     assert report.checks
-    # finite, since the Lyapunov floor is multiplied by a seed count
-    monkeypatch.setitem(BANDS, report.name, {
-        key: band._replace(lo=1e300) for key, band in BANDS[report.name].items()})
-    assert not run_study(subcommand, cfg, seed=3, threads=1).passed()
+    bands = BANDS[report.name]
+    for lo in (1e300, math.inf):
+        monkeypatch.setitem(BANDS, report.name, {
+            key: band._replace(lo=lo) for key, band in bands.items()})
+        assert not run_study(subcommand, cfg, seed=3, threads=1).passed()
 
 
 def test_enforce_gates_exit_code(tmp_path):
