@@ -103,7 +103,9 @@ def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
     takes rows j M .. (j+1) M - 1, and each row i is nudged toward plain
     row i mod M on the plain row's noise.  The observer records gaps and
     sums sum_j |psi_j|^2 per nudged row and each copy's member mean of
-    |psi_j|^2 per step.  ``observer(step, c, ct)``, if given, sees the
+    |psi_j|^2 per step; at step 0, where the march's observer sees the
+    start rows with no noise, it takes no nudged step and no shift and
+    records only the gaps.  ``observer(step, c, ct)``, if given, sees the
     packed plain rows ``c`` (M) and nudged rows ``ct`` (k M) at step 0 and
     after every nudged step.
     """
@@ -119,26 +121,25 @@ def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
 
     m, k = len(trajectory_ids), len(xi_tilde0s)
     ct = spectral.pack(integ.start_rows(grid, xi_tilde0s, m))
-    c0 = spectral.pack(integ.start_rows(grid, [xi0], m))
     pinv_t = forcing_mod.pinv_matrix(b).T if compute_shifts else None
-    energy_t = spectral.packed_norm_sq(ct)   # |c~|^2 of the last step: the next c_norm
+    energy_t = None   # |c~|^2 of the last step: the next c_norm
     gaps = np.empty((n_steps + 1, k * m))
     shift_sq = np.zeros(k * m) if compute_shifts else None
     shift_sq_mean = np.empty((n_steps, k)) if compute_shifts else None
-    gaps[0] = spectral.packed_norm_sq(ct - np.tile(c0, (k, 1)))
 
     def follow(step, c, noise, nscale):
         # the control references xi^n at the new level, so the plain step comes first
         nonlocal ct, energy_t, shift_sq
         c_k = np.tile(c, (k, 1))   # plain row i mod M beside each nudged row
-        ct, _ = integ._advance_one(
-            grid, ct, np.tile(noise, (k, 1)), system_n, np.tile(nscale, k),
-            rhs_extra=nudge * c_k,
-            extra_scale=np.tile(np_.beta * p.delta * np.sqrt(spectral.packed_norm_sq(c)), k),
-            c_norm=np.sqrt(energy_t))
+        if step:
+            plain_norm = np.sqrt(spectral.packed_norm_sq(c))
+            ct, _ = integ._advance_one(
+                grid, ct, np.tile(noise, (k, 1)), system_n, np.tile(nscale, k),
+                rhs_extra=nudge * c_k, extra_scale=np.tile(np_.beta * p.delta * plain_norm, k),
+                c_norm=np.sqrt(energy_t))
         zeta = ct - c_k
         gaps[step] = spectral.packed_norm_sq(zeta)
-        if compute_shifts:
+        if compute_shifts and step:
             zk = mask * zeta
             eta = zk @ pinv_t
             resid = np.sqrt(spectral.packed_norm_sq(eta @ b.packed - zk))
@@ -155,8 +156,6 @@ def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
         if observer is not None:
             observer(step, c, ct)
 
-    if observer is not None:
-        observer(0, c0, ct)
     integ.march(p, basis, [xi0], seed, trajectory_ids, n_steps, follow)
     rows = [slice(j * m, (j + 1) * m) for j in range(k)]
     if not compute_shifts:

@@ -518,8 +518,6 @@ def holder_study(cfg: HolderConfig, seed: int) -> StudyReport:
     p = SchemeParams(cfg.nu, cfg.delta, cfg.shells)
     xi0 = cfg.ic.build(grid, seed)
     window = np.empty((cfg.window_steps + 1, cfg.ensemble, 2 * grid.n_half))
-    if cfg.burn_steps == 0:
-        window[0] = spectral.pack(integ.start_rows(grid, [xi0], cfg.ensemble))
 
     def keep(step, c, noise, noise_scale):
         if step >= cfg.burn_steps:
@@ -569,10 +567,9 @@ class ContractionConfig:
     exact_limit: int = 64
     fit_floor: float = 1e-12
     threads: int = 1
-    n_boot: int = 200
 
     def __post_init__(self):
-        _at_least(self, ensemble=1, n_boot=1, forcing_shells=1, forcing_variance=0.0)
+        _at_least(self, ensemble=1, forcing_shells=1, forcing_variance=0.0)
         _require(_monotone(self.shells_list), "ladder must be strictly monotone",
                  "shells_list")
         _require(_monotone(self.deltas), "ladder must be strictly monotone", "deltas")
@@ -847,7 +844,8 @@ def stationary_bias_study(cfg: StationaryBiasConfig, seed: int) -> StudyReport:
         vals = np.empty((n_steps, len(traj_ids)))
 
         def watch(step, c, noise, noise_scale):
-            vals[step - 1] = obs.evaluate(grid, c)
+            if step:
+                vals[step - 1] = obs.evaluate(grid, c)
 
         integ.march(p, basis, [xi0], tape_seed, traj_ids, n_steps, watch)
         return vals
@@ -1048,9 +1046,11 @@ def lyapunov_study(cfg: LyapunovConfig, seed: int) -> StudyReport:
         cfg.nu, cfg.forcing_variance)
     grid = make_grid(cfg.shells)
     basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
-    cond_cap = cfg.nu / (4.0 * basis.variance)
-    _require(alpha <= cond_cap + 1e-15,
-             f"alpha={alpha} violates the moment condition cap {cond_cap}", "alpha")
+    # alpha <= nu / (4 |sigma|^2) + 1e-15 multiplied through by 4 |sigma|^2,
+    # so that no forcing (|sigma| = 0) leaves alpha uncapped
+    _require(4.0 * alpha * basis.variance <= cfg.nu + 4e-15 * basis.variance,
+             f"alpha={alpha} violates the moment condition 4 alpha |sigma|^2 <= nu",
+             "alpha")
     p = SchemeParams(cfg.nu, cfg.delta, cfg.shells)
     n_steps = _whole_steps(cfg.horizon, cfg.delta, "horizon")
     lam1 = 1.0

@@ -43,16 +43,17 @@ of its `StepSystem` and passes the matching right-hand-side term.  One
 generator, `tape_steps`, walks an increment provider in `INCREMENT_CHUNK`
 pieces and turns each Brownian increment into its noise coefficients,
 and one march loop, `run_scheme`, iterates over it.  Its observer sees
-each step's packed state and noise, which is how the coupled run steps
-its nudged copies after the plain batch and how every study takes its
-statistics of a path; the march itself keeps only the per-step energies
-|c|^2 and sweep counts of its `EnsembleRun`.  `ladder` is the one place
-coarser discretizations of a path are stepped: every rung, at any cutoff
-up to the march's and any whole multiple of its delta, steps in an
-observer of the finest march on that march's summed noise, restricted to
-the rung's modes, and its reducer sees, at the caller's record steps,
-only the rungs that stepped there.  The temporal, spatial, weak and
-contraction studies each make one such march.
+the packed start rows as step 0, with no noise, and then each step's
+packed state and noise, which is how the coupled run steps its nudged
+copies after the plain batch and how every study takes its statistics
+of a path, the start included; the march itself keeps only the per-step
+energies |c|^2 and sweep counts of its `EnsembleRun`.  `ladder` is the
+one place coarser discretizations of a path are stepped: every rung, at
+any cutoff up to the march's and any whole multiple of its delta, steps
+in an observer of the finest march on that march's summed noise,
+restricted to the rung's modes, and its reducer sees, at the caller's
+record steps, only the rungs that stepped there.  The temporal,
+spatial, weak and contraction studies each make one such march.
 
 Every march from initial fields goes through `march`, which owns the
 layout of the synchronous coupling: k starts, each repeated for the M
@@ -63,6 +64,7 @@ No study calls `run_scheme` or `batch_increments` itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -127,8 +129,6 @@ class EnsembleRun:
     of the states comes from an observer of the march.  A single path is
     a run with M = 1."""
 
-    grid: SpectralGrid
-    params: SchemeParams
     energy_sq: np.ndarray         # (n_steps+1, M)
     iterations: np.ndarray        # (n_steps,)
 
@@ -455,12 +455,13 @@ def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams
     The march keeps only |c|^2 of every row at every step, which the next
     step's solve reads (as a float when M = 1), and the sweep counts;
     ``observer`` is the one view of its states, called as observer(step,
-    c, noise, noise_scale) after every step (step >= 1) with the packed
-    state and the step's packed noise.  A `SolverError` it raises carries
-    the step index like one of the march.  Underflow is ignored for the
-    whole march: a norm of a state or an increment with subnormal entries
-    underflows harmlessly, and so does a float32 sweep's entry far below
-    its row's scale.
+    c, noise, noise_scale) with the packed state and the step's packed
+    noise: first at step 0 on the packed start rows, with no noise (None,
+    0.0, as `tape_steps` gives an unforced step), then after every step.
+    A `SolverError` it raises carries the step index like one of the
+    march.  Underflow is ignored for the whole march: a norm of a state or
+    an increment with subnormal entries underflows harmlessly, and so does
+    a float32 sweep's entry far below its row's scale.
     """
     if p.shells != grid.shells:
         raise StructuralError("params cutoff differs from grid")
@@ -470,27 +471,27 @@ def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams
     b = basis.project_to(grid) if basis is not None else None
     system = step_system(grid, p)
     energy = np.empty((n_steps + 1, c.shape[0]))
-    energy[0] = spectral.packed_norm_sq(c)
     iters = np.zeros(n_steps, dtype=np.int64)
     one_row = c.shape[0] == 1
 
     with np.errstate(under="ignore"):
-        for step, noise, noise_scale in tape_steps(n_steps, b, increments):
+        for step, noise, noise_scale in itertools.chain(
+                [(0, None, 0.0)], tape_steps(n_steps, b, increments)):
             try:
-                # |c_prev| is the square root of the energy recorded last step
-                c_norm = (math.sqrt(energy[step - 1, 0]) if one_row
-                          else np.sqrt(energy[step - 1]))
-                c, sweeps = _advance_one(grid, c, noise, system, noise_scale,
-                                         c_norm=c_norm)
+                if step:
+                    # |c_prev| is the square root of the energy recorded last step
+                    c_norm = (math.sqrt(energy[step - 1, 0]) if one_row
+                              else np.sqrt(energy[step - 1]))
+                    c, iters[step - 1] = _advance_one(grid, c, noise, system,
+                                                      noise_scale, c_norm=c_norm)
                 if observer is not None:
                     observer(step, c, noise, noise_scale)
             except SolverError as err:
                 err.step_index = step
                 raise
-            iters[step - 1] = sweeps
             energy[step] = spectral.packed_norm_sq(c)
 
-    return EnsembleRun(grid, p, energy, iters)
+    return EnsembleRun(energy, iters)
 
 
 def start_rows(grid: SpectralGrid, starts, m: int) -> np.ndarray:
@@ -540,6 +541,7 @@ def ladder(p: SchemeParams, rungs, basis: ForcingBasis, starts, seed: int, ids,
     step into every rung made the temporal ladder about 10% slower.)
 
     ``reducer(step, c, cs)`` sees the march's packed state ``c`` at step 0
+    (the march's observer call on the start rows, with no noise to sum)
     and after every ``record``-th base step, a positive multiple of g
     (else a `StructuralError` before any step), and a fresh list ``cs``:
     rung k's packed state if it stepped at ``step`` (every rung at step
@@ -557,24 +559,24 @@ def ladder(p: SchemeParams, rungs, basis: ForcingBasis, starts, seed: int, ids,
     grids = [q.grid() for q in rungs]
     systems = [step_system(gr, q) for gr, q in zip(grids, rungs)]
     cols = [spectral.packed_columns(gr, grid) for gr in grids]
-    c0 = spectral.pack(start_rows(grid, starts, len(ids)))
     cs = [spectral.pack(start_rows(gr, starts, len(ids))) for gr in grids]
-    part = np.zeros(c0.shape)   # the noise of the base steps since the last g-th
+    # the noise of the base steps since the last g-th
+    part = np.zeros((len(starts) * len(ids), 2 * grid.n_half))
     sums = [np.zeros(c.shape) for c in cs]
 
     def follow(step, c, noise, noise_scale):
-        np.add(part, noise, out=part)
-        if step % g:
-            return
-        for k, stride in enumerate(strides):
-            sums[k] += part[:, cols[k]]
-            if step % stride == 0:
-                cs[k], _ = _advance_one(grids[k], cs[k], sums[k], systems[k],
-                                        np.sqrt(spectral.packed_norm_sq(sums[k])))
-                sums[k][:] = 0.0
-        part[:] = 0.0
+        if step:
+            np.add(part, noise, out=part)
+            if step % g:
+                return
+            for k, stride in enumerate(strides):
+                sums[k] += part[:, cols[k]]
+                if step % stride == 0:
+                    cs[k], _ = _advance_one(grids[k], cs[k], sums[k], systems[k],
+                                            np.sqrt(spectral.packed_norm_sq(sums[k])))
+                    sums[k][:] = 0.0
+            part[:] = 0.0
         if step % record == 0:
             reducer(step, c, [x if step % s == 0 else None for x, s in zip(cs, strides)])
 
-    reducer(0, c0, list(cs))
     march(p, basis, starts, seed, ids, n_steps, follow)

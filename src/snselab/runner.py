@@ -489,23 +489,19 @@ def run_simulate(cfg: RunConfig, seed: int, ck_root: Path) -> exp.StudyReport:
         p = integ.SchemeParams(sim.nu, sim.delta, sim.shells, sim.delta0, sim.tol)
     grid = p.grid()
     basis = build_forcing(cfg, grid)
-    xi0 = sim.ic.build(grid, seed)
-    checkpoint(xi0, p, seed, 0, 0, ck_root)
-
     # |grad c|^2 of the packed row (1, 2 n_half) at the recorded steps, start included
     h1_sq = np.empty((sim.steps + 1, 1))
-    h1_sq[0] = spectral.packed_norm_sq(spectral.pack(xi0.coeffs[None]), grid.lam_packed)
     kept = {}   # the states checkpointed after the march, by step
 
     def observe(step, c, noise, noise_scale):
         if step % sim.record_stride == 0:
             h1_sq[step] = spectral.packed_norm_sq(c, grid.lam_packed)
         cadence = sim.checkpoint_cadence
-        if step == sim.steps or cadence > 0 and step % cadence == 0:
+        if step in (0, sim.steps) or cadence > 0 and step % cadence == 0:
             kept[step] = spectral.unpack(c[0])
 
     # steps = 0 marches too, so row 0 is always the march's packed |c|^2
-    run = integ.march(p, basis, [xi0], seed, [0], sim.steps, observe)
+    run = integ.march(p, basis, [sim.ic.build(grid, seed)], seed, [0], sim.steps, observe)
     idx = np.arange(0, sim.steps + 1, sim.record_stride)
     rows = [{"step": n, "t": n * sim.delta, "energy_sq": e, "h1_sq": h, "iterations": it}
             for n, e, h, it in zip(idx.tolist(), run.energy_sq[idx, 0].tolist(),

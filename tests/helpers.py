@@ -6,12 +6,11 @@ packed coefficient arrays; these wrap its kernels for single
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
 
-from snselab import coupling, integrator, measures, spectral
+from snselab import coupling, measures, spectral
 from snselab.errors import RangeError, StructuralError
 from snselab.experiments import ObservableSpec
 from snselab.forcing import ForcingBasis
@@ -222,28 +221,13 @@ def record(march, *args, stride: int = 1, **kwargs):
     j M .. (j+1) M - 1."""
     kept = {}
     inner = kwargs.pop("observer", None)
+    n_rows = 2 if march is coupling.coupled_ensembles else 1   # (c, ct) or (c,)
 
-    def keep(step, *rows):
+    def observe(step, *seen):
         if step % stride == 0:
-            kept[step] = [spectral.unpack(r) for r in rows]
-
-    if march is coupling.coupled_ensembles:
-        def observe(step, c, ct):
-            keep(step, c, ct)
-            if inner is not None:
-                inner(step, c, ct)
-    else:
-        given = inspect.signature(march).bind(*args, **kwargs).arguments
-        if march is integrator.march:
-            grid = given["p"].grid()
-            kept[0] = [integrator.start_rows(grid, given["starts"], len(given["ids"]))]
-        else:
-            kept[0] = [np.atleast_2d(np.asarray(given["c0"], dtype=np.complex128))]
-
-        def observe(step, c, noise, noise_scale):
-            keep(step, c)
-            if inner is not None:
-                inner(step, c, noise, noise_scale)
+            kept[step] = [spectral.unpack(r) for r in seen[:n_rows]]
+        if inner is not None:
+            inner(step, *seen)
 
     out = march(*args, observer=observe, **kwargs)
     return (out, *(np.array(x) for x in zip(*(kept[n] for n in sorted(kept)))))

@@ -541,24 +541,29 @@ def test_non_finite_step_fails_at_its_step(m, bad):
                    SchemeParams(1.0, 0.02, 16), BASIS, provider,
                    observer=lambda step, *rest: seen.append(step))
     assert err.value.step_index == 3
-    assert seen == [1, 2]
+    assert seen == [0, 1, 2]
 
 
 def test_one_row_march_is_the_stepped_kernel():
     # 300 steps cross the 256-step tape chunk.  The observer sees the row's
-    # noise scale as a float, the norm of the step's packed noise, and the
-    # march records the norm of every state it sees; each state is the
-    # kernel's step from the last one with |c_prev| taken afresh, bit for bit
+    # noise scale as a float, the norm of the step's packed noise (0.0 at
+    # the start row, which has none), and the march records the norm of
+    # every state it sees; each state is the kernel's step from the last one
+    # with |c_prev| taken afresh, bit for bit
     p = SchemeParams(1.0, 0.02, 16)
     f = random_field(G, seed=3, rms=8.0)
-    seen = {0: spectral.pack(f.coeffs[None])}
+    seen = {}
     system = step_system(G, p)
 
     def keep(step, c, noise, noise_scale):
         assert type(noise_scale) is float
-        assert noise_scale == np.sqrt(spectral.packed_norm_sq(noise))[0]
-        want, _ = _advance_one(G, seen[step - 1], noise, system,
-                               np.sqrt(spectral.packed_norm_sq(noise)))
+        if step == 0:
+            assert noise is None and noise_scale == 0.0
+            want = spectral.pack(f.coeffs[None])
+        else:
+            assert noise_scale == np.sqrt(spectral.packed_norm_sq(noise))[0]
+            want, _ = _advance_one(G, seen[step - 1], noise, system,
+                                   np.sqrt(spectral.packed_norm_sq(noise)))
         assert np.array_equal(c, want)
         seen[step] = c.copy()
 
@@ -630,7 +635,7 @@ def test_recorded_energy_is_norm_of_recorded_state():
         run, states = _path(f, 30, p, BASIS, 5, ids, stride=7, observer=record_h1)
         steps = np.arange(0, 31, 7)
         assert np.array_equal(run.energy_sq[steps], spectral.norm_l2_sq(states))
-        for i, n in enumerate(steps[1:], start=1):
+        for i, n in enumerate(steps):
             assert np.array_equal(h1_sq[n], spectral.sobolev_norm_sq(G, states[i], 1.0))
         last = spectral.norm_l2_sq(states[-1, -1].copy())
         assert last == run.energy_sq[steps[-1], -1]
@@ -654,6 +659,47 @@ def test_march_stacks_starts_over_one_tape():
     assert np.array_equal(got_states, want_states)
     for name in ("energy_sq", "iterations"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_every_view_of_a_march_sees_its_start_once_and_first():
+    # run_scheme's observer, march's, a ladder's reducer and a coupled run's
+    # observer each see step 0 exactly once, before any other step, on the
+    # packed start rows bit for bit, with no noise where the view has some
+    p = SchemeParams(1.0, 0.02, 16)
+    q = SchemeParams(1.0, 0.04, 8)
+    starts = [random_field(make_grid(20), seed=29), random_field(G, seed=30)]
+    ids = np.arange(3)
+    seen = {}
+
+    def keep(name):
+        seen[name] = []
+        return lambda step, c, *rest: seen[name].append((step, c.copy(), rest))
+
+    def packed_rows(grid, fields):
+        return spectral.pack(integrator.start_rows(grid, fields, ids.size))
+
+    rows = packed_rows(G, starts)
+    tape = batch_increments(8, ids, BASIS.d, p.delta)
+    run_scheme(G, integrator.start_rows(G, starts, ids.size), 6, p, BASIS,
+               lambda n0, n1: np.concatenate([tape(n0, n1)] * 2, axis=1),
+               keep("run_scheme"))
+    integrator.march(p, BASIS, starts, 8, ids, 6, keep("march"))
+    integrator.ladder(p, [q], BASIS, starts, 8, ids, 6, 2, keep("ladder"))
+    coupled_ensembles(starts[1], starts, 6, NudgeParams(2, 1.0, p), BASIS, 8, ids,
+                      observer=keep("coupled"))
+    for name, calls in seen.items():
+        record_steps = range(0, 7, 2) if name == "ladder" else range(7)
+        assert [step for step, _, _ in calls] == list(record_steps), name
+        _, c, rest = calls[0]
+        if name == "coupled":
+            assert np.array_equal(c, packed_rows(G, starts[1:]))
+            assert np.array_equal(rest[0], rows)
+        else:
+            assert np.array_equal(c, rows)
+        if name == "ladder":
+            assert np.array_equal(rest[0][0], packed_rows(q.grid(), starts))
+        elif name != "coupled":
+            assert rest == (None, 0.0)
 
 
 def _ladder_states(p, rungs, start, seed, ids, n_steps, record=1):
@@ -822,7 +868,7 @@ def test_observed_path_does_not_depend_on_the_noise_block(monkeypatch, block_byt
     want, want_states = _path(f, 100, p, BASIS, 9, [0, 1, 2], stride=3)
     if block_bytes is not None:
         monkeypatch.setattr(integrator, "BLOCK_BYTES", block_bytes)
-    seen = {0: spectral.pack(np.broadcast_to(f.coeffs, (3, G.n_half)))}
+    seen = {}
 
     def keep(step, c, noise, noise_scale):
         seen[step] = c.copy()

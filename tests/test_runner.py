@@ -500,6 +500,23 @@ def test_a_study_names_the_key_that_set_a_field_it_refuses(tmp_path, caplog, arg
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("variance, alpha, code", [
+    # no forcing leaves alpha uncapped (a ZeroDivisionError once)
+    (0.0, 0.1, EXIT_OK),
+    # nu / (4 |sigma|^2) = 0.5 caps alpha: at the cap the run goes ahead, above it not
+    (0.5, 0.5, EXIT_OK),
+    (0.5, 0.51, EXIT_CONFIG)])
+def test_lyapunov_caps_alpha_by_the_forcing_variance(tmp_path, caplog, variance, alpha,
+                                                     code):
+    path = _write_config(tmp_path, f"[forcing]\nvariance = {variance}\n"
+                                   "[discretization]\nshells = 4\n"
+                                   "[experiment]\nhorizon = 0.2\nensemble = 2\n"
+                                   f"n_seeds = 1\nalpha = {alpha}\n")
+    assert main(["lyapunov", "--config", path, "--out", str(tmp_path / "out")]) == code
+    refused = "configuration error: experiment.alpha: " in caplog.text
+    assert refused == (code == EXIT_CONFIG)
+
+
 def test_flag_replaces_other_spelling_of_its_field(monkeypatch, tmp_path):
     seen = _capture_studies(monkeypatch)
     path = _write_config(tmp_path, "[nudge]\nperturbation = 0.01\n"
