@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -129,11 +128,16 @@ class ObservableSpec:
 
     def evaluate(self, grid: SpectralGrid, rows: np.ndarray) -> np.ndarray:
         """Values on packed rows (..., 2 n_half) of ``grid``, as a march keeps them."""
+        if self.kind == "low-mode-coefficient":
+            return spectral.TWO_PI_SQ * 2.0 * (rows @ _eigen_row(grid, self.mode, self.mode_kind))
+        return self.of_energy(spectral.packed_norm_sq(rows))
+
+    def of_energy(self, energy_sq: np.ndarray) -> np.ndarray:
+        """Values of the clipped-norm and smoothed-energy kinds from |xi|^2,
+        as a march records it in ``EnsembleRun.energy_sq``."""
         if self.kind == "clipped-norm":
-            return np.minimum(spectral.packed_norm_sq(rows), self.radius ** 2)
-        if self.kind == "smoothed-energy":
-            return np.exp(-spectral.packed_norm_sq(rows) / self.radius ** 2)
-        return spectral.TWO_PI_SQ * 2.0 * (rows @ _eigen_row(grid, self.mode, self.mode_kind))
+            return np.minimum(energy_sq, self.radius ** 2)
+        return np.exp(-energy_sq / self.radius ** 2)
 
     def lipschitz_constant(self, dp: DistanceParams) -> float | None:
         """Certified constant against the weighted distance at desk scale.
@@ -251,6 +255,8 @@ def _pmap(fn, items: Iterable, threads: int) -> list:
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor   # not loaded by a serial run
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -840,7 +846,12 @@ def stationary_bias_study(cfg: StationaryBiasConfig, seed: int) -> StudyReport:
     obs = cfg.observable
 
     def observe_run(xi0, n_steps, tape_seed, traj_ids):
-        """Per-step observable values (n_steps, M) of one run from xi0."""
+        """Per-step observable values (n_steps, M) of one run from xi0: an
+        energy kind reads the |xi|^2 the march records, the low-mode
+        coefficient an observer."""
+        if obs.kind != "low-mode-coefficient":
+            run = integ.march(p, basis, [xi0], tape_seed, traj_ids, n_steps)
+            return obs.of_energy(run.energy_sq[1:])
         vals = np.empty((n_steps, len(traj_ids)))
 
         def watch(step, c, noise, noise_scale):

@@ -11,15 +11,17 @@ Fourier space; the O(delta) advection perturbation is handled by
 preconditioned fixed-point iteration, which stops on an a-posteriori bound
 of its error (`_fixed_point_solve`).  The iteration runs in increment form:
 each sweep maps the last increment to the next one and adds it to the
-state.  From the third sweep on an increment is tiny next to the state, so
-a sweep may run in float32 (mixed-precision iterative refinement: Carson
-and Higham, SIAM J. Sci. Comput. 40(2), 2018) when its predicted increment,
-times `SWEEP32_ERROR` = 2^-18, the bound on a float32 sweep's relative
-error, fits in the solve's error budget: all float32 sweeps of a solve
-together add at most `SWEEP32_SHARE` = 5% of tol * scale to any row.  A
-step on which the fixed point cannot finish within `MAX_SWEEPS` sweeps, by
-its own contraction estimate, is solved again by restarted GMRES.  Both
-solvers stop at tol * scale in the L^2 norm.
+state.  From the second sweep on an increment is tiny next to the state,
+so a sweep may run in float32 (mixed-precision iterative refinement:
+Carson and Higham, SIAM J. Sci. Comput. 40(2), 2018) when its predicted
+increment, times `SWEEP32_ERROR` = 2^-18, the bound on a float32 sweep's
+relative error, fits in the solve's float32 room; the room pays for a
+float32 sweep only after its increment is measured and only if it fits,
+else the same increment is mapped again in float64, so all float32
+sweeps of a solve together add at most `SWEEP32_SHARE` = 5% of tol *
+scale to any row.  A step on which the fixed point cannot finish within
+`MAX_SWEEPS` sweeps, by its own contraction estimate, is solved again by
+restarted GMRES.  Both solvers stop at tol * scale in the L^2 norm.
 
 Everything operates on batched states (M, 2 n_half) in the real packed
 layout [Re c | Im c] of `spectral` (see `spectral.pack`), so whole
@@ -81,6 +83,7 @@ INCREMENT_CHUNK = 256  # coarse steps of tape generated per philox call
 MAX_SWEEPS = 200       # fixed-point sweeps per solve before GMRES takes over
 SWEEP32_ERROR = 2.0 ** -18  # bound on a float32 sweep's error relative to its increment
 SWEEP32_SHARE = 0.05        # share of tol * scale the float32 sweeps of a solve may add
+SWEEP32_GROWTH = 16.0       # sweep 2's predicted |Delta_2| / |Delta_1|^2 (medians 4-10.5 seen)
 SWEEP32_MIN_WORK = 1 << 17  # rows * 2 n_half * n_nodes below which a float32 sweep does not pay
 SWEEP32_SCALES = (2.0 ** -50, 2.0 ** 50)  # row scales whose sweeps stay in float32's range
 RESCALE_BELOW = 2.0 ** -400  # row scale below which a solve runs in units of its rows' scales
@@ -176,24 +179,38 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
     c_{k-1}: sweep 1 gives Delta_1 = S c_0, each later sweep Delta_{k+1} =
     S Delta_k, and every sweep adds its increment to c.
 
-    Float32 sweeps (mixed-precision iterative refinement): from sweep 3 on,
+    Float32 sweeps (mixed-precision iterative refinement): from sweep 2 on,
     each sweep refines an increment far below the state, so its float32
-    rounding can stay far below tol.  A sweep runs in float32 when its
-    predicted relative increment, rho_k |Delta_k| with the last ratio
-    rho_k = |Delta_k| / |Delta_{k-1}|, times `SWEEP32_ERROR` fits in what
-    is left of the solve's budget of `SWEEP32_SHARE` * tol; each float32
-    sweep then spends `SWEEP32_ERROR` times its measured increment.
-    `SWEEP32_ERROR` = 2^-18 bounds the error of a float32 sweep relative to
-    its increment (tests measure at most a quarter of it), so all float32
-    sweeps of a solve together add at most 5% of tol * scale to any row.
-    A float32 sweep casts Delta_k (or takes the last sweep's float32
-    increment) and the velocity to float32, maps them with the float32
-    copies of the gradient synthesis and ``system.analysis``, and adds the
-    result to c in float64.  Sweeps 1 and 2 stay float64, and so does the
-    whole solve when any row's scale lies outside `SWEEP32_SCALES` (there
-    a float32 increment could overflow, or underflow to nothing) or when
-    the sweep is smaller than `SWEEP32_MIN_WORK`, where the casts cost more
-    than float32 gemms save.
+    rounding can stay far below tol.  `SWEEP32_ERROR` = 2^-18 bounds the
+    error of a float32 sweep relative to its increment (tests measure at
+    most a quarter of it), and a solve's float32 sweeps share a room of
+    `SWEEP32_SHARE` * tol.  A sweep runs in float32 when its predicted
+    relative increment times `SWEEP32_ERROR` fits in what is left of that
+    room.  From sweep 3 on the prediction is rho_k |Delta_k|, with the last
+    ratio rho_k = |Delta_k| / |Delta_{k-1}|.  Sweep 2 has no ratio yet, but
+    c_0 is at most about the scale, so |Delta_1| = |S c_0| / scale is at
+    most about the contraction factor rho of S, and |Delta_2| ~ rho
+    |Delta_1|: sweep 2 is predicted as `SWEEP32_GROWTH` |Delta_1|^2 = 16
+    |Delta_1|^2.  Over the solves of the four benchmark workloads
+    |Delta_2| / |Delta_1|^2 had medians of 4 to 10.5 per solve shape; at
+    the temporal ladder's reference (16 shells, 128 rows, delta = 1/5120)
+    it was 9 to 13, with |Delta_1| ~ 7.7e-6 and |Delta_2| ~ 6.2e-10, so
+    sweep 2 there costs 2^-18 * 6.2e-10 ~ 2.4e-15 of a room of 5e-14 and
+    runs in float32, and the solve keeps one float64 sweep.  A prediction
+    only picks the precision: the room pays for a float32 sweep after its
+    increment is measured, and only if it fits.  An increment that would
+    overspend (a ratio that grew faster than predicted, or a float32
+    overflow) is dropped, and the same input increment is mapped again in
+    float64 before anything is added to c.  So all float32 sweeps of a
+    solve together add at most 5% of tol * scale to any row, and a dropped
+    sweep costs one extra map but no extra sweep.  A float32 sweep casts Delta_k
+    (or takes the last sweep's float32 increment) and the velocity to
+    float32, maps them with the float32 copies of the gradient synthesis
+    and ``system.analysis``, and adds the result to c in float64.  Sweep 1
+    stays float64, and so does the whole solve when any row's scale lies
+    outside `SWEEP32_SCALES` (there a float32 increment could overflow, or
+    underflow to nothing) or when the sweep is smaller than
+    `SWEEP32_MIN_WORK`, where the casts cost more than float32 gemms save.
 
     Error-bound stopping: the iteration is an affine contraction, so with
     the relative increment |Delta_k| / scale and the contraction estimate
@@ -257,28 +274,41 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
     room = (SWEEP32_SHARE * tol if rhs.size * grid.n_nodes >= SWEEP32_MIN_WORK
             and lo <= smallest and (scale if one_row else scale.max()) <= hi else 0.0)
     uv32 = d32 = None   # float32 velocity; float32 increment of the last sweep
+    if one_row:
+        def measure(x):   # the largest relative increment of any row
+            return math.sqrt(inc_weight * float(np.vecdot(x[0], x[0])))
+    else:
+        def measure(x):
+            return math.sqrt(np.maximum.reduce(inc_weight * np.vecdot(x, x), initial=0.0))
     prev_inc = prev2_inc = math.inf
     was_slow = False
     for it in range(1, MAX_SWEEPS + 1):
-        if it > 2 and SWEEP32_ERROR * prev_inc * (prev_inc / prev2_inc) <= room:
+        # float32 when the predicted relative increment times SWEEP32_ERROR fits
+        # the room left: none at sweep 1, SWEEP32_GROWTH |Delta_1|^2 at sweep 2,
+        # then the last increment times the last ratio
+        single = room > 0.0 and it > 1 and SWEEP32_ERROR * prev_inc * (
+            SWEEP32_GROWTH * prev_inc if it == 2 else prev_inc / prev2_inc) <= room
+        if single:
             if uv32 is None:
                 uv32 = uv.astype(np.float32)
-            d32 = spectral.advect_frozen(grid, uv32, system.analysis32,
-                                         d.astype(np.float32) if d32 is None else d32)
-            d = d32.astype(np.float64)
-        else:
+            new32 = spectral.advect_frozen(grid, uv32, system.analysis32,
+                                           d.astype(np.float32) if d32 is None else d32)
+            new = new32.astype(np.float64)
+            top = measure(new)
+            # the room pays only for a measured float32 increment that fits; one
+            # that would overspend is dropped and the same increment mapped in float64
+            single = SWEEP32_ERROR * top <= room
+            if single:
+                room -= SWEEP32_ERROR * top
+                d, d32 = new, new32
+        if not single:
             d32 = None
             d = spectral.advect_frozen(grid, uv, system.analysis, d)
-        c += d
-        if one_row:
-            top = math.sqrt(inc_weight * float(np.vecdot(d[0], d[0])))
-        else:
-            top = math.sqrt(np.maximum.reduce(inc_weight * np.vecdot(d, d), initial=0.0))
+            top = measure(d)
         if not math.isfinite(top):
             raise SolverError(f"non-finite state (relative increment {top:.3e})",
                               residual=top)
-        if d32 is not None:
-            room -= SWEEP32_ERROR * top
+        c += d
         rho = top / prev_inc
         # a capped rho of 1/3 on the first sweep turns the test into top <= tol
         capped = 1.0 / 3.0 if it == 1 else min(rho, 1.0 / 3.0)

@@ -173,6 +173,17 @@ def test_packed_observable_is_complex_definition(obs):
     assert np.array_equal(obs.evaluate(G, spectral.pack(coeffs[2])), want[2])
 
 
+@pytest.mark.parametrize("obs", [clipped_energy(radius=1.0), smoothed_energy(radius=2.0)])
+def test_energy_observable_reads_the_recorded_energy(obs):
+    # the stationary-bias study reads an energy kind off a march's energy_sq:
+    # bit for bit what it evaluates on the states an observer sees
+    seen = []
+    run = integrator.march(integrator.SchemeParams(1.0, 0.05, 8), low_mode_basis(G, 2, 0.5),
+                           [random_field(G, seed=4, rms=2.0)], 7, np.arange(3), 20,
+                           lambda step, c, noise, scale: seen.append(obs.evaluate(G, c)))
+    assert np.array_equal(obs.of_energy(run.energy_sq), np.array(seen))
+
+
 def test_lipschitz_declarations():
     dp = DistanceParams(0.1, 0.5, 0.25)
     assert clipped_energy(3.0).lipschitz_constant(dp) == pytest.approx(9.0)

@@ -395,13 +395,17 @@ def test_forcing_checked_for_every_subcommand(key, val):
 
 def test_import_loads_no_scipy():
     # neither the import nor an exact transport (an assignment) loads scipy;
-    # the tracer's lookup of measures.linprog still finds scipy's LP
+    # the tracer's lookup of measures.linprog still finds scipy's LP.  Nor do
+    # the import, a grid and a random initial field load concurrent.futures,
+    # which only a run on more than one thread needs
     src = str(Path(snselab.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = ("import sys, numpy as np, snselab.runner\n"
             "from snselab import measures, spectral\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "spectral.random_field(spectral.make_grid(16), 1, rms=1.0, spectral_slope=-3.0)\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'concurrent'])\n"
             "grid = spectral.SpectralGrid(3)\n"
             "a = np.zeros((2, 2 * grid.n_half))\n"
             "measures.wasserstein_exact(a, a, 'rho', measures.DistanceParams(1.0, 1.0))\n"
@@ -410,7 +414,7 @@ def test_import_loads_no_scipy():
             "print(getattr(measures, 'linprog') is linprog)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["[]", "[]", "True"]
+    assert out.stdout.split() == ["[]", "[]", "[]", "True"]
 
 
 # values out of range, with the key each names, whether the config class or
