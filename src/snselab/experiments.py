@@ -322,7 +322,7 @@ class TemporalOrderConfig:
         for delta in self.deltas:
             _whole_steps(delta, min(self.deltas), "deltas")
             _whole_steps(self.horizon, delta, "horizon")
-        _at_least(self, refine=2, ensemble=1, n_boot=1, forcing_shells=1,
+        _at_least(self, shells=1, refine=2, ensemble=1, n_boot=1, forcing_shells=1,
                   forcing_variance=0.0)
         _require(self.p_moment > 0, "moment must be positive", "p_moment")
 
@@ -496,7 +496,7 @@ class HolderConfig:
     n_boot: int = 200
 
     def __post_init__(self):
-        _at_least(self, burn_steps=0, lag_min_steps=1, lag_max_steps=1, n_lags=2,
+        _at_least(self, shells=1, burn_steps=0, lag_min_steps=1, lag_max_steps=1, n_lags=2,
                   ensemble=1, n_boot=1, forcing_shells=1, forcing_variance=0.0)
         _require(self.moment > 0, "moment must be positive", "moment")
         lags = self.lags()
@@ -932,8 +932,8 @@ class CouplingStudyConfig:
 
     def __post_init__(self):
         _whole_steps(self.horizon, self.delta, "horizon")
-        _at_least(self, ensemble=1, n_boot=1, shells=1, forcing_shells=1,
-                  forcing_variance=0.0)
+        _at_least(self, ensemble=1, n_boot=1, shells=1, shells_controlled=1,
+                  forcing_shells=1, forcing_variance=0.0)
         _require(not self.compute_shifts or self.forcing_shells >= self.shells_controlled,
                  "shift reconstruction needs forcing covering the controlled band",
                  "forcing_shells")
@@ -1041,7 +1041,8 @@ class LyapunovConfig:
         _whole_steps(self.horizon, self.delta, "horizon")
         _require(self.alpha is None or self.alpha > 0, f"alpha={self.alpha} must be positive",
                  "alpha")
-        _at_least(self, n_seeds=1, ensemble=1, forcing_shells=1, forcing_variance=0.0)
+        _at_least(self, shells=1, n_seeds=1, ensemble=1, forcing_shells=1,
+                  forcing_variance=0.0)
         _require(self.margin_factor > 0, "envelope margin must be positive",
                  "margin_factor")
 
@@ -1106,7 +1107,7 @@ class CertifyMetricConfig:
     alpha: float | None = None
 
     def __post_init__(self):
-        _at_least(self, triples=1, forcing_variance=0.0)
+        _at_least(self, triples=1, shells=1, forcing_variance=0.0)
 
 
 def certify_metric_study(cfg: CertifyMetricConfig, seed: int) -> StudyReport:

@@ -13,15 +13,13 @@ of its error (`_fixed_point_solve`).  The iteration runs in increment form:
 each sweep maps the last increment to the next one and adds it to the
 state.  From the second sweep on an increment is tiny next to the state,
 so a sweep may run in float32 (mixed-precision iterative refinement:
-Carson and Higham, SIAM J. Sci. Comput. 40(2), 2018) when its predicted
-increment, times `SWEEP32_ERROR` = 2^-18, the bound on a float32 sweep's
-relative error, fits in the solve's float32 room; the room pays for a
-float32 sweep only after its increment is measured and only if it fits,
-else the same increment is mapped again in float64, so all float32
+Carson and Higham, SIAM J. Sci. Comput. 40(2), 2018), and all float32
 sweeps of a solve together add at most `SWEEP32_SHARE` = 5% of tol *
 scale to any row.  A step on which the fixed point cannot finish within
-`MAX_SWEEPS` sweeps, by its own contraction estimate, is solved again by
-restarted GMRES.  Both solvers stop at tol * scale in the L^2 norm.
+`MAX_SWEEPS` sweeps, by its own contraction estimate, is solved again, on
+the whole batch, by a Chebyshev iteration on the known spectrum of the
+sweep map (`_chebyshev_solve`), which converges at any step size and
+stops on a residual that bounds its error by tol * scale in the L^2 norm.
 
 Everything operates on batched states (M, 2 n_half) in the real packed
 layout [Re c | Im c] of `spectral` (see `spectral.pack`), so whole
@@ -32,12 +30,9 @@ Each member reads its own index-addressed noise, so its path does not
 depend on which other members share the batch, up to the solve
 tolerance: the fixed-point stop is batch-wide, every row sweeps as often
 as the stiffest one, and ``iterations`` records that batch maximum.
-A batch of one row (a single path, as `simulate` and the stationary
-proxy march it) keeps its per-step bookkeeping in Python floats: its
-noise scale, |c_prev|, the solve's scale, weight and relative
-increments.  The arithmetic and its order are the batch form's, so
-every bit is the same; what goes is numpy calls on one-element arrays,
-about a fifth of a one-row step at 10 shells (see `_fixed_point_solve`).
+A batch of one row (a single path) keeps its per-step bookkeeping in
+Python floats, with the batch form's arithmetic and bits (see
+`_fixed_point_solve`).
 
 One kernel, `_advance_one`, takes every step: the plain scheme by default,
 and the nudged scheme when the caller adds delta beta P_K to the diagonal
@@ -77,10 +72,13 @@ from . import forcing as forcing_mod
 from . import spectral
 from .errors import ConfigError, SolverError, StructuralError
 from .forcing import ForcingBasis
-from .spectral import SpectralField, SpectralGrid
+from .spectral import SpectralGrid
 
 INCREMENT_CHUNK = 256  # coarse steps of tape generated per philox call
-MAX_SWEEPS = 200       # fixed-point sweeps per solve before GMRES takes over
+MAX_SWEEPS = 200       # fixed-point sweeps per solve before the Chebyshev fall-back
+CHEBYSHEV_POWER = 10   # power maps of S behind the fall-back's estimate of kappa
+CHEBYSHEV_MARGIN = 1.1  # factor on that estimate, a lower bound of kappa
+FALLBACK_MAPS = 2000   # S maps one fall-back solve may make, power maps included
 SWEEP32_ERROR = 2.0 ** -18  # bound on a float32 sweep's error relative to its increment
 SWEEP32_SHARE = 0.05        # share of tol * scale the float32 sweeps of a solve may add
 SWEEP32_GROWTH = 16.0       # sweep 2's predicted |Delta_2| / |Delta_1|^2 (medians 4-10.5 seen)
@@ -234,9 +232,9 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
     increment is sqrt(inc_weight |Delta_k|^2) in place of the batch's max
     over rows: the same products in the same order, so the same bits and
     sweeps.  A row below `RESCALE_BELOW` keeps the array code, and so do
-    float32 sweeps and GMRES.  At 10 shells a one-row solve of 4 sweeps
-    took about 34 us in place of 45 us for the array form, and a rescaled
-    one about 5 us more (one BLAS thread, 2-vCPU Xeon).
+    float32 sweeps and the Chebyshev fall-back.  At 10 shells a one-row
+    solve of 4 sweeps took about 34 us in place of 45 us for the array
+    form, and a rescaled one about 5 us more (one BLAS thread, 2-vCPU Xeon).
 
     Hand-over: from sweep 3 on, the steady rate r_k = (|Delta_k| /
     |Delta_{k-2}|)^(1/2) is the two-sweep ratio, which sees through a
@@ -249,7 +247,7 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
     finishing contraction oscillates about its rate.
 
     Returns (c, sweeps), or None when the fixed point hands over or
-    reaches `MAX_SWEEPS`, so that the caller solves the step another way.
+    reaches `MAX_SWEEPS`: the caller then solves by `_chebyshev_solve`.
     """
     tol = system.p.tol
     c = rhs * system.inv_diag
@@ -326,45 +324,65 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
     return None
 
 
-def _krylov_solve(grid, uv, rhs, system: StepSystem, scale):
-    """Row-by-row restarted GMRES on the real step operator
-    D (I + delta D^-1 Adv) = D (I - S), with the sweep map S of
-    `_fixed_point_solve`, which acts on packed states directly.
+def _chebyshev_solve(grid, uv, rhs, system: StepSystem, scale):
+    """Chebyshev iteration on (I - S) c = D^-1 rhs, all rows at once, with
+    the sweep map S of `_fixed_point_solve`; returns (c, maps of S).
 
-    Each row stops once its residual is <= tol * scale in the L^2 norm, the
-    norm of the fixed point's increments.  D >= 1 and Adv is skew-adjoint,
-    so the operator's inverse has L^2 norm <= 1 and the error is bounded by
-    the same tol * scale.  Returns (c, iterations), the most inner GMRES
-    iterations of any row.
+    S is skew in the D-norm |x|_D^2 = x . D x, so I - S has its spectrum on
+    1 + i[-kappa, kappa], kappa = |S|_D, where the iteration (Saad, Iterative
+    Methods for Sparse Linear Systems, 2nd ed., 2003, Alg. 12.1) has real
+    coefficients, converges for any kappa and keeps |r_k|_D <= b_k |r_0|_D,
+    b_k = 2 rho^k / (1 + (-rho^2)^k), rho = exp(-asinh(1 / kappa)).  kappa
+    is the largest |S x|_D / |x|_D of any row after `CHEBYSHEV_POWER` power
+    maps, a lower bound, times `CHEBYSHEV_MARGIN`; a row past 2 b_k |r_0|_D
+    has an eigenvalue beyond it, and the iteration restarts from its iterate
+    with kappa estimated from the residual, at least 1.5 times larger.  It
+    stops once every row has |D r|_L2 <= tol * scale, which bounds the error
+    by tol * scale (y . D (I - S) y = y . D y >= |y|^2).  Rows run in units
+    of the power of two of their scale, exact and undone on return.  A
+    (re)start at which sqrt(max D) b_k reaches tol only past `FALLBACK_MAPS`
+    maps, or a solve that spends them, raises a `SolverError` naming kappa.
     """
-    from scipy.sparse.linalg import LinearOperator, gmres
-
     if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(scale))):
-        raise SolverError("non-finite state entering the krylov solve")
-    n2 = rhs.shape[-1]
-    rhs2 = rhs.reshape(-1, n2)
-    uv2 = uv.reshape(-1, uv.shape[-1])
-    scale2 = np.atleast_1d(scale).reshape(-1)
-    # |x|_L2 = sqrt(2 (2 pi)^2) times the Euclidean norm of packed x
-    atol = system.p.tol / math.sqrt(spectral.TWO_PI_SQ * 2.0)
-    out = np.empty_like(rhs2)
-    most_it = 0
-    for i in range(rhs2.shape[0]):
-        def matvec(x, i=i):
-            return system.diag * (
-                x - spectral.advect_frozen(grid, uv2[i], system.analysis, x))
+        raise SolverError("non-finite state entering the Chebyshev solve")
+    tol, diag, maps = system.p.tol, system.diag, 0
+    mant, expo = np.frexp(np.reshape(scale, (-1, 1)))
+    log_needed = math.log(2.0 * math.sqrt(diag.max()) / tol)   # k -log rho to reach tol
 
-        op = LinearOperator((n2, n2), matvec=matvec, dtype=np.float64)
-        inner = []
-        x, info = gmres(op, rhs2[i], x0=rhs2[i] * system.inv_diag, rtol=0.0,
-                        atol=atol * max(scale2[i], 1e-300), restart=50,
-                        maxiter=40, callback=inner.append, callback_type="pr_norm")
-        if info != 0:
-            raise SolverError(f"gmres failed to converge (info={info})",
-                              residual=float(np.linalg.norm(op @ x - rhs2[i])))
-        out[i] = x
-        most_it = max(most_it, len(inner))
-    return out.reshape(rhs.shape), most_it
+    def sweep(x):
+        nonlocal maps
+        maps += 1
+        return spectral.advect_frozen(grid, uv, system.analysis, x)
+
+    def d_norm(x):
+        return np.sqrt(np.vecdot(diag * x, x))
+
+    def estimate(x):
+        for _ in range(CHEBYSHEV_POWER):
+            x = sweep(x / np.maximum(d_norm(x), 1e-300)[:, None])
+        return CHEBYSHEV_MARGIN * float(np.max(d_norm(x)))
+
+    x, r = np.zeros_like(rhs), np.ldexp(rhs * system.inv_diag, -expo)
+    kappa, k = estimate(r), 0   # k: sweeps since the last (re)start
+    while True:
+        res = np.sqrt(spectral.packed_norm_sq(diag * r))   # |D r|_L2
+        if np.all(res <= tol * mant[:, 0]):
+            return np.ldexp(x, expo), maps
+        if k == 0:
+            decay = math.asinh(1.0 / kappa) if kappa else math.inf   # -log rho
+            r0, d, tau = d_norm(r), r, kappa
+        if maps >= FALLBACK_MAPS or k == 0 and not ((FALLBACK_MAPS - maps) * decay >= log_needed):
+            raise SolverError(f"the Chebyshev fall-back needs more than {FALLBACK_MAPS} "
+                              f"maps at kappa = {kappa:.3e}",
+                              residual=float(np.max(res / np.maximum(mant[:, 0], 0.5))))
+        x += d
+        r = r - (d - sweep(d))
+        k += 1
+        omega = 2.0 / (2.0 + kappa * tau)   # 2 tau_{k+1} / kappa, also at kappa = 0
+        d, tau = omega * r - (0.5 * kappa * omega * tau) * d, 0.5 * kappa * omega
+        bound = 2.0 * math.exp(-k * decay) / (1.0 + (-math.exp(-2.0 * decay)) ** k)
+        if np.any(d_norm(r) > 2.0 * bound * r0):
+            kappa, k = max(1.5 * kappa, estimate(r)), 0
 
 
 def _advance_one(grid, c_prev, noise, system: StepSystem, noise_scale,
@@ -378,8 +396,8 @@ def _advance_one(grid, c_prev, noise, system: StepSystem, noise_scale,
     ``c_norm`` is |c_prev|, when the caller already holds it; it and
     ``noise_scale`` may be floats for a batch of one row.  The fixed point
     solves the step unless it hands over (see `_fixed_point_solve`); then
-    the whole batch is solved again by GMRES from the same right-hand
-    side, and ``sweeps`` is the GMRES count.
+    the whole batch is solved again by `_chebyshev_solve` from the same
+    right-hand side, and ``sweeps`` is the number of S maps it made.
     """
     rhs = c_prev if rhs_extra is None else c_prev + rhs_extra
     if noise is not None:
@@ -389,27 +407,8 @@ def _advance_one(grid, c_prev, noise, system: StepSystem, noise_scale,
         c_norm = np.sqrt(spectral.packed_norm_sq(c_prev))
     scale = (c_norm + noise_scale if rhs_extra is None
              else c_norm + noise_scale + extra_scale)
-    solved = _fixed_point_solve(grid, uv, rhs, system, scale)
-    return solved if solved is not None else _krylov_solve(grid, uv, rhs, system, scale)
-
-
-def energy_identity_residual(xi_prev: SpectralField, xi_new: SpectralField,
-                             noise_field: SpectralField | None,
-                             p: SchemeParams) -> float:
-    """Relative defect of the per-step energy identity
-
-    |xi^n|^2 + |xi^n - xi^{n-1}|^2 - |xi^{n-1}|^2 + 2 nu delta |grad xi^n|^2
-        = 2 (sqrt(delta) P_N sigma eta_n, xi^n).
-    """
-    grid = xi_prev.grid
-    lhs = (xi_new.l2_norm() ** 2
-           + spectral.norm_l2_sq(xi_new.coeffs - xi_prev.coeffs)
-           - xi_prev.l2_norm() ** 2
-           + 2.0 * p.nu * p.delta * spectral.sobolev_norm_sq(grid, xi_new.coeffs, 1.0))
-    rhs = 0.0 if noise_field is None else 2.0 * spectral.inner_product(
-        noise_field.coeffs, xi_new.coeffs)
-    scale = max(xi_prev.l2_norm() ** 2, xi_new.l2_norm() ** 2, 1e-300)
-    return float(abs(lhs - rhs) / scale)
+    return (_fixed_point_solve(grid, uv, rhs, system, scale)
+            or _chebyshev_solve(grid, uv, rhs, system, scale))
 
 
 # -- increment providers -------------------------------------------------------

@@ -305,6 +305,25 @@ def step_residual(grid, c_prev, c_new, noise_coeffs, p: SchemeParams) -> np.ndar
     return spectral.norm_l2(diag * c_new + p.delta * adv - rhs)
 
 
+def energy_identity_residual(xi_prev: SpectralField, xi_new: SpectralField,
+                             noise_field: SpectralField | None,
+                             p: SchemeParams) -> float:
+    """Relative defect of the per-step energy identity
+
+    |xi^n|^2 + |xi^n - xi^{n-1}|^2 - |xi^{n-1}|^2 + 2 nu delta |grad xi^n|^2
+        = 2 (sqrt(delta) P_N sigma eta_n, xi^n).
+    """
+    grid = xi_prev.grid
+    lhs = (xi_new.l2_norm() ** 2
+           + spectral.norm_l2_sq(xi_new.coeffs - xi_prev.coeffs)
+           - xi_prev.l2_norm() ** 2
+           + 2.0 * p.nu * p.delta * spectral.sobolev_norm_sq(grid, xi_new.coeffs, 1.0))
+    rhs = 0.0 if noise_field is None else 2.0 * spectral.inner_product(
+        noise_field.coeffs, xi_new.coeffs)
+    scale = max(xi_prev.l2_norm() ** 2, xi_new.l2_norm() ** 2, 1e-300)
+    return float(abs(lhs - rhs) / scale)
+
+
 def tv_bound(kl_bound, a: float = 1.0) -> float:
     """2^((1-a)/(1+a)) (E (integral |phi|^2)^a)^(1/(1+a)) for a in (0, 1], from
     a coupled run's per-member costs (`coupling.CoupledPair.kl_bound`)."""

@@ -8,12 +8,13 @@ from snselab import integrator, spectral
 from snselab.coupling import NudgeParams, coupled_ensembles, propose_beta
 from snselab.errors import ConfigError, SolverError, StructuralError
 from snselab.forcing import low_mode_basis
-from snselab.integrator import (SchemeParams, _advance_one, batch_increments,
-                                energy_identity_residual, run_scheme, step_system)
+from snselab.integrator import (SchemeParams, _advance_one, batch_increments, run_scheme,
+                                step_system)
 from snselab.spectral import (SpectralField, advect_frozen, harmonic_field, make_grid,
                               random_field, zero_field)
 
-from helpers import advect_coeffs, record, step_residual, summed_increments
+from helpers import (advect_coeffs, energy_identity_residual, record, step_residual,
+                     summed_increments)
 
 G = make_grid(16)
 BASIS = low_mode_basis(G, 4, 0.5)
@@ -145,12 +146,12 @@ def _dense_solve(grid, system, prev, rhs):
     return out
 
 
-def _gmres_step(grid, c_prev, p, noise=None, noise_scale=0.0):
-    """`_advance_one` with GMRES in place of the fixed point: the reference solve."""
+def _chebyshev_step(grid, c_prev, p, noise=None, noise_scale=0.0):
+    """`_advance_one` with the Chebyshev fall-back in place of the fixed point."""
     rhs = c_prev if noise is None else c_prev + noise
     scale = np.sqrt(spectral.packed_norm_sq(c_prev)) + noise_scale
-    return integrator._krylov_solve(grid, spectral.velocity_values(grid, c_prev), rhs,
-                                    step_system(grid, p), scale)
+    return integrator._chebyshev_solve(grid, spectral.velocity_values(grid, c_prev), rhs,
+                                       step_system(grid, p), scale)
 
 
 def _random_step(shells, m, rms, delta, seed):
@@ -167,16 +168,22 @@ def _random_step(shells, m, rms, delta, seed):
 
 @given(shells=st.sampled_from([4, 8, 10, 16]), m=st.sampled_from([1, 3]),
        rms=st.floats(0.0, 50.0), delta=st.sampled_from([0.01, 0.05, 0.1, 1.0]),
-       solver=st.sampled_from(["fixed-point", "krylov"]), seed=st.integers(0, 10 ** 6))
+       solver=st.sampled_from(["fixed-point", "chebyshev"]), seed=st.integers(0, 10 ** 6))
 # near divergence: the fixed point takes 78 sweeps
 @example(shells=16, m=3, rms=50.0, delta=0.1, solver="fixed-point", seed=3)
-# the fixed point diverges and the step falls back to GMRES
+# the fixed point diverges and the step falls back to the Chebyshev iteration
 @example(shells=16, m=3, rms=50.0, delta=1.0, solver="fixed-point", seed=0)
+# S = 0 and kappa = 0: the Chebyshev iteration is one Richardson sweep
+@example(shells=16, m=3, rms=0.0, delta=0.1, solver="chebyshev", seed=0)
+# a march ignores underflow (a subnormal rms scales its field to subnormal
+# entries), and so does this step taken outside one
+@example(shells=4, m=1, rms=2.225073858507203e-309, delta=0.01, solver="fixed-point", seed=0)
+@np.errstate(under="ignore")
 def test_solve_is_within_tol_of_dense_solve(shells, m, rms, delta, solver, seed):
     grid, p, prev, noise, noise_scale = _random_step(shells, m, rms, delta, seed)
     system = step_system(grid, p)
-    if solver == "krylov":
-        c, _ = _gmres_step(grid, prev, p, noise, noise_scale)
+    if solver == "chebyshev":
+        c, _ = _chebyshev_step(grid, prev, p, noise, noise_scale)
     else:
         c, _ = _advance_one(grid, prev, noise, system, noise_scale)
     err = np.sqrt(spectral.packed_norm_sq(c - _dense_solve(grid, system, prev, prev + noise)))
@@ -314,6 +321,9 @@ def test_float32_sweeps_stay_inside_their_scale_range(lam, rescaled, m, float32)
 # at 1e-150 squared absolute increments underflow; at 1e150 the squared scale nears overflow
 @example(shells=16, m=3, rms=8.0, delta=0.05, log10_lam=-150.0, seed=7)
 @example(shells=16, m=3, rms=8.0, delta=0.05, log10_lam=150.0, seed=7)
+# the fixed point diverges and the Chebyshev fall-back solves the step
+@example(shells=16, m=3, rms=50.0, delta=1.0, log10_lam=-150.0, seed=0)
+@example(shells=16, m=3, rms=50.0, delta=1.0, log10_lam=150.0, seed=0)
 # a march ignores underflow, and so does this step taken outside one
 @np.errstate(under="ignore")
 def test_solve_is_scale_free(shells, m, rms, delta, log10_lam, seed):
@@ -349,13 +359,13 @@ def test_stalled_fixed_point_hands_over_early(monkeypatch, shells, m, rms, seed)
         sweeps.append(1)
         return advect_frozen(*args)
 
-    def krylov(*args):
+    def chebyshev(*args):
         handed_over_at.append(len(sweeps))
         return solve(*args)
 
-    solve = integrator._krylov_solve
+    solve = integrator._chebyshev_solve
     monkeypatch.setattr(spectral, "advect_frozen", counting_advect)
-    monkeypatch.setattr(integrator, "_krylov_solve", krylov)
+    monkeypatch.setattr(integrator, "_chebyshev_solve", chebyshev)
     grid, p, prev, noise, noise_scale = _random_step(shells, m, rms, 1.0, seed)
     system = step_system(grid, p)
     c, _ = _advance_one(grid, prev, noise, system, noise_scale)
@@ -366,21 +376,29 @@ def test_stalled_fixed_point_hands_over_early(monkeypatch, shells, m, rms, seed)
 
 
 @pytest.mark.parametrize("rms, delta, fallback_steps", [(50.0, 1.0, 1), (200.0, 0.1, 3)])
-def test_diverging_fixed_point_falls_back_to_gmres(rms, delta, fallback_steps):
-    # every step on which the fixed point diverges is solved by GMRES from
-    # the same right-hand side; later steps may contract again
+def test_diverging_fixed_point_falls_back_to_chebyshev(monkeypatch, rms, delta,
+                                                       fallback_steps):
+    # every step on which the fixed point diverges is solved again, on the
+    # whole batch, by the Chebyshev fall-back, whose maps are the step's
+    # count; later steps may contract again.  Every step is within tol of
+    # the dense solve from the state before it
+    solve, handed_over = integrator._chebyshev_solve, []
+
+    def chebyshev(grid, uv, rhs, system, scale):
+        out = solve(grid, uv, rhs, system, scale)
+        handed_over.append((len(rhs), out[1]))
+        return out
+
+    monkeypatch.setattr(integrator, "_chebyshev_solve", chebyshev)
     c0 = np.stack([random_field(G, seed=s, rms=rms).coeffs for s in range(4)])
     p = SchemeParams(1.0, delta, 16)
-    fp, fp_states = record(run_scheme, G, c0, 3, p, None, None)
-    c, kr_states, kr_iters = spectral.pack(c0), [c0], []
-    for _ in range(3):
-        c, it = _gmres_step(G, c, p)
-        kr_states.append(spectral.unpack(c))
-        kr_iters.append(it)
-    kr_energy = np.array([spectral.norm_l2_sq(s) for s in kr_states])
-    assert np.array_equal(fp_states[:fallback_steps + 1], kr_states[:fallback_steps + 1])
-    assert np.array_equal(fp.iterations[:fallback_steps], kr_iters[:fallback_steps])
-    assert np.all(np.abs(fp.energy_sq - kr_energy) <= 1e-10 * kr_energy)
+    run, states = record(run_scheme, G, c0, 3, p, None, None)
+    assert [rows for rows, _ in handed_over] == [4] * fallback_steps
+    assert list(run.iterations[:fallback_steps]) == [maps for _, maps in handed_over]
+    system = step_system(G, p)
+    for prev, new in zip(spectral.pack(states), spectral.pack(states[1:])):
+        err = np.sqrt(spectral.packed_norm_sq(new - _dense_solve(G, system, prev, prev)))
+        assert np.all(err <= p.tol * np.sqrt(spectral.packed_norm_sq(prev)))
 
 
 def _increment_stop_sweeps(grid, uv, rhs, system, scale):
@@ -433,11 +451,12 @@ def test_error_bound_stop_never_sweeps_more_than_increment_stop(
 
 
 def test_krylov_policy_matches_fixed_point():
+    # the Chebyshev fall-back, a Krylov method, on a step the fixed point solves
     p = SchemeParams(1.0, 0.02, 8)
     grid = make_grid(8)
     f = random_field(grid, seed=5, rms=1.5)
     a = _step(f, p)
-    b, _ = _gmres_step(grid, spectral.pack(f.coeffs), p)
+    b, _ = _chebyshev_step(grid, spectral.pack(f.coeffs[None]), p)
     assert np.max(np.abs(a - spectral.unpack(b))) <= 1e-9 * f.l2_norm()
 
 
@@ -465,17 +484,15 @@ def test_non_finite_state_fails_at_first_sweep(monkeypatch):
     assert len(sweeps) == 1
 
 
-def test_krylov_non_finite_state_fails_before_gmres(monkeypatch):
-    import scipy.sparse.linalg
+def test_chebyshev_non_finite_state_fails_before_a_map(monkeypatch):
+    def no_map(*args):
+        raise AssertionError("S mapped on a non-finite state")
 
-    def no_gmres(*args, **kwargs):
-        raise AssertionError("gmres called on a non-finite state")
-
-    monkeypatch.setattr(scipy.sparse.linalg, "gmres", no_gmres)
     c0 = random_field(G, seed=1).coeffs.copy()
     c0[3] = np.nan
+    monkeypatch.setattr(spectral, "advect_frozen", no_map)
     with pytest.raises(SolverError) as err:
-        _gmres_step(G, spectral.pack(c0), SchemeParams(1.0, 0.05, 16))
+        _chebyshev_step(G, spectral.pack(c0[None]), SchemeParams(1.0, 0.05, 16))
     assert "non-finite" in str(err.value)
     # a march that hands such a step over reports it at its step
     monkeypatch.setattr(integrator, "_fixed_point_solve", lambda *args: None)
@@ -485,24 +502,38 @@ def test_krylov_non_finite_state_fails_before_gmres(monkeypatch):
     assert "non-finite" in str(err.value)
 
 
-def test_krylov_reports_gmres_iterations(monkeypatch):
-    # each GMRES iteration applies the operator once; a restart cycle adds
-    # the residual evaluations at its start and end
-    matvecs = []
+def test_chebyshev_reports_its_maps(monkeypatch):
+    # the count is every S map the fall-back made, its power maps included,
+    # for one row and for the batch, which sweeps as long as its slowest row
+    maps = []
 
     def counting_advect(*args):
-        matvecs.append(1)
+        maps.append(1)
         return advect_frozen(*args)
 
     monkeypatch.setattr(spectral, "advect_frozen", counting_advect)
     p = SchemeParams(1.0, 0.1, 16)
     rows = spectral.pack(np.stack([random_field(G, seed=s, rms=50.0).coeffs for s in (0, 1)]))
-    solo = []
-    for row in rows:
-        matvecs.clear()
-        solo.append(_gmres_step(G, row[None], p)[1])
-        assert 10 <= solo[-1] < len(matvecs) <= solo[-1] + 3
-    assert _gmres_step(G, rows, p)[1] == max(solo)
+    for c in [row[None] for row in rows] + [rows]:
+        maps.clear()
+        count = _chebyshev_step(G, c, p)[1]
+        assert count == len(maps) > integrator.CHEBYSHEV_POWER
+
+
+@pytest.mark.parametrize("rms, delta", [(50.0, 1.0), (200.0, 0.1)])
+def test_chebyshev_restarts_past_an_underestimated_kappa(monkeypatch, rms, delta):
+    # a kappa of a fifth of the power estimate (0.3 against 1.57 on the first
+    # shape) leaves eigenvalues beyond the segment, on which the iteration
+    # would diverge (by about 1.5 per sweep there): the residual outgrows its
+    # bound, kappa is raised, and the solve still lands within tol
+    grid, p, prev, noise, noise_scale = _random_step(16, 4, rms, delta, 0)
+    system = step_system(grid, p)
+    _, maps = _chebyshev_step(grid, prev, p, noise, noise_scale)
+    monkeypatch.setattr(integrator, "CHEBYSHEV_MARGIN", 0.2)
+    c, more = _chebyshev_step(grid, prev, p, noise, noise_scale)
+    assert more > maps + integrator.CHEBYSHEV_POWER
+    err = np.sqrt(spectral.packed_norm_sq(c - _dense_solve(grid, system, prev, prev + noise)))
+    assert np.all(err <= p.tol * (np.sqrt(spectral.packed_norm_sq(prev)) + noise_scale))
 
 
 # -- one row ---------------------------------------------------------------------

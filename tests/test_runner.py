@@ -18,8 +18,8 @@ from snselab.experiments import (BANDS, ContractionConfig, CouplingStudyConfig,
 from snselab.forcing import low_mode_basis
 from snselab.integrator import SchemeParams, batch_increments, run_scheme
 from snselab.spectral import SpectralField
-from snselab.runner import (CONFIGS, EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_OK, STUDIES,
-                            SUBCOMMANDS, checkpoint, load_config, main,
+from snselab.runner import (CONFIGS, EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
+                            STUDIES, SUBCOMMANDS, checkpoint, load_config, main,
                             restore, run_study, study_config)
 from snselab.spectral import make_grid, random_field
 
@@ -394,8 +394,9 @@ def test_forcing_checked_for_every_subcommand(key, val):
 
 
 def test_import_loads_no_scipy():
-    # neither the import nor an exact transport (an assignment) loads scipy;
-    # the tracer's lookup of measures.linprog still finds scipy's LP.  Nor do
+    # neither the import, an exact transport (an assignment) nor a step that
+    # the fixed point hands over to the Chebyshev fall-back loads scipy; the
+    # tracer's lookup of measures.linprog still finds scipy's LP.  Nor do
     # the import, a grid and a random initial field load concurrent.futures,
     # which only a run on more than one thread needs
     src = str(Path(snselab.__file__).resolve().parents[1])
@@ -410,11 +411,19 @@ def test_import_loads_no_scipy():
             "a = np.zeros((2, 2 * grid.n_half))\n"
             "measures.wasserstein_exact(a, a, 'rho', measures.DistanceParams(1.0, 1.0))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "from snselab import integrator\n"
+            "solve, calls = integrator._chebyshev_solve, []\n"
+            "integrator._chebyshev_solve = lambda *args: calls.append(1) or solve(*args)\n"
+            "grid = spectral.make_grid(16)\n"
+            "c0 = [spectral.random_field(grid, s, rms=50.0).coeffs for s in range(4)]\n"
+            "integrator.run_scheme(grid, np.stack(c0), 1, integrator.SchemeParams(1.0, 1.0, 16),\n"
+            "                      None, None)\n"
+            "print(len(calls), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
             "from scipy.optimize import linprog\n"
             "print(getattr(measures, 'linprog') is linprog)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["[]", "[]", "[]", "True"]
+    assert out.stdout.split() == ["[]", "[]", "[]", "1", "[]", "True"]
 
 
 # values out of range, with the key each names, whether the config class or
@@ -465,6 +474,12 @@ OUT_OF_RANGE = {
     ("simulate", "[initial]\nkind = x\n"): "initial.kind",
     # a value that the scheme's parameters, which the run builds, reject
     ("simulate", "[physics]\nnu = -1\n"): "physics.nu",
+    # a shell count below 1, which reached spectral.eigenvalue_shells' ValueError
+    ("lyapunov", "[discretization]\nshells = -1\n"): "discretization.shells",
+    ("holder", "[discretization]\nshells = -1\n"): "discretization.shells",
+    ("converge-time", "[discretization]\nshells = -1\n"): "discretization.shells",
+    ("certify-metric", "[discretization]\nshells = -1\n"): "discretization.shells",
+    ("couple", "[nudge]\nshells = -1\n"): "nudge.shells",
 }
 
 
@@ -502,6 +517,16 @@ def test_a_study_names_the_key_that_set_a_field_it_refuses(tmp_path, caplog, arg
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert f"configuration error: {key}: " in caplog.text
     assert not (tmp_path / "out").exists()
+
+
+def test_a_hopeless_step_exits_3_naming_kappa(tmp_path, caplog):
+    # at amplitude 1e30 the fixed point diverges, and the Chebyshev fall-back
+    # would need far more maps than it may make: it refuses before it sweeps
+    path = _write_config(tmp_path, "[discretization]\nshells = 10\ndelta = 0.05\n"
+                                   "[experiment]\nsteps = 3\n[initial]\namplitude = 1e30\n")
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+    assert "numerical error: the Chebyshev fall-back needs more than" in caplog.text
+    assert "maps at kappa = " in caplog.text
 
 
 @pytest.mark.parametrize("variance, alpha, code", [
