@@ -26,13 +26,21 @@ class ConfigError(SnseLabError):
 
 
 class SolverError(SnseLabError):
-    """Implicit solve failed to converge within its iteration budget."""
+    """Implicit solve failed to converge within its iteration budget.
+
+    A march that meets it sets ``step_index``, the step it was taking,
+    and the message then names that step.
+    """
 
     def __init__(self, message: str, residual: float | None = None,
                  step_index: int | None = None):
         super().__init__(message)
         self.residual = residual
         self.step_index = step_index
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return message if self.step_index is None else f"{message} (step {self.step_index})"
 
 
 class RangeError(SnseLabError):

@@ -2,7 +2,7 @@
 
 A run is described by an INI-style key-value file; command-line flags
 override file values.  Every subcommand but `replay` builds its config
-dataclass (`CONFIGS`) from what the file and the flags set; every other
+dataclass (`config_class`) from what the file and the flags set; every other
 field keeps the dataclass default, and the manifest records only what
 was set.  A key that the subcommand does not read is a configuration
 error.  Every artifact in a run directory is a deterministic function of
@@ -265,21 +265,13 @@ class SimulateConfig:
                       forcing_shells=1, forcing_variance=0.0)
 
 
-# study subcommand -> (config dataclass, study function)
-STUDIES = {
-    "converge-time": (exp.TemporalOrderConfig, exp.temporal_order_study),
-    "converge-space": (exp.SpatialOrderConfig, exp.spatial_order_study),
-    "holder": (exp.HolderConfig, exp.holder_study),
-    "contraction": (exp.ContractionConfig, exp.contraction_study),
-    "weak": (exp.WeakErrorConfig, exp.weak_error_study),
-    "bias": (exp.StationaryBiasConfig, exp.stationary_bias_study),
-    "couple": (exp.CouplingStudyConfig, exp.coupling_study),
-    "lyapunov": (exp.LyapunovConfig, exp.lyapunov_study),
-    "certify-metric": (exp.CertifyMetricConfig, exp.certify_metric_study),
-}
-# subcommand -> the config dataclass it builds; `replay` reads a run's manifest
-CONFIGS = {"simulate": SimulateConfig, **{name: cls for name, (cls, _) in STUDIES.items()}}
-SUBCOMMANDS = (*CONFIGS, "replay")
+SUBCOMMANDS = ("simulate", *exp.STUDIES, "replay")
+
+
+def config_class(subcommand: str) -> type:
+    """The config dataclass a subcommand builds; `replay` reads a run's manifest."""
+    return SimulateConfig if subcommand == "simulate" else exp.study(subcommand)[0]
+
 
 # Shared-section spellings of config fields (a config takes the first name
 # it has); `[experiment]` keys name fields directly.
@@ -470,10 +462,10 @@ def build_forcing(cfg: RunConfig, grid) -> forcing_mod.ForcingBasis:
 def run_study(subcommand: str, cfg: RunConfig, seed: int,
               threads: int) -> exp.StudyReport:
     """Run the study behind one subcommand; its report carries the band checks."""
-    if subcommand not in STUDIES:
+    if subcommand not in exp.STUDIES:
         raise ConfigError(f"unknown study subcommand {subcommand!r}",
                           field="subcommand")
-    cls, study = STUDIES[subcommand]
+    cls, study = exp.study(subcommand)
     with _fields_set(cls, cfg):
         return study(study_config(cls, cfg, threads), seed)
 
@@ -623,7 +615,7 @@ _FLAG_KEYS = {
 def _apply_cli_overrides(args, cfg: RunConfig) -> None:
     """Flags override the file; a flag that sets a config field drops the
     file's other spellings of that field."""
-    names = {f.name for f in dataclasses.fields(CONFIGS[args.subcommand])}
+    names = {f.name for f in dataclasses.fields(config_class(args.subcommand))}
     for flag, (section, key) in _FLAG_KEYS.items():
         val = getattr(args, flag, None)
         if val is None:

@@ -238,10 +238,15 @@ def test_girsanov_zero_for_identical_data():
     assert np.mean(pair.kl_bound) <= 1e-24
     assert tv_bound(pair.kl_bound, a=1.0) <= 1e-12
     assert tv_bound(pair.kl_bound, a=0.5) <= 1e-8
-    # the study's total-variation column reads 1 - exp(-KL)/2 of the mean cost
-    (row,) = _study(perturbations=(0.0,)).tables["perturbations"]
+    # the study's total-variation column reads 1 - exp(-KL)/2 of the mean cost,
+    # here of a gap at the rounding floor: a zero one starts the nudged copy on
+    # the plain one, and the study refuses it
+    (row,) = _study(perturbations=(1e-15,)).tables["perturbations"]
     assert row["kl_mean"] <= 1e-24
     assert row["tv_from_kl"] == pytest.approx(0.5)
+    with pytest.raises(ConfigError) as err:
+        _study(perturbations=(0.0,))
+    assert err.value.field == "perturbations"
 
 
 def test_girsanov_identity_from_recorded_states():

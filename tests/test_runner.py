@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 import snselab
+from snselab import experiments
 from snselab.errors import ConfigError, StructuralError
 from snselab.experiments import (BANDS, ContractionConfig, CouplingStudyConfig,
                                  StationaryBiasConfig, StudyReport, TemporalOrderConfig)
 from snselab.forcing import low_mode_basis
 from snselab.integrator import SchemeParams, batch_increments, run_scheme
 from snselab.spectral import SpectralField
-from snselab.runner import (CONFIGS, EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
-                            STUDIES, SUBCOMMANDS, checkpoint, load_config, main,
+from snselab.runner import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
+                            SUBCOMMANDS, checkpoint, config_class, load_config, main,
                             restore, run_study, study_config)
 from snselab.spectral import make_grid, random_field
 
@@ -201,20 +202,20 @@ def _capture_studies(monkeypatch):
         seen.append(study)
         return StudyReport("captured", asdict(study), seed)
 
-    for sub, (cls, _) in STUDIES.items():
-        monkeypatch.setitem(STUDIES, sub, (cls, capture))
+    lookup = experiments.study
+    monkeypatch.setattr(experiments, "study", lambda sub: (lookup(sub)[0], capture))
     return seen
 
 
 @pytest.mark.parametrize("subcommand", [s for s in SUBCOMMANDS if s != "replay"])
 def test_study_defaults_come_from_config_class(monkeypatch, subcommand):
-    cls = CONFIGS[subcommand]
+    cls = config_class(subcommand)
     built = study_config(cls, load_config(None), threads=3)
     if any(f.name == "threads" for f in dataclasses.fields(cls)):
         assert built.threads == 3
         built = replace(built, threads=1)
     assert built == cls()
-    if subcommand in STUDIES:
+    if subcommand in experiments.STUDIES:
         seen = _capture_studies(monkeypatch)
         run_study(subcommand, load_config(None), seed=1, threads=3)
         assert seen == [study_config(cls, load_config(None), threads=3)]
@@ -258,7 +259,7 @@ def test_every_example_config_builds(name):
     subcommand = Path(name).stem.replace("_", "-")
     gate_file = FORMER_EXAMPLES[name]
     assert GATE_FILES[gate_file] == subcommand
-    cls = CONFIGS[subcommand]
+    cls = config_class(subcommand)
     assert isinstance(study_config(cls, load_config(str(EXAMPLES / gate_file))), cls)
 
 
@@ -268,7 +269,7 @@ def test_every_gate_file_builds(name):
     # every key it sets moves a field off the config class's default (a key
     # sets one field, and no field twice)
     cfg = load_config(str(EXAMPLES / name))
-    cls = CONFIGS[GATE_FILES[name]]
+    cls = config_class(GATE_FILES[name])
     built = study_config(cls, cfg)
     assert cfg.get("reproducibility", "seed") == GATE_SEED
     keys = [f"{section}.{key}" for section, body in cfg.sections.items() for key in body
@@ -387,22 +388,27 @@ def test_empty_perturbation_flag_is_config_error(monkeypatch, tmp_path):
 def test_forcing_checked_for_every_subcommand(key, val):
     cfg = load_config(None)
     cfg.sections["forcing"] = {key: val}
-    for cls in CONFIGS.values():
+    for subcommand in [s for s in SUBCOMMANDS if s != "replay"]:
         with pytest.raises(ConfigError) as err:
-            study_config(cls, cfg)
+            study_config(config_class(subcommand), cfg)
         assert err.value.field == f"forcing.{key}"
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
     # neither the import, an exact transport (an assignment) nor a step that
     # the fixed point hands over to the Chebyshev fall-back loads scipy; the
     # tracer's lookup of measures.linprog still finds scipy's LP.  Nor do
     # the import, a grid and a random initial field load concurrent.futures,
-    # which only a run on more than one thread needs
+    # which only a run on more than one thread needs.  Neither the import nor
+    # a simulate run loads a study's module, and naming a study's config
+    # class loads that study's module alone
     src = str(Path(snselab.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = ("import sys, numpy as np, snselab.runner\n"
+            "def studies():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('snselab.experiments.'))\n"
+            "print(studies())\n"
             "from snselab import measures, spectral\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
             "spectral.random_field(spectral.make_grid(16), 1, rms=1.0, spectral_slope=-3.0)\n"
@@ -420,10 +426,16 @@ def test_import_loads_no_scipy():
             "                      None, None)\n"
             "print(len(calls), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
             "from scipy.optimize import linprog\n"
-            "print(getattr(measures, 'linprog') is linprog)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["[]", "[]", "[]", "1", "[]", "True"]
+            "print(getattr(measures, 'linprog') is linprog)\n"
+            "assert snselab.runner.main(['simulate', '--steps', '2', '--out', sys.argv[1]]) == 0\n"
+            "print(studies())\n"
+            "from snselab import experiments\n"
+            "experiments.TemporalOrderConfig\n"
+            "print(studies())")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "sim")], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["[]", "[]", "[]", "[]", "1", "[]", "True", "[]",
+                                  "['snselab.experiments.temporal']"]
 
 
 # values out of range, with the key each names, whether the config class or
@@ -480,6 +492,10 @@ OUT_OF_RANGE = {
     ("converge-time", "[discretization]\nshells = -1\n"): "discretization.shells",
     ("certify-metric", "[discretization]\nshells = -1\n"): "discretization.shells",
     ("couple", "[nudge]\nshells = -1\n"): "nudge.shells",
+    # a zero size starts the nudged copy on the plain one, whose ledger held
+    # no contraction yet passed
+    ("couple", "--perturbation", "0", "--enforce"): "experiment.perturbations",
+    ("couple", "[nudge]\nperturbation = 0.1, 0\n"): "nudge.perturbation",
 }
 
 
@@ -527,6 +543,9 @@ def test_a_hopeless_step_exits_3_naming_kappa(tmp_path, caplog):
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
     assert "numerical error: the Chebyshev fall-back needs more than" in caplog.text
     assert "maps at kappa = " in caplog.text
+    # the line names the step the march was taking
+    (line,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert line.endswith(" (step 1)")
 
 
 @pytest.mark.parametrize("variance, alpha, code", [
