@@ -66,15 +66,19 @@ def propose_beta(shells_controlled: int, base: SchemeParams,
     """Saturating gain beta = nu lambda_{K+1} / 2 for a given K.
 
     Also reports whether beta clears the admissibility floor
-    beta >= max(1/delta0, delta0^2 |sigma|^4/nu^3, |sigma|^4/nu^5), taking
-    the absolute constant, which the theory leaves free, as 1.
+    beta >= max(1/delta, delta^2 |sigma|^4/nu^3, |sigma|^4/nu^5), taking
+    the absolute constant, which the theory leaves free, as 1.  A nu whose
+    fifth power underflows to zero leaves the floor undefined and is a
+    `ConfigError` on ``nu``.
     """
     lam_next = int(spectral.eigenvalue_shells(shells_controlled + 1)[shells_controlled])
     beta = 0.5 * base.nu * lam_next
     out = {"beta": beta, "lambda_next": lam_next, "floor_ok": None, "floor": None}
     if basis is not None:
+        if base.nu ** 5 == 0.0:
+            raise ConfigError(f"nu^5 underflows to zero at nu = {base.nu!r}", field="nu")
         s2 = basis.variance
-        floor = max(1.0 / base.delta0, base.delta0 ** 2 * s2 ** 2 / base.nu ** 3,
+        floor = max(1.0 / base.delta, base.delta ** 2 * s2 ** 2 / base.nu ** 3,
                     s2 ** 2 / base.nu ** 5)
         out["floor"] = floor
         out["floor_ok"] = bool(beta >= floor)

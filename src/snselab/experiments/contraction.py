@@ -94,11 +94,9 @@ def contraction_study(cfg: ContractionConfig, seed: int) -> StudyReport:
     def observe(step, c, cs):
         for cell, state in zip(order, [c, *cs]):
             coupled, exact = series[cell]
-            coupled.append(measures_mod.wasserstein_coupled_bound(
-                state[:m], state[m:], "rho_weighted", dp))
+            coupled.append(measures_mod.wasserstein_coupled_bound(state[:m], state[m:], dp))
             if m <= cfg.exact_limit:
-                exact.append(measures_mod.wasserstein_exact(
-                    state[:m], state[m:], "rho_weighted", dp))
+                exact.append(measures_mod.wasserstein_exact(state[:m], state[m:], dp))
 
     integ.ladder(params[0], params[1:],
                  low_mode_basis(top, cfg.forcing_shells, cfg.forcing_variance),

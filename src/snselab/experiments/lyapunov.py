@@ -60,7 +60,7 @@ def lyapunov_study(cfg: LyapunovConfig, seed: int) -> StudyReport:
     """Ensemble means of exp(alpha |xi^n|^2) against the Lyapunov envelope
 
     exp(alpha (2 |xi0|^2 / (1 + nu lambda_1 delta)^n + C)) with
-    C = (1 + nu delta0) |sigma|^2 / nu, checked at every step for a family
+    C = (1 + nu delta) |sigma|^2 / nu, checked at every step for a family
     of independent master seeds.
     """
     alpha = cfg.alpha if cfg.alpha is not None else default_alpha(
@@ -75,7 +75,7 @@ def lyapunov_study(cfg: LyapunovConfig, seed: int) -> StudyReport:
     p = SchemeParams(cfg.nu, cfg.delta, cfg.shells)
     n_steps = _whole_steps(cfg.horizon, cfg.delta, "horizon")
     lam1 = 1.0
-    c_const = (1.0 + cfg.nu * p.delta0) * basis.variance / cfg.nu
+    c_const = (1.0 + cfg.nu * p.delta) * basis.variance / cfg.nu
     traj = np.arange(cfg.ensemble)
 
     def run_seed(k: int) -> dict:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .. import coupling as coupling_mod
 from .. import spectral
+from ..errors import ConfigError, StructuralError
 from ..forcing import low_mode_basis
 from ..integrator import SchemeParams
 from ..spectral import SpectralField, make_grid
@@ -68,6 +69,13 @@ def coupling_study(cfg: CouplingStudyConfig, seed: int) -> StudyReport:
     """
     grid = make_grid(cfg.shells)
     basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
+    if cfg.compute_shifts:
+        # refused before the march, which would fail at step 1 or in `kl_majorant`
+        try:
+            basis.pinv_norm()
+        except StructuralError:
+            raise ConfigError("forcing of rank zero cannot carry the Girsanov shift",
+                              field="forcing_variance") from None
     p = SchemeParams(cfg.nu, cfg.delta, cfg.shells)
     proposal = coupling_mod.propose_beta(cfg.shells_controlled, p, basis)
     beta = cfg.beta if cfg.beta is not None else proposal["beta"]

@@ -66,9 +66,6 @@ def temporal_order_study(cfg: TemporalOrderConfig, seed: int) -> StudyReport:
     basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
     delta_base = deltas[-1] / cfg.refine
 
-    def params(delta):
-        return SchemeParams(cfg.nu, delta, cfg.shells, delta0=deltas[0])
-
     sups = [np.zeros(cfg.ensemble) for _ in deltas]
 
     def track(step, ref, cs):
@@ -76,7 +73,8 @@ def temporal_order_study(cfg: TemporalOrderConfig, seed: int) -> StudyReport:
             if c is not None:
                 np.maximum(sup, np.sqrt(spectral.packed_norm_sq(c - ref)), out=sup)
 
-    integ.ladder(params(delta_base), [params(delta) for delta in deltas], basis,
+    integ.ladder(SchemeParams(cfg.nu, delta_base, cfg.shells),
+                 [SchemeParams(cfg.nu, delta, cfg.shells) for delta in deltas], basis,
                  [cfg.ic.build(grid, seed)], seed, np.arange(cfg.ensemble),
                  round(cfg.horizon / delta_base), cfg.refine, track)
 

@@ -1,10 +1,11 @@
 """Stochastic forcing structure: directions, noise tapes, pseudo-inverse.
 
 The forcing couples d scalar directions sigma = (sigma_1, ..., sigma_d)
-to independent Brownian motions.  The canonical preset places amplitudes
-on the L^2-normalized real eigenfunctions (cos and sin per wavevector) of
-the first few eigenvalue shells, which makes the Gram matrix diagonal and
-low-mode nondegeneracy checkable by inspection.
+to independent Brownian motions.  Every run forces the low modes
+(`low_mode_basis`): equal amplitudes on the L^2-normalized real
+eigenfunctions (cos and sin per wavevector) of the first few eigenvalue
+shells, which makes the Gram matrix diagonal and low-mode nondegeneracy
+checkable by inspection.
 
 Noise tapes are index-addressed: the Gaussian for (trajectory, cell,
 component) is a pure function of the seed, so coupled runs, restarts, and
@@ -90,14 +91,13 @@ class ForcingBasis:
         return ForcingBasis(grid, mat)
 
 
-def low_mode_basis(grid: SpectralGrid, shells: int, variance: float = 0.5,
-                   amplitudes=None) -> ForcingBasis:
+def low_mode_basis(grid: SpectralGrid, shells: int, variance: float = 0.5) -> ForcingBasis:
     """Forcing on the normalized real eigenfunctions of the first shells.
 
     Directions are cos and sin per canonical wavevector with |k|^2 within
-    ``shells`` eigenvalue shells.  With no explicit amplitude list the
-    total variance |sigma|^2 is split evenly; a variance of 0 gives the
-    unforced scheme, with every direction zero.
+    ``shells`` eigenvalue shells, and the total variance |sigma|^2 is split
+    evenly among them; a variance of 0 gives the unforced scheme, with
+    every direction zero.
     """
     if shells < 1:
         raise ConfigError(f"need >= 1 forcing shell, got {shells!r}", field="shells")
@@ -106,30 +106,13 @@ def low_mode_basis(grid: SpectralGrid, shells: int, variance: float = 0.5,
     mask = grid.mode_mask(shells)
     idx = np.flatnonzero(mask)
     d = 2 * idx.size
-    if amplitudes is None:
-        q = np.full(d, np.sqrt(variance / d))
-    else:
-        q = np.asarray(amplitudes, dtype=np.float64)
-        if q.shape != (d,):
-            raise StructuralError(
-                f"expected {d} amplitudes (cos and sin per mode), got {q.shape}")
+    q = np.sqrt(variance / d)
     rows = np.zeros((d, grid.n_half), dtype=np.complex128)
     # normalized eigenfunctions: cos -> 1/(2 sqrt(2) pi), sin -> -i like it
     base = 1.0 / (2.0 * np.sqrt(2.0) * np.pi)
-    for j, i in enumerate(idx):
-        rows[2 * j, i] = q[2 * j] * base
-        rows[2 * j + 1, i] = -1j * q[2 * j + 1] * base
+    rows[0::2][np.arange(idx.size), idx] = q * base
+    rows[1::2][np.arange(idx.size), idx] = -1j * q * base
     return ForcingBasis(grid, rows)
-
-
-def basis_from_fields(fields: list[SpectralField]) -> ForcingBasis:
-    if not fields:
-        raise StructuralError("at least one forcing direction required")
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise StructuralError("forcing directions live on different grids")
-    return ForcingBasis(grid, np.stack([f.coeffs for f in fields]))
 
 
 def pinv_matrix(basis: ForcingBasis) -> np.ndarray:

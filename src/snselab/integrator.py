@@ -94,28 +94,22 @@ BLOCK_BYTES = 1 << 20   # bytes of packed noise rows formed in one call
 class SchemeParams:
     """One point theta = (N, delta) of the discretization family.
 
-    delta0 is the largest step of the family under study (enters moment
-    bounds); tol bounds the L^2 error of the implicit solve relative to
-    its scale.  How the step system is solved is not part of theta.
+    tol bounds the L^2 error of the implicit solve relative to its scale.
+    How the step system is solved is not part of theta.
     """
 
     nu: float
     delta: float
     shells: int
-    delta0: float | None = None
     tol: float = 1e-12
 
     def __post_init__(self):
-        if self.delta0 is None:
-            object.__setattr__(self, "delta0", self.delta)
-        for name in ("nu", "delta", "delta0", "tol"):
+        for name in ("nu", "delta", "tol"):
             x = getattr(self, name)
             if not (x > 0 and math.isfinite(x)):
                 raise ConfigError(f"must be positive and finite, got {x!r}", field=name)
         if self.shells < 1:
             raise ConfigError("cutoff must be >= 1 shell", field="shells")
-        if self.delta > self.delta0 + 1e-15:
-            raise ConfigError("delta exceeds delta0", field="delta")
 
     def grid(self) -> SpectralGrid:
         return spectral.make_grid(self.shells)

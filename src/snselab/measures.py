@@ -9,11 +9,13 @@ distance is rho(x, y) = min(1, |x - y|^s / eps), an actual metric for s in
     rho_a(x, y) = rho(x, y)^(1/2) exp(a |x|^2 + a |y|^2)
 
 drops the triangle inequality but keeps a generalized form with an
-explicit constant, certified empirically by `certify_triangle`.  Both lift
-to empirical laws through the coupling infimum; between two ensembles of
-one size it is an optimal assignment, computed exactly.  Any synchronized
-(shared-tape) pairing of samples is a particular coupling, so its mean
-cost is a certified upper bound for the exact value.
+explicit constant, certified empirically by `certify_triangle`.  At a = 0
+it is the clamped metric min(1, |x - y|^(s/2) / eps^(1/2)).  The transport
+cost is rho_a, lifted to empirical laws through the coupling infimum;
+between two ensembles of one size it is an optimal assignment, computed
+exactly.  Any synchronized (shared-tape) pairing of samples is a
+particular coupling, so its mean cost is a certified upper bound for the
+exact value.
 
 All Wasserstein numbers here are distances between *empirical* laws;
 reports carry ensemble sizes so readers can judge the sampling error.
@@ -155,16 +157,11 @@ def rho_from_dist(dist, dp: DistanceParams):
     return np.minimum(1.0, np.asarray(dist) ** dp.s / dp.eps)
 
 
-def _price(dist, norm_sq_a, norm_sq_b, cost: str, dp: DistanceParams) -> np.ndarray:
-    """``cost`` of pairs at separation ``dist`` with squared norms
+def _price(dist, norm_sq_a, norm_sq_b, dp: DistanceParams) -> np.ndarray:
+    """rho_a of pairs at separation ``dist`` with squared norms
     ``norm_sq_a`` and ``norm_sq_b`` (any shapes that broadcast together)."""
-    base = rho_from_dist(dist, dp)
-    if cost == "rho":
-        return base
-    if cost == "rho_weighted":
-        logw = dp.alpha * (norm_sq_a + norm_sq_b)
-        return np.sqrt(base) * np.exp(np.minimum(logw, 700.0))
-    raise ConfigError(f"unknown cost {cost!r}", field="cost")
+    logw = dp.alpha * (norm_sq_a + norm_sq_b)
+    return np.sqrt(rho_from_dist(dist, dp)) * np.exp(np.minimum(logw, 700.0))
 
 
 def _rows(*arrays) -> list[np.ndarray]:
@@ -197,9 +194,9 @@ def _pair_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def wasserstein_exact(a, b, cost: str, dp: DistanceParams) -> float:
+def wasserstein_exact(a, b, dp: DistanceParams) -> float:
     """Exact coupling infimum between the uniform empirical laws of the
-    packed rows ``a`` and ``b``, two (M, 2 n_half) arrays: the mean cost of
+    packed rows ``a`` and ``b``, two (M, 2 n_half) arrays: the mean rho_a of
     an optimal assignment.  Above `ASSIGNMENT_LIMIT` rows a CapacityError,
     raised before any cost is priced, points the caller at the
     synchronized coupled bound instead.
@@ -212,19 +209,18 @@ def wasserstein_exact(a, b, cost: str, dp: DistanceParams) -> float:
             f"{a.shape[0]} rows exceed the assignment's limit of {ASSIGNMENT_LIMIT}; "
             "use wasserstein_coupled_bound for large ensembles")
     cmat = _price(_pair_dists(a, b), packed_norm_sq(a)[:, None],
-                  packed_norm_sq(b)[None, :], cost, dp)
+                  packed_norm_sq(b)[None, :], dp)
     # through the module, so that a rebound solver is the one called
     rows, cols = sys.modules[__name__].linear_sum_assignment(cmat)
     return float(cmat[rows, cols].mean())
 
 
-def wasserstein_coupled_bound(a, b, cost: str, dp: DistanceParams) -> float:
-    """Mean cost over the matched pairs of packed rows ``a`` and ``b``:
+def wasserstein_coupled_bound(a, b, dp: DistanceParams) -> float:
+    """Mean rho_a over the matched pairs of packed rows ``a`` and ``b``:
     an upper bound for the exact value on the induced marginals (any
     coupling dominates the infimum)."""
     a, b = _rows(a, b)
-    vals = _price(np.sqrt(packed_norm_sq(a - b)), packed_norm_sq(a), packed_norm_sq(b),
-                  cost, dp)
+    vals = _price(np.sqrt(packed_norm_sq(a - b)), packed_norm_sq(a), packed_norm_sq(b), dp)
     return float(np.mean(vals))
 
 

@@ -84,8 +84,7 @@ class RunConfig:
 
 # keys read as lists even when they hold one value (a study's tuple fields
 # take one value as a 1-tuple anyway)
-_LIST_KEYS = {("discretization", "delta_ladder"), ("discretization", "shells_ladder"),
-              ("forcing", "amplitudes")}
+_LIST_KEYS = {("discretization", "delta_ladder"), ("discretization", "shells_ladder")}
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -203,7 +202,7 @@ def write_bundle(report: exp.StudyReport, out_dir: Path,
 
 # -- trajectory checkpoints -----------------------------------------------------------
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def checkpoint(state: spectral.SpectralField, params: integ.SchemeParams,
@@ -215,8 +214,7 @@ def checkpoint(state: spectral.SpectralField, params: integ.SchemeParams,
     meta = {"format_version": CHECKPOINT_VERSION, "step_index": step_index,
             "seed": seed, "trajectory_id": trajectory_id,
             "params": {"nu": params.nu, "delta": params.delta,
-                       "shells": params.shells, "delta0": params.delta0,
-                       "tol": params.tol}}
+                       "shells": params.shells, "tol": params.tol}}
     (directory / f"state_{step_index:08d}.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return field_path
@@ -230,12 +228,13 @@ def restore(field_path: Path):
     if not meta_path.exists():
         raise StructuralError(f"missing checkpoint manifest {meta_path}")
     meta = json.loads(meta_path.read_text())
-    # a version 1 sidecar also holds a solver policy and sweep budget, unread
-    if meta.get("format_version") not in (1, CHECKPOINT_VERSION):
+    # versions 1 and 2 also hold delta0, and version 1 a solver policy and a
+    # sweep budget, all unread
+    if meta.get("format_version") not in (1, 2, CHECKPOINT_VERSION):
         raise StructuralError(
             f"checkpoint format version {meta.get('format_version')} unsupported")
     p = meta["params"]
-    params = integ.SchemeParams(p["nu"], p["delta"], p["shells"], p["delta0"], p["tol"])
+    params = integ.SchemeParams(p["nu"], p["delta"], p["shells"], p["tol"])
     if params.shells != state.grid.shells:
         raise StructuralError("checkpoint cutoff does not match its manifest")
     return state, params, meta["seed"], meta["trajectory_id"], meta["step_index"]
@@ -245,12 +244,11 @@ def restore(field_path: Path):
 
 @dataclasses.dataclass(frozen=True)
 class SimulateConfig:
-    """One path of `steps` steps from `ic` under `[forcing]`
+    """One path of `steps` steps from `ic` under the low-mode forcing
     (`build_forcing`), checkpointed every `checkpoint_cadence` steps (0: never)."""
 
     shells: int = 16
     delta: float = 0.01
-    delta0: float | None = None
     tol: float = 1e-12
     steps: int = 0
     nu: float = 1.0
@@ -281,7 +279,6 @@ _ALIASES = {
     ("forcing", "variance"): ("forcing_variance",),
     ("discretization", "shells"): ("shells",),
     ("discretization", "delta"): ("delta",),
-    ("discretization", "delta0"): ("delta0",),
     ("discretization", "tol"): ("tol",),
     ("discretization", "delta_ladder"): ("deltas",),
     ("discretization", "shells_ladder"): ("shell_ladder", "shells_list"),
@@ -311,12 +308,10 @@ def _field_name(names, where: str) -> str | None:
 
 def _read_elsewhere(cls, where: str) -> bool:
     """Keys a subcommand reads outside its config fields: `main` reads the
-    seed and the output directory, `build_forcing` the rest of
-    `simulate`'s `[forcing]`."""
-    section, _, key = where.partition(".")
+    seed and the output directory, `build_forcing` `simulate`'s
+    `[forcing] preset`."""
     return where in ("reproducibility.seed", "io.out_dir") or (
-        cls is SimulateConfig and section == "forcing"
-        and (key in ("preset", "amplitudes") or key.startswith("dir")))
+        cls is SimulateConfig and where == "forcing.preset")
 
 
 def _scalar(kind: type, val, where: str):
@@ -415,48 +410,15 @@ def study_config(cls, cfg: RunConfig, threads: int = 1):
 
 
 def build_forcing(cfg: RunConfig, grid) -> forcing_mod.ForcingBasis:
-    """Forcing from the [forcing] section.
-
-    preset = low-mode: directions span the first `shells` eigenvalue
-    shells; total `variance` split evenly unless an explicit `amplitudes`
-    list (one per direction, cos and sin per wavevector) is given.  Both
-    default to `SimulateConfig`'s.
-    preset = explicit: numbered keys dir1, dir2, ... with values
-    "kx, ky, cos|sin, amplitude" building one direction each.
-    """
-    sec = cfg.sections.get("forcing", {})
-    preset = sec.get("preset", "low-mode")
-    if preset == "low-mode":
-        shells = _scalar(int, sec.get("shells", SimulateConfig.forcing_shells),
-                         "forcing.shells")
-        variance = _scalar(float, sec.get("variance", SimulateConfig.forcing_variance),
-                           "forcing.variance")
-        amplitudes = sec.get("amplitudes")
-        if amplitudes is not None:
-            amplitudes = tuple(_scalar(float, a, "forcing.amplitudes") for a in amplitudes)
-        try:
-            return forcing_mod.low_mode_basis(grid, shells, variance, amplitudes)
-        except StructuralError as err:
-            raise ConfigError(str(err), field="forcing.amplitudes") from None
-    if preset == "explicit":
-        fields = []
-        for key in sorted(k for k in sec if k.startswith("dir")):
-            val, where = sec[key], f"forcing.{key}"
-            if not isinstance(val, tuple) or len(val) != 4 or val[2] not in ("cos", "sin"):
-                raise ConfigError("expected 'kx, ky, cos|sin, amplitude'", field=where)
-            kx, ky, kind, amp = (_scalar(int, val[0], where), _scalar(int, val[1], where),
-                                 val[2], _scalar(float, val[3], where))
-            try:
-                fields.append(spectral.harmonic_field(grid, kx, ky, kind=kind,
-                                                      amplitude=amp, normalized=True))
-            except KeyError:
-                raise ConfigError(f"({kx}, {ky}) is not a mode of the {grid.shells}-shell "
-                                  "grid", field=where) from None
-        if not fields:
-            raise ConfigError("explicit preset needs dir1, dir2, ... entries",
-                              field="forcing.preset")
-        return forcing_mod.basis_from_fields(fields)
-    raise ConfigError(f"unknown forcing preset {preset!r}", field="forcing.preset")
+    """`simulate`'s forcing on `grid`: the low-mode basis of the run's
+    `SimulateConfig` (`[forcing] shells` and `variance`), as every study
+    builds it.  `[forcing] preset` may name it, as `low-mode`, and nothing
+    else."""
+    preset = cfg.get("forcing", "preset", "low-mode")
+    if preset != "low-mode":
+        raise ConfigError(f"unknown forcing preset {preset!r}", field="forcing.preset")
+    sim = study_config(SimulateConfig, cfg)
+    return forcing_mod.low_mode_basis(grid, sim.forcing_shells, sim.forcing_variance)
 
 
 def run_study(subcommand: str, cfg: RunConfig, seed: int,
@@ -478,7 +440,7 @@ def run_simulate(cfg: RunConfig, seed: int, ck_root: Path) -> exp.StudyReport:
     `checkpoint_cadence` and at the final step, whatever the stride."""
     sim = study_config(SimulateConfig, cfg)
     with _fields_set(SimulateConfig, cfg):
-        p = integ.SchemeParams(sim.nu, sim.delta, sim.shells, sim.delta0, sim.tol)
+        p = integ.SchemeParams(sim.nu, sim.delta, sim.shells, sim.tol)
     grid = p.grid()
     basis = build_forcing(cfg, grid)
     # |grad c|^2 of the packed row (1, 2 n_half) at the recorded steps, start included

@@ -350,7 +350,7 @@ def rho(f: SpectralField, g: SpectralField, dp: measures.DistanceParams) -> floa
     return float(measures.rho_from_dist(spectral.norm_l2(f.coeffs - g.coeffs), dp))
 
 
-def complex_transport(a: np.ndarray, b: np.ndarray, cost: str,
+def complex_transport(a: np.ndarray, b: np.ndarray,
                       dp: measures.DistanceParams) -> tuple[float, float]:
     """(exact, coupled bound) of the complex members ``a`` and ``b``
     (M, n_half), with every separation and norm taken of complex
@@ -358,9 +358,9 @@ def complex_transport(a: np.ndarray, b: np.ndarray, cost: str,
     bit for bit."""
     na, nb = spectral.norm_l2_sq(a), spectral.norm_l2_sq(b)
     dist = np.sqrt(spectral.norm_l2_sq(a[:, None, :] - b[None, :, :]))
-    cmat = measures._price(dist, na[:, None], nb[None, :], cost, dp)
+    cmat = measures._price(dist, na[:, None], nb[None, :], dp)
     rows, cols = measures.linear_sum_assignment(cmat)
-    pairs = measures._price(np.sqrt(spectral.norm_l2_sq(a - b)), na, nb, cost, dp)
+    pairs = measures._price(np.sqrt(spectral.norm_l2_sq(a - b)), na, nb, dp)
     return float(cmat[rows, cols].mean()), float(np.mean(pairs))
 
 

@@ -316,8 +316,8 @@ def _per_rung_errors(cfg, seed, delta):
     basis = low_mode_basis(grid, cfg.forcing_shells, cfg.forcing_variance)
     xi0 = cfg.ic.build(grid, seed)
     delta_base = min(cfg.deltas) / cfg.refine
-    p_c = SchemeParams(cfg.nu, delta, cfg.shells, delta0=max(cfg.deltas))
-    p_f = SchemeParams(cfg.nu, delta / cfg.refine, cfg.shells, delta0=max(cfg.deltas))
+    p_c = SchemeParams(cfg.nu, delta, cfg.shells)
+    p_f = SchemeParams(cfg.nu, delta / cfg.refine, cfg.shells)
     n_coarse = round(cfg.horizon / delta)
     r_f = round(delta / cfg.refine / delta_base)
     sys_c, sys_f = integ.step_system(grid, p_c), integ.step_system(grid, p_f)
@@ -382,8 +382,7 @@ def test_temporal_every_rung_steps_on_its_cells_summed_noise():
     noise = [g[:, i] @ basis.packed for i in range(n_base)]
 
     def step(c, delta, noise_k):
-        system = integ.step_system(grid, SchemeParams(cfg.nu, delta, cfg.shells,
-                                                      delta0=max(cfg.deltas)))
+        system = integ.step_system(grid, SchemeParams(cfg.nu, delta, cfg.shells))
         return integ._advance_one(grid, c, noise_k, system,
                                   np.sqrt(spectral.packed_norm_sq(noise_k)))[0]
 
@@ -548,8 +547,7 @@ def test_contraction_pair_marches_as_one_batch(monkeypatch):
                 if (r["shells"], r["delta"]) == (q.shells, q.delta)]
         every = round(cfg.record_time / q.delta)
         assert [r["w_coupled"] for r in rows] == [
-            measures.wasserstein_coupled_bound(
-                spectral.pack(x[:m]), spectral.pack(x[m:]), "rho_weighted", dp)
+            measures.wasserstein_coupled_bound(spectral.pack(x[:m]), spectral.pack(x[m:]), dp)
             for x in got[::every]]
     second = contraction_study(cfg, seed)
     assert repr((first.tables, first.scalars, first.checks)) == repr(

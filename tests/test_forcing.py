@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from snselab import forcing, integrator, spectral
 from snselab.errors import ConfigError, RangeError, StructuralError
-from snselab.forcing import ForcingBasis, basis_from_fields, low_mode_basis
+from snselab.forcing import ForcingBasis, low_mode_basis
 from snselab.integrator import batch_increments
 from snselab.spectral import harmonic_field, make_grid
 
@@ -140,7 +140,7 @@ def test_canonical_basis_covers_low_modes():
 
 def test_single_high_mode_fails_with_lowest_shell_witness():
     high = harmonic_field(G, 4, 4, "cos", normalized=True)  # |k|^2 = 32
-    b = basis_from_fields([high])
+    b = ForcingBasis(G, high.coeffs[None])
     rep = check_nondegeneracy(b, 1)
     assert not rep.satisfied
     assert all(kx * kx + ky * ky == 1 for kx, ky, _ in rep.witness)

@@ -1028,6 +1028,6 @@ def test_lyapunov_bound_on_ensemble():
     means = np.mean(np.exp(alpha * run.energy_sq), axis=1)
     e0 = f.l2_norm() ** 2
     n = np.arange(129)
-    c_const = (1.0 + p.nu * p.delta0) * BASIS.variance / p.nu
+    c_const = (1.0 + p.nu * p.delta) * BASIS.variance / p.nu
     envelope = np.exp(alpha * (2 * e0 / (1 + p.nu * p.delta) ** n + c_const)) * 3
     assert np.all(means <= envelope)

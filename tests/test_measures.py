@@ -24,7 +24,12 @@ def _fields(*seeds, rms=1.0):
 
 def _rho_weighted(f, g, dp):
     # the weighted cost of one pair, as the coupled bound of a one-row ensemble
-    return wasserstein_coupled_bound(packed_rows([f]), packed_rows([g]), "rho_weighted", dp)
+    return wasserstein_coupled_bound(packed_rows([f]), packed_rows([g]), dp)
+
+
+def _root_rho(f, g, dp):
+    # the transport cost at alpha = 0: rho^(1/2) = min(1, |f - g|^(s/2) / eps^(1/2))
+    return math.sqrt(rho(f, g, dp))
 
 
 def test_params_validation():
@@ -105,8 +110,8 @@ def test_scale_consistency_in_eps():
 
 def test_dirac_pair_cost():
     f, g = _fields(10, 11)
-    value = wasserstein_exact(packed_rows([f]), packed_rows([g]), "rho", DP)
-    assert value == pytest.approx(rho(f, g, DP), rel=1e-12)
+    value = wasserstein_exact(packed_rows([f]), packed_rows([g]), DP)
+    assert value == pytest.approx(_root_rho(f, g, DP), rel=1e-12)
 
 
 def test_same_ensemble_zero_with_identity_coupling(monkeypatch):
@@ -118,16 +123,16 @@ def test_same_ensemble_zero_with_identity_coupling(monkeypatch):
         return pairings[-1]
 
     monkeypatch.setattr(measures, "linear_sum_assignment", spy)
-    assert wasserstein_exact(a, a, "rho", DP) == 0.0
+    assert wasserstein_exact(a, a, DP) == 0.0
     (rows, cols), = pairings
     assert rows.tolist() == cols.tolist() == [0, 1, 2]
 
 
 def test_two_by_two_matches_permutation_enumeration():
     fields = _fields(15, 16, 17, 18)
-    value = wasserstein_exact(packed_rows(fields[:2]), packed_rows(fields[2:]), "rho", DP)
-    costs = [(rho(fields[0], fields[2], DP) + rho(fields[1], fields[3], DP)) / 2,
-             (rho(fields[0], fields[3], DP) + rho(fields[1], fields[2], DP)) / 2]
+    value = wasserstein_exact(packed_rows(fields[:2]), packed_rows(fields[2:]), DP)
+    costs = [(_root_rho(fields[0], fields[2], DP) + _root_rho(fields[1], fields[3], DP)) / 2,
+             (_root_rho(fields[0], fields[3], DP) + _root_rho(fields[1], fields[2], DP)) / 2]
     assert value == pytest.approx(min(costs), rel=1e-12)
 
 
@@ -135,22 +140,21 @@ def test_lp_route_matches_assignment():
     # the transportation LP of the tests, on the same cost matrix, with the
     # uniform weights and with weights 1e-13 off them
     fields = _fields(20, 21, 22, 23, 24, 25)
-    cost = np.array([[rho(f, g, DP) for g in fields[3:]] for f in fields[:3]])
-    exact = wasserstein_exact(packed_rows(fields[:3]), packed_rows(fields[3:]), "rho", DP)
+    cost = np.array([[_root_rho(f, g, DP) for g in fields[3:]] for f in fields[:3]])
+    exact = wasserstein_exact(packed_rows(fields[:3]), packed_rows(fields[3:]), DP)
     uniform = np.full(3, 1 / 3)
     w = np.array([1 / 3 + 1e-13, 1 / 3, 1 / 3 - 1e-13])
     for wa in (uniform, w / w.sum()):
         assert transport_lp(cost, wa, uniform) == pytest.approx(exact, rel=1e-9, abs=1e-12)
 
 
-@pytest.mark.parametrize("cost, dp", [("rho", DP),
-                                      ("rho_weighted", DistanceParams(0.5, 0.5, 0.25))])
-def test_packed_rows_give_the_complex_path_bit_for_bit(cost, dp):
+@pytest.mark.parametrize("dp", [DP, DistanceParams(0.5, 0.5, 0.25)])
+def test_packed_rows_give_the_complex_path_bit_for_bit(dp):
     a = np.stack([f.coeffs for f in _fields(*range(90, 96))])
     b = np.stack([f.coeffs for f in _fields(*range(96, 102))])
-    exact, bound = complex_transport(a, b, cost, dp)
-    assert wasserstein_exact(spectral.pack(a), spectral.pack(b), cost, dp) == exact
-    assert wasserstein_coupled_bound(spectral.pack(a), spectral.pack(b), cost, dp) == bound
+    exact, bound = complex_transport(a, b, dp)
+    assert wasserstein_exact(spectral.pack(a), spectral.pack(b), dp) == exact
+    assert wasserstein_coupled_bound(spectral.pack(a), spectral.pack(b), dp) == bound
 
 
 def _costs(kind: str, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -200,7 +204,7 @@ def test_exact_transport_calls_solver_bound_on_module(monkeypatch):
 
     monkeypatch.setattr(measures, "linear_sum_assignment", spy)
     fields = _fields(26, 27, 28, 29)
-    wasserstein_exact(packed_rows(fields[:2]), packed_rows(fields[2:]), "rho", DP)
+    wasserstein_exact(packed_rows(fields[:2]), packed_rows(fields[2:]), DP)
     assert calls == [1]
 
 
@@ -208,9 +212,9 @@ def test_unequal_shapes_are_refused():
     a, b = packed_rows(_fields(32, 33, 34)), packed_rows(_fields(35, 36))
     for fn in (wasserstein_exact, wasserstein_coupled_bound):
         with pytest.raises(StructuralError):
-            fn(a, b, "rho", DP)
+            fn(a, b, DP)
         with pytest.raises(StructuralError):       # complex members are not packed rows
-            fn(spectral.unpack(a), spectral.unpack(a), "rho", DP)
+            fn(spectral.unpack(a), spectral.unpack(a), DP)
     with pytest.raises(StructuralError):
         certify_triangle(DP, 2.0, a, a, a[:2])
 
@@ -221,16 +225,16 @@ def test_coupled_bound_dominates_exact():
                          for i in range(6)])
         b = packed_rows([random_field(G, seed=500 + seed * 10 + i, rms=1.0)
                          for i in range(6)])
-        exact = wasserstein_exact(a, b, "rho", DP)
-        assert exact <= wasserstein_coupled_bound(a, b, "rho", DP) + 1e-12
+        exact = wasserstein_exact(a, b, DP)
+        assert exact <= wasserstein_coupled_bound(a, b, DP) + 1e-12
 
 
 def test_coupled_bound_trivia():
     f, g = _fields(30, 31)
     a = packed_rows([f, f])
-    assert wasserstein_coupled_bound(a, a, "rho", DP) == 0.0
-    one = wasserstein_coupled_bound(packed_rows([f]), packed_rows([g]), "rho", DP)
-    assert one == pytest.approx(rho(f, g, DP), rel=1e-12)
+    assert wasserstein_coupled_bound(a, a, DP) == 0.0
+    one = wasserstein_coupled_bound(packed_rows([f]), packed_rows([g]), DP)
+    assert one == pytest.approx(_root_rho(f, g, DP), rel=1e-12)
 
 
 def test_capacity_error(monkeypatch):
@@ -239,7 +243,7 @@ def test_capacity_error(monkeypatch):
     monkeypatch.setattr(measures, "_price", lambda *args: priced.append(1))
     a = np.zeros((measures.ASSIGNMENT_LIMIT + 1, 2 * G.n_half))
     with pytest.raises(CapacityError):
-        wasserstein_exact(a, a, "rho", DP)
+        wasserstein_exact(a, a, DP)
     assert priced == []
 
 
@@ -247,8 +251,8 @@ def test_weighted_cost_ordering():
     dp = DistanceParams(0.5, 0.5, default_alpha(1.0, 0.5))
     a = packed_rows([random_field(G, seed=50 + i, rms=1.0) for i in range(4)])
     b = packed_rows([random_field(G, seed=60 + i, rms=1.0) for i in range(4)])
-    exact = wasserstein_exact(a, b, "rho_weighted", dp)
-    assert exact <= wasserstein_coupled_bound(a, b, "rho_weighted", dp) + 1e-12
+    exact = wasserstein_exact(a, b, dp)
+    assert exact <= wasserstein_coupled_bound(a, b, dp) + 1e-12
 
 
 # -- generalized triangle inequality ---------------------------------------------------
@@ -306,12 +310,13 @@ def test_certify_reports_each_violation_with_its_logs():
 
 
 def test_wasserstein_triangle_across_ensembles():
-    # lifted triangle inequality of the metric cost on small ensembles
+    # lifted triangle inequality of the cost at alpha = 0, the clamped metric
+    # min(1, |x - y|^(s/2) / eps^(1/2)), on small ensembles
     ens = [packed_rows([random_field(G, seed=200 + 10 * j + i, rms=0.5 + 0.5 * j)
                         for i in range(4)])
            for j in range(3)]
     dp = DistanceParams(0.5, 0.5)
-    w_ac = wasserstein_exact(ens[0], ens[2], "rho", dp)
-    w_ab = wasserstein_exact(ens[0], ens[1], "rho", dp)
-    w_bc = wasserstein_exact(ens[1], ens[2], "rho", dp)
+    w_ac = wasserstein_exact(ens[0], ens[2], dp)
+    w_ab = wasserstein_exact(ens[0], ens[1], dp)
+    w_bc = wasserstein_exact(ens[1], ens[2], dp)
     assert w_ac <= w_ab + w_bc + 1e-12

@@ -20,8 +20,8 @@ from snselab.forcing import low_mode_basis
 from snselab.integrator import SchemeParams, batch_increments, run_scheme
 from snselab.spectral import SpectralField
 from snselab.runner import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
-                            SUBCOMMANDS, checkpoint, config_class, load_config, main,
-                            restore, run_study, study_config)
+                            SUBCOMMANDS, build_forcing, checkpoint, config_class,
+                            load_config, main, restore, run_study, study_config)
 from snselab.spectral import make_grid, random_field
 
 from helpers import record
@@ -46,16 +46,6 @@ delta_ladder = 0.02, 0.01, 0.005
 def test_missing_file_is_config_error():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/run.cfg")
-
-
-def test_delta_exceeding_delta0_exits_2(tmp_path, capsys):
-    path = _write_config(tmp_path, """
-[discretization]
-delta = 0.2
-delta0 = 0.1
-""")
-    code = main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
-    assert code == EXIT_CONFIG
 
 
 def test_non_monotone_ladder_rejected(tmp_path, caplog):
@@ -84,6 +74,17 @@ def test_simulate_zero_steps_emits_manifest_and_checkpoint(tmp_path):
     assert (out / "summary.json").exists()
     cks = list(out.glob("checkpoints/*/state_00000000.fld"))
     assert len(cks) == 1
+
+
+@pytest.mark.parametrize("text, shells, variance", [
+    ("", 4, 0.5),
+    ("[forcing]\npreset = low-mode\nshells = 2\nvariance = 0.3\n", 2, 0.3)])
+def test_simulate_forcing_is_the_studies_low_mode_basis(tmp_path, text, shells, variance):
+    # simulate's one forcing, with SimulateConfig's defaults, built as every study builds it
+    grid = make_grid(8)
+    got = build_forcing(load_config(_write_config(tmp_path, text)), grid)
+    want = low_mode_basis(grid, shells, variance)
+    assert got.coeff_matrix.tobytes() == want.coeff_matrix.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -133,25 +134,30 @@ def test_restore_then_continue_matches_straight_run(tmp_path):
 
 
 def test_version_1_sidecar_restores_like_version_2(tmp_path):
-    # version 1 sidecars also held the solver policy and sweep budget
+    # version 1 and 2 sidecars also held delta0, and version 1 the solver
+    # policy and sweep budget; each restores like the version 3 one written
     g = make_grid(8)
-    p = SchemeParams(1.0, 0.02, 8, delta0=0.05, tol=1e-11)
+    p = SchemeParams(1.0, 0.02, 8, tol=1e-11)
     checkpoint(random_field(g, seed=3), p, 4, 1, 7, tmp_path)
     fresh = restore(tmp_path / "state_00000007.fld")
-    (tmp_path / "state_00000007.json").write_text(json.dumps({
-        "format_version": 1, "step_index": 7, "seed": 4, "trajectory_id": 1,
-        "params": {"nu": 1.0, "delta": 0.02, "shells": 8, "delta0": 0.05,
-                   "solver": "krylov", "tol": 1e-11, "max_iter": 50}}))
-    old = restore(tmp_path / "state_00000007.fld")
-    assert old[1] == fresh[1] == p
-    assert np.array_equal(old[0].coeffs, fresh[0].coeffs) and old[2:] == fresh[2:] == (4, 1, 7)
+    meta = json.loads((tmp_path / "state_00000007.json").read_text())
+    assert meta["format_version"] == 3 and "delta0" not in meta["params"]
+    extra = {1: {"delta0": 0.05, "solver": "krylov", "max_iter": 50}, 2: {"delta0": 0.05}}
+    for version, params in extra.items():
+        (tmp_path / "state_00000007.json").write_text(json.dumps({
+            "format_version": version, "step_index": 7, "seed": 4, "trajectory_id": 1,
+            "params": {"nu": 1.0, "delta": 0.02, "shells": 8, "tol": 1e-11, **params}}))
+        old = restore(tmp_path / "state_00000007.fld")
+        assert old[1] == fresh[1] == p
+        assert np.array_equal(old[0].coeffs, fresh[0].coeffs)
+        assert old[2:] == fresh[2:] == (4, 1, 7)
 
 
 def test_unknown_checkpoint_version_is_rejected(tmp_path):
     checkpoint(random_field(make_grid(16), seed=3), SchemeParams(1.0, 0.01, 16),
                0, 0, 5, tmp_path)
     meta = json.loads((tmp_path / "state_00000005.json").read_text())
-    meta["format_version"] = 3
+    meta["format_version"] = 4
     (tmp_path / "state_00000005.json").write_text(json.dumps(meta))
     with pytest.raises(StructuralError):
         restore(tmp_path / "state_00000005.fld")
@@ -303,9 +309,8 @@ BAD_CONFIGS = [
     ("simulate", "[discretization]\nshells = abc\n"),
     ("simulate", "[discretization]\nsolver = krylov\n"),
     ("simulate", "[io]\ncheckpoint_cadence = abc\n"),
-    ("simulate", "[forcing]\npreset = explicit\ndir1 = 1, 0, tan, 0.3\n"),
-    ("simulate", "[forcing]\npreset = explicit\ndir1 = 99, 0, cos, 1.0\n"),
-    ("simulate", "[forcing]\npreset = explicit\ndir1 = 1, 0, cos, inf\n"),
+    # the low-mode forcing is simulate's only one: a well-formed explicit one is refused
+    ("simulate", "[forcing]\npreset = explicit\ndir1 = 1, 0, cos, 0.3\n"),
     ("simulate", "[forcing]\nshells = 0\n"),
     ("simulate", "[forcing]\nvariance = -1\n"),
     ("simulate", "[forcing]\nvariance = nan\n"),
@@ -415,7 +420,7 @@ def test_import_loads_no_scipy(tmp_path):
             "print([m for m in sys.modules if m.split('.')[0] == 'concurrent'])\n"
             "grid = spectral.SpectralGrid(3)\n"
             "a = np.zeros((2, 2 * grid.n_half))\n"
-            "measures.wasserstein_exact(a, a, 'rho', measures.DistanceParams(1.0, 1.0))\n"
+            "measures.wasserstein_exact(a, a, measures.DistanceParams(1.0, 1.0))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
             "from snselab import integrator\n"
             "solve, calls = integrator._chebyshev_solve, []\n"
@@ -496,6 +501,12 @@ OUT_OF_RANGE = {
     # no contraction yet passed
     ("couple", "--perturbation", "0", "--enforce"): "experiment.perturbations",
     ("couple", "[nudge]\nperturbation = 0.1, 0\n"): "nudge.perturbation",
+    # inputs no subcommand reads: an explicit forcing, its directions, an
+    # amplitude list and delta0
+    ("simulate", "[forcing]\npreset = explicit\n"): "forcing.preset",
+    ("simulate", "[forcing]\ndir1 = 1, 0, cos, 0.3\n"): "forcing.dir1",
+    ("simulate", "[forcing]\namplitudes = 0.1, 0.1\n"): "forcing.amplitudes",
+    ("simulate", "[discretization]\ndelta0 = 0.1\n"): "discretization.delta0",
 }
 
 
@@ -526,7 +537,13 @@ def test_negative_or_zero_counts_exit_2(monkeypatch, tmp_path, caplog, argv):
     # NudgeParams, which the coupling study builds, needs nu lambda_{K+1} >= 2 beta
     (["couple", "--beta", "100"], "nudge.beta"),
     # the Lyapunov study caps alpha by the variance of the forcing it builds
-    (["lyapunov", "[experiment]\nalpha = 10\n"], "experiment.alpha")])
+    (["lyapunov", "[experiment]\nalpha = 10\n"], "experiment.alpha"),
+    # the gain floor divides by nu^5, which underflows to zero (a ZeroDivisionError once)
+    (["couple", "[physics]\nnu = 1e-300\n"], "physics.nu"),
+    # a forcing of rank zero cannot carry the Girsanov shift: it exited 3, at
+    # step 1 or after the whole march
+    (["couple", "[forcing]\nvariance = 0\n"], "forcing.variance"),
+    (["couple", "[forcing]\nvariance = 1e-300\n"], "forcing.variance")])
 def test_a_study_names_the_key_that_set_a_field_it_refuses(tmp_path, caplog, argv, key):
     argv = [f"--config={_write_config(tmp_path, a)}" if a.startswith("[") else a
             for a in argv]
@@ -755,23 +772,6 @@ checkpoint_cadence = {cadence}
     assert all(got[name] == every[name] for name in got)
     assert lines == every_lines[:1] + every_lines[1::stride]
     assert final == every_final
-
-
-def test_explicit_forcing_preset(tmp_path):
-    cfgp = _write_config(tmp_path, """
-[discretization]
-shells = 8
-delta = 0.05
-
-[forcing]
-preset = explicit
-dir1 = 1, 0, cos, 0.3
-dir2 = 0, 1, sin, 0.3
-""")
-    out = tmp_path / "explicit"
-    code = main(["simulate", "--config", cfgp, "--steps", "4", "--seed", "3",
-                 "--out", str(out)])
-    assert code == EXIT_OK
 
 
 def test_holder_subcommand(tmp_path):
