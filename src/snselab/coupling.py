@@ -23,6 +23,7 @@ caller sees both batches' states through the run's observer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,19 +68,30 @@ def propose_beta(shells_controlled: int, base: SchemeParams,
 
     Also reports whether beta clears the admissibility floor
     beta >= max(1/delta, delta^2 |sigma|^4/nu^3, |sigma|^4/nu^5), taking
-    the absolute constant, which the theory leaves free, as 1.  A nu whose
-    fifth power underflows to zero leaves the floor undefined and is a
-    `ConfigError` on ``nu``.
+    the absolute constant, which the theory leaves free, as 1.  A power the
+    floor takes that leaves the float range (a float power raises where it
+    overflows) leaves it undefined: a nu whose fifth power underflows to
+    zero or overflows is a `ConfigError` on ``nu``, and a variance whose
+    square overflows one on ``forcing_variance``.
     """
     lam_next = int(spectral.eigenvalue_shells(shells_controlled + 1)[shells_controlled])
     beta = 0.5 * base.nu * lam_next
     out = {"beta": beta, "lambda_next": lam_next, "floor_ok": None, "floor": None}
     if basis is not None:
-        if base.nu ** 5 == 0.0:
-            raise ConfigError(f"nu^5 underflows to zero at nu = {base.nu!r}", field="nu")
+        try:
+            nu5 = base.nu ** 5
+        except OverflowError:
+            nu5 = math.inf
+        if not 0.0 < nu5 < math.inf:
+            raise ConfigError(f"nu^5 {'underflows to zero' if nu5 == 0.0 else 'overflows'} "
+                              f"at nu = {base.nu!r}", field="nu")
         s2 = basis.variance
-        floor = max(1.0 / base.delta, base.delta ** 2 * s2 ** 2 / base.nu ** 3,
-                    s2 ** 2 / base.nu ** 5)
+        try:
+            s4 = s2 ** 2
+        except OverflowError:
+            raise ConfigError(f"|sigma|^4 overflows at |sigma|^2 = {s2!r}",
+                              field="forcing_variance") from None
+        floor = max(1.0 / base.delta, base.delta ** 2 * s4 / base.nu ** 3, s4 / nu5)
         out["floor"] = floor
         out["floor_ok"] = bool(beta >= floor)
     return out
@@ -119,7 +131,8 @@ def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
     grid = p.grid()
     b = basis.project_to(grid)
     mask = grid.mode_mask(np_.shells_controlled).astype(np.float64)
-    system_n = integ.step_system(grid, p, p.delta * np_.beta * mask)
+    buffers = integ.SweepBuffers()   # the plain march's, which the nudged rows share
+    system_n = integ.step_system(grid, p, p.delta * np_.beta * mask, buffers)
     mask = np.concatenate([mask, mask])   # P_K on packed states
     nudge = p.delta * np_.beta * mask
 
@@ -160,7 +173,7 @@ def coupled_ensembles(xi0: SpectralField, xi_tilde0s, n_steps: int,
         if observer is not None:
             observer(step, c, ct)
 
-    integ.march(p, basis, [xi0], seed, trajectory_ids, n_steps, follow)
+    integ.march(p, basis, [xi0], seed, trajectory_ids, n_steps, follow, buffers)
     rows = [slice(j * m, (j + 1) * m) for j in range(k)]
     if not compute_shifts:
         return [CoupledPair(gaps[:, r], None, None) for r in rows]

@@ -32,7 +32,9 @@ tolerance: the fixed-point stop is batch-wide, every row sweeps as often
 as the stiffest one, and ``iterations`` records that batch maximum.
 A batch of one row (a single path) keeps its per-step bookkeeping in
 Python floats, with the batch form's arithmetic and bits (see
-`_fixed_point_solve`).
+`_fixed_point_solve`).  Every solve writes its velocity and its sweeps'
+node arrays into `SweepBuffers` that its march allocates once and shares
+with the rungs or nudged copies it steps.
 
 One kernel, `_advance_one`, takes every step: the plain scheme by default,
 and the nudged scheme when the caller adds delta beta P_K to the diagonal
@@ -130,13 +132,55 @@ class EnsembleRun:
 
 # -- implicit solve ------------------------------------------------------------
 
+class SweepBuffers(dict):
+    """The scratch arrays of one march's solves, by (rows, n_nodes).
+
+    A solve writes its velocity, the velocity's float32 copy, and the node
+    gradients and half-sums of its float64 and float32 sweeps (the ``out=``
+    of `spectral.velocity_values` and `spectral.advect_frozen`) into views
+    of four flat arrays.  A sweep runs in one precision and keeps nothing
+    in its pair, so the float32 pair is a view of the float64 pair's
+    memory.  An entry is (velocity, float32 velocity, float64 pair, float32
+    pair), made on the first lookup of its shape; a shape larger than any
+    before it replaces the flat arrays (views already handed out keep the
+    old ones).  Solves run one after another, so a march shares one set
+    with every system it steps: its own, its ladder's rungs and the coupled
+    run's nudged batch.  That keeps the heap from growing and shrinking by
+    the temporaries of every solve (some 0.7 MB each for 192 rows), which
+    glibc may hand back to the kernel after one solve for the next to fault
+    in again.  A march owns its set (`lyapunov` runs marches on threads),
+    and no state a solve returns is a view of it.
+    """
+
+    size = 0   # rows * n_nodes of the flat arrays
+
+    def __missing__(self, key):
+        rows, n_nodes = key
+        size = rows * n_nodes
+        if size > self.size:
+            self.clear()
+            self.size = size
+            self.uv, self.grad, self.half = (np.empty(w * size) for w in (2, 2, 1))
+            self.uv32 = np.empty(2 * size, np.float32)
+
+        def view(flat, width, dtype=np.float64):
+            return flat.view(dtype)[:width * size].reshape(rows, width * n_nodes)
+
+        self[key] = views = (
+            view(self.uv, 2), view(self.uv32, 2, np.float32),
+            (view(self.grad, 2), view(self.half, 1)),
+            (view(self.grad, 2, np.float32), view(self.half, 1, np.float32)))
+        return views
+
+
 class StepSystem(NamedTuple):
     """Diagonal part of one step's system in the packed [Re | Im] layout.
 
     ``analysis`` is ``grid._anal`` with -delta D^-1 folded into its columns,
     so one `spectral.advect_frozen` call returns the sweep map
     -delta D^-1 P_N(u . grad c); ``analysis32`` is its float32 copy, for
-    the float32 sweeps of `_fixed_point_solve`.
+    the float32 sweeps of `_fixed_point_solve`.  ``buffers`` are the
+    `SweepBuffers` its solves write into.
     """
 
     p: SchemeParams
@@ -144,10 +188,13 @@ class StepSystem(NamedTuple):
     inv_diag: np.ndarray      # D^-1
     analysis: np.ndarray      # (n_nodes, 2 n_half)
     analysis32: np.ndarray    # (n_nodes, 2 n_half), float32
+    buffers: SweepBuffers
 
 
-def step_system(grid: SpectralGrid, p: SchemeParams, extra_diag=None) -> StepSystem:
-    """D = I + delta nu A, plus ``extra_diag`` (delta beta P_K when nudging)."""
+def step_system(grid: SpectralGrid, p: SchemeParams, extra_diag=None,
+                buffers: SweepBuffers | None = None) -> StepSystem:
+    """D = I + delta nu A, plus ``extra_diag`` (delta beta P_K when nudging),
+    solving in ``buffers`` (the march's), or in a set of its own."""
     diag = 1.0 + p.delta * p.nu * grid.lam
     if extra_diag is not None:
         diag = diag + extra_diag
@@ -159,7 +206,8 @@ def step_system(grid: SpectralGrid, p: SchemeParams, extra_diag=None) -> StepSys
     # (delta D^-1 beyond ~1e38) with steps that contract only from states
     # far below `SWEEP32_SCALES`, where no sweep is float32
     with np.errstate(under="ignore", over="ignore"):
-        return StepSystem(p, diag, inv_diag, analysis, analysis.astype(np.float32))
+        return StepSystem(p, diag, inv_diag, analysis, analysis.astype(np.float32),
+                          SweepBuffers() if buffers is None else buffers)
 
 
 def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
@@ -240,10 +288,17 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
     the iteration.  One slow sweep is not enough: the ratio of a slow but
     finishing contraction oscillates about its rate.
 
+    Buffers: every sweep writes its node gradients and half-sums, and the
+    float32 velocity, into the system's `SweepBuffers` (its march's),
+    looked up once per solve; ``uv`` is the march's velocity buffer too.
+    The increments and c are fresh arrays, so the returned state outlives
+    the next solve on the same buffers.
+
     Returns (c, sweeps), or None when the fixed point hands over or
     reaches `MAX_SWEEPS`: the caller then solves by `_chebyshev_solve`.
     """
     tol = system.p.tol
+    _, uv32_buf, out64, out32 = system.buffers[len(rhs), grid.n_nodes]
     c = rhs * system.inv_diag
     expo = None
     one_row = len(rhs) == 1
@@ -282,9 +337,11 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
             SWEEP32_GROWTH * prev_inc if it == 2 else prev_inc / prev2_inc) <= room
         if single:
             if uv32 is None:
-                uv32 = uv.astype(np.float32)
+                uv32 = uv32_buf
+                uv32[...] = uv
             new32 = spectral.advect_frozen(grid, uv32, system.analysis32,
-                                           d.astype(np.float32) if d32 is None else d32)
+                                           d.astype(np.float32) if d32 is None else d32,
+                                           out=out32)
             new = new32.astype(np.float64)
             top = measure(new)
             # the room pays only for a measured float32 increment that fits; one
@@ -295,7 +352,7 @@ def _fixed_point_solve(grid, uv, rhs, system: StepSystem, scale):
                 d, d32 = new, new32
         if not single:
             d32 = None
-            d = spectral.advect_frozen(grid, uv, system.analysis, d)
+            d = spectral.advect_frozen(grid, uv, system.analysis, d, out=out64)
             top = measure(d)
         if not math.isfinite(top):
             raise SolverError(f"non-finite state (relative increment {top:.3e})",
@@ -340,13 +397,14 @@ def _chebyshev_solve(grid, uv, rhs, system: StepSystem, scale):
     if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(scale))):
         raise SolverError("non-finite state entering the Chebyshev solve")
     tol, diag, maps = system.p.tol, system.diag, 0
+    out64 = system.buffers[len(rhs), grid.n_nodes][2]
     mant, expo = np.frexp(np.reshape(scale, (-1, 1)))
     log_needed = math.log(2.0 * math.sqrt(diag.max()) / tol)   # k -log rho to reach tol
 
     def sweep(x):
         nonlocal maps
         maps += 1
-        return spectral.advect_frozen(grid, uv, system.analysis, x)
+        return spectral.advect_frozen(grid, uv, system.analysis, x, out=out64)
 
     def d_norm(x):
         return np.sqrt(np.vecdot(diag * x, x))
@@ -391,12 +449,14 @@ def _advance_one(grid, c_prev, noise, system: StepSystem, noise_scale,
     ``noise_scale`` may be floats for a batch of one row.  The fixed point
     solves the step unless it hands over (see `_fixed_point_solve`); then
     the whole batch is solved again by `_chebyshev_solve` from the same
-    right-hand side, and ``sweeps`` is the number of S maps it made.
+    right-hand side, and ``sweeps`` is the number of S maps it made.  The
+    velocity goes to ``system.buffers``.
     """
     rhs = c_prev if rhs_extra is None else c_prev + rhs_extra
     if noise is not None:
         rhs = rhs + noise
-    uv = spectral.velocity_values(grid, c_prev)
+    uv = spectral.velocity_values(grid, c_prev,
+                                  out=system.buffers[len(c_prev), grid.n_nodes][0])
     if c_norm is None:
         c_norm = np.sqrt(spectral.packed_norm_sq(c_prev))
     scale = (c_norm + noise_scale if rhs_extra is None
@@ -469,7 +529,8 @@ def tape_steps(n_steps: int, basis: ForcingBasis | None, increments):
 
 def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams,
                basis: ForcingBasis | None, increments,
-               observer: Callable[..., None] | None = None) -> EnsembleRun:
+               observer: Callable[..., None] | None = None,
+               buffers: SweepBuffers | None = None) -> EnsembleRun:
     """March a batch of states n_steps forward.
 
     ``c0`` holds complex coefficients, (n_half,) or (M, n_half); the march
@@ -485,6 +546,7 @@ def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams
     march.  Underflow is ignored for the whole march: a norm of a state or
     an increment with subnormal entries underflows harmlessly, and so does
     a float32 sweep's entry far below its row's scale.
+    The march solves in ``buffers``, or in `SweepBuffers` of its own.
     """
     if p.shells != grid.shells:
         raise StructuralError("params cutoff differs from grid")
@@ -492,7 +554,7 @@ def run_scheme(grid: SpectralGrid, c0: np.ndarray, n_steps: int, p: SchemeParams
     if c.ndim == 1:
         c = c[None, :]
     b = basis.project_to(grid) if basis is not None else None
-    system = step_system(grid, p)
+    system = step_system(grid, p, buffers=buffers)
     energy = np.empty((n_steps + 1, c.shape[0]))
     iters = np.zeros(n_steps, dtype=np.int64)
     one_row = c.shape[0] == 1
@@ -526,17 +588,18 @@ def start_rows(grid: SpectralGrid, starts, m: int) -> np.ndarray:
 
 
 def march(p: SchemeParams, basis: ForcingBasis, starts, seed: int, ids, n_steps: int,
-          observer: Callable[..., None] | None = None) -> EnsembleRun:
+          observer: Callable[..., None] | None = None,
+          buffers: SweepBuffers | None = None) -> EnsembleRun:
     """March k = len(starts) fields, each for the M = len(ids) members of
     ``ids``, on the grid of ``p``: `run_scheme` on the `start_rows`, where
     row j M + i reads tape id i of ``batch_increments(seed, ids, ...)``,
-    with ``observer`` as its observer."""
+    with ``observer`` as its observer and ``buffers`` as its buffers."""
     grid = p.grid()
     tape = batch_increments(seed, ids, basis.d, p.delta)
     k = len(starts)
     inc = tape if k == 1 else (lambda n0, n1: np.tile(tape(n0, n1), (1, k, 1)))
     return run_scheme(grid, start_rows(grid, starts, len(ids)), n_steps, p, basis, inc,
-                      observer)
+                      observer, buffers)
 
 
 def ladder(p: SchemeParams, rungs, basis: ForcingBasis, starts, seed: int, ids,
@@ -570,6 +633,7 @@ def ladder(p: SchemeParams, rungs, basis: ForcingBasis, starts, seed: int, ids,
     rung k's packed state if it stepped at ``step`` (every rung at step
     0), else None, so no reducer reads a stale rung.  No path is kept
     beyond the current states; the reducer takes what the caller needs.
+    The rungs solve in the march's `SweepBuffers`.
     """
     grid = p.grid()
     strides = [round(q.delta / p.delta) for q in rungs]
@@ -580,7 +644,8 @@ def ladder(p: SchemeParams, rungs, basis: ForcingBasis, starts, seed: int, ids,
     if record < 1 or record % g:
         raise StructuralError(f"record {record!r} is not a positive multiple of {g}")
     grids = [q.grid() for q in rungs]
-    systems = [step_system(gr, q) for gr, q in zip(grids, rungs)]
+    buffers = SweepBuffers()
+    systems = [step_system(gr, q, buffers=buffers) for gr, q in zip(grids, rungs)]
     cols = [spectral.packed_columns(gr, grid) for gr in grids]
     cs = [spectral.pack(start_rows(gr, starts, len(ids))) for gr in grids]
     # the noise of the base steps since the last g-th
@@ -602,4 +667,4 @@ def ladder(p: SchemeParams, rungs, basis: ForcingBasis, starts, seed: int, ids,
         if step % record == 0:
             reducer(step, c, [x if step % s == 0 else None for x, s in zip(cs, strides)])
 
-    march(p, basis, starts, seed, ids, n_steps, follow)
+    march(p, basis, starts, seed, ids, n_steps, follow, buffers)

@@ -103,7 +103,8 @@ def eigenvalue_shells(count: int) -> np.ndarray:
     while True:
         r = np.arange(-bound, bound + 1)
         lam = (r[:, None] ** 2 + r[None, :] ** 2).ravel()
-        vals = np.unique(lam[(lam > 0) & (lam <= bound * bound)])
+        # the distinct values in increasing order; np.unique would load numpy.ma
+        vals = np.flatnonzero(np.bincount(lam[(lam > 0) & (lam <= bound * bound)]))
         if vals.size >= count:
             out = vals[:count].astype(np.int64)
             out.flags.writeable = False  # cached, shared between callers
@@ -333,14 +334,15 @@ def inner_product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return TWO_PI_SQ * 2.0 * np.sum(f * np.conj(g), axis=-1).real
 
 
-def velocity_values(grid: SpectralGrid, xi: np.ndarray) -> np.ndarray:
+def velocity_values(grid: SpectralGrid, xi: np.ndarray, out=None) -> np.ndarray:
     """Velocity of packed xi at the lattice nodes, flat (..., 2 n_nodes) = [u1 | u2]
-    (the frozen factor of the semi-implicit solve, one gemm for both)."""
-    return xi @ grid._synth_vel
+    (the frozen factor of the semi-implicit solve, one gemm for both), written
+    into ``out`` when it is given."""
+    return np.matmul(xi, grid._synth_vel, out=out)
 
 
 def advect_frozen(grid: SpectralGrid, uv: np.ndarray, analysis: np.ndarray,
-                  target: np.ndarray) -> np.ndarray:
+                  target: np.ndarray, out=None) -> np.ndarray:
     """Galerkin projection of u . grad(target) for a precomputed velocity.
 
     ``uv`` comes from `velocity_values`, ``target`` is packed and so is the
@@ -349,11 +351,20 @@ def advect_frozen(grid: SpectralGrid, uv: np.ndarray, analysis: np.ndarray,
     float32 ``target`` takes a float32 copy of the gradient synthesis, and
     ``uv`` and ``analysis`` must then be float32 as well: every gemm and
     product of the call runs in single precision.
+
+    ``out``, if given, is a pair of C-contiguous arrays of ``target``'s
+    dtype, (rows, 2 n_nodes) and (rows, n_nodes), that the call takes as
+    its node gradients and their half-sum in place of fresh ones, with the
+    same bits.  The caller owns them (a march reuses one pair for all its
+    sweeps, see `integrator.SweepBuffers`); the result is always a fresh
+    array, so it never aliases them.
     """
-    g = target @ (grid._synth_grad if target.dtype == np.float64 else grid._synth_grad32)
+    synth = grid._synth_grad if target.dtype == np.float64 else grid._synth_grad32
+    grad, half = (None, None) if out is None else out
+    g = np.matmul(target, synth, out=grad)
     g *= uv
     n = grid.n_nodes
-    return (g[..., :n] + g[..., n:]) @ analysis
+    return np.add(g[..., :n], g[..., n:], out=half) @ analysis
 
 
 @lru_cache(maxsize=None)

@@ -205,8 +205,8 @@ def _solve_sweeps(grid, p, prev, noise, noise_scale):
     each map it made (float32 or float64)."""
     sweeps = []
 
-    def recording_advect(*args):
-        out = advect_frozen(*args)
+    def recording_advect(*args, **kwargs):
+        out = advect_frozen(*args, **kwargs)
         sweeps.append((args[3], out))
         return out
 
@@ -355,9 +355,9 @@ def test_solve_is_scale_free(shells, m, rms, delta, log10_lam, seed):
 def test_stalled_fixed_point_hands_over_early(monkeypatch, shells, m, rms, seed):
     sweeps, handed_over_at = [], []
 
-    def counting_advect(*args):
+    def counting_advect(*args, **kwargs):
         sweeps.append(1)
-        return advect_frozen(*args)
+        return advect_frozen(*args, **kwargs)
 
     def chebyshev(*args):
         handed_over_at.append(len(sweeps))
@@ -471,9 +471,9 @@ def test_bad_solver_parameters_raise_config_error(name, value):
 def test_non_finite_state_fails_at_first_sweep(monkeypatch):
     sweeps = []
 
-    def counting_advect(*args):
+    def counting_advect(*args, **kwargs):
         sweeps.append(1)
-        return advect_frozen(*args)
+        return advect_frozen(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "advect_frozen", counting_advect)
     c0 = random_field(G, seed=1).coeffs.copy()
@@ -485,7 +485,7 @@ def test_non_finite_state_fails_at_first_sweep(monkeypatch):
 
 
 def test_chebyshev_non_finite_state_fails_before_a_map(monkeypatch):
-    def no_map(*args):
+    def no_map(*args, **kwargs):
         raise AssertionError("S mapped on a non-finite state")
 
     c0 = random_field(G, seed=1).coeffs.copy()
@@ -507,9 +507,9 @@ def test_chebyshev_reports_its_maps(monkeypatch):
     # for one row and for the batch, which sweeps as long as its slowest row
     maps = []
 
-    def counting_advect(*args):
+    def counting_advect(*args, **kwargs):
         maps.append(1)
-        return advect_frozen(*args)
+        return advect_frozen(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "advect_frozen", counting_advect)
     p = SchemeParams(1.0, 0.1, 16)
@@ -518,6 +518,62 @@ def test_chebyshev_reports_its_maps(monkeypatch):
         maps.clear()
         count = _chebyshev_step(G, c, p)[1]
         assert count == len(maps) > integrator.CHEBYSHEV_POWER
+
+
+# -- the sweep buffers of a march -------------------------------------------------
+
+@pytest.mark.parametrize("rows", [2, 64, 192])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_buffered_kernels_are_the_allocating_kernels(rows, dtype):
+    # views of one march's buffers, grown past a smaller batch's and shrunk
+    # back from a larger one, take the velocity, its float32 copy and a
+    # sweep's node arrays with the bits of the allocating forms, and no
+    # result is a view of them
+    n = G.n_nodes
+    buffers = integrator.SweepBuffers()
+    buffers[1, n], buffers[192, n]
+    uv_buf, uv32_buf, out64, out32 = buffers[rows, n]
+    assert uv_buf.shape == (rows, 2 * n) and out32[1].shape == (rows, n)
+    src, tgt = (spectral.pack(np.stack([random_field(G, seed=s, stream_id=i, rms=1.5).coeffs
+                                        for i in range(rows)])) for s in (1, 2))
+    uv = spectral.velocity_values(G, src)
+    assert spectral.velocity_values(G, src, out=uv_buf) is uv_buf
+    assert np.array_equal(uv_buf, uv)
+    out = out64
+    if dtype == np.float32:
+        uv32_buf[...] = uv_buf
+        uv, uv_buf, out = uv.astype(np.float32), uv32_buf, out32
+        assert np.array_equal(uv_buf, uv)
+    anal = G._anal.astype(dtype)
+    want = advect_frozen(G, uv, anal, tgt.astype(dtype))
+    got = advect_frozen(G, uv_buf, anal, tgt.astype(dtype), out=out)
+    assert got.dtype == want.dtype == dtype
+    assert np.array_equal(got, want)
+    assert not any(np.shares_memory(got, a) for a in (uv_buf, *out))
+
+
+def test_solves_in_a_row_on_one_marchs_buffers(monkeypatch):
+    # two batched steps on one set of buffers, float32 sweeps included: the
+    # second leaves the first one's state as it was, and each has the bits
+    # of the same step solved on fresh buffers
+    grid, p, prev, noise, noise_scale = _random_step(16, 8, 1.0, 1 / 5120, 0)
+    system = step_system(grid, p, buffers=integrator.SweepBuffers())
+    dtypes = []
+
+    def spy(*args, **kwargs):
+        dtypes.append(args[3].dtype)
+        return advect_frozen(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "advect_frozen", spy)
+    first, _ = _advance_one(grid, prev, noise, system, noise_scale)
+    kept = first.copy()
+    second, _ = _advance_one(grid, first, noise, system, noise_scale)
+    assert np.float32 in dtypes and np.array_equal(first, kept)
+    monkeypatch.undo()
+    assert np.array_equal(first, _advance_one(grid, prev, noise, step_system(grid, p),
+                                              noise_scale)[0])
+    assert np.array_equal(second, _advance_one(grid, first, noise, step_system(grid, p),
+                                               noise_scale)[0])
 
 
 @pytest.mark.parametrize("rms, delta", [(50.0, 1.0), (200.0, 0.1)])

@@ -404,7 +404,8 @@ def test_import_loads_no_scipy(tmp_path):
     # the fixed point hands over to the Chebyshev fall-back loads scipy; the
     # tracer's lookup of measures.linprog still finds scipy's LP.  Nor do
     # the import, a grid and a random initial field load concurrent.futures,
-    # which only a run on more than one thread needs.  Neither the import nor
+    # which only a run on more than one thread needs, or numpy.ma, which
+    # np.unique and np.percentile load.  Neither the import nor
     # a simulate run loads a study's module, and naming a study's config
     # class loads that study's module alone
     src = str(Path(snselab.__file__).resolve().parents[1])
@@ -418,6 +419,7 @@ def test_import_loads_no_scipy(tmp_path):
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
             "spectral.random_field(spectral.make_grid(16), 1, rms=1.0, spectral_slope=-3.0)\n"
             "print([m for m in sys.modules if m.split('.')[0] == 'concurrent'])\n"
+            "print('numpy.ma' in sys.modules)\n"
             "grid = spectral.SpectralGrid(3)\n"
             "a = np.zeros((2, 2 * grid.n_half))\n"
             "measures.wasserstein_exact(a, a, measures.DistanceParams(1.0, 1.0))\n"
@@ -439,7 +441,7 @@ def test_import_loads_no_scipy(tmp_path):
             "print(studies())")
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "sim")], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["[]", "[]", "[]", "[]", "1", "[]", "True", "[]",
+    assert out.stdout.split() == ["[]", "[]", "[]", "False", "[]", "1", "[]", "True", "[]",
                                   "['snselab.experiments.temporal']"]
 
 
@@ -543,7 +545,10 @@ def test_negative_or_zero_counts_exit_2(monkeypatch, tmp_path, caplog, argv):
     # a forcing of rank zero cannot carry the Girsanov shift: it exited 3, at
     # step 1 or after the whole march
     (["couple", "[forcing]\nvariance = 0\n"], "forcing.variance"),
-    (["couple", "[forcing]\nvariance = 1e-300\n"], "forcing.variance")])
+    (["couple", "[forcing]\nvariance = 1e-300\n"], "forcing.variance"),
+    # a float power that overflows in the gain floor raised an OverflowError (exit 1)
+    (["couple", "[forcing]\nvariance = 1e200\n"], "forcing.variance"),
+    (["couple", "[physics]\nnu = 1e100\n"], "physics.nu")])
 def test_a_study_names_the_key_that_set_a_field_it_refuses(tmp_path, caplog, argv, key):
     argv = [f"--config={_write_config(tmp_path, a)}" if a.startswith("[") else a
             for a in argv]

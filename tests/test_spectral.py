@@ -21,6 +21,18 @@ def test_eigenvalue_shells_sequence():
                                            16, 17, 18, 20, 25, 26, 29, 32]
 
 
+def test_eigenvalue_shells_are_the_distinct_sums_of_two_squares():
+    # every value up to 40^2 is a^2 + b^2 with |a|, |b| <= 40
+    brute = sorted({a * a + b * b for a in range(-40, 41) for b in range(-40, 41)} - {0})
+    assert brute[299] <= 40 ** 2
+    for count in range(1, 301):
+        shells = eigenvalue_shells(count)
+        assert shells.dtype == np.int64 and not shells.flags.writeable
+        assert shells.tolist() == brute[:count]
+    with pytest.raises(ValueError):
+        shells[0] = 0
+
+
 def test_grid_counts():
     # mode multiplicities of the first shells: 4+4+4+8+... = 100 at 16 shells
     assert G16.n_modes == 100
