@@ -189,7 +189,7 @@ class InitialCondition:
         if self.kind == "zero":
             return spectral.zero_field(grid)
         if self.kind == "harmonic":
-            _require_mode(grid, self.mode, "initial.mode")
+            _require_mode(grid, self.mode, "ic.mode")
             return spectral.harmonic_field(grid, *self.mode, kind=self.mode_kind,
                                            amplitude=self.amplitude, normalized=True)
         try:
@@ -197,8 +197,8 @@ class InitialCondition:
                                          spectral_slope=self.spectral_slope, cell=self.cell,
                                          phase_only=self.kind == "random-phase")
         except ConfigError as err:
-            # a run's config sets the recipe in its [initial] section
-            err.field = f"initial.{err.field}"
+            # the recipe is a study config's `ic`
+            err.field = f"ic.{err.field}"
             raise
 
 
@@ -307,13 +307,18 @@ def _require_mode(grid: SpectralGrid, mode, field_name: str):
                           "grid", field=field_name) from None
 
 
+MAX_STEPS = 1 << 31   # the most steps a span may take, far above any gate's
+
+
 def _whole_steps(span: float, step: float, field_name: str) -> int:
-    """How many steps of ``step`` make up ``span``: a whole number >= 1, or
-    a `ConfigError` on ``field_name``."""
+    """How many steps of ``step`` make up ``span``: a whole number in
+    [1, MAX_STEPS], or a `ConfigError` on ``field_name``."""
     ratio = span / step if step > 0 else math.nan
     n = round(ratio) if math.isfinite(ratio) else 0
     _require(n >= 1 and abs(ratio - n) < 1e-9,
              f"{span!r} is not a whole number of steps of {step!r}", field_name)
+    _require(n <= MAX_STEPS, f"{span!r} takes {ratio:.3g} steps of {step!r}, more than "
+             f"{MAX_STEPS}", field_name)
     return n
 
 

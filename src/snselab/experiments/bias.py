@@ -16,8 +16,8 @@ from .. import spectral
 from ..forcing import low_mode_basis
 from ..integrator import SchemeParams
 from ..spectral import make_grid
-from . import (BANDS, InitialCondition, ObservableSpec, StudyReport, _at_least,
-               _require, _require_mode, fit_rate)
+from . import (BANDS, MAX_STEPS, InitialCondition, ObservableSpec, StudyReport,
+               _at_least, _require, _require_mode, fit_rate)
 
 REFERENCE_TRAJECTORY = 1 << 32   # tape id reserved for proxy/reference paths
 
@@ -49,6 +49,9 @@ class StationaryBiasConfig:
         # a standard error needs two replicas, the stationary proxy one step
         _at_least(self, replicas=2, reference_steps=1, n_boot=1, shells=1,
                   forcing_shells=1, forcing_variance=0.0)
+        _require(self.reference_steps <= MAX_STEPS, f"must be <= {MAX_STEPS}",
+                 "reference_steps")
+        _require(max(self.n_ladder) <= MAX_STEPS, f"must be <= {MAX_STEPS}", "n_ladder")
         if self.observable.kind == "low-mode-coefficient":
             _require_mode(make_grid(self.shells), self.observable.mode, "observable.mode")
 

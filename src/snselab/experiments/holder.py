@@ -15,7 +15,8 @@ from .. import spectral
 from ..forcing import low_mode_basis
 from ..integrator import SchemeParams
 from ..spectral import make_grid
-from . import BANDS, InitialCondition, StudyReport, _at_least, _require, fit_rate
+from . import (BANDS, MAX_STEPS, InitialCondition, StudyReport, _at_least, _require,
+               fit_rate)
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,8 @@ class HolderConfig:
         _at_least(self, shells=1, burn_steps=0, lag_min_steps=1, lag_max_steps=1, n_lags=2,
                   ensemble=1, n_boot=1, forcing_shells=1, forcing_variance=0.0)
         _require(self.moment > 0, "moment must be positive", "moment")
+        _require(self.burn_steps + self.window_steps <= MAX_STEPS,
+                 f"burn_steps + window_steps must be <= {MAX_STEPS}", "window_steps")
         lags = self.lags()
         _require(lags.max() < self.window_steps, "largest lag exceeds the window",
                  "lag_max_steps")

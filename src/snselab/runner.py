@@ -1,11 +1,12 @@
 """Command-line front end: configs, dispatch, artifacts, replay.
 
-A run is described by an INI-style key-value file; command-line flags
-override file values.  Every subcommand but `replay` builds its config
-dataclass (`config_class`) from what the file and the flags set; every other
-field keeps the dataclass default, and the manifest records only what
-was set.  A key that the subcommand does not read is a configuration
-error.  Every artifact in a run directory is a deterministic function of
+A run is described by an INI-style key-value file, the one way to set a
+config field, and each field has exactly one key (`_key`).  Every
+subcommand but `replay` builds its config dataclass (`config_class`) from
+what the file sets; every other field keeps the dataclass default, and
+the manifest records only what was set.  A key that the subcommand does
+not read, or a file configparser cannot read, is a configuration error.
+Every artifact in a run directory is a deterministic function of
 (manifest, build): CSV tables, the JSON summary (schema "snse-lab/1"),
 and checkpoints carry no timestamps or machine state, so `replay` can
 regenerate and byte-compare them.
@@ -74,7 +75,7 @@ def _parse_list(text: str) -> tuple:
 
 @dataclasses.dataclass
 class RunConfig:
-    """What the config file and the flags set, as a nested dict."""
+    """What the config file sets, as a nested dict."""
 
     sections: dict
 
@@ -82,31 +83,27 @@ class RunConfig:
         return self.sections.get(section, {}).get(key, default)
 
 
-# keys read as lists even when they hold one value (a study's tuple fields
-# take one value as a 1-tuple anyway)
-_LIST_KEYS = {("discretization", "delta_ladder"), ("discretization", "shells_ladder")}
-
-
 def load_config(path: str | None) -> RunConfig:
+    """The file at `path` (none: an empty config); a value holding a comma
+    is a list.  A file configparser cannot read, such as one that repeats
+    a key in a section, is a `ConfigError` that keeps configparser's line."""
     sections = {}
     if path is not None:
         cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        read = cp.read(path)
-        if not read:
-            raise ConfigError(f"config file not found: {path}", field="config")
-        for section in cp.sections():
-            tgt = sections.setdefault(section, {})
-            for key, raw in cp.items(section):
-                if (section, key) in _LIST_KEYS or "," in raw:
-                    tgt[key] = _parse_list(raw)
-                else:
-                    tgt[key] = _parse_scalar(raw)
+        try:
+            if not cp.read(path):
+                raise ConfigError(f"config file not found: {path}", field="config")
+            for section in cp.sections():
+                sections[section] = {key: _parse_list(raw) if "," in raw else
+                                     _parse_scalar(raw) for key, raw in cp.items(section)}
+        except configparser.Error as err:
+            raise ConfigError(str(err), field="config") from None
     return RunConfig(sections)
 
 
 def effective_manifest(cfg: RunConfig, subcommand: str,
                        seed: int) -> configparser.ConfigParser:
-    """What the file and the flags set, plus run metadata.
+    """What the file sets, plus run metadata.
 
     Every other field is a default of the subcommand's config class, which
     lives in the build.  Thread count is deliberately absent: parallelism
@@ -261,6 +258,7 @@ class SimulateConfig:
     def __post_init__(self):
         exp._at_least(self, steps=0, record_stride=1, checkpoint_cadence=0,
                       forcing_shells=1, forcing_variance=0.0)
+        exp._require(self.steps <= exp.MAX_STEPS, f"must be <= {exp.MAX_STEPS}", "steps")
 
 
 SUBCOMMANDS = ("simulate", *exp.STUDIES, "replay")
@@ -271,39 +269,33 @@ def config_class(subcommand: str) -> type:
     return SimulateConfig if subcommand == "simulate" else exp.study(subcommand)[0]
 
 
-# Shared-section spellings of config fields (a config takes the first name
-# it has); `[experiment]` keys name fields directly.
-_ALIASES = {
-    ("physics", "nu"): ("nu",),
-    ("forcing", "shells"): ("forcing_shells",),
-    ("forcing", "variance"): ("forcing_variance",),
-    ("discretization", "shells"): ("shells",),
-    ("discretization", "delta"): ("delta",),
-    ("discretization", "tol"): ("tol",),
-    ("discretization", "delta_ladder"): ("deltas",),
-    ("discretization", "shells_ladder"): ("shell_ladder", "shells_list"),
-    ("experiment", "shells_list"): ("shell_ladder",),
-    ("nudge", "shells"): ("shells_controlled",),
-    ("nudge", "beta"): ("beta",),
-    ("nudge", "compute_shifts"): ("compute_shifts",),
-    ("nudge", "perturbation"): ("perturbations",),
-    ("distance", "eps"): ("eps",),
-    ("distance", "s"): ("s",),
-    ("distance", "alpha"): ("alpha",),
-    ("reproducibility", "record_stride"): ("record_stride",),
-    ("io", "checkpoint_cadence"): ("checkpoint_cadence",),
+# The key of each config field that has one outside `[experiment]`, whose
+# `[experiment] <field>` sets every other field; a key with no section is a
+# section whose keys set the fields of one nested value.
+_KEYS = {
+    "nu": "physics.nu",
+    "forcing_shells": "forcing.shells",
+    "forcing_variance": "forcing.variance",
+    "shells": "discretization.shells",
+    "delta": "discretization.delta",
+    "tol": "discretization.tol",
+    "shells_controlled": "nudge.shells",
+    "beta": "nudge.beta",
+    "compute_shifts": "nudge.compute_shifts",
+    "eps": "distance.eps",
+    "s": "distance.s",
+    "alpha": "distance.alpha",
+    "record_stride": "reproducibility.record_stride",
+    "checkpoint_cadence": "io.checkpoint_cadence",
+    "ic": "initial",
+    "observable": "observable",
 }
-# sections whose keys set the fields of one nested value
-_NESTED = {"initial": ("ic",), "observable": ("observable",)}
+_NESTED = {key for key in _KEYS.values() if "." not in key}
 
 
-def _field_name(names, where: str) -> str | None:
-    """The field among `names` that `where` ("section.key", or a whole
-    nested section) sets, if any."""
-    section, _, key = where.partition(".")
-    spellings = _NESTED.get(section) or (
-        ((key,) if section == "experiment" else ()) + _ALIASES.get((section, key), ()))
-    return next((n for n in spellings if n in names), None)
+def _key(name: str) -> str:
+    """The one key that sets the field `name`."""
+    return _KEYS.get(name, f"experiment.{name}")
 
 
 def _read_elsewhere(cls, where: str) -> bool:
@@ -363,47 +355,44 @@ def _nested(default, section: dict, where: str):
 
 @contextlib.contextmanager
 def _fields_set(cls, cfg: RunConfig):
-    """Yields field -> (the key that sets it, its value) for each field of
-    `cls` the run sets, and a `ConfigError` raised inside on such a field
-    names that key (`physics.nu` for `nu`).  A key that sets no field and
-    is not read elsewhere (`_read_elsewhere`), or a field set twice, is
-    itself a `ConfigError`."""
-    names = {f.name for f in dataclasses.fields(cls)} - {"threads"}
+    """Yields field -> value for each field of `cls` the run sets, and a
+    `ConfigError` raised inside on a field of `cls`, or on a field of its
+    nested value, names it by its key (`physics.nu` for `nu`, `initial.mode`
+    for `ic.mode`).  A key that sets no field and is not read elsewhere
+    (`_read_elsewhere`) is itself a `ConfigError`."""
+    names = {_key(f.name): f.name for f in dataclasses.fields(cls) if f.name != "threads"}
     given = {}
     for section, body in cfg.sections.items():
         items = ([(section, body)] if section in _NESTED else
                  [(f"{section}.{key}", val) for key, val in body.items()])
         for where, val in items:
-            name = _field_name(names, where)
-            if name is None:
-                if _read_elsewhere(cls, where):
-                    continue
+            if where in names:
+                given[names[where]] = val
+            elif not _read_elsewhere(cls, where):
                 raise ConfigError(f"not read by {cls.__name__}", field=where)
-            if name in given:
-                raise ConfigError(f"{name} is also set by {given[name][0]}",
-                                  field=where)
-            given[name] = (where, val)
     try:
         yield given
     except ConfigError as err:
-        err.field = given.get(err.field, (err.field,))[0]
+        name, dot, rest = (err.field or "").partition(".")
+        if name in names.values():
+            err.field = _key(name) + dot + rest
         raise
 
 
 def study_config(cls, cfg: RunConfig, threads: int = 1):
     """The `cls` instance a run describes.
 
-    Each field the file or a flag sets is coerced to the field's type
+    Each field the file sets is coerced to the field's type
     ("auto" means None); every other field keeps its default, and a class
     with a `threads` field gets `threads`.  A value of the wrong type, a
     float that is not finite or an empty list is a `ConfigError` here; a
     value out of range is one that `cls` raises when it is built.  Either
-    names the key that set the field.
+    names the field's key.
     """
     hints = typing.get_type_hints(cls)
     with _fields_set(cls, cfg) as given:
-        kwargs = {name: _coerce(hints[name], getattr(cls, name), val, where)
-                  for name, (where, val) in given.items()}
+        kwargs = {name: _coerce(hints[name], getattr(cls, name), val, _key(name))
+                  for name, val in given.items()}
         if "threads" in hints:
             kwargs["threads"] = threads
         return cls(**kwargs)
@@ -441,7 +430,8 @@ def run_simulate(cfg: RunConfig, seed: int, ck_root: Path) -> exp.StudyReport:
     sim = study_config(SimulateConfig, cfg)
     with _fields_set(SimulateConfig, cfg):
         p = integ.SchemeParams(sim.nu, sim.delta, sim.shells, sim.tol)
-    grid = p.grid()
+        grid = p.grid()
+        xi0 = sim.ic.build(grid, seed)
     basis = build_forcing(cfg, grid)
     # |grad c|^2 of the packed row (1, 2 n_half) at the recorded steps, start included
     h1_sq = np.empty((sim.steps + 1, 1))
@@ -455,7 +445,7 @@ def run_simulate(cfg: RunConfig, seed: int, ck_root: Path) -> exp.StudyReport:
             kept[step] = spectral.unpack(c[0])
 
     # steps = 0 marches too, so row 0 is always the march's packed |c|^2
-    run = integ.march(p, basis, [sim.ic.build(grid, seed)], seed, [0], sim.steps, observe)
+    run = integ.march(p, basis, [xi0], seed, [0], sim.steps, observe)
     idx = np.arange(0, sim.steps + 1, sim.record_stride)
     rows = [{"step": n, "t": n * sim.delta, "energy_sq": e, "h1_sq": h, "iterations": it}
             for n, e, h, it in zip(idx.tolist(), run.energy_sq[idx, 0].tolist(),
@@ -549,45 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None)
         p.add_argument("--enforce", action="store_true")
         p.add_argument("-v", "--verbose", action="store_true")
-        if name == "simulate":
-            p.add_argument("--steps", type=int, default=None)
-        if name == "couple":
-            p.add_argument("--nudge-shells", type=int, default=None)
-            p.add_argument("--beta", type=_parse_scalar, default=None)
-            p.add_argument("--perturbation", type=_parse_list, default=None)
-            p.add_argument("--ensemble", type=int, default=None)
-            p.add_argument("--horizon", type=float, default=None)
-        if name == "certify-metric":
-            p.add_argument("--triples", type=int, default=None)
     return ap
-
-
-# flag -> the (section, key) it sets
-_FLAG_KEYS = {
-    "steps": ("experiment", "steps"),
-    "triples": ("experiment", "triples"),
-    "ensemble": ("experiment", "ensemble"),
-    "horizon": ("experiment", "horizon"),
-    "nudge_shells": ("nudge", "shells"),
-    "beta": ("nudge", "beta"),
-    "perturbation": ("experiment", "perturbations"),
-}
-
-
-def _apply_cli_overrides(args, cfg: RunConfig) -> None:
-    """Flags override the file; a flag that sets a config field drops the
-    file's other spellings of that field."""
-    names = {f.name for f in dataclasses.fields(config_class(args.subcommand))}
-    for flag, (section, key) in _FLAG_KEYS.items():
-        val = getattr(args, flag, None)
-        if val is None:
-            continue
-        name = _field_name(names, f"{section}.{key}")
-        if name is not None:
-            for sec, body in cfg.sections.items():
-                for k in [k for k in body if _field_name(names, f"{sec}.{k}") == name]:
-                    del body[k]
-        cfg.sections.setdefault(section, {})[key] = val
 
 
 def main(argv=None) -> int:
@@ -599,7 +551,6 @@ def main(argv=None) -> int:
         if args.subcommand == "replay":
             return EXIT_ACCEPTANCE if run_replay(args.run_dir, args.out) else EXIT_OK
         cfg = load_config(args.config)
-        _apply_cli_overrides(args, cfg)
         seed = _scalar(int, cfg.get("reproducibility", "seed", 0), "reproducibility.seed")
         out_dir = _scalar(str, cfg.get("io", "out_dir", "runs/out"), "io.out_dir")
         return execute(args.subcommand, cfg, seed if args.seed is None else args.seed,

@@ -20,8 +20,9 @@ from snselab.forcing import low_mode_basis
 from snselab.integrator import SchemeParams, batch_increments, run_scheme
 from snselab.spectral import SpectralField
 from snselab.runner import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
-                            SUBCOMMANDS, build_forcing, checkpoint, config_class,
-                            load_config, main, restore, run_study, study_config)
+                            SUBCOMMANDS, RunConfig, _fields_set, build_forcing, checkpoint,
+                            config_class, load_config, main, restore, run_study,
+                            study_config)
 from snselab.spectral import make_grid, random_field
 
 from helpers import record
@@ -34,13 +35,20 @@ def _write_config(tmp_path, text):
     return str(path)
 
 
+def _simulate(tmp_path, steps, seed, out, text=""):
+    """`simulate` of `steps` steps at `seed` into `out`, from a file that
+    also holds `text`; its exit code."""
+    path = _write_config(tmp_path, f"[experiment]\nsteps = {steps}\n{text}")
+    return main(["simulate", "--config", path, "--seed", str(seed), "--out", str(out)])
+
+
 def test_list_parsing(tmp_path):
     path = _write_config(tmp_path, """
-[discretization]
-delta_ladder = 0.02, 0.01, 0.005
+[experiment]
+deltas = 0.02, 0.01, 0.005
 """)
     cfg = load_config(path)
-    assert cfg.get("discretization", "delta_ladder") == (0.02, 0.01, 0.005)
+    assert cfg.get("experiment", "deltas") == (0.02, 0.01, 0.005)
 
 
 def test_missing_file_is_config_error():
@@ -50,26 +58,25 @@ def test_missing_file_is_config_error():
 
 def test_non_monotone_ladder_rejected(tmp_path, caplog):
     path = _write_config(tmp_path, """
-[discretization]
-delta_ladder = 0.02, 0.05, 0.01
+[experiment]
+deltas = 0.02, 0.05, 0.01
 """)
     # simulate reads no ladder at all
     code = main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
     path = _write_config(tmp_path, """
-[discretization]
-delta_ladder = 0.02, 0.005, 0.01, 0.0025
+[experiment]
+deltas = 0.02, 0.005, 0.01, 0.0025
 """)
     caplog.clear()
     code = main(["converge-time", "--config", path, "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
-    assert "discretization.delta_ladder: ladder must be strictly monotone" in caplog.text
+    assert "experiment.deltas: ladder must be strictly monotone" in caplog.text
 
 
 def test_simulate_zero_steps_emits_manifest_and_checkpoint(tmp_path):
     out = tmp_path / "run0"
-    code = main(["simulate", "--steps", "0", "--seed", "7", "--out", str(out)])
-    assert code == EXIT_OK
+    assert _simulate(tmp_path, 0, 7, out) == EXIT_OK
     assert (out / "manifest.cfg").exists()
     assert (out / "summary.json").exists()
     cks = list(out.glob("checkpoints/*/state_00000000.fld"))
@@ -93,8 +100,7 @@ def test_simulate_zero_steps_row_is_row_zero_of_a_march(tmp_path, seed):
     first = []
     for steps in (0, 1):
         out = tmp_path / f"run{steps}"
-        assert main(["simulate", "--steps", str(steps), "--seed", str(seed),
-                     "--out", str(out)]) == EXIT_OK
+        assert _simulate(tmp_path, steps, seed, out) == EXIT_OK
         first.append((out / "tables" / "diagnostics.csv").read_text().splitlines()[1])
     assert first[0] == first[1]
 
@@ -190,12 +196,12 @@ variance = 0.5
 [experiment]
 horizon = 2.0
 ensemble = 8
+perturbations = 0.01
 
 [nudge]
 shells = 4
 beta = auto
 compute_shifts = true
-perturbation = 0.01
 """)
 
 
@@ -288,6 +294,45 @@ def test_every_gate_file_builds(name):
         assert built.ensemble <= built.exact_limit
 
 
+# the fast CI tier's file stems that are not their subcommand's name
+FAST_SUBCOMMANDS = {"sim-stride": "simulate", "simulate10": "simulate",
+                    "couple16": "couple", "converge-time16": "converge-time"}
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in FAST.glob("*.cfg")))
+def test_every_fast_config_builds(name):
+    # each fast file builds the config of the subcommand CI runs it under
+    stem = Path(name).stem
+    cls = config_class(FAST_SUBCOMMANDS.get(stem, stem))
+    assert isinstance(study_config(cls, load_config(str(FAST / name))), cls)
+
+
+# every section a key may sit in, and every key name any config reads
+SECTIONS = ("experiment", "physics", "forcing", "discretization", "nudge", "distance",
+            "reproducibility", "io")
+KEY_NAMES = {f.name for sub in SUBCOMMANDS if sub != "replay"
+             for f in dataclasses.fields(config_class(sub))} | {
+    "shells", "variance", "preset", "seed", "out_dir", "delta_ladder", "shells_ladder",
+    "perturbation"}
+
+
+@pytest.mark.parametrize("subcommand", [s for s in SUBCOMMANDS if s != "replay"])
+def test_every_field_is_set_by_exactly_one_key(subcommand):
+    cls = config_class(subcommand)
+    setters = {}
+    candidates = [{section: {key: 1}} for section in SECTIONS for key in KEY_NAMES]
+    for sections in candidates + [{"initial": {}}, {"observable": {}}]:
+        try:
+            with _fields_set(cls, RunConfig(sections)) as given:
+                pass
+        except ConfigError:
+            continue
+        for name in given:
+            setters.setdefault(name, []).append(sections)
+    assert {name: len(keys) for name, keys in setters.items()} == {
+        f.name: 1 for f in dataclasses.fields(cls) if f.name != "threads"}
+
+
 # (subcommand, config text; for replay the run's manifest): each exits 2
 BAD_CONFIGS = [
     ("converge-time", "[experiment]\nensembel = 1\n"),
@@ -367,6 +412,12 @@ BAD_CONFIGS = [
     ("replay", "[meta]\nsubcommand = simulate\n"),
     ("replay", "[meta]\nsubcommand = simulate\nseed = abc\n"),
     ("replay", "[meta]\nsubcommand = simulate\nseed = 1\n[experiment]\nstepz = 4\n"),
+    # files configparser cannot read: a key repeated in a section (the one way
+    # left to set a field twice), a key before any section, an unclosed header
+    ("simulate", "[experiment]\nsteps = 1\nsteps = 2\n"),
+    ("simulate", "steps = 2\n[experiment]\n"),
+    ("simulate", "[physics]\nnu = 1.0\n[experiment\nsteps = 2\n"),
+    ("replay", "[meta]\nsubcommand = simulate\nseed = 1\nseed = 2\n"),
 ] + [(sub, "[reproducibility]\nseed = abc\n") for sub in SUBCOMMANDS if sub != "replay"]
 
 
@@ -382,10 +433,24 @@ def test_bad_study_config_is_config_error(monkeypatch, tmp_path, subcommand, tex
     assert seen == []
 
 
-def test_empty_perturbation_flag_is_config_error(monkeypatch, tmp_path):
+def test_empty_perturbation_list_is_config_error(monkeypatch, tmp_path, caplog):
     seen = _capture_studies(monkeypatch)
-    assert main(["couple", "--perturbation", ",", "--out", str(tmp_path)]) == EXIT_CONFIG
+    path = _write_config(tmp_path, "[experiment]\nperturbations = , ,\n")
+    assert main(["couple", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "experiment.perturbations: expected at least one value" in caplog.text
     assert seen == []
+
+
+@pytest.mark.parametrize("text, line", [
+    ("[experiment]\nsteps = 1\nsteps = 2\n", "[line  3]: option 'steps' in section "
+                                           "'experiment' already exists"),
+    ("steps = 2\n[experiment]\n", "line: 1\n'steps = 2"),
+    ("[physics]\nnu = 1.0\n[experiment\nsteps = 2\n", "[line  3]: '[experiment")])
+def test_a_malformed_file_exits_2_with_configparsers_line(tmp_path, caplog, text, line):
+    path = _write_config(tmp_path, text)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "configuration error: config: " in caplog.text and line in caplog.text
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, val", [("shells", 0), ("variance", -1.0),
@@ -411,6 +476,7 @@ def test_import_loads_no_scipy(tmp_path):
     src = str(Path(snselab.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    (tmp_path / "sim.cfg").write_text("[experiment]\nsteps = 2\n")
     code = ("import sys, numpy as np, snselab.runner\n"
             "def studies():\n"
             "    return sorted(m for m in sys.modules if m.startswith('snselab.experiments.'))\n"
@@ -434,12 +500,14 @@ def test_import_loads_no_scipy(tmp_path):
             "print(len(calls), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
             "from scipy.optimize import linprog\n"
             "print(getattr(measures, 'linprog') is linprog)\n"
-            "assert snselab.runner.main(['simulate', '--steps', '2', '--out', sys.argv[1]]) == 0\n"
+            "assert snselab.runner.main(['simulate', '--config', sys.argv[2],\n"
+            "                            '--out', sys.argv[1]]) == 0\n"
             "print(studies())\n"
             "from snselab import experiments\n"
             "experiments.TemporalOrderConfig\n"
             "print(studies())")
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "sim")], env=env,
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "sim"),
+                          str(tmp_path / "sim.cfg")], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.split() == ["[]", "[]", "[]", "False", "[]", "1", "[]", "True", "[]",
                                   "['snselab.experiments.temporal']"]
@@ -456,7 +524,7 @@ OUT_OF_RANGE = {
     ("couple", "[initial]\ncell = -1\n"): "initial.cell",
     ("simulate", "[initial]\nspectral_slope = 1e308\n"): "initial.spectral_slope",
     # a mode that is not a wavevector of the grid that reads it
-    ("simulate", "--steps", "2",
+    ("simulate", "[experiment]\nsteps = 2\n"
      "[discretization]\nshells = 6\n[initial]\nkind = harmonic\nmode_kx = 9\n"): "initial.mode",
     ("weak", "[experiment]\nshells_list = 3, 4\nreference_shells = 6\n[forcing]\nshells = 2\n"
              "[observable]\nkind = low-mode-coefficient\nmode_kx = 5\n"): "observable.mode",
@@ -477,8 +545,8 @@ OUT_OF_RANGE = {
     ("lyapunov", "[experiment]\nmargin_factor = -1\n"): "experiment.margin_factor",
     # an exponential moment of weight alpha <= 0 and a bootstrap of no
     # resample, which reported a meaningless ratio and a NaN half-width
-    ("lyapunov", "[experiment]\nalpha = -1\n"): "experiment.alpha",
-    ("lyapunov", "[experiment]\nalpha = 0\n"): "experiment.alpha",
+    ("lyapunov", "[distance]\nalpha = -1\n"): "distance.alpha",
+    ("lyapunov", "[distance]\nalpha = 0\n"): "distance.alpha",
     ("holder", "[experiment]\nn_boot = -3\n"): "experiment.n_boot",
     ("converge-time", "[experiment]\nn_boot = 0\n"): "experiment.n_boot",
     # the record stride of a path, and of the spatial study's sup
@@ -501,22 +569,45 @@ OUT_OF_RANGE = {
     ("couple", "[nudge]\nshells = -1\n"): "nudge.shells",
     # a zero size starts the nudged copy on the plain one, whose ledger held
     # no contraction yet passed
-    ("couple", "--perturbation", "0", "--enforce"): "experiment.perturbations",
-    ("couple", "[nudge]\nperturbation = 0.1, 0\n"): "nudge.perturbation",
+    ("couple", "[experiment]\nperturbations = 0\n", "--enforce"): "experiment.perturbations",
+    ("couple", "[experiment]\nperturbations = 0.1, 0\n"): "experiment.perturbations",
     # inputs no subcommand reads: an explicit forcing, its directions, an
     # amplitude list and delta0
     ("simulate", "[forcing]\npreset = explicit\n"): "forcing.preset",
     ("simulate", "[forcing]\ndir1 = 1, 0, cos, 0.3\n"): "forcing.dir1",
     ("simulate", "[forcing]\namplitudes = 0.1, 0.1\n"): "forcing.amplitudes",
     ("simulate", "[discretization]\ndelta0 = 0.1\n"): "discretization.delta0",
+    # a step count no array can hold: a horizon of 1e30, a delta of 1e-300 (which
+    # the horizon's key names, with both values), a weak reference step of 1e-300,
+    # and a count of steps set directly
+    ("lyapunov", "[experiment]\nhorizon = 1e30\n"): "experiment.horizon",
+    ("couple", "[experiment]\nhorizon = 1e30\n"): "experiment.horizon",
+    ("converge-space", "[discretization]\ndelta = 1e-300\n"): "experiment.horizon",
+    ("weak", "[experiment]\nreference_delta = 1e-300\n"): "experiment.record_time",
+    ("simulate", f"[experiment]\nsteps = {10 ** 30}\n"): "experiment.steps",
+    ("holder", f"[experiment]\nwindow_steps = {10 ** 30}\n"): "experiment.window_steps",
+    ("bias", f"[experiment]\nreference_steps = {10 ** 30}\n"): "experiment.reference_steps",
+    ("bias", f"[experiment]\nn_ladder = 40, 80, {10 ** 30}\n"): "experiment.n_ladder",
+    # a field's second spelling, which each study once read: a field with a
+    # key outside [experiment] is set only by that key
+    ("converge-time", "[experiment]\nnu = 2.0\n"): "experiment.nu",
+    ("converge-time", "[discretization]\ndelta_ladder = 0.02, 0.01, 0.005, 0.0025\n"):
+        "discretization.delta_ladder",
+    ("converge-space", "[discretization]\nshells_ladder = 3, 4, 6\n"):
+        "discretization.shells_ladder",
+    ("converge-space", "[experiment]\nshells_list = 3, 4, 6\n"): "experiment.shells_list",
+    ("couple", "[nudge]\nperturbation = 0.1\n"): "nudge.perturbation",
+    ("couple", "[experiment]\nshells_controlled = 4\n"): "experiment.shells_controlled",
+    ("simulate", "[experiment]\ncheckpoint_cadence = 5\n"): "experiment.checkpoint_cadence",
 }
 
 
 # an argument that starts with "[" is the text of the run's config file
-@pytest.mark.parametrize("argv", [["simulate", "--steps", "-3"],
-                                  ["certify-metric", "--triples", "0", "--enforce"],
-                                  ["couple", "--ensemble", "0"],
-                                  ["couple", "--horizon", "-1"],
+@pytest.mark.parametrize("argv", [["simulate", "[experiment]\nsteps = -3\n"],
+                                  ["certify-metric", "[experiment]\ntriples = 0\n",
+                                   "--enforce"],
+                                  ["couple", "[experiment]\nensemble = 0\n"],
+                                  ["couple", "[experiment]\nhorizon = -1\n"],
                                   ["lyapunov", "[experiment]\nn_seeds = 0\n"],
                                   ["lyapunov", "[experiment]\nensemble = 0\n"],
                                   ["bias", "[experiment]\nreplicas = 0\n"],
@@ -537,9 +628,9 @@ def test_negative_or_zero_counts_exit_2(monkeypatch, tmp_path, caplog, argv):
 
 @pytest.mark.parametrize("argv, key", [
     # NudgeParams, which the coupling study builds, needs nu lambda_{K+1} >= 2 beta
-    (["couple", "--beta", "100"], "nudge.beta"),
+    (["couple", "[nudge]\nbeta = 100\n"], "nudge.beta"),
     # the Lyapunov study caps alpha by the variance of the forcing it builds
-    (["lyapunov", "[experiment]\nalpha = 10\n"], "experiment.alpha"),
+    (["lyapunov", "[distance]\nalpha = 10\n"], "distance.alpha"),
     # the gain floor divides by nu^5, which underflows to zero (a ZeroDivisionError once)
     (["couple", "[physics]\nnu = 1e-300\n"], "physics.nu"),
     # a forcing of rank zero cannot carry the Girsanov shift: it exited 3, at
@@ -581,20 +672,10 @@ def test_lyapunov_caps_alpha_by_the_forcing_variance(tmp_path, caplog, variance,
     path = _write_config(tmp_path, f"[forcing]\nvariance = {variance}\n"
                                    "[discretization]\nshells = 4\n"
                                    "[experiment]\nhorizon = 0.2\nensemble = 2\n"
-                                   f"n_seeds = 1\nalpha = {alpha}\n")
+                                   f"n_seeds = 1\n[distance]\nalpha = {alpha}\n")
     assert main(["lyapunov", "--config", path, "--out", str(tmp_path / "out")]) == code
-    refused = "configuration error: experiment.alpha: " in caplog.text
+    refused = "configuration error: distance.alpha: " in caplog.text
     assert refused == (code == EXIT_CONFIG)
-
-
-def test_flag_replaces_other_spelling_of_its_field(monkeypatch, tmp_path):
-    seen = _capture_studies(monkeypatch)
-    path = _write_config(tmp_path, "[nudge]\nperturbation = 0.01\n"
-                                   "[experiment]\nshells_controlled = 4\n")
-    code = main(["couple", "--config", path, "--perturbation", "0.1, 1.0",
-                 "--nudge-shells", "6", "--out", str(tmp_path / "out")])
-    assert code == EXIT_OK
-    assert seen[0].perturbations == (0.1, 1.0) and seen[0].shells_controlled == 6
 
 
 def test_contraction_forcing_outside_cutoff_exits_2(tmp_path):
@@ -604,12 +685,12 @@ def test_contraction_forcing_outside_cutoff_exits_2(tmp_path):
     assert code == EXIT_CONFIG
 
 
-def test_couple_without_config_runs(tmp_path):
+def test_couple_manifest_holds_only_what_was_set(tmp_path):
     out = tmp_path / "couple"
-    code = main(["couple", "--horizon", "0.05", "--ensemble", "2", "--out", str(out)])
-    assert code == EXIT_OK
+    path = _write_config(tmp_path, "[experiment]\nhorizon = 0.05\nensemble = 2\n")
+    assert main(["couple", "--config", path, "--out", str(out)]) == EXIT_OK
     manifest = (out / "manifest.cfg").read_text()
-    # the manifest holds what the flags set; the defaults live in the build
+    # the manifest holds what the file sets; the defaults live in the build
     assert "[experiment]" in manifest and "[nudge]" not in manifest
     assert "[physics]" not in manifest
     summary = json.loads((out / "summary.json").read_text())
@@ -633,7 +714,8 @@ def test_couple_subcommand_bundle(tmp_path):
 
 def test_certify_metric_subcommand(tmp_path):
     out = tmp_path / "certify"
-    code = main(["certify-metric", "--seed", "1", "--triples", "500",
+    path = _write_config(tmp_path, "[experiment]\ntriples = 500\n")
+    code = main(["certify-metric", "--config", path, "--seed", "1",
                  "--out", str(out), "--enforce"])
     assert code == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
@@ -717,14 +799,15 @@ variance = 0
 
 def test_replay_flags_a_file_the_run_lacks(tmp_path, caplog):
     out = tmp_path / "sim"
-    assert main(["simulate", "--steps", "5", "--out", str(out)]) == EXIT_OK
+    assert _simulate(tmp_path, 5, 0, out) == EXIT_OK
     (out / "tables" / "diagnostics.csv").unlink()
     assert main(["replay", str(out)]) == EXIT_ACCEPTANCE
     assert "missing from run: tables/diagnostics.csv" in caplog.text
 
 
 def test_simulate_with_cadence_and_replay(tmp_path):
-    cfgp = _write_config(tmp_path, """
+    out = tmp_path / "sim"
+    code = _simulate(tmp_path, 6, 2, out, """
 [discretization]
 shells = 8
 delta = 0.05
@@ -732,9 +815,6 @@ delta = 0.05
 [io]
 checkpoint_cadence = 2
 """)
-    out = tmp_path / "sim"
-    code = main(["simulate", "--config", cfgp, "--steps", "6", "--seed", "2",
-                 "--out", str(out)])
     assert code == EXIT_OK
     cks = sorted(out.glob("checkpoints/*/state_*.fld"))
     steps = [int(p.stem.split("_")[1]) for p in cks]
@@ -751,7 +831,8 @@ def test_simulate_checkpoints_the_recorded_steps_at_cadence_and_the_last(
     # whatever the stride, each the file of a run that checkpoints every
     # step; the stride thins the diagnostics to its multiples
     def run(name, stride, cadence):
-        cfgp = _write_config(tmp_path, f"""
+        out = tmp_path / name
+        assert _simulate(tmp_path, steps, 4, out, f"""
 [discretization]
 shells = 8
 delta = 0.05
@@ -761,10 +842,7 @@ record_stride = {stride}
 
 [io]
 checkpoint_cadence = {cadence}
-""")
-        out = tmp_path / name
-        assert main(["simulate", "--config", cfgp, "--steps", str(steps), "--seed", "4",
-                     "--out", str(out)]) == EXIT_OK
+""") == EXIT_OK
         ckpts = {p.name: p.read_bytes() for p in out.glob("checkpoints/*/state_*")}
         lines = (out / "tables" / "diagnostics.csv").read_text().splitlines()
         summary = json.loads((out / "summary.json").read_text())
@@ -808,7 +886,7 @@ delta = 0.01
 shells = 3
 
 [experiment]
-shells_list = 3, 4, 6, 8
+shell_ladder = 3, 4, 6, 8
 reference_shells = 12
 horizon = 0.1
 ensemble = 8
@@ -830,7 +908,7 @@ delta = 0.01
 shells = 3
 
 [experiment]
-shells_list = 3, 4
+shell_ladder = 3, 4
 reference_shells = 8
 horizon = 0.05
 ensemble = 2
@@ -878,7 +956,7 @@ horizon = 0.1
 
 def test_replay_of_manifest_without_meta_exits_2(tmp_path, caplog):
     out = tmp_path / "sim"
-    assert main(["simulate", "--steps", "2", "--out", str(out)]) == EXIT_OK
+    assert _simulate(tmp_path, 2, 0, out) == EXIT_OK
     manifest = configparser.ConfigParser()
     manifest.read(out / "manifest.cfg")
     manifest.remove_section("meta")
@@ -891,7 +969,7 @@ def test_replay_of_manifest_without_meta_exits_2(tmp_path, caplog):
 
 def test_simulate_manifest_holds_only_what_was_set(tmp_path):
     out = tmp_path / "sim"
-    assert main(["simulate", "--steps", "3", "--seed", "4", "--out", str(out)]) == EXIT_OK
+    assert _simulate(tmp_path, 3, 4, out) == EXIT_OK
     manifest = configparser.ConfigParser()
     manifest.read(out / "manifest.cfg")
     assert manifest.sections() == ["meta", "experiment"]
